@@ -2,6 +2,7 @@
 
 import json
 import logging
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -402,3 +403,80 @@ class TestTopLevel:
         result = runner.invoke(main, ["--version"])
         assert result.exit_code == 0
         assert "0.1.0" in result.stdout
+
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+# One dataset of eight records over three documents with names and pronouns,
+# so heuristic coref yields clusters and the coref stage can win. The claim
+# cache has one empty entry (r3) and no entry for r4; both fall back to the
+# summary sentences. r2 and r3 repeat a summary sentence, which nli_sent keeps.
+_GOLDEN_DOCS = {
+    "d1": "Billy Vunipola has been ruled out of the match. He injured his knee in "
+    "training. The coach said Vunipola would return in March. England play Wales "
+    "on Saturday.",
+    "d2": "Maria Lopez won the city marathon on Sunday. She finished in two hours and "
+    "ten minutes. Lopez thanked the crowd after the race. The runner-up was Anna Berg.",
+    "d3": "The council approved the new bridge plan. Work will start in May. Mayor Tom "
+    "Reed said the bridge would cut traffic. Reed expects the project to finish next year.",
+}
+_GOLDEN_RECORDS = [
+    ("r1", "d1", "validation", "factual",
+     "He was ruled out of the match. He injured his knee."),
+    ("r2", "d1", "validation", "not_factual",
+     "Vunipola will not return in March. Vunipola will not return in March."),
+    ("r3", "d2", "validation", "factual", "She won the marathon. She won the marathon."),
+    ("r4", "d2", "validation", "not_factual", "Anna Berg won the marathon in record time."),
+    ("r5", "d3", "test", "factual",
+     "Reed said the bridge would cut traffic. The project will finish next year."),
+    ("r6", "d3", "test", "not_factual", "The council rejected the bridge plan."),
+    ("r7", "d1", "test", "factual", "England play Wales on Saturday."),
+    ("r8", "d2", "test", "not_factual", "She finished in three hours."),
+]
+_GOLDEN_CLAIMS = {
+    "r1:s": ["He was ruled out of the match.", "He injured his knee in training."],
+    "r2:s": ["Vunipola will not return in March."],
+    "r3:s": [],
+    "r5:s": ["Reed said the bridge would cut traffic.", "The project will finish next year."],
+    "r6:s": ["The council did not approve the bridge plan."],
+    "r7:s": ["England play Wales on Saturday."],
+    "r8:s": ["She finished in three hours."],
+}
+# nli_sent scores summary sentences, never claims, so it counts no fallback.
+_GOLDEN_FALLBACKS = {"full": 2, "nli_sent": 0, "nli_claim": 2, "nli_coref": 2}
+
+
+class TestAblationGoldens:
+    @pytest.mark.parametrize("mode", ["full", "nli_sent", "nli_claim", "nli_coref"])
+    def test_benchmark_mode_matches_golden(self, runner, tmp_path, mode):
+        rows = [
+            json.dumps(
+                {
+                    "record_id": rid,
+                    "document": {"id": doc_id, "text": _GOLDEN_DOCS[doc_id]},
+                    "summary": {"id": f"{rid}:s", "text": text},
+                    "gold_label": gold,
+                    "dataset": "news",
+                    "split": split,
+                }
+            )
+            for rid, doc_id, split, gold, text in _GOLDEN_RECORDS
+        ]
+        records = write(tmp_path, "records.jsonl", "\n".join(rows) + "\n")
+        claims = write(tmp_path, "claims.json", json.dumps(_GOLDEN_CLAIMS))
+        csv_path = tmp_path / "scores.csv"
+        meta_path = tmp_path / "meta.json"
+        result = runner.invoke(
+            main,
+            [
+                "benchmark", records, "--mode", mode,
+                "--coref-backend", "heuristic", "--claim-backend", f"cache:{claims}",
+                "--T", "0.9", "--j", "2",
+                "--scores-csv", str(csv_path), "--run-meta", str(meta_path),
+            ],
+        )
+        assert result.exit_code == 0, result.stderr
+        assert result.stdout_bytes == (GOLDEN_DIR / f"benchmark_{mode}.json").read_bytes()
+        assert csv_path.read_bytes() == (GOLDEN_DIR / f"benchmark_{mode}.csv").read_bytes()
+        meta = json.loads(meta_path.read_text())
+        assert meta["claims_fallback_count"] == _GOLDEN_FALLBACKS[mode]
