@@ -34,7 +34,6 @@ from .claims import (
     LocalSeq2SeqExtractor,
     RemoteLlmExtractor,
     build_prompt,
-    extract_claims,
     parse_claims,
 )
 from .config import RunConfig, load_run_config
@@ -83,7 +82,6 @@ from .scoring import (
     ScoringParams,
     Substitution,
     coref_variants,
-    nli_score,
 )
 
 __version__ = "0.1.0"

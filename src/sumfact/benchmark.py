@@ -17,10 +17,10 @@ import json
 import os
 import random
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
+from .config import ordered_map
 from .documents import Document, Summary
 from .errors import DegenerateLabels, InputError, MissingSplit
 
@@ -322,11 +322,7 @@ def _score_records(
         else:
             pending.append(record)
     if pending:
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                fresh = list(pool.map(scorer, pending))
-        else:
-            fresh = [scorer(record) for record in pending]
+        fresh = ordered_map(scorer, pending, workers)
         for record, score in zip(pending, fresh):
             scores[record.record_id] = score
             if cache is not None:

@@ -38,7 +38,6 @@ __all__ = [
     "LocalSeq2SeqExtractor",
     "build_prompt",
     "parse_claims",
-    "extract_claims",
 ]
 
 logger = logging.getLogger("sumfact.claims")
@@ -142,15 +141,13 @@ def parse_claims(raw: str, summary_id: str) -> list[Claim]:
 
 @dataclass(frozen=True)
 class ExtractorConfig:
-    """Backend selection and plumbing for claim extraction.
+    """Plumbing for the remote claim extractor.
 
-    ``target`` is the cache path, endpoint URL, or model identifier,
-    depending on ``backend``. ``api_key_env`` names the environment variable
-    holding the remote credential; the value itself never appears in config
-    files or logs.
+    ``target`` is the endpoint URL. ``api_key_env`` names the environment
+    variable holding the credential; the value itself never appears in
+    config files or logs.
     """
 
-    backend: str  # "file-cache" | "remote-llm" | "local-seq2seq"
     target: str
     model: str | None = None
     timeout: float = 60.0
@@ -162,8 +159,6 @@ class ExtractorConfig:
     max_in_flight: int = 4
 
     def __post_init__(self) -> None:
-        if self.backend not in ("file-cache", "remote-llm", "local-seq2seq"):
-            raise ValueError(f"unknown claim backend {self.backend!r}")
         if not (0 <= self.max_retries <= 5):
             raise ValueError("max_retries must be between 0 and 5")
         if self.timeout <= 0:
@@ -179,19 +174,12 @@ class ClaimExtractor(Protocol):
 
 
 class FileCacheExtractor:
-    """Serve claims from a JSON mapping of summary id to claim texts."""
+    """Serve claims from a mapping of summary id to claim texts, as loaded
+    by ``formats.load_claim_cache``."""
 
     def __init__(self, cache: Mapping[str, list[str]], source: str = "inline"):
         self._cache = dict(cache)
         self._source = source
-
-    @classmethod
-    def from_path(cls, path: str) -> "FileCacheExtractor":
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ClaimCacheMiss(f"claim cache {path} is not a JSON object")
-        return cls(data, source=path)
 
     def describe(self) -> str:
         return f"cache:{self._source}"
@@ -225,8 +213,6 @@ class RemoteLlmExtractor:
     """
 
     def __init__(self, config: ExtractorConfig, session: requests.Session | None = None):
-        if config.backend != "remote-llm":
-            raise ValueError("RemoteLlmExtractor requires a remote-llm config")
         self.config = config
         self._session = session or requests.Session()
         self._gate = threading.Semaphore(config.max_in_flight)
@@ -342,15 +328,3 @@ class LocalSeq2SeqExtractor:
             ) from exc
         return parse_claims(raw, summary.id)
 
-
-def extract_claims(summary: Summary, config: ExtractorConfig) -> list[Claim]:
-    """One-shot extraction with a fresh backend built from ``config``."""
-    return make_extractor(config).extract(summary)
-
-
-def make_extractor(config: ExtractorConfig) -> ClaimExtractor:
-    if config.backend == "file-cache":
-        return FileCacheExtractor.from_path(config.target)
-    if config.backend == "remote-llm":
-        return RemoteLlmExtractor(config)
-    return LocalSeq2SeqExtractor(config.target)

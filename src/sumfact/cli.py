@@ -16,10 +16,10 @@ import sys
 
 import click
 
+from . import __version__, claim_metrics, formats, pipeline
 from . import benchmark as bench
-from . import claim_metrics, formats, pipeline
 from .benchmark import ScoreCache
-from .config import MODES, PROTOCOLS, load_run_config
+from .config import MODES, PROTOCOLS, load_run_config, ordered_map
 from .errors import (
     BackendError,
     DegenerateLabels,
@@ -120,7 +120,7 @@ def _apply(options):
 
 
 @click.group()
-@click.version_option(package_name="sumfact")
+@click.version_option(version=__version__)
 def main() -> None:
     """Factual consistency scoring for summaries."""
 
@@ -196,13 +196,7 @@ def extract_claims(summaries, output, config_path, **flags) -> None:
             # Record the outcome; consumers apply the fallback policy on read.
             return []
 
-    if config.workers > 1 and sums:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            claim_lists = list(pool.map(one, sums))
-    else:
-        claim_lists = [one(s) for s in sums]
+    claim_lists = ordered_map(one, sums, config.workers)
     cache = {s.id: claims for s, claims in zip(sums, claim_lists)}
     stream, owned = _open_output(output)
     try:

@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Iterable, Mapping, TypeVar
 
 from .errors import InputError
+from .scoring import ScoringParams
 
-__all__ = ["RunConfig", "load_run_config", "MODES", "PROTOCOLS"]
+__all__ = ["RunConfig", "load_run_config", "scoring_params", "ordered_map", "MODES", "PROTOCOLS"]
 
 MODES = ("full", "nli_sent", "nli_claim", "nli_coref")
 PROTOCOLS = ("per_split", "single_threshold")
@@ -55,12 +57,10 @@ class RunConfig:
     log_level: str = "warning"
 
     def validate(self) -> None:
-        if self.window_size < 1:
-            raise InputError("window_size must be >= 1")
-        if not (-1.0 <= self.gate_threshold <= 1.0):
-            raise InputError("gate_threshold must lie in [-1, 1]")
-        if self.max_coref_variants < 1:
-            raise InputError("max_coref_variants must be >= 1")
+        try:
+            scoring_params(self)
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
         if self.workers < 1:
             raise InputError("workers must be >= 1")
         if self.nli_batch_size < 1:
@@ -81,6 +81,30 @@ class RunConfig:
                 raise InputError(
                     f"backend selector {selector!r}: kind must be one of {allowed}"
                 )
+
+
+def scoring_params(config: RunConfig) -> ScoringParams:
+    return ScoringParams(
+        window_size=config.window_size,
+        gate_threshold=config.gate_threshold,
+        max_coref_variants=config.max_coref_variants,
+    )
+
+
+T = TypeVar("T")
+R = TypeVar("R")
+
+
+def ordered_map(fn: Callable[[T], R], items: Iterable[T], workers: int) -> list[R]:
+    """``[fn(item) for item in items]``, run on ``workers`` threads when above 1.
+
+    Results keep input order; an exception from ``fn`` is re-raised here,
+    that of the earliest failing item first.
+    """
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}

@@ -2,18 +2,20 @@
 
 This layer owns the policies that span modules: the empty-claims fallback
 (summary sentences become the claims, flagged on the report), degradation to
-empty clusters when the coreference backend fails, and the fan-out of
-independent (document, summary) pairs across a thread pool. The CLI calls
+empty clusters when the coreference backend fails, the mapping of each mode
+to its hypotheses and its stop in the one scoring pipeline, and the fan-out
+of independent (document, summary) pairs across a thread pool. The CLI calls
 into here and does no scoring of its own.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+import threading
+from dataclasses import dataclass
 from typing import Sequence
 
+from . import formats
 from .benchmark import BenchmarkRecord, config_fingerprint
 from .claims import (
     ClaimExtractor,
@@ -22,7 +24,7 @@ from .claims import (
     LocalSeq2SeqExtractor,
     RemoteLlmExtractor,
 )
-from .config import RunConfig
+from .config import RunConfig, ordered_map, scoring_params
 from .coref import CorefBackend, HeuristicCorefBackend, NoopCorefBackend, with_clusters
 from .documents import Claim, Document, Summary, build_claims
 from .errors import (
@@ -38,7 +40,7 @@ from .nli import (
     PremiseBudget,
     RemoteEntailmentBackend,
 )
-from .scoring import FactualityReport, Scorer, ScoringParams
+from .scoring import FactualityReport, Scorer, Stop
 
 __all__ = [
     "make_nli_backend",
@@ -97,13 +99,12 @@ def make_claim_extractor(config: RunConfig) -> ClaimExtractor | None:
     if kind == "cache":
         if not rest:
             raise InputError("claim_backend 'cache:' needs a file path")
-        return FileCacheExtractor.from_path(rest)
+        return FileCacheExtractor(formats.load_claim_cache(rest), source=rest)
     if kind == "remote":
         if not rest:
             raise InputError("claim_backend 'remote:' needs a URL")
-        return RemoteLlmExtractor(
-            ExtractorConfig(
-                backend="remote-llm",
+        try:
+            settings = ExtractorConfig(
                 target=rest,
                 model=config.claim_model,
                 timeout=config.claim_timeout,
@@ -112,20 +113,14 @@ def make_claim_extractor(config: RunConfig) -> ClaimExtractor | None:
                 max_tokens=config.claim_max_tokens,
                 max_in_flight=config.claim_max_in_flight,
             )
-        )
+        except ValueError as exc:
+            raise InputError(f"claim extractor settings: {exc}") from exc
+        return RemoteLlmExtractor(settings)
     if kind == "local":
         if not rest:
             raise InputError("claim_backend 'local:' needs a model name or path")
         return LocalSeq2SeqExtractor(rest)
     raise InputError(f"unknown claim_backend {config.claim_backend!r}")
-
-
-def scoring_params(config: RunConfig) -> ScoringParams:
-    return ScoringParams(
-        window_size=config.window_size,
-        gate_threshold=config.gate_threshold,
-        max_coref_variants=config.max_coref_variants,
-    )
 
 
 def make_scorer(config: RunConfig, backend: EntailmentBackend | None = None) -> Scorer:
@@ -138,11 +133,13 @@ def make_scorer(config: RunConfig, backend: EntailmentBackend | None = None) -> 
 
 def scorer_fingerprint(config: RunConfig, backend: EntailmentBackend) -> str:
     """Digest of everything that can change a record's score."""
-    extractor_desc = config.claim_backend
     return config_fingerprint(
         {
             "nli": backend.describe(),
-            "claims": extractor_desc,
+            "nli_max_units": config.nli_max_units,
+            "claims": config.claim_backend,
+            "claim_model": config.claim_model,
+            "claim_max_tokens": config.claim_max_tokens,
             "coref": config.coref_backend,
             "coref_max_sentences": config.coref_max_sentences,
             "mode": config.mode,
@@ -204,18 +201,33 @@ class RunUnit:
     claims_fallback: bool
 
 
+# Where each mode stops the pipeline; ``None`` runs it to the end.
+_STOPS: dict[str, Stop | None] = {
+    "full": None,
+    "nli_sent": "sentence",
+    "nli_claim": "sentence",
+    "nli_coref": "coref",
+}
+
+
 def evaluate_pair(unit: RunUnit, scorer: Scorer, mode: str) -> FactualityReport:
-    if mode == "full":
-        report = scorer.score_summary(
-            unit.document, list(unit.claims), claims_fallback=unit.claims_fallback
-        )
-        return report
-    report = scorer.score_summary_ablation(
-        unit.document, unit.summary, list(unit.claims), mode  # type: ignore[arg-type]
+    """Score one unit in one mode.
+
+    Every mode runs the one gated pipeline. ``nli_claim`` stops it after the
+    sentence stage and ``nli_coref`` after the coref stage. ``nli_sent`` is
+    ``nli_claim`` with the summary's sentences as hypotheses (duplicates
+    kept: the mean runs over sentences), so it never reports the claims
+    fallback.
+    """
+    if mode not in _STOPS:
+        raise ValueError(f"unknown ablation mode {mode!r}")
+    claims, claims_fallback = list(unit.claims), unit.claims_fallback
+    if mode == "nli_sent":
+        claims = [Claim(unit.summary.id, i, s.text) for i, s in enumerate(unit.summary.sentences)]
+        claims_fallback = False
+    return scorer.score_summary(
+        unit.document, claims, claims_fallback=claims_fallback, stop=_STOPS[mode]
     )
-    if unit.claims_fallback and mode != "nli_sent":
-        report = replace(report, claims_fallback=True)
-    return report
 
 
 def build_units(
@@ -256,10 +268,7 @@ def score_corpus(
     units: Sequence[RunUnit], scorer: Scorer, mode: str, workers: int = 1
 ) -> list[FactualityReport]:
     """Score units in order; pairs are independent, so fan out is safe."""
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda unit: evaluate_pair(unit, scorer, mode), units))
-    return [evaluate_pair(unit, scorer, mode) for unit in units]
+    return ordered_map(lambda unit: evaluate_pair(unit, scorer, mode), units, workers)
 
 
 def record_scorer(
@@ -277,6 +286,7 @@ def record_scorer(
     """
     backend = coref_backend or NoopCorefBackend()
     stats = {"claims_fallback": 0}
+    lock = threading.Lock()
     prepared: dict[tuple[str, str], Document] = {}
 
     def score(record: BenchmarkRecord) -> float:
@@ -286,10 +296,12 @@ def record_scorer(
             document = attach_clusters(record.document, backend)
             prepared[key] = document
         claims, used_fallback = resolve_claims(record.summary, extractor, missing_ok=True)
-        if used_fallback and mode != "nli_sent":
-            stats["claims_fallback"] += 1
         unit = RunUnit(document, record.summary, tuple(claims), used_fallback)
-        return evaluate_pair(unit, scorer, mode).score
+        report = evaluate_pair(unit, scorer, mode)
+        if report.claims_fallback:
+            with lock:
+                stats["claims_fallback"] += 1
+        return report.score
 
     score.stats = stats  # type: ignore[attr-defined]
     return score

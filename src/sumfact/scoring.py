@@ -7,7 +7,9 @@ for another surface form of its entity). If the best of those reaches the
 gate threshold, that is the verdict; otherwise the claim is re-evaluated
 against windows of consecutive sentences and the whole document, and the
 better of those two replaces the coref score outright, even when lower. A
-summary's score is the arithmetic mean over its claim verdicts.
+summary's score is the arithmetic mean over its claim verdicts. The ablations
+are early stops of this one pipeline: after the sentence stage or after the
+coref stage.
 
 The engine memoizes backend results on (premise, hypothesis) within a run and
 counts actual backend pairs per stage, so the gating short-circuit (no
@@ -23,21 +25,20 @@ import threading
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
-from .documents import Claim, CorefCluster, Document, Mention, Summary
+from .documents import Claim, CorefCluster, Document, Mention
 from .errors import OversizedPremise
 from .nli import EntailmentBackend, EntailmentTriple
 
 __all__ = [
     "Granularity",
     "Stage",
-    "AblationMode",
+    "Stop",
     "ScoringParams",
     "Substitution",
     "AlignedSpan",
     "ClaimVerdict",
     "FactualityReport",
     "Scorer",
-    "nli_score",
     "coref_variants",
 ]
 
@@ -45,7 +46,7 @@ logger = logging.getLogger("sumfact.scoring")
 
 Granularity = Literal["sentence", "coref_sentence", "window", "document"]
 Stage = Literal["sentence", "coref", "multi_granularity"]
-AblationMode = Literal["nli_sent", "nli_claim", "nli_coref"]
+Stop = Literal["sentence", "coref"]
 
 STAGES = ("sentence", "coref", "window", "document")
 
@@ -132,11 +133,6 @@ class FactualityReport:
     verdicts: tuple[ClaimVerdict, ...]
     claims_fallback: bool
     params: ScoringParams
-
-
-def nli_score(premise: str, claim_text: str, backend: EntailmentBackend) -> float:
-    """Signed entailment score for one pair: p(entail) - p(contradict)."""
-    return backend.entail(premise, claim_text).score
 
 
 def coref_variants(
@@ -253,50 +249,56 @@ class Scorer:
         best = max(scores)
         return best, scores.index(best)
 
-    def score_coref(self, doc: Document, claim: Claim) -> tuple[float, AlignedSpan]:
+    def score_coref(
+        self, doc: Document, claim: Claim, sentence: tuple[float, int]
+    ) -> tuple[float, AlignedSpan]:
         """Re-score the anchor sentence against its coreference variants.
 
-        The original sentence is always in the candidate set and wins ties,
-        so the result never drops below the sentence-stage score. With no
-        clusters this degrades to the sentence stage exactly.
+        ``sentence`` is the sentence stage's ``(score, anchor)`` for this
+        claim. The original sentence is always in the candidate set and wins
+        ties, so the result never drops below the sentence-stage score. With
+        no clusters this degrades to the sentence stage exactly.
         """
-        sent_score, anchor = self.score_sentences(doc, claim)
-        sentence = doc.sentences[anchor]
+        sent_score, anchor = sentence
+        original = doc.sentences[anchor].text
         variants = coref_variants(doc, anchor, self.params)
         if not variants:
-            return sent_score, AlignedSpan("sentence", anchor, anchor, sentence.text)
-        candidates = [sentence.text] + [text for text, _ in variants]
+            return sent_score, AlignedSpan("sentence", anchor, anchor, original)
+        candidates = [original] + [text for text, _ in variants]
         scores = self._score_many(candidates, claim.text, "coref", claim)
         best = max(scores)
         winner = scores.index(best)
         if winner == 0:
-            return best, AlignedSpan("sentence", anchor, anchor, sentence.text)
+            return best, AlignedSpan("sentence", anchor, anchor, original)
         text, substitution = variants[winner - 1]
         return best, AlignedSpan("coref_sentence", anchor, anchor, text, substitution)
 
-    def score_window(self, doc: Document, claim: Claim, k: int) -> tuple[float, int]:
-        """Best k-sentence window score and the lowest winning start index."""
-        score, start, _ = self._window_stage(doc, claim, k)
-        return score, start
+    def score_claim(
+        self, doc: Document, claim: Claim, stop: Stop | None = None
+    ) -> ClaimVerdict:
+        """Gated pipeline for one claim, or a prefix of it.
 
-    def score_multi(self, doc: Document, claim: Claim) -> tuple[float, AlignedSpan]:
-        score, aligned, _, _ = self._multi(doc, claim)
-        return score, aligned
-
-    def score_claim(self, doc: Document, claim: Claim) -> ClaimVerdict:
-        """Full gated pipeline for one claim.
-
-        The window/document stages are only reached (and only issue backend
-        calls) when the coref score misses the gate; below the gate their
-        result replaces the coref score even when lower, unless
-        ``monotone_gate`` is set.
+        ``stop="sentence"`` ends after the sentence stage and ``stop="coref"``
+        after the coref stage; the verdict's stage then names the premise
+        that won. Without a stop the window/document stages are only reached
+        (and only issue backend calls) when the coref score misses the gate;
+        below the gate their result replaces the coref score even when lower,
+        unless ``monotone_gate`` is set.
         """
-        sent_score, _ = self.score_sentences(doc, claim)
-        coref_score, coref_span = self.score_coref(doc, claim)
-        sub = {"sentence": sent_score, "coref": coref_score}
+        sentence = self.score_sentences(doc, claim)
+        sent_score, anchor = sentence
+        sub = {"sentence": sent_score}
+        if stop == "sentence":
+            span = AlignedSpan("sentence", anchor, anchor, doc.sentences[anchor].text)
+            return ClaimVerdict(claim, sent_score, "sentence", span, sub)
+        coref_score, coref_span = self.score_coref(doc, claim, sentence)
+        sub["coref"] = coref_score
+        if stop == "coref":
+            stage: Stage = "coref" if coref_span.granularity == "coref_sentence" else "sentence"
+            return ClaimVerdict(claim, coref_score, stage, coref_span, sub)
         if coref_score >= self.params.gate_threshold:
             return ClaimVerdict(claim, coref_score, "coref", coref_span, sub)
-        multi_score, multi_span, window_score, document_score = self._multi(doc, claim)
+        multi_score, multi_span, window_score, document_score = self.score_multi(doc, claim)
         sub["window"] = window_score
         sub["document"] = document_score
         if self.monotone_gate and coref_score > multi_score:
@@ -304,9 +306,17 @@ class Scorer:
         return ClaimVerdict(claim, multi_score, "multi_granularity", multi_span, sub)
 
     def score_summary(
-        self, doc: Document, claims: Sequence[Claim], *, claims_fallback: bool = False
+        self,
+        doc: Document,
+        claims: Sequence[Claim],
+        *,
+        claims_fallback: bool = False,
+        stop: Stop | None = None,
     ) -> FactualityReport:
-        """Score every claim and average; verdicts keep claim order."""
+        """Score every claim and average; verdicts keep claim order.
+
+        ``stop`` ends each claim's pipeline early, as in :meth:`score_claim`.
+        """
         if not claims:
             raise ValueError("score_summary needs at least one claim")
         summary_id = claims[0].summary_id
@@ -315,59 +325,11 @@ class Scorer:
                 raise ValueError(
                     f"claims mix summaries '{summary_id}' and '{claim.summary_id}'"
                 )
-        verdicts = tuple(self.score_claim(doc, claim) for claim in claims)
+        verdicts = tuple(self.score_claim(doc, claim, stop) for claim in claims)
         score = sum(v.score for v in verdicts) / len(verdicts)
         return FactualityReport(summary_id, score, verdicts, claims_fallback, self.params)
 
-    def score_summary_ablation(
-        self,
-        doc: Document,
-        summary: Summary,
-        claims: Sequence[Claim],
-        mode: AblationMode,
-    ) -> FactualityReport:
-        """Reduced pipelines for ablation comparisons.
-
-        ``nli_sent`` ignores ``claims`` and uses the summary's sentences as
-        hypotheses (duplicates kept: the mean runs over sentences, not a
-        deduplicated set). ``nli_claim`` stops after the sentence stage;
-        ``nli_coref`` adds the coref stage. No window/document premises in
-        any mode.
-        """
-        if mode == "nli_sent":
-            hypotheses = [
-                Claim(summary.id, i, s.text) for i, s in enumerate(summary.sentences)
-            ]
-        elif mode in ("nli_claim", "nli_coref"):
-            if not claims:
-                raise ValueError(f"mode {mode} needs at least one claim")
-            hypotheses = list(claims)
-        else:
-            raise ValueError(f"unknown ablation mode {mode!r}")
-        verdicts = []
-        for claim in hypotheses:
-            sent_score, anchor = self.score_sentences(doc, claim)
-            if mode == "nli_coref":
-                coref_score, span = self.score_coref(doc, claim)
-                stage: Stage = "coref" if span.granularity == "coref_sentence" else "sentence"
-                verdicts.append(
-                    ClaimVerdict(
-                        claim,
-                        coref_score,
-                        stage,
-                        span,
-                        {"sentence": sent_score, "coref": coref_score},
-                    )
-                )
-            else:
-                span = AlignedSpan("sentence", anchor, anchor, doc.sentences[anchor].text)
-                verdicts.append(
-                    ClaimVerdict(claim, sent_score, "sentence", span, {"sentence": sent_score})
-                )
-        score = sum(v.score for v in verdicts) / len(verdicts)
-        return FactualityReport(summary.id, score, tuple(verdicts), False, self.params)
-
-    # -- window internals ---------------------------------------------------
+    # -- window and document stages ------------------------------------------
 
     def _join(self, doc: Document, start: int, length: int) -> str:
         return " ".join(s.text for s in doc.sentences[start : start + length])
@@ -405,10 +367,11 @@ class Scorer:
                 return out
             cursor += max(1, fit // 2)
 
-    def _window_stage(
+    def score_window(
         self, doc: Document, claim: Claim, k: int
     ) -> tuple[float, int, tuple[int, int, str]]:
-        """Max over all k-windows; returns (score, window_start, winning premise).
+        """Max over all k-windows; returns (score, lowest winning window start,
+        winning premise as (start, length, text)).
 
         The winning premise is the window itself, or its best chunk when the
         budget forced a split. Counted under stage "document" when the window
@@ -438,7 +401,7 @@ class Scorer:
                 best_premise = premises[chunk_scores.index(top)]
         return best_score, best_start, best_premise
 
-    def _multi(
+    def score_multi(
         self, doc: Document, claim: Claim
     ) -> tuple[float, AlignedSpan, float, float]:
         """Max of the windowed and whole-document scores.
@@ -448,10 +411,10 @@ class Scorer:
         one window the two evaluations coincide via the memo cache.
         """
         n = len(doc.sentences)
-        window_score, _, window_premise = self._window_stage(
+        window_score, _, window_premise = self.score_window(
             doc, claim, min(self.params.window_size, n)
         )
-        document_score, _, document_premise = self._window_stage(doc, claim, n)
+        document_score, _, document_premise = self.score_window(doc, claim, n)
         if window_score > document_score:
             start, length, text = window_premise
             aligned = AlignedSpan("window", start, start + length - 1, text)

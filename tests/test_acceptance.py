@@ -28,6 +28,7 @@ from sumfact import (
     run_benchmark,
 )
 from sumfact.formats import render_report
+from sumfact.pipeline import RunUnit, evaluate_pair
 
 from cases import doc_from_sentences, random_case, summary_from_sentences
 from oracles import oracle_verdict, verdict_to_view
@@ -124,11 +125,11 @@ def test_stage_decomposition_identities(criterion):
             n = len(doc.sentences)
             for claim in claims:
                 # One-sentence windows are exactly the sentence stage.
-                assert scorer.score_window(doc, claim, 1) == scorer.score_sentences(
+                assert scorer.score_window(doc, claim, 1)[:2] == scorer.score_sentences(
                     doc, claim
                 )
                 # The multi stage is the max of window and whole-document runs.
-                multi_score, aligned = scorer.score_multi(doc, claim)
+                multi_score, aligned = scorer.score_multi(doc, claim)[:2]
                 window_score = scorer.score_window(doc, claim, params["window_size"])[0]
                 document_score = scorer.score_window(doc, claim, n)[0]
                 assert multi_score == max(window_score, document_score)
@@ -259,12 +260,13 @@ def test_coref_ablation_degrades_to_claim_scoring(criterion):
             summary = summary_from_sentences(
                 claims[0].summary_id, bare.id, [c.text for c in claims]
             )
-            claim_only = Scorer(
-                MockEntailmentBackend(), ScoringParams(**params)
-            ).score_summary_ablation(bare, summary, claims, "nli_claim")
-            with_coref = Scorer(
-                MockEntailmentBackend(), ScoringParams(**params)
-            ).score_summary_ablation(bare, summary, claims, "nli_coref")
+            unit = RunUnit(bare, summary, claims, False)
+            claim_only = evaluate_pair(
+                unit, Scorer(MockEntailmentBackend(), ScoringParams(**params)), "nli_claim"
+            )
+            with_coref = evaluate_pair(
+                unit, Scorer(MockEntailmentBackend(), ScoringParams(**params)), "nli_coref"
+            )
             assert with_coref.score == claim_only.score
             for va, vb in zip(claim_only.verdicts, with_coref.verdicts):
                 assert vb.score == va.score

@@ -17,10 +17,11 @@ from sumfact import (
     MalformedClaimOutput,
     RemoteLlmExtractor,
     Summary,
+    RunConfig,
     build_prompt,
-    extract_claims,
     parse_claims,
 )
+from sumfact.pipeline import make_claim_extractor
 
 from stubserver import StubServer, dead_url
 
@@ -109,28 +110,23 @@ class TestFileCacheExtractor:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "claims.json"
         path.write_text(json.dumps({"s1": ["A cat sat.", "A dog ran."]}))
-        extractor = FileCacheExtractor.from_path(str(path))
+        extractor = make_claim_extractor(RunConfig(claim_backend=f"cache:{path}"))
         assert "s1" in extractor
         assert "s2" not in extractor
         claims = extractor.extract(summary())
         assert [c.text for c in claims] == ["A cat sat.", "A dog ran."]
+        assert claims == [Claim("s1", 0, "A cat sat."), Claim("s1", 1, "A dog ran.")]
         assert extractor.describe() == f"cache:{path}"
 
     def test_miss_raises(self, tmp_path):
         path = tmp_path / "claims.json"
         path.write_text("{}")
         with pytest.raises(ClaimCacheMiss, match="s1"):
-            FileCacheExtractor.from_path(str(path)).extract(summary())
+            make_claim_extractor(RunConfig(claim_backend=f"cache:{path}")).extract(summary())
 
     def test_empty_entry_raises(self):
         with pytest.raises(EmptyClaims):
             FileCacheExtractor({"s1": []}).extract(summary())
-
-    def test_non_object_file_rejected(self, tmp_path):
-        path = tmp_path / "claims.json"
-        path.write_text("[1, 2, 3]")
-        with pytest.raises(ClaimCacheMiss, match="JSON object"):
-            FileCacheExtractor.from_path(str(path))
 
 
 def envelope(content):
@@ -138,7 +134,7 @@ def envelope(content):
 
 
 def remote_config(url, **kwargs):
-    defaults = dict(backend="remote-llm", target=url, retry_delay=0.01, timeout=5.0)
+    defaults = dict(target=url, retry_delay=0.01, timeout=5.0)
     defaults.update(kwargs)
     return ExtractorConfig(**defaults)
 
@@ -242,10 +238,6 @@ class TestRemoteLlmExtractor:
         with pytest.raises(ExtractorUnavailable, match="1 attempts"):
             extractor.extract(summary())
 
-    def test_requires_remote_config(self):
-        with pytest.raises(ValueError):
-            RemoteLlmExtractor(ExtractorConfig(backend="file-cache", target="x"))
-
     def test_describe_mentions_target_and_model(self):
         extractor = RemoteLlmExtractor(remote_config("http://example.invalid/", model="m"))
         assert "http://example.invalid/" in extractor.describe()
@@ -254,14 +246,12 @@ class TestRemoteLlmExtractor:
 
 class TestExtractorConfig:
     def test_validation(self):
-        with pytest.raises(ValueError, match="backend"):
-            ExtractorConfig(backend="bogus", target="x")
         with pytest.raises(ValueError, match="max_retries"):
-            ExtractorConfig(backend="remote-llm", target="x", max_retries=9)
+            ExtractorConfig(target="x", max_retries=9)
         with pytest.raises(ValueError, match="timeout"):
-            ExtractorConfig(backend="remote-llm", target="x", timeout=0)
+            ExtractorConfig(target="x", timeout=0)
         with pytest.raises(ValueError, match="max_in_flight"):
-            ExtractorConfig(backend="remote-llm", target="x", max_in_flight=0)
+            ExtractorConfig(target="x", max_in_flight=0)
 
 
 class TestLocalSeq2SeqExtractor:
@@ -280,11 +270,3 @@ class TestLocalSeq2SeqExtractor:
         with pytest.raises(ExtractorUnavailable, match="s1"):
             extractor.extract(summary())
 
-
-class TestExtractClaimsHelper:
-    def test_file_cache_one_shot(self, tmp_path):
-        path = tmp_path / "claims.json"
-        path.write_text(json.dumps({"s1": ["A claim stands."]}))
-        config = ExtractorConfig(backend="file-cache", target=str(path))
-        claims = extract_claims(summary(), config)
-        assert claims == [Claim("s1", 0, "A claim stands.")]

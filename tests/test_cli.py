@@ -203,6 +203,50 @@ class TestScore:
         }
 
 
+class TestMalformedInput:
+    @pytest.mark.parametrize("command", ["score", "extract-claims"])
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ("{bad", "invalid JSON"),
+            ('{"s1": [1, 2]}', "entry 's1' must be an array of strings"),
+            # A bare string would otherwise be read as one claim per character.
+            ('{"s1": "He was ruled out."}', "entry 's1' must be an array of strings"),
+        ],
+    )
+    def test_malformed_claim_cache_exits_2(self, runner, tmp_path, command, content, message):
+        docs, sums, _ = corpus(tmp_path)
+        claims = write(tmp_path, "bad.json", content)
+        inputs = [docs, sums] if command == "score" else [sums]
+        result = runner.invoke(main, [command, *inputs, "--claim-backend", f"cache:{claims}"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        error = json.loads(result.stderr.strip().splitlines()[-1])
+        assert error["error"] == "InputError"
+        assert message in error["message"]
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"claim_max_retries": 9}, "max_retries"),
+            ({"claim_timeout": 0}, "timeout"),
+            ({"claim_max_in_flight": 0}, "max_in_flight"),
+        ],
+    )
+    def test_out_of_range_claim_settings_exit_2(self, runner, tmp_path, setting, message):
+        docs, sums, _ = corpus(tmp_path)
+        config = write(tmp_path, "run.json", json.dumps(setting))
+        result = runner.invoke(
+            main,
+            ["score", docs, sums, "--config", config,
+             "--claim-backend", "remote:http://127.0.0.1:9"],
+        )
+        assert result.exit_code == 2
+        error = json.loads(result.stderr.strip().splitlines()[-1])
+        assert error["error"] == "InputError"
+        assert message in error["message"]
+
+
 class TestExtractClaims:
     def test_cache_passthrough(self, runner, tmp_path):
         _, sums, claims = corpus(tmp_path, claim_text="A claim stands.")

@@ -18,7 +18,7 @@ import os
 
 import pytest
 
-from sumfact import Claim, Scorer, ScoringParams, load_run_config, nli_score, run_benchmark
+from sumfact import Claim, Scorer, ScoringParams, load_run_config, run_benchmark
 from sumfact.coref import HeuristicCorefBackend, with_clusters
 from sumfact.formats import load_benchmark_records
 from sumfact.pipeline import (
@@ -109,9 +109,9 @@ def test_ablation_ordering(criterion):
 def test_model_entailment_directionality():
     backend = _model_backend()
     premise = "The striker scored two goals on Saturday."
-    entailed = nli_score(premise, "The striker scored.", backend)
-    contradicted = nli_score(premise, "The striker did not score.", backend)
-    unrelated = nli_score(premise, "The coach retired in 2010.", backend)
+    entailed = backend.entail(premise, "The striker scored.").score
+    contradicted = backend.entail(premise, "The striker did not score.").score
+    unrelated = backend.entail(premise, "The coach retired in 2010.").score
     assert entailed > 0.5
     assert contradicted < 0.0
     assert entailed > unrelated
@@ -131,7 +131,8 @@ def test_model_coref_substitution_helps():
     assert doc.coref_clusters, "heuristic should link 'She' to 'Maria Lopez'"
     scorer = Scorer(_model_backend(), ScoringParams())
     claim = Claim("s-coref", 0, "Maria Lopez resigned from the company.")
-    sentence_score, _ = scorer.score_sentences(doc, claim)
-    coref_score, aligned = scorer.score_coref(doc, claim)
+    sentence = scorer.score_sentences(doc, claim)
+    sentence_score, _ = sentence
+    coref_score, aligned = scorer.score_coref(doc, claim, sentence)
     assert coref_score > sentence_score
     assert aligned.granularity == "coref_sentence"

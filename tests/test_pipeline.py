@@ -1,6 +1,8 @@
 """Wiring layer: backend factories, claim fallback policy, corpus scoring."""
 
+import dataclasses
 import logging
+from dataclasses import replace
 
 import pytest
 
@@ -199,6 +201,51 @@ class TestScorerFingerprint:
         backend = MockEntailmentBackend()
         base = scorer_fingerprint(RunConfig(), backend)
         assert scorer_fingerprint(RunConfig(log_level="debug", workers=8), backend) == base
+
+    # Every RunConfig field, with a different valid value. Flipping one must
+    # change the fingerprint, so a score cache never serves a stale score.
+    FLIPS = {
+        "nli_backend": "remote:http://127.0.0.1:9",
+        "nli_max_units": 200,
+        "claim_backend": "cache:claims.json",
+        "claim_model": "other-model",
+        "claim_max_tokens": 64,
+        "coref_backend": "heuristic",
+        "coref_max_sentences": 3,
+        "window_size": 2,
+        "gate_threshold": 0.5,
+        "max_coref_variants": 3,
+        "monotone_gate": True,
+        "mode": "nli_coref",
+    }
+    # Fields left out of the fingerprint, each with the reason it cannot
+    # change a record's score.
+    ALLOWED = {
+        "workers": ("results do not depend on the worker count", 4),
+        "log_level": ("logging only", "debug"),
+        "cache_dir": ("where the cache lives, not what it holds", "elsewhere"),
+        "protocol": ("tuning reads scores, it does not make them", "single_threshold"),
+        "bootstrap_seed": ("spread estimate only", 7),
+        "bootstrap_resamples": ("spread estimate only", 10),
+        "nli_batch_size": ("scores are batch-invariant", 4),
+        "claim_api_key_env": ("claim transport only", "OTHER_KEY"),
+        "claim_timeout": ("claim transport only", 5.0),
+        "claim_max_retries": ("claim transport only", 0),
+        "claim_max_in_flight": ("claim transport only", 1),
+    }
+
+    @staticmethod
+    def digest(config):
+        return scorer_fingerprint(config, make_nli_backend(config))
+
+    def test_every_field_is_fingerprinted_or_allow_listed(self):
+        names = {f.name for f in dataclasses.fields(RunConfig)}
+        assert names == set(self.FLIPS) | set(self.ALLOWED)
+        base = self.digest(RunConfig())
+        for name, value in self.FLIPS.items():
+            assert self.digest(replace(RunConfig(), **{name: value})) != base, name
+        for name, (_, value) in self.ALLOWED.items():
+            assert self.digest(replace(RunConfig(), **{name: value})) == base, name
 
 
 class TestClaimResolution:

@@ -16,8 +16,8 @@ from sumfact import (
     ScoringParams,
     Substitution,
     coref_variants,
-    nli_score,
 )
+from sumfact.pipeline import RunUnit, evaluate_pair
 from sumfact.scoring import AlignedSpan
 
 import oracles
@@ -66,8 +66,7 @@ class TestAlignedSpan:
 
 class TestNliScore:
     def test_matches_backend_score(self, mock_backend):
-        value = nli_score("alpha beta", "alpha gamma", mock_backend)
-        assert value == mock_backend.entail("alpha beta", "alpha gamma").score == 0.5
+        assert mock_backend.entail("alpha beta", "alpha gamma").score == 0.5
 
 
 class TestSentenceStage:
@@ -155,7 +154,8 @@ class TestCorefStage:
     def test_substitution_wins(self, scorer):
         # claim tokens {the,player,was,ruled,out}: anchor s0 scores 0.4, the
         # substituted variant "The player has been ruled out." scores 0.8.
-        score, span = scorer.score_coref(vunipola_doc(), claim("The player was ruled out."))
+        doc, c = vunipola_doc(), claim("The player was ruled out.")
+        score, span = scorer.score_coref(doc, c, scorer.score_sentences(doc, c))
         assert score == pytest.approx(0.8)
         assert span.granularity == "coref_sentence"
         assert (span.sentence_start, span.sentence_end) == (0, 0)
@@ -167,14 +167,16 @@ class TestCorefStage:
         doc = doc_from_sentences(
             "d", ["alpha beta.", "gamma beta."], [[(0, 6, 10), (1, 6, 10)]]
         )
-        score, span = scorer.score_coref(doc, claim("alpha."))
+        c = claim("alpha.")
+        score, span = scorer.score_coref(doc, c, scorer.score_sentences(doc, c))
         assert score == 1.0
         assert span.granularity == "sentence"
         assert span.substitution is None
 
     def test_no_clusters_degrades_to_sentence_stage(self, scorer):
         doc = doc_from_sentences("d", ["alpha beta.", "gamma delta."])
-        score, span = scorer.score_coref(doc, claim("gamma."))
+        c = claim("gamma.")
+        score, span = scorer.score_coref(doc, c, scorer.score_sentences(doc, c))
         assert score == 1.0
         assert span.granularity == "sentence"
         assert (span.sentence_start, span.sentence_end) == (1, 1)
@@ -183,30 +185,31 @@ class TestCorefStage:
         # All variants are worse; the original stays in the candidate set.
         doc = vunipola_doc()
         c = claim("Billy Vunipola was ruled out.")
-        sent_score, _ = scorer.score_sentences(doc, c)
-        coref_score, _ = scorer.score_coref(doc, c)
+        sentence = scorer.score_sentences(doc, c)
+        sent_score, _ = sentence
+        coref_score, _ = scorer.score_coref(doc, c, sentence)
         assert coref_score >= sent_score
 
 
 class TestWindowStage:
     def test_window_max_and_start(self, scorer):
         doc = doc_from_sentences("d", ["aa bb.", "cc dd.", "ee ff.", "gg hh."])
-        assert scorer.score_window(doc, claim("ff gg."), 2) == (1.0, 2)
+        assert scorer.score_window(doc, claim("ff gg."), 2)[:2] == (1.0, 2)
 
     def test_window_tie_lowest_start(self, scorer):
         doc = doc_from_sentences("d", ["aa bb.", "cc dd.", "ee ff."])
-        assert scorer.score_window(doc, claim("cc."), 2) == (1.0, 0)
+        assert scorer.score_window(doc, claim("cc."), 2)[:2] == (1.0, 0)
 
     def test_window_of_one_equals_sentence_stage(self, scorer):
         doc = doc_from_sentences("d", ["alpha beta.", "gamma delta.", "alpha gamma."])
         for text in ("alpha.", "gamma delta.", "missing words."):
-            assert scorer.score_window(doc, claim(text), 1) == scorer.score_sentences(
+            assert scorer.score_window(doc, claim(text), 1)[:2] == scorer.score_sentences(
                 doc, claim(text)
             )
 
     def test_oversized_window_clamped_to_document(self, scorer):
         doc = doc_from_sentences("d", ["alpha beta.", "gamma delta."])
-        assert scorer.score_window(doc, claim("alpha gamma."), 99) == (1.0, 0)
+        assert scorer.score_window(doc, claim("alpha gamma."), 99)[:2] == (1.0, 0)
 
     def test_bad_window_length(self, scorer):
         with pytest.raises(ValueError):
@@ -216,7 +219,7 @@ class TestWindowStage:
 class TestMultiStage:
     def test_document_wins_ties(self, scorer):
         doc = doc_from_sentences("d", ["aa bb.", "cc dd.", "ee ff.", "gg hh."])
-        score, span = scorer.score_multi(doc, claim("ff gg."))
+        score, span = scorer.score_multi(doc, claim("ff gg."))[:2]
         assert score == 1.0
         assert span.granularity == "document"
         assert (span.sentence_start, span.sentence_end) == (0, 3)
@@ -225,7 +228,7 @@ class TestMultiStage:
         # "not" in sentence 0 poisons every premise containing it.
         scorer = make_scorer(window_size=2)
         doc = doc_from_sentences("d", ["not aa.", "cc dd.", "ee ff.", "gg hh."])
-        score, span = scorer.score_multi(doc, claim("ff gg."))
+        score, span = scorer.score_multi(doc, claim("ff gg."))[:2]
         assert score == 1.0
         assert span.granularity == "window"
         assert (span.sentence_start, span.sentence_end) == (2, 3)
@@ -233,7 +236,7 @@ class TestMultiStage:
 
     def test_single_sentence_document(self, scorer):
         doc = doc_from_sentences("d", ["alpha beta."])
-        score, span = scorer.score_multi(doc, claim("alpha."))
+        score, span = scorer.score_multi(doc, claim("alpha."))[:2]
         assert score == 1.0
         assert span.granularity == "document"
         assert (span.sentence_start, span.sentence_end) == (0, 0)
@@ -460,7 +463,7 @@ class TestAblations:
     def test_nli_sent_keeps_duplicate_sentences(self, scorer):
         doc = doc_from_sentences("d", ["alpha beta.", "gamma delta."])
         summary = summary_from_sentences("s1", "d", ["Alpha beta.", "Alpha beta."])
-        report = scorer.score_summary_ablation(doc, summary, [], "nli_sent")
+        report = evaluate_pair(RunUnit(doc, summary, (), False), scorer, "nli_sent")
         assert len(report.verdicts) == 2
         assert [v.claim.text for v in report.verdicts] == ["Alpha beta.", "Alpha beta."]
         assert all(v.stage == "sentence" for v in report.verdicts)
@@ -469,7 +472,7 @@ class TestAblations:
         doc = vunipola_doc()
         summary = summary_from_sentences("s1", "d", ["The player was ruled out."])
         c = claim("The player was ruled out.")
-        report = scorer.score_summary_ablation(doc, summary, [c], "nli_claim")
+        report = evaluate_pair(RunUnit(doc, summary, (c,), False), scorer, "nli_claim")
         (verdict,) = report.verdicts
         assert verdict.stage == "sentence"
         assert verdict.score == pytest.approx(0.4)
@@ -479,7 +482,7 @@ class TestAblations:
         doc = vunipola_doc()
         summary = summary_from_sentences("s1", "d", ["The player was ruled out."])
         c = claim("The player was ruled out.")
-        report = scorer.score_summary_ablation(doc, summary, [c], "nli_coref")
+        report = evaluate_pair(RunUnit(doc, summary, (c,), False), scorer, "nli_coref")
         (verdict,) = report.verdicts
         assert verdict.stage == "coref"
         assert verdict.score == pytest.approx(0.8)
@@ -489,20 +492,21 @@ class TestAblations:
     def test_nli_coref_without_win_is_sentence_stage(self, scorer):
         doc = doc_from_sentences("d", ["alpha beta.", "gamma delta."])
         summary = summary_from_sentences("s1", "d", ["alpha beta."])
-        report = scorer.score_summary_ablation(doc, summary, [claim("alpha beta.")], "nli_coref")
+        unit = RunUnit(doc, summary, (claim("alpha beta."),), False)
+        report = evaluate_pair(unit, scorer, "nli_coref")
         assert report.verdicts[0].stage == "sentence"
 
     def test_unknown_mode_rejected(self, scorer):
         doc = doc_from_sentences("d", ["alpha."])
         summary = summary_from_sentences("s1", "d", ["alpha."])
         with pytest.raises(ValueError, match="mode"):
-            scorer.score_summary_ablation(doc, summary, [claim("alpha.")], "bogus")
+            evaluate_pair(RunUnit(doc, summary, (claim("alpha."),), False), scorer, "bogus")
 
     def test_ablation_requires_claims(self, scorer):
         doc = doc_from_sentences("d", ["alpha."])
         summary = summary_from_sentences("s1", "d", ["alpha."])
         with pytest.raises(ValueError, match="at least one claim"):
-            scorer.score_summary_ablation(doc, summary, [], "nli_claim")
+            evaluate_pair(RunUnit(doc, summary, (), False), scorer, "nli_claim")
 
 
 class TestOracleSpotChecks:
