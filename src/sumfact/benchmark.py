@@ -18,9 +18,8 @@ import os
 import random
 import statistics
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .config import ordered_map
 from .documents import Document, Summary
 from .errors import DegenerateLabels, InputError, MissingSplit
 
@@ -212,16 +211,17 @@ def _bootstrap_std(
 
 def run_benchmark(
     records: Sequence[BenchmarkRecord],
-    scorer: Callable[[BenchmarkRecord], float],
+    score_records: Callable[[list[BenchmarkRecord]], Iterable[float]],
     protocol: str,
     *,
     cache: "ScoreCache | None" = None,
     bootstrap_seed: int | None = 0,
     bootstrap_resamples: int = 1000,
-    workers: int = 1,
 ) -> BenchmarkReport:
     """Score, tune, and evaluate; deterministic given a deterministic scorer.
 
+    ``score_records`` gets the records the cache cannot answer, in input
+    order, and returns one score for each.
     ``per_split`` tunes one threshold per dataset on its validation split;
     ``single_threshold`` tunes once on all validation records pooled.
     Datasets are processed in sorted name order. ``bootstrap_seed=None``
@@ -241,7 +241,7 @@ def run_benchmark(
             if not by_dataset[name][split]:
                 raise MissingSplit(f"dataset '{name}' has no {split} records")
 
-    scores = _score_records(records, scorer, cache, workers)
+    scores = _score_records(records, score_records, cache)
 
     def split_scores(name: str, split: str) -> tuple[list[float], list[bool]]:
         rows = by_dataset[name][split]
@@ -305,9 +305,8 @@ def run_benchmark(
 
 def _score_records(
     records: Sequence[BenchmarkRecord],
-    scorer: Callable[[BenchmarkRecord], float],
+    score_records: Callable[[list[BenchmarkRecord]], Iterable[float]],
     cache: "ScoreCache | None",
-    workers: int,
 ) -> dict[str, float]:
     scores: dict[str, float] = {}
     pending: list[BenchmarkRecord] = []
@@ -322,8 +321,7 @@ def _score_records(
         else:
             pending.append(record)
     if pending:
-        fresh = ordered_map(scorer, pending, workers)
-        for record, score in zip(pending, fresh):
+        for record, score in zip(pending, score_records(pending), strict=True):
             scores[record.record_id] = score
             if cache is not None:
                 cache.put(record.record_id, score)
@@ -352,9 +350,15 @@ class ScoreCache:
         self._dirty = False
         if os.path.exists(self.path):
             with open(self.path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
+                try:
+                    data = json.load(fh)
+                except ValueError as exc:
+                    raise InputError(f"score cache {self.path}: invalid JSON: {exc}") from exc
             if not isinstance(data, dict):
                 raise InputError(f"score cache {self.path} is not a JSON object")
+            for key, value in data.items():
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise InputError(f"score cache {self.path}: entry '{key}' is not a number")
             self._scores = {str(k): float(v) for k, v in data.items()}
 
     def get(self, record_id: str) -> float | None:

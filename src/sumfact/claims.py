@@ -184,9 +184,6 @@ class FileCacheExtractor:
     def describe(self) -> str:
         return f"cache:{self._source}"
 
-    def __contains__(self, summary_id: str) -> bool:
-        return summary_id in self._cache
-
     def extract(self, summary: Summary) -> list[Claim]:
         if summary.id not in self._cache:
             raise ClaimCacheMiss(f"claim cache has no entry for summary '{summary.id}'")

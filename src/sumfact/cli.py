@@ -13,6 +13,7 @@ import functools
 import json
 import logging
 import sys
+from typing import Iterable
 
 import click
 
@@ -72,7 +73,7 @@ def _open_output(path: str):
     return open(path, "w", encoding="utf-8"), True
 
 
-def _write_lines(path: str, lines: list[str]) -> None:
+def _write_lines(path: str, lines: Iterable[str]) -> None:
     stream, owned = _open_output(path)
     try:
         for line in lines:
@@ -142,9 +143,10 @@ def score(documents, summaries, output, run_meta, config_path, **flags) -> None:
     scorer = pipeline.make_scorer(config, backend)
     extractor = pipeline.make_claim_extractor(config)
     coref_backend = pipeline.make_coref_backend(config)
-    units = pipeline.build_units(docs, sums, extractor, coref_backend)
+    pairs = pipeline.pair_summaries(docs, sums)
+    units = pipeline.build_units(pairs, extractor, coref_backend, workers=config.workers)
     reports = pipeline.score_corpus(units, scorer, "full", config.workers)
-    _write_lines(output, [formats.render_report(r) for r in reports])
+    _write_lines(output, map(formats.render_report, reports))
     _write_run_meta(
         run_meta,
         {
@@ -155,7 +157,7 @@ def score(documents, summaries, output, run_meta, config_path, **flags) -> None:
             "claims_fallback_count": sum(1 for u in units if u.claims_fallback),
             "coref_truncated_documents": _truncated_docs(units, config),
             "backend_calls": scorer.backend_calls,
-            "summaries": len(reports),
+            "summaries": len(units),
         },
     )
 
@@ -251,15 +253,26 @@ def benchmark(records, output, scores_csv, run_meta, config_path, **flags) -> No
     cache = None
     if config.cache_dir:
         cache = ScoreCache(config.cache_dir, pipeline.scorer_fingerprint(config, backend))
-    score_fn = pipeline.record_scorer(scorer, extractor, config.mode, coref_backend)
+    fallbacks = 0
+
+    def score_records(pending):
+        nonlocal fallbacks
+        pairs = [(r.document, r.summary) for r in pending]
+        units = pipeline.build_units(
+            pairs, extractor, coref_backend, missing_ok=True, workers=config.workers
+        )
+        # Keep each report's score and fallback flag only, not every report at once.
+        for report in pipeline.score_corpus(units, scorer, config.mode, config.workers):
+            fallbacks += report.claims_fallback
+            yield report.score
+
     report = bench.run_benchmark(
         rows,
-        score_fn,
+        score_records,
         config.protocol,
         cache=cache,
         bootstrap_seed=config.bootstrap_seed,
         bootstrap_resamples=config.bootstrap_resamples,
-        workers=config.workers,
     )
     _write_lines(output, [formats.dumps_fixed(formats.benchmark_report_to_dict(report, config.mode))])
     if scores_csv:
@@ -274,7 +287,7 @@ def benchmark(records, output, scores_csv, run_meta, config_path, **flags) -> No
             "nli_backend": backend.describe(),
             "claim_backend": extractor.describe() if extractor else "none",
             "coref_backend": coref_backend.describe(),
-            "claims_fallback_count": score_fn.stats["claims_fallback"],
+            "claims_fallback_count": fallbacks,
             "records": len(rows),
             "cache": cache.path if cache else None,
         },

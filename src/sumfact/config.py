@@ -16,7 +16,7 @@ import dataclasses
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 from .errors import InputError
 from .scoring import ScoringParams
@@ -95,16 +95,17 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
-def ordered_map(fn: Callable[[T], R], items: Iterable[T], workers: int) -> list[R]:
-    """``[fn(item) for item in items]``, run on ``workers`` threads when above 1.
+def ordered_map(fn: Callable[[T], R], items: Iterable[T], workers: int) -> Iterator[R]:
+    """Yield ``fn(item)`` for each item in order, run on ``workers`` threads when above 1.
 
-    Results keep input order; an exception from ``fn`` is re-raised here,
-    that of the earliest failing item first.
+    An exception from ``fn`` is re-raised when iteration reaches its item,
+    so that of the earliest failing item comes first.
     """
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
+            yield from pool.map(fn, items)
+    else:
+        yield from map(fn, items)
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}

@@ -19,7 +19,6 @@ emitter, making outputs byte-stable across runs and platforms.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
@@ -48,7 +47,6 @@ __all__ = [
     "render_report",
     "benchmark_report_to_dict",
     "write_scores_csv",
-    "render_scores_csv",
 ]
 
 
@@ -202,15 +200,10 @@ def load_claim_cache(path: str) -> dict[str, list[str]]:
     return out
 
 
-def write_claim_cache(path_or_stream: str | IO[str], cache: Mapping[str, Sequence[str]]) -> None:
+def write_claim_cache(stream: IO[str], cache: Mapping[str, Sequence[str]]) -> None:
     payload = {k: list(v) for k, v in sorted(cache.items())}
-    if isinstance(path_or_stream, str):
-        with open(path_or_stream, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, ensure_ascii=True, indent=2)
-            fh.write("\n")
-    else:
-        json.dump(payload, path_or_stream, ensure_ascii=True, indent=2)
-        path_or_stream.write("\n")
+    json.dump(payload, stream, ensure_ascii=True, indent=2)
+    stream.write("\n")
 
 
 def load_claim_sets(path: str) -> dict[str, list[str]]:
@@ -407,9 +400,3 @@ def write_scores_csv(stream: IO[str], rows: Iterable[RecordScore]) -> None:
                 "factual" if row.prediction else "not_factual",
             ]
         )
-
-
-def render_scores_csv(rows: Iterable[RecordScore]) -> str:
-    buffer = io.StringIO()
-    write_scores_csv(buffer, rows)
-    return buffer.getvalue()

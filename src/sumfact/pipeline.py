@@ -5,18 +5,17 @@ This layer owns the policies that span modules: the empty-claims fallback
 empty clusters when the coreference backend fails, the mapping of each mode
 to its hypotheses and its stop in the one scoring pipeline, and the fan-out
 of independent (document, summary) pairs across a thread pool. The CLI calls
-into here and does no scoring of its own.
+into here (``build_units`` then ``score_corpus``) and does no scoring itself.
 """
 
 from __future__ import annotations
 
 import logging
-import threading
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import formats
-from .benchmark import BenchmarkRecord, config_fingerprint
+from .benchmark import config_fingerprint
 from .claims import (
     ClaimExtractor,
     ExtractorConfig,
@@ -65,7 +64,10 @@ def _split_selector(selector: str) -> tuple[str, str]:
 
 def make_nli_backend(config: RunConfig) -> EntailmentBackend:
     kind, rest = _split_selector(config.nli_backend)
-    budget = PremiseBudget(config.nli_max_units) if config.nli_max_units else None
+    try:
+        budget = PremiseBudget(config.nli_max_units) if config.nli_max_units else None
+    except ValueError as exc:
+        raise InputError(f"nli_max_units: {exc}") from exc
     if kind == "mock":
         return MockEntailmentBackend(batch_size=config.nli_batch_size, budget=budget)
     if kind == "remote":
@@ -88,7 +90,10 @@ def make_coref_backend(config: RunConfig) -> CorefBackend:
     if kind == "none":
         return NoopCorefBackend()
     if kind == "heuristic":
-        return HeuristicCorefBackend(max_sentences=config.coref_max_sentences)
+        try:
+            return HeuristicCorefBackend(max_sentences=config.coref_max_sentences)
+        except ValueError as exc:
+            raise InputError(f"coref_max_sentences: {exc}") from exc
     raise InputError(f"unknown coref_backend {config.coref_backend!r}")
 
 
@@ -230,78 +235,50 @@ def evaluate_pair(unit: RunUnit, scorer: Scorer, mode: str) -> FactualityReport:
     )
 
 
-def build_units(
-    documents: Sequence[Document],
-    summaries: Sequence[Summary],
-    extractor: ClaimExtractor | None,
-    coref_backend: CorefBackend,
-    *,
-    missing_ok: bool = False,
-) -> list[RunUnit]:
-    """Pair every summary with its document and resolve claims up front.
-
-    All input problems (missing document ids, cache misses) surface here,
-    before any scoring cost is paid.
-    """
-    by_id: dict[str, Document] = {}
-    for document in documents:
-        by_id[document.id] = document
-    units = []
-    prepared: dict[str, Document] = {}
+def pair_summaries(
+    documents: Sequence[Document], summaries: Sequence[Summary]
+) -> list[tuple[Document, Summary]]:
+    """Join every summary to its document by id."""
+    by_id = {document.id: document for document in documents}
     for summary in summaries:
         if summary.document_id not in by_id:
             raise InputError(
                 f"summary '{summary.id}' references unknown document '{summary.document_id}'"
             )
-        if summary.document_id not in prepared:
-            prepared[summary.document_id] = attach_clusters(
-                by_id[summary.document_id], coref_backend
-            )
-        claims, used_fallback = resolve_claims(summary, extractor, missing_ok=missing_ok)
-        units.append(
-            RunUnit(prepared[summary.document_id], summary, tuple(claims), used_fallback)
-        )
-    return units
+    return [(by_id[s.document_id], s) for s in summaries]
+
+
+def build_units(
+    pairs: Sequence[tuple[Document, Summary]],
+    extractor: ClaimExtractor | None,
+    coref_backend: CorefBackend,
+    *,
+    missing_ok: bool = False,
+    workers: int = 1,
+) -> list[RunUnit]:
+    """Attach clusters and resolve claims for every (document, summary) pair.
+
+    Clusters are attached once per distinct document, keyed by id and text
+    because benchmark records may reuse an id for different texts. Claims
+    resolve on ``workers`` threads. Cache misses surface here, before any
+    scoring cost is paid.
+    """
+    prepared: dict[tuple[str, str], Document] = {}
+    for document, _ in pairs:
+        key = (document.id, document.text)
+        if key not in prepared:
+            prepared[key] = attach_clusters(document, coref_backend)
+    resolved = ordered_map(
+        lambda pair: resolve_claims(pair[1], extractor, missing_ok=missing_ok), pairs, workers
+    )
+    return [
+        RunUnit(prepared[(d.id, d.text)], summary, tuple(claims), fallback)
+        for (d, summary), (claims, fallback) in zip(pairs, resolved)
+    ]
 
 
 def score_corpus(
-    units: Sequence[RunUnit], scorer: Scorer, mode: str, workers: int = 1
-) -> list[FactualityReport]:
-    """Score units in order; pairs are independent, so fan out is safe."""
+    units: Iterable[RunUnit], scorer: Scorer, mode: str, workers: int = 1
+) -> Iterator[FactualityReport]:
+    """Yield one report per unit, in order; pairs are independent, so fan out is safe."""
     return ordered_map(lambda unit: evaluate_pair(unit, scorer, mode), units, workers)
-
-
-def record_scorer(
-    scorer: Scorer,
-    extractor: ClaimExtractor | None,
-    mode: str,
-    coref_backend: CorefBackend | None = None,
-):
-    """Benchmark adapter: BenchmarkRecord -> summary score.
-
-    Claims resolve lazily per record with the benchmark's tolerant cache
-    policy; fallback counts are readable from the returned closure's
-    ``stats`` attribute. Cluster attachment is cached per document id since
-    many records share one source document.
-    """
-    backend = coref_backend or NoopCorefBackend()
-    stats = {"claims_fallback": 0}
-    lock = threading.Lock()
-    prepared: dict[tuple[str, str], Document] = {}
-
-    def score(record: BenchmarkRecord) -> float:
-        key = (record.document.id, record.document.text)
-        document = prepared.get(key)
-        if document is None:
-            document = attach_clusters(record.document, backend)
-            prepared[key] = document
-        claims, used_fallback = resolve_claims(record.summary, extractor, missing_ok=True)
-        unit = RunUnit(document, record.summary, tuple(claims), used_fallback)
-        report = evaluate_pair(unit, scorer, mode)
-        if report.claims_fallback:
-            with lock:
-                stats["claims_fallback"] += 1
-        return report.score
-
-    score.stats = stats  # type: ignore[attr-defined]
-    return score

@@ -200,11 +200,6 @@ class Scorer:
 
     # -- backend plumbing ---------------------------------------------------
 
-    def reset_counters(self) -> None:
-        with self._lock:
-            for stage in STAGES:
-                self.backend_calls[stage] = 0
-
     def _score_many(
         self, premises: Sequence[str], hypothesis: str, stage: str, claim: Claim
     ) -> list[float]:

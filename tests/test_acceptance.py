@@ -196,7 +196,7 @@ def _record(rid, dataset, split, gold):
 
 
 def _table_scorer(table):
-    return lambda record: table[record.record_id]
+    return lambda pending: [table[record.record_id] for record in pending]
 
 
 def test_benchmark_balanced_accuracy(criterion):

@@ -19,6 +19,7 @@ from sumfact import (
     tune_threshold,
 )
 from sumfact.benchmark import _bootstrap_std, config_fingerprint
+from sumfact.config import ordered_map
 
 from cases import doc_from_sentences, summary_from_sentences
 
@@ -29,8 +30,13 @@ def rec(rid, dataset, split, gold):
     return BenchmarkRecord(rid, doc, summ, gold, "sys", dataset, split)
 
 
+def batch(score):
+    """A ``run_benchmark`` batch scorer that scores each pending record with ``score``."""
+    return lambda pending: [score(record) for record in pending]
+
+
 def scorer_from(mapping):
-    return lambda record: mapping[record.record_id]
+    return batch(lambda record: mapping[record.record_id])
 
 
 # Dataset A separates at 0.5, dataset B at 0.25. A pooled threshold must pick
@@ -273,10 +279,32 @@ class TestRunBenchmark:
                 calls.append(record.record_id)
             return SPLIT_SCORES[record.record_id]
 
-        serial = run_benchmark(SPLIT_RECORDS, scorer, "per_split", workers=1)
-        parallel = run_benchmark(SPLIT_RECORDS, scorer, "per_split", workers=4)
+        serial = run_benchmark(
+            SPLIT_RECORDS, lambda pending: ordered_map(scorer, pending, 1), "per_split"
+        )
+        parallel = run_benchmark(
+            SPLIT_RECORDS, lambda pending: ordered_map(scorer, pending, 4), "per_split"
+        )
         assert serial == parallel
         assert len(calls) == 2 * len(SPLIT_RECORDS)
+
+    def test_batch_gets_uncached_records_in_input_order(self, tmp_path):
+        cache = ScoreCache(str(tmp_path), "partial")
+        cache.put("a2", SPLIT_SCORES["a2"])
+        cache.put("b3", SPLIT_SCORES["b3"])
+        batches = []
+
+        def score_records(pending):
+            batches.append([r.record_id for r in pending])
+            return [SPLIT_SCORES[r.record_id] for r in pending]
+
+        report = run_benchmark(SPLIT_RECORDS, score_records, "per_split", cache=cache)
+        assert batches == [["a1", "a3", "a4", "b1", "b2", "b4"]]
+        assert report == run_benchmark(SPLIT_RECORDS, scorer_from(SPLIT_SCORES), "per_split")
+
+    def test_batch_must_score_every_pending_record(self):
+        with pytest.raises(ValueError):
+            run_benchmark(SPLIT_RECORDS, lambda pending: [0.5], "per_split")
 
 
 class TestScoreCache:
@@ -300,6 +328,20 @@ class TestScoreCache:
         with pytest.raises(InputError, match="not a JSON object"):
             ScoreCache(str(tmp_path), "bad")
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ("{bad", "invalid JSON"),
+            ('{"r0": "abc"}', "entry 'r0' is not a number"),
+            ('{"r0": null}', "entry 'r0' is not a number"),
+            ('{"r0": true}', "entry 'r0' is not a number"),
+        ],
+    )
+    def test_corrupt_file_rejected(self, tmp_path, content, message):
+        (tmp_path / "scores-bad.json").write_text(content)
+        with pytest.raises(InputError, match=message):
+            ScoreCache(str(tmp_path), "bad")
+
     def test_retune_without_rescoring(self, tmp_path):
         calls = []
 
@@ -308,18 +350,19 @@ class TestScoreCache:
             return SPLIT_SCORES[record.record_id]
 
         first = run_benchmark(
-            SPLIT_RECORDS, scorer, "per_split", cache=ScoreCache(str(tmp_path), "fp1")
+            SPLIT_RECORDS, batch(scorer), "per_split", cache=ScoreCache(str(tmp_path), "fp1")
         )
         assert len(calls) == len(SPLIT_RECORDS)
         # Same fingerprint: every score comes from disk, even under a
         # different tuning protocol.
         second = run_benchmark(
-            SPLIT_RECORDS, scorer, "per_split", cache=ScoreCache(str(tmp_path), "fp1")
+            SPLIT_RECORDS, batch(scorer), "per_split", cache=ScoreCache(str(tmp_path), "fp1")
         )
         assert len(calls) == len(SPLIT_RECORDS)
         assert second == first
         run_benchmark(
-            SPLIT_RECORDS, scorer, "single_threshold", cache=ScoreCache(str(tmp_path), "fp1")
+            SPLIT_RECORDS, batch(scorer), "single_threshold",
+            cache=ScoreCache(str(tmp_path), "fp1"),
         )
         assert len(calls) == len(SPLIT_RECORDS)
 
@@ -330,8 +373,9 @@ class TestScoreCache:
             calls.append(record.record_id)
             return SPLIT_SCORES[record.record_id]
 
-        run_benchmark(SPLIT_RECORDS, scorer, "per_split", cache=ScoreCache(str(tmp_path), "fpA"))
-        run_benchmark(SPLIT_RECORDS, scorer, "per_split", cache=ScoreCache(str(tmp_path), "fpB"))
+        for fingerprint in ("fpA", "fpB"):
+            cache = ScoreCache(str(tmp_path), fingerprint)
+            run_benchmark(SPLIT_RECORDS, batch(scorer), "per_split", cache=cache)
         assert len(calls) == 2 * len(SPLIT_RECORDS)
         assert (tmp_path / "scores-fpA.json").exists()
         assert (tmp_path / "scores-fpB.json").exists()

@@ -111,8 +111,8 @@ class TestFileCacheExtractor:
         path = tmp_path / "claims.json"
         path.write_text(json.dumps({"s1": ["A cat sat.", "A dog ran."]}))
         extractor = make_claim_extractor(RunConfig(claim_backend=f"cache:{path}"))
-        assert "s1" in extractor
-        assert "s2" not in extractor
+        with pytest.raises(ClaimCacheMiss, match="no entry for summary 's2'"):
+            extractor.extract(summary(sid="s2"))
         claims = extractor.extract(summary())
         assert [c.text for c in claims] == ["A cat sat.", "A dog ran."]
         assert claims == [Claim("s1", 0, "A cat sat."), Claim("s1", 1, "A dog ran.")]

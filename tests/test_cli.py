@@ -246,6 +246,57 @@ class TestMalformedInput:
         assert error["error"] == "InputError"
         assert message in error["message"]
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"nli_max_units": 1}, "nli_max_units: budget below 16 units"),
+            ({"nli_max_units": 15}, "nli_max_units: budget below 16 units"),
+            ({"coref_max_sentences": 0, "coref_backend": "heuristic"},
+             "coref_max_sentences: max_sentences must be >= 1"),
+        ],
+    )
+    def test_out_of_range_backend_settings_exit_2(self, runner, tmp_path, setting, message):
+        docs, sums, _ = corpus(tmp_path)
+        config = write(tmp_path, "run.json", json.dumps(setting))
+        result = runner.invoke(main, ["score", docs, sums, "--config", config])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        error = json.loads(result.stderr.strip().splitlines()[-1])
+        assert error["error"] == "InputError"
+        assert message in error["message"]
+
+    @pytest.mark.parametrize("units", [None, 0])
+    def test_unset_nli_max_units_means_unlimited(self, runner, tmp_path, units):
+        docs, sums, claims = corpus(tmp_path)
+        config = write(tmp_path, "run.json", json.dumps({"nli_max_units": units}))
+        result = runner.invoke(
+            main, ["score", docs, sums, "--config", config, "--claim-backend", f"cache:{claims}"]
+        )
+        assert result.exit_code == 0, result.stderr
+        assert result.stdout == GOLDEN_LINE + "\n"
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ("{bad", "invalid JSON"),
+            ('{"v1": "abc"}', "entry 'v1' is not a number"),
+            ('{"v1": null}', "entry 'v1' is not a number"),
+        ],
+    )
+    def test_corrupt_score_cache_exits_2(self, runner, tmp_path, content, message):
+        records = benchmark_file(tmp_path)
+        cache_dir = tmp_path / "cache"
+        args = ["benchmark", records, "--cache-dir", str(cache_dir)]
+        assert runner.invoke(main, args).exit_code == 0
+        (cache_path,) = cache_dir.glob("scores-*.json")
+        cache_path.write_text(content, encoding="utf-8")
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        error = json.loads(result.stderr.strip().splitlines()[-1])
+        assert error["error"] == "InputError"
+        assert message in error["message"]
+
 
 class TestExtractClaims:
     def test_cache_passthrough(self, runner, tmp_path):
@@ -490,9 +541,17 @@ _GOLDEN_CLAIMS = {
 _GOLDEN_FALLBACKS = {"full": 2, "nli_sent": 0, "nli_claim": 2, "nli_coref": 2}
 
 
+_GOLDEN_MODES = ["full", "nli_sent", "nli_claim", "nli_coref"]
+
+
 class TestAblationGoldens:
-    @pytest.mark.parametrize("mode", ["full", "nli_sent", "nli_claim", "nli_coref"])
-    def test_benchmark_mode_matches_golden(self, runner, tmp_path, mode):
+    # The same goldens hold with scoring and claim resolution on three workers.
+    @pytest.mark.parametrize(
+        "mode, workers",
+        [pytest.param(mode, "1", id=mode) for mode in _GOLDEN_MODES]
+        + [pytest.param(mode, "3", id=f"{mode}-workers3") for mode in _GOLDEN_MODES],
+    )
+    def test_benchmark_mode_matches_golden(self, runner, tmp_path, mode, workers):
         rows = [
             json.dumps(
                 {
@@ -515,7 +574,7 @@ class TestAblationGoldens:
             [
                 "benchmark", records, "--mode", mode,
                 "--coref-backend", "heuristic", "--claim-backend", f"cache:{claims}",
-                "--T", "0.9", "--j", "2",
+                "--T", "0.9", "--j", "2", "--workers", workers,
                 "--scores-csv", str(csv_path), "--run-meta", str(meta_path),
             ],
         )

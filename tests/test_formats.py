@@ -22,7 +22,6 @@ from sumfact.formats import (
     load_summaries,
     read_jsonl,
     render_report,
-    render_scores_csv,
     report_to_dict,
     write_claim_cache,
     write_scores_csv,
@@ -156,12 +155,14 @@ class TestLoadSummaries:
 class TestClaimCacheIO:
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "claims.json")
-        write_claim_cache(path, {"b": ["x"], "a": ["y", "z"]})
+        with open(path, "w", encoding="utf-8") as fh:
+            write_claim_cache(fh, {"b": ["x"], "a": ["y", "z"]})
         assert load_claim_cache(path) == {"a": ["y", "z"], "b": ["x"]}
 
     def test_file_format_is_sorted_indented(self, tmp_path):
         path = tmp_path / "claims.json"
-        write_claim_cache(str(path), {"b": ["x"], "a": ["y"]})
+        with open(path, "w", encoding="utf-8") as fh:
+            write_claim_cache(fh, {"b": ["x"], "a": ["y"]})
         expected = json.dumps({"a": ["y"], "b": ["x"]}, indent=2) + "\n"
         assert path.read_text(encoding="utf-8") == expected
 
@@ -390,7 +391,7 @@ def sample_benchmark(protocol):
         record("t1", "A", "test", True),
         record("t2", "A", "test", False),
     ]
-    return run_benchmark(records, lambda r: scores[r.record_id], protocol)
+    return run_benchmark(records, lambda pending: [scores[r.record_id] for r in pending], protocol)
 
 
 class TestBenchmarkReportDict:
@@ -421,6 +422,12 @@ class TestBenchmarkReportDict:
         assert '"average_balanced_accuracy": 1.000000' in text
 
 
+def render_scores_csv(rows):
+    buffer = io.StringIO()
+    write_scores_csv(buffer, rows)
+    return buffer.getvalue()
+
+
 class TestScoresCsv:
     ROWS = [
         RecordScore("r1", "cnndm", "test", "sys", True, 0.5, True),
@@ -435,10 +442,12 @@ class TestScoresCsv:
         )
         assert render_scores_csv(self.ROWS) == expected
 
-    def test_write_matches_render(self):
-        buffer = io.StringIO()
-        write_scores_csv(buffer, self.ROWS)
-        assert buffer.getvalue() == render_scores_csv(self.ROWS)
+    def test_write_matches_render(self, tmp_path):
+        # A file opened the way the benchmark command opens it gets the same text.
+        path = tmp_path / "scores.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            write_scores_csv(fh, self.ROWS)
+        assert path.read_bytes().decode("utf-8") == render_scores_csv(self.ROWS)
 
     def test_benchmark_records_render(self):
         report = sample_benchmark("per_split")

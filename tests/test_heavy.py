@@ -22,11 +22,12 @@ from sumfact import Claim, Scorer, ScoringParams, load_run_config, run_benchmark
 from sumfact.coref import HeuristicCorefBackend, with_clusters
 from sumfact.formats import load_benchmark_records
 from sumfact.pipeline import (
+    build_units,
     make_claim_extractor,
     make_coref_backend,
     make_nli_backend,
     make_scorer,
-    record_scorer,
+    score_corpus,
 )
 
 from cases import doc_from_sentences
@@ -71,10 +72,15 @@ def _run_benchmark(mode, protocol="per_split"):
     scorer = make_scorer(config, backend)
     extractor = make_claim_extractor(config)
     coref_backend = make_coref_backend(config)
-    score_fn = record_scorer(scorer, extractor, config.mode, coref_backend)
-    return run_benchmark(
-        records, score_fn, protocol, bootstrap_seed=None, workers=config.workers
-    )
+
+    def score_records(pending):
+        pairs = [(r.document, r.summary) for r in pending]
+        units = build_units(
+            pairs, extractor, coref_backend, missing_ok=True, workers=config.workers
+        )
+        return [r.score for r in score_corpus(units, scorer, config.mode, config.workers)]
+
+    return run_benchmark(records, score_records, protocol, bootstrap_seed=None)
 
 
 @needs_corpus

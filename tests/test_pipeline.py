@@ -2,6 +2,7 @@
 
 import dataclasses
 import logging
+import threading
 from dataclasses import replace
 
 import pytest
@@ -31,7 +32,7 @@ from sumfact.pipeline import (
     make_coref_backend,
     make_nli_backend,
     make_scorer,
-    record_scorer,
+    pair_summaries,
     resolve_claims,
     score_corpus,
     scorer_fingerprint,
@@ -333,7 +334,7 @@ class TestBuildUnits:
     def test_happy_path(self):
         docs, summaries = self.corpus()
         extractor = FileCacheExtractor({"s1": ["Alpha claim."], "s2": ["Zeta claim."]})
-        units = build_units(docs, summaries, extractor, NoopCorefBackend())
+        units = build_units(pair_summaries(docs, summaries), extractor, NoopCorefBackend())
         assert [u.summary.id for u in units] == ["s1", "s2"]
         assert units[0].claims == (Claim("s1", 0, "Alpha claim."),)
         assert units[0].claims_fallback is False
@@ -345,7 +346,7 @@ class TestBuildUnits:
         with pytest.raises(
             InputError, match="summary 's9' references unknown document 'missing-doc'"
         ):
-            build_units(docs, [stray], None, NoopCorefBackend())
+            pair_summaries(docs, [stray])
 
     def test_document_prepared_once(self):
         doc = doc_from_sentences("d1", ["alpha beta."])
@@ -354,17 +355,62 @@ class TestBuildUnits:
             summary_from_sentences("s2", "d1", ["beta."]),
         ]
         backend = CountingCoref()
-        units = build_units([doc], summaries, None, backend)
+        units = build_units(pair_summaries([doc], summaries), None, backend)
         assert backend.calls == 1
         assert units[0].document is units[1].document
 
     def test_missing_ok_passthrough(self):
         docs, summaries = self.corpus()
+        pairs = pair_summaries(docs, summaries)
         extractor = FileCacheExtractor({"s1": ["Alpha claim."]})
         with pytest.raises(ClaimCacheMiss):
-            build_units(docs, summaries, extractor, NoopCorefBackend())
-        units = build_units(docs, summaries, extractor, NoopCorefBackend(), missing_ok=True)
+            build_units(pairs, extractor, NoopCorefBackend())
+        units = build_units(pairs, extractor, NoopCorefBackend(), missing_ok=True)
         assert units[1].claims_fallback is True
+
+    def test_shared_document_id_with_different_texts(self):
+        # Benchmark records may reuse a document id for different texts:
+        # each summary is scored against its own text, and coref runs once
+        # per distinct (id, text).
+        first = doc_from_sentences("shared", ["alpha beta.", "gamma delta."])
+        second = doc_from_sentences("shared", ["epsilon zeta."])
+        pairs = [
+            (first, summary_from_sentences("s1", "shared", ["alpha beta."])),
+            (second, summary_from_sentences("s2", "shared", ["alpha beta."])),
+            (first, summary_from_sentences("s3", "shared", ["alpha beta."])),
+        ]
+        backend = CountingCoref()
+        units = build_units(pairs, None, backend)
+        assert backend.calls == 2
+        assert [u.document.text for u in units] == [first.text, second.text, first.text]
+        reports = list(score_corpus(units, Scorer(MockEntailmentBackend()), "full"))
+        for (document, summary), report in zip(pairs, reports):
+            direct = Scorer(MockEntailmentBackend()).score_summary(
+                document, fallback_claims(summary), claims_fallback=True
+            )
+            assert report == direct
+        assert reports[0].score != reports[1].score
+
+    def test_claims_resolve_concurrently(self):
+        # Each extraction waits for the other: only two concurrent workers
+        # get past the barrier.
+        barrier = threading.Barrier(2, timeout=5)
+
+        class BarrierExtractor:
+            def extract(self, summary):
+                barrier.wait()
+                return [Claim(summary.id, 0, f"{summary.id} claim.")]
+
+            def describe(self):
+                return "barrier"
+
+        docs, summaries = self.corpus()
+        pairs = pair_summaries(docs, summaries)
+        units = build_units(pairs, BarrierExtractor(), NoopCorefBackend(), workers=2)
+        assert [u.claims for u in units] == [
+            (Claim("s1", 0, "s1 claim."),),
+            (Claim("s2", 0, "s2 claim."),),
+        ]
 
 
 class TestEvaluatePair:
@@ -412,47 +458,49 @@ class TestScoreCorpus:
 
     def test_workers_do_not_change_reports(self):
         units = self.units()
-        serial = score_corpus(units, Scorer(MockEntailmentBackend()), "full", workers=1)
-        threaded = score_corpus(units, Scorer(MockEntailmentBackend()), "full", workers=3)
+        serial = list(score_corpus(units, Scorer(MockEntailmentBackend()), "full", workers=1))
+        threaded = list(score_corpus(units, Scorer(MockEntailmentBackend()), "full", workers=3))
         assert serial == threaded
         assert [r.summary_id for r in serial] == [f"s{i}" for i in range(6)]
 
 
 class TestRecordScorer:
+    """Benchmark records scored as the ``benchmark`` command scores them:
+    ``build_units`` over their (document, summary) pairs, then ``score_corpus``."""
+
     def record(self, rid, summary_texts=("alpha beta.",)):
         doc = doc_from_sentences("shared-doc", ["alpha beta.", "gamma delta."])
         summary = summary_from_sentences(f"{rid}:sum", "shared-doc", list(summary_texts))
         return BenchmarkRecord(rid, doc, summary, True, "sys", "A", "test")
 
+    def reports(self, records, extractor=None, mode="full", coref_backend=None):
+        pairs = [(r.document, r.summary) for r in records]
+        units = build_units(
+            pairs, extractor, coref_backend or NoopCorefBackend(), missing_ok=True
+        )
+        return list(score_corpus(units, Scorer(MockEntailmentBackend()), mode))
+
+    def fallbacks(self, records, **kwargs):
+        return sum(r.claims_fallback for r in self.reports(records, **kwargs))
+
     def test_score_matches_direct_pipeline(self):
-        scorer = Scorer(MockEntailmentBackend())
-        score = record_scorer(scorer, None, "full")
         record = self.record("r1")
         direct = Scorer(MockEntailmentBackend()).score_summary(
             record.document, fallback_claims(record.summary), claims_fallback=True
         )
-        assert score(record) == direct.score
+        assert self.reports([record])[0].score == direct.score
 
     def test_fallback_counting(self):
-        score = record_scorer(Scorer(MockEntailmentBackend()), None, "full")
-        for i in range(3):
-            score(self.record(f"r{i}"))
-        assert score.stats["claims_fallback"] == 3
+        assert self.fallbacks([self.record(f"r{i}") for i in range(3)]) == 3
 
     def test_nli_sent_does_not_count_fallback(self):
-        score = record_scorer(Scorer(MockEntailmentBackend()), None, "nli_sent")
-        score(self.record("r1"))
-        assert score.stats["claims_fallback"] == 0
+        assert self.fallbacks([self.record("r1")], mode="nli_sent") == 0
 
     def test_cache_hits_do_not_count(self):
         extractor = FileCacheExtractor({"r1:sum": ["Alpha claim."]})
-        score = record_scorer(Scorer(MockEntailmentBackend()), extractor, "full")
-        score(self.record("r1"))
-        assert score.stats["claims_fallback"] == 0
+        assert self.fallbacks([self.record("r1")], extractor=extractor) == 0
 
     def test_coref_runs_once_per_document(self):
         backend = CountingCoref()
-        score = record_scorer(Scorer(MockEntailmentBackend()), None, "full", backend)
-        score(self.record("r1"))
-        score(self.record("r2"))
+        self.reports([self.record("r1"), self.record("r2")], coref_backend=backend)
         assert backend.calls == 1

@@ -395,11 +395,11 @@ class TestCountersAndMemo:
         assert scorer.backend_calls["window"] == 2  # "aa bb. cc dd.", "cc dd. ee ff."
         assert scorer.backend_calls["document"] == 1
 
-    def test_reset_counters(self):
+    def test_counters_start_at_zero(self):
         scorer = make_scorer()
-        scorer.score_claim(doc_from_sentences("d", ["alpha."]), claim("alpha."))
-        scorer.reset_counters()
         assert all(v == 0 for v in scorer.backend_calls.values())
+        scorer.score_claim(doc_from_sentences("d", ["alpha."]), claim("alpha."))
+        assert scorer.backend_calls["sentence"] == 1
 
     def test_debug_log_shape(self, caplog):
         scorer = make_scorer(gate_threshold=0.95, window_size=2)
