@@ -321,12 +321,15 @@ def _score_records(
         else:
             pending.append(record)
     if pending:
-        for record, score in zip(pending, score_records(pending), strict=True):
-            scores[record.record_id] = score
+        try:
+            for record, score in zip(pending, score_records(pending), strict=True):
+                scores[record.record_id] = score
+                if cache is not None:
+                    cache.put(record.record_id, score)
+        finally:
+            # Scores computed before a failure survive it, so a rerun resumes.
             if cache is not None:
-                cache.put(record.record_id, score)
-        if cache is not None:
-            cache.save()
+                cache.save()
     return scores
 
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
@@ -88,6 +89,7 @@ def scoring_params(config: RunConfig) -> ScoringParams:
         window_size=config.window_size,
         gate_threshold=config.gate_threshold,
         max_coref_variants=config.max_coref_variants,
+        monotone_gate=config.monotone_gate,
     )
 
 
@@ -98,14 +100,27 @@ R = TypeVar("R")
 def ordered_map(fn: Callable[[T], R], items: Iterable[T], workers: int) -> Iterator[R]:
     """Yield ``fn(item)`` for each item in order, run on ``workers`` threads when above 1.
 
-    An exception from ``fn`` is re-raised when iteration reaches its item,
-    so that of the earliest failing item comes first.
+    At most ``2 * workers`` items are taken from ``items`` ahead of the
+    consumer, so results are not computed far ahead of their use. An
+    exception from ``fn`` is re-raised when iteration reaches its item, so
+    that of the earliest failing item comes first. Closing the generator
+    cancels the items not yet started.
     """
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(fn, items)
-    else:
+    if workers <= 1:
         yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending: deque[Future[R]] = deque()
+        try:
+            for item in items:
+                pending.append(pool.submit(fn, item))
+                if len(pending) == 2 * workers:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}

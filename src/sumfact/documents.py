@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Protocol
+from typing import Iterable
 
 from .errors import EmptyDocument
 
@@ -22,7 +22,6 @@ __all__ = [
     "Document",
     "Summary",
     "Claim",
-    "Segmenter",
     "RuleSegmenter",
     "segment",
     "build_claims",
@@ -120,14 +119,9 @@ class Document:
 
     @classmethod
     def from_text(
-        cls,
-        id: str,
-        text: str,
-        *,
-        segmenter: "Segmenter | None" = None,
-        coref_clusters: Iterable[CorefCluster] = (),
+        cls, id: str, text: str, *, coref_clusters: Iterable[CorefCluster] = ()
     ) -> "Document":
-        return cls(id, text, tuple(segment(text, segmenter)), tuple(coref_clusters))
+        return cls(id, text, tuple(segment(text)), tuple(coref_clusters))
 
 
 @dataclass(frozen=True)
@@ -147,10 +141,8 @@ class Summary:
         _validate_sentences(self.text, self.sentences, f"summary '{self.id}'")
 
     @classmethod
-    def from_text(
-        cls, id: str, document_id: str, text: str, *, segmenter: "Segmenter | None" = None
-    ) -> "Summary":
-        return cls(id, document_id, text, tuple(segment(text, segmenter)))
+    def from_text(cls, id: str, document_id: str, text: str) -> "Summary":
+        return cls(id, document_id, text, tuple(segment(text)))
 
 
 @dataclass(frozen=True)
@@ -184,10 +176,6 @@ def build_claims(summary_id: str, texts: Iterable[str]) -> list[Claim]:
         seen.add(text)
         out.append(Claim(summary_id, len(out), text))
     return out
-
-
-class Segmenter(Protocol):
-    def segment(self, text: str) -> list[Sentence]: ...
 
 
 # Tokens (lowercased, surrounding brackets/quotes stripped) after which a
@@ -279,6 +267,6 @@ _DEFAULT_SEGMENTER = RuleSegmenter()
 WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 
-def segment(text: str, segmenter: Segmenter | None = None) -> list[Sentence]:
-    """Split ``text`` into sentences with the given (or default) segmenter."""
-    return (segmenter or _DEFAULT_SEGMENTER).segment(text)
+def segment(text: str) -> list[Sentence]:
+    """Split ``text`` into sentences with the default rule segmenter."""
+    return _DEFAULT_SEGMENTER.segment(text)

@@ -27,9 +27,9 @@ from .documents import (
     CorefCluster,
     Document,
     Mention,
-    Segmenter,
     Sentence,
     Summary,
+    segment,
 )
 from .errors import InputError, SumfactError
 from .scoring import AlignedSpan, ClaimVerdict, FactualityReport
@@ -131,16 +131,14 @@ def _clusters_from_record(
     return tuple(clusters)
 
 
-def _document_from_record(record: Mapping, where: str, segmenter: Segmenter | None) -> Document:
+def _document_from_record(record: Mapping, where: str) -> Document:
     doc_id = _require_str(record, "id", where)
     text = _require_str(record, "text", where)
     try:
         if "sentences" in record:
             sentences = _sentences_from_spans(text, record["sentences"], where)
         else:
-            from .documents import segment
-
-            sentences = tuple(segment(text, segmenter))
+            sentences = tuple(segment(text))
         clusters: tuple[CorefCluster, ...] = ()
         if "coref_clusters" in record:
             clusters = _clusters_from_record(sentences, record["coref_clusters"], where)
@@ -151,12 +149,12 @@ def _document_from_record(record: Mapping, where: str, segmenter: Segmenter | No
         raise InputError(f"{where}: {exc}") from exc
 
 
-def load_documents(path: str, segmenter: Segmenter | None = None) -> list[Document]:
+def load_documents(path: str) -> list[Document]:
     documents = []
     seen: set[str] = set()
     for line_number, record in read_jsonl(path):
         where = f"{path}:{line_number}"
-        document = _document_from_record(record, where, segmenter)
+        document = _document_from_record(record, where)
         if document.id in seen:
             raise InputError(f"{where}: duplicate document id '{document.id}'")
         seen.add(document.id)
@@ -164,7 +162,7 @@ def load_documents(path: str, segmenter: Segmenter | None = None) -> list[Docume
     return documents
 
 
-def load_summaries(path: str, segmenter: Segmenter | None = None) -> list[Summary]:
+def load_summaries(path: str) -> list[Summary]:
     summaries = []
     seen: set[str] = set()
     for line_number, record in read_jsonl(path):
@@ -176,7 +174,7 @@ def load_summaries(path: str, segmenter: Segmenter | None = None) -> list[Summar
             raise InputError(f"{where}: duplicate summary id '{summary_id}'")
         seen.add(summary_id)
         try:
-            summaries.append(Summary.from_text(summary_id, document_id, text, segmenter=segmenter))
+            summaries.append(Summary.from_text(summary_id, document_id, text))
         except (ValueError, SumfactError) as exc:
             raise InputError(f"{where}: {exc}") from exc
     return summaries
@@ -240,7 +238,7 @@ def _gold_label(value: object, where: str) -> bool:
     raise InputError(f"{where}: gold_label must be factual/not_factual, got {value!r}")
 
 
-def load_benchmark_records(path: str, segmenter: Segmenter | None = None) -> list[BenchmarkRecord]:
+def load_benchmark_records(path: str) -> list[BenchmarkRecord]:
     records = []
     for line_number, record in read_jsonl(path):
         where = f"{path}:{line_number}"
@@ -250,7 +248,7 @@ def load_benchmark_records(path: str, segmenter: Segmenter | None = None) -> lis
             raw_doc = {"id": f"{record_id}:doc", "text": raw_doc}
         if not isinstance(raw_doc, dict):
             raise InputError(f"{where}: 'document' must be an object or a string")
-        document = _document_from_record(raw_doc, where, segmenter)
+        document = _document_from_record(raw_doc, where)
         raw_summary = record.get("summary")
         if isinstance(raw_summary, str):
             raw_summary = {"text": raw_summary}
@@ -262,7 +260,6 @@ def load_benchmark_records(path: str, segmenter: Segmenter | None = None) -> lis
                 str(summary_id),
                 str(raw_summary.get("document_id") or document.id),
                 _require_str(raw_summary, "text", where),
-                segmenter=segmenter,
             )
         except (ValueError, SumfactError) as exc:
             raise InputError(f"{where}: {exc}") from exc

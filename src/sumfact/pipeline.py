@@ -10,6 +10,7 @@ into here (``build_units`` then ``score_corpus``) and does no scoring itself.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -129,11 +130,7 @@ def make_claim_extractor(config: RunConfig) -> ClaimExtractor | None:
 
 
 def make_scorer(config: RunConfig, backend: EntailmentBackend | None = None) -> Scorer:
-    return Scorer(
-        backend or make_nli_backend(config),
-        scoring_params(config),
-        monotone_gate=config.monotone_gate,
-    )
+    return Scorer(backend or make_nli_backend(config), scoring_params(config))
 
 
 def scorer_fingerprint(config: RunConfig, backend: EntailmentBackend) -> str:
@@ -148,10 +145,7 @@ def scorer_fingerprint(config: RunConfig, backend: EntailmentBackend) -> str:
             "coref": config.coref_backend,
             "coref_max_sentences": config.coref_max_sentences,
             "mode": config.mode,
-            "window_size": config.window_size,
-            "gate_threshold": config.gate_threshold,
-            "max_coref_variants": config.max_coref_variants,
-            "monotone_gate": config.monotone_gate,
+            **dataclasses.asdict(scoring_params(config)),
         }
     )
 

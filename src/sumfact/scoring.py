@@ -59,11 +59,16 @@ class ScoringParams:
     ``gate_threshold`` is the coref-stage score at or above which the
     window/document stages are skipped. Serialized as ``j`` and ``T`` in
     report JSON.
+
+    ``monotone_gate=True`` departs from the default formula: when the coref
+    score misses the gate, the verdict takes the max of the coref and
+    multi-granularity scores instead of substituting unconditionally.
     """
 
     window_size: int = 5
     gate_threshold: float = 0.8
     max_coref_variants: int = 20
+    monotone_gate: bool = False
 
     def __post_init__(self) -> None:
         if self.window_size < 1:
@@ -178,22 +183,11 @@ class Scorer:
     backend, per stage; memo hits are free and uncounted. Safe to share
     across threads (the memo and counters are lock-guarded), though counts
     interleave when multiple claims run concurrently.
-
-    ``monotone_gate=True`` departs from the default formula: when the coref
-    score misses the gate, the verdict takes the max of the coref and
-    multi-granularity scores instead of substituting unconditionally.
     """
 
-    def __init__(
-        self,
-        backend: EntailmentBackend,
-        params: ScoringParams | None = None,
-        *,
-        monotone_gate: bool = False,
-    ):
+    def __init__(self, backend: EntailmentBackend, params: ScoringParams | None = None):
         self.backend = backend
         self.params = params or ScoringParams()
-        self.monotone_gate = monotone_gate
         self._memo: dict[tuple[str, str], EntailmentTriple] = {}
         self._lock = threading.Lock()
         self.backend_calls: dict[str, int] = {stage: 0 for stage in STAGES}
@@ -210,10 +204,7 @@ class Scorer:
         of caller-side batching.
         """
         with self._lock:
-            misses = []
-            for premise in premises:
-                if (premise, hypothesis) not in self._memo and premise not in misses:
-                    misses.append(premise)
+            misses = [p for p in dict.fromkeys(premises) if (p, hypothesis) not in self._memo]
         if misses:
             triples = self.backend.entail_batch([(p, hypothesis) for p in misses])
             with self._lock:
@@ -234,39 +225,43 @@ class Scorer:
         with self._lock:
             return [self._memo[(premise, hypothesis)].score for premise in premises]
 
+    def _best(
+        self, candidates: Sequence[tuple], claim: Claim, stage: str
+    ) -> tuple[float, AlignedSpan]:
+        """The one selection rule of every stage: the best score over the
+        candidate premises, and the first candidate attaining it as the span.
+
+        Each candidate is a tuple of :class:`AlignedSpan` fields (premise text
+        fourth); only the winner is built as a span.
+        """
+        scores = self._score_many([c[3] for c in candidates], claim.text, stage, claim)
+        best = max(scores)
+        return best, AlignedSpan(*candidates[scores.index(best)])
+
     # -- stages -------------------------------------------------------------
 
-    def score_sentences(self, doc: Document, claim: Claim) -> tuple[float, int]:
-        """Best per-sentence score and the lowest index attaining it."""
-        scores = self._score_many(
-            [s.text for s in doc.sentences], claim.text, "sentence", claim
-        )
-        best = max(scores)
-        return best, scores.index(best)
+    def score_sentences(self, doc: Document, claim: Claim) -> tuple[float, AlignedSpan]:
+        """Best per-sentence score; the lowest index attaining it is the anchor."""
+        candidates = [("sentence", i, i, s.text) for i, s in enumerate(doc.sentences)]
+        return self._best(candidates, claim, "sentence")
 
     def score_coref(
-        self, doc: Document, claim: Claim, sentence: tuple[float, int]
+        self, doc: Document, claim: Claim, sentence: tuple[float, AlignedSpan]
     ) -> tuple[float, AlignedSpan]:
         """Re-score the anchor sentence against its coreference variants.
 
-        ``sentence`` is the sentence stage's ``(score, anchor)`` for this
-        claim. The original sentence is always in the candidate set and wins
+        ``sentence`` is the sentence stage's ``(score, span)`` for this
+        claim. The original sentence is always the first candidate and wins
         ties, so the result never drops below the sentence-stage score. With
         no clusters this degrades to the sentence stage exactly.
         """
-        sent_score, anchor = sentence
-        original = doc.sentences[anchor].text
+        anchor = sentence[1].sentence_start
         variants = coref_variants(doc, anchor, self.params)
         if not variants:
-            return sent_score, AlignedSpan("sentence", anchor, anchor, original)
-        candidates = [original] + [text for text, _ in variants]
-        scores = self._score_many(candidates, claim.text, "coref", claim)
-        best = max(scores)
-        winner = scores.index(best)
-        if winner == 0:
-            return best, AlignedSpan("sentence", anchor, anchor, original)
-        text, substitution = variants[winner - 1]
-        return best, AlignedSpan("coref_sentence", anchor, anchor, text, substitution)
+            return sentence
+        candidates = [("sentence", anchor, anchor, sentence[1].premise_text)]
+        candidates += [("coref_sentence", anchor, anchor, t, sub) for t, sub in variants]
+        return self._best(candidates, claim, "coref")
 
     def score_claim(
         self, doc: Document, claim: Claim, stop: Stop | None = None
@@ -278,14 +273,12 @@ class Scorer:
         that won. Without a stop the window/document stages are only reached
         (and only issue backend calls) when the coref score misses the gate;
         below the gate their result replaces the coref score even when lower,
-        unless ``monotone_gate`` is set.
+        unless ``params.monotone_gate`` is set.
         """
         sentence = self.score_sentences(doc, claim)
-        sent_score, anchor = sentence
-        sub = {"sentence": sent_score}
+        sub = {"sentence": sentence[0]}
         if stop == "sentence":
-            span = AlignedSpan("sentence", anchor, anchor, doc.sentences[anchor].text)
-            return ClaimVerdict(claim, sent_score, "sentence", span, sub)
+            return ClaimVerdict(claim, sentence[0], "sentence", sentence[1], sub)
         coref_score, coref_span = self.score_coref(doc, claim, sentence)
         sub["coref"] = coref_score
         if stop == "coref":
@@ -293,10 +286,13 @@ class Scorer:
             return ClaimVerdict(claim, coref_score, stage, coref_span, sub)
         if coref_score >= self.params.gate_threshold:
             return ClaimVerdict(claim, coref_score, "coref", coref_span, sub)
-        multi_score, multi_span, window_score, document_score = self.score_multi(doc, claim)
-        sub["window"] = window_score
-        sub["document"] = document_score
-        if self.monotone_gate and coref_score > multi_score:
+        # Ties go to the document premise (broader evidence); when the
+        # document fits in one window the two runs coincide via the memo.
+        window = self.score_window(doc, claim, self.params.window_size)
+        document = self.score_window(doc, claim, len(doc.sentences))
+        sub["window"], sub["document"] = window[0], document[0]
+        multi_score, multi_span = window if window[0] > document[0] else document
+        if self.params.monotone_gate and coref_score > multi_score:
             return ClaimVerdict(claim, coref_score, "coref", coref_span, sub)
         return ClaimVerdict(claim, multi_score, "multi_granularity", multi_span, sub)
 
@@ -362,62 +358,21 @@ class Scorer:
                 return out
             cursor += max(1, fit // 2)
 
-    def score_window(
-        self, doc: Document, claim: Claim, k: int
-    ) -> tuple[float, int, tuple[int, int, str]]:
-        """Max over all k-windows; returns (score, lowest winning window start,
-        winning premise as (start, length, text)).
+    def score_window(self, doc: Document, claim: Claim, k: int) -> tuple[float, AlignedSpan]:
+        """Max over all k-windows, each the window itself or its budget chunks.
 
-        The winning premise is the window itself, or its best chunk when the
-        budget forced a split. Counted under stage "document" when the window
+        The first best premise wins, so ties go to the lowest start. A premise
+        covering all ``n`` sentences is a ``document`` span, any other a
+        ``window`` span. Counted under stage "document" when the window
         covers the whole document, else "window".
         """
         if k < 1:
             raise ValueError("window length must be >= 1")
         n = len(doc.sentences)
         k = min(k, n)
-        stage = "document" if k == n else "window"
-        per_window = [
-            self._window_premises(doc, i, k, claim.text) for i in range(n - k + 1)
+        candidates = [
+            ("document" if length == n else "window", start, start + length - 1, text)
+            for i in range(n - k + 1)
+            for start, length, text in self._window_premises(doc, i, k, claim.text)
         ]
-        flat = [text for premises in per_window for (_, _, text) in premises]
-        scores = self._score_many(flat, claim.text, stage, claim)
-        best_score = float("-inf")
-        best_start = 0
-        best_premise = per_window[0][0]
-        offset = 0
-        for window_index, premises in enumerate(per_window):
-            chunk_scores = scores[offset : offset + len(premises)]
-            offset += len(premises)
-            top = max(chunk_scores)
-            if top > best_score:
-                best_score = top
-                best_start = window_index
-                best_premise = premises[chunk_scores.index(top)]
-        return best_score, best_start, best_premise
-
-    def score_multi(
-        self, doc: Document, claim: Claim
-    ) -> tuple[float, AlignedSpan, float, float]:
-        """Max of the windowed and whole-document scores.
-
-        Returns (score, aligned, window_score, document_score). Ties go to
-        the document premise (broader evidence); when the document fits in
-        one window the two evaluations coincide via the memo cache.
-        """
-        n = len(doc.sentences)
-        window_score, _, window_premise = self.score_window(
-            doc, claim, min(self.params.window_size, n)
-        )
-        document_score, _, document_premise = self.score_window(doc, claim, n)
-        if window_score > document_score:
-            start, length, text = window_premise
-            aligned = AlignedSpan("window", start, start + length - 1, text)
-            return window_score, aligned, window_score, document_score
-        start, length, text = document_premise
-        if length == n:
-            aligned = AlignedSpan("document", 0, n - 1, text)
-        else:
-            # Budget chunking split the document premise; report the real range.
-            aligned = AlignedSpan("window", start, start + length - 1, text)
-        return document_score, aligned, window_score, document_score
+        return self._best(candidates, claim, "document" if k == n else "window")

@@ -44,7 +44,7 @@ def test_staged_alignment_matches_oracle(criterion):
             doc, claims, params = random_case(rng, case_id)
             plain = Scorer(MockEntailmentBackend(), ScoringParams(**params))
             mono = Scorer(
-                MockEntailmentBackend(), ScoringParams(**params), monotone_gate=True
+                MockEntailmentBackend(), ScoringParams(**params, monotone_gate=True)
             )
             for claim in claims:
                 assert verdict_to_view(plain.score_claim(doc, claim)) == oracle_verdict(
@@ -119,26 +119,35 @@ def test_stage_decomposition_identities(criterion):
     """Published identities between the stages, exact, over 200 random cases."""
     with criterion("stage-decomposition-identities"):
         rng = random.Random(424242)
+        multi_verdicts = 0
         for case_id in range(200):
             doc, claims, params = random_case(rng, case_id)
             scorer = Scorer(MockEntailmentBackend(), ScoringParams(**params))
             n = len(doc.sentences)
             for claim in claims:
                 # One-sentence windows are exactly the sentence stage.
-                assert scorer.score_window(doc, claim, 1)[:2] == scorer.score_sentences(
-                    doc, claim
+                window_score, window_span = scorer.score_window(doc, claim, 1)
+                sent_score, sent_span = scorer.score_sentences(doc, claim)
+                assert (window_score, window_span.sentence_start) == (
+                    sent_score,
+                    sent_span.sentence_start,
                 )
                 # The multi stage is the max of window and whole-document runs.
-                multi_score, aligned = scorer.score_multi(doc, claim)[:2]
-                window_score = scorer.score_window(doc, claim, params["window_size"])[0]
-                document_score = scorer.score_window(doc, claim, n)[0]
-                assert multi_score == max(window_score, document_score)
+                window_score, window_span = scorer.score_window(doc, claim, params["window_size"])
+                document_score, document_span = scorer.score_window(doc, claim, n)
                 expected = "document" if document_score >= window_score else "window"
-                assert aligned.granularity == expected
+                multi_span = document_span if expected == "document" else window_span
+                assert multi_span.granularity == expected
+                verdict = scorer.score_claim(doc, claim)
+                if verdict.stage == "multi_granularity":
+                    multi_verdicts += 1
+                    assert verdict.score == max(window_score, document_score)
+                    assert verdict.aligned == multi_span
             # The summary score is the arithmetic mean of its claim scores.
             report = scorer.score_summary(doc, claims)
             total = sum(v.score for v in report.verdicts)
             assert report.score == total / len(report.verdicts)
+        assert multi_verdicts > 0
 
 
 def test_batching_invariant_output(criterion):

@@ -12,6 +12,7 @@ from sumfact import (
     DegenerateLabels,
     InputError,
     MissingSplit,
+    NliBackendError,
     ScoreCache,
     balanced_accuracy,
     binarize,
@@ -387,6 +388,30 @@ class TestScoreCache:
         cache.save()
         text = (tmp_path / "scores-order.json").read_text()
         assert text == json.dumps({"aa": 0.2, "zz": 0.1}, sort_keys=True)
+
+    def test_scores_before_a_backend_failure_are_saved(self, tmp_path):
+        def failing(pending):
+            for record in pending[:2]:
+                yield SPLIT_SCORES[record.record_id]
+            raise NliBackendError("backend went away")
+
+        with pytest.raises(NliBackendError):
+            run_benchmark(
+                SPLIT_RECORDS, failing, "per_split", cache=ScoreCache(str(tmp_path), "fp1")
+            )
+        saved = json.loads((tmp_path / "scores-fp1.json").read_text())
+        assert sorted(saved) == ["a1", "a2"]
+        # A rerun scores only the records the failure left unscored.
+        calls = []
+
+        def scorer(record):
+            calls.append(record.record_id)
+            return SPLIT_SCORES[record.record_id]
+
+        run_benchmark(
+            SPLIT_RECORDS, batch(scorer), "per_split", cache=ScoreCache(str(tmp_path), "fp1")
+        )
+        assert calls == [r.record_id for r in SPLIT_RECORDS[2:]]
 
 
 class TestConfigFingerprint:

@@ -1,10 +1,12 @@
 """Run configuration: defaults, file loading, flag precedence, validation."""
 
 import json
+import threading
 
 import pytest
 
 from sumfact import InputError, RunConfig, load_run_config
+from sumfact.config import ordered_map
 
 
 def config_file(tmp_path, **values):
@@ -147,3 +149,60 @@ class TestValidation:
         )
         assert config.nli_backend.startswith("remote:")
         config.validate()
+
+
+class TestOrderedMap:
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_results_keep_input_order(self, workers):
+        assert list(ordered_map(lambda x: x * x, range(50), workers)) == [
+            x * x for x in range(50)
+        ]
+
+    def test_pulls_at_most_two_items_per_worker_ahead(self):
+        pulled = []
+
+        def items():
+            for i in range(1000):
+                pulled.append(i)
+                yield i
+
+        results = ordered_map(lambda x: x, items(), 3)
+        assert next(results) == 0
+        assert len(pulled) <= 6
+        results.close()
+        assert len(pulled) <= 6
+
+    def test_earliest_failure_raises_first(self):
+        # Item 5 fails before item 4 does; item 4's error still comes first.
+        later_failed = threading.Event()
+
+        def fn(x):
+            if x == 4:
+                later_failed.wait(timeout=5)
+                raise ValueError("item 4")
+            if x == 5:
+                later_failed.set()
+                raise KeyError("item 5")
+            return x
+
+        results = ordered_map(fn, range(10), 3)
+        assert [next(results) for _ in range(4)] == [0, 1, 2, 3]
+        with pytest.raises(ValueError, match="item 4"):
+            next(results)
+
+    def test_close_cancels_pending_items(self):
+        started = []
+        release = threading.Event()
+
+        def fn(x):
+            started.append(x)
+            if x == 0:
+                return x
+            release.wait(timeout=5)
+            return x
+
+        results = ordered_map(fn, range(100), 2)
+        assert next(results) == 0
+        release.set()
+        results.close()
+        assert len(started) <= 4

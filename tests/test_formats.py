@@ -10,6 +10,7 @@ from sumfact import (
     InputError,
     MockEntailmentBackend,
     Scorer,
+    ScoringParams,
 )
 from sumfact.benchmark import RecordScore, run_benchmark
 from sumfact.formats import (
@@ -369,7 +370,7 @@ class TestRenderReport:
         }
 
     def test_sub_scores_serialized_in_stage_order(self):
-        scorer = Scorer(MockEntailmentBackend(), monotone_gate=False)
+        scorer = Scorer(MockEntailmentBackend(), ScoringParams(monotone_gate=False))
         doc = doc_from_sentences("d", ["alpha beta gamma.", "delta epsilon."])
         report = scorer.score_summary(doc, [Claim("s1", 0, "stray words.")])
         keys = list(report_to_dict(report)["verdicts"][0]["sub_scores"])

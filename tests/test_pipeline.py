@@ -159,8 +159,8 @@ class TestScorerFactory:
         )
 
     def test_monotone_gate_passthrough(self):
-        assert make_scorer(RunConfig()).monotone_gate is False
-        assert make_scorer(RunConfig(monotone_gate=True)).monotone_gate is True
+        assert make_scorer(RunConfig()).params.monotone_gate is False
+        assert make_scorer(RunConfig(monotone_gate=True)).params.monotone_gate is True
 
     def test_backend_injection(self):
         backend = MockEntailmentBackend(batch_size=2)
@@ -238,6 +238,11 @@ class TestScorerFingerprint:
     @staticmethod
     def digest(config):
         return scorer_fingerprint(config, make_nli_backend(config))
+
+    def test_digests_are_pinned(self):
+        # A changed digest silently recomputes every existing score cache.
+        assert self.digest(RunConfig()) == "0073503b7d48b29c"
+        assert self.digest(RunConfig(monotone_gate=True, window_size=3)) == "6e866c9032cce726"
 
     def test_every_field_is_fingerprinted_or_allow_listed(self):
         names = {f.name for f in dataclasses.fields(RunConfig)}

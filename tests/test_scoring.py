@@ -72,11 +72,13 @@ class TestNliScore:
 class TestSentenceStage:
     def test_best_and_argmax(self, scorer):
         doc = doc_from_sentences("d", ["alpha beta.", "gamma delta."])
-        assert scorer.score_sentences(doc, claim("gamma delta.")) == (1.0, 1)
+        score, span = scorer.score_sentences(doc, claim("gamma delta."))
+        assert (score, span.sentence_start) == (1.0, 1)
 
     def test_tie_goes_to_lowest_index(self, scorer):
         doc = doc_from_sentences("d", ["alpha beta.", "alpha beta."])
-        assert scorer.score_sentences(doc, claim("alpha.")) == (1.0, 0)
+        score, span = scorer.score_sentences(doc, claim("alpha."))
+        assert (score, span.sentence_start) == (1.0, 0)
 
 
 VUNIPOLA_SENTS = ["Billy Vunipola has been ruled out.", "The player will return soon."]
@@ -194,22 +196,28 @@ class TestCorefStage:
 class TestWindowStage:
     def test_window_max_and_start(self, scorer):
         doc = doc_from_sentences("d", ["aa bb.", "cc dd.", "ee ff.", "gg hh."])
-        assert scorer.score_window(doc, claim("ff gg."), 2)[:2] == (1.0, 2)
+        score, span = scorer.score_window(doc, claim("ff gg."), 2)
+        assert (score, span.sentence_start) == (1.0, 2)
 
     def test_window_tie_lowest_start(self, scorer):
         doc = doc_from_sentences("d", ["aa bb.", "cc dd.", "ee ff."])
-        assert scorer.score_window(doc, claim("cc."), 2)[:2] == (1.0, 0)
+        score, span = scorer.score_window(doc, claim("cc."), 2)
+        assert (score, span.sentence_start) == (1.0, 0)
 
     def test_window_of_one_equals_sentence_stage(self, scorer):
         doc = doc_from_sentences("d", ["alpha beta.", "gamma delta.", "alpha gamma."])
         for text in ("alpha.", "gamma delta.", "missing words."):
-            assert scorer.score_window(doc, claim(text), 1)[:2] == scorer.score_sentences(
-                doc, claim(text)
+            window_score, window_span = scorer.score_window(doc, claim(text), 1)
+            sent_score, sent_span = scorer.score_sentences(doc, claim(text))
+            assert (window_score, window_span.sentence_start) == (
+                sent_score,
+                sent_span.sentence_start,
             )
 
     def test_oversized_window_clamped_to_document(self, scorer):
         doc = doc_from_sentences("d", ["alpha beta.", "gamma delta."])
-        assert scorer.score_window(doc, claim("alpha gamma."), 99)[:2] == (1.0, 0)
+        score, span = scorer.score_window(doc, claim("alpha gamma."), 99)
+        assert (score, span.sentence_start) == (1.0, 0)
 
     def test_bad_window_length(self, scorer):
         with pytest.raises(ValueError):
@@ -219,7 +227,9 @@ class TestWindowStage:
 class TestMultiStage:
     def test_document_wins_ties(self, scorer):
         doc = doc_from_sentences("d", ["aa bb.", "cc dd.", "ee ff.", "gg hh."])
-        score, span = scorer.score_multi(doc, claim("ff gg."))[:2]
+        verdict = scorer.score_claim(doc, claim("ff gg."))
+        assert verdict.stage == "multi_granularity"
+        score, span = verdict.score, verdict.aligned
         assert score == 1.0
         assert span.granularity == "document"
         assert (span.sentence_start, span.sentence_end) == (0, 3)
@@ -228,7 +238,9 @@ class TestMultiStage:
         # "not" in sentence 0 poisons every premise containing it.
         scorer = make_scorer(window_size=2)
         doc = doc_from_sentences("d", ["not aa.", "cc dd.", "ee ff.", "gg hh."])
-        score, span = scorer.score_multi(doc, claim("ff gg."))[:2]
+        verdict = scorer.score_claim(doc, claim("ff gg."))
+        assert verdict.stage == "multi_granularity"
+        score, span = verdict.score, verdict.aligned
         assert score == 1.0
         assert span.granularity == "window"
         assert (span.sentence_start, span.sentence_end) == (2, 3)
@@ -236,7 +248,8 @@ class TestMultiStage:
 
     def test_single_sentence_document(self, scorer):
         doc = doc_from_sentences("d", ["alpha beta."])
-        score, span = scorer.score_multi(doc, claim("alpha."))[:2]
+        # The sentence stage passes the gate here, so run the document stage alone.
+        score, span = scorer.score_window(doc, claim("alpha."), 1)
         assert score == 1.0
         assert span.granularity == "document"
         assert (span.sentence_start, span.sentence_end) == (0, 0)
@@ -274,7 +287,7 @@ class TestGatedPipeline:
     def test_monotone_gate_keeps_better_coref(self):
         backend = MockEntailmentBackend()
         scorer = Scorer(
-            backend, ScoringParams(window_size=5, gate_threshold=0.8), monotone_gate=True
+            backend, ScoringParams(window_size=5, gate_threshold=0.8, monotone_gate=True)
         )
         doc = doc_from_sentences("d", ["alpha beta gamma.", "delta epsilon not zeta."])
         verdict = scorer.score_claim(doc, claim("alpha beta zeta."))
@@ -289,7 +302,7 @@ class TestGatedPipeline:
             doc, claims, params = random_case(rng, i)
             plain = Scorer(MockEntailmentBackend(), ScoringParams(**params))
             monotone = Scorer(
-                MockEntailmentBackend(), ScoringParams(**params), monotone_gate=True
+                MockEntailmentBackend(), ScoringParams(**params, monotone_gate=True)
             )
             for c in claims:
                 assert monotone.score_claim(doc, c).score >= plain.score_claim(doc, c).score
@@ -364,6 +377,30 @@ class TestBudgetChunking:
             )
             for c in claims:
                 assert free.score_claim(doc, c) == budgeted.score_claim(doc, c)
+
+
+class TestStageSpans:
+    @pytest.mark.parametrize("budget", [None, PremiseBudget(200)], ids=["free", "budget"])
+    def test_span_premise_scores_the_stage_score(self, budget):
+        # Every stage returns (score, span), and the span's premise is the
+        # one that scored: re-scoring it alone gives the same number.
+        rng = random.Random(31)
+        chunked = 0
+        for i in range(60):
+            doc, claims, params = random_case(rng, i)
+            backend = MockEntailmentBackend(budget=budget)
+            scorer = Scorer(backend, ScoringParams(**params))
+            n = len(doc.sentences)
+            for c in claims:
+                sentence = scorer.score_sentences(doc, c)
+                results = [sentence, scorer.score_coref(doc, c, sentence)]
+                results += [scorer.score_window(doc, c, k) for k in (params["window_size"], n)]
+                for score, span in results:
+                    assert isinstance(span, AlignedSpan)
+                    assert backend.entail(span.premise_text, c.text).score == score
+                chunked += results[-1][1].granularity == "window"
+        # The budget really split some whole-document premises.
+        assert (chunked > 0) == (budget is not None)
 
 
 class TestCountersAndMemo:
