@@ -124,12 +124,21 @@ class EntailmentBackend:
         return self._infer([(premise, hypothesis)])[0]
 
     def entail_batch(self, pairs: Sequence[Pair]) -> list[EntailmentTriple]:
+        """Triples for ``pairs``, in input order.
+
+        The pairs are stable-sorted by character length (premise plus
+        hypothesis) before they are cut into batches of ``batch_size``, so
+        each batch holds pairs of similar length and a model pads little.
+        """
         for i, (premise, hypothesis) in enumerate(pairs):
             self._check(premise, hypothesis, f"pair {i}")
-        out: list[EntailmentTriple] = []
-        for lo in range(0, len(pairs), self.batch_size):
-            out.extend(self._infer(list(pairs[lo : lo + self.batch_size])))
-        return out
+        order = sorted(range(len(pairs)), key=lambda i: len(pairs[i][0]) + len(pairs[i][1]))
+        out: list[EntailmentTriple | None] = [None] * len(pairs)
+        for lo in range(0, len(order), self.batch_size):
+            chunk = order[lo : lo + self.batch_size]
+            for i, triple in zip(chunk, self._infer([pairs[i] for i in chunk])):
+                out[i] = triple
+        return out  # type: ignore[return-value]
 
     def _infer(self, pairs: list[Pair]) -> list[EntailmentTriple]:
         raise NotImplementedError

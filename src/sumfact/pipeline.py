@@ -4,15 +4,18 @@ This layer owns the policies that span modules: the empty-claims fallback
 (summary sentences become the claims, flagged on the report), degradation to
 empty clusters when the coreference backend fails, the mapping of each mode
 to its hypotheses and its stop in the one scoring pipeline, and the fan-out
-of independent (document, summary) pairs across a thread pool. The CLI calls
-into here (``build_units`` then ``score_corpus``) and does no scoring itself.
+of blocks of independent (document, summary) pairs across a thread pool. The
+CLI calls into here (``build_units`` then ``score_corpus``) and does no
+scoring itself.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import logging
+from contextlib import closing
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from . import formats
@@ -209,8 +212,22 @@ _STOPS: dict[str, Stop | None] = {
 }
 
 
+def _hypotheses(unit: RunUnit, mode: str) -> tuple[Document, list[Claim], bool]:
+    """The ``(document, claims, claims_fallback)`` item that ``mode`` scores for ``unit``."""
+    if mode == "nli_sent":
+        claims = [Claim(unit.summary.id, i, s.text) for i, s in enumerate(unit.summary.sentences)]
+        return unit.document, claims, False
+    return unit.document, list(unit.claims), unit.claims_fallback
+
+
+def _score_block(units: Sequence[RunUnit], scorer: Scorer, mode: str) -> list[FactualityReport]:
+    if mode not in _STOPS:
+        raise ValueError(f"unknown ablation mode {mode!r}")
+    return scorer.score_summaries([_hypotheses(u, mode) for u in units], stop=_STOPS[mode])
+
+
 def evaluate_pair(unit: RunUnit, scorer: Scorer, mode: str) -> FactualityReport:
-    """Score one unit in one mode.
+    """Score one unit in one mode: a block of one, as in :func:`score_corpus`.
 
     Every mode runs the one gated pipeline. ``nli_claim`` stops it after the
     sentence stage and ``nli_coref`` after the coref stage. ``nli_sent`` is
@@ -218,15 +235,7 @@ def evaluate_pair(unit: RunUnit, scorer: Scorer, mode: str) -> FactualityReport:
     kept: the mean runs over sentences), so it never reports the claims
     fallback.
     """
-    if mode not in _STOPS:
-        raise ValueError(f"unknown ablation mode {mode!r}")
-    claims, claims_fallback = list(unit.claims), unit.claims_fallback
-    if mode == "nli_sent":
-        claims = [Claim(unit.summary.id, i, s.text) for i, s in enumerate(unit.summary.sentences)]
-        claims_fallback = False
-    return scorer.score_summary(
-        unit.document, claims, claims_fallback=claims_fallback, stop=_STOPS[mode]
-    )
+    return _score_block([unit], scorer, mode)[0]
 
 
 def pair_summaries(
@@ -274,5 +283,17 @@ def build_units(
 def score_corpus(
     units: Iterable[RunUnit], scorer: Scorer, mode: str, workers: int = 1
 ) -> Iterator[FactualityReport]:
-    """Yield one report per unit, in order; pairs are independent, so fan out is safe."""
-    return ordered_map(lambda unit: evaluate_pair(unit, scorer, mode), units, workers)
+    """Yield one report per unit, in order.
+
+    Consecutive units are scored in blocks of ``scorer.backend.batch_size``
+    units, each stage one wave of backend pairs over the whole block, so
+    batches fill across summaries. Blocks are independent and run on
+    ``workers`` threads, at most ``2 * workers`` blocks ahead of the
+    consumer. Reports do not depend on the block size or on ``workers``.
+    """
+    units = iter(units)
+    blocks = iter(lambda: list(islice(units, scorer.backend.batch_size)), [])
+    scored = ordered_map(lambda block: _score_block(block, scorer, mode), blocks, workers)
+    with closing(scored):
+        for reports in scored:
+            yield from reports

@@ -11,7 +11,14 @@ summary's score is the arithmetic mean over its claim verdicts. The ablations
 are early stops of this one pipeline: after the sentence stage or after the
 coref stage.
 
-The engine memoizes backend results on (premise, hypothesis) within a run and
+Stages run as waves over a block of summaries: every claim's sentence
+candidates go to the backend together, then the coref candidates of all the
+claims, then the window and document candidates of every gate miss. One
+selection rule, ``Scorer._best``, serves every wave; scoring one claim or one
+summary is a block of one. Blocks change how pairs are batched, never a
+score or a span.
+
+The engine memoizes backend scores on (premise, hypothesis) within a run and
 counts actual backend pairs per stage, so the gating short-circuit (no
 window/document calls when the gate passes) is observable from counters and
 from debug logs.
@@ -22,12 +29,13 @@ from __future__ import annotations
 import json
 import logging
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
 from .documents import Claim, CorefCluster, Document, Mention
 from .errors import OversizedPremise
-from .nli import EntailmentBackend, EntailmentTriple
+from .nli import EntailmentBackend
 
 __all__ = [
     "Granularity",
@@ -49,6 +57,10 @@ Stage = Literal["sentence", "coref", "multi_granularity"]
 Stop = Literal["sentence", "coref"]
 
 STAGES = ("sentence", "coref", "window", "document")
+
+Pair = tuple[str, str]
+# One stage's candidate premises for one claim, and the stage to count them under.
+Request = tuple[Sequence[tuple], Claim, str]
 
 
 @dataclass(frozen=True)
@@ -179,89 +191,222 @@ def coref_variants(
 class Scorer:
     """Stateful engine: one backend, one parameter set, one memo cache.
 
+    :meth:`score_summaries` scores a block of summaries in waves, each wave
+    one call of :meth:`_best` over the pending claims of the whole block:
+    first every claim's sentence candidates, then the coref candidates of
+    the claims whose anchor has variants, then the window and document
+    candidates of the claims that missed the gate. ``stop="sentence"`` ends
+    the block after the first wave and ``stop="coref"`` after the second.
+    The other entry points are one-item blocks (``score_summary``,
+    ``score_claim``) or one-request waves (the ``score_*`` stages).
+
     ``backend_calls`` counts premise/hypothesis pairs actually sent to the
-    backend, per stage; memo hits are free and uncounted. Safe to share
-    across threads (the memo and counters are lock-guarded), though counts
-    interleave when multiple claims run concurrently.
+    backend, per stage; a pair is counted under the stage of the first
+    request of its wave that holds it, and memo hits are free and
+    uncounted. Safe to share across threads: the memo and counters are
+    lock-guarded, and a pair that one thread has in flight is awaited by
+    the others rather than sent again.
     """
 
     def __init__(self, backend: EntailmentBackend, params: ScoringParams | None = None):
         self.backend = backend
         self.params = params or ScoringParams()
-        self._memo: dict[tuple[str, str], EntailmentTriple] = {}
+        self._memo: dict[Pair, float] = {}
+        self._in_flight: dict[Pair, threading.Event] = {}
         self._lock = threading.Lock()
         self.backend_calls: dict[str, int] = {stage: 0 for stage in STAGES}
 
-    # -- backend plumbing ---------------------------------------------------
+    # -- the selection rule ---------------------------------------------------
 
-    def _score_many(
-        self, premises: Sequence[str], hypothesis: str, stage: str, claim: Claim
-    ) -> list[float]:
-        """Scores for each premise against one hypothesis, memoized.
+    def _best(self, requests: Sequence[Request]) -> list[tuple[float, AlignedSpan]]:
+        """The one selection rule of every stage, over many requests at once.
 
-        Distinct uncached premises are sent to the backend as one batch (the
-        backend re-chunks to its own batch size), keeping results independent
-        of caller-side batching.
+        A request is ``(candidates, claim, stage)``; each candidate is a
+        tuple of :class:`AlignedSpan` fields (premise text fourth). For each
+        request, the result is the best score over its candidates and the
+        first candidate attaining it, built as the span.
+
+        The memo misses of all requests go to the backend as one batch, in
+        request order and without duplicates, so the backend fills its
+        batches across claims. Pairs another thread has in flight are
+        awaited instead of sent.
         """
+        keys = [[(c[3], claim.text) for c in candidates] for candidates, claim, _ in requests]
+        owner: dict[Pair, int] = {}
+        waits: set[threading.Event] = set()
+        done = threading.Event()
         with self._lock:
-            misses = [p for p in dict.fromkeys(premises) if (p, hypothesis) not in self._memo]
-        if misses:
-            triples = self.backend.entail_batch([(p, hypothesis) for p in misses])
+            for i, row in enumerate(keys):
+                for key in row:
+                    if key in self._memo or key in owner:
+                        continue
+                    event = self._in_flight.get(key)
+                    if event is None:
+                        owner[key] = i
+                    else:
+                        waits.add(event)
+            for key in owner:
+                self._in_flight[key] = done
+        if owner:
+            self._send(owner, requests, done)
+        for event in waits:
+            event.wait()
+        with self._lock:
+            try:
+                rows = [[self._memo[key] for key in row] for row in keys]
+            except KeyError:
+                rows = None
+        if rows is None:
+            # The thread that had one of these pairs in flight failed to
+            # score it; send what is still missing from here.
+            return self._best(requests)
+        out = []
+        for (candidates, _, _), scores in zip(requests, rows):
+            best = max(scores)
+            out.append((best, AlignedSpan(*candidates[scores.index(best)])))
+        return out
+
+    def _send(
+        self, owner: dict[Pair, int], requests: Sequence[Request], done: threading.Event
+    ) -> None:
+        """Score the pairs this thread owns, credit each to its first request's stage."""
+        pairs = list(owner)
+        scores = None
+        credited = Counter(owner.values())
+        try:
+            scores = [triple.score for triple in self.backend.entail_batch(pairs)]
+        finally:
             with self._lock:
-                for premise, triple in zip(misses, triples):
-                    self._memo[(premise, hypothesis)] = triple
-                self.backend_calls[stage] += len(misses)
-            logger.debug(
-                json.dumps(
-                    {
-                        "event": "nli_calls",
-                        "stage": stage,
-                        "summary_id": claim.summary_id,
-                        "claim_index": claim.index,
-                        "pairs": len(misses),
-                    }
+                for key in pairs:
+                    del self._in_flight[key]
+                if scores is not None:
+                    self._memo.update(zip(pairs, scores))
+                    for i, count in credited.items():
+                        self.backend_calls[requests[i][2]] += count
+            done.set()
+        if logger.isEnabledFor(logging.DEBUG):
+            # ``owner`` was filled in request order, so these lines are too.
+            for i, count in credited.items():
+                _, claim, stage = requests[i]
+                logger.debug(
+                    json.dumps(
+                        {
+                            "event": "nli_calls",
+                            "stage": stage,
+                            "summary_id": claim.summary_id,
+                            "claim_index": claim.index,
+                            "pairs": count,
+                        }
+                    )
                 )
+
+    # -- the waves --------------------------------------------------------------
+
+    def score_summaries(
+        self,
+        items: Sequence[tuple[Document, Sequence[Claim], bool]],
+        *,
+        stop: Stop | None = None,
+    ) -> list[FactualityReport]:
+        """Score a block of ``(document, claims, claims_fallback)`` items.
+
+        Each report averages its item's claim verdicts, which keep claim
+        order; reports keep item order. ``stop`` ends every claim's pipeline
+        early, as in :meth:`score_claim`. Results equal scoring each item
+        alone: blocks change only how pairs are batched.
+        """
+        jobs: list[tuple[Document, Claim]] = []
+        for doc, claims, _ in items:
+            if not claims:
+                raise ValueError("score_summary needs at least one claim")
+            summary_id = claims[0].summary_id
+            for claim in claims:
+                if claim.summary_id != summary_id:
+                    raise ValueError(
+                        f"claims mix summaries '{summary_id}' and '{claim.summary_id}'"
+                    )
+                jobs.append((doc, claim))
+        verdicts = self._verdicts(jobs, stop)
+        reports = []
+        lo = 0
+        for _, claims, claims_fallback in items:
+            own = tuple(verdicts[lo : lo + len(claims)])
+            lo += len(claims)
+            score = sum(v.score for v in own) / len(own)
+            reports.append(
+                FactualityReport(claims[0].summary_id, score, own, claims_fallback, self.params)
             )
-        with self._lock:
-            return [self._memo[(premise, hypothesis)].score for premise in premises]
+        return reports
 
-    def _best(
-        self, candidates: Sequence[tuple], claim: Claim, stage: str
-    ) -> tuple[float, AlignedSpan]:
-        """The one selection rule of every stage: the best score over the
-        candidate premises, and the first candidate attaining it as the span.
+    def _verdicts(
+        self, jobs: Sequence[tuple[Document, Claim]], stop: Stop | None
+    ) -> list[ClaimVerdict]:
+        """Verdicts for ``(document, claim)`` jobs, each stage one wave over all jobs."""
+        sentence = self._best([self._sentence_request(doc, claim) for doc, claim in jobs])
+        if stop == "sentence":
+            return [
+                ClaimVerdict(claim, score, "sentence", span, {"sentence": score})
+                for (_, claim), (score, span) in zip(jobs, sentence)
+            ]
+        coref = list(sentence)
+        wave = [(i, self._coref_candidates(doc, sentence[i][1])) for i, (doc, _) in enumerate(jobs)]
+        wave = [(i, candidates) for i, candidates in wave if candidates]
+        results = self._best([(candidates, jobs[i][1], "coref") for i, candidates in wave])
+        for (i, _), result in zip(wave, results):
+            coref[i] = result
+        # Gate misses: windows, then the whole document.
+        misses = []
+        if stop is None:
+            misses = [i for i, (score, _) in enumerate(coref) if score < self.params.gate_threshold]
+        results = self._best(
+            [
+                self._window_request(jobs[i][0], jobs[i][1], k)
+                for i in misses
+                for k in (self.params.window_size, len(jobs[i][0].sentences))
+            ]
+        )
+        multi = {i: (results[2 * m], results[2 * m + 1]) for m, i in enumerate(misses)}
+        verdicts = []
+        for i, (_, claim) in enumerate(jobs):
+            score, span = coref[i]
+            sub = {"sentence": sentence[i][0], "coref": score}
+            if stop == "coref":
+                stage: Stage = "coref" if span.granularity == "coref_sentence" else "sentence"
+                verdicts.append(ClaimVerdict(claim, score, stage, span, sub))
+                continue
+            if i not in multi:
+                verdicts.append(ClaimVerdict(claim, score, "coref", span, sub))
+                continue
+            window, document = multi[i]
+            sub["window"], sub["document"] = window[0], document[0]
+            # Ties go to the document premise (broader evidence); when the
+            # document fits in one window the two coincide via the memo.
+            # Below the gate the result replaces the coref score even when
+            # lower, unless the gate is monotone.
+            multi_score, multi_span = window if window[0] > document[0] else document
+            if self.params.monotone_gate and score > multi_score:
+                verdicts.append(ClaimVerdict(claim, score, "coref", span, sub))
+            else:
+                verdicts.append(
+                    ClaimVerdict(claim, multi_score, "multi_granularity", multi_span, sub)
+                )
+        return verdicts
 
-        Each candidate is a tuple of :class:`AlignedSpan` fields (premise text
-        fourth); only the winner is built as a span.
+    # -- one-item and one-request entry points ---------------------------------
+
+    def score_summary(
+        self,
+        doc: Document,
+        claims: Sequence[Claim],
+        *,
+        claims_fallback: bool = False,
+        stop: Stop | None = None,
+    ) -> FactualityReport:
+        """Score every claim and average; verdicts keep claim order.
+
+        A block of one summary: see :meth:`score_summaries`.
         """
-        scores = self._score_many([c[3] for c in candidates], claim.text, stage, claim)
-        best = max(scores)
-        return best, AlignedSpan(*candidates[scores.index(best)])
-
-    # -- stages -------------------------------------------------------------
-
-    def score_sentences(self, doc: Document, claim: Claim) -> tuple[float, AlignedSpan]:
-        """Best per-sentence score; the lowest index attaining it is the anchor."""
-        candidates = [("sentence", i, i, s.text) for i, s in enumerate(doc.sentences)]
-        return self._best(candidates, claim, "sentence")
-
-    def score_coref(
-        self, doc: Document, claim: Claim, sentence: tuple[float, AlignedSpan]
-    ) -> tuple[float, AlignedSpan]:
-        """Re-score the anchor sentence against its coreference variants.
-
-        ``sentence`` is the sentence stage's ``(score, span)`` for this
-        claim. The original sentence is always the first candidate and wins
-        ties, so the result never drops below the sentence-stage score. With
-        no clusters this degrades to the sentence stage exactly.
-        """
-        anchor = sentence[1].sentence_start
-        variants = coref_variants(doc, anchor, self.params)
-        if not variants:
-            return sentence
-        candidates = [("sentence", anchor, anchor, sentence[1].premise_text)]
-        candidates += [("coref_sentence", anchor, anchor, t, sub) for t, sub in variants]
-        return self._best(candidates, claim, "coref")
+        return self.score_summaries([(doc, claims, claims_fallback)], stop=stop)[0]
 
     def score_claim(
         self, doc: Document, claim: Claim, stop: Stop | None = None
@@ -275,52 +420,63 @@ class Scorer:
         below the gate their result replaces the coref score even when lower,
         unless ``params.monotone_gate`` is set.
         """
-        sentence = self.score_sentences(doc, claim)
-        sub = {"sentence": sentence[0]}
-        if stop == "sentence":
-            return ClaimVerdict(claim, sentence[0], "sentence", sentence[1], sub)
-        coref_score, coref_span = self.score_coref(doc, claim, sentence)
-        sub["coref"] = coref_score
-        if stop == "coref":
-            stage: Stage = "coref" if coref_span.granularity == "coref_sentence" else "sentence"
-            return ClaimVerdict(claim, coref_score, stage, coref_span, sub)
-        if coref_score >= self.params.gate_threshold:
-            return ClaimVerdict(claim, coref_score, "coref", coref_span, sub)
-        # Ties go to the document premise (broader evidence); when the
-        # document fits in one window the two runs coincide via the memo.
-        window = self.score_window(doc, claim, self.params.window_size)
-        document = self.score_window(doc, claim, len(doc.sentences))
-        sub["window"], sub["document"] = window[0], document[0]
-        multi_score, multi_span = window if window[0] > document[0] else document
-        if self.params.monotone_gate and coref_score > multi_score:
-            return ClaimVerdict(claim, coref_score, "coref", coref_span, sub)
-        return ClaimVerdict(claim, multi_score, "multi_granularity", multi_span, sub)
+        return self._verdicts([(doc, claim)], stop)[0]
 
-    def score_summary(
-        self,
-        doc: Document,
-        claims: Sequence[Claim],
-        *,
-        claims_fallback: bool = False,
-        stop: Stop | None = None,
-    ) -> FactualityReport:
-        """Score every claim and average; verdicts keep claim order.
+    def score_sentences(self, doc: Document, claim: Claim) -> tuple[float, AlignedSpan]:
+        """Best per-sentence score; the lowest index attaining it is the anchor."""
+        return self._best([self._sentence_request(doc, claim)])[0]
 
-        ``stop`` ends each claim's pipeline early, as in :meth:`score_claim`.
+    def score_coref(
+        self, doc: Document, claim: Claim, sentence: tuple[float, AlignedSpan]
+    ) -> tuple[float, AlignedSpan]:
+        """Re-score the anchor sentence against its coreference variants.
+
+        ``sentence`` is the sentence stage's ``(score, span)`` for this
+        claim. The original sentence is always the first candidate and wins
+        ties, so the result never drops below the sentence-stage score. With
+        no clusters this degrades to the sentence stage exactly.
         """
-        if not claims:
-            raise ValueError("score_summary needs at least one claim")
-        summary_id = claims[0].summary_id
-        for claim in claims:
-            if claim.summary_id != summary_id:
-                raise ValueError(
-                    f"claims mix summaries '{summary_id}' and '{claim.summary_id}'"
-                )
-        verdicts = tuple(self.score_claim(doc, claim, stop) for claim in claims)
-        score = sum(v.score for v in verdicts) / len(verdicts)
-        return FactualityReport(summary_id, score, verdicts, claims_fallback, self.params)
+        candidates = self._coref_candidates(doc, sentence[1])
+        if not candidates:
+            return sentence
+        return self._best([(candidates, claim, "coref")])[0]
 
-    # -- window and document stages ------------------------------------------
+    def score_window(self, doc: Document, claim: Claim, k: int) -> tuple[float, AlignedSpan]:
+        """Max over all k-windows, each the window itself or its budget chunks.
+
+        The first best premise wins, so ties go to the lowest start. A premise
+        covering all ``n`` sentences is a ``document`` span, any other a
+        ``window`` span. Counted under stage "document" when the window
+        covers the whole document, else "window".
+        """
+        return self._best([self._window_request(doc, claim, k)])[0]
+
+    # -- candidate lists ----------------------------------------------------------
+
+    def _sentence_request(self, doc: Document, claim: Claim) -> Request:
+        return [("sentence", i, i, s.text) for i, s in enumerate(doc.sentences)], claim, "sentence"
+
+    def _coref_candidates(self, doc: Document, anchor_span: AlignedSpan) -> list[tuple]:
+        """The anchor sentence, then its variants; empty when it has none."""
+        anchor = anchor_span.sentence_start
+        variants = coref_variants(doc, anchor, self.params)
+        if not variants:
+            return []
+        candidates: list[tuple] = [("sentence", anchor, anchor, anchor_span.premise_text)]
+        candidates += [("coref_sentence", anchor, anchor, t, sub) for t, sub in variants]
+        return candidates
+
+    def _window_request(self, doc: Document, claim: Claim, k: int) -> Request:
+        if k < 1:
+            raise ValueError("window length must be >= 1")
+        n = len(doc.sentences)
+        k = min(k, n)
+        candidates = [
+            ("document" if length == n else "window", start, start + length - 1, text)
+            for i in range(n - k + 1)
+            for start, length, text in self._window_premises(doc, i, k, claim.text)
+        ]
+        return candidates, claim, "document" if k == n else "window"
 
     def _join(self, doc: Document, start: int, length: int) -> str:
         return " ".join(s.text for s in doc.sentences[start : start + length])
@@ -357,22 +513,3 @@ class Scorer:
             if cursor + fit >= limit:
                 return out
             cursor += max(1, fit // 2)
-
-    def score_window(self, doc: Document, claim: Claim, k: int) -> tuple[float, AlignedSpan]:
-        """Max over all k-windows, each the window itself or its budget chunks.
-
-        The first best premise wins, so ties go to the lowest start. A premise
-        covering all ``n`` sentences is a ``document`` span, any other a
-        ``window`` span. Counted under stage "document" when the window
-        covers the whole document, else "window".
-        """
-        if k < 1:
-            raise ValueError("window length must be >= 1")
-        n = len(doc.sentences)
-        k = min(k, n)
-        candidates = [
-            ("document" if length == n else "window", start, start + length - 1, text)
-            for i in range(n - k + 1)
-            for start, length, text in self._window_premises(doc, i, k, claim.text)
-        ]
-        return self._best(candidates, claim, "document" if k == n else "window")

@@ -107,3 +107,47 @@ def random_case(rng: random.Random, case_id: int = 0):
         "max_coref_variants": rng.choice([3, 20]),
     }
     return doc, tuple(claims), params
+
+
+NAMES = ["Maria Lopez", "Tom Baker", "Ana", "Kofi Mensah", "Lena"]
+PRONOUNS = ["she", "he", "they"]
+
+
+def random_news_corpus(rng: random.Random, n_docs: int, summaries_per_doc: int):
+    """Documents naming people and referring back to them by pronoun, each
+    with several summaries; for the heuristic coref backend.
+
+    Returns ``(pairs, claim_cache)``: the (document, summary) pairs in
+    document order, and claims for most summaries (one summary in five has
+    none, so it takes the sentence fallback). Some claims name the person a
+    pronoun sentence refers to, so coref variants win; some swap a name, so
+    the gate misses. Summaries of one document share a claim, so units share
+    (premise, hypothesis) pairs.
+    """
+    pairs = []
+    cache: dict[str, list[str]] = {}
+    for d in range(n_docs):
+        texts, resolved = [], []
+        name = None
+        for _ in range(rng.randint(2, 9)):
+            words = " ".join(rng.choice(VOCAB[:-1]) for _ in range(rng.randint(3, 6)))
+            if name and rng.random() < 0.4:
+                texts.append(f"{rng.choice(PRONOUNS).capitalize()} saw the {words}.")
+                resolved.append(f"{name} saw the {words}.")
+            else:
+                name = rng.choice(NAMES)
+                texts.append(f"{name} saw the {words}.")
+        document = Document.from_text(f"d{d}", " ".join(texts))
+        shared = f"{rng.choice(NAMES)} saw the {rng.choice(VOCAB)} {rng.choice(VOCAB)}."
+        for k in range(summaries_per_doc):
+            sid = f"d{d}-s{k}"
+            picked = [rng.choice(texts) for _ in range(rng.randint(1, 3))]
+            summary = Summary.from_text(sid, document.id, " ".join(picked))
+            pairs.append((document, summary))
+            if rng.random() < 0.8:
+                claims = [shared] + rng.sample(texts + resolved, min(3, len(texts)))
+                cache[sid] = [
+                    c if rng.random() < 0.7 else c.replace(rng.choice(NAMES), rng.choice(NAMES))
+                    for c in claims
+                ]
+    return pairs, cache

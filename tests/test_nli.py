@@ -121,6 +121,37 @@ class TestBackendPlumbing:
         large = MockEntailmentBackend(batch_size=32).entail_batch(pairs)
         assert small == large
 
+    def test_length_sorted_batches_return_input_order(self):
+        seen = []
+
+        class Recording(MockEntailmentBackend):
+            def _infer(self, pairs):
+                seen.append(list(pairs))
+                return super()._infer(pairs)
+
+        # Descending length, with words that give every pair its own score.
+        words = [f"w{j}" for j in range(10)]
+        pairs = [(" ".join(words[: 10 - i]), " ".join(words)) for i in range(8)]
+        backend = Recording(batch_size=3)
+        triples = backend.entail_batch(pairs)
+        assert triples == [backend.entail(p, h) for p, h in pairs]
+        assert len({t.score for t in triples}) == len(pairs)
+        assert [len(batch) for batch in seen[:3]] == [3, 3, 2]
+        sent = [len(p) + len(h) for batch in seen[:3] for p, h in batch]
+        assert sent == sorted(sent)
+
+    def test_equal_lengths_keep_input_order(self):
+        seen = []
+
+        class Recording(MockEntailmentBackend):
+            def _infer(self, pairs):
+                seen.append(list(pairs))
+                return super()._infer(pairs)
+
+        pairs = [(f"p{i}", f"h{i}") for i in range(5)]
+        Recording(batch_size=2).entail_batch(pairs)
+        assert seen == [pairs[0:2], pairs[2:4], pairs[4:5]]
+
     def test_entail_matches_entail_batch(self, mock_backend):
         single = mock_backend.entail("alpha beta", "alpha")
         (batched,) = mock_backend.entail_batch([("alpha beta", "alpha")])

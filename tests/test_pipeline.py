@@ -2,6 +2,9 @@
 
 import dataclasses
 import logging
+import math
+import random
+import sys
 import threading
 from dataclasses import replace
 
@@ -17,11 +20,15 @@ from sumfact import (
     LocalSeq2SeqExtractor,
     MockEntailmentBackend,
     NoopCorefBackend,
+    PremiseBudget,
     RemoteEntailmentBackend,
     RemoteLlmExtractor,
     RunConfig,
     Scorer,
+    ScoringParams,
 )
+from sumfact.config import MODES
+from sumfact.formats import render_report
 from sumfact.pipeline import (
     RunUnit,
     attach_clusters,
@@ -39,7 +46,7 @@ from sumfact.pipeline import (
     scoring_params,
 )
 
-from cases import doc_from_sentences, summary_from_sentences
+from cases import doc_from_sentences, random_news_corpus, summary_from_sentences
 
 
 class CountingCoref:
@@ -467,6 +474,136 @@ class TestScoreCorpus:
         threaded = list(score_corpus(units, Scorer(MockEntailmentBackend()), "full", workers=3))
         assert serial == threaded
         assert [r.summary_id for r in serial] == [f"s{i}" for i in range(6)]
+
+
+class RecordingBackend(MockEntailmentBackend):
+    """The mock, keeping every batch it is sent."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.batches = []
+
+    def _infer(self, pairs):
+        self.batches.append(list(pairs))
+        return super()._infer(pairs)
+
+
+class TestBlocks:
+    """``score_corpus`` scores blocks of ``batch_size`` units, each stage one
+    wave of backend pairs over the block; blocks change batching only."""
+
+    PARAMS = ScoringParams(window_size=2, gate_threshold=0.9)
+    BUDGET = PremiseBudget(200)
+
+    @pytest.fixture(scope="class")
+    def units(self):
+        pairs, cache = random_news_corpus(random.Random(4242), 24, 3)
+        return build_units(
+            pairs, FileCacheExtractor(cache), HeuristicCorefBackend(), missing_ok=True
+        )
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_reports_do_not_depend_on_blocks(self, units, mode):
+        def fresh():
+            return Scorer(MockEntailmentBackend(budget=self.BUDGET), self.PARAMS)
+
+        expected = [evaluate_pair(unit, fresh(), mode) for unit in units]
+        if mode == "full":
+            # The corpus reaches every stage, budget chunking and the fallback.
+            verdicts = [v for report in expected for v in report.verdicts]
+            assert {v.stage for v in verdicts} == {"coref", "multi_granularity"}
+            assert any(v.aligned.substitution for v in verdicts)
+            assert any(
+                v.stage == "multi_granularity" and v.aligned.granularity == "window"
+                for v in verdicts
+            )
+            assert any(len(u.document.text) > self.BUDGET.max_units for u in units)
+            assert 0 < sum(r.claims_fallback for r in expected) < len(units)
+        rendered = [render_report(report) for report in expected]
+        for batch_size in (1, 4, 32):
+            for workers in (1, 3):
+                backend = MockEntailmentBackend(batch_size=batch_size, budget=self.BUDGET)
+                reports = score_corpus(units, Scorer(backend, self.PARAMS), mode, workers)
+                assert [render_report(r) for r in reports] == rendered, (batch_size, workers)
+
+    def test_one_backend_pass_per_wave_and_block(self):
+        # One-claim units, each with its own document of m sentences, no
+        # coref and a gate every claim misses: per block of B units the
+        # sentence wave sends B*m pairs and the window and document wave
+        # B*(m - j + 1) windows plus B documents.
+        m, j, n_units, batch_size = 4, 2, 10, 3
+        units = []
+        for u in range(n_units):
+            doc = doc_from_sentences(f"d{u}", [f"{'x' * (s + 1)} w{u}s{s} tail." for s in range(m)])
+            summary = summary_from_sentences(f"s{u}", doc.id, [f"w{u}s0 other."])
+            units.append(RunUnit(doc, summary, (Claim(f"s{u}", 0, f"w{u}s0 other."),), False))
+        backend = RecordingBackend(batch_size=batch_size)
+        scorer = Scorer(backend, ScoringParams(window_size=j, gate_threshold=0.9))
+        reports = list(score_corpus(units, scorer, "full"))
+        assert [r.verdicts[0].stage for r in reports] == ["multi_granularity"] * n_units
+        blocks = [min(batch_size, n_units - lo) for lo in range(0, n_units, batch_size)]
+        waves = [b * m for b in blocks] + [b * (m - j + 2) for b in blocks]
+        assert len(backend.batches) == sum(math.ceil(w / batch_size) for w in waves)
+        assert sum(map(len, backend.batches)) == sum(waves)
+        for batch in backend.batches:
+            lengths = [len(p) + len(h) for p, h in batch]
+            assert lengths == sorted(lengths)
+
+
+class TestPairsInFlight:
+    """With ``workers > 1`` a pair that one block has sent and not yet got
+    back is awaited by the others, not sent again."""
+
+    def test_shared_pair_is_sent_once(self):
+        shared = "shared alpha beta."
+        units = []
+        for u in range(2):
+            doc = doc_from_sentences(f"d{u}", [shared, f"unique{u} gamma."])
+            summary = summary_from_sentences(f"s{u}", doc.id, [shared])
+            units.append(RunUnit(doc, summary, (Claim(f"s{u}", 0, shared),), False))
+        # Each worker's first backend batch waits for the other's, so both
+        # blocks have checked the memo before either result is in it.
+        barrier = threading.Barrier(2, timeout=10)
+        first = threading.local()
+
+        class BarrierBackend(RecordingBackend):
+            def _infer(self, pairs):
+                if not getattr(first, "passed", False):
+                    first.passed = True
+                    barrier.wait()
+                return super()._infer(pairs)
+
+        serial = Scorer(MockEntailmentBackend(batch_size=1))
+        expected = list(score_corpus(units, serial, "full", workers=1))
+        backend = BarrierBackend(batch_size=1)
+        scorer = Scorer(backend, serial.params)
+        assert list(score_corpus(units, scorer, "full", workers=3)) == expected
+        sent = [pair for batch in backend.batches for pair in batch]
+        assert sent.count((shared, shared)) == 1
+        assert scorer.backend_calls == serial.backend_calls == {
+            "sentence": 3, "coref": 0, "window": 0, "document": 0
+        }
+
+    def test_many_workers_send_each_pair_once(self):
+        pairs, cache = random_news_corpus(random.Random(7), 6, 8)
+        units = build_units(
+            pairs, FileCacheExtractor(cache), HeuristicCorefBackend(), missing_ok=True
+        )
+        params = ScoringParams(window_size=2, gate_threshold=0.9)
+        serial = Scorer(MockEntailmentBackend(batch_size=1), params)
+        expected = list(score_corpus(units, serial, "full", workers=1))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                backend = RecordingBackend(batch_size=1)
+                scorer = Scorer(backend, params)
+                assert list(score_corpus(units, scorer, "full", workers=8)) == expected
+                sent = [pair for batch in backend.batches for pair in batch]
+                assert len(sent) == len(set(sent))
+                assert scorer.backend_calls == serial.backend_calls
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestRecordScorer:

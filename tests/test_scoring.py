@@ -4,12 +4,14 @@ import json
 import logging
 import random
 import threading
+import time
 
 import pytest
 
 from sumfact import (
     Claim,
     MockEntailmentBackend,
+    NliBackendError,
     OversizedPremise,
     PremiseBudget,
     Scorer,
@@ -469,6 +471,42 @@ class TestCountersAndMemo:
         fresh = make_scorer()
         for c in claims:
             assert results[c.index] == fresh.score_claim(doc, c)
+
+    def test_pair_whose_sender_failed_is_sent_again(self):
+        # The first thread's batch fails while a second thread waits for one
+        # of its pairs: the second thread sends that pair itself.
+        entered = threading.Event()
+
+        class FailFirst(MockEntailmentBackend):
+            calls = 0
+
+            def _infer(self, pairs):
+                FailFirst.calls += 1
+                if FailFirst.calls == 1:
+                    entered.set()
+                    time.sleep(0.2)
+                    raise NliBackendError("backend went away")
+                return super()._infer(pairs)
+
+        scorer = make_scorer(FailFirst())
+        doc = doc_from_sentences("d", ["alpha beta.", "gamma delta."])
+        outcome = {}
+
+        def first():
+            try:
+                scorer.score_claim(doc, claim("alpha beta."))
+            except NliBackendError as exc:
+                outcome["first"] = exc
+
+        thread = threading.Thread(target=first)
+        thread.start()
+        assert entered.wait(timeout=10)
+        verdict = scorer.score_claim(doc, claim("alpha beta."))
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert isinstance(outcome["first"], NliBackendError)
+        assert verdict == make_scorer().score_claim(doc, claim("alpha beta."))
+        assert scorer.backend_calls["sentence"] == 2
 
 
 class TestSummaryScoring:
