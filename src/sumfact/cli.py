@@ -155,22 +155,20 @@ def score(documents, summaries, output, run_meta, config_path, **flags) -> None:
             "claim_backend": extractor.describe() if extractor else "none",
             "coref_backend": coref_backend.describe(),
             "claims_fallback_count": sum(1 for u in units if u.claims_fallback),
-            "coref_truncated_documents": _truncated_docs(units, config),
+            "coref_truncated_documents": _truncated_docs(pairs, config),
             "backend_calls": scorer.backend_calls,
             "summaries": len(units),
         },
     )
 
 
-def _truncated_docs(units, config) -> list[str]:
+def _truncated_docs(pairs, config) -> list[str]:
+    """Documents whose coref scan stops early; precomputed clusters skip the scan."""
     limit = config.coref_max_sentences
     if limit is None or not config.coref_backend.startswith("heuristic"):
         return []
-    seen = []
-    for unit in units:
-        if len(unit.document.sentences) > limit and unit.document.id not in seen:
-            seen.append(unit.document.id)
-    return seen
+    docs = (d for d, _ in pairs if not d.coref_clusters and len(d.sentences) > limit)
+    return list(dict.fromkeys(d.id for d in docs))
 
 
 @main.command("extract-claims")

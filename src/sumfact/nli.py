@@ -107,22 +107,6 @@ class EntailmentBackend:
             return False
         return self.measure(premise) + self.measure(hypothesis) > self.budget.max_units
 
-    def _check(self, premise: str, hypothesis: str, label: str) -> None:
-        if not premise:
-            raise ValueError(f"{label}: premise must be non-empty")
-        if not hypothesis:
-            raise ValueError(f"{label}: hypothesis must be non-empty")
-        if self.exceeds_budget(premise, hypothesis):
-            raise OversizedPremise(
-                f"{label}: premise+hypothesis measure "
-                f"{self.measure(premise) + self.measure(hypothesis)} units, "
-                f"budget is {self.budget.max_units}"
-            )
-
-    def entail(self, premise: str, hypothesis: str) -> EntailmentTriple:
-        self._check(premise, hypothesis, "pair")
-        return self._infer([(premise, hypothesis)])[0]
-
     def entail_batch(self, pairs: Sequence[Pair]) -> list[EntailmentTriple]:
         """Triples for ``pairs``, in input order.
 
@@ -131,7 +115,16 @@ class EntailmentBackend:
         each batch holds pairs of similar length and a model pads little.
         """
         for i, (premise, hypothesis) in enumerate(pairs):
-            self._check(premise, hypothesis, f"pair {i}")
+            if not premise:
+                raise ValueError(f"pair {i}: premise must be non-empty")
+            if not hypothesis:
+                raise ValueError(f"pair {i}: hypothesis must be non-empty")
+            if self.exceeds_budget(premise, hypothesis):
+                raise OversizedPremise(
+                    f"pair {i}: premise+hypothesis measure "
+                    f"{self.measure(premise) + self.measure(hypothesis)} units, "
+                    f"budget is {self.budget.max_units}"
+                )
         order = sorted(range(len(pairs)), key=lambda i: len(pairs[i][0]) + len(pairs[i][1]))
         out: list[EntailmentTriple | None] = [None] * len(pairs)
         for lo in range(0, len(order), self.batch_size):

@@ -52,7 +52,9 @@ __all__ = [
     "make_scorer",
     "fallback_claims",
     "resolve_claims",
-    "evaluate_pair",
+    "pair_summaries",
+    "attach_clusters",
+    "build_units",
     "score_corpus",
     "scorer_fingerprint",
     "RunUnit",
@@ -221,13 +223,7 @@ def _hypotheses(unit: RunUnit, mode: str) -> tuple[Document, list[Claim], bool]:
 
 
 def _score_block(units: Sequence[RunUnit], scorer: Scorer, mode: str) -> list[FactualityReport]:
-    if mode not in _STOPS:
-        raise ValueError(f"unknown ablation mode {mode!r}")
-    return scorer.score_summaries([_hypotheses(u, mode) for u in units], stop=_STOPS[mode])
-
-
-def evaluate_pair(unit: RunUnit, scorer: Scorer, mode: str) -> FactualityReport:
-    """Score one unit in one mode: a block of one, as in :func:`score_corpus`.
+    """Score a block of units in one mode, one report per unit.
 
     Every mode runs the one gated pipeline. ``nli_claim`` stops it after the
     sentence stage and ``nli_coref`` after the coref stage. ``nli_sent`` is
@@ -235,7 +231,9 @@ def evaluate_pair(unit: RunUnit, scorer: Scorer, mode: str) -> FactualityReport:
     kept: the mean runs over sentences), so it never reports the claims
     fallback.
     """
-    return _score_block([unit], scorer, mode)[0]
+    if mode not in _STOPS:
+        raise ValueError(f"unknown ablation mode {mode!r}")
+    return scorer.score_summaries([_hypotheses(u, mode) for u in units], stop=_STOPS[mode])
 
 
 def pair_summaries(

@@ -11,12 +11,12 @@ summary's score is the arithmetic mean over its claim verdicts. The ablations
 are early stops of this one pipeline: after the sentence stage or after the
 coref stage.
 
-Stages run as waves over a block of summaries: every claim's sentence
-candidates go to the backend together, then the coref candidates of all the
-claims, then the window and document candidates of every gate miss. One
-selection rule, ``Scorer._best``, serves every wave; scoring one claim or one
-summary is a block of one. Blocks change how pairs are batched, never a
-score or a span.
+``Scorer.score_summaries`` is the one entry point. It runs the stages as
+waves over a block of summaries: every claim's sentence candidates go to the
+backend together, then the coref candidates of all the claims, then the
+window and document candidates of every gate miss. One selection rule,
+``Scorer._best``, serves every wave. Blocks change how pairs are batched,
+never a score or a span.
 
 The engine memoizes backend scores on (premise, hypothesis) within a run and
 counts actual backend pairs per stage, so the gating short-circuit (no
@@ -197,8 +197,7 @@ class Scorer:
     the claims whose anchor has variants, then the window and document
     candidates of the claims that missed the gate. ``stop="sentence"`` ends
     the block after the first wave and ``stop="coref"`` after the second.
-    The other entry points are one-item blocks (``score_summary``,
-    ``score_claim``) or one-request waves (the ``score_*`` stages).
+    It is the one public scoring method; a single summary is a block of one.
 
     ``backend_calls`` counts premise/hypothesis pairs actually sent to the
     backend, per stage; a pair is counted under the stage of the first
@@ -312,13 +311,13 @@ class Scorer:
 
         Each report averages its item's claim verdicts, which keep claim
         order; reports keep item order. ``stop`` ends every claim's pipeline
-        early, as in :meth:`score_claim`. Results equal scoring each item
-        alone: blocks change only how pairs are batched.
+        early; a verdict's stage then names the premise that won. Results
+        equal scoring each item alone: blocks change only how pairs are batched.
         """
         jobs: list[tuple[Document, Claim]] = []
         for doc, claims, _ in items:
             if not claims:
-                raise ValueError("score_summary needs at least one claim")
+                raise ValueError("every summary needs at least one claim")
             summary_id = claims[0].summary_id
             for claim in claims:
                 if claim.summary_id != summary_id:
@@ -392,72 +391,14 @@ class Scorer:
                 )
         return verdicts
 
-    # -- one-item and one-request entry points ---------------------------------
-
-    def score_summary(
-        self,
-        doc: Document,
-        claims: Sequence[Claim],
-        *,
-        claims_fallback: bool = False,
-        stop: Stop | None = None,
-    ) -> FactualityReport:
-        """Score every claim and average; verdicts keep claim order.
-
-        A block of one summary: see :meth:`score_summaries`.
-        """
-        return self.score_summaries([(doc, claims, claims_fallback)], stop=stop)[0]
-
-    def score_claim(
-        self, doc: Document, claim: Claim, stop: Stop | None = None
-    ) -> ClaimVerdict:
-        """Gated pipeline for one claim, or a prefix of it.
-
-        ``stop="sentence"`` ends after the sentence stage and ``stop="coref"``
-        after the coref stage; the verdict's stage then names the premise
-        that won. Without a stop the window/document stages are only reached
-        (and only issue backend calls) when the coref score misses the gate;
-        below the gate their result replaces the coref score even when lower,
-        unless ``params.monotone_gate`` is set.
-        """
-        return self._verdicts([(doc, claim)], stop)[0]
-
-    def score_sentences(self, doc: Document, claim: Claim) -> tuple[float, AlignedSpan]:
-        """Best per-sentence score; the lowest index attaining it is the anchor."""
-        return self._best([self._sentence_request(doc, claim)])[0]
-
-    def score_coref(
-        self, doc: Document, claim: Claim, sentence: tuple[float, AlignedSpan]
-    ) -> tuple[float, AlignedSpan]:
-        """Re-score the anchor sentence against its coreference variants.
-
-        ``sentence`` is the sentence stage's ``(score, span)`` for this
-        claim. The original sentence is always the first candidate and wins
-        ties, so the result never drops below the sentence-stage score. With
-        no clusters this degrades to the sentence stage exactly.
-        """
-        candidates = self._coref_candidates(doc, sentence[1])
-        if not candidates:
-            return sentence
-        return self._best([(candidates, claim, "coref")])[0]
-
-    def score_window(self, doc: Document, claim: Claim, k: int) -> tuple[float, AlignedSpan]:
-        """Max over all k-windows, each the window itself or its budget chunks.
-
-        The first best premise wins, so ties go to the lowest start. A premise
-        covering all ``n`` sentences is a ``document`` span, any other a
-        ``window`` span. Counted under stage "document" when the window
-        covers the whole document, else "window".
-        """
-        return self._best([self._window_request(doc, claim, k)])[0]
-
     # -- candidate lists ----------------------------------------------------------
 
     def _sentence_request(self, doc: Document, claim: Claim) -> Request:
+        """Every sentence; the lowest index attaining the best score is the anchor."""
         return [("sentence", i, i, s.text) for i, s in enumerate(doc.sentences)], claim, "sentence"
 
     def _coref_candidates(self, doc: Document, anchor_span: AlignedSpan) -> list[tuple]:
-        """The anchor sentence, then its variants; empty when it has none."""
+        """The anchor sentence, which wins ties, then its variants; empty without variants."""
         anchor = anchor_span.sentence_start
         variants = coref_variants(doc, anchor, self.params)
         if not variants:
@@ -467,8 +408,7 @@ class Scorer:
         return candidates
 
     def _window_request(self, doc: Document, claim: Claim, k: int) -> Request:
-        if k < 1:
-            raise ValueError("window length must be >= 1")
+        """Every k-window (``k`` clamped to ``n``) or its budget chunks, lowest start first."""
         n = len(doc.sentences)
         k = min(k, n)
         candidates = [

@@ -1,9 +1,10 @@
 """Independent reference implementations used only by tests.
 
-Everything here is written as straight-line loops from the primitive
-definitions (lexical overlap triple, per-stage maxima, gate, tie-breaks) and
-shares no code with the package, so it can serve as a brute-force oracle for
-the scoring engine. Keep it dumb; speed and reuse are non-goals.
+Everything here but :func:`window_stage` is written as straight-line loops
+from the primitive definitions (lexical overlap triple, per-stage maxima,
+gate, tie-breaks) and shares no code with the package, so it can serve as a
+brute-force oracle for the scoring engine. Keep it dumb; speed and reuse are
+non-goals.
 """
 
 from __future__ import annotations
@@ -170,3 +171,14 @@ def verdict_to_view(verdict) -> dict:
         "premise": verdict.aligned.premise_text,
         "substitution": substitution,
     }
+
+
+def window_stage(scorer, doc, claim, k: int):
+    """The engine's best k-window of ``doc`` for ``claim``, as ``(score, span)``.
+
+    Unlike the rest of this module it drives the package: one wave of the
+    scorer's own selection rule over its own window candidates. It shows a
+    stage on its own where a verdict cannot: a window at any ``k``, or the
+    window and document spans of a claim whose verdict another stage won.
+    """
+    return scorer._best([scorer._window_request(doc, claim, k)])[0]

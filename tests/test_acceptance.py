@@ -28,10 +28,10 @@ from sumfact import (
     run_benchmark,
 )
 from sumfact.formats import render_report
-from sumfact.pipeline import RunUnit, evaluate_pair
+from sumfact.pipeline import RunUnit, score_corpus
 
 from cases import doc_from_sentences, random_case, summary_from_sentences
-from oracles import oracle_verdict, verdict_to_view
+from oracles import oracle_verdict, verdict_to_view, window_stage
 
 TOL = 1e-9
 
@@ -46,14 +46,13 @@ def test_staged_alignment_matches_oracle(criterion):
             mono = Scorer(
                 MockEntailmentBackend(), ScoringParams(**params, monotone_gate=True)
             )
-            for claim in claims:
-                assert verdict_to_view(plain.score_claim(doc, claim)) == oracle_verdict(
-                    doc, claim, **params
-                )
-                assert verdict_to_view(mono.score_claim(doc, claim)) == oracle_verdict(
+            (report,) = plain.score_summaries([(doc, claims, False)])
+            (mono_report,) = mono.score_summaries([(doc, claims, False)])
+            for claim, verdict, mono in zip(claims, report.verdicts, mono_report.verdicts):
+                assert verdict_to_view(verdict) == oracle_verdict(doc, claim, **params)
+                assert verdict_to_view(mono) == oracle_verdict(
                     doc, claim, monotone_gate=True, **params
                 )
-            report = plain.score_summary(doc, claims)
             expected = [oracle_verdict(doc, c, **params)["score"] for c in claims]
             assert report.score == sum(expected) / len(expected)
 
@@ -70,8 +69,8 @@ def test_gate_skips_coarser_stages(criterion, caplog):
                 doc, claims, params = random_case(rng, case_id)
                 params = dict(params, gate_threshold=-1.0)
                 scorer = Scorer(MockEntailmentBackend(), ScoringParams(**params))
-                for claim in claims:
-                    assert scorer.score_claim(doc, claim).stage == "coref"
+                (report,) = scorer.score_summaries([(doc, claims, False)])
+                assert all(verdict.stage == "coref" for verdict in report.verdicts)
                 assert scorer.backend_calls["window"] == 0
                 assert scorer.backend_calls["document"] == 0
         stages = {json.loads(r.message)["stage"] for r in caplog.records}
@@ -87,8 +86,8 @@ def test_gate_skips_coarser_stages(criterion, caplog):
                 doc, claims, params = random_case(rng, 1000 + case_id)
                 scorer = Scorer(MockEntailmentBackend(), ScoringParams(**params))
                 stopped = []
-                for claim in claims:
-                    verdict = scorer.score_claim(doc, claim)
+                (report,) = scorer.score_summaries([(doc, claims, False)])
+                for claim, verdict in zip(claims, report.verdicts):
                     at_gate = verdict.stage == "coref"
                     stopped.append(at_gate)
                     gated[(claim.summary_id, claim.index)] = at_gate
@@ -107,7 +106,8 @@ def test_gate_skips_coarser_stages(criterion, caplog):
         scorer = Scorer(
             MockEntailmentBackend(), ScoringParams(window_size=2, gate_threshold=0.8)
         )
-        verdict = scorer.score_claim(doc, claim)
+        (report,) = scorer.score_summaries([(doc, [claim], False)])
+        (verdict,) = report.verdicts
         assert verdict.stage == "multi_granularity"
         assert verdict.score == 1.0
         assert verdict.aligned.granularity == "document"
@@ -124,27 +124,26 @@ def test_stage_decomposition_identities(criterion):
             doc, claims, params = random_case(rng, case_id)
             scorer = Scorer(MockEntailmentBackend(), ScoringParams(**params))
             n = len(doc.sentences)
-            for claim in claims:
+            (sentence,) = scorer.score_summaries([(doc, claims, False)], stop="sentence")
+            (report,) = scorer.score_summaries([(doc, claims, False)])
+            for claim, sent, verdict in zip(claims, sentence.verdicts, report.verdicts):
                 # One-sentence windows are exactly the sentence stage.
-                window_score, window_span = scorer.score_window(doc, claim, 1)
-                sent_score, sent_span = scorer.score_sentences(doc, claim)
+                window_score, window_span = window_stage(scorer, doc, claim, 1)
                 assert (window_score, window_span.sentence_start) == (
-                    sent_score,
-                    sent_span.sentence_start,
+                    sent.score,
+                    sent.aligned.sentence_start,
                 )
                 # The multi stage is the max of window and whole-document runs.
-                window_score, window_span = scorer.score_window(doc, claim, params["window_size"])
-                document_score, document_span = scorer.score_window(doc, claim, n)
+                window_score, window_span = window_stage(scorer, doc, claim, params["window_size"])
+                document_score, document_span = window_stage(scorer, doc, claim, n)
                 expected = "document" if document_score >= window_score else "window"
                 multi_span = document_span if expected == "document" else window_span
                 assert multi_span.granularity == expected
-                verdict = scorer.score_claim(doc, claim)
                 if verdict.stage == "multi_granularity":
                     multi_verdicts += 1
                     assert verdict.score == max(window_score, document_score)
                     assert verdict.aligned == multi_span
             # The summary score is the arithmetic mean of its claim scores.
-            report = scorer.score_summary(doc, claims)
             total = sum(v.score for v in report.verdicts)
             assert report.score == total / len(report.verdicts)
         assert multi_verdicts > 0
@@ -163,7 +162,8 @@ def test_batching_invariant_output(criterion):
                     MockEntailmentBackend(batch_size=batch_size),
                     ScoringParams(**params),
                 )
-                lines.append(render_report(scorer.score_summary(doc, claims)))
+                (report,) = scorer.score_summaries([(doc, claims, False)])
+                lines.append(render_report(report))
             rendered.append(lines)
         assert rendered[0] == rendered[1] == rendered[2]
 
@@ -270,11 +270,11 @@ def test_coref_ablation_degrades_to_claim_scoring(criterion):
                 claims[0].summary_id, bare.id, [c.text for c in claims]
             )
             unit = RunUnit(bare, summary, claims, False)
-            claim_only = evaluate_pair(
-                unit, Scorer(MockEntailmentBackend(), ScoringParams(**params)), "nli_claim"
+            (claim_only,) = score_corpus(
+                [unit], Scorer(MockEntailmentBackend(), ScoringParams(**params)), "nli_claim"
             )
-            with_coref = evaluate_pair(
-                unit, Scorer(MockEntailmentBackend(), ScoringParams(**params)), "nli_coref"
+            (with_coref,) = score_corpus(
+                [unit], Scorer(MockEntailmentBackend(), ScoringParams(**params)), "nli_coref"
             )
             assert with_coref.score == claim_only.score
             for va, vb in zip(claim_only.verdicts, with_coref.verdicts):

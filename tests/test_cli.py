@@ -166,6 +166,31 @@ class TestScore:
         assert meta["summaries"] == 1
         assert meta["backend_calls"]["sentence"] > 0
 
+    def test_run_meta_truncated_documents_skip_precomputed_clusters(self, runner, tmp_path):
+        ann = {"sentence_index": 0, "start": 0, "end": 3}
+        clusters = [[ann, {"sentence_index": 1, "start": 0, "end": 2}]]
+        documents = [
+            {"id": "d1", "text": "Ann ran. He hid.", "coref_clusters": clusters},
+            {"id": "d2", "text": "Bob ran. He hid."},
+            {"id": "d3", "text": "Cal ran."},
+        ]
+        summaries = [
+            {"id": sid, "document_id": did, "text": "He hid."}
+            for sid, did in [("s1", "d1"), ("s2", "d2"), ("s3", "d2"), ("s4", "d3")]
+        ]
+        docs = write(tmp_path, "docs.jsonl", "".join(json.dumps(d) + "\n" for d in documents))
+        sums = write(tmp_path, "sums.jsonl", "".join(json.dumps(s) + "\n" for s in summaries))
+        config = write(tmp_path, "run.json", '{"coref_max_sentences": 1}')
+        meta_path = tmp_path / "meta.json"
+        args = ["score", docs, sums, "--config", config, "--run-meta", str(meta_path)]
+        result = runner.invoke(main, args + ["--coref-backend", "heuristic"])
+        assert result.exit_code == 0, result.stderr
+        # d1 carries clusters, so coref never scans it; d3 fits the limit.
+        assert json.loads(meta_path.read_text())["coref_truncated_documents"] == ["d2"]
+        result = runner.invoke(main, args + ["--coref-backend", "none"])
+        assert result.exit_code == 0, result.stderr
+        assert json.loads(meta_path.read_text())["coref_truncated_documents"] == []
+
     def test_debug_logging_to_stderr(self, runner, tmp_path):
         docs, sums, claims = corpus(tmp_path)
         result = runner.invoke(

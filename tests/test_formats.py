@@ -340,7 +340,7 @@ class TestRenderReport:
     def test_exact_line(self):
         scorer = Scorer(MockEntailmentBackend())
         doc = doc_from_sentences("d", ["alpha beta.", "gamma delta."])
-        report = scorer.score_summary(doc, [Claim("s1", 0, "gamma delta.")])
+        (report,) = scorer.score_summaries([(doc, [Claim("s1", 0, "gamma delta.")], False)])
         expected = (
             '{"summary_id": "s1", "score": 1.000000, "verdicts": '
             '[{"claim": {"summary_id": "s1", "index": 0, "text": "gamma delta."}, '
@@ -360,7 +360,8 @@ class TestRenderReport:
             ["Billy Vunipola has been ruled out.", "The player will return soon."],
             [[(0, 0, 14), (1, 0, 10)]],
         )
-        report = scorer.score_summary(doc, [Claim("s1", 0, "The player was ruled out.")])
+        claims = [Claim("s1", 0, "The player was ruled out.")]
+        (report,) = scorer.score_summaries([(doc, claims, False)])
         payload = report_to_dict(report)
         aligned = payload["verdicts"][0]["aligned"]
         assert aligned["granularity"] == "coref_sentence"
@@ -372,7 +373,7 @@ class TestRenderReport:
     def test_sub_scores_serialized_in_stage_order(self):
         scorer = Scorer(MockEntailmentBackend(), ScoringParams(monotone_gate=False))
         doc = doc_from_sentences("d", ["alpha beta gamma.", "delta epsilon."])
-        report = scorer.score_summary(doc, [Claim("s1", 0, "stray words.")])
+        (report,) = scorer.score_summaries([(doc, [Claim("s1", 0, "stray words.")], False)])
         keys = list(report_to_dict(report)["verdicts"][0]["sub_scores"])
         assert keys == ["sentence", "coref", "window", "document"]
 

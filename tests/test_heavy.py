@@ -115,9 +115,11 @@ def test_ablation_ordering(criterion):
 def test_model_entailment_directionality():
     backend = _model_backend()
     premise = "The striker scored two goals on Saturday."
-    entailed = backend.entail(premise, "The striker scored.").score
-    contradicted = backend.entail(premise, "The striker did not score.").score
-    unrelated = backend.entail(premise, "The coach retired in 2010.").score
+    hypotheses = [
+        "The striker scored.", "The striker did not score.", "The coach retired in 2010."
+    ]
+    triples = backend.entail_batch([(premise, h) for h in hypotheses])
+    entailed, contradicted, unrelated = (t.score for t in triples)
     assert entailed > 0.5
     assert contradicted < 0.0
     assert entailed > unrelated
@@ -137,8 +139,7 @@ def test_model_coref_substitution_helps():
     assert doc.coref_clusters, "heuristic should link 'She' to 'Maria Lopez'"
     scorer = Scorer(_model_backend(), ScoringParams())
     claim = Claim("s-coref", 0, "Maria Lopez resigned from the company.")
-    sentence = scorer.score_sentences(doc, claim)
-    sentence_score, _ = sentence
-    coref_score, aligned = scorer.score_coref(doc, claim, sentence)
-    assert coref_score > sentence_score
-    assert aligned.granularity == "coref_sentence"
+    (report,) = scorer.score_summaries([(doc, [claim], False)], stop="coref")
+    (verdict,) = report.verdicts
+    assert verdict.sub_scores["coref"] > verdict.sub_scores["sentence"]
+    assert verdict.aligned.granularity == "coref_sentence"

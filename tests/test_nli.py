@@ -73,30 +73,30 @@ class TestEntailmentTriple:
 
 class TestMockBackend:
     def test_full_overlap(self, mock_backend):
-        t = mock_backend.entail("alpha beta gamma", "alpha beta")
+        t = mock_backend.entail_batch([("alpha beta gamma", "alpha beta")])[0]
         assert (t.entailment, t.neutral, t.contradiction) == (1.0, 0.0, 0.0)
 
     def test_half_overlap(self, mock_backend):
-        t = mock_backend.entail("alpha beta", "alpha gamma")
+        t = mock_backend.entail_batch([("alpha beta", "alpha gamma")])[0]
         assert t.entailment == 0.5 and t.score == 0.5
 
     def test_negation_flips_to_contradiction(self, mock_backend):
-        t = mock_backend.entail("it is not alpha", "it is alpha")
+        t = mock_backend.entail_batch([("it is not alpha", "it is alpha")])[0]
         assert (t.entailment, t.neutral, t.contradiction) == (0.0, 0.0, 1.0)
         assert t.score == -1.0
 
     def test_negation_on_both_sides_does_not_flip(self, mock_backend):
-        t = mock_backend.entail("not alpha", "not alpha")
+        t = mock_backend.entail_batch([("not alpha", "not alpha")])[0]
         assert t.entailment == 1.0
 
     def test_hypothesis_without_tokens_scores_zero(self, mock_backend):
-        t = mock_backend.entail("alpha beta", "!!!")
+        t = mock_backend.entail_batch([("alpha beta", "!!!")])[0]
         assert (t.entailment, t.neutral, t.contradiction) == (0.0, 1.0, 0.0)
 
     def test_tokenization_is_case_and_punct_insensitive(self, mock_backend):
-        assert mock_backend.entail("ALPHA, beta.", "alpha BETA").entailment == 1.0
+        assert mock_backend.entail_batch([("ALPHA, beta.", "alpha BETA")])[0].entailment == 1.0
         # Underscore is a separator, not a word character.
-        assert mock_backend.entail("alpha beta", "alpha_beta").entailment == 1.0
+        assert mock_backend.entail_batch([("alpha beta", "alpha_beta")])[0].entailment == 1.0
 
     def test_agrees_with_independent_formula(self, mock_backend):
         pairs = [
@@ -106,7 +106,7 @@ class TestMockBackend:
             ("one two three four", "two four six"),
         ]
         for premise, hypothesis in pairs:
-            t = mock_backend.entail(premise, hypothesis)
+            t = mock_backend.entail_batch([(premise, hypothesis)])[0]
             e, n, c = oracles.mock_triple(premise, hypothesis)
             assert (t.entailment, t.neutral, t.contradiction) == (e, n, c)
 
@@ -134,7 +134,7 @@ class TestBackendPlumbing:
         pairs = [(" ".join(words[: 10 - i]), " ".join(words)) for i in range(8)]
         backend = Recording(batch_size=3)
         triples = backend.entail_batch(pairs)
-        assert triples == [backend.entail(p, h) for p, h in pairs]
+        assert triples == [backend.entail_batch([(p, h)])[0] for p, h in pairs]
         assert len({t.score for t in triples}) == len(pairs)
         assert [len(batch) for batch in seen[:3]] == [3, 3, 2]
         sent = [len(p) + len(h) for batch in seen[:3] for p, h in batch]
@@ -152,14 +152,9 @@ class TestBackendPlumbing:
         Recording(batch_size=2).entail_batch(pairs)
         assert seen == [pairs[0:2], pairs[2:4], pairs[4:5]]
 
-    def test_entail_matches_entail_batch(self, mock_backend):
-        single = mock_backend.entail("alpha beta", "alpha")
-        (batched,) = mock_backend.entail_batch([("alpha beta", "alpha")])
-        assert single == batched
-
     def test_empty_inputs_rejected(self, mock_backend):
         with pytest.raises(ValueError, match="premise must be non-empty"):
-            mock_backend.entail("", "x")
+            mock_backend.entail_batch([("", "x")])
         with pytest.raises(ValueError, match="pair 1"):
             mock_backend.entail_batch([("a", "b"), ("a", "")])
 
@@ -172,7 +167,7 @@ class TestBackendPlumbing:
         assert not backend.exceeds_budget("aaaa", "bb")
         assert backend.exceeds_budget("a" * 20, "bb")
         with pytest.raises(OversizedPremise, match="budget"):
-            backend.entail("a" * 20, "bb")
+            backend.entail_batch([("a" * 20, "bb")])
 
     def test_no_budget_never_exceeds(self, mock_backend):
         assert not mock_backend.exceeds_budget("a" * 10_000, "b" * 10_000)
@@ -212,34 +207,34 @@ class TestRemoteBackend:
     def test_http_error(self):
         with StubServer(lambda *a: (500, {"oops": True})) as server:
             with pytest.raises(NliBackendError, match="failed"):
-                RemoteEntailmentBackend(server.url).entail("a", "b")
+                RemoteEntailmentBackend(server.url).entail_batch([("a", "b")])
 
     def test_non_json_response(self):
         # requests may surface this as a transport error or a decode error
         # depending on version; either way it must become NliBackendError.
         with StubServer(lambda *a: (200, b"not json at all")) as server:
             with pytest.raises(NliBackendError, match="entailment service"):
-                RemoteEntailmentBackend(server.url).entail("a", "b")
+                RemoteEntailmentBackend(server.url).entail_batch([("a", "b")])
 
     def test_invalid_triple_values(self):
         with StubServer(lambda *a: (200, {"triples": [[2.0, 0.0, 0.0]]})) as server:
             with pytest.raises(NliBackendError, match="pair 0"):
-                RemoteEntailmentBackend(server.url).entail("a", "b")
+                RemoteEntailmentBackend(server.url).entail_batch([("a", "b")])
 
     def test_wrong_arity_triple(self):
         with StubServer(lambda *a: (200, {"triples": [[0.5, 0.5]]})) as server:
             with pytest.raises(NliBackendError, match="invalid triple"):
-                RemoteEntailmentBackend(server.url).entail("a", "b")
+                RemoteEntailmentBackend(server.url).entail_batch([("a", "b")])
 
     def test_missing_triples_key(self):
         with StubServer(lambda *a: (200, {"something": []})) as server:
             with pytest.raises(NliBackendError, match="triples"):
-                RemoteEntailmentBackend(server.url).entail("a", "b")
+                RemoteEntailmentBackend(server.url).entail_batch([("a", "b")])
 
     def test_connection_refused(self):
         backend = RemoteEntailmentBackend(dead_url(), timeout=2.0)
         with pytest.raises(NliBackendError, match="failed"):
-            backend.entail("a", "b")
+            backend.entail_batch([("a", "b")])
 
 
 class FakeTokenizer:
@@ -289,9 +284,9 @@ class TestLocalBackend:
     def test_labels_resolved_by_name_not_position(self):
         for id2label in (STANDARD, {0: "ENTAILMENT", 1: "CONTRADICTION", 2: "NEUTRAL"}):
             backend = local_backend(id2label)
-            t = backend.entail("the cat sat", "cat")
+            t = backend.entail_batch([("the cat sat", "cat")])[0]
             assert t.entailment > 0.99
-            t = backend.entail("it is not so", "cat")
+            t = backend.entail_batch([("it is not so", "cat")])[0]
             assert t.contradiction > 0.99
 
     def test_ambiguous_labels_rejected(self):
@@ -309,7 +304,7 @@ class TestLocalBackend:
             tokenizer=FakeTokenizer(),
             label_map={"entailment": 2, "neutral": 1, "contradiction": 0},
         )
-        assert backend.entail("the cat sat", "cat").entailment > 0.99
+        assert backend.entail_batch([("the cat sat", "cat")])[0].entailment > 0.99
 
     def test_label_map_missing_key(self):
         with pytest.raises(NliBackendError, match="missing"):
@@ -349,7 +344,7 @@ class TestLocalBackend:
             "fake-ckpt", model=FakeModel(STANDARD), tokenizer=Exploding()
         )
         with pytest.raises(NliBackendError, match="tokenization failed"):
-            backend.entail("a", "b")
+            backend.entail_batch([("a", "b")])
 
     def test_model_failure_wrapped(self):
         class Exploding:
@@ -362,14 +357,14 @@ class TestLocalBackend:
             "fake-ckpt", model=Exploding(), tokenizer=FakeTokenizer()
         )
         with pytest.raises(NliBackendError, match="forward pass"):
-            backend.entail("a", "b")
+            backend.entail_batch([("a", "b")])
 
     def test_describe(self):
         assert local_backend().describe() == "local:fake-ckpt"
 
     def test_softmax_rows_sum_to_one(self):
         backend = local_backend()
-        t = backend.entail("zero overlap premise", "zebra")
+        t = backend.entail_batch([("zero overlap premise", "zebra")])[0]
         # All-zero logits soften to the uniform distribution.
         assert t.entailment == pytest.approx(1 / 3)
         assert math.isclose(t.entailment + t.neutral + t.contradiction, 1.0, abs_tol=1e-9)

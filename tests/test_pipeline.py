@@ -33,7 +33,6 @@ from sumfact.pipeline import (
     RunUnit,
     attach_clusters,
     build_units,
-    evaluate_pair,
     fallback_claims,
     make_claim_extractor,
     make_coref_backend,
@@ -397,8 +396,8 @@ class TestBuildUnits:
         assert [u.document.text for u in units] == [first.text, second.text, first.text]
         reports = list(score_corpus(units, Scorer(MockEntailmentBackend()), "full"))
         for (document, summary), report in zip(pairs, reports):
-            direct = Scorer(MockEntailmentBackend()).score_summary(
-                document, fallback_claims(summary), claims_fallback=True
+            (direct,) = Scorer(MockEntailmentBackend()).score_summaries(
+                [(document, fallback_claims(summary), True)]
             )
             assert report == direct
         assert reports[0].score != reports[1].score
@@ -426,37 +425,34 @@ class TestBuildUnits:
 
 
 class TestEvaluatePair:
+    """One unit scored in one mode: a block of one through ``score_corpus``."""
+
     def unit(self, fallback):
         doc = doc_from_sentences("d1", ["alpha beta.", "gamma delta."])
         summary = summary_from_sentences("s1", "d1", ["alpha beta."])
         claims = (Claim("s1", 0, "alpha beta."),)
         return RunUnit(doc, summary, claims, fallback)
 
-    def scorer(self):
-        return Scorer(MockEntailmentBackend())
+    def report(self, unit, mode):
+        (report,) = score_corpus([unit], Scorer(MockEntailmentBackend()), mode)
+        return report
 
     def test_full_mode_keeps_flag(self):
-        report = evaluate_pair(self.unit(False), self.scorer(), "full")
-        assert report.claims_fallback is False
-        report = evaluate_pair(self.unit(True), self.scorer(), "full")
-        assert report.claims_fallback is True
+        assert self.report(self.unit(False), "full").claims_fallback is False
+        assert self.report(self.unit(True), "full").claims_fallback is True
 
     def test_ablation_marks_fallback(self):
-        report = evaluate_pair(self.unit(True), self.scorer(), "nli_claim")
-        assert report.claims_fallback is True
+        assert self.report(self.unit(True), "nli_claim").claims_fallback is True
 
     def test_nli_sent_ignores_fallback(self):
-        report = evaluate_pair(self.unit(True), self.scorer(), "nli_sent")
-        assert report.claims_fallback is False
+        assert self.report(self.unit(True), "nli_sent").claims_fallback is False
 
     def test_full_matches_direct_scoring(self):
         unit = self.unit(False)
-        scorer = self.scorer()
-        report = evaluate_pair(unit, scorer, "full")
-        direct = Scorer(MockEntailmentBackend()).score_summary(
-            unit.document, list(unit.claims)
+        (direct,) = Scorer(MockEntailmentBackend()).score_summaries(
+            [(unit.document, list(unit.claims), False)]
         )
-        assert report == direct
+        assert self.report(unit, "full") == direct
 
 
 class TestScoreCorpus:
@@ -507,7 +503,7 @@ class TestBlocks:
         def fresh():
             return Scorer(MockEntailmentBackend(budget=self.BUDGET), self.PARAMS)
 
-        expected = [evaluate_pair(unit, fresh(), mode) for unit in units]
+        expected = [report for unit in units for report in score_corpus([unit], fresh(), mode)]
         if mode == "full":
             # The corpus reaches every stage, budget chunking and the fallback.
             verdicts = [v for report in expected for v in report.verdicts]
@@ -627,8 +623,8 @@ class TestRecordScorer:
 
     def test_score_matches_direct_pipeline(self):
         record = self.record("r1")
-        direct = Scorer(MockEntailmentBackend()).score_summary(
-            record.document, fallback_claims(record.summary), claims_fallback=True
+        (direct,) = Scorer(MockEntailmentBackend()).score_summaries(
+            [(record.document, fallback_claims(record.summary), True)]
         )
         assert self.reports([record])[0].score == direct.score
 

@@ -19,7 +19,7 @@ from sumfact import (
     Substitution,
     coref_variants,
 )
-from sumfact.pipeline import RunUnit, evaluate_pair
+from sumfact.pipeline import RunUnit, score_corpus
 from sumfact.scoring import AlignedSpan
 
 import oracles
@@ -32,6 +32,11 @@ def claim(text, sid="s1", index=0):
 
 def make_scorer(backend=None, **params):
     return Scorer(backend or MockEntailmentBackend(), ScoringParams(**params))
+
+
+def verdicts(scorer, doc, *claims, stop=None):
+    """Verdicts of ``claims``, scored as one summary."""
+    return scorer.score_summaries([(doc, claims, False)], stop=stop)[0].verdicts
 
 
 class TestScoringParams:
@@ -68,19 +73,19 @@ class TestAlignedSpan:
 
 class TestNliScore:
     def test_matches_backend_score(self, mock_backend):
-        assert mock_backend.entail("alpha beta", "alpha gamma").score == 0.5
+        assert mock_backend.entail_batch([("alpha beta", "alpha gamma")])[0].score == 0.5
 
 
 class TestSentenceStage:
     def test_best_and_argmax(self, scorer):
         doc = doc_from_sentences("d", ["alpha beta.", "gamma delta."])
-        score, span = scorer.score_sentences(doc, claim("gamma delta."))
-        assert (score, span.sentence_start) == (1.0, 1)
+        (verdict,) = verdicts(scorer, doc, claim("gamma delta."), stop="sentence")
+        assert (verdict.score, verdict.aligned.sentence_start) == (1.0, 1)
 
     def test_tie_goes_to_lowest_index(self, scorer):
         doc = doc_from_sentences("d", ["alpha beta.", "alpha beta."])
-        score, span = scorer.score_sentences(doc, claim("alpha."))
-        assert (score, span.sentence_start) == (1.0, 0)
+        (verdict,) = verdicts(scorer, doc, claim("alpha."), stop="sentence")
+        assert (verdict.score, verdict.aligned.sentence_start) == (1.0, 0)
 
 
 VUNIPOLA_SENTS = ["Billy Vunipola has been ruled out.", "The player will return soon."]
@@ -159,7 +164,8 @@ class TestCorefStage:
         # claim tokens {the,player,was,ruled,out}: anchor s0 scores 0.4, the
         # substituted variant "The player has been ruled out." scores 0.8.
         doc, c = vunipola_doc(), claim("The player was ruled out.")
-        score, span = scorer.score_coref(doc, c, scorer.score_sentences(doc, c))
+        (verdict,) = verdicts(scorer, doc, c, stop="coref")
+        score, span = verdict.score, verdict.aligned
         assert score == pytest.approx(0.8)
         assert span.granularity == "coref_sentence"
         assert (span.sentence_start, span.sentence_end) == (0, 0)
@@ -172,7 +178,8 @@ class TestCorefStage:
             "d", ["alpha beta.", "gamma beta."], [[(0, 6, 10), (1, 6, 10)]]
         )
         c = claim("alpha.")
-        score, span = scorer.score_coref(doc, c, scorer.score_sentences(doc, c))
+        (verdict,) = verdicts(scorer, doc, c, stop="coref")
+        score, span = verdict.score, verdict.aligned
         assert score == 1.0
         assert span.granularity == "sentence"
         assert span.substitution is None
@@ -180,7 +187,8 @@ class TestCorefStage:
     def test_no_clusters_degrades_to_sentence_stage(self, scorer):
         doc = doc_from_sentences("d", ["alpha beta.", "gamma delta."])
         c = claim("gamma.")
-        score, span = scorer.score_coref(doc, c, scorer.score_sentences(doc, c))
+        (verdict,) = verdicts(scorer, doc, c, stop="coref")
+        score, span = verdict.score, verdict.aligned
         assert score == 1.0
         assert span.granularity == "sentence"
         assert (span.sentence_start, span.sentence_end) == (1, 1)
@@ -189,47 +197,41 @@ class TestCorefStage:
         # All variants are worse; the original stays in the candidate set.
         doc = vunipola_doc()
         c = claim("Billy Vunipola was ruled out.")
-        sentence = scorer.score_sentences(doc, c)
-        sent_score, _ = sentence
-        coref_score, _ = scorer.score_coref(doc, c, sentence)
-        assert coref_score >= sent_score
+        (verdict,) = verdicts(scorer, doc, c, stop="coref")
+        assert verdict.sub_scores["coref"] >= verdict.sub_scores["sentence"]
 
 
 class TestWindowStage:
     def test_window_max_and_start(self, scorer):
         doc = doc_from_sentences("d", ["aa bb.", "cc dd.", "ee ff.", "gg hh."])
-        score, span = scorer.score_window(doc, claim("ff gg."), 2)
+        score, span = oracles.window_stage(scorer, doc, claim("ff gg."), 2)
         assert (score, span.sentence_start) == (1.0, 2)
 
     def test_window_tie_lowest_start(self, scorer):
         doc = doc_from_sentences("d", ["aa bb.", "cc dd.", "ee ff."])
-        score, span = scorer.score_window(doc, claim("cc."), 2)
+        score, span = oracles.window_stage(scorer, doc, claim("cc."), 2)
         assert (score, span.sentence_start) == (1.0, 0)
 
     def test_window_of_one_equals_sentence_stage(self, scorer):
         doc = doc_from_sentences("d", ["alpha beta.", "gamma delta.", "alpha gamma."])
         for text in ("alpha.", "gamma delta.", "missing words."):
-            window_score, window_span = scorer.score_window(doc, claim(text), 1)
-            sent_score, sent_span = scorer.score_sentences(doc, claim(text))
+            window_score, window_span = oracles.window_stage(scorer, doc, claim(text), 1)
+            (sentence,) = verdicts(scorer, doc, claim(text), stop="sentence")
             assert (window_score, window_span.sentence_start) == (
-                sent_score,
-                sent_span.sentence_start,
+                sentence.score,
+                sentence.aligned.sentence_start,
             )
 
     def test_oversized_window_clamped_to_document(self, scorer):
         doc = doc_from_sentences("d", ["alpha beta.", "gamma delta."])
-        score, span = scorer.score_window(doc, claim("alpha gamma."), 99)
+        score, span = oracles.window_stage(scorer, doc, claim("alpha gamma."), 99)
         assert (score, span.sentence_start) == (1.0, 0)
-
-    def test_bad_window_length(self, scorer):
-        with pytest.raises(ValueError):
-            scorer.score_window(doc_from_sentences("d", ["alpha."]), claim("alpha."), 0)
 
 
 class TestMultiStage:
     def test_document_wins_ties(self, scorer):
         doc = doc_from_sentences("d", ["aa bb.", "cc dd.", "ee ff.", "gg hh."])
-        verdict = scorer.score_claim(doc, claim("ff gg."))
+        (verdict,) = verdicts(scorer, doc, claim("ff gg."))
         assert verdict.stage == "multi_granularity"
         score, span = verdict.score, verdict.aligned
         assert score == 1.0
@@ -240,7 +242,7 @@ class TestMultiStage:
         # "not" in sentence 0 poisons every premise containing it.
         scorer = make_scorer(window_size=2)
         doc = doc_from_sentences("d", ["not aa.", "cc dd.", "ee ff.", "gg hh."])
-        verdict = scorer.score_claim(doc, claim("ff gg."))
+        (verdict,) = verdicts(scorer, doc, claim("ff gg."))
         assert verdict.stage == "multi_granularity"
         score, span = verdict.score, verdict.aligned
         assert score == 1.0
@@ -251,7 +253,7 @@ class TestMultiStage:
     def test_single_sentence_document(self, scorer):
         doc = doc_from_sentences("d", ["alpha beta."])
         # The sentence stage passes the gate here, so run the document stage alone.
-        score, span = scorer.score_window(doc, claim("alpha."), 1)
+        score, span = oracles.window_stage(scorer, doc, claim("alpha."), 1)
         assert score == 1.0
         assert span.granularity == "document"
         assert (span.sentence_start, span.sentence_end) == (0, 0)
@@ -260,7 +262,7 @@ class TestMultiStage:
 class TestGatedPipeline:
     def test_gate_pass_stops_at_coref(self):
         scorer = make_scorer(gate_threshold=0.8)
-        verdict = scorer.score_claim(vunipola_doc(), claim("The player was ruled out."))
+        (verdict,) = verdicts(scorer, vunipola_doc(), claim("The player was ruled out."))
         assert verdict.stage == "coref"
         assert verdict.score == pytest.approx(0.8)
         assert set(verdict.sub_scores) == {"sentence", "coref"}
@@ -270,7 +272,7 @@ class TestGatedPipeline:
     def test_gate_boundary_is_inclusive(self):
         doc = doc_from_sentences("d", ["alpha beta.", "gamma delta."])
         scorer = make_scorer(gate_threshold=1.0)
-        verdict = scorer.score_claim(doc, claim("alpha beta."))
+        (verdict,) = verdicts(scorer, doc, claim("alpha beta."))
         assert verdict.stage == "coref"
         assert verdict.score == 1.0
 
@@ -278,7 +280,7 @@ class TestGatedPipeline:
         # coref score 2/3 but the whole document flips to contradiction.
         scorer = make_scorer(window_size=5, gate_threshold=0.8)
         doc = doc_from_sentences("d", ["alpha beta gamma.", "delta epsilon not zeta."])
-        verdict = scorer.score_claim(doc, claim("alpha beta zeta."))
+        (verdict,) = verdicts(scorer, doc, claim("alpha beta zeta."))
         assert verdict.stage == "multi_granularity"
         assert verdict.score == pytest.approx(-1.0)
         assert verdict.sub_scores["sentence"] == pytest.approx(2 / 3)
@@ -292,7 +294,7 @@ class TestGatedPipeline:
             backend, ScoringParams(window_size=5, gate_threshold=0.8, monotone_gate=True)
         )
         doc = doc_from_sentences("d", ["alpha beta gamma.", "delta epsilon not zeta."])
-        verdict = scorer.score_claim(doc, claim("alpha beta zeta."))
+        (verdict,) = verdicts(scorer, doc, claim("alpha beta zeta."))
         assert verdict.stage == "coref"
         assert verdict.score == pytest.approx(2 / 3)
         # The multi sub-scores were still computed and reported.
@@ -306,16 +308,15 @@ class TestGatedPipeline:
             monotone = Scorer(
                 MockEntailmentBackend(), ScoringParams(**params, monotone_gate=True)
             )
-            for c in claims:
-                assert monotone.score_claim(doc, c).score >= plain.score_claim(doc, c).score
+            for high, low in zip(verdicts(monotone, doc, *claims), verdicts(plain, doc, *claims)):
+                assert high.score >= low.score
 
     def test_verdict_score_consistency(self):
         rng = random.Random(99)
         for i in range(60):
             doc, claims, params = random_case(rng, i)
             scorer = Scorer(MockEntailmentBackend(), ScoringParams(**params))
-            for c in claims:
-                v = scorer.score_claim(doc, c)
+            for v in verdicts(scorer, doc, *claims):
                 assert v.sub_scores["coref"] >= v.sub_scores["sentence"]
                 if v.stage == "coref":
                     assert v.score == v.sub_scores["coref"]
@@ -358,7 +359,7 @@ class TestBudgetChunking:
     def test_chunked_document_reports_window_granularity(self):
         backend = MockEntailmentBackend(budget=PremiseBudget(32))
         scorer = Scorer(backend, ScoringParams(window_size=1, gate_threshold=0.8))
-        verdict = scorer.score_claim(self.chunked_doc(), self.hyp())
+        (verdict,) = verdicts(scorer, self.chunked_doc(), self.hyp())
         assert verdict.stage == "multi_granularity"
         assert verdict.sub_scores["document"] == pytest.approx(0.5)
         # The winning premise is a chunk, so the span tells the truth instead
@@ -377,8 +378,7 @@ class TestBudgetChunking:
                 MockEntailmentBackend(budget=PremiseBudget(10_000)),
                 ScoringParams(**params),
             )
-            for c in claims:
-                assert free.score_claim(doc, c) == budgeted.score_claim(doc, c)
+            assert verdicts(free, doc, *claims) == verdicts(budgeted, doc, *claims)
 
 
 class TestStageSpans:
@@ -393,13 +393,15 @@ class TestStageSpans:
             backend = MockEntailmentBackend(budget=budget)
             scorer = Scorer(backend, ScoringParams(**params))
             n = len(doc.sentences)
-            for c in claims:
-                sentence = scorer.score_sentences(doc, c)
-                results = [sentence, scorer.score_coref(doc, c, sentence)]
-                results += [scorer.score_window(doc, c, k) for k in (params["window_size"], n)]
+            sentence = verdicts(scorer, doc, *claims, stop="sentence")
+            coref = verdicts(scorer, doc, *claims, stop="coref")
+            for c, *stops in zip(claims, sentence, coref):
+                results = [(v.score, v.aligned) for v in stops]
+                for k in (params["window_size"], n):
+                    results.append(oracles.window_stage(scorer, doc, c, k))
                 for score, span in results:
                     assert isinstance(span, AlignedSpan)
-                    assert backend.entail(span.premise_text, c.text).score == score
+                    assert backend.entail_batch([(span.premise_text, c.text)])[0].score == score
                 chunked += results[-1][1].granularity == "window"
         # The budget really split some whole-document premises.
         assert (chunked > 0) == (budget is not None)
@@ -409,7 +411,7 @@ class TestCountersAndMemo:
     def test_sentence_counts(self):
         scorer = make_scorer()
         doc = doc_from_sentences("d", ["alpha beta.", "gamma delta."])
-        scorer.score_claim(doc, claim("alpha beta."))  # gate passes at 1.0
+        verdicts(scorer, doc, claim("alpha beta."))  # gate passes at 1.0
         assert scorer.backend_calls == {
             "sentence": 2,
             "coref": 0,
@@ -420,15 +422,15 @@ class TestCountersAndMemo:
     def test_memo_prevents_recomputation(self):
         scorer = make_scorer()
         doc = doc_from_sentences("d", ["alpha beta.", "gamma delta."])
-        scorer.score_claim(doc, claim("alpha beta."))
+        verdicts(scorer, doc, claim("alpha beta."))
         before = dict(scorer.backend_calls)
-        scorer.score_claim(doc, claim("alpha beta."))
+        verdicts(scorer, doc, claim("alpha beta."))
         assert scorer.backend_calls == before
 
     def test_stage_attribution_below_gate(self):
         scorer = make_scorer(window_size=2, gate_threshold=0.95)
         doc = doc_from_sentences("d", ["aa bb.", "cc dd.", "ee ff."])
-        scorer.score_claim(doc, claim("zz yy."))
+        verdicts(scorer, doc, claim("zz yy."))
         assert scorer.backend_calls["sentence"] == 3
         assert scorer.backend_calls["coref"] == 0  # no clusters, stage skipped
         assert scorer.backend_calls["window"] == 2  # "aa bb. cc dd.", "cc dd. ee ff."
@@ -437,14 +439,14 @@ class TestCountersAndMemo:
     def test_counters_start_at_zero(self):
         scorer = make_scorer()
         assert all(v == 0 for v in scorer.backend_calls.values())
-        scorer.score_claim(doc_from_sentences("d", ["alpha."]), claim("alpha."))
+        verdicts(scorer, doc_from_sentences("d", ["alpha."]), claim("alpha."))
         assert scorer.backend_calls["sentence"] == 1
 
     def test_debug_log_shape(self, caplog):
         scorer = make_scorer(gate_threshold=0.95, window_size=2)
         doc = doc_from_sentences("d", ["aa bb.", "cc dd.", "ee ff."])
         with caplog.at_level(logging.DEBUG, logger="sumfact.scoring"):
-            scorer.score_claim(doc, claim("zz yy.", sid="s9", index=3))
+            verdicts(scorer, doc, claim("zz yy.", sid="s9", index=3))
         events = [json.loads(r.getMessage()) for r in caplog.records]
         stages = {e["stage"] for e in events}
         assert {"sentence", "window", "document"} == stages
@@ -461,7 +463,7 @@ class TestCountersAndMemo:
         results = {}
 
         def work(c):
-            results[c.index] = scorer.score_claim(doc, c)
+            results[c.index] = verdicts(scorer, doc, c)
 
         threads = [threading.Thread(target=work, args=(c,)) for c in claims]
         for t in threads:
@@ -470,7 +472,7 @@ class TestCountersAndMemo:
             t.join()
         fresh = make_scorer()
         for c in claims:
-            assert results[c.index] == fresh.score_claim(doc, c)
+            assert results[c.index] == verdicts(fresh, doc, c)
 
     def test_pair_whose_sender_failed_is_sent_again(self):
         # The first thread's batch fails while a second thread waits for one
@@ -494,18 +496,18 @@ class TestCountersAndMemo:
 
         def first():
             try:
-                scorer.score_claim(doc, claim("alpha beta."))
+                verdicts(scorer, doc, claim("alpha beta."))
             except NliBackendError as exc:
                 outcome["first"] = exc
 
         thread = threading.Thread(target=first)
         thread.start()
         assert entered.wait(timeout=10)
-        verdict = scorer.score_claim(doc, claim("alpha beta."))
+        verdict = verdicts(scorer, doc, claim("alpha beta."))
         thread.join(timeout=10)
         assert not thread.is_alive()
         assert isinstance(outcome["first"], NliBackendError)
-        assert verdict == make_scorer().score_claim(doc, claim("alpha beta."))
+        assert verdict == verdicts(make_scorer(), doc, claim("alpha beta."))
         assert scorer.backend_calls["sentence"] == 2
 
 
@@ -513,7 +515,7 @@ class TestSummaryScoring:
     def test_mean_of_verdicts(self, scorer):
         doc = doc_from_sentences("d", ["alpha beta.", "gamma delta."])
         claims = [claim("alpha beta.", index=0), claim("alpha gamma.", index=1)]
-        report = scorer.score_summary(doc, claims)
+        (report,) = scorer.score_summaries([(doc, claims, False)])
         assert report.summary_id == "s1"
         assert len(report.verdicts) == 2
         assert report.score == (report.verdicts[0].score + report.verdicts[1].score) / 2
@@ -521,24 +523,25 @@ class TestSummaryScoring:
 
     def test_fallback_flag_passthrough(self, scorer):
         doc = doc_from_sentences("d", ["alpha."])
-        report = scorer.score_summary(doc, [claim("alpha.")], claims_fallback=True)
+        (report,) = scorer.score_summaries([(doc, [claim("alpha.")], True)])
         assert report.claims_fallback is True
 
     def test_empty_claims_rejected(self, scorer):
         with pytest.raises(ValueError):
-            scorer.score_summary(doc_from_sentences("d", ["alpha."]), [])
+            scorer.score_summaries([(doc_from_sentences("d", ["alpha."]), [], False)])
 
     def test_mixed_summary_ids_rejected(self, scorer):
         doc = doc_from_sentences("d", ["alpha."])
         with pytest.raises(ValueError, match="mix"):
-            scorer.score_summary(doc, [claim("alpha.", sid="a"), claim("beta.", sid="b")])
+            claims = [claim("alpha.", sid="a"), claim("beta.", sid="b")]
+            scorer.score_summaries([(doc, claims, False)])
 
 
 class TestAblations:
     def test_nli_sent_keeps_duplicate_sentences(self, scorer):
         doc = doc_from_sentences("d", ["alpha beta.", "gamma delta."])
         summary = summary_from_sentences("s1", "d", ["Alpha beta.", "Alpha beta."])
-        report = evaluate_pair(RunUnit(doc, summary, (), False), scorer, "nli_sent")
+        (report,) = score_corpus([RunUnit(doc, summary, (), False)], scorer, "nli_sent")
         assert len(report.verdicts) == 2
         assert [v.claim.text for v in report.verdicts] == ["Alpha beta.", "Alpha beta."]
         assert all(v.stage == "sentence" for v in report.verdicts)
@@ -547,7 +550,7 @@ class TestAblations:
         doc = vunipola_doc()
         summary = summary_from_sentences("s1", "d", ["The player was ruled out."])
         c = claim("The player was ruled out.")
-        report = evaluate_pair(RunUnit(doc, summary, (c,), False), scorer, "nli_claim")
+        (report,) = score_corpus([RunUnit(doc, summary, (c,), False)], scorer, "nli_claim")
         (verdict,) = report.verdicts
         assert verdict.stage == "sentence"
         assert verdict.score == pytest.approx(0.4)
@@ -557,7 +560,7 @@ class TestAblations:
         doc = vunipola_doc()
         summary = summary_from_sentences("s1", "d", ["The player was ruled out."])
         c = claim("The player was ruled out.")
-        report = evaluate_pair(RunUnit(doc, summary, (c,), False), scorer, "nli_coref")
+        (report,) = score_corpus([RunUnit(doc, summary, (c,), False)], scorer, "nli_coref")
         (verdict,) = report.verdicts
         assert verdict.stage == "coref"
         assert verdict.score == pytest.approx(0.8)
@@ -568,20 +571,20 @@ class TestAblations:
         doc = doc_from_sentences("d", ["alpha beta.", "gamma delta."])
         summary = summary_from_sentences("s1", "d", ["alpha beta."])
         unit = RunUnit(doc, summary, (claim("alpha beta."),), False)
-        report = evaluate_pair(unit, scorer, "nli_coref")
+        (report,) = score_corpus([unit], scorer, "nli_coref")
         assert report.verdicts[0].stage == "sentence"
 
     def test_unknown_mode_rejected(self, scorer):
         doc = doc_from_sentences("d", ["alpha."])
         summary = summary_from_sentences("s1", "d", ["alpha."])
         with pytest.raises(ValueError, match="mode"):
-            evaluate_pair(RunUnit(doc, summary, (claim("alpha."),), False), scorer, "bogus")
+            list(score_corpus([RunUnit(doc, summary, (claim("alpha."),), False)], scorer, "bogus"))
 
     def test_ablation_requires_claims(self, scorer):
         doc = doc_from_sentences("d", ["alpha."])
         summary = summary_from_sentences("s1", "d", ["alpha."])
         with pytest.raises(ValueError, match="at least one claim"):
-            evaluate_pair(RunUnit(doc, summary, (), False), scorer, "nli_claim")
+            list(score_corpus([RunUnit(doc, summary, (), False)], scorer, "nli_claim"))
 
 
 class TestOracleSpotChecks:
@@ -592,7 +595,7 @@ class TestOracleSpotChecks:
         for i in range(25):
             doc, claims, params = random_case(rng, i)
             scorer = Scorer(MockEntailmentBackend(), ScoringParams(**params))
-            for c in claims:
-                got = oracles.verdict_to_view(scorer.score_claim(doc, c))
+            for c, verdict in zip(claims, verdicts(scorer, doc, *claims)):
+                got = oracles.verdict_to_view(verdict)
                 want = oracles.oracle_verdict(doc, c, **params)
                 assert got == want, f"case {i}, claim {c.index}"
