@@ -28,7 +28,6 @@ from .claim_metrics import (
 )
 from .claims import (
     PROMPT_TEMPLATE_ID,
-    ClaimPrompt,
     ExtractorConfig,
     FileCacheExtractor,
     LocalSeq2SeqExtractor,
@@ -37,7 +36,7 @@ from .claims import (
     parse_claims,
 )
 from .config import RunConfig, load_run_config
-from .coref import HeuristicCorefBackend, NoopCorefBackend, coref_clusters, with_clusters
+from .coref import HeuristicCorefBackend, NoopCorefBackend
 from .documents import (
     Claim,
     CorefCluster,
@@ -53,10 +52,8 @@ from .documents import (
 from .errors import (
     BackendError,
     ClaimCacheMiss,
-    CorefBackendError,
     DegenerateLabels,
     EmptyClaimSet,
-    EmptyClaims,
     EmptyDocument,
     ExtractorUnavailable,
     InputError,

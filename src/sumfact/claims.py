@@ -21,16 +21,10 @@ from typing import Callable, Mapping, Protocol
 import requests
 
 from .documents import Claim, Summary, build_claims
-from .errors import (
-    ClaimCacheMiss,
-    EmptyClaims,
-    ExtractorUnavailable,
-    MalformedClaimOutput,
-)
+from .errors import ClaimCacheMiss, ExtractorUnavailable, MalformedClaimOutput
 
 __all__ = [
     "PROMPT_TEMPLATE_ID",
-    "ClaimPrompt",
     "ExtractorConfig",
     "ClaimExtractor",
     "FileCacheExtractor",
@@ -67,17 +61,9 @@ OUTPUT:
 '''
 
 
-@dataclass(frozen=True)
-class ClaimPrompt:
-    """A rendered extraction prompt, tagged with its template version."""
-
-    template_id: str
-    rendered: str
-
-
-def build_prompt(summary: Summary) -> ClaimPrompt:
+def build_prompt(summary: Summary) -> str:
     """Render the fixed template with the summary text appended verbatim."""
-    return ClaimPrompt(PROMPT_TEMPLATE_ID, _PROMPT.format(summary=summary.text))
+    return _PROMPT.format(summary=summary.text)
 
 
 def _outer_braces(raw: str) -> str | None:
@@ -103,7 +89,7 @@ def parse_claims(raw: str, summary_id: str) -> list[Claim]:
     Recovery routes, in order: strip text around the outermost braces, then
     retry as a Python literal (models often emit single-quoted dicts), then
     fall back to one claim per non-empty line ending in sentence punctuation.
-    A successfully parsed but empty claim list raises :class:`EmptyClaims`;
+    A successfully parsed claim list with no usable text returns ``[]``;
     output no route can parse raises :class:`MalformedClaimOutput`.
     """
     candidates = []
@@ -133,10 +119,7 @@ def parse_claims(raw: str, summary_id: str) -> list[Claim]:
                 f"summary '{summary_id}': extractor output is neither a JSON object "
                 "with a 'claims' string array nor lines of sentence-like claims"
             )
-    claims = build_claims(summary_id, texts)
-    if not claims:
-        raise EmptyClaims(f"summary '{summary_id}': extractor returned zero claims")
-    return claims
+    return build_claims(summary_id, texts)
 
 
 @dataclass(frozen=True)
@@ -187,10 +170,7 @@ class FileCacheExtractor:
     def extract(self, summary: Summary) -> list[Claim]:
         if summary.id not in self._cache:
             raise ClaimCacheMiss(f"claim cache has no entry for summary '{summary.id}'")
-        claims = build_claims(summary.id, self._cache[summary.id])
-        if not claims:
-            raise EmptyClaims(f"summary '{summary.id}': cached claim list is empty")
-        return claims
+        return build_claims(summary.id, self._cache[summary.id])
 
 
 def _redact(headers: Mapping[str, str]) -> dict[str, str]:
@@ -219,9 +199,7 @@ class RemoteLlmExtractor:
         return f"remote-llm:{self.config.target}#{model}@t={self.config.temperature}"
 
     def extract(self, summary: Summary) -> list[Claim]:
-        prompt = build_prompt(summary)
-        raw = self._complete(prompt.rendered, summary.id)
-        return parse_claims(raw, summary.id)
+        return parse_claims(self._complete(build_prompt(summary), summary.id), summary.id)
 
     def _complete(self, prompt: str, summary_id: str) -> str:
         cfg = self.config

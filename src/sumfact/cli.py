@@ -21,13 +21,7 @@ from . import __version__, claim_metrics, formats, pipeline
 from . import benchmark as bench
 from .benchmark import ScoreCache
 from .config import MODES, PROTOCOLS, load_run_config, ordered_map
-from .errors import (
-    BackendError,
-    DegenerateLabels,
-    EmptyClaims,
-    InputError,
-    SumfactError,
-)
+from .errors import BackendError, DegenerateLabels, InputError, SumfactError
 
 _LOG_FORMAT = "%(message)s"
 
@@ -38,7 +32,7 @@ def _setup_logging(level: str) -> None:
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter(_LOG_FORMAT))
     root.addHandler(handler)
-    root.setLevel(getattr(logging, level.upper(), logging.WARNING))
+    root.setLevel(level.upper())
 
 
 def _fail(error: Exception, code: int):
@@ -188,15 +182,10 @@ def extract_claims(summaries, output, config_path, **flags) -> None:
     extractor = pipeline.make_claim_extractor(config)
     if extractor is None:
         raise InputError("extract-claims needs --claim-backend (cache:/remote:/local:)")
-
-    def one(summary):
-        try:
-            return [c.text for c in extractor.extract(summary)]
-        except EmptyClaims:
-            # Record the outcome; consumers apply the fallback policy on read.
-            return []
-
-    claim_lists = ordered_map(one, sums, config.workers)
+    # An empty list is recorded as is; consumers apply the fallback policy on read.
+    claim_lists = ordered_map(
+        lambda s: [c.text for c in extractor.extract(s)], sums, config.workers
+    )
     cache = {s.id: claims for s, claims in zip(sums, claim_lists)}
     stream, owned = _open_output(output)
     try:

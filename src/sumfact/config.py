@@ -27,6 +27,8 @@ __all__ = ["RunConfig", "load_run_config", "scoring_params", "ordered_map", "MOD
 MODES = ("full", "nli_sent", "nli_claim", "nli_coref")
 PROTOCOLS = ("per_split", "single_threshold")
 
+_LOG_LEVELS = ("error", "warning", "info", "debug")
+
 # The full pipeline also answers to this historical alias on the CLI.
 _MODE_ALIASES = {"fenice": "full"}
 
@@ -72,6 +74,8 @@ class RunConfig:
             raise InputError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.bootstrap_resamples < 1:
             raise InputError("bootstrap_resamples must be >= 1")
+        if str(self.log_level).lower() not in _LOG_LEVELS:
+            raise InputError(f"log_level must be one of {_LOG_LEVELS}, got {self.log_level!r}")
         for selector, allowed in (
             (self.nli_backend, ("mock", "local", "remote")),
             (self.claim_backend, ("none", "cache", "remote", "local")),
@@ -133,7 +137,11 @@ def _coerce(name: str, value: object) -> object:
     field = _FIELDS[name]
     kind = field.type
     try:
+        if kind in ("int", "int | None", "float") and isinstance(value, bool):
+            raise ValueError(f"not a number: {value!r}")
         if kind == "int" or kind == "int | None":
+            if isinstance(value, float) and not value.is_integer():
+                raise ValueError(f"not an integer: {value!r}")
             return int(value)  # type: ignore[call-overload]
         if kind == "float":
             return float(value)  # type: ignore[arg-type]

@@ -9,19 +9,11 @@ clusters carried in the input files always take precedence over any backend.
 from __future__ import annotations
 
 import re
-from dataclasses import replace
 from typing import Protocol
 
 from .documents import CorefCluster, Document, Mention, WORD_RE
-from .errors import CorefBackendError
 
-__all__ = [
-    "CorefBackend",
-    "NoopCorefBackend",
-    "HeuristicCorefBackend",
-    "coref_clusters",
-    "with_clusters",
-]
+__all__ = ["CorefBackend", "NoopCorefBackend", "HeuristicCorefBackend"]
 
 
 class CorefBackend(Protocol):
@@ -141,27 +133,3 @@ class HeuristicCorefBackend:
                 out.append(CorefCluster(tuple(mentions)))
         return out
 
-
-def coref_clusters(document: Document, backend: CorefBackend) -> list[CorefCluster]:
-    """Run ``backend`` on ``document``, dropping singleton clusters.
-
-    Backend failures are wrapped in :class:`CorefBackendError`; callers may
-    catch it and continue with empty clusters.
-    """
-    try:
-        raw = backend.clusters(document)
-    except Exception as exc:
-        raise CorefBackendError(
-            f"coreference backend failed on document '{document.id}': {exc}"
-        ) from exc
-    return [c for c in raw if len(c.mentions) >= 2]
-
-
-def with_clusters(document: Document, backend: CorefBackend) -> Document:
-    """Attach backend clusters to a document that does not already have any."""
-    if document.coref_clusters:
-        return document
-    clusters = coref_clusters(document, backend)
-    if not clusters:
-        return document
-    return replace(document, coref_clusters=tuple(clusters))

@@ -3,6 +3,10 @@
 The CLI maps these onto exit codes: :class:`InputError` and its subclasses
 exit with 2, :class:`BackendError` with 3, :class:`DegenerateLabels` with 4.
 Anything else is a bug and exits with 1.
+
+Degradations are not errors: an extractor that finds no claims returns an
+empty list, and a failing coreference backend is logged and skipped, so
+neither has a class here.
 """
 
 
@@ -46,25 +50,9 @@ class OversizedPremise(BackendError):
     """A premise/hypothesis pair exceeds the backend's size budget."""
 
 
-class CorefBackendError(BackendError):
-    """The coreference backend failed.
-
-    Callers may catch this and proceed with empty clusters; scoring then
-    degrades to plain sentence alignment.
-    """
-
-
 class ExtractorUnavailable(BackendError):
     """The claim extraction backend is unreachable or refused the request."""
 
 
 class MalformedClaimOutput(BackendError):
     """Extractor output could not be parsed into claims by any recovery route."""
-
-
-class EmptyClaims(SumfactError):
-    """The extractor parsed successfully but produced zero claims.
-
-    This is a control-flow signal, not a failure: the pipeline responds by
-    falling back to summary sentences as claims and flagging the report.
-    """

@@ -28,14 +28,9 @@ from .claims import (
     RemoteLlmExtractor,
 )
 from .config import RunConfig, ordered_map, scoring_params
-from .coref import CorefBackend, HeuristicCorefBackend, NoopCorefBackend, with_clusters
+from .coref import CorefBackend, HeuristicCorefBackend, NoopCorefBackend
 from .documents import Claim, Document, Summary, build_claims
-from .errors import (
-    ClaimCacheMiss,
-    CorefBackendError,
-    EmptyClaims,
-    InputError,
-)
+from .errors import ClaimCacheMiss, InputError
 from .nli import (
     EntailmentBackend,
     LocalEntailmentBackend,
@@ -165,34 +160,44 @@ def resolve_claims(
 ) -> tuple[list[Claim], bool]:
     """Claims for a summary plus a flag marking the sentence fallback.
 
-    With no extractor configured the fallback is taken directly. A cache
-    miss is an input error unless ``missing_ok`` (the benchmark path, where
-    partial caches are expected and the fallback count is reported).
+    With no extractor configured the fallback is taken directly; an empty
+    extraction takes it with a warning. A cache miss is an input error
+    unless ``missing_ok`` (the benchmark path, where partial caches are
+    expected and the fallback count is reported).
     """
     if extractor is None:
         return fallback_claims(summary), True
     try:
-        return extractor.extract(summary), False
-    except EmptyClaims:
-        logger.warning("summary '%s': extractor returned no claims; using sentences", summary.id)
-        return fallback_claims(summary), True
+        claims = extractor.extract(summary)
     except ClaimCacheMiss:
         if missing_ok:
             return fallback_claims(summary), True
         raise
+    if claims:
+        return claims, False
+    logger.warning("summary '%s': extractor returned no claims; using sentences", summary.id)
+    return fallback_claims(summary), True
 
 
 def attach_clusters(document: Document, backend: CorefBackend) -> Document:
     """Run coref unless the document already carries clusters.
 
-    Backend failure degrades to no clusters (sentence-level scoring) rather
-    than aborting the run.
+    Singleton clusters are dropped. Backend failure degrades to no clusters
+    (sentence-level scoring) rather than aborting the run.
     """
-    try:
-        return with_clusters(document, backend)
-    except CorefBackendError as exc:
-        logger.warning("%s; continuing without clusters", exc)
+    if document.coref_clusters:
         return document
+    try:
+        raw = backend.clusters(document)
+    except Exception as exc:
+        logger.warning(
+            "coreference backend failed on document '%s': %s; continuing without clusters",
+            document.id,
+            exc,
+        )
+        return document
+    clusters = tuple(c for c in raw if len(c.mentions) >= 2)
+    return dataclasses.replace(document, coref_clusters=clusters) if clusters else document
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ from sumfact import (
     PROMPT_TEMPLATE_ID,
     Claim,
     ClaimCacheMiss,
-    EmptyClaims,
     ExtractorConfig,
     ExtractorUnavailable,
     FileCacheExtractor,
@@ -33,13 +32,11 @@ def summary(text="The rover found evidence of water. The mission continues.", si
 class TestPrompt:
     def test_template_id_and_determinism(self):
         s = summary()
-        first = build_prompt(s)
-        second = build_prompt(s)
-        assert first.template_id == PROMPT_TEMPLATE_ID == "atomic-claims/v1"
-        assert first == second
+        assert PROMPT_TEMPLATE_ID == "atomic-claims/v1"
+        assert build_prompt(s) == build_prompt(s)
 
     def test_contains_definition_and_worked_example(self):
-        rendered = build_prompt(summary()).rendered
+        rendered = build_prompt(summary())
         assert (
             'an "elementary information unit in a sentence, which no longer '
             'needs to be further split."' in rendered
@@ -50,16 +47,16 @@ class TestPrompt:
         assert rendered.count("OUTPUT:") == 2
 
     def test_example_output_is_literal_json(self):
-        rendered = build_prompt(summary()).rendered
+        rendered = build_prompt(summary())
         assert '{"claims": [' in rendered  # brace escaping survived .format()
 
     def test_summary_inserted_verbatim_once(self):
         marker = "Xylophones quivered under ultraviolet drizzle."
-        rendered = build_prompt(summary(marker)).rendered
+        rendered = build_prompt(summary(marker))
         assert rendered.count(marker) == 1
 
     def test_ends_at_output_slot(self):
-        assert build_prompt(summary()).rendered.rstrip().endswith("OUTPUT:")
+        assert build_prompt(summary()).rstrip().endswith("OUTPUT:")
 
 
 class TestParseClaims:
@@ -94,12 +91,10 @@ class TestParseClaims:
             parse_claims('{"claims": [1, 2]}', "s1")
 
     def test_empty_claims_array(self):
-        with pytest.raises(EmptyClaims):
-            parse_claims('{"claims": []}', "s1")
+        assert parse_claims('{"claims": []}', "s1") == []
 
     def test_whitespace_only_claims(self):
-        with pytest.raises(EmptyClaims):
-            parse_claims('{"claims": ["   ", ""]}', "s1")
+        assert parse_claims('{"claims": ["   ", ""]}', "s1") == []
 
     def test_braces_inside_claim_text(self):
         claims = parse_claims('{"claims": ["Uses {braces} fine."]}', "s1")
@@ -125,8 +120,7 @@ class TestFileCacheExtractor:
             make_claim_extractor(RunConfig(claim_backend=f"cache:{path}")).extract(summary())
 
     def test_empty_entry_raises(self):
-        with pytest.raises(EmptyClaims):
-            FileCacheExtractor({"s1": []}).extract(summary())
+        assert FileCacheExtractor({"s1": []}).extract(summary()) == []
 
 
 def envelope(content):

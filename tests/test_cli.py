@@ -124,6 +124,15 @@ class TestScore:
         assert result.exit_code == 2
         assert "gate_threshold" in result.stderr
 
+    @pytest.mark.parametrize("level", ["basic_format", "verbose", "critical"])
+    def test_unknown_log_level_exits_2(self, runner, tmp_path, level):
+        docs, sums, _ = corpus(tmp_path)
+        result = runner.invoke(main, ["score", docs, sums, "--log-level", level])
+        assert result.exit_code == 2
+        error = json.loads(result.stderr.strip().splitlines()[-1])
+        assert error["error"] == "InputError"
+        assert "log_level must be one of" in error["message"]
+
     def test_flag_overrides_config_file(self, runner, tmp_path):
         docs = write(tmp_path, "docs.jsonl", '{"id": "d1", "text": "alpha beta. gamma delta."}\n')
         sums = write(

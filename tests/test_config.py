@@ -89,6 +89,11 @@ class TestCoercion:
         assert config.window_size == 7
         assert config.gate_threshold == 0.25
 
+    def test_integral_float_and_level_case(self):
+        config = load_run_config(None, {"window_size": 3.0, "log_level": "DEBUG"})
+        assert config.window_size == 3 and type(config.window_size) is int
+        assert config.log_level == "DEBUG"
+
     def test_optional_int(self, tmp_path):
         path = config_file(tmp_path, nli_max_units="128")
         assert load_run_config(path).nli_max_units == 128
@@ -132,6 +137,12 @@ class TestValidation:
             ({"nli_backend": "quantum:x"}, "backend selector"),
             ({"claim_backend": "ftp:x"}, "backend selector"),
             ({"coref_backend": "neural"}, "backend selector"),
+            ({"log_level": "basic_format"}, "log_level must be one of"),
+            ({"log_level": "verbose"}, "log_level must be one of"),
+            ({"window_size": 2.9}, "config key 'window_size': not an integer"),
+            ({"workers": True}, "config key 'workers': not a number"),
+            ({"nli_max_units": False}, "config key 'nli_max_units': not a number"),
+            ({"gate_threshold": True}, "config key 'gate_threshold': not a number"),
         ],
     )
     def test_rejections(self, overrides, needle):

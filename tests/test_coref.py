@@ -1,19 +1,10 @@
-"""Heuristic coreference backend and the cluster-attachment helpers."""
-
-from types import SimpleNamespace
+"""The coreference backends. Attaching their clusters to a document, with
+singleton filtering and failure degradation, is tested on
+``pipeline.attach_clusters`` in ``test_pipeline.py``."""
 
 import pytest
 
-from sumfact import (
-    CorefBackendError,
-    Document,
-    HeuristicCorefBackend,
-    NoopCorefBackend,
-    coref_clusters,
-    with_clusters,
-)
-
-from cases import doc_from_sentences
+from sumfact import Document, HeuristicCorefBackend, NoopCorefBackend
 
 
 def doc(text):
@@ -99,43 +90,3 @@ class TestWrappers:
     def test_noop_backend(self):
         assert NoopCorefBackend().clusters(doc("Bob ran. Bob hid.")) == []
         assert NoopCorefBackend().describe() == "none"
-
-    def test_failure_wrapped(self):
-        class Broken:
-            def clusters(self, document):
-                raise RuntimeError("boom")
-
-            def describe(self):
-                return "broken"
-
-        with pytest.raises(CorefBackendError, match="document 'd'"):
-            coref_clusters(doc("Bob ran."), Broken())
-
-    def test_singletons_filtered(self):
-        fake = SimpleNamespace(mentions=("only-one",))
-
-        class Emitter:
-            def clusters(self, document):
-                return [fake]
-
-            def describe(self):
-                return "emitter"
-
-        assert coref_clusters(doc("Bob ran."), Emitter()) == []
-
-    def test_with_clusters_attaches(self):
-        d = doc("Bob ran. Bob hid.")
-        out = with_clusters(d, HeuristicCorefBackend())
-        assert len(out.coref_clusters) == 1
-        assert out.id == d.id and out.text == d.text
-
-    def test_with_clusters_keeps_precomputed(self):
-        d = doc_from_sentences(
-            "d", ["Bob ran.", "Bob hid."], [[(0, 0, 3), (1, 0, 3)]]
-        )
-        out = with_clusters(d, NoopCorefBackend())
-        assert out is d
-
-    def test_with_clusters_no_results_returns_same_doc(self):
-        d = doc("nothing capitalized here.")
-        assert with_clusters(d, HeuristicCorefBackend()) is d

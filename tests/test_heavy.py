@@ -19,9 +19,10 @@ import os
 import pytest
 
 from sumfact import Claim, Scorer, ScoringParams, load_run_config, run_benchmark
-from sumfact.coref import HeuristicCorefBackend, with_clusters
+from sumfact.coref import HeuristicCorefBackend
 from sumfact.formats import load_benchmark_records
 from sumfact.pipeline import (
+    attach_clusters,
     build_units,
     make_claim_extractor,
     make_coref_backend,
@@ -135,7 +136,7 @@ def test_model_coref_substitution_helps():
             "She resigned from the company last week.",
         ],
     )
-    doc = with_clusters(doc, HeuristicCorefBackend())
+    doc = attach_clusters(doc, HeuristicCorefBackend())
     assert doc.coref_clusters, "heuristic should link 'She' to 'Maria Lopez'"
     scorer = Scorer(_model_backend(), ScoringParams())
     claim = Claim("s-coref", 0, "Maria Lopez resigned from the company.")

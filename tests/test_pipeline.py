@@ -7,6 +7,7 @@ import random
 import sys
 import threading
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -283,8 +284,16 @@ class TestClaimResolution:
         assert used_fallback is False
         assert claims == [Claim("s1", 0, "A cached claim.")]
 
-    def test_empty_extraction_falls_back_with_warning(self, caplog):
-        extractor = FileCacheExtractor({"s1": []})
+    @pytest.mark.parametrize(
+        "extractor",
+        [
+            FileCacheExtractor({"s1": []}),
+            FileCacheExtractor({"s1": ["  "]}),
+            LocalSeq2SeqExtractor("m", generate=lambda _: '{"claims": []}'),
+        ],
+        ids=["cache-empty", "cache-blank", "seq2seq-empty"],
+    )
+    def test_empty_extraction_falls_back_with_warning(self, extractor, caplog):
         with caplog.at_level(logging.WARNING, logger="sumfact.pipeline"):
             claims, used_fallback = resolve_claims(self.summary(), extractor)
         assert used_fallback is True
@@ -328,6 +337,21 @@ class TestAttachClusters:
             result = attach_clusters(doc, BoomCoref())
         assert result is doc
         assert any("continuing without clusters" in r.getMessage() for r in caplog.records)
+
+    def test_failure_warning_names_document(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="sumfact.pipeline"):
+            attach_clusters(doc_from_sentences("d", ["Bob ran."]), BoomCoref())
+        assert [r.getMessage() for r in caplog.records] == [
+            "coreference backend failed on document 'd': resolver crashed; "
+            "continuing without clusters"
+        ]
+
+    def test_singletons_filtered(self):
+        doc = doc_from_sentences("d", ["Bob ran.", "Bob hid."])
+        (pair,) = HeuristicCorefBackend().clusters(doc)
+        singleton = SimpleNamespace(mentions=pair.mentions[:1])
+        assert attach_clusters(doc, CountingCoref([singleton])) is doc
+        assert attach_clusters(doc, CountingCoref([singleton, pair])).coref_clusters == (pair,)
 
 
 class TestBuildUnits:
