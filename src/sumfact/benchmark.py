@@ -14,10 +14,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import random
 import statistics
+import struct
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .documents import Document, Summary
@@ -134,6 +139,10 @@ def _confusion(predictions: Sequence[bool], golds: Sequence[bool]) -> Confusion:
     return Confusion(tp, fp, tn, fn)
 
 
+def _balanced(tp: int, fp: int, tn: int, fn: int) -> float:
+    return (tp / (tp + fn) + tn / (tn + fp)) / 2
+
+
 def balanced_accuracy(predictions: Sequence[bool], golds: Sequence[bool]) -> float:
     """Mean of true-positive rate and true-negative rate.
 
@@ -147,9 +156,7 @@ def balanced_accuracy(predictions: Sequence[bool], golds: Sequence[bool]) -> flo
     if all(golds) or not any(golds):
         raise DegenerateLabels("gold labels contain a single class")
     c = _confusion(predictions, golds)
-    tpr = c.tp / (c.tp + c.fn)
-    tnr = c.tn / (c.tn + c.fp)
-    return (tpr + tnr) / 2
+    return _balanced(c.tp, c.fp, c.tn, c.fn)
 
 
 def binarize(scores: Sequence[float], threshold: float) -> list[bool]:
@@ -163,7 +170,8 @@ def tune_threshold(val_scores: Sequence[float], val_golds: Sequence[bool]) -> Th
     Candidates are the midpoints between consecutive distinct sorted scores
     plus one sentinel below the minimum and one above the maximum. Scanning
     ascending and keeping only strict improvements makes ties resolve to the
-    lowest threshold.
+    lowest threshold. Counting the records below each distinct score once
+    gives every candidate's confusion without binarizing the split again.
     """
     if len(val_scores) != len(val_golds):
         raise ValueError(f"{len(val_scores)} scores vs {len(val_golds)} golds")
@@ -173,14 +181,44 @@ def tune_threshold(val_scores: Sequence[float], val_golds: Sequence[bool]) -> Th
     candidates = [distinct[0] - 1.0]
     candidates.extend((a + b) / 2 for a, b in zip(distinct, distinct[1:]))
     candidates.append(distinct[-1] + 1.0)
+    positives = Counter(s for s, gold in zip(val_scores, val_golds) if gold)
+    negatives = Counter(s for s, gold in zip(val_scores, val_golds) if not gold)
+    # Records scoring below distinct[k], by gold class: the false and true
+    # negatives at every threshold in (distinct[k - 1], distinct[k]].
+    fn_below = list(accumulate((positives[s] for s in distinct), initial=0))
+    tn_below = list(accumulate((negatives[s] for s in distinct), initial=0))
+    p, n = fn_below[-1], tn_below[-1]
+    if not p or not n:
+        raise DegenerateLabels("gold labels contain a single class")
     best: ThresholdResult | None = None
     for threshold in candidates:
-        predictions = binarize(val_scores, threshold)
-        ba = balanced_accuracy(predictions, val_golds)
+        k = bisect_left(distinct, threshold)
+        tn, fn = tn_below[k], fn_below[k]
+        ba = _balanced(p - fn, n - tn, tn, fn)
         if best is None or ba > best.balanced_accuracy:
-            best = ThresholdResult(threshold, ba, _confusion(predictions, val_golds))
+            best = ThresholdResult(threshold, ba, Confusion(p - fn, n - tn, tn, fn))
     assert best is not None
     return best
+
+
+def _randbelow_many(rng: random.Random, n: int, count: int) -> list[int]:
+    """``[rng.randrange(n) for _ in range(count)]``, drawn in bulk.
+
+    Returns the same values and leaves ``rng`` in the same state, for
+    ``0 < n < 2**32``. ``randrange(n)`` takes the top ``n.bit_length()`` bits
+    of one 32-bit word and redraws while the value is ``n`` or more, and
+    ``getrandbits(32 * m)`` returns the next ``m`` words with the first in the
+    lowest bits (read little-endian, that order holds on any machine). So
+    each round draws one word per value still missing and keeps the shifted
+    words below ``n``.
+    """
+    shift = 32 - n.bit_length()
+    out: list[int] = []
+    while len(out) < count:
+        m = count - len(out)
+        words = struct.unpack(f"<{m}I", rng.getrandbits(32 * m).to_bytes(4 * m, "little"))
+        out.extend([v for w in words if (v := w >> shift) < n])
+    return out
 
 
 def _bootstrap_std(
@@ -193,17 +231,20 @@ def _bootstrap_std(
     """Std of balanced accuracy over bootstrap resamples of the test split.
 
     Resamples that draw a single gold class are skipped (the metric is
-    undefined there); with none left, no spread is reported.
+    undefined there); with none left, no spread is reported. Each record is
+    one byte, ``2 * gold + prediction``, so a resample's confusion counts
+    take three ``bytes.count`` calls.
     """
     n = len(scores)
+    codes = bytes(2 * bool(g) + (s >= threshold) for s, g in zip(scores, golds))
     values = []
     for _ in range(resamples):
-        indices = [rng.randrange(n) for _ in range(n)]
-        sample_golds = [golds[i] for i in indices]
-        if all(sample_golds) or not any(sample_golds):
+        sample = bytes(map(codes.__getitem__, _randbelow_many(rng, n, n)))
+        tn, fp, fn = sample.count(0), sample.count(1), sample.count(2)
+        tp = n - tn - fp - fn
+        if tp + fn in (0, n):
             continue
-        sample_preds = [scores[i] >= threshold for i in indices]
-        values.append(balanced_accuracy(sample_preds, sample_golds))
+        values.append(_balanced(tp, fp, tn, fn))
     if not values:
         return None
     return statistics.pstdev(values)
@@ -360,7 +401,8 @@ class ScoreCache:
             if not isinstance(data, dict):
                 raise InputError(f"score cache {self.path} is not a JSON object")
             for key, value in data.items():
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+                if not numeric or not math.isfinite(value):
                     raise InputError(f"score cache {self.path}: entry '{key}' is not a number")
             self._scores = {str(k): float(v) for k, v in data.items()}
 

@@ -53,7 +53,7 @@ class RunConfig:
     monotone_gate: bool = False
     workers: int = 1
     cache_dir: str | None = None
-    bootstrap_seed: int = 0
+    bootstrap_seed: int | None = 0
     bootstrap_resamples: int = 1000
     protocol: str = "per_split"
     mode: str = "full"
@@ -132,10 +132,11 @@ _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 def _coerce(name: str, value: object) -> object:
     """Light type coercion so config files and flags can both be loose."""
+    kind = _FIELDS[name].type
     if value is None:
+        if not kind.endswith("| None"):
+            raise InputError(f"config key '{name}': null is not allowed")
         return None
-    field = _FIELDS[name]
-    kind = field.type
     try:
         if kind in ("int", "int | None", "float") and isinstance(value, bool):
             raise ValueError(f"not a number: {value!r}")

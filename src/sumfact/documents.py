@@ -192,8 +192,9 @@ _ABBREVIATIONS = frozenset(
     }
 )
 
-_TERMINALS = frozenset(".!?")
-_CLOSERS = frozenset("\"')]}»”’")
+_CLOSERS = "\"')]}»”’"
+# A run of terminal punctuation, then any closing quotes or brackets.
+_TERMINAL_RUN = re.compile("([.!?]+)[" + re.escape(_CLOSERS) + "]*")
 
 
 class RuleSegmenter:
@@ -214,30 +215,15 @@ class RuleSegmenter:
             raise EmptyDocument("cannot segment empty or whitespace-only text")
         spans: list[tuple[int, int]] = []
         n = len(text)
-        i = 0
         sent_start = 0
-        while i < n:
-            if text[i] not in _TERMINALS:
-                i += 1
+        for run in _TERMINAL_RUN.finditer(text):
+            end = run.end()
+            if end < n and not text[end].isspace():
                 continue
-            run_start = i
-            while i + 1 < n and text[i + 1] in _TERMINALS:
-                i += 1
-            run_end = i
-            while i + 1 < n and text[i + 1] in _CLOSERS:
-                i += 1
-            boundary = (i + 1 >= n) or text[i + 1].isspace()
-            if (
-                boundary
-                and run_start == run_end
-                and text[run_start] == "."
-                and self._preceding_token(text, run_start) in self._abbrev
-            ):
-                boundary = False
-            i += 1
-            if boundary:
-                spans.append((sent_start, i))
-                sent_start = i
+            if run[1] == "." and self._preceding_token(text, run.start()) in self._abbrev:
+                continue
+            spans.append((sent_start, end))
+            sent_start = end
         if sent_start < n:
             spans.append((sent_start, n))
         sentences: list[Sentence] = []

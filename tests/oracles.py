@@ -2,14 +2,16 @@
 
 Everything here but :func:`window_stage` is written as straight-line loops
 from the primitive definitions (lexical overlap triple, per-stage maxima,
-gate, tie-breaks) and shares no code with the package, so it can serve as a
-brute-force oracle for the scoring engine. Keep it dumb; speed and reuse are
-non-goals.
+gate, tie-breaks, sentence rules, threshold candidates, bootstrap draws) and
+shares no code with the package, so it can serve as a brute-force oracle for
+the scoring engine, the segmenter and the benchmark harness. Keep it dumb;
+speed and reuse are non-goals.
 """
 
 from __future__ import annotations
 
 import re
+import statistics
 
 _WORDS = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -182,3 +184,119 @@ def window_stage(scorer, doc, claim, k: int):
     window and document spans of a claim whose verdict another stage won.
     """
     return scorer._best([scorer._window_request(doc, claim, k)])[0]
+
+
+def segment_spans(text: str, abbreviations) -> list[tuple[int, int, int, str]]:
+    """Rule segmentation as ``(index, start, end, text)`` rows, one character at a time.
+
+    A run of ``.!?`` plus any closing quotes or brackets ends a sentence when
+    whitespace or the end of text follows, unless the run is a single period
+    after a token in ``abbreviations``. Spans are trimmed of whitespace; an
+    empty result stands for the segmenter's ``EmptyDocument``.
+    """
+    terminals = ".!?"
+    closers = "\"')]}»”’"
+    abbreviations = {a.lower() for a in abbreviations}
+    spans = []
+    n = len(text)
+    i = 0
+    sent_start = 0
+    while i < n:
+        if text[i] not in terminals:
+            i += 1
+            continue
+        run_start = i
+        while i + 1 < n and text[i + 1] in terminals:
+            i += 1
+        run_end = i
+        while i + 1 < n and text[i + 1] in closers:
+            i += 1
+        boundary = i + 1 >= n or text[i + 1].isspace()
+        if boundary and run_start == run_end and text[run_start] == ".":
+            token_start = run_start
+            while token_start > 0 and not text[token_start - 1].isspace():
+                token_start -= 1
+            token = text[token_start:run_start].strip("\"'([{").lower()
+            if token in abbreviations:
+                boundary = False
+        i += 1
+        if boundary:
+            spans.append((sent_start, i))
+            sent_start = i
+    if sent_start < n:
+        spans.append((sent_start, n))
+    rows = []
+    for start, end in spans:
+        while start < end and text[start].isspace():
+            start += 1
+        while end > start and text[end - 1].isspace():
+            end -= 1
+        if start < end:
+            rows.append((len(rows), start, end, text[start:end]))
+    return rows
+
+
+def balanced_accuracy(predictions, golds) -> float:
+    """``(TPR + TNR) / 2`` over parallel lists holding both gold classes."""
+    tp = fp = tn = fn = 0
+    for pred, gold in zip(predictions, golds):
+        if gold and pred:
+            tp += 1
+        elif gold:
+            fn += 1
+        elif pred:
+            fp += 1
+        else:
+            tn += 1
+    tpr = tp / (tp + fn)
+    tnr = tn / (tn + fp)
+    return (tpr + tnr) / 2
+
+
+def tune_threshold(scores, golds):
+    """Brute-force threshold search as ``(threshold, balanced_accuracy, confusion)``.
+
+    Binarizes every record at every candidate: the sentinels below the
+    minimum and above the maximum and the midpoints of consecutive distinct
+    scores, keeping strict improvements only. ``confusion`` is a
+    ``{"tp", "fp", "tn", "fn"}`` dict. Returns None when the golds hold a
+    single class.
+    """
+    if all(golds) or not any(golds):
+        return None
+    distinct = sorted(set(scores))
+    candidates = [distinct[0] - 1.0]
+    for a, b in zip(distinct, distinct[1:]):
+        candidates.append((a + b) / 2)
+    candidates.append(distinct[-1] + 1.0)
+    best = None
+    for threshold in candidates:
+        predictions = [score >= threshold for score in scores]
+        ba = balanced_accuracy(predictions, golds)
+        if best is None or ba > best[1]:
+            confusion = {"tp": 0, "fp": 0, "tn": 0, "fn": 0}
+            for pred, gold in zip(predictions, golds):
+                key = ("t" if pred == gold else "f") + ("p" if pred else "n")
+                confusion[key] += 1
+            best = (threshold, ba, confusion)
+    return best
+
+
+def bootstrap_std(scores, golds, threshold, rng, resamples):
+    """Bootstrap spread of balanced accuracy with one ``rng.randrange`` per draw.
+
+    Resamples holding a single gold class are skipped; with none left the
+    result is None.
+    """
+    n = len(scores)
+    values = []
+    for _ in range(resamples):
+        indices = [rng.randrange(n) for _ in range(n)]
+        sample_golds = [golds[i] for i in indices]
+        if all(sample_golds) or not any(sample_golds):
+            continue
+        sample_preds = [scores[i] >= threshold for i in indices]
+        values.append(balanced_accuracy(sample_preds, sample_golds))
+    if not values:
+        return None
+    return statistics.pstdev(values)

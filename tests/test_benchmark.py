@@ -1,11 +1,12 @@
 """Benchmark harness: balanced accuracy, threshold tuning, caching, bootstrap."""
 
 import json
+import math
 import random
 import threading
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sumfact import (
     BenchmarkRecord,
@@ -22,6 +23,7 @@ from sumfact import (
 from sumfact.benchmark import _bootstrap_std, config_fingerprint
 from sumfact.config import ordered_map
 
+import oracles
 from cases import doc_from_sentences, summary_from_sentences
 
 
@@ -150,6 +152,30 @@ class TestTuneThreshold:
         with pytest.raises(DegenerateLabels):
             tune_threshold([0.1, 0.9], [True, True])
 
+    # Few distinct values, so ties are common; -0.0 and 0.0 are both present,
+    # and so are two adjacent floats, whose midpoint rounds onto one of them.
+    # Any finite float may also appear, so that midpoints can overflow.
+    TUNE_SCORES = st.one_of(
+        st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0, math.nextafter(0.5, 1.0)]),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(TUNE_SCORES, st.booleans()), min_size=1, max_size=40))
+    @example([(0.5, True), (0.5, False), (0.5, True)])
+    @example([(-0.0, True), (0.0, False), (0.0, True), (-0.0, False)])
+    @example([(1e308, False), (1.7e308, True)])
+    def test_matches_brute_force(self, rows):
+        scores = [s for s, _ in rows]
+        golds = [g for _, g in rows]
+        expected = oracles.tune_threshold(scores, golds)
+        if expected is None:
+            with pytest.raises(DegenerateLabels):
+                tune_threshold(scores, golds)
+            return
+        result = tune_threshold(scores, golds)
+        assert (result.threshold, result.balanced_accuracy, result.confusion.as_dict()) == expected
+
     def test_beats_fine_grid(self):
         rng = random.Random(5)
         for _ in range(30):
@@ -194,6 +220,38 @@ class TestBootstrap:
     def test_single_class_returns_none(self):
         std = _bootstrap_std([0.5, 0.6], [True, True], 0.5, random.Random(0), 50)
         assert std is None
+
+
+class TestBootstrapOracle:
+    """The bootstrap draws exactly what ``randrange`` would, value for value."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 500, 1500, 65537])
+    @settings(max_examples=8, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64),
+        other=st.sampled_from([2, 3, 257, 500]),
+        positive_share=st.sampled_from([0.0, 0.02, 0.5, 0.98, 1.0]),
+    )
+    def test_matches_randrange_reference(self, n, seed, other, positive_share):
+        # Three datasets in turn on one generator, as run_benchmark draws them.
+        data = random.Random(seed)
+        ours, reference = random.Random(seed), random.Random(seed)
+        for size in (n, other, n):
+            scores = [data.random() for _ in range(size)]
+            golds = [data.random() < positive_share for _ in range(size)]
+            threshold = data.choice([*scores, data.random()])  # often equal to a score
+            resamples = max(1, 3000 // size)
+            assert _bootstrap_std(scores, golds, threshold, ours, resamples) == (
+                oracles.bootstrap_std(scores, golds, threshold, reference, resamples)
+            )
+            assert ours.getstate() == reference.getstate()
+
+    def test_single_class_sample_gives_none(self):
+        ours, reference = random.Random(3), random.Random(3)
+        args = ([0.1, 0.7, 0.9], [False, False, False], 0.5)
+        assert _bootstrap_std(*args, ours, 40) is None
+        assert oracles.bootstrap_std(*args, reference, 40) is None
+        assert ours.getstate() == reference.getstate()
 
 
 class TestRunBenchmark:

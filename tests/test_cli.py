@@ -287,6 +287,7 @@ class TestMalformedInput:
             ({"nli_max_units": 15}, "nli_max_units: budget below 16 units"),
             ({"coref_max_sentences": 0, "coref_backend": "heuristic"},
              "coref_max_sentences: max_sentences must be >= 1"),
+            ({"workers": None}, "config key 'workers': null is not allowed"),
         ],
     )
     def test_out_of_range_backend_settings_exit_2(self, runner, tmp_path, setting, message):
@@ -315,6 +316,8 @@ class TestMalformedInput:
             ("{bad", "invalid JSON"),
             ('{"v1": "abc"}', "entry 'v1' is not a number"),
             ('{"v1": null}', "entry 'v1' is not a number"),
+            ('{"v1": NaN}', "entry 'v1' is not a number"),
+            ('{"v1": -Infinity}', "entry 'v1' is not a number"),
         ],
     )
     def test_corrupt_score_cache_exits_2(self, runner, tmp_path, content, message):

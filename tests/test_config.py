@@ -143,11 +143,24 @@ class TestValidation:
             ({"workers": True}, "config key 'workers': not a number"),
             ({"nli_max_units": False}, "config key 'nli_max_units': not a number"),
             ({"gate_threshold": True}, "config key 'gate_threshold': not a number"),
+            ({"workers": None}, "config key 'workers': null is not allowed"),
+            ({"claim_backend": None}, "config key 'claim_backend': null is not allowed"),
+            ({"window_size": None}, "config key 'window_size': null is not allowed"),
         ],
     )
-    def test_rejections(self, overrides, needle):
+    def test_rejections(self, tmp_path, overrides, needle):
         with pytest.raises(InputError, match=needle):
-            load_run_config(None, overrides)
+            load_run_config(config_file(tmp_path, **overrides))
+        if None not in overrides.values():  # a None override means "flag not given"
+            with pytest.raises(InputError, match=needle):
+                load_run_config(None, overrides)
+
+    @pytest.mark.parametrize(
+        "key",
+        ["nli_max_units", "claim_model", "coref_max_sentences", "cache_dir", "bootstrap_seed"],
+    )
+    def test_null_allowed_for_optional_keys(self, tmp_path, key):
+        assert getattr(load_run_config(config_file(tmp_path, **{key: None})), key) is None
 
     def test_selector_kinds_accepted(self):
         config = load_run_config(

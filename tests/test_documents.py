@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sumfact import (
@@ -19,7 +19,9 @@ from sumfact import (
     normalize_claim_text,
     segment,
 )
+from sumfact.documents import _ABBREVIATIONS
 
+import oracles
 from cases import doc_from_sentences, random_case
 
 
@@ -84,6 +86,31 @@ class TestSegmenter:
             doc, _, _ = random_case(rng, i)
             rebuilt = Document.from_text(doc.id, doc.text)
             assert rebuilt.sentences == doc.sentences
+
+    # Words (some of them abbreviations, some behind an opening bracket or
+    # quote), then a terminal run, closers and a separator, each possibly empty.
+    SEGMENTER_TEXT = st.lists(
+        st.tuples(
+            st.sampled_from(["", "a", "B", "Mr", "e.g", "St", "(St", '"Mr', "x.y"]),
+            st.text(alphabet=".!?", max_size=3),
+            st.text(alphabet="\"')]}»”’", max_size=2),
+            st.sampled_from(["", " ", "\n", " \t "]),
+        ).map("".join),
+        max_size=12,
+    ).map("".join)
+
+    @settings(max_examples=400, deadline=None)
+    @given(SEGMENTER_TEXT)
+    @example("Mr. Smith (St.) left! Then e.g. more?\" x.)y. z")
+    @example("Mr.. St.! e.g.? end")
+    def test_matches_character_loop_reference(self, text):
+        expected = oracles.segment_spans(text, _ABBREVIATIONS)
+        try:
+            got = [(s.index, s.start, s.end, s.text) for s in RuleSegmenter().segment(text)]
+        except EmptyDocument:
+            assert expected == []
+            return
+        assert got == expected
 
     @settings(max_examples=150, deadline=None)
     @given(
