@@ -401,10 +401,15 @@ class ScoreCache:
             if not isinstance(data, dict):
                 raise InputError(f"score cache {self.path} is not a JSON object")
             for key, value in data.items():
-                numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
-                if not numeric or not math.isfinite(value):
+                score = math.nan
+                if type(value) in (int, float):  # not bool
+                    try:
+                        score = float(value)
+                    except OverflowError:  # an integer beyond the float range
+                        pass
+                if not math.isfinite(score):
                     raise InputError(f"score cache {self.path}: entry '{key}' is not a number")
-            self._scores = {str(k): float(v) for k, v in data.items()}
+                self._scores[key] = score
 
     def get(self, record_id: str) -> float | None:
         return self._scores.get(record_id)

@@ -148,6 +148,8 @@ class ExtractorConfig:
             raise ValueError("timeout must be positive")
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
+        if self.max_tokens < 1:
+            raise ValueError("max_tokens must be >= 1")
 
 
 class ClaimExtractor(Protocol):

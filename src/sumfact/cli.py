@@ -20,8 +20,9 @@ import click
 from . import __version__, claim_metrics, formats, pipeline
 from . import benchmark as bench
 from .benchmark import ScoreCache
-from .config import MODES, PROTOCOLS, load_run_config, ordered_map
+from .config import MODES, PROTOCOLS, load_run_config, ordered_map, scoring_params
 from .errors import BackendError, DegenerateLabels, InputError, SumfactError
+from .scoring import Scorer
 
 _LOG_FORMAT = "%(message)s"
 
@@ -134,12 +135,12 @@ def score(documents, summaries, output, run_meta, config_path, **flags) -> None:
     docs = formats.load_documents(documents)
     sums = formats.load_summaries(summaries)
     backend = pipeline.make_nli_backend(config)
-    scorer = pipeline.make_scorer(config, backend)
+    scorer = Scorer(backend, scoring_params(config))
     extractor = pipeline.make_claim_extractor(config)
     coref_backend = pipeline.make_coref_backend(config)
     pairs = pipeline.pair_summaries(docs, sums)
-    units = pipeline.build_units(pairs, extractor, coref_backend, workers=config.workers)
-    reports = pipeline.score_corpus(units, scorer, "full", config.workers)
+    items = pipeline.build_units(pairs, extractor, coref_backend, "full", workers=config.workers)
+    reports = pipeline.score_corpus(items, scorer, "full", config.workers)
     _write_lines(output, map(formats.render_report, reports))
     _write_run_meta(
         run_meta,
@@ -148,10 +149,10 @@ def score(documents, summaries, output, run_meta, config_path, **flags) -> None:
             "nli_backend": backend.describe(),
             "claim_backend": extractor.describe() if extractor else "none",
             "coref_backend": coref_backend.describe(),
-            "claims_fallback_count": sum(1 for u in units if u.claims_fallback),
+            "claims_fallback_count": sum(fallback for _, _, fallback in items),
             "coref_truncated_documents": _truncated_docs(pairs, config),
             "backend_calls": scorer.backend_calls,
-            "summaries": len(units),
+            "summaries": len(items),
         },
     )
 
@@ -234,7 +235,7 @@ def benchmark(records, output, scores_csv, run_meta, config_path, **flags) -> No
     _setup_logging(config.log_level)
     rows = formats.load_benchmark_records(records)
     backend = pipeline.make_nli_backend(config)
-    scorer = pipeline.make_scorer(config, backend)
+    scorer = Scorer(backend, scoring_params(config))
     extractor = pipeline.make_claim_extractor(config)
     coref_backend = pipeline.make_coref_backend(config)
     cache = None
@@ -245,11 +246,11 @@ def benchmark(records, output, scores_csv, run_meta, config_path, **flags) -> No
     def score_records(pending):
         nonlocal fallbacks
         pairs = [(r.document, r.summary) for r in pending]
-        units = pipeline.build_units(
-            pairs, extractor, coref_backend, missing_ok=True, workers=config.workers
+        items = pipeline.build_units(
+            pairs, extractor, coref_backend, config.mode, missing_ok=True, workers=config.workers
         )
         # Keep each report's score and fallback flag only, not every report at once.
-        for report in pipeline.score_corpus(units, scorer, config.mode, config.workers):
+        for report in pipeline.score_corpus(items, scorer, config.mode, config.workers):
             fallbacks += report.claims_fallback
             yield report.score
 
@@ -275,6 +276,7 @@ def benchmark(records, output, scores_csv, run_meta, config_path, **flags) -> No
             "claim_backend": extractor.describe() if extractor else "none",
             "coref_backend": coref_backend.describe(),
             "claims_fallback_count": fallbacks,
+            "backend_calls": scorer.backend_calls,
             "records": len(rows),
             "cache": cache.path if cache else None,
         },

@@ -155,7 +155,9 @@ def _coerce(name: str, value: object) -> object:
                 if value.lower() in ("false", "0", "no"):
                     return False
             raise ValueError(f"not a boolean: {value!r}")
-        return str(value) if not isinstance(value, str) else value
+        if not isinstance(value, str):
+            raise ValueError(f"not a string: {value!r}")
+        return value
     except (TypeError, ValueError) as exc:
         raise InputError(f"config key '{name}': {exc}") from exc
 

@@ -2,9 +2,9 @@
 
 This layer owns the policies that span modules: the empty-claims fallback
 (summary sentences become the claims, flagged on the report), degradation to
-empty clusters when the coreference backend fails, the mapping of each mode
-to its hypotheses and its stop in the one scoring pipeline, and the fan-out
-of blocks of independent (document, summary) pairs across a thread pool. The
+empty clusters when the coreference backend fails, the one table of what
+each mode scores and where it stops the scoring pipeline, and the fan-out of
+blocks of independent (document, summary) pairs across a thread pool. The
 CLI calls into here (``build_units`` then ``score_corpus``) and does no
 scoring itself.
 """
@@ -14,7 +14,6 @@ from __future__ import annotations
 import dataclasses
 import logging
 from contextlib import closing
-from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
@@ -44,7 +43,6 @@ __all__ = [
     "make_nli_backend",
     "make_coref_backend",
     "make_claim_extractor",
-    "make_scorer",
     "fallback_claims",
     "resolve_claims",
     "pair_summaries",
@@ -52,7 +50,6 @@ __all__ = [
     "build_units",
     "score_corpus",
     "scorer_fingerprint",
-    "RunUnit",
 ]
 
 logger = logging.getLogger("sumfact.pipeline")
@@ -129,10 +126,6 @@ def make_claim_extractor(config: RunConfig) -> ClaimExtractor | None:
     raise InputError(f"unknown claim_backend {config.claim_backend!r}")
 
 
-def make_scorer(config: RunConfig, backend: EntailmentBackend | None = None) -> Scorer:
-    return Scorer(backend or make_nli_backend(config), scoring_params(config))
-
-
 def scorer_fingerprint(config: RunConfig, backend: EntailmentBackend) -> str:
     """Digest of everything that can change a record's score."""
     return config_fingerprint(
@@ -200,45 +193,24 @@ def attach_clusters(document: Document, backend: CorefBackend) -> Document:
     return dataclasses.replace(document, coref_clusters=clusters) if clusters else document
 
 
-@dataclass(frozen=True)
-class RunUnit:
-    """One scorable (document, summary) pair with resolved claims."""
-
-    document: Document
-    summary: Summary
-    claims: tuple[Claim, ...]
-    claims_fallback: bool
-
-
-# Where each mode stops the pipeline; ``None`` runs it to the end.
-_STOPS: dict[str, Stop | None] = {
-    "full": None,
-    "nli_sent": "sentence",
-    "nli_claim": "sentence",
-    "nli_coref": "coref",
+# For each mode: whether it scores the summary's sentences verbatim instead
+# of its resolved claims, and where it stops the one scoring pipeline
+# (``None`` runs it to the end).
+_MODES: dict[str, tuple[bool, Stop | None]] = {
+    "full": (False, None),
+    "nli_sent": (True, "sentence"),
+    "nli_claim": (False, "sentence"),
+    "nli_coref": (False, "coref"),
 }
 
-
-def _hypotheses(unit: RunUnit, mode: str) -> tuple[Document, list[Claim], bool]:
-    """The ``(document, claims, claims_fallback)`` item that ``mode`` scores for ``unit``."""
-    if mode == "nli_sent":
-        claims = [Claim(unit.summary.id, i, s.text) for i, s in enumerate(unit.summary.sentences)]
-        return unit.document, claims, False
-    return unit.document, list(unit.claims), unit.claims_fallback
+# What the scorer scores for one summary: ``(document, claims, claims_fallback)``.
+Item = tuple[Document, list[Claim], bool]
 
 
-def _score_block(units: Sequence[RunUnit], scorer: Scorer, mode: str) -> list[FactualityReport]:
-    """Score a block of units in one mode, one report per unit.
-
-    Every mode runs the one gated pipeline. ``nli_claim`` stops it after the
-    sentence stage and ``nli_coref`` after the coref stage. ``nli_sent`` is
-    ``nli_claim`` with the summary's sentences as hypotheses (duplicates
-    kept: the mean runs over sentences), so it never reports the claims
-    fallback.
-    """
-    if mode not in _STOPS:
+def _mode(mode: str) -> tuple[bool, Stop | None]:
+    if mode not in _MODES:
         raise ValueError(f"unknown ablation mode {mode!r}")
-    return scorer.score_summaries([_hypotheses(u, mode) for u in units], stop=_STOPS[mode])
+    return _MODES[mode]
 
 
 def pair_summaries(
@@ -258,45 +230,56 @@ def build_units(
     pairs: Sequence[tuple[Document, Summary]],
     extractor: ClaimExtractor | None,
     coref_backend: CorefBackend,
+    mode: str,
     *,
     missing_ok: bool = False,
     workers: int = 1,
-) -> list[RunUnit]:
-    """Attach clusters and resolve claims for every (document, summary) pair.
+) -> list[Item]:
+    """The item ``mode`` scores for every (document, summary) pair.
 
     Clusters are attached once per distinct document, keyed by id and text
-    because benchmark records may reuse an id for different texts. Claims
-    resolve on ``workers`` threads. Cache misses surface here, before any
-    scoring cost is paid.
+    because benchmark records may reuse an id for different texts. In
+    ``nli_sent`` the claims are the summary's sentences (duplicates kept:
+    the mean runs over sentences), never flagged as the fallback, and the
+    extractor is not called. Other modes resolve claims on ``workers``
+    threads, so cache misses surface here, before any scoring cost is paid.
     """
+    sentences, _ = _mode(mode)
     prepared: dict[tuple[str, str], Document] = {}
     for document, _ in pairs:
         key = (document.id, document.text)
         if key not in prepared:
             prepared[key] = attach_clusters(document, coref_backend)
-    resolved = ordered_map(
-        lambda pair: resolve_claims(pair[1], extractor, missing_ok=missing_ok), pairs, workers
-    )
+    if sentences:
+        resolved = (
+            ([Claim(summary.id, i, s.text) for i, s in enumerate(summary.sentences)], False)
+            for _, summary in pairs
+        )
+    else:
+        resolved = ordered_map(
+            lambda pair: resolve_claims(pair[1], extractor, missing_ok=missing_ok), pairs, workers
+        )
     return [
-        RunUnit(prepared[(d.id, d.text)], summary, tuple(claims), fallback)
-        for (d, summary), (claims, fallback) in zip(pairs, resolved)
+        (prepared[(d.id, d.text)], claims, fallback)
+        for (d, _), (claims, fallback) in zip(pairs, resolved)
     ]
 
 
 def score_corpus(
-    units: Iterable[RunUnit], scorer: Scorer, mode: str, workers: int = 1
+    items: Iterable[Item], scorer: Scorer, mode: str, workers: int = 1
 ) -> Iterator[FactualityReport]:
-    """Yield one report per unit, in order.
+    """Yield one report per item, stopping the pipeline where ``mode`` does.
 
-    Consecutive units are scored in blocks of ``scorer.backend.batch_size``
-    units, each stage one wave of backend pairs over the whole block, so
+    Consecutive items are scored in blocks of ``scorer.backend.batch_size``
+    items, each stage one wave of backend pairs over the whole block, so
     batches fill across summaries. Blocks are independent and run on
     ``workers`` threads, at most ``2 * workers`` blocks ahead of the
     consumer. Reports do not depend on the block size or on ``workers``.
     """
-    units = iter(units)
-    blocks = iter(lambda: list(islice(units, scorer.backend.batch_size)), [])
-    scored = ordered_map(lambda block: _score_block(block, scorer, mode), blocks, workers)
+    _, stop = _mode(mode)
+    items = iter(items)
+    blocks = iter(lambda: list(islice(items, scorer.backend.batch_size)), [])
+    scored = ordered_map(lambda block: scorer.score_summaries(block, stop=stop), blocks, workers)
     with closing(scored):
         for reports in scored:
             yield from reports

@@ -28,7 +28,7 @@ from sumfact import (
     run_benchmark,
 )
 from sumfact.formats import render_report
-from sumfact.pipeline import RunUnit, score_corpus
+from sumfact.pipeline import score_corpus
 
 from cases import doc_from_sentences, random_case, summary_from_sentences
 from oracles import oracle_verdict, verdict_to_view, window_stage
@@ -265,16 +265,12 @@ def test_coref_ablation_degrades_to_claim_scoring(criterion):
         rng = random.Random(1618)
         for case_id in range(100):
             doc, claims, params = random_case(rng, case_id)
-            bare = replace(doc, coref_clusters=())
-            summary = summary_from_sentences(
-                claims[0].summary_id, bare.id, [c.text for c in claims]
-            )
-            unit = RunUnit(bare, summary, claims, False)
+            item = (replace(doc, coref_clusters=()), claims, False)
             (claim_only,) = score_corpus(
-                [unit], Scorer(MockEntailmentBackend(), ScoringParams(**params)), "nli_claim"
+                [item], Scorer(MockEntailmentBackend(), ScoringParams(**params)), "nli_claim"
             )
             (with_coref,) = score_corpus(
-                [unit], Scorer(MockEntailmentBackend(), ScoringParams(**params)), "nli_coref"
+                [item], Scorer(MockEntailmentBackend(), ScoringParams(**params)), "nli_coref"
             )
             assert with_coref.score == claim_only.score
             for va, vb in zip(claim_only.verdicts, with_coref.verdicts):

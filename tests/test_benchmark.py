@@ -394,6 +394,7 @@ class TestScoreCache:
             ('{"r0": "abc"}', "entry 'r0' is not a number"),
             ('{"r0": null}', "entry 'r0' is not a number"),
             ('{"r0": true}', "entry 'r0' is not a number"),
+            pytest.param('{"r0": 1' + "0" * 400 + "}", "entry 'r0' is not a number", id="huge-int"),
         ],
     )
     def test_corrupt_file_rejected(self, tmp_path, content, message):

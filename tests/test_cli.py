@@ -265,6 +265,7 @@ class TestMalformedInput:
             ({"claim_max_retries": 9}, "max_retries"),
             ({"claim_timeout": 0}, "timeout"),
             ({"claim_max_in_flight": 0}, "max_in_flight"),
+            ({"claim_max_tokens": 0}, "max_tokens"),
         ],
     )
     def test_out_of_range_claim_settings_exit_2(self, runner, tmp_path, setting, message):
@@ -288,6 +289,7 @@ class TestMalformedInput:
             ({"coref_max_sentences": 0, "coref_backend": "heuristic"},
              "coref_max_sentences: max_sentences must be >= 1"),
             ({"workers": None}, "config key 'workers': null is not allowed"),
+            ({"cache_dir": ["a"]}, "config key 'cache_dir': not a string"),
         ],
     )
     def test_out_of_range_backend_settings_exit_2(self, runner, tmp_path, setting, message):
@@ -318,6 +320,7 @@ class TestMalformedInput:
             ('{"v1": null}', "entry 'v1' is not a number"),
             ('{"v1": NaN}', "entry 'v1' is not a number"),
             ('{"v1": -Infinity}', "entry 'v1' is not a number"),
+            pytest.param('{"v1": 1' + "0" * 400 + "}", "entry 'v1' is not a number", id="huge-int"),
         ],
     )
     def test_corrupt_score_cache_exits_2(self, runner, tmp_path, content, message):
@@ -576,6 +579,13 @@ _GOLDEN_CLAIMS = {
 }
 # nli_sent scores summary sentences, never claims, so it counts no fallback.
 _GOLDEN_FALLBACKS = {"full": 2, "nli_sent": 0, "nli_claim": 2, "nli_coref": 2}
+# Backend pairs per stage: the ablations stop before the coarser stages.
+_GOLDEN_BACKEND_CALLS = {
+    "full": {"sentence": 40, "coref": 9, "window": 18, "document": 6},
+    "nli_sent": {"sentence": 40, "coref": 0, "window": 0, "document": 0},
+    "nli_claim": {"sentence": 40, "coref": 0, "window": 0, "document": 0},
+    "nli_coref": {"sentence": 40, "coref": 9, "window": 0, "document": 0},
+}
 
 
 _GOLDEN_MODES = ["full", "nli_sent", "nli_claim", "nli_coref"]
@@ -620,3 +630,6 @@ class TestAblationGoldens:
         assert csv_path.read_bytes() == (GOLDEN_DIR / f"benchmark_{mode}.csv").read_bytes()
         meta = json.loads(meta_path.read_text())
         assert meta["claims_fallback_count"] == _GOLDEN_FALLBACKS[mode]
+        assert meta["backend_calls"] == _GOLDEN_BACKEND_CALLS[mode]
+        # r3's claim cache entry is empty, but nli_sent never consults the cache.
+        assert ("extractor returned no claims" in result.stderr) == (mode != "nli_sent")

@@ -146,6 +146,9 @@ class TestValidation:
             ({"workers": None}, "config key 'workers': null is not allowed"),
             ({"claim_backend": None}, "config key 'claim_backend': null is not allowed"),
             ({"window_size": None}, "config key 'window_size': null is not allowed"),
+            ({"cache_dir": ["a"]}, "config key 'cache_dir': not a string"),
+            ({"claim_model": {"x": 1}}, "config key 'claim_model': not a string"),
+            ({"claim_api_key_env": 5}, "config key 'claim_api_key_env': not a string"),
         ],
     )
     def test_rejections(self, tmp_path, overrides, needle):

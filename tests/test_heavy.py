@@ -19,6 +19,7 @@ import os
 import pytest
 
 from sumfact import Claim, Scorer, ScoringParams, load_run_config, run_benchmark
+from sumfact.config import scoring_params
 from sumfact.coref import HeuristicCorefBackend
 from sumfact.formats import load_benchmark_records
 from sumfact.pipeline import (
@@ -27,7 +28,6 @@ from sumfact.pipeline import (
     make_claim_extractor,
     make_coref_backend,
     make_nli_backend,
-    make_scorer,
     score_corpus,
 )
 
@@ -69,17 +69,16 @@ def _run_benchmark(mode, protocol="per_split"):
         overrides["claim_backend"] = f"cache:{CLAIM_CACHE}"
     config = load_run_config(None, overrides)
     records = load_benchmark_records(BENCH_JSONL)
-    backend = make_nli_backend(config)
-    scorer = make_scorer(config, backend)
+    scorer = Scorer(make_nli_backend(config), scoring_params(config))
     extractor = make_claim_extractor(config)
     coref_backend = make_coref_backend(config)
 
     def score_records(pending):
         pairs = [(r.document, r.summary) for r in pending]
-        units = build_units(
-            pairs, extractor, coref_backend, missing_ok=True, workers=config.workers
+        items = build_units(
+            pairs, extractor, coref_backend, config.mode, missing_ok=True, workers=config.workers
         )
-        return [r.score for r in score_corpus(units, scorer, config.mode, config.workers)]
+        return [r.score for r in score_corpus(items, scorer, config.mode, config.workers)]
 
     return run_benchmark(records, score_records, protocol, bootstrap_seed=None)
 

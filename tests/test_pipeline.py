@@ -31,14 +31,12 @@ from sumfact import (
 from sumfact.config import MODES
 from sumfact.formats import render_report
 from sumfact.pipeline import (
-    RunUnit,
     attach_clusters,
     build_units,
     fallback_claims,
     make_claim_extractor,
     make_coref_backend,
     make_nli_backend,
-    make_scorer,
     pair_summaries,
     resolve_claims,
     score_corpus,
@@ -149,6 +147,12 @@ class TestClaimFactory:
         with pytest.raises(InputError, match="needs a URL"):
             make_claim_extractor(RunConfig(claim_backend="remote:"))
 
+    @pytest.mark.parametrize("max_tokens", [0, -1])
+    def test_remote_rejects_max_tokens_below_one(self, max_tokens):
+        config = RunConfig(claim_backend="remote:http://llm.local/chat", claim_max_tokens=max_tokens)
+        with pytest.raises(InputError, match="max_tokens must be >= 1"):
+            make_claim_extractor(config)
+
     def test_local(self):
         extractor = make_claim_extractor(RunConfig(claim_backend="local:flan-x"))
         assert isinstance(extractor, LocalSeq2SeqExtractor)
@@ -166,13 +170,8 @@ class TestScorerFactory:
         )
 
     def test_monotone_gate_passthrough(self):
-        assert make_scorer(RunConfig()).params.monotone_gate is False
-        assert make_scorer(RunConfig(monotone_gate=True)).params.monotone_gate is True
-
-    def test_backend_injection(self):
-        backend = MockEntailmentBackend(batch_size=2)
-        scorer = make_scorer(RunConfig(), backend)
-        assert scorer.backend is backend
+        assert scoring_params(RunConfig()).monotone_gate is False
+        assert scoring_params(RunConfig(monotone_gate=True)).monotone_gate is True
 
 
 class TestScorerFingerprint:
@@ -369,11 +368,11 @@ class TestBuildUnits:
     def test_happy_path(self):
         docs, summaries = self.corpus()
         extractor = FileCacheExtractor({"s1": ["Alpha claim."], "s2": ["Zeta claim."]})
-        units = build_units(pair_summaries(docs, summaries), extractor, NoopCorefBackend())
-        assert [u.summary.id for u in units] == ["s1", "s2"]
-        assert units[0].claims == (Claim("s1", 0, "Alpha claim."),)
-        assert units[0].claims_fallback is False
-        assert units[0].document.id == "d1"
+        items = build_units(pair_summaries(docs, summaries), extractor, NoopCorefBackend(), "full")
+        assert items == [
+            (docs[0], [Claim("s1", 0, "Alpha claim.")], False),
+            (docs[1], [Claim("s2", 0, "Zeta claim.")], False),
+        ]
 
     def test_unknown_document_id(self):
         docs, _ = self.corpus()
@@ -390,18 +389,18 @@ class TestBuildUnits:
             summary_from_sentences("s2", "d1", ["beta."]),
         ]
         backend = CountingCoref()
-        units = build_units(pair_summaries([doc], summaries), None, backend)
+        items = build_units(pair_summaries([doc], summaries), None, backend, "full")
         assert backend.calls == 1
-        assert units[0].document is units[1].document
+        assert items[0][0] is items[1][0]
 
     def test_missing_ok_passthrough(self):
         docs, summaries = self.corpus()
         pairs = pair_summaries(docs, summaries)
         extractor = FileCacheExtractor({"s1": ["Alpha claim."]})
         with pytest.raises(ClaimCacheMiss):
-            build_units(pairs, extractor, NoopCorefBackend())
-        units = build_units(pairs, extractor, NoopCorefBackend(), missing_ok=True)
-        assert units[1].claims_fallback is True
+            build_units(pairs, extractor, NoopCorefBackend(), "full")
+        items = build_units(pairs, extractor, NoopCorefBackend(), "full", missing_ok=True)
+        assert items[1] == (docs[1], fallback_claims(summaries[1]), True)
 
     def test_shared_document_id_with_different_texts(self):
         # Benchmark records may reuse a document id for different texts:
@@ -415,10 +414,10 @@ class TestBuildUnits:
             (first, summary_from_sentences("s3", "shared", ["alpha beta."])),
         ]
         backend = CountingCoref()
-        units = build_units(pairs, None, backend)
+        items = build_units(pairs, None, backend, "full")
         assert backend.calls == 2
-        assert [u.document.text for u in units] == [first.text, second.text, first.text]
-        reports = list(score_corpus(units, Scorer(MockEntailmentBackend()), "full"))
+        assert [document.text for document, _, _ in items] == [first.text, second.text, first.text]
+        reports = list(score_corpus(items, Scorer(MockEntailmentBackend()), "full"))
         for (document, summary), report in zip(pairs, reports):
             (direct,) = Scorer(MockEntailmentBackend()).score_summaries(
                 [(document, fallback_claims(summary), True)]
@@ -441,57 +440,78 @@ class TestBuildUnits:
 
         docs, summaries = self.corpus()
         pairs = pair_summaries(docs, summaries)
-        units = build_units(pairs, BarrierExtractor(), NoopCorefBackend(), workers=2)
-        assert [u.claims for u in units] == [
-            (Claim("s1", 0, "s1 claim."),),
-            (Claim("s2", 0, "s2 claim."),),
+        items = build_units(pairs, BarrierExtractor(), NoopCorefBackend(), "full", workers=2)
+        assert [claims for _, claims, _ in items] == [
+            [Claim("s1", 0, "s1 claim.")],
+            [Claim("s2", 0, "s2 claim.")],
         ]
 
 
 class TestEvaluatePair:
-    """One unit scored in one mode: a block of one through ``score_corpus``."""
+    """One pair built and scored in one mode: ``build_units`` then ``score_corpus``."""
 
-    def unit(self, fallback):
-        doc = doc_from_sentences("d1", ["alpha beta.", "gamma delta."])
-        summary = summary_from_sentences("s1", "d1", ["alpha beta."])
-        claims = (Claim("s1", 0, "alpha beta."),)
-        return RunUnit(doc, summary, claims, fallback)
+    DOC = doc_from_sentences("d1", ["alpha beta.", "gamma delta."])
+    SUMMARY = summary_from_sentences("s1", "d1", ["alpha beta."])
 
-    def report(self, unit, mode):
-        (report,) = score_corpus([unit], Scorer(MockEntailmentBackend()), mode)
+    def report(self, fallback, mode):
+        # No extractor takes the sentence fallback; a cache hit does not.
+        extractor = None if fallback else FileCacheExtractor({"s1": ["alpha beta."]})
+        items = build_units([(self.DOC, self.SUMMARY)], extractor, NoopCorefBackend(), mode)
+        (report,) = score_corpus(items, Scorer(MockEntailmentBackend()), mode)
         return report
 
     def test_full_mode_keeps_flag(self):
-        assert self.report(self.unit(False), "full").claims_fallback is False
-        assert self.report(self.unit(True), "full").claims_fallback is True
+        assert self.report(False, "full").claims_fallback is False
+        assert self.report(True, "full").claims_fallback is True
 
     def test_ablation_marks_fallback(self):
-        assert self.report(self.unit(True), "nli_claim").claims_fallback is True
+        assert self.report(True, "nli_claim").claims_fallback is True
 
     def test_nli_sent_ignores_fallback(self):
-        assert self.report(self.unit(True), "nli_sent").claims_fallback is False
+        assert self.report(True, "nli_sent").claims_fallback is False
 
     def test_full_matches_direct_scoring(self):
-        unit = self.unit(False)
         (direct,) = Scorer(MockEntailmentBackend()).score_summaries(
-            [(unit.document, list(unit.claims), False)]
+            [(self.DOC, [Claim("s1", 0, "alpha beta.")], False)]
         )
-        assert self.report(unit, "full") == direct
+        assert self.report(False, "full") == direct
+
+    def test_nli_sent_never_calls_the_extractor(self):
+        class CountingExtractor:
+            calls = 0
+
+            def extract(self, summary):
+                self.calls += 1
+                return []
+
+            def describe(self):
+                return "counting"
+
+        extractor = CountingExtractor()
+        summary = summary_from_sentences("s1", "d1", ["Alpha beta.", "Alpha beta."])
+        pairs = [(self.DOC, summary)] * 3
+        items = build_units(pairs, extractor, NoopCorefBackend(), "nli_sent", workers=2)
+        assert extractor.calls == 0
+        # The sentences verbatim, duplicates kept, never flagged as the fallback.
+        sentences = [Claim("s1", 0, "Alpha beta."), Claim("s1", 1, "Alpha beta.")]
+        assert items == [(self.DOC, sentences, False)] * 3
+        build_units(pairs, extractor, NoopCorefBackend(), "nli_claim")
+        assert extractor.calls == 3
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown ablation mode 'bogus'"):
+            build_units([(self.DOC, self.SUMMARY)], None, NoopCorefBackend(), "bogus")
 
 
 class TestScoreCorpus:
-    def units(self):
+    def items(self):
         docs = [doc_from_sentences(f"d{i}", [f"word{i} alpha.", "beta gamma."]) for i in range(6)]
-        out = []
-        for i, doc in enumerate(docs):
-            summary = summary_from_sentences(f"s{i}", doc.id, [f"word{i} alpha."])
-            out.append(RunUnit(doc, summary, (Claim(f"s{i}", 0, f"word{i} beta."),), False))
-        return out
+        return [(doc, [Claim(f"s{i}", 0, f"word{i} beta.")], False) for i, doc in enumerate(docs)]
 
     def test_workers_do_not_change_reports(self):
-        units = self.units()
-        serial = list(score_corpus(units, Scorer(MockEntailmentBackend()), "full", workers=1))
-        threaded = list(score_corpus(units, Scorer(MockEntailmentBackend()), "full", workers=3))
+        items = self.items()
+        serial = list(score_corpus(items, Scorer(MockEntailmentBackend()), "full", workers=1))
+        threaded = list(score_corpus(items, Scorer(MockEntailmentBackend()), "full", workers=3))
         assert serial == threaded
         assert [r.summary_id for r in serial] == [f"s{i}" for i in range(6)]
 
@@ -509,25 +529,23 @@ class RecordingBackend(MockEntailmentBackend):
 
 
 class TestBlocks:
-    """``score_corpus`` scores blocks of ``batch_size`` units, each stage one
+    """``score_corpus`` scores blocks of ``batch_size`` items, each stage one
     wave of backend pairs over the block; blocks change batching only."""
 
     PARAMS = ScoringParams(window_size=2, gate_threshold=0.9)
     BUDGET = PremiseBudget(200)
 
-    @pytest.fixture(scope="class")
-    def units(self):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_reports_do_not_depend_on_blocks(self, mode):
         pairs, cache = random_news_corpus(random.Random(4242), 24, 3)
-        return build_units(
-            pairs, FileCacheExtractor(cache), HeuristicCorefBackend(), missing_ok=True
+        items = build_units(
+            pairs, FileCacheExtractor(cache), HeuristicCorefBackend(), mode, missing_ok=True
         )
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_reports_do_not_depend_on_blocks(self, units, mode):
         def fresh():
             return Scorer(MockEntailmentBackend(budget=self.BUDGET), self.PARAMS)
 
-        expected = [report for unit in units for report in score_corpus([unit], fresh(), mode)]
+        expected = [report for item in items for report in score_corpus([item], fresh(), mode)]
         if mode == "full":
             # The corpus reaches every stage, budget chunking and the fallback.
             verdicts = [v for report in expected for v in report.verdicts]
@@ -537,31 +555,30 @@ class TestBlocks:
                 v.stage == "multi_granularity" and v.aligned.granularity == "window"
                 for v in verdicts
             )
-            assert any(len(u.document.text) > self.BUDGET.max_units for u in units)
-            assert 0 < sum(r.claims_fallback for r in expected) < len(units)
+            assert any(len(doc.text) > self.BUDGET.max_units for doc, _, _ in items)
+            assert 0 < sum(r.claims_fallback for r in expected) < len(items)
         rendered = [render_report(report) for report in expected]
         for batch_size in (1, 4, 32):
             for workers in (1, 3):
                 backend = MockEntailmentBackend(batch_size=batch_size, budget=self.BUDGET)
-                reports = score_corpus(units, Scorer(backend, self.PARAMS), mode, workers)
+                reports = score_corpus(items, Scorer(backend, self.PARAMS), mode, workers)
                 assert [render_report(r) for r in reports] == rendered, (batch_size, workers)
 
     def test_one_backend_pass_per_wave_and_block(self):
-        # One-claim units, each with its own document of m sentences, no
-        # coref and a gate every claim misses: per block of B units the
+        # One-claim items, each with its own document of m sentences, no
+        # coref and a gate every claim misses: per block of B items the
         # sentence wave sends B*m pairs and the window and document wave
         # B*(m - j + 1) windows plus B documents.
-        m, j, n_units, batch_size = 4, 2, 10, 3
-        units = []
-        for u in range(n_units):
+        m, j, n_items, batch_size = 4, 2, 10, 3
+        items = []
+        for u in range(n_items):
             doc = doc_from_sentences(f"d{u}", [f"{'x' * (s + 1)} w{u}s{s} tail." for s in range(m)])
-            summary = summary_from_sentences(f"s{u}", doc.id, [f"w{u}s0 other."])
-            units.append(RunUnit(doc, summary, (Claim(f"s{u}", 0, f"w{u}s0 other."),), False))
+            items.append((doc, [Claim(f"s{u}", 0, f"w{u}s0 other.")], False))
         backend = RecordingBackend(batch_size=batch_size)
         scorer = Scorer(backend, ScoringParams(window_size=j, gate_threshold=0.9))
-        reports = list(score_corpus(units, scorer, "full"))
-        assert [r.verdicts[0].stage for r in reports] == ["multi_granularity"] * n_units
-        blocks = [min(batch_size, n_units - lo) for lo in range(0, n_units, batch_size)]
+        reports = list(score_corpus(items, scorer, "full"))
+        assert [r.verdicts[0].stage for r in reports] == ["multi_granularity"] * n_items
+        blocks = [min(batch_size, n_items - lo) for lo in range(0, n_items, batch_size)]
         waves = [b * m for b in blocks] + [b * (m - j + 2) for b in blocks]
         assert len(backend.batches) == sum(math.ceil(w / batch_size) for w in waves)
         assert sum(map(len, backend.batches)) == sum(waves)
@@ -576,11 +593,10 @@ class TestPairsInFlight:
 
     def test_shared_pair_is_sent_once(self):
         shared = "shared alpha beta."
-        units = []
+        items = []
         for u in range(2):
             doc = doc_from_sentences(f"d{u}", [shared, f"unique{u} gamma."])
-            summary = summary_from_sentences(f"s{u}", doc.id, [shared])
-            units.append(RunUnit(doc, summary, (Claim(f"s{u}", 0, shared),), False))
+            items.append((doc, [Claim(f"s{u}", 0, shared)], False))
         # Each worker's first backend batch waits for the other's, so both
         # blocks have checked the memo before either result is in it.
         barrier = threading.Barrier(2, timeout=10)
@@ -594,10 +610,10 @@ class TestPairsInFlight:
                 return super()._infer(pairs)
 
         serial = Scorer(MockEntailmentBackend(batch_size=1))
-        expected = list(score_corpus(units, serial, "full", workers=1))
+        expected = list(score_corpus(items, serial, "full", workers=1))
         backend = BarrierBackend(batch_size=1)
         scorer = Scorer(backend, serial.params)
-        assert list(score_corpus(units, scorer, "full", workers=3)) == expected
+        assert list(score_corpus(items, scorer, "full", workers=3)) == expected
         sent = [pair for batch in backend.batches for pair in batch]
         assert sent.count((shared, shared)) == 1
         assert scorer.backend_calls == serial.backend_calls == {
@@ -606,19 +622,19 @@ class TestPairsInFlight:
 
     def test_many_workers_send_each_pair_once(self):
         pairs, cache = random_news_corpus(random.Random(7), 6, 8)
-        units = build_units(
-            pairs, FileCacheExtractor(cache), HeuristicCorefBackend(), missing_ok=True
+        items = build_units(
+            pairs, FileCacheExtractor(cache), HeuristicCorefBackend(), "full", missing_ok=True
         )
         params = ScoringParams(window_size=2, gate_threshold=0.9)
         serial = Scorer(MockEntailmentBackend(batch_size=1), params)
-        expected = list(score_corpus(units, serial, "full", workers=1))
+        expected = list(score_corpus(items, serial, "full", workers=1))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(3):
                 backend = RecordingBackend(batch_size=1)
                 scorer = Scorer(backend, params)
-                assert list(score_corpus(units, scorer, "full", workers=8)) == expected
+                assert list(score_corpus(items, scorer, "full", workers=8)) == expected
                 sent = [pair for batch in backend.batches for pair in batch]
                 assert len(sent) == len(set(sent))
                 assert scorer.backend_calls == serial.backend_calls
@@ -637,10 +653,10 @@ class TestRecordScorer:
 
     def reports(self, records, extractor=None, mode="full", coref_backend=None):
         pairs = [(r.document, r.summary) for r in records]
-        units = build_units(
-            pairs, extractor, coref_backend or NoopCorefBackend(), missing_ok=True
+        items = build_units(
+            pairs, extractor, coref_backend or NoopCorefBackend(), mode, missing_ok=True
         )
-        return list(score_corpus(units, Scorer(MockEntailmentBackend()), mode))
+        return list(score_corpus(items, Scorer(MockEntailmentBackend()), mode))
 
     def fallbacks(self, records, **kwargs):
         return sum(r.claims_fallback for r in self.reports(records, **kwargs))

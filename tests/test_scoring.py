@@ -12,6 +12,7 @@ from sumfact import (
     Claim,
     MockEntailmentBackend,
     NliBackendError,
+    NoopCorefBackend,
     OversizedPremise,
     PremiseBudget,
     Scorer,
@@ -19,7 +20,7 @@ from sumfact import (
     Substitution,
     coref_variants,
 )
-from sumfact.pipeline import RunUnit, score_corpus
+from sumfact.pipeline import build_units, score_corpus
 from sumfact.scoring import AlignedSpan
 
 import oracles
@@ -541,16 +542,16 @@ class TestAblations:
     def test_nli_sent_keeps_duplicate_sentences(self, scorer):
         doc = doc_from_sentences("d", ["alpha beta.", "gamma delta."])
         summary = summary_from_sentences("s1", "d", ["Alpha beta.", "Alpha beta."])
-        (report,) = score_corpus([RunUnit(doc, summary, (), False)], scorer, "nli_sent")
+        items = build_units([(doc, summary)], None, NoopCorefBackend(), "nli_sent")
+        (report,) = score_corpus(items, scorer, "nli_sent")
         assert len(report.verdicts) == 2
         assert [v.claim.text for v in report.verdicts] == ["Alpha beta.", "Alpha beta."]
         assert all(v.stage == "sentence" for v in report.verdicts)
 
     def test_nli_claim_is_sentence_stage_only(self, scorer):
         doc = vunipola_doc()
-        summary = summary_from_sentences("s1", "d", ["The player was ruled out."])
         c = claim("The player was ruled out.")
-        (report,) = score_corpus([RunUnit(doc, summary, (c,), False)], scorer, "nli_claim")
+        (report,) = score_corpus([(doc, [c], False)], scorer, "nli_claim")
         (verdict,) = report.verdicts
         assert verdict.stage == "sentence"
         assert verdict.score == pytest.approx(0.4)
@@ -558,9 +559,8 @@ class TestAblations:
 
     def test_nli_coref_stage_reflects_substitution(self, scorer):
         doc = vunipola_doc()
-        summary = summary_from_sentences("s1", "d", ["The player was ruled out."])
         c = claim("The player was ruled out.")
-        (report,) = score_corpus([RunUnit(doc, summary, (c,), False)], scorer, "nli_coref")
+        (report,) = score_corpus([(doc, [c], False)], scorer, "nli_coref")
         (verdict,) = report.verdicts
         assert verdict.stage == "coref"
         assert verdict.score == pytest.approx(0.8)
@@ -569,22 +569,18 @@ class TestAblations:
 
     def test_nli_coref_without_win_is_sentence_stage(self, scorer):
         doc = doc_from_sentences("d", ["alpha beta.", "gamma delta."])
-        summary = summary_from_sentences("s1", "d", ["alpha beta."])
-        unit = RunUnit(doc, summary, (claim("alpha beta."),), False)
-        (report,) = score_corpus([unit], scorer, "nli_coref")
+        (report,) = score_corpus([(doc, [claim("alpha beta.")], False)], scorer, "nli_coref")
         assert report.verdicts[0].stage == "sentence"
 
     def test_unknown_mode_rejected(self, scorer):
         doc = doc_from_sentences("d", ["alpha."])
-        summary = summary_from_sentences("s1", "d", ["alpha."])
         with pytest.raises(ValueError, match="mode"):
-            list(score_corpus([RunUnit(doc, summary, (claim("alpha."),), False)], scorer, "bogus"))
+            list(score_corpus([(doc, [claim("alpha.")], False)], scorer, "bogus"))
 
     def test_ablation_requires_claims(self, scorer):
         doc = doc_from_sentences("d", ["alpha."])
-        summary = summary_from_sentences("s1", "d", ["alpha."])
         with pytest.raises(ValueError, match="at least one claim"):
-            list(score_corpus([RunUnit(doc, summary, (), False)], scorer, "nli_claim"))
+            list(score_corpus([(doc, [], False)], scorer, "nli_claim"))
 
 
 class TestOracleSpotChecks:
