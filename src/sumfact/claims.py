@@ -10,18 +10,20 @@ endpoint, and a local seq2seq model; all three feed the same tolerant parser.
 from __future__ import annotations
 
 import ast
+import hashlib
 import json
 import logging
 import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Mapping, Protocol
-
-import requests
+from typing import TYPE_CHECKING, Callable, Mapping, Protocol
 
 from .documents import Claim, Summary, build_claims
 from .errors import ClaimCacheMiss, ExtractorUnavailable, MalformedClaimOutput
+
+if TYPE_CHECKING:
+    import requests
 
 __all__ = [
     "PROMPT_TEMPLATE_ID",
@@ -169,6 +171,11 @@ class FileCacheExtractor:
     def describe(self) -> str:
         return f"cache:{self._source}"
 
+    def digest(self) -> str:
+        """Hex digest of the cached claims, so an edited claim file reads as new."""
+        canonical = json.dumps(self._cache, sort_keys=True).encode("ascii")
+        return hashlib.blake2b(canonical, digest_size=16).hexdigest()
+
     def extract(self, summary: Summary) -> list[Claim]:
         if summary.id not in self._cache:
             raise ClaimCacheMiss(f"claim cache has no entry for summary '{summary.id}'")
@@ -188,10 +195,13 @@ class RemoteLlmExtractor:
     Sends the rendered prompt as a single user message with temperature 0 and
     retries transport failures, 429 and 5xx responses up to ``max_retries``
     times before raising :class:`ExtractorUnavailable`. Concurrent calls are
-    capped by a semaphore of ``max_in_flight``.
+    capped by a semaphore of ``max_in_flight``. ``requests`` is imported here,
+    not with the module, so runs without a remote backend never load it.
     """
 
     def __init__(self, config: ExtractorConfig, session: requests.Session | None = None):
+        import requests
+
         self.config = config
         self._session = session or requests.Session()
         self._gate = threading.Semaphore(config.max_in_flight)
@@ -204,6 +214,8 @@ class RemoteLlmExtractor:
         return parse_claims(self._complete(build_prompt(summary), summary.id), summary.id)
 
     def _complete(self, prompt: str, summary_id: str) -> str:
+        import requests
+
         cfg = self.config
         body = {
             "messages": [{"role": "user", "content": prompt}],

@@ -240,7 +240,7 @@ def benchmark(records, output, scores_csv, run_meta, config_path, **flags) -> No
     coref_backend = pipeline.make_coref_backend(config)
     cache = None
     if config.cache_dir:
-        cache = ScoreCache(config.cache_dir, pipeline.scorer_fingerprint(config, backend))
+        cache = ScoreCache(config.cache_dir, pipeline.scorer_fingerprint(config, backend, extractor))
     fallbacks = 0
 
     def score_records(pending):

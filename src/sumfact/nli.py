@@ -15,12 +15,13 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import requests
+from typing import TYPE_CHECKING, Sequence
 
 from .documents import WORD_RE
 from .errors import NliBackendError, OversizedPremise
+
+if TYPE_CHECKING:
+    import requests
 
 __all__ = [
     "EntailmentTriple",
@@ -172,7 +173,8 @@ class RemoteEntailmentBackend(EntailmentBackend):
     Protocol: POST ``{"pairs": [[premise, hypothesis], ...]}`` to ``url``;
     the service answers ``{"triples": [[ent, neu, con], ...]}`` in the same
     order. Any transport failure, non-2xx status, length mismatch or invalid
-    triple raises :class:`NliBackendError`.
+    triple raises :class:`NliBackendError`. ``requests`` is imported here,
+    not with the module, so runs without a remote backend never load it.
     """
 
     def __init__(
@@ -184,6 +186,8 @@ class RemoteEntailmentBackend(EntailmentBackend):
         budget: PremiseBudget | None = None,
         session: requests.Session | None = None,
     ):
+        import requests
+
         super().__init__(batch_size=batch_size, budget=budget)
         self.url = url
         self.timeout = timeout
@@ -193,6 +197,8 @@ class RemoteEntailmentBackend(EntailmentBackend):
         return f"remote:{self.url}"
 
     def _infer(self, pairs: list[Pair]) -> list[EntailmentTriple]:
+        import requests
+
         try:
             response = self._session.post(
                 self.url, json={"pairs": [[p, h] for p, h in pairs]}, timeout=self.timeout

@@ -126,21 +126,31 @@ def make_claim_extractor(config: RunConfig) -> ClaimExtractor | None:
     raise InputError(f"unknown claim_backend {config.claim_backend!r}")
 
 
-def scorer_fingerprint(config: RunConfig, backend: EntailmentBackend) -> str:
-    """Digest of everything that can change a record's score."""
-    return config_fingerprint(
-        {
-            "nli": backend.describe(),
-            "nli_max_units": config.nli_max_units,
-            "claims": config.claim_backend,
-            "claim_model": config.claim_model,
-            "claim_max_tokens": config.claim_max_tokens,
-            "coref": config.coref_backend,
-            "coref_max_sentences": config.coref_max_sentences,
-            "mode": config.mode,
-            **dataclasses.asdict(scoring_params(config)),
-        }
-    )
+def scorer_fingerprint(
+    config: RunConfig, backend: EntailmentBackend, extractor: ClaimExtractor | None
+) -> str:
+    """Digest of everything that can change a record's score.
+
+    A ``cache:`` claim backend enters by the digest of its claims as well as
+    its path. Modes that score summary sentences never call the extractor,
+    so its settings are left out there.
+    """
+    parts: dict[str, object] = {
+        "nli": backend.describe(),
+        "nli_max_units": config.nli_max_units,
+        "coref": config.coref_backend,
+        "coref_max_sentences": config.coref_max_sentences,
+        "mode": config.mode,
+        **dataclasses.asdict(scoring_params(config)),
+    }
+    sentences, _ = _mode(config.mode)
+    if not sentences:
+        parts["claims"] = config.claim_backend
+        parts["claim_model"] = config.claim_model
+        parts["claim_max_tokens"] = config.claim_max_tokens
+        if isinstance(extractor, FileCacheExtractor):
+            parts["claims_digest"] = extractor.digest()
+    return config_fingerprint(parts)
 
 
 def fallback_claims(summary: Summary) -> list[Claim]:

@@ -18,14 +18,16 @@ window and document candidates of every gate miss. One selection rule,
 ``Scorer._best``, serves every wave. Blocks change how pairs are batched,
 never a score or a span.
 
-The engine memoizes backend scores on (premise, hypothesis) within a run and
-counts actual backend pairs per stage, so the gating short-circuit (no
-window/document calls when the gate passes) is observable from counters and
-from debug logs.
+The engine memoizes backend scores within a run, keyed by a digest of each
+(premise, hypothesis) pair, so the memo keeps no premise text alive once its
+wave is scored. It counts actual backend pairs per stage, so the gating
+short-circuit (no window/document calls when the gate passes) is observable
+from counters and from debug logs.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import threading
@@ -59,6 +61,8 @@ Stop = Literal["sentence", "coref"]
 STAGES = ("sentence", "coref", "window", "document")
 
 Pair = tuple[str, str]
+# A memo key: the 16-byte digest of the premise, then that of the hypothesis.
+Key = bytes
 # One stage's candidate premises for one claim, and the stage to count them under.
 Request = tuple[Sequence[tuple], Claim, str]
 
@@ -210,8 +214,8 @@ class Scorer:
     def __init__(self, backend: EntailmentBackend, params: ScoringParams | None = None):
         self.backend = backend
         self.params = params or ScoringParams()
-        self._memo: dict[Pair, float] = {}
-        self._in_flight: dict[Pair, threading.Event] = {}
+        self._memo: dict[Key, float] = {}
+        self._in_flight: dict[Key, threading.Event] = {}
         self._lock = threading.Lock()
         self.backend_calls: dict[str, int] = {stage: 0 for stage in STAGES}
 
@@ -228,20 +232,30 @@ class Scorer:
         The memo misses of all requests go to the backend as one batch, in
         request order and without duplicates, so the backend fills its
         batches across claims. Pairs another thread has in flight are
-        awaited instead of sent.
+        awaited instead of sent. Each distinct text is hashed once per call,
+        and only the texts of the pairs sent are kept until they are scored.
         """
-        keys = [[(c[3], claim.text) for c in candidates] for candidates, claim, _ in requests]
-        owner: dict[Pair, int] = {}
+        texts = {c[3] for candidates, _, _ in requests for c in candidates}
+        texts.update(claim.text for _, claim, _ in requests)
+        digest = {
+            text: hashlib.blake2b(text.encode("utf-8", "surrogatepass"), digest_size=16).digest()
+            for text in texts
+        }
+        keys = []
+        for candidates, claim, _ in requests:
+            hypothesis = digest[claim.text]
+            keys.append([digest[c[3]] + hypothesis for c in candidates])
+        owner: dict[Key, tuple[int, Pair]] = {}
         waits: set[threading.Event] = set()
         done = threading.Event()
         with self._lock:
-            for i, row in enumerate(keys):
-                for key in row:
+            for i, (row, (candidates, claim, _)) in enumerate(zip(keys, requests)):
+                for key, candidate in zip(row, candidates):
                     if key in self._memo or key in owner:
                         continue
                     event = self._in_flight.get(key)
                     if event is None:
-                        owner[key] = i
+                        owner[key] = (i, (candidate[3], claim.text))
                     else:
                         waits.add(event)
             for key in owner:
@@ -266,20 +280,25 @@ class Scorer:
         return out
 
     def _send(
-        self, owner: dict[Pair, int], requests: Sequence[Request], done: threading.Event
+        self,
+        owner: dict[Key, tuple[int, Pair]],
+        requests: Sequence[Request],
+        done: threading.Event,
     ) -> None:
         """Score the pairs this thread owns, credit each to its first request's stage."""
-        pairs = list(owner)
         scores = None
-        credited = Counter(owner.values())
+        credited = Counter(i for i, _ in owner.values())
         try:
-            scores = [triple.score for triple in self.backend.entail_batch(pairs)]
+            scores = [
+                triple.score
+                for triple in self.backend.entail_batch([pair for _, pair in owner.values()])
+            ]
         finally:
             with self._lock:
-                for key in pairs:
+                for key in owner:
                     del self._in_flight[key]
                 if scores is not None:
-                    self._memo.update(zip(pairs, scores))
+                    self._memo.update(zip(owner, scores))
                     for i, count in credited.items():
                         self.backend_calls[requests[i][2]] += count
             done.set()

@@ -2,6 +2,9 @@
 
 import json
 import logging
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,8 @@ from click.testing import CliRunner
 from sumfact.cli import main
 
 from stubserver import dead_url
+
+SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.fixture
@@ -476,6 +481,38 @@ class TestBenchmark:
         assert runner.invoke(main, base + ["--T", "0.5"]).exit_code == 0
         assert len(list(cache_dir.glob("scores-*.json"))) == 2
 
+    def test_edited_claim_file_is_rescored(self, runner, tmp_path):
+        records = benchmark_file(tmp_path)
+        claims = tmp_path / "claims.json"
+        cached = ["benchmark", records, "--claim-backend", f"cache:{claims}"]
+        cached += ["--cache-dir", str(tmp_path / "cache")]
+        fresh = cached[:-1] + [str(tmp_path / "fresh")]
+        csv_path = tmp_path / "scores.csv"
+
+        def t1_score(args):
+            result = runner.invoke(main, args + ["--scores-csv", str(csv_path)])
+            assert result.exit_code == 0, result.stderr
+            return csv_path.read_text().splitlines()[3].split(",")[5]
+
+        claims.write_text(json.dumps({"t1:summary": ["alpha beta gamma."]}), encoding="utf-8")
+        assert t1_score(cached) == "1.000000"
+        claims.write_text(json.dumps({"t1:summary": ["delta epsilon."]}), encoding="utf-8")
+        assert t1_score(cached) == t1_score(fresh) == "0.000000"
+
+    def test_nli_sent_shares_one_cache_across_claim_backends(self, runner, tmp_path):
+        records = benchmark_file(tmp_path)
+        cache_dir = tmp_path / "cache"
+        base = ["benchmark", records, "--mode", "nli_sent", "--cache-dir", str(cache_dir)]
+        c1 = write(tmp_path, "c1.json", json.dumps({"t1:summary": ["alpha."]}))
+        c2 = write(tmp_path, "c2.json", json.dumps({"t1:summary": ["delta."]}))
+        outputs = set()
+        for backend in ("none", f"cache:{c1}", f"cache:{c2}"):
+            result = runner.invoke(main, base + ["--claim-backend", backend])
+            assert result.exit_code == 0, result.stderr
+            outputs.add(result.stdout)
+        assert len(outputs) == 1
+        assert len(list(cache_dir.glob("scores-*.json"))) == 1
+
     def test_cluster_free_coref_ablation_matches_claim_ablation(self, runner, tmp_path):
         records = benchmark_file(tmp_path)
         paths = {}
@@ -538,6 +575,54 @@ class TestTopLevel:
         result = runner.invoke(main, ["--version"])
         assert result.exit_code == 0
         assert "0.1.0" in result.stdout
+
+
+HTTP_STACK = ("requests", "urllib3", "charset_normalizer")
+
+# Runs in a fresh interpreter: import the CLI, run the statement given as
+# argv[1], then print which modules of the HTTP stack the package loaded.
+_IMPORT_PROBE = f"""
+import json
+import sys
+before = set(sys.modules)
+from sumfact.cli import main
+exec(sys.argv[1])
+print(json.dumps([m for m in {HTTP_STACK!r} if m in sys.modules and m not in before]))
+"""
+
+
+def loaded_http_modules(statement, *args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC_DIR, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, statement, *args],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestHttpStackLoadsOnDemand:
+    def test_mock_score_run_never_loads_it(self, tmp_path):
+        docs, sums, claims = corpus(tmp_path)
+        statement = (
+            "main(['score', sys.argv[2], sys.argv[3], '--claim-backend', 'cache:' + sys.argv[4],"
+            " '-o', sys.argv[5]], standalone_mode=False)"
+        )
+        out = tmp_path / "out.jsonl"
+        assert loaded_http_modules(statement, docs, sums, claims, str(out)) == []
+        assert out.read_text(encoding="utf-8") == GOLDEN_LINE + "\n"
+
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            "from sumfact.nli import RemoteEntailmentBackend; RemoteEntailmentBackend('http://x')",
+            "from sumfact.claims import ExtractorConfig, RemoteLlmExtractor;"
+            " RemoteLlmExtractor(ExtractorConfig(target='http://x'))",
+        ],
+        ids=["nli", "claims"],
+    )
+    def test_remote_backends_load_it(self, statement):
+        assert "requests" in loaded_http_modules(statement)
 
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"

@@ -175,10 +175,21 @@ class TestScorerFactory:
 
 
 class TestScorerFingerprint:
+    @pytest.fixture(autouse=True)
+    def claim_file(self, tmp_path, monkeypatch):
+        # ``cache:claims.json`` below names this file, so it must exist.
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "claims.json"
+        path.write_text('{"s1": ["A claim."]}', encoding="utf-8")
+        return path
+
+    @staticmethod
+    def digest(config):
+        return scorer_fingerprint(config, make_nli_backend(config), make_claim_extractor(config))
+
     def test_stable_for_same_inputs(self):
-        backend = MockEntailmentBackend()
-        a = scorer_fingerprint(RunConfig(), backend)
-        b = scorer_fingerprint(RunConfig(), backend)
+        a = self.digest(RunConfig())
+        b = self.digest(RunConfig())
         assert a == b and len(a) == 16
 
     @pytest.mark.parametrize(
@@ -190,24 +201,29 @@ class TestScorerFingerprint:
             {"monotone_gate": True},
             {"mode": "nli_claim"},
             {"coref_backend": "heuristic"},
-            {"claim_backend": "cache:x.json"},
+            {"claim_backend": "cache:claims.json"},
         ],
     )
     def test_sensitive_to_scoring_inputs(self, change):
-        backend = MockEntailmentBackend()
-        base = scorer_fingerprint(RunConfig(), backend)
-        assert scorer_fingerprint(RunConfig(**change), backend) != base
+        assert self.digest(RunConfig(**change)) != self.digest(RunConfig())
 
     def test_sensitive_to_nli_backend(self):
         config = RunConfig()
-        mock = scorer_fingerprint(config, MockEntailmentBackend())
-        remote = scorer_fingerprint(config, RemoteEntailmentBackend("http://x"))
+        mock = scorer_fingerprint(config, MockEntailmentBackend(), None)
+        remote = scorer_fingerprint(config, RemoteEntailmentBackend("http://x"), None)
         assert mock != remote
 
     def test_insensitive_to_presentation_knobs(self):
-        backend = MockEntailmentBackend()
-        base = scorer_fingerprint(RunConfig(), backend)
-        assert scorer_fingerprint(RunConfig(log_level="debug", workers=8), backend) == base
+        base = self.digest(RunConfig())
+        assert self.digest(RunConfig(log_level="debug", workers=8)) == base
+
+    def test_claim_file_enters_by_content(self, claim_file):
+        config = RunConfig(claim_backend="cache:claims.json")
+        before = self.digest(config)
+        claim_file.write_text('{\n  "s1": ["A claim."]\n}\n', encoding="utf-8")
+        assert self.digest(config) == before
+        claim_file.write_text('{"s1": ["Another claim."]}', encoding="utf-8")
+        assert self.digest(config) != before
 
     # Every RunConfig field, with a different valid value. Flipping one must
     # change the fingerprint, so a score cache never serves a stale score.
@@ -240,15 +256,19 @@ class TestScorerFingerprint:
         "claim_max_retries": ("claim transport only", 0),
         "claim_max_in_flight": ("claim transport only", 1),
     }
-
-    @staticmethod
-    def digest(config):
-        return scorer_fingerprint(config, make_nli_backend(config))
+    # Fingerprinted fields that nli_sent leaves out: it scores the summary
+    # sentences and never calls the claim extractor.
+    SENTENCE_MODE_BLIND = {"claim_backend", "claim_model", "claim_max_tokens"}
 
     def test_digests_are_pinned(self):
         # A changed digest silently recomputes every existing score cache.
         assert self.digest(RunConfig()) == "0073503b7d48b29c"
         assert self.digest(RunConfig(monotone_gate=True, window_size=3)) == "6e866c9032cce726"
+        assert self.digest(RunConfig(mode="nli_claim", claim_model="m")) == "ded0310a05885e95"
+        config = RunConfig(
+            mode="nli_coref", claim_backend="remote:http://127.0.0.1:9", claim_max_tokens=64
+        )
+        assert self.digest(config) == "0981e90dc7aa9073"
 
     def test_every_field_is_fingerprinted_or_allow_listed(self):
         names = {f.name for f in dataclasses.fields(RunConfig)}
@@ -258,6 +278,13 @@ class TestScorerFingerprint:
             assert self.digest(replace(RunConfig(), **{name: value})) != base, name
         for name, (_, value) in self.ALLOWED.items():
             assert self.digest(replace(RunConfig(), **{name: value})) == base, name
+        sentences = RunConfig(mode="nli_sent")
+        base = self.digest(sentences)
+        for name, value in self.FLIPS.items():
+            if name == "mode":
+                continue
+            same = self.digest(replace(sentences, **{name: value})) == base
+            assert same == (name in self.SENTENCE_MODE_BLIND), name
 
 
 class TestClaimResolution:
@@ -618,6 +645,43 @@ class TestPairsInFlight:
         assert sent.count((shared, shared)) == 1
         assert scorer.backend_calls == serial.backend_calls == {
             "sentence": 3, "coref": 0, "window": 0, "document": 0
+        }
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_shared_window_pair_is_sent_once(self, workers):
+        # Two documents open with the same two sentences, so with j=2 they
+        # share the window premise over them. The claim misses the gate, and
+        # each item is its own block.
+        window = "alpha beta. gamma delta."
+        items = []
+        for u in range(2):
+            doc = doc_from_sentences(f"d{u}", ["alpha beta.", "gamma delta.", f"unique{u} tail."])
+            items.append((doc, [Claim(f"s{u}", 0, "zz yy.")], False))
+        barrier = threading.Barrier(2, timeout=10)
+        first = threading.local()
+
+        class BarrierBackend(RecordingBackend):
+            # With several workers, each worker's first window-wave batch
+            # waits for the other's, so both blocks have checked the memo
+            # before either window result is in it.
+            def _infer(self, pairs):
+                multi = any(premise.count(".") > 1 for premise, _ in pairs)
+                if workers > 1 and multi and not getattr(first, "passed", False):
+                    first.passed = True
+                    barrier.wait()
+                return super()._infer(pairs)
+
+        params = ScoringParams(window_size=2, gate_threshold=0.9)
+        serial = Scorer(MockEntailmentBackend(batch_size=1), params)
+        expected = list(score_corpus(items, serial, "full", workers=1))
+        backend = BarrierBackend(batch_size=1)
+        scorer = Scorer(backend, params)
+        assert list(score_corpus(items, scorer, "full", workers=workers)) == expected
+        sent = [pair for batch in backend.batches for pair in batch]
+        assert sent.count((window, "zz yy.")) == 1
+        assert len(sent) == len(set(sent))
+        assert scorer.backend_calls == serial.backend_calls == {
+            "sentence": 4, "coref": 0, "window": 3, "document": 2
         }
 
     def test_many_workers_send_each_pair_once(self):

@@ -428,6 +428,21 @@ class TestCountersAndMemo:
         verdicts(scorer, doc, claim("alpha beta."))
         assert scorer.backend_calls == before
 
+    def test_swapped_pair_is_a_new_pair(self):
+        scorer = make_scorer()
+        verdicts(scorer, doc_from_sentences("d1", ["alpha beta."]), claim("gamma delta."))
+        verdicts(scorer, doc_from_sentences("d2", ["gamma delta."]), claim("alpha beta."))
+        assert scorer.backend_calls["sentence"] == 2
+
+    def test_memo_keeps_no_texts(self):
+        scorer = make_scorer(window_size=2, gate_threshold=0.95)
+        doc = doc_from_sentences("d", ["aa bb.", "cc dd.", "ee ff."])
+        verdicts(scorer, doc, claim("zz yy."), claim("aa cc."))
+        # Fixed-width digests: 16 bytes of premise, then 16 of hypothesis.
+        assert len(scorer._memo) == sum(scorer.backend_calls.values()) == 12
+        assert all(isinstance(key, bytes) and len(key) == 32 for key in scorer._memo)
+        assert not scorer._in_flight
+
     def test_stage_attribution_below_gate(self):
         scorer = make_scorer(window_size=2, gate_threshold=0.95)
         doc = doc_from_sentences("d", ["aa bb.", "cc dd.", "ee ff."])
