@@ -236,7 +236,10 @@ def benchmark(records, output, scores_csv, run_meta, config_path, **flags) -> No
     rows = formats.load_benchmark_records(records)
     backend = pipeline.make_nli_backend(config)
     scorer = Scorer(backend, scoring_params(config))
-    extractor = pipeline.make_claim_extractor(config)
+    # A mode that scores summary sentences never reads claims, so its claim
+    # backend is neither built nor reported.
+    sentences, _ = pipeline._mode(config.mode)
+    extractor = None if sentences else pipeline.make_claim_extractor(config)
     coref_backend = pipeline.make_coref_backend(config)
     cache = None
     if config.cache_dir:

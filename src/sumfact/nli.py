@@ -8,6 +8,13 @@ in [-1, 1].
 Three backends are provided: a deterministic lexical mock (the test
 workhorse), an HTTP client for a remote scoring service, and an adapter for a
 local transformers sequence-classification checkpoint.
+
+``EntailmentBackend.entail_batch`` checks every pair in one pass and builds a
+:class:`TextTable` of the call's distinct texts, so the budget guard sizes
+each distinct text once. A backend's ``_infer(pairs, table)`` runs once per
+length-sorted batch of at most ``batch_size`` pairs; it may read per-text
+features from the table, computed once per call, and must not retain the
+table, which lives only for that one call.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ if TYPE_CHECKING:
 __all__ = [
     "EntailmentTriple",
     "PremiseBudget",
+    "TextTable",
     "EntailmentBackend",
     "MockEntailmentBackend",
     "RemoteEntailmentBackend",
@@ -81,11 +89,71 @@ class PremiseBudget:
             raise ValueError("budget below 16 units cannot fit any useful pair")
 
 
+class TextTable(dict):
+    """The distinct texts of one :meth:`EntailmentBackend.entail_batch` call.
+
+    Built in one pass over the call's pairs, which checks them in input
+    order: a premise or hypothesis must be non-empty, and with a budget the
+    pair must fit it, each distinct text measured once. Looking a text up
+    gives its features (the backend's ``_featurise``), computed on first use.
+    :meth:`release` after each batch drops every text whose last pair has
+    been inferred, so only texts of pairs still to come keep their features.
+    The table lives on the stack of its one call and is never kept on the
+    backend.
+    """
+
+    __slots__ = ("_featurise", "_uses")
+
+    def __init__(self, backend: EntailmentBackend, pairs: Sequence[Pair]):
+        super().__init__()
+        self._featurise = backend._featurise
+        uses: dict[str, int] = {}
+        budget = backend.budget
+        sizes: dict[str, int] = {}
+        for i, (premise, hypothesis) in enumerate(pairs):
+            if not premise:
+                raise ValueError(f"pair {i}: premise must be non-empty")
+            if not hypothesis:
+                raise ValueError(f"pair {i}: hypothesis must be non-empty")
+            uses[premise] = uses.get(premise, 0) + 1
+            uses[hypothesis] = uses.get(hypothesis, 0) + 1
+            if budget is None:
+                continue
+            for text in (premise, hypothesis):
+                if text not in sizes:
+                    sizes[text] = backend.measure(text)
+            units = sizes[premise] + sizes[hypothesis]
+            if units > budget.max_units:
+                raise OversizedPremise(
+                    f"pair {i}: premise+hypothesis measure {units} units, "
+                    f"budget is {budget.max_units}"
+                )
+        self._uses = uses
+
+    def __missing__(self, text: str):
+        features = self[text] = self._featurise(text)
+        return features
+
+    def release(self, pairs: Sequence[Pair]) -> None:
+        """Count ``pairs`` as inferred; forget each text at its last use."""
+        uses = self._uses
+        for pair in pairs:
+            for text in pair:
+                left = uses[text] - 1
+                if left:
+                    uses[text] = left
+                else:
+                    del uses[text]
+                    self.pop(text, None)
+
+
 class EntailmentBackend:
     """Shared plumbing: input validation, budget checks, batch chunking.
 
-    Subclasses implement :meth:`_infer` over a list of pairs no longer than
-    ``batch_size``. Results must not depend on how callers batch their pairs.
+    Subclasses implement :meth:`_infer`, called once per batch of at most
+    ``batch_size`` pairs with the call's :class:`TextTable`; it may read
+    per-text features from the table (see :meth:`_featurise`) and must not
+    retain it. Results must not depend on how callers batch their pairs.
     """
 
     budget: PremiseBudget | None = None
@@ -103,43 +171,32 @@ class EntailmentBackend:
         """Size of ``text`` in budget units. Default: characters."""
         return len(text)
 
-    def exceeds_budget(self, premise: str, hypothesis: str) -> bool:
-        if self.budget is None:
-            return False
-        return self.measure(premise) + self.measure(hypothesis) > self.budget.max_units
-
     def entail_batch(self, pairs: Sequence[Pair]) -> list[EntailmentTriple]:
         """Triples for ``pairs``, in input order.
 
-        The pairs are stable-sorted by character length (premise plus
-        hypothesis) before they are cut into batches of ``batch_size``, so
-        each batch holds pairs of similar length and a model pads little.
+        Every pair is checked before any is inferred; the first offending
+        pair in input order raises. The pairs are then stable-sorted by
+        character length (premise plus hypothesis) and cut into batches of
+        ``batch_size``, so each batch holds pairs of similar length and a
+        model pads little.
         """
-        for i, (premise, hypothesis) in enumerate(pairs):
-            if not premise:
-                raise ValueError(f"pair {i}: premise must be non-empty")
-            if not hypothesis:
-                raise ValueError(f"pair {i}: hypothesis must be non-empty")
-            if self.exceeds_budget(premise, hypothesis):
-                raise OversizedPremise(
-                    f"pair {i}: premise+hypothesis measure "
-                    f"{self.measure(premise) + self.measure(hypothesis)} units, "
-                    f"budget is {self.budget.max_units}"
-                )
+        table = TextTable(self, pairs)
         order = sorted(range(len(pairs)), key=lambda i: len(pairs[i][0]) + len(pairs[i][1]))
         out: list[EntailmentTriple | None] = [None] * len(pairs)
         for lo in range(0, len(order), self.batch_size):
             chunk = order[lo : lo + self.batch_size]
-            for i, triple in zip(chunk, self._infer([pairs[i] for i in chunk])):
+            batch = [pairs[i] for i in chunk]
+            for i, triple in zip(chunk, self._infer(batch, table)):
                 out[i] = triple
+            table.release(batch)
         return out  # type: ignore[return-value]
 
-    def _infer(self, pairs: list[Pair]) -> list[EntailmentTriple]:
+    def _featurise(self, text: str):
+        """What :meth:`_infer` finds for ``text`` in the table. Default: the text."""
+        return text
+
+    def _infer(self, pairs: list[Pair], table: TextTable) -> list[EntailmentTriple]:
         raise NotImplementedError
-
-
-def _token_set(text: str) -> set[str]:
-    return set(WORD_RE.findall(text.lower()))
 
 
 class MockEntailmentBackend(EntailmentBackend):
@@ -149,16 +206,20 @@ class MockEntailmentBackend(EntailmentBackend):
     overlap ratio ``o = |P & H| / |H|`` (0 when H is empty), the triple is
     ``(o, 1 - o, 0)``. If exactly one side contains the token "not", the mass
     flips to ``(0, 1 - o, o)`` so negation mismatches read as contradiction.
+    Each text's unigram set is its table entry, built once per call.
     """
 
     def describe(self) -> str:
         return "mock"
 
-    def _infer(self, pairs: list[Pair]) -> list[EntailmentTriple]:
+    def _featurise(self, text: str) -> set[str]:
+        return set(WORD_RE.findall(text.lower()))
+
+    def _infer(self, pairs: list[Pair], table: TextTable) -> list[EntailmentTriple]:
         out = []
         for premise, hypothesis in pairs:
-            p = _token_set(premise)
-            h = _token_set(hypothesis)
+            p = table[premise]
+            h = table[hypothesis]
             o = len(p & h) / len(h) if h else 0.0
             if ("not" in p) != ("not" in h):
                 out.append(EntailmentTriple(0.0, 1.0 - o, o))
@@ -196,7 +257,7 @@ class RemoteEntailmentBackend(EntailmentBackend):
     def describe(self) -> str:
         return f"remote:{self.url}"
 
-    def _infer(self, pairs: list[Pair]) -> list[EntailmentTriple]:
+    def _infer(self, pairs: list[Pair], table: TextTable) -> list[EntailmentTriple]:
         import requests
 
         try:
@@ -319,7 +380,7 @@ class LocalEntailmentBackend(EntailmentBackend):
             )
         return (found["entailment"], found["neutral"], found["contradiction"])
 
-    def _infer(self, pairs: list[Pair]) -> list[EntailmentTriple]:
+    def _infer(self, pairs: list[Pair], table: TextTable) -> list[EntailmentTriple]:
         premises = [p for p, _ in pairs]
         hypotheses = [h for _, h in pairs]
         try:

@@ -427,13 +427,19 @@ class Scorer:
         return candidates
 
     def _window_request(self, doc: Document, claim: Claim, k: int) -> Request:
-        """Every k-window (``k`` clamped to ``n``) or its budget chunks, lowest start first."""
+        """Every k-window (``k`` clamped to ``n``) or its budget chunks, lowest start first.
+
+        With a budget, the claim is measured once here and each premise is
+        held to the room it leaves.
+        """
         n = len(doc.sentences)
         k = min(k, n)
+        budget = self.backend.budget
+        room = None if budget is None else budget.max_units - self.backend.measure(claim.text)
         candidates = [
             ("document" if length == n else "window", start, start + length - 1, text)
             for i in range(n - k + 1)
-            for start, length, text in self._window_premises(doc, i, k, claim.text)
+            for start, length, text in self._window_premises(doc, i, k, room)
         ]
         return candidates, claim, "document" if k == n else "window"
 
@@ -441,17 +447,20 @@ class Scorer:
         return " ".join(s.text for s in doc.sentences[start : start + length])
 
     def _window_premises(
-        self, doc: Document, start: int, length: int, hypothesis: str
+        self, doc: Document, start: int, length: int, room: int | None
     ) -> list[tuple[int, int, str]]:
-        """Premises for one window: itself, or budget-sized chunks of it.
+        """Premises for one window: itself, or chunks that fit in ``room`` units.
 
-        A window over the backend budget is replaced by maximal-length runs
-        of consecutive sentences that fit, each run starting half the
-        previous run past the last start (stride at least 1). A single
-        sentence over budget is unsplittable and raises.
+        ``room`` is the budget less the hypothesis's size (``None``: no
+        budget), so a premise fits exactly when premise and hypothesis fit
+        the budget together. A window that does not fit is replaced by
+        maximal-length runs of consecutive sentences that do, each run
+        starting half the previous run past the last start (stride at
+        least 1). A single sentence that does not fit is unsplittable and
+        raises.
         """
         text = self._join(doc, start, length)
-        if not self.backend.exceeds_budget(text, hypothesis):
+        if room is None or self.backend.measure(text) <= room:
             return [(start, length, text)]
         out: list[tuple[int, int, str]] = []
         limit = start + length
@@ -459,8 +468,7 @@ class Scorer:
         while True:
             fit = 0
             while cursor + fit < limit:
-                candidate = self._join(doc, cursor, fit + 1)
-                if self.backend.exceeds_budget(candidate, hypothesis):
+                if self.backend.measure(self._join(doc, cursor, fit + 1)) > room:
                     break
                 fit += 1
             if fit == 0:

@@ -513,6 +513,39 @@ class TestBenchmark:
         assert len(outputs) == 1
         assert len(list(cache_dir.glob("scores-*.json"))) == 1
 
+    @pytest.mark.parametrize("claim_file", ["missing", "array"])
+    def test_nli_sent_never_loads_the_claim_file(self, runner, tmp_path, claim_file):
+        # nli_sent scores summary sentences, so a claim file that cannot be
+        # loaded neither stops it nor moves its score cache; full mode still
+        # rejects the file.
+        records = benchmark_file(tmp_path)
+        if claim_file == "missing":
+            claims = str(tmp_path / "missing.json")
+        else:
+            claims = write(tmp_path, "array.json", json.dumps([["alpha."]]))
+        meta_path = tmp_path / "meta.json"
+
+        def run(mode, claim_backend, cache_dir):
+            return runner.invoke(
+                main,
+                [
+                    "benchmark", records, "--mode", mode, "--claim-backend", claim_backend,
+                    "--cache-dir", str(tmp_path / cache_dir), "--run-meta", str(meta_path),
+                ],
+            )
+
+        baseline = run("nli_sent", "none", "plain")
+        assert baseline.exit_code == 0, baseline.stderr
+        result = run("nli_sent", f"cache:{claims}", "claims")
+        assert result.exit_code == 0, result.stderr
+        assert result.stdout == baseline.stdout
+        names = [[p.name for p in (tmp_path / d).glob("scores-*.json")] for d in ("plain", "claims")]
+        assert names[0] == names[1] and len(names[0]) == 1
+        assert json.loads(meta_path.read_text())["claim_backend"] == "none"
+        full = run("full", f"cache:{claims}", "full")
+        assert full.exit_code == 2
+        assert "error" in json.loads(full.stderr.strip().splitlines()[-1])
+
     def test_cluster_free_coref_ablation_matches_claim_ablation(self, runner, tmp_path):
         records = benchmark_file(tmp_path)
         paths = {}

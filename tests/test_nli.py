@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -17,6 +18,7 @@ from sumfact import (
     PremiseBudget,
     RemoteEntailmentBackend,
 )
+from sumfact.nli import TextTable
 
 import oracles
 from stubserver import StubServer, dead_url
@@ -125,9 +127,9 @@ class TestBackendPlumbing:
         seen = []
 
         class Recording(MockEntailmentBackend):
-            def _infer(self, pairs):
+            def _infer(self, pairs, table):
                 seen.append(list(pairs))
-                return super()._infer(pairs)
+                return super()._infer(pairs, table)
 
         # Descending length, with words that give every pair its own score.
         words = [f"w{j}" for j in range(10)]
@@ -144,9 +146,9 @@ class TestBackendPlumbing:
         seen = []
 
         class Recording(MockEntailmentBackend):
-            def _infer(self, pairs):
+            def _infer(self, pairs, table):
                 seen.append(list(pairs))
-                return super()._infer(pairs)
+                return super()._infer(pairs, table)
 
         pairs = [(f"p{i}", f"h{i}") for i in range(5)]
         Recording(batch_size=2).entail_batch(pairs)
@@ -164,17 +166,91 @@ class TestBackendPlumbing:
 
     def test_budget_enforced(self):
         backend = MockEntailmentBackend(budget=PremiseBudget(16))
-        assert not backend.exceeds_budget("aaaa", "bb")
-        assert backend.exceeds_budget("a" * 20, "bb")
+        assert len(backend.entail_batch([("a" * 14, "bb")])) == 1
         with pytest.raises(OversizedPremise, match="budget"):
             backend.entail_batch([("a" * 20, "bb")])
 
+    def test_oversized_pair_before_empty_pair_raises_oversized(self):
+        backend = MockEntailmentBackend(budget=PremiseBudget(16))
+        with pytest.raises(OversizedPremise) as info:
+            backend.entail_batch([("a" * 20, "bb"), ("", "bb")])
+        assert str(info.value) == "pair 0: premise+hypothesis measure 22 units, budget is 16"
+
+    def test_empty_pair_before_oversized_pair_raises_value_error(self):
+        backend = MockEntailmentBackend(budget=PremiseBudget(16))
+        with pytest.raises(ValueError) as info:
+            backend.entail_batch([("a", ""), ("a" * 20, "bb")])
+        assert str(info.value) == "pair 0: hypothesis must be non-empty"
+        with pytest.raises(ValueError) as info:
+            backend.entail_batch([("", "bb"), ("a" * 20, "bb")])
+        assert str(info.value) == "pair 0: premise must be non-empty"
+
     def test_no_budget_never_exceeds(self, mock_backend):
-        assert not mock_backend.exceeds_budget("a" * 10_000, "b" * 10_000)
+        assert len(mock_backend.entail_batch([("a" * 10_000, "b" * 10_000)])) == 1
 
     def test_budget_floor(self):
         with pytest.raises(ValueError):
             PremiseBudget(8)
+
+
+class CountingBackend(MockEntailmentBackend):
+    """The mock, counting ``measure`` calls per text."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.measured = Counter()
+
+    def measure(self, text):
+        self.measured[text] += 1
+        return super().measure(text)
+
+
+# Few distinct texts, so drawn pairs repeat premises and hypotheses.
+_TEXTS = st.sampled_from(
+    ["alpha beta", "not alpha", "beta gamma delta", "gamma", "it is not beta", "Alpha, gamma!"]
+)
+
+
+class TestTextTable:
+    """``entail_batch`` featurises and sizes each distinct text once per call."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(_TEXTS, _TEXTS), min_size=1, max_size=40))
+    def test_one_call_equals_per_pair_calls(self, pairs):
+        for batch_size in (1, 3, 32):
+            backend = MockEntailmentBackend(batch_size=batch_size, budget=PremiseBudget(64))
+            before = dict(vars(backend))
+            triples = backend.entail_batch(pairs)
+            # No table survives the call.
+            assert vars(backend) == before
+            assert triples == [backend.entail_batch([pair])[0] for pair in pairs]
+            assert [(t.entailment, t.neutral, t.contradiction) for t in triples] == [
+                oracles.mock_triple(p, h) for p, h in pairs
+            ]
+
+    def test_budget_guard_measures_each_distinct_text_once(self):
+        pairs = [("alpha beta", "gamma"), ("alpha beta", "delta"), ("gamma", "gamma")] * 3
+        backend = CountingBackend(batch_size=2, budget=PremiseBudget(64))
+        backend.entail_batch(pairs)
+        assert backend.measured == Counter({"alpha beta": 1, "gamma": 1, "delta": 1})
+
+    def test_no_budget_measures_nothing(self):
+        backend = CountingBackend()
+        backend.entail_batch([("alpha beta", "gamma")] * 3)
+        assert backend.measured == Counter()
+
+    def test_entry_is_dropped_after_its_last_pair(self):
+        pairs = [("a b", "h"), ("c d", "h"), ("a b", "x")]
+        table = TextTable(MockEntailmentBackend(), pairs)
+        assert table["a b"] == {"a", "b"} and table["h"] == {"h"}
+        table.release(pairs[:1])
+        assert set(table) == {"a b", "h"}
+        assert table["c d"] == {"c", "d"}
+        table.release(pairs[1:2])
+        assert set(table) == {"a b"}
+        assert table["x"] == {"x"}
+        table.release(pairs[2:])
+        assert table == {}
 
 
 class TestRemoteBackend:

@@ -550,9 +550,9 @@ class RecordingBackend(MockEntailmentBackend):
         super().__init__(**kwargs)
         self.batches = []
 
-    def _infer(self, pairs):
+    def _infer(self, pairs, table):
         self.batches.append(list(pairs))
-        return super()._infer(pairs)
+        return super()._infer(pairs, table)
 
 
 class TestBlocks:
@@ -630,11 +630,11 @@ class TestPairsInFlight:
         first = threading.local()
 
         class BarrierBackend(RecordingBackend):
-            def _infer(self, pairs):
+            def _infer(self, pairs, table):
                 if not getattr(first, "passed", False):
                     first.passed = True
                     barrier.wait()
-                return super()._infer(pairs)
+                return super()._infer(pairs, table)
 
         serial = Scorer(MockEntailmentBackend(batch_size=1))
         expected = list(score_corpus(items, serial, "full", workers=1))
@@ -664,12 +664,12 @@ class TestPairsInFlight:
             # With several workers, each worker's first window-wave batch
             # waits for the other's, so both blocks have checked the memo
             # before either window result is in it.
-            def _infer(self, pairs):
+            def _infer(self, pairs, table):
                 multi = any(premise.count(".") > 1 for premise, _ in pairs)
                 if workers > 1 and multi and not getattr(first, "passed", False):
                     first.passed = True
                     barrier.wait()
-                return super()._infer(pairs)
+                return super()._infer(pairs, table)
 
         params = ScoringParams(window_size=2, gate_threshold=0.9)
         serial = Scorer(MockEntailmentBackend(batch_size=1), params)

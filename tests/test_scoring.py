@@ -5,6 +5,7 @@ import logging
 import random
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -337,17 +338,23 @@ class TestBudgetChunking:
             "d", ["aaaa bbbb.", "cccc dddd.", "eeee ffff.", "gggg hhhh."]
         )
 
+    def room(self, backend, hypothesis):
+        # What the window stage passes: the budget less the hypothesis's size.
+        return backend.budget.max_units - backend.measure(hypothesis)
+
     def test_chunk_layout(self):
         backend = MockEntailmentBackend(budget=PremiseBudget(32))
         scorer = Scorer(backend, ScoringParams())
-        chunks = scorer._window_premises(self.chunked_doc(), 0, 4, self.hyp().text)
+        room = self.room(backend, self.hyp().text)
+        chunks = scorer._window_premises(self.chunked_doc(), 0, 4, room)
         assert [(start, length) for start, length, _ in chunks] == [(0, 2), (1, 2), (2, 2)]
         assert chunks[2][2] == "eeee ffff. gggg hhhh."
 
     def test_within_budget_is_single_premise(self):
         backend = MockEntailmentBackend(budget=PremiseBudget(200))
         scorer = Scorer(backend, ScoringParams())
-        chunks = scorer._window_premises(self.chunked_doc(), 0, 4, self.hyp().text)
+        room = self.room(backend, self.hyp().text)
+        chunks = scorer._window_premises(self.chunked_doc(), 0, 4, room)
         assert len(chunks) == 1 and chunks[0][1] == 4
 
     def test_oversized_single_sentence_raises(self):
@@ -355,7 +362,22 @@ class TestBudgetChunking:
         scorer = Scorer(backend, ScoringParams())
         doc = doc_from_sentences("d", ["this single sentence is far too long."])
         with pytest.raises(OversizedPremise, match="sentence 0"):
-            scorer._window_premises(doc, 0, 1, "hhhh.")
+            scorer._window_premises(doc, 0, 1, self.room(backend, "hhhh."))
+
+    def test_window_request_measures_its_hypothesis_once(self):
+        measured = Counter()
+
+        class Counting(MockEntailmentBackend):
+            def measure(self, text):
+                measured[text] += 1
+                return super().measure(text)
+
+        scorer = Scorer(Counting(budget=PremiseBudget(32)), ScoringParams())
+        candidates, _, _ = scorer._window_request(self.chunked_doc(), self.hyp(), 4)
+        assert [c[1:3] for c in candidates] == [(0, 1), (1, 2), (2, 3)]
+        assert measured[self.hyp().text] == 1
+        # The window and each trial chunk were measured against that one size.
+        assert sum(measured.values()) - 1 > len(candidates)
 
     def test_chunked_document_reports_window_granularity(self):
         backend = MockEntailmentBackend(budget=PremiseBudget(32))
@@ -498,13 +520,13 @@ class TestCountersAndMemo:
         class FailFirst(MockEntailmentBackend):
             calls = 0
 
-            def _infer(self, pairs):
+            def _infer(self, pairs, table):
                 FailFirst.calls += 1
                 if FailFirst.calls == 1:
                     entered.set()
                     time.sleep(0.2)
                     raise NliBackendError("backend went away")
-                return super()._infer(pairs)
+                return super()._infer(pairs, table)
 
         scorer = make_scorer(FailFirst())
         doc = doc_from_sentences("d", ["alpha beta.", "gamma delta."])
