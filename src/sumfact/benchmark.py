@@ -7,7 +7,9 @@ validation records (``single_threshold``), then evaluated as balanced
 accuracy on each test split. Bootstrap resampling of the test split gives a
 spread estimate. Scoring is the expensive part, so scores can be cached on
 disk keyed by a scorer-configuration fingerprint and the record id; tuning
-and evaluation never call back into the scorer.
+and evaluation never call back into the scorer. Tuning and evaluation need
+only a record's labels, so a run can hold light rows (:class:`BenchmarkRow`)
+and build each full :class:`BenchmarkRecord` only when it is scored.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .errors import DegenerateLabels, InputError, MissingSplit
 
 __all__ = [
     "BenchmarkRecord",
+    "BenchmarkRow",
     "Confusion",
     "ThresholdResult",
     "DatasetResult",
@@ -70,6 +73,19 @@ class BenchmarkRecord:
             )
 
 
+@dataclass(frozen=True, slots=True)
+class BenchmarkRow:
+    """A checked record's labels, and the byte offset of its line in the
+    records file, from which the full record is read again to be scored."""
+
+    record_id: str
+    gold_label: bool
+    system: str
+    dataset: str
+    split: str
+    offset: int
+
+
 @dataclass(frozen=True)
 class Confusion:
     tp: int
@@ -92,7 +108,7 @@ class ThresholdResult:
     confusion: Confusion
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecordScore:
     """Per-record audit row: raw score plus the applied binarization."""
 
@@ -250,9 +266,12 @@ def _bootstrap_std(
     return statistics.pstdev(values)
 
 
+Record = BenchmarkRecord | BenchmarkRow
+
+
 def run_benchmark(
-    records: Sequence[BenchmarkRecord],
-    score_records: Callable[[list[BenchmarkRecord]], Iterable[float]],
+    records: Sequence[Record],
+    score_records: Callable[[list[Record]], Iterable[float]],
     protocol: str,
     *,
     cache: "ScoreCache | None" = None,
@@ -261,8 +280,10 @@ def run_benchmark(
 ) -> BenchmarkReport:
     """Score, tune, and evaluate; deterministic given a deterministic scorer.
 
-    ``score_records`` gets the records the cache cannot answer, in input
-    order, and returns one score for each.
+    ``records`` are full records or light rows: only their labels are read
+    here. ``score_records`` gets the records the cache cannot answer, in
+    input order, and returns one score for each; the cache is saved when it
+    is done or fails.
     ``per_split`` tunes one threshold per dataset on its validation split;
     ``single_threshold`` tunes once on all validation records pooled.
     Datasets are processed in sorted name order. ``bootstrap_seed=None``
@@ -272,7 +293,7 @@ def run_benchmark(
         raise InputError(f"unknown protocol {protocol!r}")
     if not records:
         raise InputError("benchmark needs at least one record")
-    by_dataset: dict[str, dict[str, list[BenchmarkRecord]]] = {}
+    by_dataset: dict[str, dict[str, list[Record]]] = {}
     for record in records:
         by_dataset.setdefault(record.dataset, {"validation": [], "test": []})[
             record.split
@@ -345,12 +366,12 @@ def run_benchmark(
 
 
 def _score_records(
-    records: Sequence[BenchmarkRecord],
-    score_records: Callable[[list[BenchmarkRecord]], Iterable[float]],
+    records: Sequence[Record],
+    score_records: Callable[[list[Record]], Iterable[float]],
     cache: "ScoreCache | None",
 ) -> dict[str, float]:
     scores: dict[str, float] = {}
-    pending: list[BenchmarkRecord] = []
+    pending: list[Record] = []
     seen: set[str] = set()
     for record in records:
         if record.record_id in seen:
@@ -424,6 +445,6 @@ class ScoreCache:
         os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
         tmp = self.path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(self._scores, fh, sort_keys=True)
+            fh.write(json.dumps(self._scores, sort_keys=True))
         os.replace(tmp, self.path)
         self._dirty = False

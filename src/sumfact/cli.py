@@ -26,6 +26,10 @@ from .scoring import Scorer
 
 _LOG_FORMAT = "%(message)s"
 
+# ``benchmark --cache-dir`` saves the score cache after every this many
+# scored blocks, as well as when scoring ends or fails.
+CHECKPOINT_BLOCKS = 16
+
 
 def _setup_logging(level: str) -> None:
     root = logging.getLogger("sumfact")
@@ -100,7 +104,8 @@ _SCORING_FLAGS = [
     click.option("--coref-backend", default=None, help="none | heuristic"),
     click.option("--monotone-gate/--no-monotone-gate", default=None,
                  help="Below the gate, keep the better of coref and multi scores."),
-    click.option("--workers", type=int, default=None, help="Concurrent scoring workers."),
+    click.option("--workers", type=int, default=None,
+                 help="Claim extractions, and backend batches, in flight at once."),
     click.option("--log-level", default=None,
                  help="error | warning | info | debug (debug emits JSON call logs)."),
 ]
@@ -140,7 +145,7 @@ def score(documents, summaries, output, run_meta, config_path, **flags) -> None:
     coref_backend = pipeline.make_coref_backend(config)
     pairs = pipeline.pair_summaries(docs, sums)
     items = pipeline.build_units(pairs, extractor, coref_backend, "full", workers=config.workers)
-    reports = pipeline.score_corpus(items, scorer, "full", config.workers)
+    reports = pipeline.score_corpus(items, scorer, "full")
     _write_lines(output, map(formats.render_report, reports))
     _write_run_meta(
         run_meta,
@@ -152,6 +157,7 @@ def score(documents, summaries, output, run_meta, config_path, **flags) -> None:
             "claims_fallback_count": sum(fallback for _, _, fallback in items),
             "coref_truncated_documents": _truncated_docs(pairs, config),
             "backend_calls": scorer.backend_calls,
+            "pairs_requested": scorer.pairs_requested,
             "summaries": len(items),
         },
     )
@@ -247,15 +253,26 @@ def benchmark(records, output, scores_csv, run_meta, config_path, **flags) -> No
     fallbacks = 0
 
     def score_records(pending):
+        # Only the records the cache cannot answer are read again, and
+        # resolved and scored a block of ``nli_batch_size`` at a time.
         nonlocal fallbacks
-        pairs = [(r.document, r.summary) for r in pending]
-        items = pipeline.build_units(
-            pairs, extractor, coref_backend, config.mode, missing_ok=True, workers=config.workers
+        pairs = ((r.document, r.summary) for r in formats.read_benchmark_records(records, pending))
+        items = pipeline.stream_units(
+            pairs,
+            extractor,
+            coref_backend,
+            config.mode,
+            block=config.nli_batch_size,
+            missing_ok=True,
+            workers=config.workers,
         )
-        # Keep each report's score and fallback flag only, not every report at once.
-        for report in pipeline.score_corpus(items, scorer, config.mode, config.workers):
+        checkpoint = CHECKPOINT_BLOCKS * config.nli_batch_size
+        for n, report in enumerate(pipeline.score_corpus(items, scorer, config.mode), start=1):
             fallbacks += report.claims_fallback
             yield report.score
+            # Every score yielded so far is in the cache now.
+            if cache is not None and n % checkpoint == 0:
+                cache.save()
 
     report = bench.run_benchmark(
         rows,
@@ -280,6 +297,7 @@ def benchmark(records, output, scores_csv, run_meta, config_path, **flags) -> No
             "coref_backend": coref_backend.describe(),
             "claims_fallback_count": fallbacks,
             "backend_calls": scorer.backend_calls,
+            "pairs_requested": scorer.pairs_requested,
             "records": len(rows),
             "cache": cache.path if cache else None,
         },

@@ -24,6 +24,7 @@ __all__ = [
     "Claim",
     "RuleSegmenter",
     "segment",
+    "whole_text",
     "build_claims",
     "normalize_claim_text",
 ]
@@ -211,8 +212,7 @@ class RuleSegmenter:
         self._abbrev = frozenset(a.lower() for a in abbreviations)
 
     def segment(self, text: str) -> list[Sentence]:
-        if not text.strip():
-            raise EmptyDocument("cannot segment empty or whitespace-only text")
+        _require_text(text)
         spans: list[tuple[int, int]] = []
         n = len(text)
         sent_start = 0
@@ -246,6 +246,11 @@ class RuleSegmenter:
         return text[start:dot].strip("\"'([{").lower()
 
 
+def _require_text(text: str) -> None:
+    if not text.strip():
+        raise EmptyDocument("cannot segment empty or whitespace-only text")
+
+
 _DEFAULT_SEGMENTER = RuleSegmenter()
 
 # Runs of alphanumeric characters (unicode-aware, underscore excluded). Shared
@@ -256,3 +261,15 @@ WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
 def segment(text: str) -> list[Sentence]:
     """Split ``text`` into sentences with the default rule segmenter."""
     return _DEFAULT_SEGMENTER.segment(text)
+
+
+def whole_text(text: str) -> list[Sentence]:
+    """``text`` less its surrounding whitespace, as one sentence.
+
+    Checks what :func:`segment` checks without segmenting: segmenting fails
+    only on blank text, and this raises the same error there.
+    """
+    _require_text(text)
+    start = len(text) - len(text.lstrip())
+    end = len(text.rstrip())
+    return [Sentence(0, start, end, text[start:end])]

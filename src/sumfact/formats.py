@@ -10,7 +10,9 @@ Input formats
   claim sets        JSONL {"summary_id", "claims": [...]}.
   benchmark.jsonl   {"record_id","document","summary","gold_label","system",
                     "dataset","split"} with document/summary either inline
-                    objects or raw strings.
+                    objects or raw strings. Read in two passes: the first
+                    checks every record and keeps a light row of each, the
+                    second reads the full records to score at their offsets.
 
 Report JSON renders every float with exactly 6 decimal places via a custom
 emitter, making outputs byte-stable across runs and platforms.
@@ -20,9 +22,10 @@ from __future__ import annotations
 
 import csv
 import json
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+import sys
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .benchmark import BenchmarkRecord, BenchmarkReport, RecordScore
+from .benchmark import BenchmarkRecord, BenchmarkReport, BenchmarkRow, RecordScore
 from .documents import (
     CorefCluster,
     Document,
@@ -30,6 +33,7 @@ from .documents import (
     Sentence,
     Summary,
     segment,
+    whole_text,
 )
 from .errors import InputError, SumfactError
 from .scoring import AlignedSpan, ClaimVerdict, FactualityReport
@@ -42,6 +46,7 @@ __all__ = [
     "write_claim_cache",
     "load_claim_sets",
     "load_benchmark_records",
+    "read_benchmark_records",
     "dumps_fixed",
     "report_to_dict",
     "render_report",
@@ -50,23 +55,58 @@ __all__ = [
 ]
 
 
-def read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
-    """Yield (line_number, record) for every non-blank line."""
+def _open(path: str) -> IO[bytes]:
     try:
-        fh = open(path, "r", encoding="utf-8")
+        return open(path, "rb")
     except OSError as exc:
         raise InputError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        for line_number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError as exc:
-                raise InputError(f"{path}:{line_number}: invalid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise InputError(f"{path}:{line_number}: expected a JSON object")
-            yield line_number, record
+
+
+def _lines(fh: IO[bytes]) -> Iterator[tuple[int, bytes]]:
+    """(byte offset, line) for each line from the position of ``fh`` on.
+
+    Lines split and end as in text mode: at "\\n", "\\r\\n" or a lone "\\r",
+    each ending read as "\\n".
+    """
+    offset = fh.tell()
+    for chunk in fh:
+        if b"\r" not in chunk:
+            yield offset, chunk
+            offset += len(chunk)
+            continue
+        for line in chunk.splitlines(keepends=True):
+            body = line.rstrip(b"\r\n")
+            yield offset, body + b"\n" if len(body) < len(line) else body
+            offset += len(line)
+
+
+def _parse_line(path: str, line_number: int, line: bytes) -> dict | None:
+    """The JSON object on one line; ``None`` for a blank line."""
+    try:
+        text = line.decode("utf-8")
+        if not text.strip():
+            return None
+        record = json.loads(text)
+    except ValueError as exc:
+        raise InputError(f"{path}:{line_number}: invalid JSON: {exc}") from exc
+    if not isinstance(record, dict):
+        raise InputError(f"{path}:{line_number}: expected a JSON object")
+    return record
+
+
+def _read_jsonl(path: str) -> Iterator[tuple[int, int, dict]]:
+    """Yield (line_number, byte offset, record) for every non-blank line."""
+    with _open(path) as fh:
+        for line_number, (offset, line) in enumerate(_lines(fh), start=1):
+            record = _parse_line(path, line_number, line)
+            if record is not None:
+                yield line_number, offset, record
+
+
+def read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
+    """Yield (line_number, record) for every non-blank line."""
+    for line_number, _, record in _read_jsonl(path):
+        yield line_number, record
 
 
 def _require_str(record: Mapping, key: str, where: str) -> str:
@@ -131,14 +171,18 @@ def _clusters_from_record(
     return tuple(clusters)
 
 
-def _document_from_record(record: Mapping, where: str) -> Document:
+# How a text without precomputed sentence spans is cut into sentences.
+Splitter = Callable[[str], list[Sentence]]
+
+
+def _document_from_record(record: Mapping, where: str, split: Splitter = segment) -> Document:
     doc_id = _require_str(record, "id", where)
     text = _require_str(record, "text", where)
     try:
         if "sentences" in record:
             sentences = _sentences_from_spans(text, record["sentences"], where)
         else:
-            sentences = tuple(segment(text))
+            sentences = tuple(split(text))
         clusters: tuple[CorefCluster, ...] = ()
         if "coref_clusters" in record:
             clusters = _clusters_from_record(sentences, record["coref_clusters"], where)
@@ -238,43 +282,89 @@ def _gold_label(value: object, where: str) -> bool:
     raise InputError(f"{where}: gold_label must be factual/not_factual, got {value!r}")
 
 
-def load_benchmark_records(path: str) -> list[BenchmarkRecord]:
-    records = []
-    for line_number, record in read_jsonl(path):
-        where = f"{path}:{line_number}"
-        record_id = _require_str(record, "record_id", where)
-        raw_doc = record.get("document")
-        if isinstance(raw_doc, str):
-            raw_doc = {"id": f"{record_id}:doc", "text": raw_doc}
-        if not isinstance(raw_doc, dict):
-            raise InputError(f"{where}: 'document' must be an object or a string")
-        document = _document_from_record(raw_doc, where)
-        raw_summary = record.get("summary")
-        if isinstance(raw_summary, str):
-            raw_summary = {"text": raw_summary}
-        if not isinstance(raw_summary, dict):
-            raise InputError(f"{where}: 'summary' must be an object or a string")
-        summary_id = raw_summary.get("id") or f"{record_id}:summary"
-        try:
-            summary = Summary.from_text(
-                str(summary_id),
-                str(raw_summary.get("document_id") or document.id),
-                _require_str(raw_summary, "text", where),
-            )
-        except (ValueError, SumfactError) as exc:
-            raise InputError(f"{where}: {exc}") from exc
-        records.append(
-            BenchmarkRecord(
-                record_id=record_id,
-                document=document,
-                summary=summary,
-                gold_label=_gold_label(record.get("gold_label"), where),
-                system=str(record.get("system", "unknown")),
-                dataset=str(record.get("dataset", "default")),
-                split=str(record.get("split", "")),
+def _benchmark_record(record: Mapping, where: str, split: Splitter = segment) -> BenchmarkRecord:
+    record_id = _require_str(record, "record_id", where)
+    raw_doc = record.get("document")
+    if isinstance(raw_doc, str):
+        raw_doc = {"id": f"{record_id}:doc", "text": raw_doc}
+    if not isinstance(raw_doc, dict):
+        raise InputError(f"{where}: 'document' must be an object or a string")
+    # Clusters are checked against the sentences they point into.
+    document = _document_from_record(
+        raw_doc, where, segment if "coref_clusters" in raw_doc else split
+    )
+    raw_summary = record.get("summary")
+    if isinstance(raw_summary, str):
+        raw_summary = {"text": raw_summary}
+    if not isinstance(raw_summary, dict):
+        raise InputError(f"{where}: 'summary' must be an object or a string")
+    summary_id = raw_summary.get("id") or f"{record_id}:summary"
+    try:
+        text = _require_str(raw_summary, "text", where)
+        summary = Summary(
+            str(summary_id),
+            str(raw_summary.get("document_id") or document.id),
+            text,
+            tuple(split(text)),
+        )
+    except (ValueError, SumfactError) as exc:
+        raise InputError(f"{where}: {exc}") from exc
+    return BenchmarkRecord(
+        record_id=record_id,
+        document=document,
+        summary=summary,
+        gold_label=_gold_label(record.get("gold_label"), where),
+        system=str(record.get("system", "unknown")),
+        dataset=str(record.get("dataset", "default")),
+        split=str(record.get("split", "")),
+    )
+
+
+def load_benchmark_records(path: str) -> list[BenchmarkRow]:
+    """Check every record of a benchmark file, in line order; a row of each.
+
+    Every check that building the full record makes runs here, with the
+    same message, but texts are not segmented: segmenting fails only on
+    blank text, which is checked instead. Rows hold the labels and each
+    line's byte offset, for :func:`read_benchmark_records`.
+    """
+    rows = []
+    for line_number, offset, record in _read_jsonl(path):
+        checked = _benchmark_record(record, f"{path}:{line_number}", whole_text)
+        rows.append(
+            BenchmarkRow(
+                checked.record_id,
+                checked.gold_label,
+                sys.intern(checked.system),
+                sys.intern(checked.dataset),
+                sys.intern(checked.split),
+                offset,
             )
         )
-    return records
+    return rows
+
+
+def read_benchmark_records(path: str, rows: Iterable[BenchmarkRow]) -> Iterator[BenchmarkRecord]:
+    """The full record of each row, read again at the row's offset, lazily.
+
+    The file must not change between the two passes: a line that no longer
+    holds a valid record with the row's id raises :class:`InputError`.
+    """
+    with _open(path) as fh:
+        for row in rows:
+            fh.seek(row.offset)
+            _, line = next(_lines(fh), (0, b""))
+            try:
+                record = _parse_line(path, 0, line)
+                full = None if record is None else _benchmark_record(record, path)
+            except SumfactError:
+                full = None
+            if full is None or full.record_id != row.record_id:
+                raise InputError(
+                    f"{path} changed during the run: record '{row.record_id}' "
+                    f"is no longer at byte {row.offset}"
+                )
+            yield full
 
 
 # -- fixed-decimal JSON rendering -------------------------------------------

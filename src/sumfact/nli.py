@@ -12,15 +12,18 @@ local transformers sequence-classification checkpoint.
 ``EntailmentBackend.entail_batch`` checks every pair in one pass and builds a
 :class:`TextTable` of the call's distinct texts, so the budget guard sizes
 each distinct text once. A backend's ``_infer(pairs, table)`` runs once per
-length-sorted batch of at most ``batch_size`` pairs; it may read per-text
-features from the table, computed once per call, and must not retain the
-table, which lives only for that one call.
+length-sorted batch of at most ``batch_size`` pairs, with up to ``workers``
+batches in flight at once; it may read per-text features from the table,
+computed once per call, and must not retain the table, which lives only for
+that one call. ``submit`` starts a call without waiting for it, so a caller
+can have the next call's batches in flight while it reads this one's.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -34,6 +37,7 @@ __all__ = [
     "EntailmentTriple",
     "PremiseBudget",
     "TextTable",
+    "Inference",
     "EntailmentBackend",
     "MockEntailmentBackend",
     "RemoteEntailmentBackend",
@@ -95,11 +99,14 @@ class TextTable(dict):
     Built in one pass over the call's pairs, which checks them in input
     order: a premise or hypothesis must be non-empty, and with a budget the
     pair must fit it, each distinct text measured once. Looking a text up
-    gives its features (the backend's ``_featurise``), computed on first use.
-    :meth:`release` after each batch drops every text whose last pair has
-    been inferred, so only texts of pairs still to come keep their features.
-    The table lives on the stack of its one call and is never kept on the
-    backend.
+    gives its features (the backend's ``_featurise``), computed on first use;
+    batches running at once on the pool may look texts up together, and a
+    text two of them featurise together is featurised twice, to equal
+    values. :meth:`release` after each batch drops every text whose last pair
+    has been inferred, so only texts of pairs still to come keep their
+    features; only the thread that reads the results releases, and never a
+    text of a batch still running. The table lives with its one call (its
+    :class:`Inference`) and is never kept on the backend.
     """
 
     __slots__ = ("_featurise", "_uses")
@@ -147,22 +154,80 @@ class TextTable(dict):
                     self.pop(text, None)
 
 
+class Inference:
+    """The triples of one :meth:`EntailmentBackend.submit` call.
+
+    Every pair is checked on construction; the first offending pair in
+    input order raises. The pairs are then stable-sorted by character length
+    (premise plus hypothesis) and cut into batches of ``batch_size``, so each
+    batch holds pairs of similar length and a model pads little. With one
+    worker the batches run in :meth:`result`, one after another; otherwise
+    they go to the backend's pool on construction. :meth:`result` gathers them in
+    batch order, so a failure raises that of the first failing batch, and
+    cancels the batches not yet started, as :meth:`cancel` does.
+    """
+
+    def __init__(self, backend: EntailmentBackend, pairs: Sequence[Pair]):
+        self._size = len(pairs)
+        self._table = TextTable(backend, pairs)
+        order = sorted(range(len(pairs)), key=lambda i: len(pairs[i][0]) + len(pairs[i][1]))
+        size = backend.batch_size
+        self._chunks = [order[lo : lo + size] for lo in range(0, len(order), size)]
+        self._batches = [[pairs[i] for i in chunk] for chunk in self._chunks]
+        self._infer = backend._infer
+        self._futures = None
+        if backend.workers > 1:
+            pool = backend._pool()
+            self._futures = [pool.submit(self._infer, b, self._table) for b in self._batches]
+
+    def result(self) -> list[EntailmentTriple]:
+        """The triples, in input order; waits for every batch."""
+        if self._futures is None:
+            results = (self._infer(batch, self._table) for batch in self._batches)
+        else:
+            results = (future.result() for future in self._futures)
+        out: list[EntailmentTriple | None] = [None] * self._size
+        try:
+            for chunk, batch, triples in zip(self._chunks, self._batches, results):
+                for i, triple in zip(chunk, triples):
+                    out[i] = triple
+                self._table.release(batch)
+        except BaseException:
+            self.cancel()
+            raise
+        return out  # type: ignore[return-value]
+
+    def cancel(self) -> None:
+        """Drop the batches not yet started; those running finish unread."""
+        for future in self._futures or ():
+            future.cancel()
+
+
 class EntailmentBackend:
     """Shared plumbing: input validation, budget checks, batch chunking.
 
     Subclasses implement :meth:`_infer`, called once per batch of at most
     ``batch_size`` pairs with the call's :class:`TextTable`; it may read
     per-text features from the table (see :meth:`_featurise`) and must not
-    retain it. Results must not depend on how callers batch their pairs.
+    retain it. With ``workers`` above 1, batches run on a pool of that many
+    threads, shared by every call, so ``_infer`` must be safe to run
+    concurrently. Results must not depend on how callers batch their pairs
+    or on ``workers``.
     """
 
     budget: PremiseBudget | None = None
+    _executor: ThreadPoolExecutor | None = None
 
-    def __init__(self, *, batch_size: int = 32, budget: PremiseBudget | None = None):
+    def __init__(
+        self, *, batch_size: int = 32, budget: PremiseBudget | None = None, workers: int = 1
+    ):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
         self.batch_size = batch_size
         self.budget = budget
+        self.workers = workers
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -172,24 +237,21 @@ class EntailmentBackend:
         return len(text)
 
     def entail_batch(self, pairs: Sequence[Pair]) -> list[EntailmentTriple]:
-        """Triples for ``pairs``, in input order.
+        """Triples for ``pairs``, in input order (see :class:`Inference`)."""
+        return self.submit(pairs).result()
 
-        Every pair is checked before any is inferred; the first offending
-        pair in input order raises. The pairs are then stable-sorted by
-        character length (premise plus hypothesis) and cut into batches of
-        ``batch_size``, so each batch holds pairs of similar length and a
-        model pads little.
+    def submit(self, pairs: Sequence[Pair]) -> Inference:
+        """Check ``pairs`` and start inferring them; the result is read later.
+
+        Calls in flight together share the pool, so at most ``workers``
+        batches run at once however many calls there are.
         """
-        table = TextTable(self, pairs)
-        order = sorted(range(len(pairs)), key=lambda i: len(pairs[i][0]) + len(pairs[i][1]))
-        out: list[EntailmentTriple | None] = [None] * len(pairs)
-        for lo in range(0, len(order), self.batch_size):
-            chunk = order[lo : lo + self.batch_size]
-            batch = [pairs[i] for i in chunk]
-            for i, triple in zip(chunk, self._infer(batch, table)):
-                out[i] = triple
-            table.release(batch)
-        return out  # type: ignore[return-value]
+        return Inference(self, pairs)
+
+    def _pool(self) -> ThreadPoolExecutor:
+        if self._executor is None:
+            self._executor = ThreadPoolExecutor(max_workers=self.workers)
+        return self._executor
 
     def _featurise(self, text: str):
         """What :meth:`_infer` finds for ``text`` in the table. Default: the text."""
@@ -245,11 +307,12 @@ class RemoteEntailmentBackend(EntailmentBackend):
         timeout: float = 30.0,
         batch_size: int = 32,
         budget: PremiseBudget | None = None,
+        workers: int = 1,
         session: requests.Session | None = None,
     ):
         import requests
 
-        super().__init__(batch_size=batch_size, budget=budget)
+        super().__init__(batch_size=batch_size, budget=budget, workers=workers)
         self.url = url
         self.timeout = timeout
         self._session = session or requests.Session()
@@ -311,10 +374,11 @@ class LocalEntailmentBackend(EntailmentBackend):
         device: str = "cpu",
         batch_size: int = 16,
         max_units: int | None = None,
+        workers: int = 1,
         model=None,
         tokenizer=None,
     ):
-        super().__init__(batch_size=batch_size)
+        super().__init__(batch_size=batch_size, workers=workers)
         self.checkpoint = checkpoint
         if model is None or tokenizer is None:
             try:

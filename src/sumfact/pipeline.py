@@ -3,19 +3,17 @@
 This layer owns the policies that span modules: the empty-claims fallback
 (summary sentences become the claims, flagged on the report), degradation to
 empty clusters when the coreference backend fails, the one table of what
-each mode scores and where it stops the scoring pipeline, and the fan-out of
-blocks of independent (document, summary) pairs across a thread pool. The
-CLI calls into here (``build_units`` then ``score_corpus``) and does no
-scoring itself.
+each mode scores and where it stops the scoring pipeline, and the cut of a
+corpus into scoring blocks. The CLI calls into here (``build_units`` then
+``score_corpus``) and does no scoring itself.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import logging
-from contextlib import closing
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 from . import formats
 from .benchmark import config_fingerprint
@@ -48,6 +46,7 @@ __all__ = [
     "pair_summaries",
     "attach_clusters",
     "build_units",
+    "stream_units",
     "score_corpus",
     "scorer_fingerprint",
 ]
@@ -66,20 +65,17 @@ def make_nli_backend(config: RunConfig) -> EntailmentBackend:
         budget = PremiseBudget(config.nli_max_units) if config.nli_max_units else None
     except ValueError as exc:
         raise InputError(f"nli_max_units: {exc}") from exc
+    batching = {"batch_size": config.nli_batch_size, "workers": config.workers}
     if kind == "mock":
-        return MockEntailmentBackend(batch_size=config.nli_batch_size, budget=budget)
+        return MockEntailmentBackend(budget=budget, **batching)
     if kind == "remote":
         if not rest:
             raise InputError("nli_backend 'remote:' needs a URL")
-        return RemoteEntailmentBackend(
-            rest, batch_size=config.nli_batch_size, budget=budget
-        )
+        return RemoteEntailmentBackend(rest, budget=budget, **batching)
     if kind == "local":
         if not rest:
             raise InputError("nli_backend 'local:' needs a checkpoint name or path")
-        return LocalEntailmentBackend(
-            rest, batch_size=config.nli_batch_size, max_units=config.nli_max_units
-        )
+        return LocalEntailmentBackend(rest, max_units=config.nli_max_units, **batching)
     raise InputError(f"unknown nli_backend {config.nli_backend!r}")
 
 
@@ -275,21 +271,46 @@ def build_units(
     ]
 
 
-def score_corpus(
-    items: Iterable[Item], scorer: Scorer, mode: str, workers: int = 1
-) -> Iterator[FactualityReport]:
+def stream_units(
+    pairs: Iterable[tuple[Document, Summary]],
+    extractor: ClaimExtractor | None,
+    coref_backend: CorefBackend,
+    mode: str,
+    *,
+    block: int,
+    missing_ok: bool = False,
+    workers: int = 1,
+) -> Iterator[Item]:
+    """:func:`build_units` over ``block`` pairs at a time, taken as items are.
+
+    Only a block of pairs is held at once, so coref runs once per distinct
+    document within a block, and an extractor failure surfaces when its
+    block is reached.
+    """
+    for chunk in _blocks(pairs, block):
+        yield from build_units(
+            chunk, extractor, coref_backend, mode, missing_ok=missing_ok, workers=workers
+        )
+
+
+T = TypeVar("T")
+
+
+def _blocks(items: Iterable[T], size: int) -> Iterator[list[T]]:
+    """Consecutive runs of ``size`` items, the last one shorter; taken lazily."""
+    items = iter(items)
+    return iter(lambda: list(islice(items, size)), [])
+
+
+def score_corpus(items: Iterable[Item], scorer: Scorer, mode: str) -> Iterator[FactualityReport]:
     """Yield one report per item, stopping the pipeline where ``mode`` does.
 
     Consecutive items are scored in blocks of ``scorer.backend.batch_size``
     items, each stage one wave of backend pairs over the whole block, so
-    batches fill across summaries. Blocks are independent and run on
-    ``workers`` threads, at most ``2 * workers`` blocks ahead of the
-    consumer. Reports do not depend on the block size or on ``workers``.
+    batches fill across summaries (:meth:`Scorer.score_blocks`). Items are
+    taken a block at a time, the next block while this one's last wave is
+    in flight. Reports do not depend on the block size.
     """
     _, stop = _mode(mode)
-    items = iter(items)
-    blocks = iter(lambda: list(islice(items, scorer.backend.batch_size)), [])
-    scored = ordered_map(lambda block: scorer.score_summaries(block, stop=stop), blocks, workers)
-    with closing(scored):
-        for reports in scored:
-            yield from reports
+    for reports in scorer.score_blocks(_blocks(items, scorer.backend.batch_size), stop=stop):
+        yield from reports

@@ -11,18 +11,23 @@ summary's score is the arithmetic mean over its claim verdicts. The ablations
 are early stops of this one pipeline: after the sentence stage or after the
 coref stage.
 
-``Scorer.score_summaries`` is the one entry point. It runs the stages as
-waves over a block of summaries: every claim's sentence candidates go to the
-backend together, then the coref candidates of all the claims, then the
-window and document candidates of every gate miss. One selection rule,
-``Scorer._best``, serves every wave. Blocks change how pairs are batched,
-never a score or a span.
+``Scorer.score_blocks`` is the one entry point (``score_summaries`` scores
+a single block). It runs the stages as waves over each block of summaries:
+every claim's sentence candidates go to the backend together, then the coref
+candidates of all the claims, then the window and document candidates of
+every gate miss. One selection rule serves every wave. Blocks change how
+pairs are batched, never a score or a span. One thread scores; the backend
+keeps batches in flight, and the next block's first wave is sent while the
+block before has its last wave in flight.
 
-The engine memoizes backend scores within a run, keyed by a digest of each
-(premise, hypothesis) pair, so the memo keeps no premise text alive once its
-wave is scored. It counts actual backend pairs per stage, so the gating
-short-circuit (no window/document calls when the gate passes) is observable
-from counters and from debug logs.
+The engine memoizes backend scores, keyed by a digest of each (premise,
+hypothesis) pair, so the memo keeps no premise text alive once its wave is
+scored. It keeps only the pairs used in the last ``MEMO_BLOCKS`` blocks, so
+its size does not grow with the corpus; a pair seen again further apart is
+sent again, and scores the same. It counts the pairs requested and the pairs
+actually sent to the backend per stage, so the gating short-circuit (no
+window/document calls when the gate passes) is observable from counters and
+from debug logs.
 """
 
 from __future__ import annotations
@@ -30,14 +35,13 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import threading
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Generator, Iterable, Iterator, Literal, Sequence
 
 from .documents import Claim, CorefCluster, Document, Mention
 from .errors import OversizedPremise
-from .nli import EntailmentBackend
+from .nli import EntailmentBackend, Inference
 
 __all__ = [
     "Granularity",
@@ -60,11 +64,40 @@ Stop = Literal["sentence", "coref"]
 
 STAGES = ("sentence", "coref", "window", "document")
 
+# The memo keeps the scores of the pairs used in this many of the latest
+# blocks (of ``Scorer.score_blocks``, counted by ordinal), the current one
+# included: a pair used again within ``MEMO_BLOCKS - 1`` blocks
+# is not sent again.
+MEMO_BLOCKS = 2
+
 Pair = tuple[str, str]
 # A memo key: the 16-byte digest of the premise, then that of the hypothesis.
 Key = bytes
 # One stage's candidate premises for one claim, and the stage to count them under.
 Request = tuple[Sequence[tuple], Claim, str]
+# One summary to score: ``(document, claims, claims_fallback)``.
+Item = tuple[Document, Sequence[Claim], bool]
+
+
+@dataclass(eq=False)
+class Wave:
+    """One stage's requests over a block, sent and not yet read.
+
+    ``keys`` holds each request's pair keys; ``known`` their scores, found
+    in the memo when sent, filled in once read for the pairs sent and for
+    those an earlier wave had in flight; ``missing`` each sent pair by key,
+    with the index of its first request; ``memo`` the memo of its block;
+    ``borrowers`` the ``(key, known, memo)`` of each pair sent here that a
+    later wave asked for too, to hand its score on to.
+    """
+
+    requests: Sequence[Request]
+    keys: list[list[Key]]
+    known: dict[Key, float]
+    missing: dict[Key, tuple[int, Pair]]
+    inference: Inference | None
+    memo: dict[Key, float]
+    borrowers: list[tuple[Key, dict[Key, float], dict[Key, float]]]
 
 
 @dataclass(frozen=True)
@@ -156,6 +189,15 @@ class FactualityReport:
     params: ScoringParams
 
 
+def _finish(block: Generator[bool, None, list[FactualityReport]]) -> list[FactualityReport]:
+    """Resume a block paused at its last wave: its reports."""
+    try:
+        block.send(None)
+    except StopIteration as done:
+        return done.value
+    raise RuntimeError("a block sent a wave after its last")
+
+
 def coref_variants(
     doc: Document, sentence_index: int, params: ScoringParams
 ) -> list[tuple[str, Substitution]]:
@@ -195,45 +237,47 @@ def coref_variants(
 class Scorer:
     """Stateful engine: one backend, one parameter set, one memo cache.
 
-    :meth:`score_summaries` scores a block of summaries in waves, each wave
-    one call of :meth:`_best` over the pending claims of the whole block:
-    first every claim's sentence candidates, then the coref candidates of
-    the claims whose anchor has variants, then the window and document
+    :meth:`score_blocks` scores each block of summaries in waves, each wave
+    one backend call over the pending claims of the whole block: first
+    every claim's sentence candidates, then the coref candidates of the
+    claims whose anchor has variants, then the window and document
     candidates of the claims that missed the gate. ``stop="sentence"`` ends
     the block after the first wave and ``stop="coref"`` after the second.
-    It is the one public scoring method; a single summary is a block of one.
+    :meth:`score_summaries` scores a single block; a single summary is a
+    block of one.
 
-    ``backend_calls`` counts premise/hypothesis pairs actually sent to the
-    backend, per stage; a pair is counted under the stage of the first
-    request of its wave that holds it, and memo hits are free and
-    uncounted. Safe to share across threads: the memo and counters are
-    lock-guarded, and a pair that one thread has in flight is awaited by
-    the others rather than sent again.
+    ``pairs_requested`` counts the premise/hypothesis pairs of every
+    request, per stage, and ``backend_calls`` the pairs actually sent to the
+    backend; a pair is sent under the stage of the first request of its wave
+    that holds it, and memo hits are free. The memo keeps the scores of the
+    pairs used in the last ``MEMO_BLOCKS`` blocks. A scorer is used from one
+    thread; the backend keeps its own batches in flight.
     """
 
     def __init__(self, backend: EntailmentBackend, params: ScoringParams | None = None):
         self.backend = backend
         self.params = params or ScoringParams()
-        self._memo: dict[Key, float] = {}
-        self._in_flight: dict[Key, threading.Event] = {}
-        self._lock = threading.Lock()
+        # One dict per block, latest last: the scores of the pairs that block used.
+        self._memo: deque[dict[Key, float]] = deque([{}], maxlen=MEMO_BLOCKS)
+        # Waves sent and not yet read, oldest first: at most the last wave of
+        # the block before, once the next block has sent its first.
+        self._in_flight: list[Wave] = []
+        self.pairs_requested: dict[str, int] = {stage: 0 for stage in STAGES}
         self.backend_calls: dict[str, int] = {stage: 0 for stage in STAGES}
 
     # -- the selection rule ---------------------------------------------------
 
-    def _best(self, requests: Sequence[Request]) -> list[tuple[float, AlignedSpan]]:
-        """The one selection rule of every stage, over many requests at once.
+    def _request(self, requests: Sequence[Request]) -> Wave:
+        """Look a wave's pairs up and send the missing ones, without waiting.
 
         A request is ``(candidates, claim, stage)``; each candidate is a
-        tuple of :class:`AlignedSpan` fields (premise text fourth). For each
-        request, the result is the best score over its candidates and the
-        first candidate attaining it, built as the span.
-
-        The memo misses of all requests go to the backend as one batch, in
+        tuple of :class:`AlignedSpan` fields (premise text fourth). The memo
+        misses of all requests go to the backend as one call, in
         request order and without duplicates, so the backend fills its
-        batches across claims. Pairs another thread has in flight are
-        awaited instead of sent. Each distinct text is hashed once per call,
-        and only the texts of the pairs sent are kept until they are scored.
+        batches across claims; a pair that an earlier wave still has in
+        flight is not sent again. A pair an earlier block used moves into
+        this block's memo. Each distinct text is hashed once per wave, and
+        only the texts of the pairs sent are kept until they are scored.
         """
         texts = {c[3] for candidates, _, _ in requests for c in candidates}
         texts.update(claim.text for _, claim, _ in requests)
@@ -241,69 +285,72 @@ class Scorer:
             text: hashlib.blake2b(text.encode("utf-8", "surrogatepass"), digest_size=16).digest()
             for text in texts
         }
+        memo = self._memo[-1]
+        earlier = list(self._memo)[:-1]
+        sending = {key: wave for wave in self._in_flight for key in wave.missing}
         keys = []
-        for candidates, claim, _ in requests:
+        known: dict[Key, float] = {}
+        missing: dict[Key, tuple[int, Pair]] = {}
+        borrowed: set[Key] = set()
+        for i, (candidates, claim, stage) in enumerate(requests):
             hypothesis = digest[claim.text]
-            keys.append([digest[c[3]] + hypothesis for c in candidates])
-        owner: dict[Key, tuple[int, Pair]] = {}
-        waits: set[threading.Event] = set()
-        done = threading.Event()
-        with self._lock:
-            for i, (row, (candidates, claim, _)) in enumerate(zip(keys, requests)):
-                for key, candidate in zip(row, candidates):
-                    if key in self._memo or key in owner:
-                        continue
-                    event = self._in_flight.get(key)
-                    if event is None:
-                        owner[key] = (i, (candidate[3], claim.text))
+            row = [digest[c[3]] + hypothesis for c in candidates]
+            keys.append(row)
+            self.pairs_requested[stage] += len(row)
+            for key, candidate in zip(row, candidates):
+                if key in known or key in missing or key in borrowed:
+                    continue
+                if key in memo:
+                    known[key] = memo[key]
+                elif key in sending:
+                    sending[key].borrowers.append((key, known, memo))
+                    borrowed.add(key)
+                else:
+                    for block in earlier:
+                        if key in block:
+                            known[key] = memo[key] = block.pop(key)
+                            break
                     else:
-                        waits.add(event)
-            for key in owner:
-                self._in_flight[key] = done
-        if owner:
-            self._send(owner, requests, done)
-        for event in waits:
-            event.wait()
-        with self._lock:
+                        missing[key] = (i, (candidate[3], claim.text))
+        wave = Wave(requests, keys, known, missing, None, memo, [])
+        if missing:
+            wave.inference = self.backend.submit([pair for _, pair in missing.values()])
+            self._in_flight.append(wave)
+        return wave
+
+    def _collect(self, wave: Wave) -> list[tuple[float, AlignedSpan]]:
+        """The one selection rule of every stage, over a wave's requests.
+
+        For each request, the result is the best score over its candidates
+        and the first candidate attaining it, built as the span. Waits for
+        the pairs sent, hands their scores to the later waves that asked for
+        them too, and credits each to its first request's stage.
+        """
+        known = wave.known
+        if wave.inference is not None:
             try:
-                rows = [[self._memo[key] for key in row] for row in keys]
-            except KeyError:
-                rows = None
-        if rows is None:
-            # The thread that had one of these pairs in flight failed to
-            # score it; send what is still missing from here.
-            return self._best(requests)
+                scores = [triple.score for triple in wave.inference.result()]
+            finally:
+                self._in_flight.remove(wave)
+            sent = dict(zip(wave.missing, scores))
+            known.update(sent)
+            wave.memo.update(sent)
+            for key, other_known, other_memo in wave.borrowers:
+                other_known[key] = other_memo[key] = sent[key]
+            self._credit(wave.missing, wave.requests)
         out = []
-        for (candidates, _, _), scores in zip(requests, rows):
+        for (candidates, _, _), row in zip(wave.requests, wave.keys):
+            scores = [known[key] for key in row]
             best = max(scores)
             out.append((best, AlignedSpan(*candidates[scores.index(best)])))
         return out
 
-    def _send(
-        self,
-        owner: dict[Key, tuple[int, Pair]],
-        requests: Sequence[Request],
-        done: threading.Event,
-    ) -> None:
-        """Score the pairs this thread owns, credit each to its first request's stage."""
-        scores = None
-        credited = Counter(i for i, _ in owner.values())
-        try:
-            scores = [
-                triple.score
-                for triple in self.backend.entail_batch([pair for _, pair in owner.values()])
-            ]
-        finally:
-            with self._lock:
-                for key in owner:
-                    del self._in_flight[key]
-                if scores is not None:
-                    self._memo.update(zip(owner, scores))
-                    for i, count in credited.items():
-                        self.backend_calls[requests[i][2]] += count
-            done.set()
+    def _credit(self, missing: dict[Key, tuple[int, Pair]], requests: Sequence[Request]) -> None:
+        credited = Counter(i for i, _ in missing.values())
+        for i, count in credited.items():
+            self.backend_calls[requests[i][2]] += count
         if logger.isEnabledFor(logging.DEBUG):
-            # ``owner`` was filled in request order, so these lines are too.
+            # ``missing`` was filled in request order, so these lines are too.
             for i, count in credited.items():
                 _, claim, stage = requests[i]
                 logger.debug(
@@ -321,10 +368,7 @@ class Scorer:
     # -- the waves --------------------------------------------------------------
 
     def score_summaries(
-        self,
-        items: Sequence[tuple[Document, Sequence[Claim], bool]],
-        *,
-        stop: Stop | None = None,
+        self, items: Sequence[Item], *, stop: Stop | None = None
     ) -> list[FactualityReport]:
         """Score a block of ``(document, claims, claims_fallback)`` items.
 
@@ -333,6 +377,52 @@ class Scorer:
         early; a verdict's stage then names the premise that won. Results
         equal scoring each item alone: blocks change only how pairs are batched.
         """
+        (reports,) = self.score_blocks([items], stop=stop)
+        return reports
+
+    def score_blocks(
+        self, blocks: Iterable[Sequence[Item]], *, stop: Stop | None = None
+    ) -> Iterator[list[FactualityReport]]:
+        """The reports of each block, block by block, as :meth:`score_summaries` gives them.
+
+        A block's first wave is sent as soon as the block before has sent
+        its last, so the backend has pairs to work on while the last results
+        of the block before come back and are read; the next block is taken
+        from ``blocks`` then. Waves are sent, and the memo is read, in the
+        order of scoring the blocks one at a time, so the reports, the pairs
+        sent and the counters are those of that order, and so are failures:
+        an error in starting the next block is raised after this block's
+        reports.
+        """
+        waiting = block = None  # a block with its last wave sent; the block after it
+        try:
+            for items in blocks:
+                block = self._block(items, stop)
+                try:
+                    last = next(block)
+                except Exception:
+                    if waiting is not None:
+                        reports, waiting = _finish(waiting), None
+                        yield reports
+                    raise
+                if waiting is not None:
+                    reports, waiting = _finish(waiting), None
+                    yield reports
+                while not last:
+                    last = block.send(None)
+                waiting, block = block, None
+            if waiting is not None:
+                reports, waiting = _finish(waiting), None
+                yield reports
+        finally:
+            for started in (waiting, block):
+                if started is not None:
+                    started.close()
+
+    def _block(
+        self, items: Sequence[Item], stop: Stop | None
+    ) -> Generator[bool, None, list[FactualityReport]]:
+        """Score one block; paused after sending each wave (see :meth:`_wave`)."""
         jobs: list[tuple[Document, Claim]] = []
         for doc, claims, _ in items:
             if not claims:
@@ -344,7 +434,8 @@ class Scorer:
                         f"claims mix summaries '{summary_id}' and '{claim.summary_id}'"
                     )
                 jobs.append((doc, claim))
-        verdicts = self._verdicts(jobs, stop)
+        self._memo.append({})
+        verdicts = yield from self._verdicts(jobs, stop)
         reports = []
         lo = 0
         for _, claims, claims_fallback in items:
@@ -356,11 +447,29 @@ class Scorer:
             )
         return reports
 
+    def _wave(
+        self, requests: Sequence[Request], last: bool
+    ) -> Generator[bool, None, list[tuple[float, AlignedSpan]]]:
+        """Send a wave, pause yielding whether it is the block's last, then read it.
+
+        Closing the paused wave cancels its batches not yet started.
+        """
+        wave = self._request(requests)
+        try:
+            yield last
+        except GeneratorExit:
+            if wave.inference is not None:
+                wave.inference.cancel()
+                self._in_flight.remove(wave)
+            raise
+        return self._collect(wave)
+
     def _verdicts(
         self, jobs: Sequence[tuple[Document, Claim]], stop: Stop | None
-    ) -> list[ClaimVerdict]:
+    ) -> Generator[bool, None, list[ClaimVerdict]]:
         """Verdicts for ``(document, claim)`` jobs, each stage one wave over all jobs."""
-        sentence = self._best([self._sentence_request(doc, claim) for doc, claim in jobs])
+        requests = [self._sentence_request(doc, claim) for doc, claim in jobs]
+        sentence = yield from self._wave(requests, stop == "sentence")
         if stop == "sentence":
             return [
                 ClaimVerdict(claim, score, "sentence", span, {"sentence": score})
@@ -369,21 +478,21 @@ class Scorer:
         coref = list(sentence)
         wave = [(i, self._coref_candidates(doc, sentence[i][1])) for i, (doc, _) in enumerate(jobs)]
         wave = [(i, candidates) for i, candidates in wave if candidates]
-        results = self._best([(candidates, jobs[i][1], "coref") for i, candidates in wave])
+        requests = [(candidates, jobs[i][1], "coref") for i, candidates in wave]
+        results = yield from self._wave(requests, stop == "coref")
         for (i, _), result in zip(wave, results):
             coref[i] = result
         # Gate misses: windows, then the whole document.
-        misses = []
+        multi = {}
         if stop is None:
             misses = [i for i, (score, _) in enumerate(coref) if score < self.params.gate_threshold]
-        results = self._best(
-            [
+            requests = [
                 self._window_request(jobs[i][0], jobs[i][1], k)
                 for i in misses
                 for k in (self.params.window_size, len(jobs[i][0].sentences))
             ]
-        )
-        multi = {i: (results[2 * m], results[2 * m + 1]) for m, i in enumerate(misses)}
+            results = yield from self._wave(requests, True)
+            multi = {i: (results[2 * m], results[2 * m + 1]) for m, i in enumerate(misses)}
         verdicts = []
         for i, (_, claim) in enumerate(jobs):
             score, span = coref[i]

@@ -183,7 +183,7 @@ def window_stage(scorer, doc, claim, k: int):
     stage on its own where a verdict cannot: a window at any ``k``, or the
     window and document spans of a claim whose verdict another stage won.
     """
-    return scorer._best([scorer._window_request(doc, claim, k)])[0]
+    return scorer._collect(scorer._request([scorer._window_request(doc, claim, k)]))[0]
 
 
 def segment_spans(text: str, abbreviations) -> list[tuple[int, int, int, str]]:

@@ -21,6 +21,7 @@ from sumfact.formats import (
     load_claim_sets,
     load_documents,
     load_summaries,
+    read_benchmark_records,
     read_jsonl,
     render_report,
     report_to_dict,
@@ -217,6 +218,11 @@ class TestLoadClaimSets:
             load_claim_sets(path)
 
 
+def read_both_passes(path):
+    """Full records: rows from the checking pass, then the records they point at."""
+    return list(read_benchmark_records(path, load_benchmark_records(path)))
+
+
 class TestLoadBenchmarkRecords:
     def test_string_forms_get_derived_ids(self, tmp_path):
         record = {
@@ -228,7 +234,7 @@ class TestLoadBenchmarkRecords:
             "split": "test",
         }
         path = jsonl(tmp_path, "bench.jsonl", json.dumps(record))
-        (loaded,) = load_benchmark_records(path)
+        (loaded,) = read_both_passes(path)
         assert loaded.document.id == "r1:doc"
         assert loaded.summary.id == "r1:summary"
         assert loaded.summary.document_id == "r1:doc"
@@ -246,7 +252,7 @@ class TestLoadBenchmarkRecords:
             "split": "validation",
         }
         path = jsonl(tmp_path, "bench.jsonl", json.dumps(record))
-        (loaded,) = load_benchmark_records(path)
+        (loaded,) = read_both_passes(path)
         assert loaded.document.id == "doc-9"
         assert loaded.summary.id == "sum-9"
         assert loaded.gold_label is False

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import threading
 from collections import Counter
 from types import SimpleNamespace
 
@@ -251,6 +252,87 @@ class TestTextTable:
         assert table["x"] == {"x"}
         table.release(pairs[2:])
         assert table == {}
+
+
+class TestBatchesInFlight:
+    """With ``workers`` above 1, ``submit`` puts a call's batches on the
+    backend's pool; results and their order are those of one worker."""
+
+    PAIRS = [(f"premise {i} " + "x" * (i % 5), f"hypothesis {i % 3}") for i in range(12)]
+
+    def test_up_to_workers_batches_at_once(self):
+        running = Counter()
+        lock = threading.Lock()
+        # The first three batches wait for each other: three are in flight.
+        barrier = threading.Barrier(3, timeout=10)
+        started = iter(range(3))
+
+        class Tracking(MockEntailmentBackend):
+            def _infer(self, pairs, table):
+                with lock:
+                    running["now"] += 1
+                    running["most"] = max(running["most"], running["now"])
+                if next(started, None) is not None:
+                    barrier.wait()
+                try:
+                    return super()._infer(pairs, table)
+                finally:
+                    with lock:
+                        running["now"] -= 1
+
+        expected = MockEntailmentBackend(batch_size=2).entail_batch(self.PAIRS)
+        assert Tracking(batch_size=2, workers=3).entail_batch(self.PAIRS) == expected
+        assert running["most"] == 3
+
+    def test_calls_share_the_pool(self):
+        backend = MockEntailmentBackend(batch_size=2, workers=2)
+        first, second = backend.submit(self.PAIRS), backend.submit(self.PAIRS[::-1])
+        assert second.result() == backend.entail_batch(self.PAIRS[::-1])
+        assert first.result() == MockEntailmentBackend().entail_batch(self.PAIRS)
+        assert backend._executor._max_workers == 2
+
+    def test_first_failing_batch_raises_and_cancels_the_rest(self):
+        release = threading.Event()
+        calls = []
+
+        class Failing(MockEntailmentBackend):
+            def _infer(self, pairs, table):
+                calls.append(pairs)
+                if pairs[0][0] == "premise 0 ":
+                    raise NliBackendError("the first batch failed")
+                assert release.wait(timeout=10)
+                return super()._infer(pairs, table)
+
+        # Batch size 1, pairs in length order: "premise 0 " is the first batch.
+        backend = Failing(batch_size=1, workers=2)
+        with pytest.raises(NliBackendError, match="the first batch failed"):
+            backend.submit(self.PAIRS).result()
+        release.set()
+        backend._executor.shutdown(wait=True)
+        # The second batch, and at most one taken up as the first failed,
+        # ran; the rest were cancelled.
+        assert 2 <= len(calls) <= 3
+
+    def test_cancel_drops_batches_not_started(self):
+        release = threading.Event()
+        calls = []
+
+        class Blocking(MockEntailmentBackend):
+            def _infer(self, pairs, table):
+                calls.append(pairs)
+                assert release.wait(timeout=10)
+                return super()._infer(pairs, table)
+
+        backend = Blocking(batch_size=2, workers=2)
+        inference = backend.submit(self.PAIRS)
+        inference.cancel()
+        release.set()
+        backend._executor.shutdown(wait=True)
+        assert len(calls) == 2
+
+    def test_workers_validation(self):
+        with pytest.raises(ValueError, match="workers"):
+            MockEntailmentBackend(workers=0)
 
 
 class TestRemoteBackend:

@@ -6,6 +6,7 @@ import math
 import random
 import sys
 import threading
+from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -28,6 +29,7 @@ from sumfact import (
     Scorer,
     ScoringParams,
 )
+from sumfact import scoring
 from sumfact.config import MODES
 from sumfact.formats import render_report
 from sumfact.pipeline import (
@@ -537,8 +539,10 @@ class TestScoreCorpus:
 
     def test_workers_do_not_change_reports(self):
         items = self.items()
-        serial = list(score_corpus(items, Scorer(MockEntailmentBackend()), "full", workers=1))
-        threaded = list(score_corpus(items, Scorer(MockEntailmentBackend()), "full", workers=3))
+        serial = list(score_corpus(items, Scorer(MockEntailmentBackend()), "full"))
+        threaded = list(
+            score_corpus(items, Scorer(MockEntailmentBackend(batch_size=2, workers=3)), "full")
+        )
         assert serial == threaded
         assert [r.summary_id for r in serial] == [f"s{i}" for i in range(6)]
 
@@ -587,8 +591,10 @@ class TestBlocks:
         rendered = [render_report(report) for report in expected]
         for batch_size in (1, 4, 32):
             for workers in (1, 3):
-                backend = MockEntailmentBackend(batch_size=batch_size, budget=self.BUDGET)
-                reports = score_corpus(items, Scorer(backend, self.PARAMS), mode, workers)
+                backend = MockEntailmentBackend(
+                    batch_size=batch_size, budget=self.BUDGET, workers=workers
+                )
+                reports = score_corpus(items, Scorer(backend, self.PARAMS), mode)
                 assert [render_report(r) for r in reports] == rendered, (batch_size, workers)
 
     def test_one_backend_pass_per_wave_and_block(self):
@@ -615,8 +621,24 @@ class TestBlocks:
 
 
 class TestPairsInFlight:
-    """With ``workers > 1`` a pair that one block has sent and not yet got
-    back is awaited by the others, not sent again."""
+    """With ``workers > 1`` the backend keeps several batches of one wave in
+    flight, and blocks are still scored one after another: a pair that an
+    earlier block sent is answered from the memo, not sent again."""
+
+    @staticmethod
+    def barrier_backend(first_batches):
+        """A recording mock whose first ``first_batches`` batches each wait
+        for all of them, so those batches are in flight at once."""
+        barrier = threading.Barrier(first_batches, timeout=10)
+        started = iter(range(first_batches))
+
+        class BarrierBackend(RecordingBackend):
+            def _infer(self, pairs, table):
+                if next(started, None) is not None:
+                    barrier.wait()
+                return super()._infer(pairs, table)
+
+        return BarrierBackend
 
     def test_shared_pair_is_sent_once(self):
         shared = "shared alpha beta."
@@ -624,23 +646,12 @@ class TestPairsInFlight:
         for u in range(2):
             doc = doc_from_sentences(f"d{u}", [shared, f"unique{u} gamma."])
             items.append((doc, [Claim(f"s{u}", 0, shared)], False))
-        # Each worker's first backend batch waits for the other's, so both
-        # blocks have checked the memo before either result is in it.
-        barrier = threading.Barrier(2, timeout=10)
-        first = threading.local()
-
-        class BarrierBackend(RecordingBackend):
-            def _infer(self, pairs, table):
-                if not getattr(first, "passed", False):
-                    first.passed = True
-                    barrier.wait()
-                return super()._infer(pairs, table)
-
         serial = Scorer(MockEntailmentBackend(batch_size=1))
-        expected = list(score_corpus(items, serial, "full", workers=1))
-        backend = BarrierBackend(batch_size=1)
+        expected = list(score_corpus(items, serial, "full"))
+        # The first block's two sentence batches wait for each other.
+        backend = self.barrier_backend(2)(batch_size=1, workers=3)
         scorer = Scorer(backend, serial.params)
-        assert list(score_corpus(items, scorer, "full", workers=3)) == expected
+        assert list(score_corpus(items, scorer, "full")) == expected
         sent = [pair for batch in backend.batches for pair in batch]
         assert sent.count((shared, shared)) == 1
         assert scorer.backend_calls == serial.backend_calls == {
@@ -657,26 +668,14 @@ class TestPairsInFlight:
         for u in range(2):
             doc = doc_from_sentences(f"d{u}", ["alpha beta.", "gamma delta.", f"unique{u} tail."])
             items.append((doc, [Claim(f"s{u}", 0, "zz yy.")], False))
-        barrier = threading.Barrier(2, timeout=10)
-        first = threading.local()
-
-        class BarrierBackend(RecordingBackend):
-            # With several workers, each worker's first window-wave batch
-            # waits for the other's, so both blocks have checked the memo
-            # before either window result is in it.
-            def _infer(self, pairs, table):
-                multi = any(premise.count(".") > 1 for premise, _ in pairs)
-                if workers > 1 and multi and not getattr(first, "passed", False):
-                    first.passed = True
-                    barrier.wait()
-                return super()._infer(pairs, table)
-
         params = ScoringParams(window_size=2, gate_threshold=0.9)
         serial = Scorer(MockEntailmentBackend(batch_size=1), params)
-        expected = list(score_corpus(items, serial, "full", workers=1))
-        backend = BarrierBackend(batch_size=1)
+        expected = list(score_corpus(items, serial, "full"))
+        # With several workers, the first block's three sentence batches
+        # wait for each other.
+        backend = self.barrier_backend(3 if workers > 1 else 1)(batch_size=1, workers=workers)
         scorer = Scorer(backend, params)
-        assert list(score_corpus(items, scorer, "full", workers=workers)) == expected
+        assert list(score_corpus(items, scorer, "full")) == expected
         sent = [pair for batch in backend.batches for pair in batch]
         assert sent.count((window, "zz yy.")) == 1
         assert len(sent) == len(set(sent))
@@ -684,26 +683,48 @@ class TestPairsInFlight:
             "sentence": 4, "coref": 0, "window": 3, "document": 2
         }
 
-    def test_many_workers_send_each_pair_once(self):
-        pairs, cache = random_news_corpus(random.Random(7), 6, 8)
-        items = build_units(
-            pairs, FileCacheExtractor(cache), HeuristicCorefBackend(), "full", missing_ok=True
-        )
-        params = ScoringParams(window_size=2, gate_threshold=0.9)
-        serial = Scorer(MockEntailmentBackend(batch_size=1), params)
-        expected = list(score_corpus(items, serial, "full", workers=1))
+    @staticmethod
+    def sent_by_many_workers(items, params):
+        """Reports and pairs sent with one worker; then, three times over with
+        eight, check the reports and ``backend_calls`` and yield the pairs sent."""
+        serial_backend = RecordingBackend(batch_size=1)
+        serial = Scorer(serial_backend, params)
+        expected = list(score_corpus(items, serial, "full"))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(3):
-                backend = RecordingBackend(batch_size=1)
+                backend = RecordingBackend(batch_size=1, workers=8)
                 scorer = Scorer(backend, params)
-                assert list(score_corpus(items, scorer, "full", workers=8)) == expected
-                sent = [pair for batch in backend.batches for pair in batch]
-                assert len(sent) == len(set(sent))
+                assert list(score_corpus(items, scorer, "full")) == expected
                 assert scorer.backend_calls == serial.backend_calls
+                sent = [pair for batch in backend.batches for pair in batch]
+                yield sent, [pair for batch in serial_backend.batches for pair in batch]
         finally:
             sys.setswitchinterval(interval)
+
+    @staticmethod
+    def news_items():
+        # Summaries of one document share pairs, across blocks of one item.
+        pairs, cache = random_news_corpus(random.Random(7), 6, 8)
+        return build_units(
+            pairs, FileCacheExtractor(cache), HeuristicCorefBackend(), "full", missing_ok=True
+        )
+
+    def test_many_workers_send_each_pair_once(self, monkeypatch):
+        # A memo that spans the whole run: every pair is sent once.
+        items = self.news_items()
+        monkeypatch.setattr(scoring, "MEMO_BLOCKS", len(items))
+        params = ScoringParams(window_size=2, gate_threshold=0.9)
+        for sent, _ in self.sent_by_many_workers(items, params):
+            assert len(sent) == len(set(sent))
+
+    def test_many_workers_send_what_one_worker_sends(self):
+        # The bounded memo sends some pairs again, as often with any workers.
+        params = ScoringParams(window_size=2, gate_threshold=0.9)
+        for sent, serial_sent in self.sent_by_many_workers(self.news_items(), params):
+            assert len(sent) > len(set(sent))
+            assert Counter(sent) == Counter(serial_sent)
 
 
 class TestRecordScorer:

@@ -4,7 +4,6 @@ import json
 import logging
 import random
 import threading
-import time
 from collections import Counter
 
 import pytest
@@ -22,7 +21,7 @@ from sumfact import (
     coref_variants,
 )
 from sumfact.pipeline import build_units, score_corpus
-from sumfact.scoring import AlignedSpan
+from sumfact.scoring import MEMO_BLOCKS, AlignedSpan
 
 import oracles
 from cases import doc_from_sentences, random_case, summary_from_sentences
@@ -461,9 +460,9 @@ class TestCountersAndMemo:
         doc = doc_from_sentences("d", ["aa bb.", "cc dd.", "ee ff."])
         verdicts(scorer, doc, claim("zz yy."), claim("aa cc."))
         # Fixed-width digests: 16 bytes of premise, then 16 of hypothesis.
-        assert len(scorer._memo) == sum(scorer.backend_calls.values()) == 12
-        assert all(isinstance(key, bytes) and len(key) == 32 for key in scorer._memo)
-        assert not scorer._in_flight
+        keys = [key for block in scorer._memo for key in block]
+        assert len(keys) == sum(scorer.backend_calls.values()) == 12
+        assert all(isinstance(key, bytes) and len(key) == 32 for key in keys)
 
     def test_stage_attribution_below_gate(self):
         scorer = make_scorer(window_size=2, gate_threshold=0.95)
@@ -494,59 +493,128 @@ class TestCountersAndMemo:
             assert event["claim_index"] == 3
             assert event["pairs"] > 0
 
-    def test_thread_safety_smoke(self):
+    @staticmethod
+    def block(u):
+        """One summary of two claims against its own two-sentence document:
+        four sentence pairs that no other ``block(v)`` uses, and both claims
+        pass the gate."""
+        sentences = [f"alpha{u} beta.", f"gamma{u} delta."]
+        claims = [claim(text, sid=f"s{u}", index=i) for i, text in enumerate(sentences)]
+        return [(doc_from_sentences(f"d{u}", sentences), claims, False)]
+
+    def test_memo_holds_the_last_blocks_only(self):
         scorer = make_scorer()
-        doc = doc_from_sentences("d", [f"word{i} tail{i}." for i in range(6)])
-        claims = [claim(f"word{i}.", index=i) for i in range(6)]
-        results = {}
+        for u in range(6):
+            scorer.score_summaries(self.block(u))
+            held = sum(len(block) for block in scorer._memo)
+            assert held == 4 * min(u + 1, MEMO_BLOCKS)
+        assert sum(scorer.backend_calls.values()) == sum(scorer.pairs_requested.values()) == 24
 
-        def work(c):
-            results[c.index] = verdicts(scorer, doc, c)
+    # The memo holds the current block's pairs and those of the
+    # MEMO_BLOCKS - 1 blocks before it.
 
-        threads = [threading.Thread(target=work, args=(c,)) for c in claims]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        fresh = make_scorer()
-        for c in claims:
-            assert results[c.index] == verdicts(fresh, doc, c)
+    def test_pair_used_again_within_the_bound_is_not_sent(self):
+        scorer = make_scorer()
+        first = scorer.score_summaries(self.block(0))
+        for u in range(1, MEMO_BLOCKS - 1):
+            scorer.score_summaries(self.block(u))
+        before = dict(scorer.backend_calls)
+        assert scorer.score_summaries(self.block(0)) == first
+        assert scorer.backend_calls == before
+        assert sum(scorer.pairs_requested.values()) == 4 * MEMO_BLOCKS
 
-    def test_pair_whose_sender_failed_is_sent_again(self):
-        # The first thread's batch fails while a second thread waits for one
-        # of its pairs: the second thread sends that pair itself.
-        entered = threading.Event()
+    def test_pair_used_again_beyond_the_bound_is_sent_again(self):
+        scorer = make_scorer()
+        first = scorer.score_summaries(self.block(0))
+        for u in range(1, MEMO_BLOCKS):
+            scorer.score_summaries(self.block(u))
+        before = sum(scorer.backend_calls.values())
+        assert scorer.score_summaries(self.block(0)) == first
+        assert sum(scorer.backend_calls.values()) == before + 4
 
-        class FailFirst(MockEntailmentBackend):
-            calls = 0
+    def test_memo_hit_keeps_a_pair_for_later_blocks(self):
+        # Block 0's pairs, used again in block 1, are still held at block 2.
+        scorer = make_scorer()
+        scorer.score_summaries(self.block(0))
+        scorer.score_summaries(self.block(0) + self.block(1))
+        scorer.score_summaries(self.block(2) + self.block(0))
+        assert scorer.backend_calls["sentence"] == 12
+        assert scorer.pairs_requested["sentence"] == 20
 
+
+class TestScoreBlocks:
+    """Blocks are scored one after another, but the next block's first wave
+    is sent while the block before has its last wave in flight."""
+
+    @staticmethod
+    def items():
+        # Block 0's claim misses the gate, so its last wave is the window
+        # and document wave; block 1's first is its sentence wave.
+        miss = doc_from_sentences("d0", ["aa bb.", "cc dd.", "ee ff."])
+        hit = doc_from_sentences("d1", ["unique gamma.", "other delta."])
+        return [[(miss, [claim("zz yy.", sid="s0")], False)], [(hit, [claim("unique gamma.", sid="s1")], False)]]
+
+    def test_next_block_is_sent_before_the_last_wave_is_read(self):
+        # Block 0's last batch and block 1's first wait for each other.
+        barrier = threading.Barrier(2, timeout=10)
+
+        class Overlapping(MockEntailmentBackend):
             def _infer(self, pairs, table):
-                FailFirst.calls += 1
-                if FailFirst.calls == 1:
-                    entered.set()
-                    time.sleep(0.2)
+                if ("aa bb. cc dd. ee ff.", "zz yy.") in pairs or ("unique gamma.", "unique gamma.") in pairs:
+                    barrier.wait()
+                return super()._infer(pairs, table)
+
+        blocks = self.items()
+        serial = make_scorer(window_size=5)
+        expected = [serial.score_summaries(block) for block in blocks]
+        scorer = make_scorer(Overlapping(batch_size=64, workers=2), window_size=5)
+        assert list(scorer.score_blocks(blocks)) == expected
+        assert scorer.backend_calls == serial.backend_calls
+        assert scorer.pairs_requested == serial.pairs_requested
+
+    @pytest.mark.parametrize("stop", [None, "coref", "sentence"])
+    def test_pair_used_by_every_block_is_sent_once(self, stop):
+        # Each block asks for its pairs while the block before still has
+        # them in flight, and passes them on to the block after it.
+        doc = doc_from_sentences("d", ["alpha beta.", "gamma delta."])
+        block = [(doc, [claim("alpha beta.")], False)]
+        alone = make_scorer()
+        (expected,) = alone.score_summaries(block, stop=stop)
+        for workers in (1, 2):
+            scorer = make_scorer(MockEntailmentBackend(workers=workers))
+            assert list(scorer.score_blocks([block] * 5, stop=stop)) == [[expected]] * 5
+            assert scorer.backend_calls == alone.backend_calls
+            assert sum(scorer.pairs_requested.values()) == 5 * sum(alone.pairs_requested.values())
+
+    def test_error_starting_the_next_block_comes_after_this_blocks_reports(self):
+        good, _ = self.items()
+        scored = make_scorer().score_blocks([good, [(good[0][0], [], False)]])
+        (report,) = next(scored)
+        assert report.summary_id == "s0"
+        with pytest.raises(ValueError, match="at least one claim"):
+            next(scored)
+
+    def test_backend_error_in_the_next_block_comes_after_this_blocks_reports(self):
+        class FailsOnUnique(MockEntailmentBackend):
+            def _infer(self, pairs, table):
+                if any(p.startswith("unique") for p, _ in pairs):
                     raise NliBackendError("backend went away")
                 return super()._infer(pairs, table)
 
-        scorer = make_scorer(FailFirst())
-        doc = doc_from_sentences("d", ["alpha beta.", "gamma delta."])
-        outcome = {}
+        for workers in (1, 2):
+            scored = make_scorer(FailsOnUnique(workers=workers)).score_blocks(self.items())
+            (report,) = next(scored)
+            assert report.summary_id == "s0"
+            with pytest.raises(NliBackendError, match="backend went away"):
+                next(scored)
 
-        def first():
-            try:
-                verdicts(scorer, doc, claim("alpha beta."))
-            except NliBackendError as exc:
-                outcome["first"] = exc
-
-        thread = threading.Thread(target=first)
-        thread.start()
-        assert entered.wait(timeout=10)
-        verdict = verdicts(scorer, doc, claim("alpha beta."))
-        thread.join(timeout=10)
-        assert not thread.is_alive()
-        assert isinstance(outcome["first"], NliBackendError)
-        assert verdict == verdicts(make_scorer(), doc, claim("alpha beta."))
-        assert scorer.backend_calls["sentence"] == 2
+    def test_closing_early_leaves_nothing_in_flight(self):
+        scorer = make_scorer(MockEntailmentBackend(workers=2))
+        scored = scorer.score_blocks(self.items() * 2)
+        next(scored)
+        assert scorer._in_flight
+        scored.close()
+        assert not scorer._in_flight
 
 
 class TestSummaryScoring:
