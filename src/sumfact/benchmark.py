@@ -49,6 +49,10 @@ __all__ = [
 FACTUAL = True
 NOT_FACTUAL = False
 
+# The score cache is saved after every this many scored records (16 blocks at
+# the default ``nli_batch_size``), so a run that is killed keeps most of them.
+CHECKPOINT_RECORDS = 512
+
 
 @dataclass(frozen=True)
 class BenchmarkRecord:
@@ -282,8 +286,8 @@ def run_benchmark(
 
     ``records`` are full records or light rows: only their labels are read
     here. ``score_records`` gets the records the cache cannot answer, in
-    input order, and returns one score for each; the cache is saved when it
-    is done or fails.
+    input order, and returns one score for each; the cache is saved every
+    :data:`CHECKPOINT_RECORDS` scores and when it is done or fails.
     ``per_split`` tunes one threshold per dataset on its validation split;
     ``single_threshold`` tunes once on all validation records pooled.
     Datasets are processed in sorted name order. ``bootstrap_seed=None``
@@ -384,10 +388,13 @@ def _score_records(
             pending.append(record)
     if pending:
         try:
-            for record, score in zip(pending, score_records(pending), strict=True):
+            scored = zip(pending, score_records(pending), strict=True)
+            for n, (record, score) in enumerate(scored, start=1):
                 scores[record.record_id] = score
                 if cache is not None:
                     cache.put(record.record_id, score)
+                    if n % CHECKPOINT_RECORDS == 0:
+                        cache.save()
         finally:
             # Scores computed before a failure survive it, so a rerun resumes.
             if cache is not None:

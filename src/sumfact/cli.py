@@ -13,7 +13,8 @@ import functools
 import json
 import logging
 import sys
-from typing import Iterable
+from collections import Counter
+from typing import Iterable, Iterator
 
 import click
 
@@ -22,13 +23,9 @@ from . import benchmark as bench
 from .benchmark import ScoreCache
 from .config import MODES, PROTOCOLS, load_run_config, ordered_map, scoring_params
 from .errors import BackendError, DegenerateLabels, InputError, SumfactError
-from .scoring import Scorer
+from .scoring import FactualityReport, Scorer
 
 _LOG_FORMAT = "%(message)s"
-
-# ``benchmark --cache-dir`` saves the score cache after every this many
-# scored blocks, as well as when scoring ends or fails.
-CHECKPOINT_BLOCKS = 16
 
 
 def _setup_logging(level: str) -> None:
@@ -80,6 +77,14 @@ def _write_lines(path: str, lines: Iterable[str]) -> None:
     finally:
         if owned:
             stream.close()
+
+
+def _counted(reports: Iterable[FactualityReport], counts: Counter) -> Iterator[FactualityReport]:
+    """``reports`` as they pass, counted into ``counts`` with their claims fallbacks."""
+    for report in reports:
+        counts["reports"] += 1
+        counts["claims_fallback"] += report.claims_fallback
+        yield report
 
 
 def _write_run_meta(path: str | None, meta: dict) -> None:
@@ -144,9 +149,11 @@ def score(documents, summaries, output, run_meta, config_path, **flags) -> None:
     extractor = pipeline.make_claim_extractor(config)
     coref_backend = pipeline.make_coref_backend(config)
     pairs = pipeline.pair_summaries(docs, sums)
-    items = pipeline.build_units(pairs, extractor, coref_backend, "full", workers=config.workers)
-    reports = pipeline.score_corpus(items, scorer, "full")
-    _write_lines(output, map(formats.render_report, reports))
+    counts = Counter()
+    reports = pipeline.score_corpus(
+        pairs, scorer, extractor, coref_backend, "full", workers=config.workers
+    )
+    _write_lines(output, map(formats.render_report, _counted(reports, counts)))
     _write_run_meta(
         run_meta,
         {
@@ -154,11 +161,11 @@ def score(documents, summaries, output, run_meta, config_path, **flags) -> None:
             "nli_backend": backend.describe(),
             "claim_backend": extractor.describe() if extractor else "none",
             "coref_backend": coref_backend.describe(),
-            "claims_fallback_count": sum(fallback for _, _, fallback in items),
+            "claims_fallback_count": counts["claims_fallback"],
             "coref_truncated_documents": _truncated_docs(pairs, config),
             "backend_calls": scorer.backend_calls,
             "pairs_requested": scorer.pairs_requested,
-            "summaries": len(items),
+            "summaries": counts["reports"],
         },
     )
 
@@ -250,29 +257,21 @@ def benchmark(records, output, scores_csv, run_meta, config_path, **flags) -> No
     cache = None
     if config.cache_dir:
         cache = ScoreCache(config.cache_dir, pipeline.scorer_fingerprint(config, backend, extractor))
-    fallbacks = 0
+    counts = Counter()
 
     def score_records(pending):
-        # Only the records the cache cannot answer are read again, and
-        # resolved and scored a block of ``nli_batch_size`` at a time.
-        nonlocal fallbacks
+        # Only the records the cache cannot answer are read again.
         pairs = ((r.document, r.summary) for r in formats.read_benchmark_records(records, pending))
-        items = pipeline.stream_units(
+        reports = pipeline.score_corpus(
             pairs,
+            scorer,
             extractor,
             coref_backend,
             config.mode,
-            block=config.nli_batch_size,
             missing_ok=True,
             workers=config.workers,
         )
-        checkpoint = CHECKPOINT_BLOCKS * config.nli_batch_size
-        for n, report in enumerate(pipeline.score_corpus(items, scorer, config.mode), start=1):
-            fallbacks += report.claims_fallback
-            yield report.score
-            # Every score yielded so far is in the cache now.
-            if cache is not None and n % checkpoint == 0:
-                cache.save()
+        return (report.score for report in _counted(reports, counts))
 
     report = bench.run_benchmark(
         rows,
@@ -295,7 +294,7 @@ def benchmark(records, output, scores_csv, run_meta, config_path, **flags) -> No
             "nli_backend": backend.describe(),
             "claim_backend": extractor.describe() if extractor else "none",
             "coref_backend": coref_backend.describe(),
-            "claims_fallback_count": fallbacks,
+            "claims_fallback_count": counts["claims_fallback"],
             "backend_calls": scorer.backend_calls,
             "pairs_requested": scorer.pairs_requested,
             "records": len(rows),

@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .benchmark import BenchmarkRecord, BenchmarkReport, BenchmarkRow, RecordScore
@@ -116,53 +117,53 @@ def _require_str(record: Mapping, key: str, where: str) -> str:
     return value
 
 
-def _sentences_from_spans(text: str, spans: object, where: str) -> tuple[Sentence, ...]:
+def _sentences_from_spans(text: str, spans: object) -> tuple[Sentence, ...]:
     if not isinstance(spans, list) or not spans:
-        raise InputError(f"{where}: 'sentences' must be a non-empty array")
+        raise ValueError("'sentences' must be a non-empty array")
     out = []
     for i, span in enumerate(spans):
         if not isinstance(span, dict) or "start" not in span or "end" not in span:
-            raise InputError(f"{where}: sentence {i} needs 'start' and 'end'")
+            raise ValueError(f"sentence {i} needs 'start' and 'end'")
         try:
             start, end = int(span["start"]), int(span["end"])
         except (TypeError, ValueError) as exc:
-            raise InputError(f"{where}: sentence {i} has non-integer offsets") from exc
+            raise ValueError(f"sentence {i} has non-integer offsets") from exc
         if not (0 <= start < end <= len(text)):
-            raise InputError(f"{where}: sentence {i} span [{start}, {end}) out of range")
+            raise ValueError(f"sentence {i} span [{start}, {end}) out of range")
         out.append(Sentence(i, start, end, text[start:end]))
     return tuple(out)
 
 
 def _clusters_from_record(
-    sentences: Sequence[Sentence], raw: object, where: str
+    sentences: Sequence[Sentence], raw: object
 ) -> tuple[CorefCluster, ...]:
     if not isinstance(raw, list):
-        raise InputError(f"{where}: 'coref_clusters' must be an array of clusters")
+        raise ValueError("'coref_clusters' must be an array of clusters")
     clusters = []
     for ci, cluster in enumerate(raw):
         if not isinstance(cluster, list):
-            raise InputError(f"{where}: cluster {ci} must be an array of mentions")
+            raise ValueError(f"cluster {ci} must be an array of mentions")
         mentions = []
         for mi, mention in enumerate(cluster):
             if not isinstance(mention, dict):
-                raise InputError(f"{where}: cluster {ci} mention {mi} must be an object")
+                raise ValueError(f"cluster {ci} mention {mi} must be an object")
             try:
                 si = int(mention["sentence_index"])
                 start = int(mention["start"])
                 end = int(mention["end"])
             except (KeyError, TypeError, ValueError) as exc:
-                raise InputError(
-                    f"{where}: cluster {ci} mention {mi} needs integer "
+                raise ValueError(
+                    f"cluster {ci} mention {mi} needs integer "
                     f"'sentence_index', 'start', 'end'"
                 ) from exc
             if not (0 <= si < len(sentences)):
-                raise InputError(
-                    f"{where}: cluster {ci} mention {mi} sentence_index {si} out of range"
+                raise ValueError(
+                    f"cluster {ci} mention {mi} sentence_index {si} out of range"
                 )
             sentence = sentences[si]
             if not (0 <= start < end <= len(sentence.text)):
-                raise InputError(
-                    f"{where}: cluster {ci} mention {mi} span [{start}, {end}) "
+                raise ValueError(
+                    f"cluster {ci} mention {mi} span [{start}, {end}) "
                     f"outside sentence {si}"
                 )
             mentions.append(Mention(si, start, end, sentence.text[start:end]))
@@ -175,22 +176,27 @@ def _clusters_from_record(
 Splitter = Callable[[str], list[Sentence]]
 
 
+@contextmanager
+def _at(where: str) -> Iterator[None]:
+    """Name ``where`` once in front of an error raised in the block, as an :class:`InputError`."""
+    try:
+        yield
+    except (ValueError, SumfactError) as exc:
+        raise InputError(f"{where}: {exc}") from exc
+
+
 def _document_from_record(record: Mapping, where: str, split: Splitter = segment) -> Document:
     doc_id = _require_str(record, "id", where)
     text = _require_str(record, "text", where)
-    try:
+    with _at(where):
         if "sentences" in record:
-            sentences = _sentences_from_spans(text, record["sentences"], where)
+            sentences = _sentences_from_spans(text, record["sentences"])
         else:
             sentences = tuple(split(text))
         clusters: tuple[CorefCluster, ...] = ()
         if "coref_clusters" in record:
-            clusters = _clusters_from_record(sentences, record["coref_clusters"], where)
+            clusters = _clusters_from_record(sentences, record["coref_clusters"])
         return Document(doc_id, text, sentences, clusters)
-    except InputError:
-        raise
-    except (ValueError, SumfactError) as exc:
-        raise InputError(f"{where}: {exc}") from exc
 
 
 def load_documents(path: str) -> list[Document]:
@@ -217,10 +223,8 @@ def load_summaries(path: str) -> list[Summary]:
         if summary_id in seen:
             raise InputError(f"{where}: duplicate summary id '{summary_id}'")
         seen.add(summary_id)
-        try:
+        with _at(where):
             summaries.append(Summary.from_text(summary_id, document_id, text))
-        except (ValueError, SumfactError) as exc:
-            raise InputError(f"{where}: {exc}") from exc
     return summaries
 
 
@@ -272,14 +276,14 @@ _GOLD_VALUES = {
 }
 
 
-def _gold_label(value: object, where: str) -> bool:
+def _gold_label(value: object) -> bool:
     if isinstance(value, bool):
         return value
     if isinstance(value, int) and value in (0, 1):
         return bool(value)
     if isinstance(value, str) and value.lower() in _GOLD_VALUES:
         return _GOLD_VALUES[value.lower()]
-    raise InputError(f"{where}: gold_label must be factual/not_factual, got {value!r}")
+    raise ValueError(f"gold_label must be factual/not_factual, got {value!r}")
 
 
 def _benchmark_record(record: Mapping, where: str, split: Splitter = segment) -> BenchmarkRecord:
@@ -298,26 +302,23 @@ def _benchmark_record(record: Mapping, where: str, split: Splitter = segment) ->
         raw_summary = {"text": raw_summary}
     if not isinstance(raw_summary, dict):
         raise InputError(f"{where}: 'summary' must be an object or a string")
-    summary_id = raw_summary.get("id") or f"{record_id}:summary"
-    try:
-        text = _require_str(raw_summary, "text", where)
+    text = _require_str(raw_summary, "text", where)
+    with _at(where):
         summary = Summary(
-            str(summary_id),
+            str(raw_summary.get("id") or f"{record_id}:summary"),
             str(raw_summary.get("document_id") or document.id),
             text,
             tuple(split(text)),
         )
-    except (ValueError, SumfactError) as exc:
-        raise InputError(f"{where}: {exc}") from exc
-    return BenchmarkRecord(
-        record_id=record_id,
-        document=document,
-        summary=summary,
-        gold_label=_gold_label(record.get("gold_label"), where),
-        system=str(record.get("system", "unknown")),
-        dataset=str(record.get("dataset", "default")),
-        split=str(record.get("split", "")),
-    )
+        return BenchmarkRecord(
+            record_id=record_id,
+            document=document,
+            summary=summary,
+            gold_label=_gold_label(record.get("gold_label")),
+            system=str(record.get("system", "unknown")),
+            dataset=str(record.get("dataset", "default")),
+            split=str(record.get("split", "")),
+        )
 
 
 def load_benchmark_records(path: str) -> list[BenchmarkRow]:

@@ -4,8 +4,10 @@ This layer owns the policies that span modules: the empty-claims fallback
 (summary sentences become the claims, flagged on the report), degradation to
 empty clusters when the coreference backend fails, the one table of what
 each mode scores and where it stops the scoring pipeline, and the cut of a
-corpus into scoring blocks. The CLI calls into here (``build_units`` then
-``score_corpus``) and does no scoring itself.
+corpus into scoring blocks. :func:`score_corpus` is the one path from
+(document, summary) pairs to reports: it resolves each block of pairs with
+:func:`build_units` when the scorer takes the block. The CLI calls it and
+does no scoring itself.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 from itertools import islice
-from typing import Iterable, Iterator, Sequence, TypeVar
+from typing import Iterable, Iterator, Sequence
 
 from . import formats
 from .benchmark import config_fingerprint
@@ -46,7 +48,6 @@ __all__ = [
     "pair_summaries",
     "attach_clusters",
     "build_units",
-    "stream_units",
     "score_corpus",
     "scorer_fingerprint",
 ]
@@ -241,14 +242,14 @@ def build_units(
     missing_ok: bool = False,
     workers: int = 1,
 ) -> list[Item]:
-    """The item ``mode`` scores for every (document, summary) pair.
+    """The item ``mode`` scores for every (document, summary) pair of one block.
 
     Clusters are attached once per distinct document, keyed by id and text
     because benchmark records may reuse an id for different texts. In
     ``nli_sent`` the claims are the summary's sentences (duplicates kept:
     the mean runs over sentences), never flagged as the fallback, and the
     extractor is not called. Other modes resolve claims on ``workers``
-    threads, so cache misses surface here, before any scoring cost is paid.
+    threads; a cache miss surfaces when :func:`score_corpus` takes the block.
     """
     sentences, _ = _mode(mode)
     prepared: dict[tuple[str, str], Document] = {}
@@ -271,46 +272,31 @@ def build_units(
     ]
 
 
-def stream_units(
+def score_corpus(
     pairs: Iterable[tuple[Document, Summary]],
+    scorer: Scorer,
     extractor: ClaimExtractor | None,
     coref_backend: CorefBackend,
     mode: str,
     *,
-    block: int,
     missing_ok: bool = False,
     workers: int = 1,
-) -> Iterator[Item]:
-    """:func:`build_units` over ``block`` pairs at a time, taken as items are.
+) -> Iterator[FactualityReport]:
+    """Yield one report per (document, summary) pair, stopping the pipeline where ``mode`` does.
 
-    Only a block of pairs is held at once, so coref runs once per distinct
-    document within a block, and an extractor failure surfaces when its
-    block is reached.
-    """
-    for chunk in _blocks(pairs, block):
-        yield from build_units(
-            chunk, extractor, coref_backend, mode, missing_ok=missing_ok, workers=workers
-        )
-
-
-T = TypeVar("T")
-
-
-def _blocks(items: Iterable[T], size: int) -> Iterator[list[T]]:
-    """Consecutive runs of ``size`` items, the last one shorter; taken lazily."""
-    items = iter(items)
-    return iter(lambda: list(islice(items, size)), [])
-
-
-def score_corpus(items: Iterable[Item], scorer: Scorer, mode: str) -> Iterator[FactualityReport]:
-    """Yield one report per item, stopping the pipeline where ``mode`` does.
-
-    Consecutive items are scored in blocks of ``scorer.backend.batch_size``
-    items, each stage one wave of backend pairs over the whole block, so
-    batches fill across summaries (:meth:`Scorer.score_blocks`). Items are
-    taken a block at a time, the next block while this one's last wave is
-    in flight. Reports do not depend on the block size.
+    Pairs are cut into blocks of ``scorer.backend.batch_size``, each resolved
+    by :func:`build_units` when the scorer takes it (the next block while
+    this one's last wave is in flight) and scored one wave per stage over
+    the whole block (:meth:`Scorer.score_blocks`). Reports do not depend on
+    the block size; an error resolving a block comes after the reports of
+    the blocks before it.
     """
     _, stop = _mode(mode)
-    for reports in scorer.score_blocks(_blocks(items, scorer.backend.batch_size), stop=stop):
+    pairs = iter(pairs)
+    # Consecutive blocks of ``batch_size`` pairs, the last one shorter, each taken lazily.
+    blocks = (
+        build_units(block, extractor, coref_backend, mode, missing_ok=missing_ok, workers=workers)
+        for block in iter(lambda: list(islice(pairs, scorer.backend.batch_size)), [])
+    )
+    for reports in scorer.score_blocks(blocks, stop=stop):
         yield from reports

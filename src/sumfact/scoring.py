@@ -391,14 +391,18 @@ class Scorer:
         from ``blocks`` then. Waves are sent, and the memo is read, in the
         order of scoring the blocks one at a time, so the reports, the pairs
         sent and the counters are those of that order, and so are failures:
-        an error in starting the next block is raised after this block's
-        reports.
+        an error in taking the next block from ``blocks``, or in starting it,
+        is raised after this block's reports.
         """
         waiting = block = None  # a block with its last wave sent; the block after it
+        blocks = iter(blocks)
         try:
-            for items in blocks:
-                block = self._block(items, stop)
+            while True:
                 try:
+                    items = next(blocks, None)
+                    if items is None:
+                        break
+                    block = self._block(items, stop)
                     last = next(block)
                 except Exception:
                     if waiting is not None:

@@ -10,6 +10,7 @@ the document length.
 
 from __future__ import annotations
 
+import json
 import random
 
 from sumfact import Claim, CorefCluster, Document, Mention, Sentence, Summary
@@ -50,6 +51,19 @@ def summary_from_sentences(summary_id, document_id, texts):
         sentences.append(Sentence(i, cursor, cursor + len(t), t))
         cursor += len(t) + 1
     return Summary(summary_id, document_id, " ".join(texts), tuple(sentences))
+
+
+class GivenClaims:
+    """A claim extractor that answers every summary with the given claims, as they are."""
+
+    def __init__(self, claims):
+        self.claims = list(claims)
+
+    def extract(self, summary):
+        return list(self.claims)
+
+    def describe(self):
+        return "given"
 
 
 def _word_span(words, a, b):
@@ -151,3 +165,28 @@ def random_news_corpus(rng: random.Random, n_docs: int, summaries_per_doc: int):
                     for c in claims
                 ]
     return pairs, cache
+
+
+def write_news_records(directory, rng: random.Random, n_docs: int = 4, summaries_per_doc: int = 4):
+    """A labeled benchmark records file over :func:`random_news_corpus`, and
+    its claim cache file, in ``directory``; returns their two paths.
+
+    Records alternate the gold label and come in validation and test pairs,
+    so every split holds both classes.
+    """
+    pairs, cache = random_news_corpus(rng, n_docs, summaries_per_doc)
+    records = directory / "records.jsonl"
+    with open(records, "w", encoding="utf-8") as fh:
+        for n, (document, summary) in enumerate(pairs):
+            record = {
+                "record_id": summary.id,
+                "document": {"id": document.id, "text": document.text},
+                "summary": {"id": summary.id, "text": summary.text},
+                "gold_label": "factual" if n % 2 else "not_factual",
+                "dataset": "news",
+                "split": "validation" if n % 4 < 2 else "test",
+            }
+            fh.write(json.dumps(record) + "\n")
+    claims = directory / "claims.json"
+    claims.write_text(json.dumps(cache), encoding="utf-8")
+    return str(records), str(claims)

@@ -19,6 +19,7 @@ from sumfact import (
     BenchmarkRecord,
     Claim,
     MockEntailmentBackend,
+    NoopCorefBackend,
     Scorer,
     ScoringParams,
     easiness_f1,
@@ -30,7 +31,7 @@ from sumfact import (
 from sumfact.formats import render_report
 from sumfact.pipeline import score_corpus
 
-from cases import doc_from_sentences, random_case, summary_from_sentences
+from cases import GivenClaims, doc_from_sentences, random_case, summary_from_sentences
 from oracles import oracle_verdict, verdict_to_view, window_stage
 
 TOL = 1e-9
@@ -265,13 +266,16 @@ def test_coref_ablation_degrades_to_claim_scoring(criterion):
         rng = random.Random(1618)
         for case_id in range(100):
             doc, claims, params = random_case(rng, case_id)
-            item = (replace(doc, coref_clusters=()), claims, False)
-            (claim_only,) = score_corpus(
-                [item], Scorer(MockEntailmentBackend(), ScoringParams(**params)), "nli_claim"
+            summary = summary_from_sentences(claims[0].summary_id, doc.id, ["unused."])
+            pair = (replace(doc, coref_clusters=()), summary)
+            claim_only, with_coref = (
+                list(score_corpus(
+                    [pair], Scorer(MockEntailmentBackend(), ScoringParams(**params)),
+                    GivenClaims(claims), NoopCorefBackend(), mode,
+                ))[0]
+                for mode in ("nli_claim", "nli_coref")
             )
-            (with_coref,) = score_corpus(
-                [item], Scorer(MockEntailmentBackend(), ScoringParams(**params)), "nli_coref"
-            )
+            assert [v.claim for v in claim_only.verdicts] == list(claims)
             assert with_coref.score == claim_only.score
             for va, vb in zip(claim_only.verdicts, with_coref.verdicts):
                 assert vb.score == va.score

@@ -3,6 +3,7 @@
 import json
 import logging
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from click.testing import CliRunner
 
 from sumfact.cli import main
 
+from cases import random_news_corpus
 from stubserver import dead_url
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
@@ -242,7 +244,85 @@ class TestScore:
         }
 
 
+class TestScoreBlocks:
+    """``score`` resolves and scores its summaries a block of
+    ``nli_batch_size`` at a time, writing each block's lines as it goes."""
+
+    def news(self, tmp_path, n_docs=10):
+        """Documents, summaries and claim cache files of a news corpus with
+        coref wins and sentence fallbacks; ``(docs, sums, claims, summary ids)``."""
+        pairs, cache = random_news_corpus(random.Random(31), n_docs, 4)
+        documents = {d.id: {"id": d.id, "text": d.text} for d, _ in pairs}
+        summaries = [{"id": s.id, "document_id": s.document_id, "text": s.text} for _, s in pairs]
+        # A summary the cache has no claims for takes the sentence fallback.
+        claims = {s["id"]: cache.get(s["id"], []) for s in summaries}
+        docs = write(tmp_path, "docs.jsonl", "".join(json.dumps(d) + "\n" for d in documents.values()))
+        sums = write(tmp_path, "sums.jsonl", "".join(json.dumps(s) + "\n" for s in summaries))
+        claims_path = write(tmp_path, "claims.json", json.dumps(claims))
+        return docs, sums, claims_path, [s["id"] for s in summaries]
+
+    def run(self, runner, tmp_path, docs, sums, claims, batch_size, workers="1"):
+        config = write(tmp_path, "run.json", json.dumps({"nli_batch_size": batch_size}))
+        meta = tmp_path / "meta.json"
+        result = runner.invoke(main, [
+            "score", docs, sums, "--claim-backend", f"cache:{claims}",
+            "--coref-backend", "heuristic", "--config", config,
+            "--workers", workers, "--run-meta", str(meta),
+        ])
+        return result, meta
+
+    def test_bytes_do_not_depend_on_blocks_or_workers(self, runner, tmp_path):
+        docs, sums, claims, ids = self.news(tmp_path)
+        single, _ = self.run(runner, tmp_path, docs, sums, claims, len(ids))
+        assert single.exit_code == 0, single.stderr
+        lines = single.stdout.splitlines()
+        assert [json.loads(line)["summary_id"] for line in lines] == ids
+        fallbacks = sum(json.loads(line)["claims_fallback"] for line in lines)
+        assert 0 < fallbacks < len(ids)
+        assert any('"stage": "coref"' in line for line in lines)
+        for batch_size in (2, 32):
+            for workers in ("1", "3"):
+                result, meta = self.run(runner, tmp_path, docs, sums, claims, batch_size, workers)
+                assert result.exit_code == 0, result.stderr
+                assert result.stdout == single.stdout, (batch_size, workers)
+                meta = json.loads(meta.read_text())
+                assert meta["summaries"] == len(lines)
+                assert meta["claims_fallback_count"] == fallbacks
+
+    def test_claim_cache_miss_in_second_block_exits_2_after_the_first(self, runner, tmp_path):
+        docs, sums, claims, ids = self.news(tmp_path, n_docs=1)
+        full, meta = self.run(runner, tmp_path, docs, sums, claims, 2)
+        assert full.exit_code == 0, full.stderr
+        meta.unlink()
+        cache = json.loads(Path(claims).read_text())
+        del cache[ids[2]]
+        write(tmp_path, "claims.json", json.dumps(cache))
+        result, meta = self.run(runner, tmp_path, docs, sums, claims, 2)
+        assert result.exit_code == 2
+        error = json.loads(result.stderr.strip().splitlines()[-1])
+        assert error == {
+            "error": "ClaimCacheMiss",
+            "message": f"claim cache has no entry for summary '{ids[2]}'",
+        }
+        assert result.stdout.splitlines() == full.stdout.splitlines()[:2]
+        assert not meta.exists()
+
+
 class TestMalformedInput:
+    def test_blank_document_names_its_line(self, runner, tmp_path):
+        docs = write(
+            tmp_path, "docs.jsonl", '{"id": "d1", "text": "alpha."}\n{"id": "d2", "text": " \\t"}\n'
+        )
+        sums = write(
+            tmp_path, "sums.jsonl", '{"id": "s1", "document_id": "d1", "text": "alpha."}\n'
+        )
+        result = runner.invoke(main, ["score", docs, sums])
+        assert result.exit_code == 2
+        assert json.loads(result.stderr.strip().splitlines()[-1]) == {
+            "error": "InputError",
+            "message": f"{docs}:2: cannot segment empty or whitespace-only text",
+        }
+
     @pytest.mark.parametrize("command", ["score", "extract-claims"])
     @pytest.mark.parametrize(
         "content, message",

@@ -1,7 +1,7 @@
 """Opt-in checks that need model weights or a labeled corpus.
 
-Nothing here runs by default: each test skips unless the environment names
-the resources it needs.
+Each check skips unless the environment names the resources it needs; only
+the mock-backend run of the benchmark helper runs by default.
 
 - ``SUMFACT_NLI_MODEL``: entailment checkpoint for the ``local:`` backend
   (requires the ``models`` extra).
@@ -11,27 +11,24 @@ the resources it needs.
   the ablation ordering check.
 
 The accuracy targets are corpus-level numbers with a wide +/-2 point band;
-the directional model checks assert orderings, not absolute scores.
+the directional model checks assert orderings, not absolute scores. The
+benchmark runs go through the ``benchmark`` command.
 """
 
+import json
+import logging
 import os
+import random
 
 import pytest
+from click.testing import CliRunner
 
-from sumfact import Claim, Scorer, ScoringParams, load_run_config, run_benchmark
-from sumfact.config import scoring_params
+from sumfact import Claim, Scorer, ScoringParams, cli, load_run_config
+from sumfact.config import MODES
 from sumfact.coref import HeuristicCorefBackend
-from sumfact.formats import load_benchmark_records
-from sumfact.pipeline import (
-    attach_clusters,
-    build_units,
-    make_claim_extractor,
-    make_coref_backend,
-    make_nli_backend,
-    score_corpus,
-)
+from sumfact.pipeline import attach_clusters, make_nli_backend
 
-from cases import doc_from_sentences
+from cases import doc_from_sentences, write_news_records
 
 NLI_MODEL = os.environ.get("SUMFACT_NLI_MODEL")
 BENCH_JSONL = os.environ.get("SUMFACT_BENCHMARK_JSONL")
@@ -58,29 +55,37 @@ def _model_backend():
     return make_nli_backend(config)
 
 
-def _run_benchmark(mode, protocol="per_split"):
-    overrides = {
-        "nli_backend": f"local:{NLI_MODEL}",
-        "coref_backend": "heuristic",
-        "mode": mode,
-        "workers": 4,
-    }
-    if CLAIM_CACHE:
-        overrides["claim_backend"] = f"cache:{CLAIM_CACHE}"
-    config = load_run_config(None, overrides)
-    records = load_benchmark_records(BENCH_JSONL)
-    scorer = Scorer(make_nli_backend(config), scoring_params(config))
-    extractor = make_claim_extractor(config)
-    coref_backend = make_coref_backend(config)
+def _run_benchmark(
+    mode, protocol="per_split", *, records=BENCH_JSONL, nli_backend=None, claim_cache=CLAIM_CACHE
+):
+    """The ``benchmark`` command's report on ``records``, as a dict."""
+    args = [
+        "benchmark", records,
+        "--nli-backend", nli_backend or f"local:{NLI_MODEL}",
+        "--coref-backend", "heuristic",
+        "--mode", mode,
+        "--protocol", protocol,
+        "--workers", "4",
+    ]
+    if claim_cache:
+        args += ["--claim-backend", f"cache:{claim_cache}"]
+    try:
+        result = CliRunner().invoke(cli.main, args)
+    finally:
+        logging.getLogger("sumfact").handlers.clear()
+    assert result.exit_code == 0, result.stderr
+    return json.loads(result.stdout)
 
-    def score_records(pending):
-        pairs = [(r.document, r.summary) for r in pending]
-        items = build_units(
-            pairs, extractor, coref_backend, config.mode, missing_ok=True, workers=config.workers
-        )
-        return [r.score for r in score_corpus(items, scorer, config.mode, config.workers)]
 
-    return run_benchmark(records, score_records, protocol, bootstrap_seed=None)
+@pytest.mark.parametrize("mode", MODES)
+def test_benchmark_helper_on_the_mock_backend(tmp_path, mode):
+    """The labeled-corpus helper on a small generated corpus, so that an API
+    change fails here and not only in the skipped tests below."""
+    records, claims = write_news_records(tmp_path, random.Random(5))
+    report = _run_benchmark(mode, records=records, nli_backend="mock", claim_cache=claims)
+    assert report["mode"] == mode
+    assert report["datasets"]["news"]["n_test"] == 8
+    assert 0.0 <= report["average_balanced_accuracy"] <= 1.0
 
 
 @needs_corpus
@@ -88,11 +93,9 @@ def test_labeled_benchmark_accuracy(criterion):
     """Full pipeline lands near its published corpus-level accuracy."""
     with criterion("labeled-benchmark-accuracy"):
         per_split = _run_benchmark("full", "per_split")
-        assert 100 * per_split.average_balanced_accuracy == pytest.approx(
-            71.6, abs=2.0
-        )
+        assert 100 * per_split["average_balanced_accuracy"] == pytest.approx(71.6, abs=2.0)
         pooled = _run_benchmark("full", "single_threshold")
-        assert 100 * pooled.average_balanced_accuracy == pytest.approx(72.7, abs=2.0)
+        assert 100 * pooled["average_balanced_accuracy"] == pytest.approx(72.7, abs=2.0)
 
 
 @needs_full_stack
@@ -100,7 +103,7 @@ def test_ablation_ordering(criterion):
     """Each pipeline stage adds accuracy on the labeled corpus."""
     with criterion("ablation-ordering"):
         averages = {
-            mode: _run_benchmark(mode).average_balanced_accuracy
+            mode: _run_benchmark(mode)["average_balanced_accuracy"]
             for mode in ("nli_sent", "nli_claim", "nli_coref", "full")
         }
         assert (

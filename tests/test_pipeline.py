@@ -446,7 +446,7 @@ class TestBuildUnits:
         items = build_units(pairs, None, backend, "full")
         assert backend.calls == 2
         assert [document.text for document, _, _ in items] == [first.text, second.text, first.text]
-        reports = list(score_corpus(items, Scorer(MockEntailmentBackend()), "full"))
+        reports = list(score_corpus(pairs, Scorer(MockEntailmentBackend()), None, backend, "full"))
         for (document, summary), report in zip(pairs, reports):
             (direct,) = Scorer(MockEntailmentBackend()).score_summaries(
                 [(document, fallback_claims(summary), True)]
@@ -477,7 +477,7 @@ class TestBuildUnits:
 
 
 class TestEvaluatePair:
-    """One pair built and scored in one mode: ``build_units`` then ``score_corpus``."""
+    """One pair resolved and scored in one mode by ``score_corpus``."""
 
     DOC = doc_from_sentences("d1", ["alpha beta.", "gamma delta."])
     SUMMARY = summary_from_sentences("s1", "d1", ["alpha beta."])
@@ -485,8 +485,10 @@ class TestEvaluatePair:
     def report(self, fallback, mode):
         # No extractor takes the sentence fallback; a cache hit does not.
         extractor = None if fallback else FileCacheExtractor({"s1": ["alpha beta."]})
-        items = build_units([(self.DOC, self.SUMMARY)], extractor, NoopCorefBackend(), mode)
-        (report,) = score_corpus(items, Scorer(MockEntailmentBackend()), mode)
+        (report,) = score_corpus(
+            [(self.DOC, self.SUMMARY)], Scorer(MockEntailmentBackend()), extractor,
+            NoopCorefBackend(), mode,
+        )
         return report
 
     def test_full_mode_keeps_flag(self):
@@ -532,19 +534,50 @@ class TestEvaluatePair:
             build_units([(self.DOC, self.SUMMARY)], None, NoopCorefBackend(), "bogus")
 
 
+def sentence_pairs(docs, texts):
+    """A one-sentence summary ``s<i>`` of each document: with no extractor,
+    the sentence is the summary's one claim."""
+    return [
+        (doc, summary_from_sentences(f"s{i}", doc.id, [text]))
+        for i, (doc, text) in enumerate(zip(docs, texts))
+    ]
+
+
 class TestScoreCorpus:
-    def items(self):
+    def pairs(self):
         docs = [doc_from_sentences(f"d{i}", [f"word{i} alpha.", "beta gamma."]) for i in range(6)]
-        return [(doc, [Claim(f"s{i}", 0, f"word{i} beta.")], False) for i, doc in enumerate(docs)]
+        return sentence_pairs(docs, [f"word{i} beta." for i in range(6)])
 
     def test_workers_do_not_change_reports(self):
-        items = self.items()
-        serial = list(score_corpus(items, Scorer(MockEntailmentBackend()), "full"))
+        pairs, coref = self.pairs(), NoopCorefBackend()
+        serial = list(score_corpus(pairs, Scorer(MockEntailmentBackend()), None, coref, "full"))
         threaded = list(
-            score_corpus(items, Scorer(MockEntailmentBackend(batch_size=2, workers=3)), "full")
+            score_corpus(
+                pairs, Scorer(MockEntailmentBackend(batch_size=2, workers=3)), None, coref,
+                "full", workers=3,
+            )
         )
         assert serial == threaded
         assert [r.summary_id for r in serial] == [f"s{i}" for i in range(6)]
+
+    def test_pairs_are_taken_a_block_at_a_time(self):
+        # The scorer takes the second block, and so reads the third pair,
+        # while the first block's last wave is in flight: never further ahead.
+        taken = []
+
+        def pairs():
+            for n, pair in enumerate(self.pairs()):
+                taken.append(n)
+                yield pair
+
+        scorer = Scorer(MockEntailmentBackend(batch_size=2))
+        reports = score_corpus(pairs(), scorer, None, NoopCorefBackend(), "full")
+        next(reports)
+        assert taken == [0, 1, 2, 3]
+        next(reports)
+        assert taken == [0, 1, 2, 3]
+        assert len(list(reports)) == 4
+        assert taken == list(range(6))
 
 
 class RecordingBackend(MockEntailmentBackend):
@@ -560,7 +593,7 @@ class RecordingBackend(MockEntailmentBackend):
 
 
 class TestBlocks:
-    """``score_corpus`` scores blocks of ``batch_size`` items, each stage one
+    """``score_corpus`` scores blocks of ``batch_size`` pairs, each stage one
     wave of backend pairs over the block; blocks change batching only."""
 
     PARAMS = ScoringParams(window_size=2, gate_threshold=0.9)
@@ -569,14 +602,19 @@ class TestBlocks:
     @pytest.mark.parametrize("mode", MODES)
     def test_reports_do_not_depend_on_blocks(self, mode):
         pairs, cache = random_news_corpus(random.Random(4242), 24, 3)
-        items = build_units(
-            pairs, FileCacheExtractor(cache), HeuristicCorefBackend(), mode, missing_ok=True
-        )
+        extractor, coref = FileCacheExtractor(cache), HeuristicCorefBackend()
 
-        def fresh():
-            return Scorer(MockEntailmentBackend(budget=self.BUDGET), self.PARAMS)
+        def scored(pairs, backend, workers=1):
+            return score_corpus(
+                pairs, Scorer(backend, self.PARAMS), extractor, coref, mode,
+                missing_ok=True, workers=workers,
+            )
 
-        expected = [report for item in items for report in score_corpus([item], fresh(), mode)]
+        expected = [
+            report
+            for pair in pairs
+            for report in scored([pair], MockEntailmentBackend(budget=self.BUDGET))
+        ]
         if mode == "full":
             # The corpus reaches every stage, budget chunking and the fallback.
             verdicts = [v for report in expected for v in report.verdicts]
@@ -586,30 +624,31 @@ class TestBlocks:
                 v.stage == "multi_granularity" and v.aligned.granularity == "window"
                 for v in verdicts
             )
-            assert any(len(doc.text) > self.BUDGET.max_units for doc, _, _ in items)
-            assert 0 < sum(r.claims_fallback for r in expected) < len(items)
+            assert any(len(doc.text) > self.BUDGET.max_units for doc, _ in pairs)
+            assert 0 < sum(r.claims_fallback for r in expected) < len(pairs)
         rendered = [render_report(report) for report in expected]
         for batch_size in (1, 4, 32):
             for workers in (1, 3):
                 backend = MockEntailmentBackend(
                     batch_size=batch_size, budget=self.BUDGET, workers=workers
                 )
-                reports = score_corpus(items, Scorer(backend, self.PARAMS), mode)
+                reports = scored(pairs, backend, workers)
                 assert [render_report(r) for r in reports] == rendered, (batch_size, workers)
 
     def test_one_backend_pass_per_wave_and_block(self):
-        # One-claim items, each with its own document of m sentences, no
-        # coref and a gate every claim misses: per block of B items the
+        # One-claim summaries, each with its own document of m sentences, no
+        # coref and a gate every claim misses: per block of B summaries the
         # sentence wave sends B*m pairs and the window and document wave
         # B*(m - j + 1) windows plus B documents.
         m, j, n_items, batch_size = 4, 2, 10, 3
-        items = []
-        for u in range(n_items):
-            doc = doc_from_sentences(f"d{u}", [f"{'x' * (s + 1)} w{u}s{s} tail." for s in range(m)])
-            items.append((doc, [Claim(f"s{u}", 0, f"w{u}s0 other.")], False))
+        docs = [
+            doc_from_sentences(f"d{u}", [f"{'x' * (s + 1)} w{u}s{s} tail." for s in range(m)])
+            for u in range(n_items)
+        ]
+        pairs = sentence_pairs(docs, [f"w{u}s0 other." for u in range(n_items)])
         backend = RecordingBackend(batch_size=batch_size)
         scorer = Scorer(backend, ScoringParams(window_size=j, gate_threshold=0.9))
-        reports = list(score_corpus(items, scorer, "full"))
+        reports = list(score_corpus(pairs, scorer, None, NoopCorefBackend(), "full"))
         assert [r.verdicts[0].stage for r in reports] == ["multi_granularity"] * n_items
         blocks = [min(batch_size, n_items - lo) for lo in range(0, n_items, batch_size)]
         waves = [b * m for b in blocks] + [b * (m - j + 2) for b in blocks]
@@ -640,18 +679,23 @@ class TestPairsInFlight:
 
         return BarrierBackend
 
+    @staticmethod
+    def scored(pairs, scorer, extractor=None, coref=None):
+        return list(
+            score_corpus(pairs, scorer, extractor, coref or NoopCorefBackend(), "full",
+                         missing_ok=True)
+        )
+
     def test_shared_pair_is_sent_once(self):
         shared = "shared alpha beta."
-        items = []
-        for u in range(2):
-            doc = doc_from_sentences(f"d{u}", [shared, f"unique{u} gamma."])
-            items.append((doc, [Claim(f"s{u}", 0, shared)], False))
+        docs = [doc_from_sentences(f"d{u}", [shared, f"unique{u} gamma."]) for u in range(2)]
+        pairs = sentence_pairs(docs, [shared] * 2)
         serial = Scorer(MockEntailmentBackend(batch_size=1))
-        expected = list(score_corpus(items, serial, "full"))
+        expected = self.scored(pairs, serial)
         # The first block's two sentence batches wait for each other.
         backend = self.barrier_backend(2)(batch_size=1, workers=3)
         scorer = Scorer(backend, serial.params)
-        assert list(score_corpus(items, scorer, "full")) == expected
+        assert self.scored(pairs, scorer) == expected
         sent = [pair for batch in backend.batches for pair in batch]
         assert sent.count((shared, shared)) == 1
         assert scorer.backend_calls == serial.backend_calls == {
@@ -664,18 +708,19 @@ class TestPairsInFlight:
         # share the window premise over them. The claim misses the gate, and
         # each item is its own block.
         window = "alpha beta. gamma delta."
-        items = []
-        for u in range(2):
-            doc = doc_from_sentences(f"d{u}", ["alpha beta.", "gamma delta.", f"unique{u} tail."])
-            items.append((doc, [Claim(f"s{u}", 0, "zz yy.")], False))
+        docs = [
+            doc_from_sentences(f"d{u}", ["alpha beta.", "gamma delta.", f"unique{u} tail."])
+            for u in range(2)
+        ]
+        pairs = sentence_pairs(docs, ["zz yy."] * 2)
         params = ScoringParams(window_size=2, gate_threshold=0.9)
         serial = Scorer(MockEntailmentBackend(batch_size=1), params)
-        expected = list(score_corpus(items, serial, "full"))
+        expected = self.scored(pairs, serial)
         # With several workers, the first block's three sentence batches
         # wait for each other.
         backend = self.barrier_backend(3 if workers > 1 else 1)(batch_size=1, workers=workers)
         scorer = Scorer(backend, params)
-        assert list(score_corpus(items, scorer, "full")) == expected
+        assert self.scored(pairs, scorer) == expected
         sent = [pair for batch in backend.batches for pair in batch]
         assert sent.count((window, "zz yy.")) == 1
         assert len(sent) == len(set(sent))
@@ -683,20 +728,20 @@ class TestPairsInFlight:
             "sentence": 4, "coref": 0, "window": 3, "document": 2
         }
 
-    @staticmethod
-    def sent_by_many_workers(items, params):
+    @classmethod
+    def sent_by_many_workers(cls, corpus, params):
         """Reports and pairs sent with one worker; then, three times over with
         eight, check the reports and ``backend_calls`` and yield the pairs sent."""
         serial_backend = RecordingBackend(batch_size=1)
         serial = Scorer(serial_backend, params)
-        expected = list(score_corpus(items, serial, "full"))
+        expected = cls.scored(corpus[0], serial, *corpus[1:])
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(3):
                 backend = RecordingBackend(batch_size=1, workers=8)
                 scorer = Scorer(backend, params)
-                assert list(score_corpus(items, scorer, "full")) == expected
+                assert cls.scored(corpus[0], scorer, *corpus[1:]) == expected
                 assert scorer.backend_calls == serial.backend_calls
                 sent = [pair for batch in backend.batches for pair in batch]
                 yield sent, [pair for batch in serial_backend.batches for pair in batch]
@@ -704,32 +749,31 @@ class TestPairsInFlight:
             sys.setswitchinterval(interval)
 
     @staticmethod
-    def news_items():
-        # Summaries of one document share pairs, across blocks of one item.
+    def news_corpus():
+        """``(pairs, extractor, coref backend)``: summaries of one document
+        share pairs, across blocks of one pair."""
         pairs, cache = random_news_corpus(random.Random(7), 6, 8)
-        return build_units(
-            pairs, FileCacheExtractor(cache), HeuristicCorefBackend(), "full", missing_ok=True
-        )
+        return pairs, FileCacheExtractor(cache), HeuristicCorefBackend()
 
     def test_many_workers_send_each_pair_once(self, monkeypatch):
         # A memo that spans the whole run: every pair is sent once.
-        items = self.news_items()
-        monkeypatch.setattr(scoring, "MEMO_BLOCKS", len(items))
+        corpus = self.news_corpus()
+        monkeypatch.setattr(scoring, "MEMO_BLOCKS", len(corpus[0]))
         params = ScoringParams(window_size=2, gate_threshold=0.9)
-        for sent, _ in self.sent_by_many_workers(items, params):
+        for sent, _ in self.sent_by_many_workers(corpus, params):
             assert len(sent) == len(set(sent))
 
     def test_many_workers_send_what_one_worker_sends(self):
         # The bounded memo sends some pairs again, as often with any workers.
         params = ScoringParams(window_size=2, gate_threshold=0.9)
-        for sent, serial_sent in self.sent_by_many_workers(self.news_items(), params):
+        for sent, serial_sent in self.sent_by_many_workers(self.news_corpus(), params):
             assert len(sent) > len(set(sent))
             assert Counter(sent) == Counter(serial_sent)
 
 
 class TestRecordScorer:
     """Benchmark records scored as the ``benchmark`` command scores them:
-    ``build_units`` over their (document, summary) pairs, then ``score_corpus``."""
+    ``score_corpus`` over their (document, summary) pairs."""
 
     def record(self, rid, summary_texts=("alpha beta.",)):
         doc = doc_from_sentences("shared-doc", ["alpha beta.", "gamma delta."])
@@ -738,10 +782,9 @@ class TestRecordScorer:
 
     def reports(self, records, extractor=None, mode="full", coref_backend=None):
         pairs = [(r.document, r.summary) for r in records]
-        items = build_units(
-            pairs, extractor, coref_backend or NoopCorefBackend(), mode, missing_ok=True
-        )
-        return list(score_corpus(items, Scorer(MockEntailmentBackend()), mode))
+        scorer = Scorer(MockEntailmentBackend())
+        coref_backend = coref_backend or NoopCorefBackend()
+        return list(score_corpus(pairs, scorer, extractor, coref_backend, mode, missing_ok=True))
 
     def fallbacks(self, records, **kwargs):
         return sum(r.claims_fallback for r in self.reports(records, **kwargs))

@@ -10,6 +10,7 @@ import pytest
 
 from sumfact import (
     Claim,
+    ClaimCacheMiss,
     MockEntailmentBackend,
     NliBackendError,
     NoopCorefBackend,
@@ -20,7 +21,7 @@ from sumfact import (
     Substitution,
     coref_variants,
 )
-from sumfact.pipeline import build_units, score_corpus
+from sumfact.pipeline import score_corpus
 from sumfact.scoring import MEMO_BLOCKS, AlignedSpan
 
 import oracles
@@ -594,6 +595,19 @@ class TestScoreBlocks:
         with pytest.raises(ValueError, match="at least one claim"):
             next(scored)
 
+    def test_error_taking_the_next_block_comes_after_this_blocks_reports(self):
+        good, _ = self.items()
+
+        def blocks():
+            yield good
+            raise ClaimCacheMiss("no claims for the next block")
+
+        scored = make_scorer().score_blocks(blocks())
+        (report,) = next(scored)
+        assert report.summary_id == "s0"
+        with pytest.raises(ClaimCacheMiss, match="no claims for the next block"):
+            next(scored)
+
     def test_backend_error_in_the_next_block_comes_after_this_blocks_reports(self):
         class FailsOnUnique(MockEntailmentBackend):
             def _infer(self, pairs, table):
@@ -647,25 +661,27 @@ class TestAblations:
     def test_nli_sent_keeps_duplicate_sentences(self, scorer):
         doc = doc_from_sentences("d", ["alpha beta.", "gamma delta."])
         summary = summary_from_sentences("s1", "d", ["Alpha beta.", "Alpha beta."])
-        items = build_units([(doc, summary)], None, NoopCorefBackend(), "nli_sent")
-        (report,) = score_corpus(items, scorer, "nli_sent")
+        (report,) = score_corpus([(doc, summary)], scorer, None, NoopCorefBackend(), "nli_sent")
         assert len(report.verdicts) == 2
         assert [v.claim.text for v in report.verdicts] == ["Alpha beta.", "Alpha beta."]
         assert all(v.stage == "sentence" for v in report.verdicts)
 
+    @staticmethod
+    def scored(scorer, doc, text, mode):
+        """The report of a one-sentence summary, whose sentence is its one claim."""
+        summary = summary_from_sentences("s1", doc.id, [text])
+        (report,) = score_corpus([(doc, summary)], scorer, None, NoopCorefBackend(), mode)
+        return report
+
     def test_nli_claim_is_sentence_stage_only(self, scorer):
-        doc = vunipola_doc()
-        c = claim("The player was ruled out.")
-        (report,) = score_corpus([(doc, [c], False)], scorer, "nli_claim")
+        report = self.scored(scorer, vunipola_doc(), "The player was ruled out.", "nli_claim")
         (verdict,) = report.verdicts
         assert verdict.stage == "sentence"
         assert verdict.score == pytest.approx(0.4)
         assert set(verdict.sub_scores) == {"sentence"}
 
     def test_nli_coref_stage_reflects_substitution(self, scorer):
-        doc = vunipola_doc()
-        c = claim("The player was ruled out.")
-        (report,) = score_corpus([(doc, [c], False)], scorer, "nli_coref")
+        report = self.scored(scorer, vunipola_doc(), "The player was ruled out.", "nli_coref")
         (verdict,) = report.verdicts
         assert verdict.stage == "coref"
         assert verdict.score == pytest.approx(0.8)
@@ -674,18 +690,17 @@ class TestAblations:
 
     def test_nli_coref_without_win_is_sentence_stage(self, scorer):
         doc = doc_from_sentences("d", ["alpha beta.", "gamma delta."])
-        (report,) = score_corpus([(doc, [claim("alpha beta.")], False)], scorer, "nli_coref")
+        report = self.scored(scorer, doc, "alpha beta.", "nli_coref")
         assert report.verdicts[0].stage == "sentence"
 
     def test_unknown_mode_rejected(self, scorer):
-        doc = doc_from_sentences("d", ["alpha."])
         with pytest.raises(ValueError, match="mode"):
-            list(score_corpus([(doc, [claim("alpha.")], False)], scorer, "bogus"))
+            self.scored(scorer, doc_from_sentences("d", ["alpha."]), "alpha.", "bogus")
 
     def test_ablation_requires_claims(self, scorer):
         doc = doc_from_sentences("d", ["alpha."])
         with pytest.raises(ValueError, match="at least one claim"):
-            list(score_corpus([(doc, [], False)], scorer, "nli_claim"))
+            scorer.score_summaries([(doc, [], False)], stop="sentence")
 
 
 class TestOracleSpotChecks:

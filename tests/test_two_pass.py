@@ -13,7 +13,7 @@ import logging
 import pytest
 from click.testing import CliRunner
 
-from sumfact import cli, formats, pipeline
+from sumfact import benchmark, cli, formats, pipeline
 from sumfact.benchmark import BenchmarkRow
 from sumfact.documents import RuleSegmenter
 from sumfact.errors import InputError
@@ -83,22 +83,32 @@ def error_of(result):
 
 
 # Each malformed record sits on line 5, after four good ones. The messages
-# are those the one-pass loader gave.
+# are those the one-pass loader gave, each naming the line once.
 MALFORMED = {
     "blank document": (
         json.dumps(record("x", "test", "factual", document="  \t ")),
-        "EmptyDocument",
-        "cannot segment empty or whitespace-only text",
+        "InputError",
+        "{path}:5: cannot segment empty or whitespace-only text",
+    ),
+    "blank document object": (
+        json.dumps(record("x", "test", "factual", document={"id": "d1", "text": " \n"})),
+        "InputError",
+        "{path}:5: cannot segment empty or whitespace-only text",
     ),
     "whitespace-only summary": (
         json.dumps(record("x", "test", "factual", summary=" \n ")),
         "InputError",
         "{path}:5: cannot segment empty or whitespace-only text",
     ),
+    "summary object without text": (
+        json.dumps(record("x", "test", "factual", summary={"id": "s9"})),
+        "InputError",
+        "{path}:5: missing or empty string field 'text'",
+    ),
     "bad split": (
         json.dumps(record("x", "train", "factual")),
         "InputError",
-        "record 'x': split must be 'validation' or 'test', got 'train'",
+        "{path}:5: record 'x': split must be 'validation' or 'test', got 'train'",
     ),
     "document-id mismatch": (
         json.dumps(
@@ -109,7 +119,7 @@ MALFORMED = {
             )
         ),
         "InputError",
-        "record 'x': summary points at document 'd2' but carries document 'd1'",
+        "{path}:5: record 'x': summary points at document 'd2' but carries document 'd1'",
     ),
     "bad gold label": (
         json.dumps(record("x", "test", "maybe")),
@@ -246,8 +256,10 @@ class TestSecondPass:
 
 class TestCheckpoints:
     def test_cache_file_holds_earlier_blocks_mid_run(self, runner, tmp_path, monkeypatch):
-        # Blocks of one record: checkpoints after every CHECKPOINT_BLOCKS records.
-        n = 3 * cli.CHECKPOINT_BLOCKS
+        # Blocks of one record, and a checkpoint after every `every` records.
+        every = 8
+        monkeypatch.setattr(benchmark, "CHECKPOINT_RECORDS", every)
+        n = 3 * every
         rows = [
             record(f"r{i:02d}", "validation" if i % 2 else "test", "factual" if i % 4 < 2 else "not_factual",
                    f"alpha{i} beta.")
@@ -256,7 +268,7 @@ class TestCheckpoints:
         path = write_records(tmp_path, [json.dumps(r) for r in rows])
         cache_dir = tmp_path / "cache"
         seen = {}
-        watch = f"alpha{2 * cli.CHECKPOINT_BLOCKS + 2} beta."
+        watch = f"alpha{2 * every + 2} beta."
 
         class Snooping(MockEntailmentBackend):
             def _infer(self, pairs, table):
@@ -276,9 +288,9 @@ class TestCheckpoints:
         (cache_file,) = cache_dir.glob("scores-*.json")
         final = json.loads(cache_file.read_text())
         assert len(final) == n
-        earlier = {f"r{i:02d}" for i in range(2 * cli.CHECKPOINT_BLOCKS)}
+        earlier = {f"r{i:02d}" for i in range(2 * every)}
         assert earlier <= set(seen)
-        assert f"r{2 * cli.CHECKPOINT_BLOCKS + 2:02d}" not in seen
+        assert f"r{2 * every + 2:02d}" not in seen
         assert all(final[rid] == score for rid, score in seen.items())
 
 
