@@ -6,10 +6,12 @@ validation data, either per dataset (``per_split``) or once on the pooled
 validation records (``single_threshold``), then evaluated as balanced
 accuracy on each test split. Bootstrap resampling of the test split gives a
 spread estimate. Scoring is the expensive part, so scores can be cached on
-disk keyed by a scorer-configuration fingerprint and the record id; tuning
-and evaluation never call back into the scorer. Tuning and evaluation need
-only a record's labels, so a run can hold light rows (:class:`BenchmarkRow`)
-and build each full :class:`BenchmarkRecord` only when it is scored.
+disk keyed by a scorer-configuration fingerprint and the record id, each
+score stored with a digest of the record's line so that an edited record is
+scored again; tuning and evaluation never call back into the scorer. Tuning
+and evaluation need only a record's labels, so a run can hold light rows
+(:class:`BenchmarkRow`) and build each full :class:`BenchmarkRecord` only
+when it is scored.
 """
 
 from __future__ import annotations
@@ -80,7 +82,11 @@ class BenchmarkRecord:
 @dataclass(frozen=True, slots=True)
 class BenchmarkRow:
     """A checked record's labels, and the byte offset of its line in the
-    records file, from which the full record is read again to be scored."""
+    records file, from which the full record is read again to be scored.
+
+    ``digest`` is the 16-byte BLAKE2b digest of that line (without its line
+    ending); the score cache stores it with the record's score.
+    """
 
     record_id: str
     gold_label: bool
@@ -88,6 +94,7 @@ class BenchmarkRow:
     dataset: str
     split: str
     offset: int
+    digest: bytes | None = None
 
 
 @dataclass(frozen=True)
@@ -285,9 +292,11 @@ def run_benchmark(
     """Score, tune, and evaluate; deterministic given a deterministic scorer.
 
     ``records`` are full records or light rows: only their labels are read
-    here. ``score_records`` gets the records the cache cannot answer, in
-    input order, and returns one score for each; the cache is saved every
-    :data:`CHECKPOINT_RECORDS` scores and when it is done or fails.
+    here, and a row's ``digest``, which the cache keeps with its score (full
+    records have none). ``score_records`` gets the records the cache cannot
+    answer, in input order, and returns one score for each; the cache is
+    saved every :data:`CHECKPOINT_RECORDS` scores and when it is done or
+    fails.
     ``per_split`` tunes one threshold per dataset on its validation split;
     ``single_threshold`` tunes once on all validation records pooled.
     Datasets are processed in sorted name order. ``bootstrap_seed=None``
@@ -381,7 +390,8 @@ def _score_records(
         if record.record_id in seen:
             raise InputError(f"duplicate record id '{record.record_id}'")
         seen.add(record.record_id)
-        cached = cache.get(record.record_id) if cache is not None else None
+        digest = getattr(record, "digest", None)
+        cached = cache.get(record.record_id, digest) if cache is not None else None
         if cached is not None:
             scores[record.record_id] = cached
         else:
@@ -392,7 +402,7 @@ def _score_records(
             for n, (record, score) in enumerate(scored, start=1):
                 scores[record.record_id] = score
                 if cache is not None:
-                    cache.put(record.record_id, score)
+                    cache.put(record.record_id, score, getattr(record, "digest", None))
                     if n % CHECKPOINT_RECORDS == 0:
                         cache.save()
         finally:
@@ -413,12 +423,18 @@ class ScoreCache:
 
     Lives at ``<directory>/scores-<fingerprint>.json``; a different scorer
     configuration hashes to a different file, so stale scores can never leak
-    across configurations.
+    across configurations. The file is a JSON object keyed by record id;
+    each entry is ``[score, "<hex digest>"]``, the digest of the record's
+    line when it was scored, or a plain score for a record put without a
+    digest. A cached score answers only a record with the same digest (or,
+    for a plain score, none), so an edited record is scored again, and so is
+    every record of a cache written before digests were stored, once.
     """
 
     def __init__(self, directory: str, fingerprint: str):
         self.path = os.path.join(directory, f"scores-{fingerprint}.json")
-        self._scores: dict[str, float] = {}
+        # record id -> (score, hex digest or None)
+        self._entries: dict[str, tuple[float, str | None]] = {}
         self._dirty = False
         if os.path.exists(self.path):
             with open(self.path, "r", encoding="utf-8") as fh:
@@ -429,6 +445,13 @@ class ScoreCache:
             if not isinstance(data, dict):
                 raise InputError(f"score cache {self.path} is not a JSON object")
             for key, value in data.items():
+                digest = None
+                if type(value) is list and len(value) == 2:
+                    value, digest = value
+                    if not _is_hex_digest(digest):
+                        raise InputError(
+                            f"score cache {self.path}: entry '{key}' has a malformed digest"
+                        )
                 score = math.nan
                 if type(value) in (int, float):  # not bool
                     try:
@@ -437,13 +460,17 @@ class ScoreCache:
                         pass
                 if not math.isfinite(score):
                     raise InputError(f"score cache {self.path}: entry '{key}' is not a number")
-                self._scores[key] = score
+                self._entries[key] = (score, digest)
 
-    def get(self, record_id: str) -> float | None:
-        return self._scores.get(record_id)
+    def get(self, record_id: str, digest: bytes | None = None) -> float | None:
+        """The cached score of ``record_id``, if it was stored with ``digest``."""
+        entry = self._entries.get(record_id)
+        if entry is None or entry[1] != (None if digest is None else digest.hex()):
+            return None
+        return entry[0]
 
-    def put(self, record_id: str, score: float) -> None:
-        self._scores[record_id] = score
+    def put(self, record_id: str, score: float, digest: bytes | None = None) -> None:
+        self._entries[record_id] = (score, None if digest is None else digest.hex())
         self._dirty = True
 
     def save(self) -> None:
@@ -451,7 +478,20 @@ class ScoreCache:
             return
         os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
         tmp = self.path + ".tmp"
+        data = {
+            key: score if digest is None else [score, digest]
+            for key, (score, digest) in self._entries.items()
+        }
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(self._scores, sort_keys=True))
+            fh.write(json.dumps(data, sort_keys=True))
         os.replace(tmp, self.path)
         self._dirty = False
+
+
+def _is_hex_digest(value: object) -> bool:
+    """Whether ``value`` is a 16-byte digest as lowercase hex."""
+    return (
+        isinstance(value, str)
+        and len(value) == 32
+        and all(c in "0123456789abcdef" for c in value)
+    )

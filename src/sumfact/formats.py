@@ -21,6 +21,7 @@ emitter, making outputs byte-stable across runs and platforms.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import sys
 from contextlib import contextmanager
@@ -95,18 +96,18 @@ def _parse_line(path: str, line_number: int, line: bytes) -> dict | None:
     return record
 
 
-def _read_jsonl(path: str) -> Iterator[tuple[int, int, dict]]:
-    """Yield (line_number, byte offset, record) for every non-blank line."""
+def _read_jsonl(path: str) -> Iterator[tuple[int, int, bytes, dict]]:
+    """Yield (line_number, byte offset, line, record) for every non-blank line."""
     with _open(path) as fh:
         for line_number, (offset, line) in enumerate(_lines(fh), start=1):
             record = _parse_line(path, line_number, line)
             if record is not None:
-                yield line_number, offset, record
+                yield line_number, offset, line, record
 
 
 def read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
     """Yield (line_number, record) for every non-blank line."""
-    for line_number, _, record in _read_jsonl(path):
+    for line_number, _, _, record in _read_jsonl(path):
         yield line_number, record
 
 
@@ -327,10 +328,11 @@ def load_benchmark_records(path: str) -> list[BenchmarkRow]:
     Every check that building the full record makes runs here, with the
     same message, but texts are not segmented: segmenting fails only on
     blank text, which is checked instead. Rows hold the labels and each
-    line's byte offset, for :func:`read_benchmark_records`.
+    line's byte offset, for :func:`read_benchmark_records`, and the digest of
+    the line, for the score cache.
     """
     rows = []
-    for line_number, offset, record in _read_jsonl(path):
+    for line_number, offset, line, record in _read_jsonl(path):
         checked = _benchmark_record(record, f"{path}:{line_number}", whole_text)
         rows.append(
             BenchmarkRow(
@@ -340,6 +342,7 @@ def load_benchmark_records(path: str) -> list[BenchmarkRow]:
                 sys.intern(checked.dataset),
                 sys.intern(checked.split),
                 offset,
+                hashlib.blake2b(line.rstrip(b"\n"), digest_size=16).digest(),
             )
         )
     return rows

@@ -1,22 +1,26 @@
 """Entailment backends: (premise, hypothesis) -> probability triple.
 
-Every backend returns an :class:`EntailmentTriple` whose components are the
-probabilities of entailment, neutrality and contradiction. The alignment
-score used throughout the toolkit is ``entailment - contradiction``, a value
-in [-1, 1].
+A backend gives each pair the probabilities of entailment, neutrality and
+contradiction. The alignment score used throughout the toolkit is
+``entailment - contradiction``, a value in [-1, 1].
 
 Three backends are provided: a deterministic lexical mock (the test
 workhorse), an HTTP client for a remote scoring service, and an adapter for a
 local transformers sequence-classification checkpoint.
 
-``EntailmentBackend.entail_batch`` checks every pair in one pass and builds a
-:class:`TextTable` of the call's distinct texts, so the budget guard sizes
-each distinct text once. A backend's ``_infer(pairs, table)`` runs once per
+``EntailmentBackend.submit`` checks every pair in one pass, so the budget
+guard sizes each distinct text once, and builds a :class:`TextTable` of the
+call's distinct texts. A backend's ``_infer(pairs, table)`` runs once per
 length-sorted batch of at most ``batch_size`` pairs, with up to ``workers``
-batches in flight at once; it may read per-text features from the table,
-computed once per call, and must not retain the table, which lives only for
-that one call. ``submit`` starts a call without waiting for it, so a caller
-can have the next call's batches in flight while it reads this one's.
+batches in flight at once, and returns one row of three floats per pair,
+``(entailment, neutral, contradiction)``; it may read per-text features from
+the table, computed once per call, and must not retain the table, which
+lives only for that one call. The :class:`Inference` that ``submit`` returns
+checks every row once, with the rule of :class:`EntailmentTriple`, as it
+reads it: the scorer reads plain scores from it (:meth:`Inference.scores`),
+and ``entail_batch`` its :class:`EntailmentTriple` objects. ``submit``
+starts a call without waiting for it, so a caller can have the next call's
+batches in flight while it reads this one's.
 """
 
 from __future__ import annotations
@@ -47,6 +51,24 @@ __all__ = [
 _SUM_TOLERANCE = 1e-3
 
 Pair = tuple[str, str]
+# Probabilities of entailment, neutrality and contradiction, in that order.
+Row = tuple[float, float, float]
+_NAMES = ("entailment", "neutral", "contradiction")
+
+
+def _checked(e: float, n: float, c: float) -> Row:
+    """A probability row, checked and renormalized (see :class:`EntailmentTriple`)."""
+    if not (0.0 <= e <= 1.0 and 0.0 <= n <= 1.0 and 0.0 <= c <= 1.0):
+        # NaN fails every comparison, so it lands here too.
+        for name, value in zip(_NAMES, (e, n, c)):
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} probability {value!r} outside [0, 1]")
+    total = e + n + c
+    if total == 1.0:
+        return e, n, c
+    if abs(total - 1.0) > _SUM_TOLERANCE:
+        raise ValueError(f"probabilities sum to {total!r}, expected 1 within {_SUM_TOLERANCE}")
+    return e / total, n / total, c / total
 
 
 @dataclass(frozen=True)
@@ -63,17 +85,17 @@ class EntailmentTriple:
     contradiction: float
 
     def __post_init__(self) -> None:
-        for name in ("entailment", "neutral", "contradiction"):
-            value = getattr(self, name)
-            if not (0.0 <= value <= 1.0) or math.isnan(value):
-                raise ValueError(f"{name} probability {value!r} outside [0, 1]")
-        total = self.entailment + self.neutral + self.contradiction
-        if abs(total - 1.0) > _SUM_TOLERANCE:
-            raise ValueError(f"probabilities sum to {total!r}, expected 1 within {_SUM_TOLERANCE}")
-        if total != 1.0:
-            object.__setattr__(self, "entailment", self.entailment / total)
-            object.__setattr__(self, "neutral", self.neutral / total)
-            object.__setattr__(self, "contradiction", self.contradiction / total)
+        row = _checked(self.entailment, self.neutral, self.contradiction)
+        for name, value in zip(_NAMES, row):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _of(cls, row: Row) -> EntailmentTriple:
+        """The triple of a row :func:`_checked` already gave, not checked again."""
+        triple = object.__new__(cls)
+        for name, value in zip(_NAMES, row):
+            object.__setattr__(triple, name, value)
+        return triple
 
     @property
     def score(self) -> float:
@@ -94,108 +116,120 @@ class PremiseBudget:
 
 
 class TextTable(dict):
-    """The distinct texts of one :meth:`EntailmentBackend.entail_batch` call.
+    """Features of the distinct texts of one :meth:`EntailmentBackend.submit` call.
 
-    Built in one pass over the call's pairs, which checks them in input
-    order: a premise or hypothesis must be non-empty, and with a budget the
-    pair must fit it, each distinct text measured once. Looking a text up
-    gives its features (the backend's ``_featurise``), computed on first use;
-    batches running at once on the pool may look texts up together, and a
-    text two of them featurise together is featurised twice, to equal
-    values. :meth:`release` after each batch drops every text whose last pair
-    has been inferred, so only texts of pairs still to come keep their
-    features; only the thread that reads the results releases, and never a
-    text of a batch still running. The table lives with its one call (its
+    Looking a text up gives its features (the backend's ``_featurise``),
+    computed on first use; batches running at once on the pool may look
+    texts up together, and a text two of them featurise together is
+    featurised twice, to equal values. The table knows each text's last
+    batch: :meth:`release` after batch ``b`` drops the texts that no later
+    batch holds, so only texts of pairs still to come keep their features;
+    only the thread that reads the results releases, and never a text of a
+    batch still running. The table lives with its one call (its
     :class:`Inference`) and is never kept on the backend.
     """
 
-    __slots__ = ("_featurise", "_uses")
+    __slots__ = ("_featurise", "_drops")
 
-    def __init__(self, backend: EntailmentBackend, pairs: Sequence[Pair]):
+    def __init__(self, backend: EntailmentBackend, batches: Sequence[Sequence[Pair]]):
         super().__init__()
         self._featurise = backend._featurise
-        uses: dict[str, int] = {}
+        last: dict[str, int] = {}
+        for b, batch in enumerate(batches):
+            for premise, hypothesis in batch:
+                last[premise] = last[hypothesis] = b
+        self._drops: list[list[str]] = [[] for _ in batches]
+        for text, b in last.items():
+            self._drops[b].append(text)
+
+    def __missing__(self, text: str):
+        features = self[text] = self._featurise(text)
+        return features
+
+    def release(self, b: int) -> None:
+        """Count batch ``b`` as inferred; forget the texts it used last."""
+        for text in self._drops[b]:
+            self.pop(text, None)
+
+
+class Inference:
+    """The results of one :meth:`EntailmentBackend.submit` call.
+
+    Every pair is checked on construction, in one pass and in input order;
+    the first offending pair raises: a premise or hypothesis must be
+    non-empty, and with a budget the pair must fit it, each distinct text
+    measured once. The pairs are then stable-sorted by character length
+    (premise plus hypothesis) and cut into batches of ``batch_size``, so
+    each batch holds pairs of similar length and a model pads little. With
+    one worker the batches run when the results are read, one after
+    another; otherwise they go to the backend's pool on construction.
+
+    Results are gathered in batch order, and every row is checked once as
+    it is read, with the rule of :class:`EntailmentTriple`, so a failure
+    raises that of the first failing batch, and cancels the batches not yet
+    started, as :meth:`cancel` does. :meth:`scores` gives each pair's
+    alignment score as a float, :meth:`result` its triple; both read the
+    same checked rows.
+    """
+
+    def __init__(self, backend: EntailmentBackend, pairs: Sequence[Pair]):
         budget = backend.budget
         sizes: dict[str, int] = {}
+        lengths = []
         for i, (premise, hypothesis) in enumerate(pairs):
             if not premise:
                 raise ValueError(f"pair {i}: premise must be non-empty")
             if not hypothesis:
                 raise ValueError(f"pair {i}: hypothesis must be non-empty")
-            uses[premise] = uses.get(premise, 0) + 1
-            uses[hypothesis] = uses.get(hypothesis, 0) + 1
+            lengths.append(len(premise) + len(hypothesis))
             if budget is None:
                 continue
-            for text in (premise, hypothesis):
-                if text not in sizes:
-                    sizes[text] = backend.measure(text)
+            if premise not in sizes:
+                sizes[premise] = backend.measure(premise)
+            if hypothesis not in sizes:
+                sizes[hypothesis] = backend.measure(hypothesis)
             units = sizes[premise] + sizes[hypothesis]
             if units > budget.max_units:
                 raise OversizedPremise(
                     f"pair {i}: premise+hypothesis measure {units} units, "
                     f"budget is {budget.max_units}"
                 )
-        self._uses = uses
-
-    def __missing__(self, text: str):
-        features = self[text] = self._featurise(text)
-        return features
-
-    def release(self, pairs: Sequence[Pair]) -> None:
-        """Count ``pairs`` as inferred; forget each text at its last use."""
-        uses = self._uses
-        for pair in pairs:
-            for text in pair:
-                left = uses[text] - 1
-                if left:
-                    uses[text] = left
-                else:
-                    del uses[text]
-                    self.pop(text, None)
-
-
-class Inference:
-    """The triples of one :meth:`EntailmentBackend.submit` call.
-
-    Every pair is checked on construction; the first offending pair in
-    input order raises. The pairs are then stable-sorted by character length
-    (premise plus hypothesis) and cut into batches of ``batch_size``, so each
-    batch holds pairs of similar length and a model pads little. With one
-    worker the batches run in :meth:`result`, one after another; otherwise
-    they go to the backend's pool on construction. :meth:`result` gathers them in
-    batch order, so a failure raises that of the first failing batch, and
-    cancels the batches not yet started, as :meth:`cancel` does.
-    """
-
-    def __init__(self, backend: EntailmentBackend, pairs: Sequence[Pair]):
         self._size = len(pairs)
-        self._table = TextTable(backend, pairs)
-        order = sorted(range(len(pairs)), key=lambda i: len(pairs[i][0]) + len(pairs[i][1]))
+        order = sorted(range(len(pairs)), key=lengths.__getitem__)
         size = backend.batch_size
         self._chunks = [order[lo : lo + size] for lo in range(0, len(order), size)]
         self._batches = [[pairs[i] for i in chunk] for chunk in self._chunks]
+        self._table = TextTable(backend, self._batches)
         self._infer = backend._infer
         self._futures = None
         if backend.workers > 1:
             pool = backend._pool()
             self._futures = [pool.submit(self._infer, b, self._table) for b in self._batches]
 
+    def scores(self) -> list[float]:
+        """Each pair's alignment score, ``entailment - contradiction``, in input order."""
+        return [e - c for e, _, c in self._rows()]
+
     def result(self) -> list[EntailmentTriple]:
         """The triples, in input order; waits for every batch."""
+        return [EntailmentTriple._of(row) for row in self._rows()]
+
+    def _rows(self) -> list[Row]:
+        """The checked rows, in input order; waits for every batch."""
         if self._futures is None:
             results = (self._infer(batch, self._table) for batch in self._batches)
         else:
             results = (future.result() for future in self._futures)
-        out: list[EntailmentTriple | None] = [None] * self._size
+        out: list = [None] * self._size
         try:
-            for chunk, batch, triples in zip(self._chunks, self._batches, results):
-                for i, triple in zip(chunk, triples):
-                    out[i] = triple
-                self._table.release(batch)
+            for b, (chunk, rows) in enumerate(zip(self._chunks, results)):
+                for i, row in zip(chunk, rows):
+                    out[i] = _checked(*row)
+                self._table.release(b)
         except BaseException:
             self.cancel()
             raise
-        return out  # type: ignore[return-value]
+        return out
 
     def cancel(self) -> None:
         """Drop the batches not yet started; those running finish unread."""
@@ -207,12 +241,13 @@ class EntailmentBackend:
     """Shared plumbing: input validation, budget checks, batch chunking.
 
     Subclasses implement :meth:`_infer`, called once per batch of at most
-    ``batch_size`` pairs with the call's :class:`TextTable`; it may read
-    per-text features from the table (see :meth:`_featurise`) and must not
-    retain it. With ``workers`` above 1, batches run on a pool of that many
-    threads, shared by every call, so ``_infer`` must be safe to run
-    concurrently. Results must not depend on how callers batch their pairs
-    or on ``workers``.
+    ``batch_size`` pairs with the call's :class:`TextTable`; it returns one
+    ``(entailment, neutral, contradiction)`` row per pair, which
+    :class:`Inference` checks once, and it may read per-text features from
+    the table (see :meth:`_featurise`) and must not retain it. With
+    ``workers`` above 1, batches run on a pool of that many threads, shared
+    by every call, so ``_infer`` must be safe to run concurrently. Results
+    must not depend on how callers batch their pairs or on ``workers``.
     """
 
     budget: PremiseBudget | None = None
@@ -257,7 +292,7 @@ class EntailmentBackend:
         """What :meth:`_infer` finds for ``text`` in the table. Default: the text."""
         return text
 
-    def _infer(self, pairs: list[Pair], table: TextTable) -> list[EntailmentTriple]:
+    def _infer(self, pairs: list[Pair], table: TextTable) -> Sequence[Row]:
         raise NotImplementedError
 
 
@@ -277,16 +312,16 @@ class MockEntailmentBackend(EntailmentBackend):
     def _featurise(self, text: str) -> set[str]:
         return set(WORD_RE.findall(text.lower()))
 
-    def _infer(self, pairs: list[Pair], table: TextTable) -> list[EntailmentTriple]:
+    def _infer(self, pairs: list[Pair], table: TextTable) -> list[Row]:
         out = []
         for premise, hypothesis in pairs:
             p = table[premise]
             h = table[hypothesis]
             o = len(p & h) / len(h) if h else 0.0
             if ("not" in p) != ("not" in h):
-                out.append(EntailmentTriple(0.0, 1.0 - o, o))
+                out.append((0.0, 1.0 - o, o))
             else:
-                out.append(EntailmentTriple(o, 1.0 - o, 0.0))
+                out.append((o, 1.0 - o, 0.0))
         return out
 
 
@@ -296,7 +331,8 @@ class RemoteEntailmentBackend(EntailmentBackend):
     Protocol: POST ``{"pairs": [[premise, hypothesis], ...]}`` to ``url``;
     the service answers ``{"triples": [[ent, neu, con], ...]}`` in the same
     order. Any transport failure, non-2xx status, length mismatch or invalid
-    triple raises :class:`NliBackendError`. ``requests`` is imported here,
+    triple raises :class:`NliBackendError`; each row is checked here, so
+    that a bad one names its pair. ``requests`` is imported here,
     not with the module, so runs without a remote backend never load it.
     """
 
@@ -320,7 +356,7 @@ class RemoteEntailmentBackend(EntailmentBackend):
     def describe(self) -> str:
         return f"remote:{self.url}"
 
-    def _infer(self, pairs: list[Pair], table: TextTable) -> list[EntailmentTriple]:
+    def _infer(self, pairs: list[Pair], table: TextTable) -> list[Row]:
         import requests
 
         try:
@@ -343,9 +379,12 @@ class RemoteEntailmentBackend(EntailmentBackend):
         for i, row in enumerate(triples):
             try:
                 ent, neu, con = row
-                out.append(EntailmentTriple(float(ent), float(neu), float(con)))
+                floats = (float(ent), float(neu), float(con))
+                _checked(*floats)
             except (TypeError, ValueError) as exc:
                 raise NliBackendError(f"pair {i}: invalid triple {row!r}: {exc}") from exc
+            # The row as sent: Inference renormalizes it once.
+            out.append(floats)
         return out
 
 
@@ -444,7 +483,7 @@ class LocalEntailmentBackend(EntailmentBackend):
             )
         return (found["entailment"], found["neutral"], found["contradiction"])
 
-    def _infer(self, pairs: list[Pair], table: TextTable) -> list[EntailmentTriple]:
+    def _infer(self, pairs: list[Pair], table: TextTable) -> list[Row]:
         premises = [p for p, _ in pairs]
         hypotheses = [h for _, h in pairs]
         try:
@@ -470,5 +509,5 @@ class LocalEntailmentBackend(EntailmentBackend):
         out = []
         for row in rows:
             probs = _softmax(row)
-            out.append(EntailmentTriple(probs[ent_i], probs[neu_i], probs[con_i]))
+            out.append((probs[ent_i], probs[neu_i], probs[con_i]))
         return out

@@ -20,6 +20,17 @@ pairs are batched, never a score or a span. One thread scores; the backend
 keeps batches in flight, and the next block's first wave is sent while the
 block before has its last wave in flight.
 
+The window wave builds one :class:`WindowTable` per document of its block:
+each (document, k) window's text and, with a budget, its size are built once
+and every claim of the document filters them by its own room (the budget
+less the claim's size). A window over that room is chunked, from prefix sums
+of the document's sentence sizes confirmed with exact measures, into the
+chunks that growing each run one sentence at a time would give, for any
+measure that never shrinks when a sentence is added to a run (characters
+and token counts). The tables are dropped once the wave's requests are
+built. The backend hands back plain scores, and a wave looks each pair up
+once.
+
 The engine memoizes backend scores, keyed by a digest of each (premise,
 hypothesis) pair, so the memo keeps no premise text alive once its wave is
 scored. It keeps only the pairs used in the last ``MEMO_BLOCKS`` blocks, so
@@ -35,6 +46,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+from bisect import bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Generator, Iterable, Iterator, Literal, Sequence
@@ -276,8 +288,9 @@ class Scorer:
         request order and without duplicates, so the backend fills its
         batches across claims; a pair that an earlier wave still has in
         flight is not sent again. A pair an earlier block used moves into
-        this block's memo. Each distinct text is hashed once per wave, and
-        only the texts of the pairs sent are kept until they are scored.
+        this block's memo. Each distinct text is hashed once per wave, each
+        pair is looked up once, and only the texts of the pairs sent are kept
+        until they are scored.
         """
         texts = {c[3] for candidates, _, _ in requests for c in candidates}
         texts.update(claim.text for _, claim, _ in requests)
@@ -291,20 +304,21 @@ class Scorer:
         keys = []
         known: dict[Key, float] = {}
         missing: dict[Key, tuple[int, Pair]] = {}
-        borrowed: set[Key] = set()
+        seen: set[Key] = set()
         for i, (candidates, claim, stage) in enumerate(requests):
             hypothesis = digest[claim.text]
             row = [digest[c[3]] + hypothesis for c in candidates]
             keys.append(row)
             self.pairs_requested[stage] += len(row)
             for key, candidate in zip(row, candidates):
-                if key in known or key in missing or key in borrowed:
+                if key in seen:
                     continue
-                if key in memo:
-                    known[key] = memo[key]
+                seen.add(key)
+                score = memo.get(key)
+                if score is not None:
+                    known[key] = score
                 elif key in sending:
                     sending[key].borrowers.append((key, known, memo))
-                    borrowed.add(key)
                 else:
                     for block in earlier:
                         if key in block:
@@ -329,7 +343,7 @@ class Scorer:
         known = wave.known
         if wave.inference is not None:
             try:
-                scores = [triple.score for triple in wave.inference.result()]
+                scores = wave.inference.scores()
             finally:
                 self._in_flight.remove(wave)
             sent = dict(zip(wave.missing, scores))
@@ -472,7 +486,13 @@ class Scorer:
         self, jobs: Sequence[tuple[Document, Claim]], stop: Stop | None
     ) -> Generator[bool, None, list[ClaimVerdict]]:
         """Verdicts for ``(document, claim)`` jobs, each stage one wave over all jobs."""
-        requests = [self._sentence_request(doc, claim) for doc, claim in jobs]
+        # Every sentence, one candidate list per document; the lowest index
+        # attaining the best score is the anchor.
+        by_doc = {
+            id(doc): [("sentence", i, i, s.text) for i, s in enumerate(doc.sentences)]
+            for doc in {id(doc): doc for doc, _ in jobs}.values()
+        }
+        requests = [(by_doc[id(doc)], claim, "sentence") for doc, claim in jobs]
         sentence = yield from self._wave(requests, stop == "sentence")
         if stop == "sentence":
             return [
@@ -490,11 +510,7 @@ class Scorer:
         multi = {}
         if stop is None:
             misses = [i for i, (score, _) in enumerate(coref) if score < self.params.gate_threshold]
-            requests = [
-                self._window_request(jobs[i][0], jobs[i][1], k)
-                for i in misses
-                for k in (self.params.window_size, len(jobs[i][0].sentences))
-            ]
+            requests = self._window_requests([jobs[i] for i in misses])
             results = yield from self._wave(requests, True)
             multi = {i: (results[2 * m], results[2 * m + 1]) for m, i in enumerate(misses)}
         verdicts = []
@@ -525,10 +541,6 @@ class Scorer:
 
     # -- candidate lists ----------------------------------------------------------
 
-    def _sentence_request(self, doc: Document, claim: Claim) -> Request:
-        """Every sentence; the lowest index attaining the best score is the anchor."""
-        return [("sentence", i, i, s.text) for i, s in enumerate(doc.sentences)], claim, "sentence"
-
     def _coref_candidates(self, doc: Document, anchor_span: AlignedSpan) -> list[tuple]:
         """The anchor sentence, which wins ties, then its variants; empty without variants."""
         anchor = anchor_span.sentence_start
@@ -539,57 +551,146 @@ class Scorer:
         candidates += [("coref_sentence", anchor, anchor, t, sub) for t, sub in variants]
         return candidates
 
-    def _window_request(self, doc: Document, claim: Claim, k: int) -> Request:
+    def _window_requests(self, jobs: Sequence[tuple[Document, Claim]]) -> list[Request]:
+        """The window and document requests of each gate miss, in job order.
+
+        Each document's window table serves every claim of it in this wave
+        and is dropped once the requests are built; each claim is measured
+        once.
+        """
+        tables: dict[int, WindowTable] = {}
+        requests = []
+        for doc, claim in jobs:
+            table = tables.get(id(doc))
+            if table is None:
+                table = tables[id(doc)] = WindowTable(doc, self.backend)
+            room = table.room(claim.text)
+            for k in (self.params.window_size, len(doc.sentences)):
+                requests.append(self._window_request(table, claim, k, room))
+        return requests
+
+    def _window_request(
+        self, table: WindowTable, claim: Claim, k: int, room: int | None
+    ) -> Request:
         """Every k-window (``k`` clamped to ``n``) or its budget chunks, lowest start first.
 
-        With a budget, the claim is measured once here and each premise is
-        held to the room it leaves.
+        ``room`` is the budget less the claim's size (``table.room``),
+        so a premise fits exactly when premise and claim fit the budget
+        together.
         """
-        n = len(doc.sentences)
-        k = min(k, n)
-        budget = self.backend.budget
-        room = None if budget is None else budget.max_units - self.backend.measure(claim.text)
-        candidates = [
-            ("document" if length == n else "window", start, start + length - 1, text)
-            for i in range(n - k + 1)
-            for start, length, text in self._window_premises(doc, i, k, room)
-        ]
-        return candidates, claim, "document" if k == n else "window"
+        k = min(k, table.n)
+        return table.candidates(k, room), claim, "document" if k == table.n else "window"
 
-    def _join(self, doc: Document, start: int, length: int) -> str:
-        return " ".join(s.text for s in doc.sentences[start : start + length])
 
-    def _window_premises(
-        self, doc: Document, start: int, length: int, room: int | None
-    ) -> list[tuple[int, int, str]]:
-        """Premises for one window: itself, or chunks that fit in ``room`` units.
+class WindowTable:
+    """One document's window premises, for one block's window wave.
 
-        ``room`` is the budget less the hypothesis's size (``None``: no
-        budget), so a premise fits exactly when premise and hypothesis fit
-        the budget together. A window that does not fit is replaced by
-        maximal-length runs of consecutive sentences that do, each run
-        starting half the previous run past the last start (stride at
-        least 1). A single sentence that does not fit is unsplittable and
-        raises.
-        """
-        text = self._join(doc, start, length)
-        if room is None or self.backend.measure(text) <= room:
-            return [(start, length, text)]
-        out: list[tuple[int, int, str]] = []
+    Each run of consecutive sentences is joined at most once and, with a
+    budget, measured at most once (without one nothing is measured), so each
+    (document, k) window's text and size are built once and every claim of
+    the document filters them by its own room; claims with equal room share
+    one candidate list.
+
+    A window that does not fit the room is replaced by maximal-length runs
+    of consecutive sentences that do (chunks), each starting half the
+    previous run past the last start (stride at least 1). A single sentence
+    that does not fit is unsplittable and raises. A chunk's length is
+    estimated from prefix sums of the document's sentence sizes and then
+    confirmed with exact measures of the run, walking one sentence at a time
+    from the estimate to the longest run that fits. That is the length that
+    growing the run one sentence at a time finds, for any measure that never
+    shrinks when a sentence is added to a run; characters and token counts
+    behave that way.
+    """
+
+    __slots__ = (
+        "n", "_sentences", "_budget", "_measure", "_texts", "_sizes", "_prefix", "_candidates"
+    )
+
+    def __init__(self, doc: Document, backend: EntailmentBackend):
+        self._sentences = [s.text for s in doc.sentences]
+        self.n = len(self._sentences)
+        self._budget = backend.budget
+        self._measure = backend.measure
+        self._texts: dict[tuple[int, int], str] = {}
+        self._sizes: dict[tuple[int, int], int] = {}
+        self._prefix: list[int] | None = None
+        self._candidates: dict[tuple[int, int | None], list[tuple]] = {}
+
+    def room(self, hypothesis: str) -> int | None:
+        """The budget less the size of ``hypothesis``; ``None`` without a budget."""
+        if self._budget is None:
+            return None
+        return self._budget.max_units - self._measure(hypothesis)
+
+    def candidates(self, k: int, room: int | None) -> list[tuple]:
+        """Span fields of every k-window that fits ``room``, or of its chunks."""
+        key = (k, room)
+        out = self._candidates.get(key)
+        if out is None:
+            out = []
+            n = self.n
+            for start in range(n - k + 1):
+                if room is None or self._size(start, k) <= room:
+                    runs = [(start, k)]
+                else:
+                    runs = self._chunks(start, k, room)
+                for first, length in runs:
+                    granularity = "document" if length == n else "window"
+                    out.append((granularity, first, first + length - 1, self._text(first, length)))
+            self._candidates[key] = out
+        return out
+
+    def _text(self, start: int, length: int) -> str:
+        key = (start, length)
+        text = self._texts.get(key)
+        if text is None:
+            text = self._texts[key] = " ".join(self._sentences[start : start + length])
+        return text
+
+    def _size(self, start: int, length: int) -> int:
+        key = (start, length)
+        size = self._sizes.get(key)
+        if size is None:
+            # A run tried and found too long is measured, not kept as text.
+            text = self._texts.get(key) or " ".join(self._sentences[start : start + length])
+            size = self._sizes[key] = self._measure(text)
+        return size
+
+    def _chunks(self, start: int, length: int, room: int) -> list[tuple[int, int]]:
+        """``(start, length)`` of the chunks of one window, in order."""
+        out = []
         limit = start + length
         cursor = start
         while True:
-            fit = 0
-            while cursor + fit < limit:
-                if self.backend.measure(self._join(doc, cursor, fit + 1)) > room:
-                    break
-                fit += 1
+            fit = self._fit(cursor, limit - cursor, room)
             if fit == 0:
                 raise OversizedPremise(
                     f"sentence {cursor} alone exceeds the backend budget "
                     f"against this hypothesis; cannot chunk further"
                 )
-            out.append((cursor, fit, self._join(doc, cursor, fit)))
+            out.append((cursor, fit))
             if cursor + fit >= limit:
                 return out
             cursor += max(1, fit // 2)
+
+    def _fit(self, start: int, most: int, room: int) -> int:
+        """Sentences in the longest run from ``start``, of at most ``most``, that fits ``room``."""
+        prefix = self._prefix
+        if prefix is None:
+            prefix = self._prefix = [0]
+            for i in range(self.n):
+                prefix.append(prefix[-1] + self._size(i, 1))
+        # The estimate: the longest run whose sentence sizes sum within the room.
+        # It is exact for one sentence, so 0 means the first alone does not fit.
+        fit = bisect_right(prefix, prefix[start] + room, start, start + most + 1) - 1 - start
+        fit = max(fit, 0)
+        # A run's size need not be the sum, but it never shrinks as the run
+        # grows, so the runs that fit are those up to one length: walk to it.
+        if fit and self._size(start, fit) <= room:
+            while fit < most and self._size(start, fit + 1) <= room:
+                fit += 1
+        else:
+            while fit and self._size(start, fit) > room:
+                fit -= 1
+        return fit

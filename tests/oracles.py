@@ -183,7 +183,49 @@ def window_stage(scorer, doc, claim, k: int):
     stage on its own where a verdict cannot: a window at any ``k``, or the
     window and document spans of a claim whose verdict another stage won.
     """
-    return scorer._collect(scorer._request([scorer._window_request(doc, claim, k)]))[0]
+    from sumfact.scoring import WindowTable
+
+    table = WindowTable(doc, scorer.backend)
+    request = scorer._window_request(table, claim, k, table.room(claim.text))
+    return scorer._collect(scorer._request([request]))[0]
+
+
+def window_candidates(sentences, k: int, room, measure):
+    """Every k-window of ``sentences`` (``k`` clamped to ``n``) or its chunks, joined afresh.
+
+    Rows are ``(granularity, start, end, text)``, lowest start first. A
+    window that does not fit ``room`` (``None``: everything fits) is replaced
+    by runs grown one sentence at a time while they fit, each starting half
+    the previous run past the last start (stride at least 1). A sentence that
+    alone does not fit gives ``("oversized", index)`` instead of rows.
+    """
+    n = len(sentences)
+    k = min(k, n)
+    out = []
+    for start in range(n - k + 1):
+        runs = []
+        if room is None or measure(" ".join(sentences[start : start + k])) <= room:
+            runs.append((start, k))
+        else:
+            cursor = start
+            limit = start + k
+            while True:
+                fit = 0
+                while cursor + fit < limit:
+                    if measure(" ".join(sentences[cursor : cursor + fit + 1])) > room:
+                        break
+                    fit += 1
+                if fit == 0:
+                    return ("oversized", cursor)
+                runs.append((cursor, fit))
+                if cursor + fit >= limit:
+                    break
+                cursor += max(1, fit // 2)
+        for first, length in runs:
+            granularity = "document" if length == n else "window"
+            text = " ".join(sentences[first : first + length])
+            out.append((granularity, first, first + length - 1, text))
+    return out
 
 
 def segment_spans(text: str, abbreviations) -> list[tuple[int, int, int, str]]:

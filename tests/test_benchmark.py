@@ -376,6 +376,21 @@ class TestScoreCache:
         assert reloaded.get("r1") == 0.75
         assert reloaded.get("unknown") is None
 
+    def test_score_answers_only_its_digest(self, tmp_path):
+        cache = ScoreCache(str(tmp_path), "digests")
+        cache.put("r1", 0.75, b"\x01" * 16)
+        cache.put("r2", 0.25)
+        cache.save()
+        reloaded = ScoreCache(str(tmp_path), "digests")
+        assert reloaded.get("r1", b"\x01" * 16) == 0.75
+        assert reloaded.get("r1", b"\x02" * 16) is None
+        assert reloaded.get("r1") is None
+        # A plain score (a record put without a digest) answers no digest.
+        assert reloaded.get("r2") == 0.25
+        assert reloaded.get("r2", b"\x01" * 16) is None
+        text = (tmp_path / "scores-digests.json").read_text()
+        assert json.loads(text) == {"r1": [0.75, "01" * 16], "r2": 0.25}
+
     def test_save_without_changes_writes_nothing(self, tmp_path):
         cache = ScoreCache(str(tmp_path), "abc")
         cache.save()
@@ -395,6 +410,11 @@ class TestScoreCache:
             ('{"r0": null}', "entry 'r0' is not a number"),
             ('{"r0": true}', "entry 'r0' is not a number"),
             pytest.param('{"r0": 1' + "0" * 400 + "}", "entry 'r0' is not a number", id="huge-int"),
+            ('{"r0": [0.5]}', "entry 'r0' is not a number"),
+            ('{"r0": ["abc", "' + "0" * 32 + '"]}', "entry 'r0' is not a number"),
+            ('{"r0": [NaN, "' + "0" * 32 + '"]}', "entry 'r0' is not a number"),
+            ('{"r0": [0.5, "zz"]}', "entry 'r0' has a malformed digest"),
+            ('{"r0": [0.5, 7]}', "entry 'r0' has a malformed digest"),
         ],
     )
     def test_corrupt_file_rejected(self, tmp_path, content, message):

@@ -7,7 +7,7 @@ from collections import Counter
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sumfact import (
@@ -19,9 +19,12 @@ from sumfact import (
     PremiseBudget,
     RemoteEntailmentBackend,
 )
-from sumfact.nli import TextTable
+from sumfact.documents import Claim
+from sumfact.nli import EntailmentBackend, Inference, TextTable
+from sumfact.scoring import Scorer
 
 import oracles
+from cases import doc_from_sentences
 from stubserver import StubServer, dead_url
 
 
@@ -242,15 +245,16 @@ class TestTextTable:
 
     def test_entry_is_dropped_after_its_last_pair(self):
         pairs = [("a b", "h"), ("c d", "h"), ("a b", "x")]
-        table = TextTable(MockEntailmentBackend(), pairs)
+        # One pair per batch: batch b is pairs[b].
+        table = TextTable(MockEntailmentBackend(), [[pair] for pair in pairs])
         assert table["a b"] == {"a", "b"} and table["h"] == {"h"}
-        table.release(pairs[:1])
+        table.release(0)
         assert set(table) == {"a b", "h"}
         assert table["c d"] == {"c", "d"}
-        table.release(pairs[1:2])
+        table.release(1)
         assert set(table) == {"a b"}
         assert table["x"] == {"x"}
-        table.release(pairs[2:])
+        table.release(2)
         assert table == {}
 
 
@@ -335,6 +339,99 @@ class TestBatchesInFlight:
             MockEntailmentBackend(workers=0)
 
 
+class RowBackend(EntailmentBackend):
+    """Answers each pair with the row its premise names, as given."""
+
+    def __init__(self, rows, **kwargs):
+        super().__init__(**kwargs)
+        self.rows = rows
+
+    def describe(self):
+        return "rows"
+
+    def _infer(self, pairs, table):
+        return [self.rows[premise] for premise, _ in pairs]
+
+
+def _bits(values):
+    return [value.hex() for value in values]
+
+
+# Rows within the sum tolerance, most of them off 1 and so renormalized.
+_ROWS = st.tuples(
+    st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-9e-4, 9e-4)
+).map(lambda t: (t[0] * (1 - t[1]), (1 - t[0]) * (1 - t[1]), min(1.0, max(0.0, t[1] + t[2]))))
+
+_BAD_ROWS = [
+    (float("nan"), 0.5, 0.5),
+    (0.5, float("nan"), 0.5),
+    (-0.1, 0.6, 0.5),
+    (1.1, 0.0, 0.0),
+    (0.0, 0.0, 1.5),
+    (0.5, 0.3, 0.1),
+    (0.5, 0.5, 0.1),
+]
+
+
+class TestScoresPath:
+    """The scorer reads plain scores from ``Inference.scores``; they are the
+    ``score`` of the triples ``result`` builds from the same checked rows."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_ROWS, min_size=1, max_size=20), st.sampled_from([1, 3, 32]))
+    def test_scores_are_the_triples_scores_bit_for_bit(self, rows, batch_size):
+        for row in rows:
+            try:
+                EntailmentTriple(*row)
+            except ValueError:
+                assume(False)
+        premises = {f"p{i} " + "x" * (i % 4): row for i, row in enumerate(rows)}
+        pairs = [(premise, "h") for premise in premises]
+        backend = RowBackend(premises, batch_size=batch_size)
+        scores = backend.submit(pairs).scores()
+        triples = backend.submit(pairs).result()
+        assert _bits(scores) == _bits(t.score for t in triples)
+        # Each triple is the one its raw row constructs: renormalized once.
+        direct = [EntailmentTriple(*row) for row in premises.values()]
+        assert triples == direct
+        for got, want in zip(triples, direct):
+            assert _bits((got.entailment, got.neutral, got.contradiction)) == _bits(
+                (want.entailment, want.neutral, want.contradiction)
+            )
+
+    def test_renormalized_rows_score_as_their_triples(self):
+        rows = {"p0": (0.2, 0.2, 0.6005), "p1": (0.3004, 0.3, 0.4), "p2": (0.25, 0.5, 0.25)}
+        pairs = [(p, "h") for p in rows]
+        for workers in (1, 2):
+            backend = RowBackend(rows, batch_size=2, workers=workers)
+            scores = backend.submit(pairs).scores()
+            assert _bits(scores) == _bits(EntailmentTriple(*row).score for row in rows.values())
+            assert scores[0] != 0.2 - 0.6005
+
+    def test_scorer_reads_the_triples_scores(self):
+        row = (0.2, 0.2, 0.6005)
+        backend = RowBackend({"alpha beta.": row})
+        doc = doc_from_sentences("d", ["alpha beta."])
+        (report,) = Scorer(backend).score_summaries(
+            [(doc, [Claim("s", 0, "gamma.")], False)], stop="sentence"
+        )
+        assert report.verdicts[0].score.hex() == EntailmentTriple(*row).score.hex()
+
+    @pytest.mark.parametrize("bad", _BAD_ROWS, ids=repr)
+    def test_bad_rows_raise_the_triples_message(self, bad):
+        with pytest.raises(ValueError) as expected:
+            EntailmentTriple(*bad)
+        # The bad row sits in the second batch, behind a good one.
+        rows = {"p0": (1.0, 0.0, 0.0), "p1 bad": bad}
+        pairs = [("p0", "h"), ("p1 bad", "h")]
+        for read in (Inference.scores, Inference.result):
+            for workers in (1, 2):
+                backend = RowBackend(rows, batch_size=1, workers=workers)
+                with pytest.raises(ValueError) as got:
+                    read(backend.submit(pairs))
+                assert str(got.value) == str(expected.value)
+
+
 class TestRemoteBackend:
     def test_round_trip(self):
         def handler(path, body, headers):
@@ -378,6 +475,26 @@ class TestRemoteBackend:
         with StubServer(lambda *a: (200, {"triples": [[2.0, 0.0, 0.0]]})) as server:
             with pytest.raises(NliBackendError, match="pair 0"):
                 RemoteEntailmentBackend(server.url).entail_batch([("a", "b")])
+
+    @pytest.mark.parametrize("bad", [r for r in _BAD_ROWS if not math.isnan(sum(r))], ids=repr)
+    def test_bad_triple_names_its_pair(self, bad):
+        with pytest.raises(ValueError) as why:
+            EntailmentTriple(*bad)
+        rows = [[1.0, 0.0, 0.0], list(bad)]
+        with StubServer(lambda *a: (200, {"triples": rows})) as server:
+            backend = RemoteEntailmentBackend(server.url)
+            for read in (Inference.scores, Inference.result):
+                with pytest.raises(NliBackendError) as got:
+                    read(backend.submit([("a", "b"), ("c", "d")]))
+                assert str(got.value) == f"pair 1: invalid triple {list(bad)!r}: {why.value}"
+
+    def test_renormalized_triple_scores_as_its_triple(self):
+        row = [0.2, 0.2, 0.6005]
+        with StubServer(lambda *a: (200, {"triples": [row]})) as server:
+            backend = RemoteEntailmentBackend(server.url)
+            (score,) = backend.submit([("a", "b")]).scores()
+            (triple,) = backend.entail_batch([("a", "b")])
+        assert score.hex() == triple.score.hex() == EntailmentTriple(*row).score.hex()
 
     def test_wrong_arity_triple(self):
         with StubServer(lambda *a: (200, {"triples": [[0.5, 0.5]]})) as server:

@@ -7,6 +7,8 @@ import threading
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumfact import (
     Claim,
@@ -22,7 +24,7 @@ from sumfact import (
     coref_variants,
 )
 from sumfact.pipeline import score_corpus
-from sumfact.scoring import MEMO_BLOCKS, AlignedSpan
+from sumfact.scoring import MEMO_BLOCKS, AlignedSpan, WindowTable
 
 import oracles
 from cases import doc_from_sentences, random_case, summary_from_sentences
@@ -342,27 +344,29 @@ class TestBudgetChunking:
         # What the window stage passes: the budget less the hypothesis's size.
         return backend.budget.max_units - backend.measure(hypothesis)
 
+    @staticmethod
+    def runs(candidates):
+        """``(start, length)`` of each candidate's sentence run."""
+        return [(start, end - start + 1) for _, start, end, *_ in candidates]
+
     def test_chunk_layout(self):
         backend = MockEntailmentBackend(budget=PremiseBudget(32))
-        scorer = Scorer(backend, ScoringParams())
         room = self.room(backend, self.hyp().text)
-        chunks = scorer._window_premises(self.chunked_doc(), 0, 4, room)
-        assert [(start, length) for start, length, _ in chunks] == [(0, 2), (1, 2), (2, 2)]
-        assert chunks[2][2] == "eeee ffff. gggg hhhh."
+        chunks = WindowTable(self.chunked_doc(), backend).candidates(4, room)
+        assert self.runs(chunks) == [(0, 2), (1, 2), (2, 2)]
+        assert chunks[2][3] == "eeee ffff. gggg hhhh."
 
     def test_within_budget_is_single_premise(self):
         backend = MockEntailmentBackend(budget=PremiseBudget(200))
-        scorer = Scorer(backend, ScoringParams())
         room = self.room(backend, self.hyp().text)
-        chunks = scorer._window_premises(self.chunked_doc(), 0, 4, room)
-        assert len(chunks) == 1 and chunks[0][1] == 4
+        chunks = WindowTable(self.chunked_doc(), backend).candidates(4, room)
+        assert len(chunks) == 1 and self.runs(chunks)[0][1] == 4
 
     def test_oversized_single_sentence_raises(self):
         backend = MockEntailmentBackend(budget=PremiseBudget(16))
-        scorer = Scorer(backend, ScoringParams())
         doc = doc_from_sentences("d", ["this single sentence is far too long."])
         with pytest.raises(OversizedPremise, match="sentence 0"):
-            scorer._window_premises(doc, 0, 1, self.room(backend, "hhhh."))
+            WindowTable(doc, backend).candidates(1, self.room(backend, "hhhh."))
 
     def test_window_request_measures_its_hypothesis_once(self):
         measured = Counter()
@@ -373,11 +377,16 @@ class TestBudgetChunking:
                 return super().measure(text)
 
         scorer = Scorer(Counting(budget=PremiseBudget(32)), ScoringParams())
-        candidates, _, _ = scorer._window_request(self.chunked_doc(), self.hyp(), 4)
+        # The window request (k = 5, clamped to 4) and the document request.
+        window, document = scorer._window_requests([(self.chunked_doc(), self.hyp())])
+        candidates = window[0]
         assert [c[1:3] for c in candidates] == [(0, 1), (1, 2), (2, 3)]
+        assert document[0] is candidates
         assert measured[self.hyp().text] == 1
         # The window and each trial chunk were measured against that one size.
         assert sum(measured.values()) - 1 > len(candidates)
+        # Each run was measured once, for both requests.
+        assert max(measured.values()) == 1
 
     def test_chunked_document_reports_window_granularity(self):
         backend = MockEntailmentBackend(budget=PremiseBudget(32))
@@ -402,6 +411,81 @@ class TestBudgetChunking:
                 ScoringParams(**params),
             )
             assert verdicts(free, doc, *claims) == verdicts(budgeted, doc, *claims)
+
+
+class WordCount(MockEntailmentBackend):
+    """The mock, measuring texts in words."""
+
+    def measure(self, text):
+        return len(text.split())
+
+
+class DistinctWords(MockEntailmentBackend):
+    """The mock, measuring texts in distinct words: a run never shrinks when a
+    sentence is added, but is often smaller than its sentences' sizes summed."""
+
+    def measure(self, text):
+        return len(set(text.split()))
+
+
+_WORDS = st.sampled_from(
+    "aa bb cc dddd eeeeee f gg hhhhhhh ii jjj kkkk l mm nnnnn oo ppp q rr sss tttt".split()
+)
+# A backend and its budget (None: no budget), in units that make windows chunk.
+_BUDGETED = st.one_of(
+    st.tuples(st.just(MockEntailmentBackend), st.one_of(st.none(), st.integers(16, 140))),
+    st.tuples(
+        st.sampled_from([WordCount, DistinctWords]), st.one_of(st.none(), st.integers(16, 30))
+    ),
+)
+_SENTENCES = st.lists(
+    st.lists(_WORDS, min_size=1, max_size=9).map(lambda ws: " ".join(ws) + "."),
+    min_size=1,
+    max_size=14,
+)
+
+
+class TestWindowTable:
+    """A document's window table gives, for every claim that uses it, the
+    candidates a straight-line rebuild joins and chunks afresh."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        _SENTENCES,
+        st.integers(1, 16),
+        _BUDGETED,
+        st.lists(st.lists(_WORDS, min_size=1, max_size=12).map(" ".join), min_size=1, max_size=4),
+    )
+    def test_candidates_equal_a_straight_line_rebuild(self, sentences, k, budgeted, claims):
+        kind, budget = budgeted
+        backend = kind(budget=None if budget is None else PremiseBudget(budget))
+        scorer = Scorer(backend, ScoringParams())
+        doc = doc_from_sentences("d", sentences)
+        # One table serves every claim, as in a block's window wave.
+        table = WindowTable(doc, backend)
+        for text in claims:
+            room = None if budget is None else budget - backend.measure(text)
+            assert table.room(text) == room
+            expected = oracles.window_candidates(sentences, k, room, backend.measure)
+            try:
+                candidates, _, stage = scorer._window_request(table, claim(text), k, room)
+            except OversizedPremise as exc:
+                assert expected[0] == "oversized", str(exc)
+                assert str(exc).startswith(f"sentence {expected[1]} alone exceeds")
+                continue
+            assert candidates == expected
+            assert stage == ("document" if min(k, len(sentences)) == len(sentences) else "window")
+
+    @pytest.mark.parametrize("kind", [MockEntailmentBackend, WordCount, DistinctWords])
+    def test_single_oversized_sentence_raises(self, kind):
+        # Sentence 1 is over the room in characters, words and distinct words.
+        sentences = ["aa bb.", " ".join(f"w{i}" for i in range(20)) + ".", "aa."]
+        backend = kind(budget=PremiseBudget(16))
+        table = WindowTable(doc_from_sentences("d", sentences), backend)
+        room = table.room("aa bb")
+        assert oracles.window_candidates(sentences, 2, room, backend.measure) == ("oversized", 1)
+        with pytest.raises(OversizedPremise, match="sentence 1 alone exceeds"):
+            table.candidates(2, room)
 
 
 class TestStageSpans:

@@ -7,6 +7,7 @@ exits before any pair is scored, with the same message) and what it adds
 (checkpoints, a guard against a file edited between the passes).
 """
 
+import hashlib
 import json
 import logging
 
@@ -172,9 +173,11 @@ class TestSecondPass:
         path = write_records(tmp_path, [json.dumps(r) for r in GOOD[:2]])
         rows = formats.load_benchmark_records(path)
         first = len(json.dumps(GOOD[0])) + 1
+        # Each row also holds the digest of its line, without the line ending.
+        digests = [hashlib.blake2b(json.dumps(r).encode(), digest_size=16).digest() for r in GOOD]
         assert rows == [
-            BenchmarkRow("v1", True, "unknown", "main", "validation", 0),
-            BenchmarkRow("v2", False, "unknown", "main", "validation", first),
+            BenchmarkRow("v1", True, "unknown", "main", "validation", 0, digests[0]),
+            BenchmarkRow("v2", False, "unknown", "main", "validation", first, digests[1]),
         ]
         records = list(formats.read_benchmark_records(path, rows[1:]))
         assert [r.record_id for r in records] == ["v2"]
@@ -252,6 +255,51 @@ class TestSecondPass:
         write_records(tmp_path, [json.dumps(r) for r in GOOD[:2]])
         with pytest.raises(InputError, match="record 't1' is no longer at byte"):
             list(formats.read_benchmark_records(path, rows))
+
+
+class TestEditedRecords:
+    """The score cache keeps each score with the digest of its record's line,
+    so an edited record is scored again and the others are not."""
+
+    EDITED = [*GOOD[:2], record("t1", "test", "factual", "gamma zeta."), GOOD[3]]
+
+    def run(self, runner, tmp_path, records, cache, name):
+        path = write_records(tmp_path, [json.dumps(r) for r in records])
+        csv = tmp_path / f"{name}.csv"
+        args = ["benchmark", path, "--cache-dir", str(cache), "--scores-csv", str(csv)]
+        result = runner.invoke(cli.main, args)
+        assert result.exit_code == 0, result.stderr
+        return csv.read_text()
+
+    def test_edited_record_alone_is_rescored(self, runner, tmp_path, backends):
+        cache = tmp_path / "cache"
+        before = self.run(runner, tmp_path, GOOD, cache, "before")
+        rerun = self.run(runner, tmp_path, self.EDITED, cache, "rerun")
+        # Only the edited summary's pairs were sent.
+        assert backends[-1].pairs
+        assert {h for _, h in backends[-1].pairs} == {"gamma zeta."}
+        # Its score is the one a fresh cache gives, not the stale one.
+        fresh = self.run(runner, tmp_path, self.EDITED, tmp_path / "fresh", "fresh")
+        assert rerun == fresh != before
+        # The cache keeps its keys, each score with a digest.
+        (cache_file,) = cache.glob("scores-*.json")
+        saved = json.loads(cache_file.read_text())
+        assert sorted(saved) == ["t1", "t2", "v1", "v2"]
+        assert all(len(digest) == 32 for _, digest in saved.values())
+        self.run(runner, tmp_path, self.EDITED, cache, "again")
+        assert backends[-1].pairs == []
+
+    def test_cache_without_digests_is_rescored_once(self, runner, tmp_path, backends):
+        cache = tmp_path / "cache"
+        first = self.run(runner, tmp_path, GOOD, cache, "first")
+        (cache_file,) = cache.glob("scores-*.json")
+        # A cache written before digests were stored: plain scores.
+        old = {rid: score for rid, (score, _) in json.loads(cache_file.read_text()).items()}
+        cache_file.write_text(json.dumps(old, sort_keys=True))
+        assert self.run(runner, tmp_path, GOOD, cache, "second") == first
+        assert len(backends[-1].pairs) == len(backends[0].pairs)
+        assert self.run(runner, tmp_path, GOOD, cache, "third") == first
+        assert backends[-1].pairs == []
 
 
 class TestCheckpoints:
