@@ -22,11 +22,12 @@ import math
 import os
 import random
 import statistics
-import struct
+import sys
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import getitem
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .documents import Document, Summary
@@ -228,24 +229,15 @@ def tune_threshold(val_scores: Sequence[float], val_golds: Sequence[bool]) -> Th
     return best
 
 
-def _randbelow_many(rng: random.Random, n: int, count: int) -> list[int]:
-    """``[rng.randrange(n) for _ in range(count)]``, drawn in bulk.
-
-    Returns the same values and leaves ``rng`` in the same state, for
-    ``0 < n < 2**32``. ``randrange(n)`` takes the top ``n.bit_length()`` bits
-    of one 32-bit word and redraws while the value is ``n`` or more, and
-    ``getrandbits(32 * m)`` returns the next ``m`` words with the first in the
-    lowest bits (read little-endian, that order holds on any machine). So
-    each round draws one word per value still missing and keeps the shifted
-    words below ``n``.
-    """
-    shift = 32 - n.bit_length()
-    out: list[int] = []
-    while len(out) < count:
-        m = count - len(out)
-        words = struct.unpack(f"<{m}I", rng.getrandbits(32 * m).to_bytes(4 * m, "little"))
-        out.extend([v for w in words if (v := w >> shift) < n])
-    return out
+# Bootstrap draws are classified into one byte each: bit 0 the record's gold
+# label, bit 1 its prediction, bit 2 both (indexed by ``2 * gold +
+# prediction``), or _REJECT for a value of ``n`` or more, which is drawn again.
+_CLASS_BITS = (0b000, 0b010, 0b001, 0b111)
+_REJECT = 0b1000
+# Splits of fewer records than this are looked up through 256-entry pages.
+_PAGED_BELOW = 1 << 12
+# The most 32-bit words drawn at once, unless one resample needs more.
+_DRAW_WORDS = 1 << 15
 
 
 def _bootstrap_std(
@@ -258,20 +250,101 @@ def _bootstrap_std(
     """Std of balanced accuracy over bootstrap resamples of the test split.
 
     Resamples that draw a single gold class are skipped (the metric is
-    undefined there); with none left, no spread is reported. Each record is
-    one byte, ``2 * gold + prediction``, so a resample's confusion counts
-    take three ``bytes.count`` calls.
+    undefined there); with none left, no spread is reported.
+
+    Each resample draws the ``n`` records that ``[rng.randrange(n) for _ in
+    range(n)]`` would, the resamples in turn, and leaves ``rng`` in the same
+    state, for ``0 < n < 2**32``. ``randrange(n)`` takes the top ``b =
+    n.bit_length()`` bits of one 32-bit word and draws again while that value
+    is ``n`` or more; ``getrandbits(32 * m)`` returns the next ``m`` words,
+    the first in the lowest bits. So words are drawn in bulk, never more
+    than the resamples still to come will take, and each is classified by
+    table lookup into one byte (``_CLASS_BITS``, or ``_REJECT``) with no
+    Python work per word:
+
+    - below ``_PAGED_BELOW`` records, ``bytes.translate`` maps each word's
+      top byte through one 256-entry page per value of the next ``b - 8``
+      bits (one page per 256 records), and masks pick each word's page;
+    - from there on, the word's value indexes the codes directly
+      (``map`` over the words), in time flat in ``n``.
+
+    A resample takes the words after the previous one's, and as ``randrange``
+    redraws, ``bytes.count`` of the rejected words in each round sets how
+    many more it takes, until ``n`` are accepted. Its confusion counts are
+    population counts of the class bits of its words.
     """
     n = len(scores)
-    codes = bytes(2 * bool(g) + (s >= threshold) for s, g in zip(scores, golds))
+    b = n.bit_length()
+    codes = bytes(_CLASS_BITS[2 * bool(g) + (s >= threshold)] for s, g in zip(scores, golds))
+    codes += bytes([_REJECT]) * ((1 << b) - n)
+    getrandbits = rng.getrandbits
+    if n < _PAGED_BELOW:
+        # A value is the word's top byte t, then its next s bits l: page l
+        # maps t to the code of value ``t << s | l`` (for b < 8, ``t >> 8 - b``).
+        s = max(b - 8, 0)
+        drop = 8 + s - b
+        pages = [bytes(codes[(t << s | l) >> drop] for t in range(256)) for l in range(1 << s)]
+        # Each later page as its difference from the first, with the mask of
+        # the words it serves: one XOR per page gives every word its own.
+        others = [
+            (
+                bytes(x ^ y for x, y in zip(pages[0], page)),
+                bytes(255 * (e >> 8 - s == l) for e in range(256)),
+            )
+            for l, page in enumerate(pages[1:], start=1)
+        ]
+
+        def classify(m: int) -> bytes:
+            words = getrandbits(32 * m).to_bytes(4 * m, "little")
+            top = words[3::4]
+            if not others:
+                return top.translate(pages[0])
+            nxt = words[2::4]
+            out = int.from_bytes(top.translate(pages[0]), "little")
+            for diff, mask in others:
+                out ^= int.from_bytes(top.translate(diff), "little") & int.from_bytes(
+                    nxt.translate(mask), "little"
+                )
+            return out.to_bytes(m, "little")
+
+    else:
+        lane = ((1 << b) - 1).to_bytes(4, "little")
+
+        def classify(m: int) -> bytes:
+            values = (getrandbits(32 * m) >> 32 - b) & int.from_bytes(lane * m, "little")
+            # In native order a word reads as one C unsigned int, and the
+            # first word comes last on a big-endian machine.
+            words = memoryview(values.to_bytes(4 * m, sys.byteorder)).cast("I")
+            out = bytes(map(getitem, repeat(codes), words))
+            return out if sys.byteorder == "little" else out[::-1]
+
     values = []
-    for _ in range(resamples):
-        sample = bytes(map(codes.__getitem__, _randbelow_many(rng, n, n)))
-        tn, fp, fn = sample.count(0), sample.count(1), sample.count(2)
-        tp = n - tn - fp - fn
-        if tp + fn in (0, n):
+    drawn = b""  # classified words, the current resample's from ``first`` on
+    first = 0
+    ones = twos = 0  # a 1 in bit 0, and in bit 1, of every byte of ``drawn``
+    for left in range(resamples - 1, -1, -1):  # resamples after this one
+        start, end = first, first + n
+        while True:
+            if end > len(drawn):
+                short = end - len(drawn)
+                more = max(short, min(short + left * n, _DRAW_WORDS))
+                drawn = drawn[first:] + classify(more)
+                start, end, first = start - first, end - first, 0
+                ones = int.from_bytes(b"\x01" * len(drawn), "little")
+                twos = ones << 1
+            redraws = drawn.count(_REJECT, start, end)
+            if not redraws:
+                break
+            start, end = end, end + redraws
+        sample = int.from_bytes(drawn[first:end], "little")
+        gold = (sample & ones).bit_count()
+        predicted = (sample & twos).bit_count()
+        # The other bits set: bit 2 of each true positive, one per rejected word.
+        tp = sample.bit_count() - gold - predicted - (end - first - n)
+        first = end
+        if gold in (0, n):
             continue
-        values.append(_balanced(tp, fp, tn, fn))
+        values.append(_balanced(tp, predicted - tp, n - gold - predicted + tp, gold - tp))
     if not values:
         return None
     return statistics.pstdev(values)

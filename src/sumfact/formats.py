@@ -342,27 +342,36 @@ def load_benchmark_records(path: str) -> list[BenchmarkRow]:
                 sys.intern(checked.dataset),
                 sys.intern(checked.split),
                 offset,
-                hashlib.blake2b(line.rstrip(b"\n"), digest_size=16).digest(),
+                _line_digest(line),
             )
         )
     return rows
 
 
+def _line_digest(line: bytes) -> bytes:
+    """The 16-byte BLAKE2b digest of a records line, without its line ending."""
+    return hashlib.blake2b(line.rstrip(b"\n"), digest_size=16).digest()
+
+
 def read_benchmark_records(path: str, rows: Iterable[BenchmarkRow]) -> Iterator[BenchmarkRecord]:
     """The full record of each row, read again at the row's offset, lazily.
 
-    The file must not change between the two passes: a line that no longer
-    holds a valid record with the row's id raises :class:`InputError`.
+    The file must not change between the two passes: a line that is not the
+    one the row was built from raises :class:`InputError`. With the row's
+    ``digest`` any change to the line counts; without one, only a line that
+    no longer holds a valid record with the row's id.
     """
     with _open(path) as fh:
         for row in rows:
             fh.seek(row.offset)
             _, line = next(_lines(fh), (0, b""))
-            try:
-                record = _parse_line(path, 0, line)
-                full = None if record is None else _benchmark_record(record, path)
-            except SumfactError:
-                full = None
+            full = None
+            if row.digest is None or row.digest == _line_digest(line):
+                try:
+                    record = _parse_line(path, 0, line)
+                    full = None if record is None else _benchmark_record(record, path)
+                except SumfactError:
+                    pass
             if full is None or full.record_id != row.record_id:
                 raise InputError(
                     f"{path} changed during the run: record '{row.record_id}' "

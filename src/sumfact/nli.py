@@ -29,7 +29,7 @@ import contextlib
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .documents import WORD_RE
 from .errors import NliBackendError, OversizedPremise
@@ -158,11 +158,12 @@ class Inference:
     Every pair is checked on construction, in one pass and in input order;
     the first offending pair raises: a premise or hypothesis must be
     non-empty, and with a budget the pair must fit it, each distinct text
-    measured once. The pairs are then stable-sorted by character length
-    (premise plus hypothesis) and cut into batches of ``batch_size``, so
-    each batch holds pairs of similar length and a model pads little. With
-    one worker the batches run when the results are read, one after
-    another; otherwise they go to the backend's pool on construction.
+    measured once, unless ``sizes`` already holds its ``measure``. The pairs
+    are then stable-sorted by character length (premise plus hypothesis)
+    and cut into batches of ``batch_size``, so each batch holds pairs of
+    similar length and a model pads little. With one worker the batches run
+    when the results are read, one after another; otherwise they go to the
+    backend's pool on construction.
 
     Results are gathered in batch order, and every row is checked once as
     it is read, with the rule of :class:`EntailmentTriple`, so a failure
@@ -172,9 +173,14 @@ class Inference:
     same checked rows.
     """
 
-    def __init__(self, backend: EntailmentBackend, pairs: Sequence[Pair]):
+    def __init__(
+        self,
+        backend: EntailmentBackend,
+        pairs: Sequence[Pair],
+        sizes: Mapping[str, int] | None = None,
+    ):
         budget = backend.budget
-        sizes: dict[str, int] = {}
+        measured = dict(sizes or ())
         lengths = []
         for i, (premise, hypothesis) in enumerate(pairs):
             if not premise:
@@ -184,11 +190,11 @@ class Inference:
             lengths.append(len(premise) + len(hypothesis))
             if budget is None:
                 continue
-            if premise not in sizes:
-                sizes[premise] = backend.measure(premise)
-            if hypothesis not in sizes:
-                sizes[hypothesis] = backend.measure(hypothesis)
-            units = sizes[premise] + sizes[hypothesis]
+            if premise not in measured:
+                measured[premise] = backend.measure(premise)
+            if hypothesis not in measured:
+                measured[hypothesis] = backend.measure(hypothesis)
+            units = measured[premise] + measured[hypothesis]
             if units > budget.max_units:
                 raise OversizedPremise(
                     f"pair {i}: premise+hypothesis measure {units} units, "
@@ -275,13 +281,17 @@ class EntailmentBackend:
         """Triples for ``pairs``, in input order (see :class:`Inference`)."""
         return self.submit(pairs).result()
 
-    def submit(self, pairs: Sequence[Pair]) -> Inference:
+    def submit(
+        self, pairs: Sequence[Pair], sizes: Mapping[str, int] | None = None
+    ) -> Inference:
         """Check ``pairs`` and start inferring them; the result is read later.
 
+        ``sizes`` maps texts the caller has already measured to their
+        :meth:`measure`, so the budget check does not measure them again.
         Calls in flight together share the pool, so at most ``workers``
         batches run at once however many calls there are.
         """
-        return Inference(self, pairs)
+        return Inference(self, pairs, sizes)
 
     def _pool(self) -> ThreadPoolExecutor:
         if self._executor is None:

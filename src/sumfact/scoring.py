@@ -27,9 +27,11 @@ less the claim's size). A window over that room is chunked, from prefix sums
 of the document's sentence sizes confirmed with exact measures, into the
 chunks that growing each run one sentence at a time would give, for any
 measure that never shrinks when a sentence is added to a run (characters
-and token counts). The tables are dropped once the wave's requests are
-built. The backend hands back plain scores, and a wave looks each pair up
-once.
+and token counts). The tables share the sizes they measure and hand them to
+the wave's backend call, whose budget check then measures none of those
+texts again. The tables are dropped once the wave's
+requests are built. The backend hands back plain scores, and a wave looks
+each pair up once.
 
 The engine memoizes backend scores, keyed by a digest of each (premise,
 hypothesis) pair, so the memo keeps no premise text alive once its wave is
@@ -49,7 +51,7 @@ import logging
 from bisect import bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Generator, Iterable, Iterator, Literal, Sequence
+from typing import Generator, Iterable, Iterator, Literal, Mapping, Sequence
 
 from .documents import Claim, CorefCluster, Document, Mention
 from .errors import OversizedPremise
@@ -279,7 +281,9 @@ class Scorer:
 
     # -- the selection rule ---------------------------------------------------
 
-    def _request(self, requests: Sequence[Request]) -> Wave:
+    def _request(
+        self, requests: Sequence[Request], sizes: Mapping[str, int] | None = None
+    ) -> Wave:
         """Look a wave's pairs up and send the missing ones, without waiting.
 
         A request is ``(candidates, claim, stage)``; each candidate is a
@@ -290,7 +294,8 @@ class Scorer:
         flight is not sent again. A pair an earlier block used moves into
         this block's memo. Each distinct text is hashed once per wave, each
         pair is looked up once, and only the texts of the pairs sent are kept
-        until they are scored.
+        until they are scored. ``sizes`` are the texts' measures the wave
+        already took, for the backend's budget check.
         """
         texts = {c[3] for candidates, _, _ in requests for c in candidates}
         texts.update(claim.text for _, claim, _ in requests)
@@ -328,7 +333,9 @@ class Scorer:
                         missing[key] = (i, (candidate[3], claim.text))
         wave = Wave(requests, keys, known, missing, None, memo, [])
         if missing:
-            wave.inference = self.backend.submit([pair for _, pair in missing.values()])
+            wave.inference = self.backend.submit(
+                [pair for _, pair in missing.values()], sizes
+            )
             self._in_flight.append(wave)
         return wave
 
@@ -466,13 +473,13 @@ class Scorer:
         return reports
 
     def _wave(
-        self, requests: Sequence[Request], last: bool
+        self, requests: Sequence[Request], last: bool, sizes: Mapping[str, int] | None = None
     ) -> Generator[bool, None, list[tuple[float, AlignedSpan]]]:
         """Send a wave, pause yielding whether it is the block's last, then read it.
 
         Closing the paused wave cancels its batches not yet started.
         """
-        wave = self._request(requests)
+        wave = self._request(requests, sizes)
         try:
             yield last
         except GeneratorExit:
@@ -510,8 +517,8 @@ class Scorer:
         multi = {}
         if stop is None:
             misses = [i for i, (score, _) in enumerate(coref) if score < self.params.gate_threshold]
-            requests = self._window_requests([jobs[i] for i in misses])
-            results = yield from self._wave(requests, True)
+            requests, sizes = self._window_requests([jobs[i] for i in misses])
+            results = yield from self._wave(requests, True, sizes)
             multi = {i: (results[2 * m], results[2 * m + 1]) for m, i in enumerate(misses)}
         verdicts = []
         for i, (_, claim) in enumerate(jobs):
@@ -551,23 +558,28 @@ class Scorer:
         candidates += [("coref_sentence", anchor, anchor, t, sub) for t, sub in variants]
         return candidates
 
-    def _window_requests(self, jobs: Sequence[tuple[Document, Claim]]) -> list[Request]:
-        """The window and document requests of each gate miss, in job order.
+    def _window_requests(
+        self, jobs: Sequence[tuple[Document, Claim]]
+    ) -> tuple[list[Request], dict[str, int]]:
+        """The window and document requests of each gate miss, in job order,
+        and, with a budget, the sizes of their claims and premises.
 
         Each document's window table serves every claim of it in this wave
-        and is dropped once the requests are built; each claim is measured
-        once.
+        and is dropped once the requests are built. The tables share one
+        map of sizes (see :class:`WindowTable`), which goes with the wave to
+        the backend, so its budget check measures none of these texts again.
         """
         tables: dict[int, WindowTable] = {}
         requests = []
+        sizes: dict[str, int] = {}
         for doc, claim in jobs:
             table = tables.get(id(doc))
             if table is None:
-                table = tables[id(doc)] = WindowTable(doc, self.backend)
+                table = tables[id(doc)] = WindowTable(doc, self.backend, sizes)
             room = table.room(claim.text)
             for k in (self.params.window_size, len(doc.sentences)):
                 requests.append(self._window_request(table, claim, k, room))
-        return requests
+        return requests, sizes
 
     def _window_request(
         self, table: WindowTable, claim: Claim, k: int, room: int | None
@@ -601,27 +613,41 @@ class WindowTable:
     growing the run one sentence at a time finds, for any measure that never
     shrinks when a sentence is added to a run; characters and token counts
     behave that way.
+
+    ``sizes`` maps the hypotheses, sentences and candidates measured to
+    their sizes: texts that live on anyway. The tables of one wave share it,
+    so a text is measured once however many tables meet it (a run that did
+    not fit is not kept, and is measured again only if it recurs).
     """
 
     __slots__ = (
-        "n", "_sentences", "_budget", "_measure", "_texts", "_sizes", "_prefix", "_candidates"
+        "n",
+        "sizes",
+        "_sentences",
+        "_budget",
+        "_measure",
+        "_texts",
+        "_runs",
+        "_prefix",
+        "_candidates",
     )
 
-    def __init__(self, doc: Document, backend: EntailmentBackend):
+    def __init__(self, doc: Document, backend: EntailmentBackend, sizes: dict[str, int]):
         self._sentences = [s.text for s in doc.sentences]
         self.n = len(self._sentences)
         self._budget = backend.budget
         self._measure = backend.measure
         self._texts: dict[tuple[int, int], str] = {}
-        self._sizes: dict[tuple[int, int], int] = {}
+        self._runs: dict[tuple[int, int], int] = {}
         self._prefix: list[int] | None = None
         self._candidates: dict[tuple[int, int | None], list[tuple]] = {}
+        self.sizes = sizes
 
     def room(self, hypothesis: str) -> int | None:
         """The budget less the size of ``hypothesis``; ``None`` without a budget."""
         if self._budget is None:
             return None
-        return self._budget.max_units - self._measure(hypothesis)
+        return self._budget.max_units - self._measured(hypothesis)
 
     def candidates(self, k: int, room: int | None) -> list[tuple]:
         """Span fields of every k-window that fits ``room``, or of its chunks."""
@@ -637,7 +663,10 @@ class WindowTable:
                     runs = self._chunks(start, k, room)
                 for first, length in runs:
                     granularity = "document" if length == n else "window"
-                    out.append((granularity, first, first + length - 1, self._text(first, length)))
+                    text = self._text(first, length)
+                    if room is not None:
+                        self.sizes[text] = self._size(first, length)
+                    out.append((granularity, first, first + length - 1, text))
             self._candidates[key] = out
         return out
 
@@ -650,11 +679,22 @@ class WindowTable:
 
     def _size(self, start: int, length: int) -> int:
         key = (start, length)
-        size = self._sizes.get(key)
+        size = self._runs.get(key)
         if size is None:
-            # A run tried and found too long is measured, not kept as text.
             text = self._texts.get(key) or " ".join(self._sentences[start : start + length])
-            size = self._sizes[key] = self._measure(text)
+            size = self.sizes.get(text)
+            if size is None:
+                size = self._measure(text)
+                # A run tried and found too long is measured, not kept as text.
+                if length == 1:
+                    self.sizes[text] = size
+            self._runs[key] = size
+        return size
+
+    def _measured(self, text: str) -> int:
+        size = self.sizes.get(text)
+        if size is None:
+            size = self.sizes[text] = self._measure(text)
         return size
 
     def _chunks(self, start: int, length: int, room: int) -> list[tuple[int, int]]:

@@ -185,7 +185,7 @@ def window_stage(scorer, doc, claim, k: int):
     """
     from sumfact.scoring import WindowTable
 
-    table = WindowTable(doc, scorer.backend)
+    table = WindowTable(doc, scorer.backend, {})
     request = scorer._window_request(table, claim, k, table.room(claim.text))
     return scorer._collect(scorer._request([request]))[0]
 

@@ -225,7 +225,11 @@ class TestBootstrap:
 class TestBootstrapOracle:
     """The bootstrap draws exactly what ``randrange`` would, value for value."""
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 500, 1500, 65537])
+    # Around each switch of lookup (one page, several pages, direct), and
+    # 2**k + 1 records, which take many rounds of redraws.
+    @pytest.mark.parametrize(
+        "n", [1, 2, 3, 255, 256, 257, 500, 1025, 1500, 4095, 4096, 4097, 65537]
+    )
     @settings(max_examples=8, deadline=None)
     @given(
         seed=st.integers(0, 2**64),
@@ -245,6 +249,18 @@ class TestBootstrapOracle:
                 oracles.bootstrap_std(scores, golds, threshold, reference, resamples)
             )
             assert ours.getstate() == reference.getstate()
+
+    def test_million_records(self):
+        # 2**20 + 1 records: values of 21 bits, beyond the code point range.
+        # Two resamples, as the spread of one is always 0.
+        n = 2**20 + 1
+        data = random.Random(11)
+        scores = [data.random() for _ in range(n)]
+        golds = [data.random() < 0.5 for _ in range(n)]
+        ours, reference = random.Random(12), random.Random(12)
+        std = _bootstrap_std(scores, golds, 0.5, ours, 2)
+        assert std == oracles.bootstrap_std(scores, golds, 0.5, reference, 2) and std > 0
+        assert ours.getstate() == reference.getstate()
 
     def test_single_class_sample_gives_none(self):
         ours, reference = random.Random(3), random.Random(3)

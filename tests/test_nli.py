@@ -238,6 +238,14 @@ class TestTextTable:
         backend.entail_batch(pairs)
         assert backend.measured == Counter({"alpha beta": 1, "gamma": 1, "delta": 1})
 
+    def test_budget_guard_takes_known_sizes(self):
+        pairs = [("alpha beta", "gamma"), ("alpha beta", "delta")]
+        backend = CountingBackend(batch_size=2, budget=PremiseBudget(64))
+        backend.submit(pairs, {"alpha beta": 10, "gamma": 5}).result()
+        assert backend.measured == Counter({"delta": 1})
+        with pytest.raises(OversizedPremise, match="pair 1: premise\\+hypothesis measure 65 "):
+            backend.submit(pairs, {"alpha beta": 60, "gamma": 4})
+
     def test_no_budget_measures_nothing(self):
         backend = CountingBackend()
         backend.entail_batch([("alpha beta", "gamma")] * 3)

@@ -352,21 +352,21 @@ class TestBudgetChunking:
     def test_chunk_layout(self):
         backend = MockEntailmentBackend(budget=PremiseBudget(32))
         room = self.room(backend, self.hyp().text)
-        chunks = WindowTable(self.chunked_doc(), backend).candidates(4, room)
+        chunks = WindowTable(self.chunked_doc(), backend, {}).candidates(4, room)
         assert self.runs(chunks) == [(0, 2), (1, 2), (2, 2)]
         assert chunks[2][3] == "eeee ffff. gggg hhhh."
 
     def test_within_budget_is_single_premise(self):
         backend = MockEntailmentBackend(budget=PremiseBudget(200))
         room = self.room(backend, self.hyp().text)
-        chunks = WindowTable(self.chunked_doc(), backend).candidates(4, room)
+        chunks = WindowTable(self.chunked_doc(), backend, {}).candidates(4, room)
         assert len(chunks) == 1 and self.runs(chunks)[0][1] == 4
 
     def test_oversized_single_sentence_raises(self):
         backend = MockEntailmentBackend(budget=PremiseBudget(16))
         doc = doc_from_sentences("d", ["this single sentence is far too long."])
         with pytest.raises(OversizedPremise, match="sentence 0"):
-            WindowTable(doc, backend).candidates(1, self.room(backend, "hhhh."))
+            WindowTable(doc, backend, {}).candidates(1, self.room(backend, "hhhh."))
 
     def test_window_request_measures_its_hypothesis_once(self):
         measured = Counter()
@@ -378,7 +378,7 @@ class TestBudgetChunking:
 
         scorer = Scorer(Counting(budget=PremiseBudget(32)), ScoringParams())
         # The window request (k = 5, clamped to 4) and the document request.
-        window, document = scorer._window_requests([(self.chunked_doc(), self.hyp())])
+        (window, document), sizes = scorer._window_requests([(self.chunked_doc(), self.hyp())])
         candidates = window[0]
         assert [c[1:3] for c in candidates] == [(0, 1), (1, 2), (2, 3)]
         assert document[0] is candidates
@@ -387,6 +387,40 @@ class TestBudgetChunking:
         assert sum(measured.values()) - 1 > len(candidates)
         # Each run was measured once, for both requests.
         assert max(measured.values()) == 1
+        # The sizes handed on hold the claim and every premise, as measured.
+        assert {c[3] for c in candidates} | {self.hyp().text} <= set(sizes) <= set(measured)
+        assert sizes == {text: len(text) for text in sizes}
+
+    def test_window_wave_measures_no_text_twice(self):
+        class Logging(MockEntailmentBackend):
+            """The mock, logging each text it measures and, as None, each call."""
+
+            def __init__(self, **kwargs):
+                super().__init__(**kwargs)
+                self.log = []
+
+            def measure(self, text):
+                self.log.append(text)
+                return super().measure(text)
+
+            def submit(self, pairs, sizes=None):
+                inference = super().submit(pairs, sizes)
+                self.log.append(None)
+                return inference
+
+        backend = Logging(budget=PremiseBudget(32))
+        scorer = Scorer(backend, ScoringParams(window_size=2, gate_threshold=0.99))
+        other = doc_from_sentences("e", ["aaaa cccc.", "gggg zzzz.", "eeee bbbb."])
+        claims = [claim("gggg zzzz."), claim("cccc bbbb.", index=1)]
+        items = [(self.chunked_doc(), claims, False), (other, [claim("zzzz aaaa.", "s2")], False)]
+        reports = scorer.score_summaries(items)
+        assert all(v.stage == "multi_granularity" for r in reports for v in r.verdicts)
+        # No coreference here: a sentence wave, then the window wave, whose
+        # window tables and backend call measure these texts.
+        calls = [i for i, text in enumerate(backend.log) if text is None]
+        assert len(calls) == 2 and calls[-1] == len(backend.log) - 1
+        window_wave = backend.log[calls[0] + 1 : calls[1]]
+        assert window_wave and max(Counter(window_wave).values()) == 1
 
     def test_chunked_document_reports_window_granularity(self):
         backend = MockEntailmentBackend(budget=PremiseBudget(32))
@@ -462,7 +496,7 @@ class TestWindowTable:
         scorer = Scorer(backend, ScoringParams())
         doc = doc_from_sentences("d", sentences)
         # One table serves every claim, as in a block's window wave.
-        table = WindowTable(doc, backend)
+        table = WindowTable(doc, backend, {})
         for text in claims:
             room = None if budget is None else budget - backend.measure(text)
             assert table.room(text) == room
@@ -481,7 +515,7 @@ class TestWindowTable:
         # Sentence 1 is over the room in characters, words and distinct words.
         sentences = ["aa bb.", " ".join(f"w{i}" for i in range(20)) + ".", "aa."]
         backend = kind(budget=PremiseBudget(16))
-        table = WindowTable(doc_from_sentences("d", sentences), backend)
+        table = WindowTable(doc_from_sentences("d", sentences), backend, {})
         room = table.room("aa bb")
         assert oracles.window_candidates(sentences, 2, room, backend.measure) == ("oversized", 1)
         with pytest.raises(OversizedPremise, match="sentence 1 alone exceeds"):

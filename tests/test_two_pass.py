@@ -10,6 +10,7 @@ exits before any pair is scored, with the same message) and what it adds
 import hashlib
 import json
 import logging
+import os
 
 import pytest
 from click.testing import CliRunner
@@ -248,6 +249,38 @@ class TestSecondPass:
             "message": f"{path} changed during the run: record 'v1' is no longer at byte 0",
         }
         assert sum(len(b.pairs) for b in backends) == 0
+
+    def test_same_length_edit_between_passes_exits_2(self, runner, tmp_path, monkeypatch):
+        # The edit keeps the id and every offset, so only the line's digest shows it.
+        original = [record("r0", "validation", "factual", "Alpha beta gamma."), *GOOD[1:]]
+        edited = [record("r0", "validation", "factual", "Omega psi chi xy."), *GOOD[1:]]
+        path = write_records(tmp_path, [json.dumps(r) for r in original])
+        cache, fresh = str(tmp_path / "cache"), str(tmp_path / "fresh")
+        first_pass = formats.load_benchmark_records
+
+        def then_edit(path):
+            rows = first_pass(path)
+            write_records(tmp_path, [json.dumps(r) for r in edited])
+            return rows
+
+        monkeypatch.setattr(formats, "load_benchmark_records", then_edit)
+        result = runner.invoke(cli.main, ["benchmark", path, "--cache-dir", cache])
+        assert result.exit_code == 2
+        assert error_of(result) == {
+            "error": "InputError",
+            "message": f"{path} changed during the run: record 'r0' is no longer at byte 0",
+        }
+        # Restored, the file scores as it does on a fresh cache: no score of
+        # the edited line was kept under the original's digest.
+        monkeypatch.setattr(formats, "load_benchmark_records", first_pass)
+        write_records(tmp_path, [json.dumps(r) for r in original])
+        csvs = []
+        for directory in (cache, fresh):
+            csv = tmp_path / f"{os.path.basename(directory)}.csv"
+            args = ["benchmark", path, "--cache-dir", directory, "--scores-csv", str(csv)]
+            assert runner.invoke(cli.main, args).exit_code == 0
+            csvs.append(csv.read_text())
+        assert csvs[0] == csvs[1]
 
     def test_truncated_file_exits_2(self, tmp_path):
         path = write_records(tmp_path, [json.dumps(r) for r in GOOD])
