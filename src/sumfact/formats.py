@@ -357,26 +357,24 @@ def read_benchmark_records(path: str, rows: Iterable[BenchmarkRow]) -> Iterator[
     """The full record of each row, read again at the row's offset, lazily.
 
     The file must not change between the two passes: a line that is not the
-    one the row was built from raises :class:`InputError`. With the row's
-    ``digest`` any change to the line counts; without one, only a line that
-    no longer holds a valid record with the row's id.
+    one the row was built from raises :class:`InputError`, which says whether
+    the line no longer holds a valid record with the row's id or, with the
+    row's ``digest``, still holds one but was edited.
     """
     with _open(path) as fh:
         for row in rows:
             fh.seek(row.offset)
             _, line = next(_lines(fh), (0, b""))
-            full = None
-            if row.digest is None or row.digest == _line_digest(line):
-                try:
-                    record = _parse_line(path, 0, line)
-                    full = None if record is None else _benchmark_record(record, path)
-                except SumfactError:
-                    pass
+            try:
+                record = _parse_line(path, 0, line)
+                full = None if record is None else _benchmark_record(record, path)
+            except SumfactError:
+                full = None
+            changed = f"{path} changed during the run: record '{row.record_id}'"
             if full is None or full.record_id != row.record_id:
-                raise InputError(
-                    f"{path} changed during the run: record '{row.record_id}' "
-                    f"is no longer at byte {row.offset}"
-                )
+                raise InputError(f"{changed} is no longer at byte {row.offset}")
+            if row.digest is not None and row.digest != _line_digest(line):
+                raise InputError(f"{changed} at byte {row.offset} was edited")
             yield full
 
 

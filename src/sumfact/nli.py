@@ -17,8 +17,8 @@ batches in flight at once, and returns one row of three floats per pair,
 the table, computed once per call, and must not retain the table, which
 lives only for that one call. The :class:`Inference` that ``submit`` returns
 checks every row once, with the rule of :class:`EntailmentTriple`, as it
-reads it: the scorer reads plain scores from it (:meth:`Inference.scores`),
-and ``entail_batch`` its :class:`EntailmentTriple` objects. ``submit``
+reads it, and gives each pair's alignment score
+(``submit(pairs).scores()``), the one way a backend is read. ``submit``
 starts a call without waiting for it, so a caller can have the next call's
 batches in flight while it reads this one's.
 """
@@ -27,9 +27,10 @@ from __future__ import annotations
 
 import contextlib
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .documents import WORD_RE
 from .errors import NliBackendError, OversizedPremise
@@ -88,14 +89,6 @@ class EntailmentTriple:
         row = _checked(self.entailment, self.neutral, self.contradiction)
         for name, value in zip(_NAMES, row):
             object.__setattr__(self, name, value)
-
-    @classmethod
-    def _of(cls, row: Row) -> EntailmentTriple:
-        """The triple of a row :func:`_checked` already gave, not checked again."""
-        triple = object.__new__(cls)
-        for name, value in zip(_NAMES, row):
-            object.__setattr__(triple, name, value)
-        return triple
 
     @property
     def score(self) -> float:
@@ -158,7 +151,9 @@ class Inference:
     Every pair is checked on construction, in one pass and in input order;
     the first offending pair raises: a premise or hypothesis must be
     non-empty, and with a budget the pair must fit it, each distinct text
-    measured once, unless ``sizes`` already holds its ``measure``. The pairs
+    measured once, unless ``sizes`` already holds its ``measure``; the texts
+    measured here are added to ``sizes``, so a caller that passes one map to
+    several calls measures each text once over all of them. The pairs
     are then stable-sorted by character length (premise plus hypothesis)
     and cut into batches of ``batch_size``, so each batch holds pairs of
     similar length and a model pads little. With one worker the batches run
@@ -168,19 +163,17 @@ class Inference:
     Results are gathered in batch order, and every row is checked once as
     it is read, with the rule of :class:`EntailmentTriple`, so a failure
     raises that of the first failing batch, and cancels the batches not yet
-    started, as :meth:`cancel` does. :meth:`scores` gives each pair's
-    alignment score as a float, :meth:`result` its triple; both read the
-    same checked rows.
+    started, as :meth:`cancel` does.
     """
 
     def __init__(
         self,
         backend: EntailmentBackend,
         pairs: Sequence[Pair],
-        sizes: Mapping[str, int] | None = None,
+        sizes: dict[str, int] | None = None,
     ):
         budget = backend.budget
-        measured = dict(sizes or ())
+        measured = {} if sizes is None else sizes
         lengths = []
         for i, (premise, hypothesis) in enumerate(pairs):
             if not premise:
@@ -213,15 +206,8 @@ class Inference:
             self._futures = [pool.submit(self._infer, b, self._table) for b in self._batches]
 
     def scores(self) -> list[float]:
-        """Each pair's alignment score, ``entailment - contradiction``, in input order."""
-        return [e - c for e, _, c in self._rows()]
-
-    def result(self) -> list[EntailmentTriple]:
-        """The triples, in input order; waits for every batch."""
-        return [EntailmentTriple._of(row) for row in self._rows()]
-
-    def _rows(self) -> list[Row]:
-        """The checked rows, in input order; waits for every batch."""
+        """Each pair's alignment score, ``entailment - contradiction`` of its
+        checked row, in input order; waits for every batch."""
         if self._futures is None:
             results = (self._infer(batch, self._table) for batch in self._batches)
         else:
@@ -230,7 +216,8 @@ class Inference:
         try:
             for b, (chunk, rows) in enumerate(zip(self._chunks, results)):
                 for i, row in zip(chunk, rows):
-                    out[i] = _checked(*row)
+                    e, _, c = _checked(*row)
+                    out[i] = e - c
                 self._table.release(b)
         except BaseException:
             self.cancel()
@@ -277,17 +264,12 @@ class EntailmentBackend:
         """Size of ``text`` in budget units. Default: characters."""
         return len(text)
 
-    def entail_batch(self, pairs: Sequence[Pair]) -> list[EntailmentTriple]:
-        """Triples for ``pairs``, in input order (see :class:`Inference`)."""
-        return self.submit(pairs).result()
-
-    def submit(
-        self, pairs: Sequence[Pair], sizes: Mapping[str, int] | None = None
-    ) -> Inference:
+    def submit(self, pairs: Sequence[Pair], sizes: dict[str, int] | None = None) -> Inference:
         """Check ``pairs`` and start inferring them; the result is read later.
 
         ``sizes`` maps texts the caller has already measured to their
-        :meth:`measure`, so the budget check does not measure them again.
+        :meth:`measure`, so the budget check does not measure them again,
+        and gains the texts the check measures.
         Calls in flight together share the pool, so at most ``workers``
         batches run at once however many calls there are.
         """
@@ -342,8 +324,11 @@ class RemoteEntailmentBackend(EntailmentBackend):
     the service answers ``{"triples": [[ent, neu, con], ...]}`` in the same
     order. Any transport failure, non-2xx status, length mismatch or invalid
     triple raises :class:`NliBackendError`; each row is checked here, so
-    that a bad one names its pair. ``requests`` is imported here,
-    not with the module, so runs without a remote backend never load it.
+    that a bad one names its pair. Unless a ``session`` is given, each pool
+    thread posts with a ``requests.Session`` of its own, since a session is
+    not documented as safe to share between threads. ``requests`` is
+    imported here, not with the module, so runs without a remote backend
+    never load it.
     """
 
     def __init__(
@@ -361,7 +346,9 @@ class RemoteEntailmentBackend(EntailmentBackend):
         super().__init__(batch_size=batch_size, budget=budget, workers=workers)
         self.url = url
         self.timeout = timeout
-        self._session = session or requests.Session()
+        self._session = session
+        self._new_session = requests.Session
+        self._sessions = threading.local()
 
     def describe(self) -> str:
         return f"remote:{self.url}"
@@ -369,8 +356,11 @@ class RemoteEntailmentBackend(EntailmentBackend):
     def _infer(self, pairs: list[Pair], table: TextTable) -> list[Row]:
         import requests
 
+        session = self._session or getattr(self._sessions, "session", None)
+        if session is None:
+            session = self._sessions.session = self._new_session()
         try:
-            response = self._session.post(
+            response = session.post(
                 self.url, json={"pairs": [[p, h] for p, h in pairs]}, timeout=self.timeout
             )
             response.raise_for_status()

@@ -11,14 +11,14 @@ summary's score is the arithmetic mean over its claim verdicts. The ablations
 are early stops of this one pipeline: after the sentence stage or after the
 coref stage.
 
-``Scorer.score_blocks`` is the one entry point (``score_summaries`` scores
-a single block). It runs the stages as waves over each block of summaries:
-every claim's sentence candidates go to the backend together, then the coref
-candidates of all the claims, then the window and document candidates of
-every gate miss. One selection rule serves every wave. Blocks change how
-pairs are batched, never a score or a span. One thread scores; the backend
-keeps batches in flight, and the next block's first wave is sent while the
-block before has its last wave in flight.
+``Scorer.score_blocks`` is the one entry point. It runs the stages as waves
+over each block of summaries: every claim's sentence candidates go to the
+backend together, then the coref candidates of all the claims, then the
+window and document candidates of every gate miss. One selection rule
+serves every wave. Blocks change how pairs are batched, never a score or a
+span. One thread scores; the backend keeps batches in flight, and the next
+block's first wave is sent while the block before has its last wave in
+flight.
 
 The window wave builds one :class:`WindowTable` per document of its block:
 each (document, k) window's text and, with a budget, its size are built once
@@ -27,11 +27,11 @@ less the claim's size). A window over that room is chunked, from prefix sums
 of the document's sentence sizes confirmed with exact measures, into the
 chunks that growing each run one sentence at a time would give, for any
 measure that never shrinks when a sentence is added to a run (characters
-and token counts). The tables share the sizes they measure and hand them to
-the wave's backend call, whose budget check then measures none of those
-texts again. The tables are dropped once the wave's
-requests are built. The backend hands back plain scores, and a wave looks
-each pair up once.
+and token counts). A block keeps one map of the sizes measured for it: every
+wave's backend call reads and fills it in its budget check, and the window
+tables build on it, so a text is measured once per block. The tables are
+dropped once the wave's requests are built. The backend hands back plain
+scores, and a wave looks each pair up once.
 
 The engine memoizes backend scores, keyed by a digest of each (premise,
 hypothesis) pair, so the memo keeps no premise text alive once its wave is
@@ -51,7 +51,7 @@ import logging
 from bisect import bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Generator, Iterable, Iterator, Literal, Mapping, Sequence
+from typing import Generator, Iterable, Iterator, Literal, Sequence
 
 from .documents import Claim, CorefCluster, Document, Mention
 from .errors import OversizedPremise
@@ -257,8 +257,7 @@ class Scorer:
     claims whose anchor has variants, then the window and document
     candidates of the claims that missed the gate. ``stop="sentence"`` ends
     the block after the first wave and ``stop="coref"`` after the second.
-    :meth:`score_summaries` scores a single block; a single summary is a
-    block of one.
+    A single summary is a block of one.
 
     ``pairs_requested`` counts the premise/hypothesis pairs of every
     request, per stage, and ``backend_calls`` the pairs actually sent to the
@@ -281,9 +280,7 @@ class Scorer:
 
     # -- the selection rule ---------------------------------------------------
 
-    def _request(
-        self, requests: Sequence[Request], sizes: Mapping[str, int] | None = None
-    ) -> Wave:
+    def _request(self, requests: Sequence[Request], sizes: dict[str, int]) -> Wave:
         """Look a wave's pairs up and send the missing ones, without waiting.
 
         A request is ``(candidates, claim, stage)``; each candidate is a
@@ -294,8 +291,8 @@ class Scorer:
         flight is not sent again. A pair an earlier block used moves into
         this block's memo. Each distinct text is hashed once per wave, each
         pair is looked up once, and only the texts of the pairs sent are kept
-        until they are scored. ``sizes`` are the texts' measures the wave
-        already took, for the backend's budget check.
+        until they are scored. ``sizes`` is the block's map of measures, for
+        the backend's budget check.
         """
         texts = {c[3] for candidates, _, _ in requests for c in candidates}
         texts.update(claim.text for _, claim, _ in requests)
@@ -388,23 +385,16 @@ class Scorer:
 
     # -- the waves --------------------------------------------------------------
 
-    def score_summaries(
-        self, items: Sequence[Item], *, stop: Stop | None = None
-    ) -> list[FactualityReport]:
-        """Score a block of ``(document, claims, claims_fallback)`` items.
+    def score_blocks(
+        self, blocks: Iterable[Sequence[Item]], *, stop: Stop | None = None
+    ) -> Iterator[list[FactualityReport]]:
+        """The reports of each block of ``(document, claims, claims_fallback)`` items.
 
         Each report averages its item's claim verdicts, which keep claim
         order; reports keep item order. ``stop`` ends every claim's pipeline
         early; a verdict's stage then names the premise that won. Results
-        equal scoring each item alone: blocks change only how pairs are batched.
-        """
-        (reports,) = self.score_blocks([items], stop=stop)
-        return reports
-
-    def score_blocks(
-        self, blocks: Iterable[Sequence[Item]], *, stop: Stop | None = None
-    ) -> Iterator[list[FactualityReport]]:
-        """The reports of each block, block by block, as :meth:`score_summaries` gives them.
+        equal scoring each item alone: blocks change only how pairs are
+        batched.
 
         A block's first wave is sent as soon as the block before has sent
         its last, so the backend has pairs to work on while the last results
@@ -473,7 +463,7 @@ class Scorer:
         return reports
 
     def _wave(
-        self, requests: Sequence[Request], last: bool, sizes: Mapping[str, int] | None = None
+        self, requests: Sequence[Request], last: bool, sizes: dict[str, int]
     ) -> Generator[bool, None, list[tuple[float, AlignedSpan]]]:
         """Send a wave, pause yielding whether it is the block's last, then read it.
 
@@ -492,7 +482,11 @@ class Scorer:
     def _verdicts(
         self, jobs: Sequence[tuple[Document, Claim]], stop: Stop | None
     ) -> Generator[bool, None, list[ClaimVerdict]]:
-        """Verdicts for ``(document, claim)`` jobs, each stage one wave over all jobs."""
+        """Verdicts for ``(document, claim)`` jobs, each stage one wave over all jobs.
+
+        The waves share one map of sizes, so each text is measured once.
+        """
+        sizes: dict[str, int] = {}
         # Every sentence, one candidate list per document; the lowest index
         # attaining the best score is the anchor.
         by_doc = {
@@ -500,7 +494,7 @@ class Scorer:
             for doc in {id(doc): doc for doc, _ in jobs}.values()
         }
         requests = [(by_doc[id(doc)], claim, "sentence") for doc, claim in jobs]
-        sentence = yield from self._wave(requests, stop == "sentence")
+        sentence = yield from self._wave(requests, stop == "sentence", sizes)
         if stop == "sentence":
             return [
                 ClaimVerdict(claim, score, "sentence", span, {"sentence": score})
@@ -510,14 +504,14 @@ class Scorer:
         wave = [(i, self._coref_candidates(doc, sentence[i][1])) for i, (doc, _) in enumerate(jobs)]
         wave = [(i, candidates) for i, candidates in wave if candidates]
         requests = [(candidates, jobs[i][1], "coref") for i, candidates in wave]
-        results = yield from self._wave(requests, stop == "coref")
+        results = yield from self._wave(requests, stop == "coref", sizes)
         for (i, _), result in zip(wave, results):
             coref[i] = result
         # Gate misses: windows, then the whole document.
         multi = {}
         if stop is None:
             misses = [i for i, (score, _) in enumerate(coref) if score < self.params.gate_threshold]
-            requests, sizes = self._window_requests([jobs[i] for i in misses])
+            requests = self._window_requests([jobs[i] for i in misses], sizes)
             results = yield from self._wave(requests, True, sizes)
             multi = {i: (results[2 * m], results[2 * m + 1]) for m, i in enumerate(misses)}
         verdicts = []
@@ -559,19 +553,17 @@ class Scorer:
         return candidates
 
     def _window_requests(
-        self, jobs: Sequence[tuple[Document, Claim]]
-    ) -> tuple[list[Request], dict[str, int]]:
-        """The window and document requests of each gate miss, in job order,
-        and, with a budget, the sizes of their claims and premises.
+        self, jobs: Sequence[tuple[Document, Claim]], sizes: dict[str, int]
+    ) -> list[Request]:
+        """The window and document requests of each gate miss, in job order.
 
         Each document's window table serves every claim of it in this wave
-        and is dropped once the requests are built. The tables share one
-        map of sizes (see :class:`WindowTable`), which goes with the wave to
-        the backend, so its budget check measures none of these texts again.
+        and is dropped once the requests are built. The tables build on the
+        block's map of sizes (see :class:`WindowTable`), which goes with the
+        wave to the backend.
         """
         tables: dict[int, WindowTable] = {}
         requests = []
-        sizes: dict[str, int] = {}
         for doc, claim in jobs:
             table = tables.get(id(doc))
             if table is None:
@@ -579,7 +571,7 @@ class Scorer:
             room = table.room(claim.text)
             for k in (self.params.window_size, len(doc.sentences)):
                 requests.append(self._window_request(table, claim, k, room))
-        return requests, sizes
+        return requests
 
     def _window_request(
         self, table: WindowTable, claim: Claim, k: int, room: int | None
@@ -614,10 +606,11 @@ class WindowTable:
     shrinks when a sentence is added to a run; characters and token counts
     behave that way.
 
-    ``sizes`` maps the hypotheses, sentences and candidates measured to
-    their sizes: texts that live on anyway. The tables of one wave share it,
-    so a text is measured once however many tables meet it (a run that did
-    not fit is not kept, and is measured again only if it recurs).
+    ``sizes`` is the block's map of measured texts: the tables add the
+    hypotheses, sentences and candidates they measure, texts that live on
+    anyway, and find there those an earlier wave measured, so a text is
+    measured once however many tables and waves meet it (a run that did not
+    fit is not kept, and is measured again only if it recurs).
     """
 
     __slots__ = (

@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 import random
 
-from sumfact import Claim, CorefCluster, Document, Mention, Sentence, Summary
+from sumfact import Claim, CorefCluster, Document, EntailmentTriple, Mention, Sentence, Summary
+from sumfact.nli import TextTable
 
 VOCAB = [
     "alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta",
@@ -42,6 +43,19 @@ def doc_from_sentences(doc_id, texts, clusters=()):
         )
         built.append(CorefCluster(mentions))
     return Document(doc_id, text, tuple(sentences), tuple(built))
+
+
+def triples(backend, pairs):
+    """Each pair's checked, renormalized triple, from the backend's full
+    ``(entailment, neutral, contradiction)`` rows of one ``_infer`` call."""
+    pairs = list(pairs)
+    return [EntailmentTriple(*row) for row in backend._infer(pairs, TextTable(backend, [pairs]))]
+
+
+def score_block(scorer, items, stop=None):
+    """The reports of one block of ``(document, claims, claims_fallback)`` items."""
+    (reports,) = scorer.score_blocks([items], stop=stop)
+    return reports
 
 
 def summary_from_sentences(summary_id, document_id, texts):

@@ -187,7 +187,7 @@ def window_stage(scorer, doc, claim, k: int):
 
     table = WindowTable(doc, scorer.backend, {})
     request = scorer._window_request(table, claim, k, table.room(claim.text))
-    return scorer._collect(scorer._request([request]))[0]
+    return scorer._collect(scorer._request([request], table.sizes))[0]
 
 
 def window_candidates(sentences, k: int, room, measure):

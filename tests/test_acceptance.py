@@ -31,7 +31,13 @@ from sumfact import (
 from sumfact.formats import render_report
 from sumfact.pipeline import score_corpus
 
-from cases import GivenClaims, doc_from_sentences, random_case, summary_from_sentences
+from cases import (
+    GivenClaims,
+    doc_from_sentences,
+    random_case,
+    score_block,
+    summary_from_sentences,
+)
 from oracles import oracle_verdict, verdict_to_view, window_stage
 
 TOL = 1e-9
@@ -47,8 +53,8 @@ def test_staged_alignment_matches_oracle(criterion):
             mono = Scorer(
                 MockEntailmentBackend(), ScoringParams(**params, monotone_gate=True)
             )
-            (report,) = plain.score_summaries([(doc, claims, False)])
-            (mono_report,) = mono.score_summaries([(doc, claims, False)])
+            (report,) = score_block(plain, [(doc, claims, False)])
+            (mono_report,) = score_block(mono, [(doc, claims, False)])
             for claim, verdict, mono in zip(claims, report.verdicts, mono_report.verdicts):
                 assert verdict_to_view(verdict) == oracle_verdict(doc, claim, **params)
                 assert verdict_to_view(mono) == oracle_verdict(
@@ -70,7 +76,7 @@ def test_gate_skips_coarser_stages(criterion, caplog):
                 doc, claims, params = random_case(rng, case_id)
                 params = dict(params, gate_threshold=-1.0)
                 scorer = Scorer(MockEntailmentBackend(), ScoringParams(**params))
-                (report,) = scorer.score_summaries([(doc, claims, False)])
+                (report,) = score_block(scorer, [(doc, claims, False)])
                 assert all(verdict.stage == "coref" for verdict in report.verdicts)
                 assert scorer.backend_calls["window"] == 0
                 assert scorer.backend_calls["document"] == 0
@@ -87,7 +93,7 @@ def test_gate_skips_coarser_stages(criterion, caplog):
                 doc, claims, params = random_case(rng, 1000 + case_id)
                 scorer = Scorer(MockEntailmentBackend(), ScoringParams(**params))
                 stopped = []
-                (report,) = scorer.score_summaries([(doc, claims, False)])
+                (report,) = score_block(scorer, [(doc, claims, False)])
                 for claim, verdict in zip(claims, report.verdicts):
                     at_gate = verdict.stage == "coref"
                     stopped.append(at_gate)
@@ -107,7 +113,7 @@ def test_gate_skips_coarser_stages(criterion, caplog):
         scorer = Scorer(
             MockEntailmentBackend(), ScoringParams(window_size=2, gate_threshold=0.8)
         )
-        (report,) = scorer.score_summaries([(doc, [claim], False)])
+        (report,) = score_block(scorer, [(doc, [claim], False)])
         (verdict,) = report.verdicts
         assert verdict.stage == "multi_granularity"
         assert verdict.score == 1.0
@@ -125,8 +131,8 @@ def test_stage_decomposition_identities(criterion):
             doc, claims, params = random_case(rng, case_id)
             scorer = Scorer(MockEntailmentBackend(), ScoringParams(**params))
             n = len(doc.sentences)
-            (sentence,) = scorer.score_summaries([(doc, claims, False)], stop="sentence")
-            (report,) = scorer.score_summaries([(doc, claims, False)])
+            (sentence,) = score_block(scorer, [(doc, claims, False)], stop="sentence")
+            (report,) = score_block(scorer, [(doc, claims, False)])
             for claim, sent, verdict in zip(claims, sentence.verdicts, report.verdicts):
                 # One-sentence windows are exactly the sentence stage.
                 window_score, window_span = window_stage(scorer, doc, claim, 1)
@@ -163,7 +169,7 @@ def test_batching_invariant_output(criterion):
                     MockEntailmentBackend(batch_size=batch_size),
                     ScoringParams(**params),
                 )
-                (report,) = scorer.score_summaries([(doc, claims, False)])
+                (report,) = score_block(scorer, [(doc, claims, False)])
                 lines.append(render_report(report))
             rendered.append(lines)
         assert rendered[0] == rendered[1] == rendered[2]

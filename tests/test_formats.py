@@ -29,7 +29,7 @@ from sumfact.formats import (
     write_scores_csv,
 )
 
-from cases import doc_from_sentences, summary_from_sentences
+from cases import doc_from_sentences, score_block, summary_from_sentences
 
 
 def jsonl(tmp_path, name, *rows):
@@ -346,7 +346,7 @@ class TestRenderReport:
     def test_exact_line(self):
         scorer = Scorer(MockEntailmentBackend())
         doc = doc_from_sentences("d", ["alpha beta.", "gamma delta."])
-        (report,) = scorer.score_summaries([(doc, [Claim("s1", 0, "gamma delta.")], False)])
+        (report,) = score_block(scorer, [(doc, [Claim("s1", 0, "gamma delta.")], False)])
         expected = (
             '{"summary_id": "s1", "score": 1.000000, "verdicts": '
             '[{"claim": {"summary_id": "s1", "index": 0, "text": "gamma delta."}, '
@@ -367,7 +367,7 @@ class TestRenderReport:
             [[(0, 0, 14), (1, 0, 10)]],
         )
         claims = [Claim("s1", 0, "The player was ruled out.")]
-        (report,) = scorer.score_summaries([(doc, claims, False)])
+        (report,) = score_block(scorer, [(doc, claims, False)])
         payload = report_to_dict(report)
         aligned = payload["verdicts"][0]["aligned"]
         assert aligned["granularity"] == "coref_sentence"
@@ -379,7 +379,7 @@ class TestRenderReport:
     def test_sub_scores_serialized_in_stage_order(self):
         scorer = Scorer(MockEntailmentBackend(), ScoringParams(monotone_gate=False))
         doc = doc_from_sentences("d", ["alpha beta gamma.", "delta epsilon."])
-        (report,) = scorer.score_summaries([(doc, [Claim("s1", 0, "stray words.")], False)])
+        (report,) = score_block(scorer, [(doc, [Claim("s1", 0, "stray words.")], False)])
         keys = list(report_to_dict(report)["verdicts"][0]["sub_scores"])
         assert keys == ["sentence", "coref", "window", "document"]
 

@@ -28,7 +28,7 @@ from sumfact.config import MODES
 from sumfact.coref import HeuristicCorefBackend
 from sumfact.pipeline import attach_clusters, make_nli_backend
 
-from cases import doc_from_sentences, write_news_records
+from cases import doc_from_sentences, score_block, write_news_records
 
 NLI_MODEL = os.environ.get("SUMFACT_NLI_MODEL")
 BENCH_JSONL = os.environ.get("SUMFACT_BENCHMARK_JSONL")
@@ -121,8 +121,8 @@ def test_model_entailment_directionality():
     hypotheses = [
         "The striker scored.", "The striker did not score.", "The coach retired in 2010."
     ]
-    triples = backend.entail_batch([(premise, h) for h in hypotheses])
-    entailed, contradicted, unrelated = (t.score for t in triples)
+    scores = backend.submit([(premise, h) for h in hypotheses]).scores()
+    entailed, contradicted, unrelated = scores
     assert entailed > 0.5
     assert contradicted < 0.0
     assert entailed > unrelated
@@ -142,7 +142,7 @@ def test_model_coref_substitution_helps():
     assert doc.coref_clusters, "heuristic should link 'She' to 'Maria Lopez'"
     scorer = Scorer(_model_backend(), ScoringParams())
     claim = Claim("s-coref", 0, "Maria Lopez resigned from the company.")
-    (report,) = scorer.score_summaries([(doc, [claim], False)], stop="coref")
+    (report,) = score_block(scorer, [(doc, [claim], False)], stop="coref")
     (verdict,) = report.verdicts
     assert verdict.sub_scores["coref"] > verdict.sub_scores["sentence"]
     assert verdict.aligned.granularity == "coref_sentence"

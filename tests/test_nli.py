@@ -20,11 +20,11 @@ from sumfact import (
     RemoteEntailmentBackend,
 )
 from sumfact.documents import Claim
-from sumfact.nli import EntailmentBackend, Inference, TextTable
+from sumfact.nli import EntailmentBackend, TextTable
 from sumfact.scoring import Scorer
 
 import oracles
-from cases import doc_from_sentences
+from cases import doc_from_sentences, score_block, triples
 from stubserver import StubServer, dead_url
 
 
@@ -79,30 +79,30 @@ class TestEntailmentTriple:
 
 class TestMockBackend:
     def test_full_overlap(self, mock_backend):
-        t = mock_backend.entail_batch([("alpha beta gamma", "alpha beta")])[0]
+        t = triples(mock_backend, [("alpha beta gamma", "alpha beta")])[0]
         assert (t.entailment, t.neutral, t.contradiction) == (1.0, 0.0, 0.0)
 
     def test_half_overlap(self, mock_backend):
-        t = mock_backend.entail_batch([("alpha beta", "alpha gamma")])[0]
+        t = triples(mock_backend, [("alpha beta", "alpha gamma")])[0]
         assert t.entailment == 0.5 and t.score == 0.5
 
     def test_negation_flips_to_contradiction(self, mock_backend):
-        t = mock_backend.entail_batch([("it is not alpha", "it is alpha")])[0]
+        t = triples(mock_backend, [("it is not alpha", "it is alpha")])[0]
         assert (t.entailment, t.neutral, t.contradiction) == (0.0, 0.0, 1.0)
         assert t.score == -1.0
 
     def test_negation_on_both_sides_does_not_flip(self, mock_backend):
-        t = mock_backend.entail_batch([("not alpha", "not alpha")])[0]
+        t = triples(mock_backend, [("not alpha", "not alpha")])[0]
         assert t.entailment == 1.0
 
     def test_hypothesis_without_tokens_scores_zero(self, mock_backend):
-        t = mock_backend.entail_batch([("alpha beta", "!!!")])[0]
+        t = triples(mock_backend, [("alpha beta", "!!!")])[0]
         assert (t.entailment, t.neutral, t.contradiction) == (0.0, 1.0, 0.0)
 
     def test_tokenization_is_case_and_punct_insensitive(self, mock_backend):
-        assert mock_backend.entail_batch([("ALPHA, beta.", "alpha BETA")])[0].entailment == 1.0
+        assert triples(mock_backend, [("ALPHA, beta.", "alpha BETA")])[0].entailment == 1.0
         # Underscore is a separator, not a word character.
-        assert mock_backend.entail_batch([("alpha beta", "alpha_beta")])[0].entailment == 1.0
+        assert triples(mock_backend, [("alpha beta", "alpha_beta")])[0].entailment == 1.0
 
     def test_agrees_with_independent_formula(self, mock_backend):
         pairs = [
@@ -112,7 +112,7 @@ class TestMockBackend:
             ("one two three four", "two four six"),
         ]
         for premise, hypothesis in pairs:
-            t = mock_backend.entail_batch([(premise, hypothesis)])[0]
+            t = triples(mock_backend, [(premise, hypothesis)])[0]
             e, n, c = oracles.mock_triple(premise, hypothesis)
             assert (t.entailment, t.neutral, t.contradiction) == (e, n, c)
 
@@ -123,8 +123,8 @@ class TestMockBackend:
 class TestBackendPlumbing:
     def test_batch_size_does_not_change_results(self):
         pairs = [(f"alpha beta {i}", "alpha gamma") for i in range(7)]
-        small = MockEntailmentBackend(batch_size=3).entail_batch(pairs)
-        large = MockEntailmentBackend(batch_size=32).entail_batch(pairs)
+        small = MockEntailmentBackend(batch_size=3).submit(pairs).scores()
+        large = MockEntailmentBackend(batch_size=32).submit(pairs).scores()
         assert small == large
 
     def test_length_sorted_batches_return_input_order(self):
@@ -139,9 +139,9 @@ class TestBackendPlumbing:
         words = [f"w{j}" for j in range(10)]
         pairs = [(" ".join(words[: 10 - i]), " ".join(words)) for i in range(8)]
         backend = Recording(batch_size=3)
-        triples = backend.entail_batch(pairs)
-        assert triples == [backend.entail_batch([(p, h)])[0] for p, h in pairs]
-        assert len({t.score for t in triples}) == len(pairs)
+        scores = backend.submit(pairs).scores()
+        assert scores == [backend.submit([(p, h)]).scores()[0] for p, h in pairs]
+        assert len(set(scores)) == len(pairs)
         assert [len(batch) for batch in seen[:3]] == [3, 3, 2]
         sent = [len(p) + len(h) for batch in seen[:3] for p, h in batch]
         assert sent == sorted(sent)
@@ -155,14 +155,14 @@ class TestBackendPlumbing:
                 return super()._infer(pairs, table)
 
         pairs = [(f"p{i}", f"h{i}") for i in range(5)]
-        Recording(batch_size=2).entail_batch(pairs)
+        Recording(batch_size=2).submit(pairs).scores()
         assert seen == [pairs[0:2], pairs[2:4], pairs[4:5]]
 
     def test_empty_inputs_rejected(self, mock_backend):
         with pytest.raises(ValueError, match="premise must be non-empty"):
-            mock_backend.entail_batch([("", "x")])
+            mock_backend.submit([("", "x")])
         with pytest.raises(ValueError, match="pair 1"):
-            mock_backend.entail_batch([("a", "b"), ("a", "")])
+            mock_backend.submit([("a", "b"), ("a", "")])
 
     def test_batch_size_validation(self):
         with pytest.raises(ValueError):
@@ -170,27 +170,27 @@ class TestBackendPlumbing:
 
     def test_budget_enforced(self):
         backend = MockEntailmentBackend(budget=PremiseBudget(16))
-        assert len(backend.entail_batch([("a" * 14, "bb")])) == 1
+        assert len(backend.submit([("a" * 14, "bb")]).scores()) == 1
         with pytest.raises(OversizedPremise, match="budget"):
-            backend.entail_batch([("a" * 20, "bb")])
+            backend.submit([("a" * 20, "bb")])
 
     def test_oversized_pair_before_empty_pair_raises_oversized(self):
         backend = MockEntailmentBackend(budget=PremiseBudget(16))
         with pytest.raises(OversizedPremise) as info:
-            backend.entail_batch([("a" * 20, "bb"), ("", "bb")])
+            backend.submit([("a" * 20, "bb"), ("", "bb")])
         assert str(info.value) == "pair 0: premise+hypothesis measure 22 units, budget is 16"
 
     def test_empty_pair_before_oversized_pair_raises_value_error(self):
         backend = MockEntailmentBackend(budget=PremiseBudget(16))
         with pytest.raises(ValueError) as info:
-            backend.entail_batch([("a", ""), ("a" * 20, "bb")])
+            backend.submit([("a", ""), ("a" * 20, "bb")])
         assert str(info.value) == "pair 0: hypothesis must be non-empty"
         with pytest.raises(ValueError) as info:
-            backend.entail_batch([("", "bb"), ("a" * 20, "bb")])
+            backend.submit([("", "bb"), ("a" * 20, "bb")])
         assert str(info.value) == "pair 0: premise must be non-empty"
 
     def test_no_budget_never_exceeds(self, mock_backend):
-        assert len(mock_backend.entail_batch([("a" * 10_000, "b" * 10_000)])) == 1
+        assert len(mock_backend.submit([("a" * 10_000, "b" * 10_000)]).scores()) == 1
 
     def test_budget_floor(self):
         with pytest.raises(ValueError):
@@ -216,7 +216,7 @@ _TEXTS = st.sampled_from(
 
 
 class TestTextTable:
-    """``entail_batch`` featurises and sizes each distinct text once per call."""
+    """``submit`` featurises and sizes each distinct text once per call."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(_TEXTS, _TEXTS), min_size=1, max_size=40))
@@ -224,31 +224,38 @@ class TestTextTable:
         for batch_size in (1, 3, 32):
             backend = MockEntailmentBackend(batch_size=batch_size, budget=PremiseBudget(64))
             before = dict(vars(backend))
-            triples = backend.entail_batch(pairs)
+            scores = backend.submit(pairs).scores()
             # No table survives the call.
             assert vars(backend) == before
-            assert triples == [backend.entail_batch([pair])[0] for pair in pairs]
-            assert [(t.entailment, t.neutral, t.contradiction) for t in triples] == [
+            assert scores == [backend.submit([pair]).scores()[0] for pair in pairs]
+            full = triples(backend, pairs)
+            assert [(t.entailment, t.neutral, t.contradiction) for t in full] == [
                 oracles.mock_triple(p, h) for p, h in pairs
             ]
+            assert scores == [t.score for t in full]
 
     def test_budget_guard_measures_each_distinct_text_once(self):
         pairs = [("alpha beta", "gamma"), ("alpha beta", "delta"), ("gamma", "gamma")] * 3
         backend = CountingBackend(batch_size=2, budget=PremiseBudget(64))
-        backend.entail_batch(pairs)
+        backend.submit(pairs).scores()
         assert backend.measured == Counter({"alpha beta": 1, "gamma": 1, "delta": 1})
 
     def test_budget_guard_takes_known_sizes(self):
         pairs = [("alpha beta", "gamma"), ("alpha beta", "delta")]
         backend = CountingBackend(batch_size=2, budget=PremiseBudget(64))
-        backend.submit(pairs, {"alpha beta": 10, "gamma": 5}).result()
+        sizes = {"alpha beta": 10, "gamma": 5}
+        backend.submit(pairs, sizes).scores()
+        assert backend.measured == Counter({"delta": 1})
+        # The map gains what the check measured, so the next call measures nothing.
+        assert sizes == {"alpha beta": 10, "gamma": 5, "delta": 5}
+        backend.submit(pairs, sizes).scores()
         assert backend.measured == Counter({"delta": 1})
         with pytest.raises(OversizedPremise, match="pair 1: premise\\+hypothesis measure 65 "):
             backend.submit(pairs, {"alpha beta": 60, "gamma": 4})
 
     def test_no_budget_measures_nothing(self):
         backend = CountingBackend()
-        backend.entail_batch([("alpha beta", "gamma")] * 3)
+        backend.submit([("alpha beta", "gamma")] * 3).scores()
         assert backend.measured == Counter()
 
     def test_entry_is_dropped_after_its_last_pair(self):
@@ -292,15 +299,15 @@ class TestBatchesInFlight:
                     with lock:
                         running["now"] -= 1
 
-        expected = MockEntailmentBackend(batch_size=2).entail_batch(self.PAIRS)
-        assert Tracking(batch_size=2, workers=3).entail_batch(self.PAIRS) == expected
+        expected = MockEntailmentBackend(batch_size=2).submit(self.PAIRS).scores()
+        assert Tracking(batch_size=2, workers=3).submit(self.PAIRS).scores() == expected
         assert running["most"] == 3
 
     def test_calls_share_the_pool(self):
         backend = MockEntailmentBackend(batch_size=2, workers=2)
         first, second = backend.submit(self.PAIRS), backend.submit(self.PAIRS[::-1])
-        assert second.result() == backend.entail_batch(self.PAIRS[::-1])
-        assert first.result() == MockEntailmentBackend().entail_batch(self.PAIRS)
+        assert second.scores() == backend.submit(self.PAIRS[::-1]).scores()
+        assert first.scores() == MockEntailmentBackend().submit(self.PAIRS).scores()
         assert backend._executor._max_workers == 2
 
     def test_first_failing_batch_raises_and_cancels_the_rest(self):
@@ -318,7 +325,7 @@ class TestBatchesInFlight:
         # Batch size 1, pairs in length order: "premise 0 " is the first batch.
         backend = Failing(batch_size=1, workers=2)
         with pytest.raises(NliBackendError, match="the first batch failed"):
-            backend.submit(self.PAIRS).result()
+            backend.submit(self.PAIRS).scores()
         release.set()
         backend._executor.shutdown(wait=True)
         # The second batch, and at most one taken up as the first failed,
@@ -383,7 +390,7 @@ _BAD_ROWS = [
 
 class TestScoresPath:
     """The scorer reads plain scores from ``Inference.scores``; they are the
-    ``score`` of the triples ``result`` builds from the same checked rows."""
+    ``score`` of the triples the backend's rows construct, bit for bit."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(_ROWS, min_size=1, max_size=20), st.sampled_from([1, 3, 32]))
@@ -397,12 +404,12 @@ class TestScoresPath:
         pairs = [(premise, "h") for premise in premises]
         backend = RowBackend(premises, batch_size=batch_size)
         scores = backend.submit(pairs).scores()
-        triples = backend.submit(pairs).result()
-        assert _bits(scores) == _bits(t.score for t in triples)
-        # Each triple is the one its raw row constructs: renormalized once.
+        # Each score is that of the triple its raw row constructs: renormalized once.
         direct = [EntailmentTriple(*row) for row in premises.values()]
-        assert triples == direct
-        for got, want in zip(triples, direct):
+        assert _bits(scores) == _bits(t.score for t in direct)
+        full = triples(backend, pairs)
+        assert full == direct
+        for got, want in zip(full, direct):
             assert _bits((got.entailment, got.neutral, got.contradiction)) == _bits(
                 (want.entailment, want.neutral, want.contradiction)
             )
@@ -420,8 +427,8 @@ class TestScoresPath:
         row = (0.2, 0.2, 0.6005)
         backend = RowBackend({"alpha beta.": row})
         doc = doc_from_sentences("d", ["alpha beta."])
-        (report,) = Scorer(backend).score_summaries(
-            [(doc, [Claim("s", 0, "gamma.")], False)], stop="sentence"
+        (report,) = score_block(
+            Scorer(backend), [(doc, [Claim("s", 0, "gamma.")], False)], stop="sentence"
         )
         assert report.verdicts[0].score.hex() == EntailmentTriple(*row).score.hex()
 
@@ -432,12 +439,11 @@ class TestScoresPath:
         # The bad row sits in the second batch, behind a good one.
         rows = {"p0": (1.0, 0.0, 0.0), "p1 bad": bad}
         pairs = [("p0", "h"), ("p1 bad", "h")]
-        for read in (Inference.scores, Inference.result):
-            for workers in (1, 2):
-                backend = RowBackend(rows, batch_size=1, workers=workers)
-                with pytest.raises(ValueError) as got:
-                    read(backend.submit(pairs))
-                assert str(got.value) == str(expected.value)
+        for workers in (1, 2):
+            backend = RowBackend(rows, batch_size=1, workers=workers)
+            with pytest.raises(ValueError) as got:
+                backend.submit(pairs).scores()
+            assert str(got.value) == str(expected.value)
 
 
 class TestRemoteBackend:
@@ -448,7 +454,7 @@ class TestRemoteBackend:
 
         with StubServer(handler) as server:
             backend = RemoteEntailmentBackend(server.url)
-            out = backend.entail_batch([("p1", "h1"), ("p2", "h2")])
+            out = triples(backend, [("p1", "h1"), ("p2", "h2")])
             assert [t.entailment for t in out] == [1.0, 1.0]
             assert server.requests[0]["body"] == {"pairs": [["p1", "h1"], ["p2", "h2"]]}
             assert backend.describe() == f"remote:{server.url}"
@@ -459,30 +465,30 @@ class TestRemoteBackend:
 
         with StubServer(handler) as server:
             backend = RemoteEntailmentBackend(server.url, batch_size=2)
-            backend.entail_batch([("p", f"h{i}") for i in range(5)])
+            backend.submit([("p", f"h{i}") for i in range(5)]).scores()
             assert [len(r["body"]["pairs"]) for r in server.requests] == [2, 2, 1]
 
     def test_length_mismatch(self):
         with StubServer(lambda *a: (200, {"triples": [[1, 0, 0]]})) as server:
             with pytest.raises(NliBackendError, match="1 triples for 2 pairs"):
-                RemoteEntailmentBackend(server.url).entail_batch([("a", "b"), ("c", "d")])
+                RemoteEntailmentBackend(server.url).submit([("a", "b"), ("c", "d")]).scores()
 
     def test_http_error(self):
         with StubServer(lambda *a: (500, {"oops": True})) as server:
             with pytest.raises(NliBackendError, match="failed"):
-                RemoteEntailmentBackend(server.url).entail_batch([("a", "b")])
+                RemoteEntailmentBackend(server.url).submit([("a", "b")]).scores()
 
     def test_non_json_response(self):
         # requests may surface this as a transport error or a decode error
         # depending on version; either way it must become NliBackendError.
         with StubServer(lambda *a: (200, b"not json at all")) as server:
             with pytest.raises(NliBackendError, match="entailment service"):
-                RemoteEntailmentBackend(server.url).entail_batch([("a", "b")])
+                RemoteEntailmentBackend(server.url).submit([("a", "b")]).scores()
 
     def test_invalid_triple_values(self):
         with StubServer(lambda *a: (200, {"triples": [[2.0, 0.0, 0.0]]})) as server:
             with pytest.raises(NliBackendError, match="pair 0"):
-                RemoteEntailmentBackend(server.url).entail_batch([("a", "b")])
+                RemoteEntailmentBackend(server.url).submit([("a", "b")]).scores()
 
     @pytest.mark.parametrize("bad", [r for r in _BAD_ROWS if not math.isnan(sum(r))], ids=repr)
     def test_bad_triple_names_its_pair(self, bad):
@@ -491,33 +497,61 @@ class TestRemoteBackend:
         rows = [[1.0, 0.0, 0.0], list(bad)]
         with StubServer(lambda *a: (200, {"triples": rows})) as server:
             backend = RemoteEntailmentBackend(server.url)
-            for read in (Inference.scores, Inference.result):
-                with pytest.raises(NliBackendError) as got:
-                    read(backend.submit([("a", "b"), ("c", "d")]))
-                assert str(got.value) == f"pair 1: invalid triple {list(bad)!r}: {why.value}"
+            with pytest.raises(NliBackendError) as got:
+                backend.submit([("a", "b"), ("c", "d")]).scores()
+            assert str(got.value) == f"pair 1: invalid triple {list(bad)!r}: {why.value}"
 
     def test_renormalized_triple_scores_as_its_triple(self):
         row = [0.2, 0.2, 0.6005]
         with StubServer(lambda *a: (200, {"triples": [row]})) as server:
             backend = RemoteEntailmentBackend(server.url)
             (score,) = backend.submit([("a", "b")]).scores()
-            (triple,) = backend.entail_batch([("a", "b")])
+            (triple,) = triples(backend, [("a", "b")])
         assert score.hex() == triple.score.hex() == EntailmentTriple(*row).score.hex()
 
     def test_wrong_arity_triple(self):
         with StubServer(lambda *a: (200, {"triples": [[0.5, 0.5]]})) as server:
             with pytest.raises(NliBackendError, match="invalid triple"):
-                RemoteEntailmentBackend(server.url).entail_batch([("a", "b")])
+                RemoteEntailmentBackend(server.url).submit([("a", "b")]).scores()
 
     def test_missing_triples_key(self):
         with StubServer(lambda *a: (200, {"something": []})) as server:
             with pytest.raises(NliBackendError, match="triples"):
-                RemoteEntailmentBackend(server.url).entail_batch([("a", "b")])
+                RemoteEntailmentBackend(server.url).submit([("a", "b")]).scores()
+
+    def test_each_pool_thread_posts_with_its_own_session(self, monkeypatch):
+        import requests
+
+        users = {}
+
+        class Recording(requests.Session):
+            def post(self, *args, **kwargs):
+                users.setdefault(id(self), set()).add(threading.get_ident())
+                return super().post(*args, **kwargs)
+
+        def handler(path, body, headers):
+            return 200, {"triples": [oracles.mock_triple(p, h) for p, h in body["pairs"]]}
+
+        monkeypatch.setattr(requests, "Session", Recording)
+        doc = doc_from_sentences("d", [f"alpha beta w{i}." for i in range(9)])
+        claims = [Claim("s", i, f"alpha w{i} gamma.") for i in range(4)]
+        expected = Scorer(MockEntailmentBackend(batch_size=2))
+        (want,) = score_block(expected, [(doc, claims, False)])
+        with StubServer(handler) as server:
+            for workers in (1, 3):
+                backend = RemoteEntailmentBackend(server.url, batch_size=2, workers=workers)
+                scorer = Scorer(backend)
+                (report,) = score_block(scorer, [(doc, claims, False)])
+                assert report == want
+                assert scorer.backend_calls == expected.backend_calls
+                if backend._executor is not None:
+                    backend._executor.shutdown(wait=True)
+        assert users and all(len(threads) == 1 for threads in users.values())
 
     def test_connection_refused(self):
         backend = RemoteEntailmentBackend(dead_url(), timeout=2.0)
         with pytest.raises(NliBackendError, match="failed"):
-            backend.entail_batch([("a", "b")])
+            backend.submit([("a", "b")]).scores()
 
 
 class FakeTokenizer:
@@ -567,9 +601,9 @@ class TestLocalBackend:
     def test_labels_resolved_by_name_not_position(self):
         for id2label in (STANDARD, {0: "ENTAILMENT", 1: "CONTRADICTION", 2: "NEUTRAL"}):
             backend = local_backend(id2label)
-            t = backend.entail_batch([("the cat sat", "cat")])[0]
+            t = triples(backend, [("the cat sat", "cat")])[0]
             assert t.entailment > 0.99
-            t = backend.entail_batch([("it is not so", "cat")])[0]
+            t = triples(backend, [("it is not so", "cat")])[0]
             assert t.contradiction > 0.99
 
     def test_ambiguous_labels_rejected(self):
@@ -587,7 +621,7 @@ class TestLocalBackend:
             tokenizer=FakeTokenizer(),
             label_map={"entailment": 2, "neutral": 1, "contradiction": 0},
         )
-        assert backend.entail_batch([("the cat sat", "cat")])[0].entailment > 0.99
+        assert triples(backend, [("the cat sat", "cat")])[0].entailment > 0.99
 
     def test_label_map_missing_key(self):
         with pytest.raises(NliBackendError, match="missing"):
@@ -627,7 +661,7 @@ class TestLocalBackend:
             "fake-ckpt", model=FakeModel(STANDARD), tokenizer=Exploding()
         )
         with pytest.raises(NliBackendError, match="tokenization failed"):
-            backend.entail_batch([("a", "b")])
+            backend.submit([("a", "b")]).scores()
 
     def test_model_failure_wrapped(self):
         class Exploding:
@@ -640,14 +674,14 @@ class TestLocalBackend:
             "fake-ckpt", model=Exploding(), tokenizer=FakeTokenizer()
         )
         with pytest.raises(NliBackendError, match="forward pass"):
-            backend.entail_batch([("a", "b")])
+            backend.submit([("a", "b")]).scores()
 
     def test_describe(self):
         assert local_backend().describe() == "local:fake-ckpt"
 
     def test_softmax_rows_sum_to_one(self):
         backend = local_backend()
-        t = backend.entail_batch([("zero overlap premise", "zebra")])[0]
+        t = triples(backend, [("zero overlap premise", "zebra")])[0]
         # All-zero logits soften to the uniform distribution.
         assert t.entailment == pytest.approx(1 / 3)
         assert math.isclose(t.entailment + t.neutral + t.contradiction, 1.0, abs_tol=1e-9)

@@ -46,7 +46,7 @@ from sumfact.pipeline import (
     scoring_params,
 )
 
-from cases import doc_from_sentences, random_news_corpus, summary_from_sentences
+from cases import doc_from_sentences, random_news_corpus, score_block, summary_from_sentences
 
 
 class CountingCoref:
@@ -448,8 +448,8 @@ class TestBuildUnits:
         assert [document.text for document, _, _ in items] == [first.text, second.text, first.text]
         reports = list(score_corpus(pairs, Scorer(MockEntailmentBackend()), None, backend, "full"))
         for (document, summary), report in zip(pairs, reports):
-            (direct,) = Scorer(MockEntailmentBackend()).score_summaries(
-                [(document, fallback_claims(summary), True)]
+            (direct,) = score_block(
+                Scorer(MockEntailmentBackend()), [(document, fallback_claims(summary), True)]
             )
             assert report == direct
         assert reports[0].score != reports[1].score
@@ -502,8 +502,8 @@ class TestEvaluatePair:
         assert self.report(True, "nli_sent").claims_fallback is False
 
     def test_full_matches_direct_scoring(self):
-        (direct,) = Scorer(MockEntailmentBackend()).score_summaries(
-            [(self.DOC, [Claim("s1", 0, "alpha beta.")], False)]
+        (direct,) = score_block(
+            Scorer(MockEntailmentBackend()), [(self.DOC, [Claim("s1", 0, "alpha beta.")], False)]
         )
         assert self.report(False, "full") == direct
 
@@ -791,8 +791,9 @@ class TestRecordScorer:
 
     def test_score_matches_direct_pipeline(self):
         record = self.record("r1")
-        (direct,) = Scorer(MockEntailmentBackend()).score_summaries(
-            [(record.document, fallback_claims(record.summary), True)]
+        (direct,) = score_block(
+            Scorer(MockEntailmentBackend()),
+            [(record.document, fallback_claims(record.summary), True)],
         )
         assert self.reports([record])[0].score == direct.score
 

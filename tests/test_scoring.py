@@ -27,7 +27,7 @@ from sumfact.pipeline import score_corpus
 from sumfact.scoring import MEMO_BLOCKS, AlignedSpan, WindowTable
 
 import oracles
-from cases import doc_from_sentences, random_case, summary_from_sentences
+from cases import doc_from_sentences, random_case, score_block, summary_from_sentences
 
 
 def claim(text, sid="s1", index=0):
@@ -40,7 +40,7 @@ def make_scorer(backend=None, **params):
 
 def verdicts(scorer, doc, *claims, stop=None):
     """Verdicts of ``claims``, scored as one summary."""
-    return scorer.score_summaries([(doc, claims, False)], stop=stop)[0].verdicts
+    return score_block(scorer, [(doc, claims, False)], stop=stop)[0].verdicts
 
 
 class TestScoringParams:
@@ -77,7 +77,7 @@ class TestAlignedSpan:
 
 class TestNliScore:
     def test_matches_backend_score(self, mock_backend):
-        assert mock_backend.entail_batch([("alpha beta", "alpha gamma")])[0].score == 0.5
+        assert mock_backend.submit([("alpha beta", "alpha gamma")]).scores()[0] == 0.5
 
 
 class TestSentenceStage:
@@ -378,7 +378,8 @@ class TestBudgetChunking:
 
         scorer = Scorer(Counting(budget=PremiseBudget(32)), ScoringParams())
         # The window request (k = 5, clamped to 4) and the document request.
-        (window, document), sizes = scorer._window_requests([(self.chunked_doc(), self.hyp())])
+        sizes = {}
+        window, document = scorer._window_requests([(self.chunked_doc(), self.hyp())], sizes)
         candidates = window[0]
         assert [c[1:3] for c in candidates] == [(0, 1), (1, 2), (2, 3)]
         assert document[0] is candidates
@@ -413,7 +414,7 @@ class TestBudgetChunking:
         other = doc_from_sentences("e", ["aaaa cccc.", "gggg zzzz.", "eeee bbbb."])
         claims = [claim("gggg zzzz."), claim("cccc bbbb.", index=1)]
         items = [(self.chunked_doc(), claims, False), (other, [claim("zzzz aaaa.", "s2")], False)]
-        reports = scorer.score_summaries(items)
+        reports = score_block(scorer, items)
         assert all(v.stage == "multi_granularity" for r in reports for v in r.verdicts)
         # No coreference here: a sentence wave, then the window wave, whose
         # window tables and backend call measure these texts.
@@ -421,6 +422,36 @@ class TestBudgetChunking:
         assert len(calls) == 2 and calls[-1] == len(backend.log) - 1
         window_wave = backend.log[calls[0] + 1 : calls[1]]
         assert window_wave and max(Counter(window_wave).values()) == 1
+
+    def test_block_measures_each_text_once(self):
+        # A block's waves share one map of sizes: the coref and window waves
+        # find there what the sentence wave's budget check measured.
+        measured = Counter()
+
+        class Counting(MockEntailmentBackend):
+            def measure(self, text):
+                measured[text] += 1
+                return super().measure(text)
+
+        scorer = Scorer(
+            Counting(budget=PremiseBudget(40)), ScoringParams(window_size=2, gate_threshold=0.99)
+        )
+        doc = doc_from_sentences(
+            "d", ["aaaa bbbb.", "Tom cccc.", "He dddd eeee."], clusters=[[(1, 0, 3), (2, 0, 2)]]
+        )
+        items = [
+            (doc, [claim("Tom dddd eeee gggg."), claim("cccc bbbb.", index=1)], False),
+            (self.chunked_doc(), [self.hyp()], False),
+        ]
+        reports = score_block(scorer, items)
+        judged = [v for r in reports for v in r.verdicts]
+        # All three waves ran: a coref variant won, and every claim missed the gate.
+        assert any(v.sub_scores["coref"] > v.sub_scores["sentence"] for v in judged)
+        assert all(v.stage == "multi_granularity" for v in judged)
+        texts = {s.text for d, _, _ in items for s in d.sentences}
+        texts |= {c.text for _, claims, _ in items for c in claims}
+        assert texts <= set(measured)
+        assert max(measured.values()) == 1
 
     def test_chunked_document_reports_window_granularity(self):
         backend = MockEntailmentBackend(budget=PremiseBudget(32))
@@ -542,7 +573,7 @@ class TestStageSpans:
                     results.append(oracles.window_stage(scorer, doc, c, k))
                 for score, span in results:
                     assert isinstance(span, AlignedSpan)
-                    assert backend.entail_batch([(span.premise_text, c.text)])[0].score == score
+                    assert backend.submit([(span.premise_text, c.text)]).scores()[0] == score
                 chunked += results[-1][1].granularity == "window"
         # The budget really split some whole-document premises.
         assert (chunked > 0) == (budget is not None)
@@ -624,7 +655,7 @@ class TestCountersAndMemo:
     def test_memo_holds_the_last_blocks_only(self):
         scorer = make_scorer()
         for u in range(6):
-            scorer.score_summaries(self.block(u))
+            score_block(scorer, self.block(u))
             held = sum(len(block) for block in scorer._memo)
             assert held == 4 * min(u + 1, MEMO_BLOCKS)
         assert sum(scorer.backend_calls.values()) == sum(scorer.pairs_requested.values()) == 24
@@ -634,29 +665,29 @@ class TestCountersAndMemo:
 
     def test_pair_used_again_within_the_bound_is_not_sent(self):
         scorer = make_scorer()
-        first = scorer.score_summaries(self.block(0))
+        first = score_block(scorer, self.block(0))
         for u in range(1, MEMO_BLOCKS - 1):
-            scorer.score_summaries(self.block(u))
+            score_block(scorer, self.block(u))
         before = dict(scorer.backend_calls)
-        assert scorer.score_summaries(self.block(0)) == first
+        assert score_block(scorer, self.block(0)) == first
         assert scorer.backend_calls == before
         assert sum(scorer.pairs_requested.values()) == 4 * MEMO_BLOCKS
 
     def test_pair_used_again_beyond_the_bound_is_sent_again(self):
         scorer = make_scorer()
-        first = scorer.score_summaries(self.block(0))
+        first = score_block(scorer, self.block(0))
         for u in range(1, MEMO_BLOCKS):
-            scorer.score_summaries(self.block(u))
+            score_block(scorer, self.block(u))
         before = sum(scorer.backend_calls.values())
-        assert scorer.score_summaries(self.block(0)) == first
+        assert score_block(scorer, self.block(0)) == first
         assert sum(scorer.backend_calls.values()) == before + 4
 
     def test_memo_hit_keeps_a_pair_for_later_blocks(self):
         # Block 0's pairs, used again in block 1, are still held at block 2.
         scorer = make_scorer()
-        scorer.score_summaries(self.block(0))
-        scorer.score_summaries(self.block(0) + self.block(1))
-        scorer.score_summaries(self.block(2) + self.block(0))
+        score_block(scorer, self.block(0))
+        score_block(scorer, self.block(0) + self.block(1))
+        score_block(scorer, self.block(2) + self.block(0))
         assert scorer.backend_calls["sentence"] == 12
         assert scorer.pairs_requested["sentence"] == 20
 
@@ -685,7 +716,7 @@ class TestScoreBlocks:
 
         blocks = self.items()
         serial = make_scorer(window_size=5)
-        expected = [serial.score_summaries(block) for block in blocks]
+        expected = [score_block(serial, block) for block in blocks]
         scorer = make_scorer(Overlapping(batch_size=64, workers=2), window_size=5)
         assert list(scorer.score_blocks(blocks)) == expected
         assert scorer.backend_calls == serial.backend_calls
@@ -698,7 +729,7 @@ class TestScoreBlocks:
         doc = doc_from_sentences("d", ["alpha beta.", "gamma delta."])
         block = [(doc, [claim("alpha beta.")], False)]
         alone = make_scorer()
-        (expected,) = alone.score_summaries(block, stop=stop)
+        (expected,) = score_block(alone, block, stop=stop)
         for workers in (1, 2):
             scorer = make_scorer(MockEntailmentBackend(workers=workers))
             assert list(scorer.score_blocks([block] * 5, stop=stop)) == [[expected]] * 5
@@ -753,7 +784,7 @@ class TestSummaryScoring:
     def test_mean_of_verdicts(self, scorer):
         doc = doc_from_sentences("d", ["alpha beta.", "gamma delta."])
         claims = [claim("alpha beta.", index=0), claim("alpha gamma.", index=1)]
-        (report,) = scorer.score_summaries([(doc, claims, False)])
+        (report,) = score_block(scorer, [(doc, claims, False)])
         assert report.summary_id == "s1"
         assert len(report.verdicts) == 2
         assert report.score == (report.verdicts[0].score + report.verdicts[1].score) / 2
@@ -761,18 +792,18 @@ class TestSummaryScoring:
 
     def test_fallback_flag_passthrough(self, scorer):
         doc = doc_from_sentences("d", ["alpha."])
-        (report,) = scorer.score_summaries([(doc, [claim("alpha.")], True)])
+        (report,) = score_block(scorer, [(doc, [claim("alpha.")], True)])
         assert report.claims_fallback is True
 
     def test_empty_claims_rejected(self, scorer):
         with pytest.raises(ValueError):
-            scorer.score_summaries([(doc_from_sentences("d", ["alpha."]), [], False)])
+            score_block(scorer, [(doc_from_sentences("d", ["alpha."]), [], False)])
 
     def test_mixed_summary_ids_rejected(self, scorer):
         doc = doc_from_sentences("d", ["alpha."])
         with pytest.raises(ValueError, match="mix"):
             claims = [claim("alpha.", sid="a"), claim("beta.", sid="b")]
-            scorer.score_summaries([(doc, claims, False)])
+            score_block(scorer, [(doc, claims, False)])
 
 
 class TestAblations:
@@ -818,7 +849,7 @@ class TestAblations:
     def test_ablation_requires_claims(self, scorer):
         doc = doc_from_sentences("d", ["alpha."])
         with pytest.raises(ValueError, match="at least one claim"):
-            scorer.score_summaries([(doc, [], False)], stop="sentence")
+            score_block(scorer, [(doc, [], False)], stop="sentence")
 
 
 class TestOracleSpotChecks:

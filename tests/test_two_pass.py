@@ -268,7 +268,7 @@ class TestSecondPass:
         assert result.exit_code == 2
         assert error_of(result) == {
             "error": "InputError",
-            "message": f"{path} changed during the run: record 'r0' is no longer at byte 0",
+            "message": f"{path} changed during the run: record 'r0' at byte 0 was edited",
         }
         # Restored, the file scores as it does on a fresh cache: no score of
         # the edited line was kept under the original's digest.
