@@ -195,15 +195,20 @@ class RemoteLlmExtractor:
     Sends the rendered prompt as a single user message with temperature 0 and
     retries transport failures, 429 and 5xx responses up to ``max_retries``
     times before raising :class:`ExtractorUnavailable`. Concurrent calls are
-    capped by a semaphore of ``max_in_flight``. ``requests`` is imported here,
-    not with the module, so runs without a remote backend never load it.
+    capped by a semaphore of ``max_in_flight``. Unless a ``session`` is
+    given, each thread posts with a ``requests.Session`` of its own, since a
+    session is not documented as safe to share between threads. ``requests``
+    is imported here, not with the module, so runs without a remote backend
+    never load it.
     """
 
     def __init__(self, config: ExtractorConfig, session: requests.Session | None = None):
         import requests
 
         self.config = config
-        self._session = session or requests.Session()
+        self._session = session
+        self._new_session = requests.Session
+        self._sessions = threading.local()
         self._gate = threading.Semaphore(config.max_in_flight)
 
     def describe(self) -> str:
@@ -239,13 +244,16 @@ class RemoteLlmExtractor:
                 }
             )
         )
+        session = self._session or getattr(self._sessions, "session", None)
+        if session is None:
+            session = self._sessions.session = self._new_session()
         last_error = "no attempt made"
         for attempt in range(cfg.max_retries + 1):
             if attempt:
                 time.sleep(cfg.retry_delay)
             try:
                 with self._gate:
-                    response = self._session.post(
+                    response = session.post(
                         cfg.target, json=body, headers=headers, timeout=cfg.timeout
                     )
             except requests.RequestException as exc:

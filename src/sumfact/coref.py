@@ -9,6 +9,7 @@ clusters carried in the input files always take precedence over any backend.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from typing import Protocol
 
 from .documents import CorefCluster, Document, Mention, WORD_RE
@@ -116,15 +117,11 @@ class HeuristicCorefBackend:
 
         # Each pronoun joins the cluster of the nearest preceding name.
         positions = sorted(names, key=lambda m: (m.sentence_index, m.start))
+        keys = [(m.sentence_index, m.start) for m in positions]
         for pronoun in pronouns:
-            best: Mention | None = None
-            for name in positions:
-                if (name.sentence_index, name.start) < (pronoun.sentence_index, pronoun.start):
-                    best = name
-                else:
-                    break
-            if best is not None:
-                groups[best.surface.lower()].append(pronoun)
+            i = bisect_left(keys, (pronoun.sentence_index, pronoun.start))
+            if i:
+                groups[positions[i - 1].surface.lower()].append(pronoun)
 
         out: list[CorefCluster] = []
         for key in order:

@@ -33,23 +33,21 @@ tables build on it, so a text is measured once per block. The tables are
 dropped once the wave's requests are built. The backend hands back plain
 scores, and a wave looks each pair up once.
 
-The engine memoizes backend scores, keyed by a digest of each (premise,
-hypothesis) pair, so the memo keeps no premise text alive once its wave is
-scored. It keeps only the pairs used in the last ``MEMO_BLOCKS`` blocks, so
-its size does not grow with the corpus; a pair seen again further apart is
-sent again, and scores the same. It counts the pairs requested and the pairs
-actually sent to the backend per stage, so the gating short-circuit (no
-window/document calls when the gate passes) is observable from counters and
-from debug logs.
+The engine memoizes backend scores for one block, keyed by claim text and
+then premise text: a pair that the block asks for again (the coref anchor, a
+document that equals its window, a claim repeated in the block) is sent once.
+The memo is dropped with its block, so its size does not grow with the
+corpus; a pair used again in a later block is sent again, and scores the
+same. It counts the pairs requested and the pairs actually sent to the
+backend per stage, so the gating short-circuit (no window/document calls
+when the gate passes) is observable from counters and from debug logs.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 from bisect import bisect_right
-from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Generator, Iterable, Iterator, Literal, Sequence
 
@@ -78,15 +76,10 @@ Stop = Literal["sentence", "coref"]
 
 STAGES = ("sentence", "coref", "window", "document")
 
-# The memo keeps the scores of the pairs used in this many of the latest
-# blocks (of ``Scorer.score_blocks``, counted by ordinal), the current one
-# included: a pair used again within ``MEMO_BLOCKS - 1`` blocks
-# is not sent again.
-MEMO_BLOCKS = 2
-
 Pair = tuple[str, str]
-# A memo key: the 16-byte digest of the premise, then that of the hypothesis.
-Key = bytes
+# One block's scores: claim text, then premise text, to the pair's score
+# (``None`` while the wave that sent the pair is not yet read).
+Memo = dict[str, dict[str, float | None]]
 # One stage's candidate premises for one claim, and the stage to count them under.
 Request = tuple[Sequence[tuple], Claim, str]
 # One summary to score: ``(document, claims, claims_fallback)``.
@@ -97,21 +90,17 @@ Item = tuple[Document, Sequence[Claim], bool]
 class Wave:
     """One stage's requests over a block, sent and not yet read.
 
-    ``keys`` holds each request's pair keys; ``known`` their scores, found
-    in the memo when sent, filled in once read for the pairs sent and for
-    those an earlier wave had in flight; ``missing`` each sent pair by key,
-    with the index of its first request; ``memo`` the memo of its block;
-    ``borrowers`` the ``(key, known, memo)`` of each pair sent here that a
-    later wave asked for too, to hand its score on to.
+    ``memo`` is the memo of its block; ``pairs`` the pairs sent, those the
+    block had not scored, in request order and without duplicates;
+    ``owners`` holds, in request order, ``(request index, count)`` for each
+    request that first asked for ``count`` of the pairs sent.
     """
 
     requests: Sequence[Request]
-    keys: list[list[Key]]
-    known: dict[Key, float]
-    missing: dict[Key, tuple[int, Pair]]
+    memo: Memo
+    pairs: list[Pair]
+    owners: list[tuple[int, int]]
     inference: Inference | None
-    memo: dict[Key, float]
-    borrowers: list[tuple[Key, dict[Key, float], dict[Key, float]]]
 
 
 @dataclass(frozen=True)
@@ -249,7 +238,7 @@ def coref_variants(
 
 
 class Scorer:
-    """Stateful engine: one backend, one parameter set, one memo cache.
+    """Stateful engine: one backend, one parameter set, two counters.
 
     :meth:`score_blocks` scores each block of summaries in waves, each wave
     one backend call over the pending claims of the whole block: first
@@ -261,79 +250,49 @@ class Scorer:
 
     ``pairs_requested`` counts the premise/hypothesis pairs of every
     request, per stage, and ``backend_calls`` the pairs actually sent to the
-    backend; a pair is sent under the stage of the first request of its wave
-    that holds it, and memo hits are free. The memo keeps the scores of the
-    pairs used in the last ``MEMO_BLOCKS`` blocks. A scorer is used from one
+    backend; a pair is sent under the stage of the first request of its
+    block that holds it, and memo hits are free. The memo lives for one
+    block: a pair is sent at most once per block. A scorer is used from one
     thread; the backend keeps its own batches in flight.
     """
 
     def __init__(self, backend: EntailmentBackend, params: ScoringParams | None = None):
         self.backend = backend
         self.params = params or ScoringParams()
-        # One dict per block, latest last: the scores of the pairs that block used.
-        self._memo: deque[dict[Key, float]] = deque([{}], maxlen=MEMO_BLOCKS)
-        # Waves sent and not yet read, oldest first: at most the last wave of
-        # the block before, once the next block has sent its first.
-        self._in_flight: list[Wave] = []
         self.pairs_requested: dict[str, int] = {stage: 0 for stage in STAGES}
         self.backend_calls: dict[str, int] = {stage: 0 for stage in STAGES}
 
     # -- the selection rule ---------------------------------------------------
 
-    def _request(self, requests: Sequence[Request], sizes: dict[str, int]) -> Wave:
-        """Look a wave's pairs up and send the missing ones, without waiting.
+    def _request(self, requests: Sequence[Request], memo: Memo, sizes: dict[str, int]) -> Wave:
+        """Send the pairs of a wave that its block has not scored, without waiting.
 
         A request is ``(candidates, claim, stage)``; each candidate is a
-        tuple of :class:`AlignedSpan` fields (premise text fourth). The memo
-        misses of all requests go to the backend as one call, in
-        request order and without duplicates, so the backend fills its
-        batches across claims; a pair that an earlier wave still has in
-        flight is not sent again. A pair an earlier block used moves into
-        this block's memo. Each distinct text is hashed once per wave, each
-        pair is looked up once, and only the texts of the pairs sent are kept
-        until they are scored. ``sizes`` is the block's map of measures, for
-        the backend's budget check.
+        tuple of :class:`AlignedSpan` fields (premise text fourth). The pairs
+        missing from ``memo``, the block's memo, go to the backend as one
+        call, in request order and without duplicates, so the backend fills
+        its batches across claims. ``sizes`` is the block's map of measures,
+        for the backend's budget check.
         """
-        texts = {c[3] for candidates, _, _ in requests for c in candidates}
-        texts.update(claim.text for _, claim, _ in requests)
-        digest = {
-            text: hashlib.blake2b(text.encode("utf-8", "surrogatepass"), digest_size=16).digest()
-            for text in texts
-        }
-        memo = self._memo[-1]
-        earlier = list(self._memo)[:-1]
-        sending = {key: wave for wave in self._in_flight for key in wave.missing}
-        keys = []
-        known: dict[Key, float] = {}
-        missing: dict[Key, tuple[int, Pair]] = {}
-        seen: set[Key] = set()
+        pairs: list[Pair] = []
+        owners = []
         for i, (candidates, claim, stage) in enumerate(requests):
-            hypothesis = digest[claim.text]
-            row = [digest[c[3]] + hypothesis for c in candidates]
-            keys.append(row)
-            self.pairs_requested[stage] += len(row)
-            for key, candidate in zip(row, candidates):
-                if key in seen:
-                    continue
-                seen.add(key)
-                score = memo.get(key)
-                if score is not None:
-                    known[key] = score
-                elif key in sending:
-                    sending[key].borrowers.append((key, known, memo))
-                else:
-                    for block in earlier:
-                        if key in block:
-                            known[key] = memo[key] = block.pop(key)
-                            break
-                    else:
-                        missing[key] = (i, (candidate[3], claim.text))
-        wave = Wave(requests, keys, known, missing, None, memo, [])
-        if missing:
-            wave.inference = self.backend.submit(
-                [pair for _, pair in missing.values()], sizes
-            )
-            self._in_flight.append(wave)
+            hypothesis = claim.text
+            known = memo.get(hypothesis)
+            if known is None:
+                known = memo[hypothesis] = {}
+            self.pairs_requested[stage] += len(candidates)
+            sent = len(pairs)
+            for candidate in candidates:
+                premise = candidate[3]
+                if premise not in known:
+                    known[premise] = None
+                    pairs.append((premise, hypothesis))
+            if len(pairs) > sent:
+                owners.append((i, len(pairs) - sent))
+        wave = Wave(requests, memo, pairs, owners, None)
+        if pairs:
+            wave.inference = self.backend.submit(pairs, sizes)
         return wave
 
     def _collect(self, wave: Wave) -> list[tuple[float, AlignedSpan]]:
@@ -341,35 +300,27 @@ class Scorer:
 
         For each request, the result is the best score over its candidates
         and the first candidate attaining it, built as the span. Waits for
-        the pairs sent, hands their scores to the later waves that asked for
-        them too, and credits each to its first request's stage.
+        the pairs sent, writes their scores to the block's memo by text, and
+        credits each to its first request's stage.
         """
-        known = wave.known
+        memo = wave.memo
         if wave.inference is not None:
-            try:
-                scores = wave.inference.scores()
-            finally:
-                self._in_flight.remove(wave)
-            sent = dict(zip(wave.missing, scores))
-            known.update(sent)
-            wave.memo.update(sent)
-            for key, other_known, other_memo in wave.borrowers:
-                other_known[key] = other_memo[key] = sent[key]
-            self._credit(wave.missing, wave.requests)
+            for (premise, hypothesis), score in zip(wave.pairs, wave.inference.scores()):
+                memo[hypothesis][premise] = score
+            self._credit(wave.owners, wave.requests)
         out = []
-        for (candidates, _, _), row in zip(wave.requests, wave.keys):
-            scores = [known[key] for key in row]
+        for candidates, claim, _ in wave.requests:
+            known = memo[claim.text]
+            scores = [known[c[3]] for c in candidates]
             best = max(scores)
             out.append((best, AlignedSpan(*candidates[scores.index(best)])))
         return out
 
-    def _credit(self, missing: dict[Key, tuple[int, Pair]], requests: Sequence[Request]) -> None:
-        credited = Counter(i for i, _ in missing.values())
-        for i, count in credited.items():
+    def _credit(self, owners: list[tuple[int, int]], requests: Sequence[Request]) -> None:
+        for i, count in owners:
             self.backend_calls[requests[i][2]] += count
         if logger.isEnabledFor(logging.DEBUG):
-            # ``missing`` was filled in request order, so these lines are too.
-            for i, count in credited.items():
+            for i, count in owners:
                 _, claim, stage = requests[i]
                 logger.debug(
                     json.dumps(
@@ -399,11 +350,11 @@ class Scorer:
         A block's first wave is sent as soon as the block before has sent
         its last, so the backend has pairs to work on while the last results
         of the block before come back and are read; the next block is taken
-        from ``blocks`` then. Waves are sent, and the memo is read, in the
-        order of scoring the blocks one at a time, so the reports, the pairs
-        sent and the counters are those of that order, and so are failures:
-        an error in taking the next block from ``blocks``, or in starting it,
-        is raised after this block's reports.
+        from ``blocks`` then. Each block has a memo of its own, and waves are
+        sent in the order of scoring the blocks one at a time, so the
+        reports, the pairs sent and the counters are those of that order,
+        and so are failures: an error in taking the next block from
+        ``blocks``, or in starting it, is raised after this block's reports.
         """
         waiting = block = None  # a block with its last wave sent; the block after it
         blocks = iter(blocks)
@@ -449,7 +400,6 @@ class Scorer:
                         f"claims mix summaries '{summary_id}' and '{claim.summary_id}'"
                     )
                 jobs.append((doc, claim))
-        self._memo.append({})
         verdicts = yield from self._verdicts(jobs, stop)
         reports = []
         lo = 0
@@ -463,19 +413,18 @@ class Scorer:
         return reports
 
     def _wave(
-        self, requests: Sequence[Request], last: bool, sizes: dict[str, int]
+        self, requests: Sequence[Request], last: bool, memo: Memo, sizes: dict[str, int]
     ) -> Generator[bool, None, list[tuple[float, AlignedSpan]]]:
         """Send a wave, pause yielding whether it is the block's last, then read it.
 
         Closing the paused wave cancels its batches not yet started.
         """
-        wave = self._request(requests, sizes)
+        wave = self._request(requests, memo, sizes)
         try:
             yield last
         except GeneratorExit:
             if wave.inference is not None:
                 wave.inference.cancel()
-                self._in_flight.remove(wave)
             raise
         return self._collect(wave)
 
@@ -484,8 +433,10 @@ class Scorer:
     ) -> Generator[bool, None, list[ClaimVerdict]]:
         """Verdicts for ``(document, claim)`` jobs, each stage one wave over all jobs.
 
-        The waves share one map of sizes, so each text is measured once.
+        The waves share one memo, so each pair is sent once, and one map of
+        sizes, so each text is measured once.
         """
+        memo: Memo = {}
         sizes: dict[str, int] = {}
         # Every sentence, one candidate list per document; the lowest index
         # attaining the best score is the anchor.
@@ -494,7 +445,7 @@ class Scorer:
             for doc in {id(doc): doc for doc, _ in jobs}.values()
         }
         requests = [(by_doc[id(doc)], claim, "sentence") for doc, claim in jobs]
-        sentence = yield from self._wave(requests, stop == "sentence", sizes)
+        sentence = yield from self._wave(requests, stop == "sentence", memo, sizes)
         if stop == "sentence":
             return [
                 ClaimVerdict(claim, score, "sentence", span, {"sentence": score})
@@ -504,7 +455,7 @@ class Scorer:
         wave = [(i, self._coref_candidates(doc, sentence[i][1])) for i, (doc, _) in enumerate(jobs)]
         wave = [(i, candidates) for i, candidates in wave if candidates]
         requests = [(candidates, jobs[i][1], "coref") for i, candidates in wave]
-        results = yield from self._wave(requests, stop == "coref", sizes)
+        results = yield from self._wave(requests, stop == "coref", memo, sizes)
         for (i, _), result in zip(wave, results):
             coref[i] = result
         # Gate misses: windows, then the whole document.
@@ -512,7 +463,7 @@ class Scorer:
         if stop is None:
             misses = [i for i, (score, _) in enumerate(coref) if score < self.params.gate_threshold]
             requests = self._window_requests([jobs[i] for i in misses], sizes)
-            results = yield from self._wave(requests, True, sizes)
+            results = yield from self._wave(requests, True, memo, sizes)
             multi = {i: (results[2 * m], results[2 * m + 1]) for m, i in enumerate(misses)}
         verdicts = []
         for i, (_, claim) in enumerate(jobs):

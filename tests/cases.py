@@ -13,7 +13,16 @@ from __future__ import annotations
 import json
 import random
 
-from sumfact import Claim, CorefCluster, Document, EntailmentTriple, Mention, Sentence, Summary
+from sumfact import (
+    Claim,
+    CorefCluster,
+    Document,
+    EntailmentTriple,
+    Mention,
+    MockEntailmentBackend,
+    Sentence,
+    Summary,
+)
 from sumfact.nli import TextTable
 
 VOCAB = [
@@ -50,6 +59,23 @@ def triples(backend, pairs):
     ``(entailment, neutral, contradiction)`` rows of one ``_infer`` call."""
     pairs = list(pairs)
     return [EntailmentTriple(*row) for row in backend._infer(pairs, TextTable(backend, [pairs]))]
+
+
+class RecordingBackend(MockEntailmentBackend):
+    """The mock, keeping every batch it is sent."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.batches = []
+
+    def _infer(self, pairs, table):
+        self.batches.append(list(pairs))
+        return super()._infer(pairs, table)
+
+    @property
+    def sent(self):
+        """Every pair sent, batch after batch."""
+        return [pair for batch in self.batches for pair in batch]
 
 
 def score_block(scorer, items, stop=None):

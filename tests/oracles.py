@@ -1,11 +1,13 @@
 """Independent reference implementations used only by tests.
 
-Everything here but :func:`window_stage` is written as straight-line loops
-from the primitive definitions (lexical overlap triple, per-stage maxima,
-gate, tie-breaks, sentence rules, threshold candidates, bootstrap draws) and
-shares no code with the package, so it can serve as a brute-force oracle for
-the scoring engine, the segmenter and the benchmark harness. Keep it dumb;
-speed and reuse are non-goals.
+Everything here but :func:`window_stage` and :func:`coref_clusters` is
+written as straight-line loops from the primitive definitions (lexical
+overlap triple, per-stage maxima, gate, tie-breaks, sentence rules, threshold
+candidates, bootstrap draws) and shares no code with the package, so it can
+serve as a brute-force oracle for the scoring engine, the segmenter and the
+benchmark harness. :func:`coref_clusters` takes the heuristic resolver's
+patterns and word lists from the package and links mentions with a plain
+scan. Keep it dumb; speed and reuse are non-goals.
 """
 
 from __future__ import annotations
@@ -179,15 +181,16 @@ def window_stage(scorer, doc, claim, k: int):
     """The engine's best k-window of ``doc`` for ``claim``, as ``(score, span)``.
 
     Unlike the rest of this module it drives the package: one wave of the
-    scorer's own selection rule over its own window candidates. It shows a
-    stage on its own where a verdict cannot: a window at any ``k``, or the
-    window and document spans of a claim whose verdict another stage won.
+    scorer's own selection rule over its own window candidates, with a memo
+    of its own. It shows a stage on its own where a verdict cannot: a window
+    at any ``k``, or the window and document spans of a claim whose verdict
+    another stage won.
     """
     from sumfact.scoring import WindowTable
 
     table = WindowTable(doc, scorer.backend, {})
     request = scorer._window_request(table, claim, k, table.room(claim.text))
-    return scorer._collect(scorer._request([request], table.sizes))[0]
+    return scorer._collect(scorer._request([request], {}, table.sizes))[0]
 
 
 def window_candidates(sentences, k: int, room, measure):
@@ -226,6 +229,49 @@ def window_candidates(sentences, k: int, room, measure):
             text = " ".join(sentences[first : first + length])
             out.append((granularity, first, first + length - 1, text))
     return out
+
+
+def coref_clusters(document, max_sentences=None) -> list[list[tuple[int, int, int, str]]]:
+    """The heuristic resolver's clusters, as ``(sentence, start, end, surface)`` rows.
+
+    Capitalized runs are names unless every word is a capitalized stop word,
+    or pronouns when they are one pronoun; lowercase pronouns outside those
+    runs are pronouns too. Names group by lowercased surface, in order of
+    first appearance. Each pronoun joins the group of the name nearest
+    before it, found by looking at every name. Groups of one are dropped.
+    """
+    from sumfact.coref import _CAP_STOP, _LOWER_PRONOUN_RE, _NAME_RUN_RE, _PRONOUNS
+
+    names, pronouns = [], []
+    for s in document.sentences[:max_sentences]:
+        taken = []
+        for m in _NAME_RUN_RE.finditer(s.text):
+            tokens = [t.lower() for t in _WORDS.findall(m.group())]
+            if not tokens:
+                continue
+            row = (s.index, m.start(), m.end(), m.group())
+            if len(tokens) == 1 and tokens[0] in _PRONOUNS:
+                pronouns.append(row)
+                taken.append((m.start(), m.end()))
+            elif all(t in _CAP_STOP for t in tokens):
+                continue
+            else:
+                names.append(row)
+                taken.append((m.start(), m.end()))
+        for m in _LOWER_PRONOUN_RE.finditer(s.text):
+            if not any(a <= m.start() < b for a, b in taken):
+                pronouns.append((s.index, m.start(), m.end(), m.group()))
+    groups: dict[str, list] = {}
+    for name in names:
+        groups.setdefault(name[3].lower(), []).append(name)
+    for pronoun in pronouns:
+        best = None
+        for name in names:
+            if name[:2] < pronoun[:2] and (best is None or name[:2] > best[:2]):
+                best = name
+        if best is not None:
+            groups[best[3].lower()].append(pronoun)
+    return [sorted(rows) for rows in groups.values() if len(rows) >= 2]
 
 
 def segment_spans(text: str, abbreviations) -> list[tuple[int, int, int, str]]:

@@ -2,6 +2,8 @@
 
 import json
 import logging
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -221,6 +223,35 @@ class TestRemoteLlmExtractor:
             with pytest.raises(ExtractorUnavailable, match="403"):
                 extractor.extract(summary())
             assert len(server.requests) == 1
+
+    def test_each_thread_posts_with_its_own_session(self, monkeypatch):
+        import requests
+
+        users = {}
+
+        class Recording(requests.Session):
+            def post(self, *args, **kwargs):
+                users.setdefault(id(self), set()).add(threading.get_ident())
+                return super().post(*args, **kwargs)
+
+        def handler(path, body, headers):
+            return 200, envelope('{"claims": ["A cat sat."]}')
+
+        monkeypatch.setattr(requests, "Session", Recording)
+        summaries = [summary(sid=f"s{i}") for i in range(9)]
+        with StubServer(handler) as server:
+            extractor = RemoteLlmExtractor(remote_config(server.url))
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                claims = list(pool.map(extractor.extract, summaries))
+            assert claims == [[Claim(f"s{i}", 0, "A cat sat.")] for i in range(9)]
+            assert users and all(len(threads) == 1 for threads in users.values())
+            # An injected session serves every thread.
+            users.clear()
+            extractor = RemoteLlmExtractor(remote_config(server.url), session=Recording())
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                list(pool.map(extractor.extract, summaries))
+            assert len(users) == 1
+        assert len(server.requests) == 18
 
     def test_malformed_envelope(self):
         with StubServer(lambda *a: (200, {"nope": 1})) as server:

@@ -261,8 +261,8 @@ class TestScoreBlocks:
         claims_path = write(tmp_path, "claims.json", json.dumps(claims))
         return docs, sums, claims_path, [s["id"] for s in summaries]
 
-    def run(self, runner, tmp_path, docs, sums, claims, batch_size, workers="1"):
-        config = write(tmp_path, "run.json", json.dumps({"nli_batch_size": batch_size}))
+    def run(self, runner, tmp_path, docs, sums, claims, batch_size, workers="1", **config):
+        config = write(tmp_path, "run.json", json.dumps({"nli_batch_size": batch_size, **config}))
         meta = tmp_path / "meta.json"
         result = runner.invoke(main, [
             "score", docs, sums, "--claim-backend", f"cache:{claims}",
@@ -288,6 +288,44 @@ class TestScoreBlocks:
                 meta = json.loads(meta.read_text())
                 assert meta["summaries"] == len(lines)
                 assert meta["claims_fallback_count"] == fallbacks
+
+    # Five summaries in blocks of two. t2 repeats t1's first claim in the
+    # same block; t3 repeats it in the next block and t5 repeats t4's claim
+    # in the block after t4's, so their pairs are sent again.
+    TRAFFIC_DOCS = {
+        "d1": "Billy Vunipola has been ruled out of the match. He injured his knee in "
+        "training. The coach said Vunipola would return in March. England play Wales "
+        "on Saturday.",
+        "d2": "Maria Lopez won the city marathon on Sunday. She finished in two hours. "
+        "Lopez thanked the crowd after the race. The runner-up was Anna Berg.",
+    }
+    TRAFFIC_SUMMARIES = [
+        ("t1", "d1", ["He hurt his knee in March.", "England play Wales on Saturday."]),
+        ("t2", "d1", ["He hurt his knee in March."]),
+        ("t3", "d1", ["He hurt his knee in March."]),
+        ("t4", "d2", ["She won the race in two hours."]),
+        ("t5", "d2", ["She won the race in two hours.", "Anna Berg thanked the crowd."]),
+    ]
+
+    def test_traffic_matches_golden(self, runner, tmp_path):
+        docs = write(tmp_path, "docs.jsonl", "".join(
+            json.dumps({"id": did, "text": text}) + "\n" for did, text in self.TRAFFIC_DOCS.items()
+        ))
+        sums = write(tmp_path, "sums.jsonl", "".join(
+            json.dumps({"id": sid, "document_id": did, "text": " ".join(texts)}) + "\n"
+            for sid, did, texts in self.TRAFFIC_SUMMARIES
+        ))
+        claims = write(tmp_path, "claims.json", json.dumps(
+            {sid: texts for sid, _, texts in self.TRAFFIC_SUMMARIES}
+        ))
+        golden = json.loads((GOLDEN_DIR / "score_traffic.json").read_text())
+        for workers in ("1", "3"):
+            result, meta = self.run(
+                runner, tmp_path, docs, sums, claims, 2, workers, window_size=2
+            )
+            assert result.exit_code == 0, result.stderr
+            meta = json.loads(meta.read_text())
+            assert {key: meta[key] for key in golden} == golden, workers
 
     def test_claim_cache_miss_in_second_block_exits_2_after_the_first(self, runner, tmp_path):
         docs, sums, claims, ids = self.news(tmp_path, n_docs=1)

@@ -2,9 +2,15 @@
 singleton filtering and failure degradation, is tested on
 ``pipeline.attach_clusters`` in ``test_pipeline.py``."""
 
+import random
+
 import pytest
 
 from sumfact import Document, HeuristicCorefBackend, NoopCorefBackend
+
+import oracles
+
+PRONOUNS = {"she", "he", "they", "his", "her", "him", "them", "their"}
 
 
 def doc(text):
@@ -84,6 +90,30 @@ class TestHeuristicBackend:
             for m in cluster.mentions:
                 sentence = d.sentences[m.sentence_index]
                 assert sentence.text[m.start : m.end] == m.surface
+
+    @staticmethod
+    def generated_doc(rng, n):
+        """``n`` sentences of names, pronouns in either case, capitalized stop
+        words and plain words, in random order."""
+        words = ["Maria Lopez", "Tom", "Reed", "Anna Berg", "She", "He", "They",
+                 "His", "her", "him", "them", "their", "The", "However", "In",
+                 "bridge", "saw", "river", "quiet", "and"]
+        sentences = [
+            " ".join(rng.choice(words) for _ in range(rng.randint(1, 8))) + "."
+            for _ in range(n)
+        ]
+        return doc(" ".join(sentences))
+
+    def test_matches_reference_linking_on_generated_documents(self):
+        rng = random.Random(17)
+        linked = 0
+        for n in [1, 2, 3, 5, 8, 13, 40, 120] * 6:
+            d = self.generated_doc(rng, n)
+            for cap in (None, 1, 4):
+                got = HeuristicCorefBackend(max_sentences=cap).clusters(d)
+                assert [mention_view(c) for c in got] == oracles.coref_clusters(d, cap)
+                linked += sum(m.surface.lower() in PRONOUNS for c in got for m in c.mentions)
+        assert linked > 1000
 
 
 class TestWrappers:

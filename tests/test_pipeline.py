@@ -29,7 +29,6 @@ from sumfact import (
     Scorer,
     ScoringParams,
 )
-from sumfact import scoring
 from sumfact.config import MODES
 from sumfact.formats import render_report
 from sumfact.pipeline import (
@@ -46,7 +45,13 @@ from sumfact.pipeline import (
     scoring_params,
 )
 
-from cases import doc_from_sentences, random_news_corpus, score_block, summary_from_sentences
+from cases import (
+    RecordingBackend,
+    doc_from_sentences,
+    random_news_corpus,
+    score_block,
+    summary_from_sentences,
+)
 
 
 class CountingCoref:
@@ -580,18 +585,6 @@ class TestScoreCorpus:
         assert taken == list(range(6))
 
 
-class RecordingBackend(MockEntailmentBackend):
-    """The mock, keeping every batch it is sent."""
-
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
-        self.batches = []
-
-    def _infer(self, pairs, table):
-        self.batches.append(list(pairs))
-        return super()._infer(pairs, table)
-
-
 class TestBlocks:
     """``score_corpus`` scores blocks of ``batch_size`` pairs, each stage one
     wave of backend pairs over the block; blocks change batching only."""
@@ -661,8 +654,9 @@ class TestBlocks:
 
 class TestPairsInFlight:
     """With ``workers > 1`` the backend keeps several batches of one wave in
-    flight, and blocks are still scored one after another: a pair that an
-    earlier block sent is answered from the memo, not sent again."""
+    flight, and the next block's first wave is sent while the block before
+    has its last in flight. A pair is sent once by each block that asks for
+    it, however many workers there are."""
 
     @staticmethod
     def barrier_backend(first_batches):
@@ -687,17 +681,17 @@ class TestPairsInFlight:
         )
 
     def test_shared_pair_is_sent_once(self):
+        # Both summaries make one block of two pairs.
         shared = "shared alpha beta."
         docs = [doc_from_sentences(f"d{u}", [shared, f"unique{u} gamma."]) for u in range(2)]
         pairs = sentence_pairs(docs, [shared] * 2)
-        serial = Scorer(MockEntailmentBackend(batch_size=1))
+        serial = Scorer(MockEntailmentBackend(batch_size=2))
         expected = self.scored(pairs, serial)
-        # The first block's two sentence batches wait for each other.
-        backend = self.barrier_backend(2)(batch_size=1, workers=3)
+        # The block's two sentence batches wait for each other.
+        backend = self.barrier_backend(2)(batch_size=2, workers=3)
         scorer = Scorer(backend, serial.params)
         assert self.scored(pairs, scorer) == expected
-        sent = [pair for batch in backend.batches for pair in batch]
-        assert sent.count((shared, shared)) == 1
+        assert backend.sent.count((shared, shared)) == 1
         assert scorer.backend_calls == serial.backend_calls == {
             "sentence": 3, "coref": 0, "window": 0, "document": 0
         }
@@ -706,7 +700,7 @@ class TestPairsInFlight:
     def test_shared_window_pair_is_sent_once(self, workers):
         # Two documents open with the same two sentences, so with j=2 they
         # share the window premise over them. The claim misses the gate, and
-        # each item is its own block.
+        # both items make one block.
         window = "alpha beta. gamma delta."
         docs = [
             doc_from_sentences(f"d{u}", ["alpha beta.", "gamma delta.", f"unique{u} tail."])
@@ -714,14 +708,14 @@ class TestPairsInFlight:
         ]
         pairs = sentence_pairs(docs, ["zz yy."] * 2)
         params = ScoringParams(window_size=2, gate_threshold=0.9)
-        serial = Scorer(MockEntailmentBackend(batch_size=1), params)
+        serial = Scorer(MockEntailmentBackend(batch_size=2), params)
         expected = self.scored(pairs, serial)
-        # With several workers, the first block's three sentence batches
-        # wait for each other.
-        backend = self.barrier_backend(3 if workers > 1 else 1)(batch_size=1, workers=workers)
+        # With several workers, the block's two sentence batches wait for
+        # each other.
+        backend = self.barrier_backend(2 if workers > 1 else 1)(batch_size=2, workers=workers)
         scorer = Scorer(backend, params)
         assert self.scored(pairs, scorer) == expected
-        sent = [pair for batch in backend.batches for pair in batch]
+        sent = backend.sent
         assert sent.count((window, "zz yy.")) == 1
         assert len(sent) == len(set(sent))
         assert scorer.backend_calls == serial.backend_calls == {
@@ -729,22 +723,21 @@ class TestPairsInFlight:
         }
 
     @classmethod
-    def sent_by_many_workers(cls, corpus, params):
+    def sent_by_many_workers(cls, corpus, params, batch_size=1):
         """Reports and pairs sent with one worker; then, three times over with
         eight, check the reports and ``backend_calls`` and yield the pairs sent."""
-        serial_backend = RecordingBackend(batch_size=1)
+        serial_backend = RecordingBackend(batch_size=batch_size)
         serial = Scorer(serial_backend, params)
         expected = cls.scored(corpus[0], serial, *corpus[1:])
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(3):
-                backend = RecordingBackend(batch_size=1, workers=8)
+                backend = RecordingBackend(batch_size=batch_size, workers=8)
                 scorer = Scorer(backend, params)
                 assert cls.scored(corpus[0], scorer, *corpus[1:]) == expected
                 assert scorer.backend_calls == serial.backend_calls
-                sent = [pair for batch in backend.batches for pair in batch]
-                yield sent, [pair for batch in serial_backend.batches for pair in batch]
+                yield backend.sent, serial_backend.sent
         finally:
             sys.setswitchinterval(interval)
 
@@ -755,16 +748,16 @@ class TestPairsInFlight:
         pairs, cache = random_news_corpus(random.Random(7), 6, 8)
         return pairs, FileCacheExtractor(cache), HeuristicCorefBackend()
 
-    def test_many_workers_send_each_pair_once(self, monkeypatch):
-        # A memo that spans the whole run: every pair is sent once.
+    def test_many_workers_send_each_pair_once(self):
+        # One block spans the whole run: every pair is sent once.
         corpus = self.news_corpus()
-        monkeypatch.setattr(scoring, "MEMO_BLOCKS", len(corpus[0]))
         params = ScoringParams(window_size=2, gate_threshold=0.9)
-        for sent, _ in self.sent_by_many_workers(corpus, params):
+        for sent, _ in self.sent_by_many_workers(corpus, params, len(corpus[0])):
             assert len(sent) == len(set(sent))
 
     def test_many_workers_send_what_one_worker_sends(self):
-        # The bounded memo sends some pairs again, as often with any workers.
+        # A pair used again in a later block is sent again, as often with
+        # any workers.
         params = ScoringParams(window_size=2, gate_threshold=0.9)
         for sent, serial_sent in self.sent_by_many_workers(self.news_corpus(), params):
             assert len(sent) > len(set(sent))

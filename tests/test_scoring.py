@@ -23,11 +23,18 @@ from sumfact import (
     Substitution,
     coref_variants,
 )
+from sumfact.nli import Inference
 from sumfact.pipeline import score_corpus
-from sumfact.scoring import MEMO_BLOCKS, AlignedSpan, WindowTable
+from sumfact.scoring import AlignedSpan, WindowTable
 
 import oracles
-from cases import doc_from_sentences, random_case, score_block, summary_from_sentences
+from cases import (
+    RecordingBackend,
+    doc_from_sentences,
+    random_case,
+    score_block,
+    summary_from_sentences,
+)
 
 
 def claim(text, sid="s1", index=0):
@@ -592,27 +599,34 @@ class TestCountersAndMemo:
         }
 
     def test_memo_prevents_recomputation(self):
+        # Two summaries of one block ask for the same two pairs.
         scorer = make_scorer()
         doc = doc_from_sentences("d", ["alpha beta.", "gamma delta."])
-        verdicts(scorer, doc, claim("alpha beta."))
-        before = dict(scorer.backend_calls)
-        verdicts(scorer, doc, claim("alpha beta."))
-        assert scorer.backend_calls == before
+        items = [(doc, [claim("alpha beta.", sid=sid)], False) for sid in ("s1", "s2")]
+        first, second = score_block(scorer, items)
+        assert first.verdicts[0].score == second.verdicts[0].score == 1.0
+        assert scorer.pairs_requested["sentence"] == 4
+        assert scorer.backend_calls == {"sentence": 2, "coref": 0, "window": 0, "document": 0}
+
+    def test_window_wave_reuses_the_sentence_waves_pair(self):
+        # A one-sentence document is its own window: the window wave asks
+        # for the sentence wave's pair, twice (both as the document), and
+        # sends nothing.
+        backend = RecordingBackend()
+        scorer = make_scorer(backend, gate_threshold=0.95)
+        doc = doc_from_sentences("d", ["alpha beta."])
+        (verdict,) = verdicts(scorer, doc, claim("alpha gamma."))
+        assert verdict.stage == "multi_granularity"
+        assert verdict.sub_scores == {"sentence": 0.5, "coref": 0.5, "window": 0.5, "document": 0.5}
+        assert backend.sent == [("alpha beta.", "alpha gamma.")]
+        assert scorer.pairs_requested == {"sentence": 1, "coref": 0, "window": 0, "document": 2}
+        assert scorer.backend_calls == {"sentence": 1, "coref": 0, "window": 0, "document": 0}
 
     def test_swapped_pair_is_a_new_pair(self):
         scorer = make_scorer()
         verdicts(scorer, doc_from_sentences("d1", ["alpha beta."]), claim("gamma delta."))
         verdicts(scorer, doc_from_sentences("d2", ["gamma delta."]), claim("alpha beta."))
         assert scorer.backend_calls["sentence"] == 2
-
-    def test_memo_keeps_no_texts(self):
-        scorer = make_scorer(window_size=2, gate_threshold=0.95)
-        doc = doc_from_sentences("d", ["aa bb.", "cc dd.", "ee ff."])
-        verdicts(scorer, doc, claim("zz yy."), claim("aa cc."))
-        # Fixed-width digests: 16 bytes of premise, then 16 of hypothesis.
-        keys = [key for block in scorer._memo for key in block]
-        assert len(keys) == sum(scorer.backend_calls.values()) == 12
-        assert all(isinstance(key, bytes) and len(key) == 32 for key in keys)
 
     def test_stage_attribution_below_gate(self):
         scorer = make_scorer(window_size=2, gate_threshold=0.95)
@@ -652,44 +666,43 @@ class TestCountersAndMemo:
         claims = [claim(text, sid=f"s{u}", index=i) for i, text in enumerate(sentences)]
         return [(doc_from_sentences(f"d{u}", sentences), claims, False)]
 
+    # The memo lives for one block: a pair used again within the block is
+    # not sent again, and one used again in a later block is.
+
     def test_memo_holds_the_last_blocks_only(self):
         scorer = make_scorer()
+        memos = []
+        request = scorer._request
+
+        def spy(requests, memo, sizes):
+            memos.append(memo)
+            return request(requests, memo, sizes)
+
+        scorer._request = spy
         for u in range(6):
+            ((doc, claims, _),) = self.block(u)
             score_block(scorer, self.block(u))
-            held = sum(len(block) for block in scorer._memo)
-            assert held == 4 * min(u + 1, MEMO_BLOCKS)
+            held = {(premise, claim) for claim, known in memos[-1].items() for premise in known}
+            assert held == {(s.text, c.text) for s in doc.sentences for c in claims}
+        assert len({id(memo) for memo in memos}) == 6
         assert sum(scorer.backend_calls.values()) == sum(scorer.pairs_requested.values()) == 24
 
-    # The memo holds the current block's pairs and those of the
-    # MEMO_BLOCKS - 1 blocks before it.
-
     def test_pair_used_again_within_the_bound_is_not_sent(self):
+        alone = [score_block(make_scorer(), self.block(u))[0] for u in (0, 1)]
         scorer = make_scorer()
-        first = score_block(scorer, self.block(0))
-        for u in range(1, MEMO_BLOCKS - 1):
-            score_block(scorer, self.block(u))
-        before = dict(scorer.backend_calls)
-        assert score_block(scorer, self.block(0)) == first
-        assert scorer.backend_calls == before
-        assert sum(scorer.pairs_requested.values()) == 4 * MEMO_BLOCKS
+        reports = score_block(scorer, self.block(0) + self.block(1) + self.block(0))
+        assert reports == alone + alone[:1]
+        assert scorer.backend_calls["sentence"] == 8
+        assert scorer.pairs_requested["sentence"] == 12
 
     def test_pair_used_again_beyond_the_bound_is_sent_again(self):
-        scorer = make_scorer()
+        backend = RecordingBackend()
+        scorer = make_scorer(backend)
         first = score_block(scorer, self.block(0))
-        for u in range(1, MEMO_BLOCKS):
-            score_block(scorer, self.block(u))
-        before = sum(scorer.backend_calls.values())
+        sent = list(backend.sent)
         assert score_block(scorer, self.block(0)) == first
-        assert sum(scorer.backend_calls.values()) == before + 4
-
-    def test_memo_hit_keeps_a_pair_for_later_blocks(self):
-        # Block 0's pairs, used again in block 1, are still held at block 2.
-        scorer = make_scorer()
-        score_block(scorer, self.block(0))
-        score_block(scorer, self.block(0) + self.block(1))
-        score_block(scorer, self.block(2) + self.block(0))
-        assert scorer.backend_calls["sentence"] == 12
-        assert scorer.pairs_requested["sentence"] == 20
+        assert backend.sent == sent * 2
+        assert sum(scorer.backend_calls.values()) == sum(scorer.pairs_requested.values()) == 8
 
 
 class TestScoreBlocks:
@@ -723,18 +736,22 @@ class TestScoreBlocks:
         assert scorer.pairs_requested == serial.pairs_requested
 
     @pytest.mark.parametrize("stop", [None, "coref", "sentence"])
-    def test_pair_used_by_every_block_is_sent_once(self, stop):
-        # Each block asks for its pairs while the block before still has
-        # them in flight, and passes them on to the block after it.
+    def test_pair_used_by_every_block_is_sent_by_every_block(self, stop):
+        # Each block asks for its pairs while the block before may still
+        # have them in flight, and sends them again: the memo lives for one
+        # block, so the reports and counters do not depend on the workers.
         doc = doc_from_sentences("d", ["alpha beta.", "gamma delta."])
         block = [(doc, [claim("alpha beta.")], False)]
         alone = make_scorer()
         (expected,) = score_block(alone, block, stop=stop)
-        for workers in (1, 2):
+        for workers in (1, 3):
             scorer = make_scorer(MockEntailmentBackend(workers=workers))
             assert list(scorer.score_blocks([block] * 5, stop=stop)) == [[expected]] * 5
-            assert scorer.backend_calls == alone.backend_calls
-            assert sum(scorer.pairs_requested.values()) == 5 * sum(alone.pairs_requested.values())
+            for counter, once in (
+                (scorer.backend_calls, alone.backend_calls),
+                (scorer.pairs_requested, alone.pairs_requested),
+            ):
+                assert counter == {stage: 5 * n for stage, n in once.items()}
 
     def test_error_starting_the_next_block_comes_after_this_blocks_reports(self):
         good, _ = self.items()
@@ -772,12 +789,28 @@ class TestScoreBlocks:
                 next(scored)
 
     def test_closing_early_leaves_nothing_in_flight(self):
-        scorer = make_scorer(MockEntailmentBackend(workers=2))
-        scored = scorer.score_blocks(self.items() * 2)
+        unread = []
+
+        class Tracked(Inference):
+            def scores(self):
+                unread.remove(self)
+                return super().scores()
+
+            def cancel(self):
+                if self in unread:
+                    unread.remove(self)
+                super().cancel()
+
+        class Tracking(MockEntailmentBackend):
+            def submit(self, pairs, sizes=None):
+                unread.append(Tracked(self, pairs, sizes))
+                return unread[-1]
+
+        scored = make_scorer(Tracking(workers=2)).score_blocks(self.items() * 2)
         next(scored)
-        assert scorer._in_flight
+        assert len(unread) == 1  # the next block's first wave
         scored.close()
-        assert not scorer._in_flight
+        assert not unread
 
 
 class TestSummaryScoring:
