@@ -28,7 +28,6 @@ from .claim_metrics import (
 )
 from .claims import (
     PROMPT_TEMPLATE_ID,
-    ExtractorConfig,
     FileCacheExtractor,
     LocalSeq2SeqExtractor,
     RemoteLlmExtractor,

@@ -14,20 +14,17 @@ import hashlib
 import json
 import logging
 import os
-import threading
-import time
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping, Protocol
 
 from .documents import Claim, Summary, build_claims
 from .errors import ClaimCacheMiss, ExtractorUnavailable, MalformedClaimOutput
+from .remote import JsonService
 
 if TYPE_CHECKING:
     import requests
 
 __all__ = [
     "PROMPT_TEMPLATE_ID",
-    "ExtractorConfig",
     "ClaimExtractor",
     "FileCacheExtractor",
     "RemoteLlmExtractor",
@@ -124,36 +121,6 @@ def parse_claims(raw: str, summary_id: str) -> list[Claim]:
     return build_claims(summary_id, texts)
 
 
-@dataclass(frozen=True)
-class ExtractorConfig:
-    """Plumbing for the remote claim extractor.
-
-    ``target`` is the endpoint URL. ``api_key_env`` names the environment
-    variable holding the credential; the value itself never appears in
-    config files or logs.
-    """
-
-    target: str
-    model: str | None = None
-    timeout: float = 60.0
-    max_retries: int = 2
-    retry_delay: float = 1.0
-    api_key_env: str = "SUMFACT_API_KEY"
-    temperature: float = 0.0
-    max_tokens: int = 1024
-    max_in_flight: int = 4
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.max_retries <= 5):
-            raise ValueError("max_retries must be between 0 and 5")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
-        if self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
-        if self.max_tokens < 1:
-            raise ValueError("max_tokens must be >= 1")
-
-
 class ClaimExtractor(Protocol):
     def extract(self, summary: Summary) -> list[Claim]: ...
 
@@ -192,45 +159,50 @@ def _redact(headers: Mapping[str, str]) -> dict[str, str]:
 class RemoteLlmExtractor:
     """Chat-completion client for claim extraction.
 
-    Sends the rendered prompt as a single user message with temperature 0 and
-    retries transport failures, 429 and 5xx responses up to ``max_retries``
-    times before raising :class:`ExtractorUnavailable`. Concurrent calls are
-    capped by a semaphore of ``max_in_flight``. Unless a ``session`` is
-    given, each thread posts with a ``requests.Session`` of its own, since a
-    session is not documented as safe to share between threads. ``requests``
-    is imported here, not with the module, so runs without a remote backend
-    never load it.
+    Posts the rendered prompt as a single user message with temperature 0
+    through :mod:`sumfact.remote`, with ``max_retries`` retries. The key is
+    read from the environment variable ``api_key_env`` and never logged.
     """
 
-    def __init__(self, config: ExtractorConfig, session: requests.Session | None = None):
-        import requests
-
-        self.config = config
-        self._session = session
-        self._new_session = requests.Session
-        self._sessions = threading.local()
-        self._gate = threading.Semaphore(config.max_in_flight)
+    def __init__(
+        self,
+        url: str,
+        *,
+        model: str | None = None,
+        timeout: float = 60.0,
+        max_retries: int = 2,
+        api_key_env: str = "SUMFACT_API_KEY",
+        max_tokens: int = 1024,
+        session: requests.Session | None = None,
+    ):
+        self.model = model
+        self.api_key_env = api_key_env
+        self.max_tokens = max_tokens
+        self.service = JsonService(
+            url,
+            "extraction endpoint",
+            ExtractorUnavailable,
+            timeout=timeout,
+            retries=max_retries,
+            session=session,
+        )
 
     def describe(self) -> str:
-        model = self.config.model or "default"
-        return f"remote-llm:{self.config.target}#{model}@t={self.config.temperature}"
+        return f"remote-llm:{self.service.url}#{self.model or 'default'}@t=0.0"
 
     def extract(self, summary: Summary) -> list[Claim]:
         return parse_claims(self._complete(build_prompt(summary), summary.id), summary.id)
 
     def _complete(self, prompt: str, summary_id: str) -> str:
-        import requests
-
-        cfg = self.config
         body = {
             "messages": [{"role": "user", "content": prompt}],
-            "temperature": cfg.temperature,
-            "max_tokens": cfg.max_tokens,
+            "temperature": 0.0,
+            "max_tokens": self.max_tokens,
         }
-        if cfg.model:
-            body["model"] = cfg.model
+        if self.model:
+            body["model"] = self.model
         headers = {"Content-Type": "application/json"}
-        key = os.environ.get(cfg.api_key_env, "")
+        key = os.environ.get(self.api_key_env, "")
         if key:
             headers["Authorization"] = f"Bearer {key}"
         logger.debug(
@@ -238,52 +210,24 @@ class RemoteLlmExtractor:
                 {
                     "event": "claim_request",
                     "summary_id": summary_id,
-                    "url": cfg.target,
+                    "url": self.service.url,
                     "headers": _redact(headers),
                     "body": body,
                 }
             )
         )
-        session = self._session or getattr(self._sessions, "session", None)
-        if session is None:
-            session = self._sessions.session = self._new_session()
-        last_error = "no attempt made"
-        for attempt in range(cfg.max_retries + 1):
-            if attempt:
-                time.sleep(cfg.retry_delay)
-            try:
-                with self._gate:
-                    response = session.post(
-                        cfg.target, json=body, headers=headers, timeout=cfg.timeout
-                    )
-            except requests.RequestException as exc:
-                last_error = str(exc)
-                continue
-            if response.status_code == 429 or response.status_code >= 500:
-                last_error = f"HTTP {response.status_code}"
-                continue
-            if response.status_code >= 400:
-                raise ExtractorUnavailable(
-                    f"summary '{summary_id}': extraction endpoint rejected the request "
-                    f"with HTTP {response.status_code}"
-                )
-            try:
-                payload = response.json()
-                content = payload["choices"][0]["message"]["content"]
-            except (ValueError, LookupError, TypeError) as exc:
-                raise ExtractorUnavailable(
-                    f"summary '{summary_id}': malformed completion envelope: {exc}"
-                ) from exc
-            logger.debug(
-                json.dumps(
-                    {"event": "claim_response", "summary_id": summary_id, "content": content}
-                )
-            )
-            return content
-        raise ExtractorUnavailable(
-            f"summary '{summary_id}': extraction endpoint unreachable after "
-            f"{cfg.max_retries + 1} attempts ({last_error})"
+        prefix = f"summary '{summary_id}': "
+        payload = self.service.post(body, headers, prefix)
+        try:
+            content = payload["choices"][0]["message"]["content"]  # type: ignore[index]
+            if not isinstance(content, str):
+                raise TypeError(f"content is {type(content).__name__}, not a string")
+        except (LookupError, TypeError) as exc:
+            raise ExtractorUnavailable(f"{prefix}malformed completion envelope: {exc}") from exc
+        logger.debug(
+            json.dumps({"event": "claim_response", "summary_id": summary_id, "content": content})
         )
+        return content
 
 
 class LocalSeq2SeqExtractor:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -44,7 +45,6 @@ class RunConfig:
     claim_timeout: float = 60.0
     claim_max_retries: int = 2
     claim_max_tokens: int = 1024
-    claim_max_in_flight: int = 4
     coref_backend: str = "none"
     coref_max_sentences: int | None = None
     window_size: int = 5
@@ -72,6 +72,12 @@ class RunConfig:
             raise InputError(f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
         if self.mode not in MODES:
             raise InputError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if not 0 <= self.claim_max_retries <= 5:
+            raise InputError("claim_max_retries must be between 0 and 5")
+        if not (math.isfinite(self.claim_timeout) and self.claim_timeout > 0):
+            raise InputError(f"claim_timeout must be finite and above 0, got {self.claim_timeout}")
+        if self.claim_max_tokens < 1:
+            raise InputError("claim_max_tokens must be >= 1")
         if self.bootstrap_resamples < 1:
             raise InputError("bootstrap_resamples must be >= 1")
         if str(self.log_level).lower() not in _LOG_LEVELS:

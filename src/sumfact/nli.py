@@ -27,16 +27,13 @@ from __future__ import annotations
 
 import contextlib
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .documents import WORD_RE
 from .errors import NliBackendError, OversizedPremise
-
-if TYPE_CHECKING:
-    import requests
+from .remote import JsonService
 
 __all__ = [
     "EntailmentTriple",
@@ -322,13 +319,9 @@ class RemoteEntailmentBackend(EntailmentBackend):
 
     Protocol: POST ``{"pairs": [[premise, hypothesis], ...]}`` to ``url``;
     the service answers ``{"triples": [[ent, neu, con], ...]}`` in the same
-    order. Any transport failure, non-2xx status, length mismatch or invalid
-    triple raises :class:`NliBackendError`; each row is checked here, so
-    that a bad one names its pair. Unless a ``session`` is given, each pool
-    thread posts with a ``requests.Session`` of its own, since a session is
-    not documented as safe to share between threads. ``requests`` is
-    imported here, not with the module, so runs without a remote backend
-    never load it.
+    order, posted through :mod:`sumfact.remote` with 2 retries, as many as
+    the claim client's default. Each row is checked here, so that a bad one
+    names its pair.
     """
 
     def __init__(
@@ -339,36 +332,18 @@ class RemoteEntailmentBackend(EntailmentBackend):
         batch_size: int = 32,
         budget: PremiseBudget | None = None,
         workers: int = 1,
-        session: requests.Session | None = None,
     ):
-        import requests
-
         super().__init__(batch_size=batch_size, budget=budget, workers=workers)
         self.url = url
-        self.timeout = timeout
-        self._session = session
-        self._new_session = requests.Session
-        self._sessions = threading.local()
+        self._service = JsonService(
+            url, "entailment service", NliBackendError, timeout=timeout, retries=2
+        )
 
     def describe(self) -> str:
         return f"remote:{self.url}"
 
     def _infer(self, pairs: list[Pair], table: TextTable) -> list[Row]:
-        import requests
-
-        session = self._session or getattr(self._sessions, "session", None)
-        if session is None:
-            session = self._sessions.session = self._new_session()
-        try:
-            response = session.post(
-                self.url, json={"pairs": [[p, h] for p, h in pairs]}, timeout=self.timeout
-            )
-            response.raise_for_status()
-            payload = response.json()
-        except requests.RequestException as exc:
-            raise NliBackendError(f"entailment service at {self.url} failed: {exc}") from exc
-        except ValueError as exc:
-            raise NliBackendError(f"entailment service returned non-JSON output: {exc}") from exc
+        payload = self._service.post({"pairs": [[p, h] for p, h in pairs]})
         triples = payload.get("triples") if isinstance(payload, dict) else None
         if not isinstance(triples, list) or len(triples) != len(pairs):
             raise NliBackendError(

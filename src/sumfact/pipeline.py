@@ -21,7 +21,6 @@ from . import formats
 from .benchmark import config_fingerprint
 from .claims import (
     ClaimExtractor,
-    ExtractorConfig,
     FileCacheExtractor,
     LocalSeq2SeqExtractor,
     RemoteLlmExtractor,
@@ -103,19 +102,14 @@ def make_claim_extractor(config: RunConfig) -> ClaimExtractor | None:
     if kind == "remote":
         if not rest:
             raise InputError("claim_backend 'remote:' needs a URL")
-        try:
-            settings = ExtractorConfig(
-                target=rest,
-                model=config.claim_model,
-                timeout=config.claim_timeout,
-                max_retries=config.claim_max_retries,
-                api_key_env=config.claim_api_key_env,
-                max_tokens=config.claim_max_tokens,
-                max_in_flight=config.claim_max_in_flight,
-            )
-        except ValueError as exc:
-            raise InputError(f"claim extractor settings: {exc}") from exc
-        return RemoteLlmExtractor(settings)
+        return RemoteLlmExtractor(
+            rest,
+            model=config.claim_model,
+            timeout=config.claim_timeout,
+            max_retries=config.claim_max_retries,
+            api_key_env=config.claim_api_key_env,
+            max_tokens=config.claim_max_tokens,
+        )
     if kind == "local":
         if not rest:
             raise InputError("claim_backend 'local:' needs a model name or path")

@@ -22,6 +22,12 @@ def scorer(mock_backend):
 
 
 @pytest.fixture
+def fast_retries(monkeypatch):
+    """Retry remote requests 10 ms apart, not a second."""
+    monkeypatch.setattr("sumfact.remote.RETRY_DELAY", 0.01)
+
+
+@pytest.fixture
 def criterion(capsys):
     """Labelled top-level checks that print one scrapeable result line each.
 

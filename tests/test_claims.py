@@ -11,7 +11,6 @@ from sumfact import (
     PROMPT_TEMPLATE_ID,
     Claim,
     ClaimCacheMiss,
-    ExtractorConfig,
     ExtractorUnavailable,
     FileCacheExtractor,
     LocalSeq2SeqExtractor,
@@ -129,19 +128,14 @@ def envelope(content):
     return {"choices": [{"message": {"content": content}}]}
 
 
-def remote_config(url, **kwargs):
-    defaults = dict(target=url, retry_delay=0.01, timeout=5.0)
-    defaults.update(kwargs)
-    return ExtractorConfig(**defaults)
-
-
+@pytest.mark.usefixtures("fast_retries")
 class TestRemoteLlmExtractor:
     def test_success_and_request_shape(self):
         def handler(path, body, headers):
             return 200, envelope('{"claims": ["A cat sat."]}')
 
         with StubServer(handler) as server:
-            extractor = RemoteLlmExtractor(remote_config(server.url, model="m-1"))
+            extractor = RemoteLlmExtractor(server.url, model="m-1")
             claims = extractor.extract(summary())
             assert [c.text for c in claims] == ["A cat sat."]
             body = server.requests[0]["body"]
@@ -158,9 +152,7 @@ class TestRemoteLlmExtractor:
             return 200, envelope('{"claims": ["A cat sat."]}')
 
         with StubServer(handler) as server:
-            extractor = RemoteLlmExtractor(
-                remote_config(server.url, api_key_env="OTHER_KEY_VAR")
-            )
+            extractor = RemoteLlmExtractor(server.url, api_key_env="OTHER_KEY_VAR")
             extractor.extract(summary())
             assert server.requests[0]["headers"]["Authorization"] == "Bearer sekret-token"
 
@@ -172,7 +164,7 @@ class TestRemoteLlmExtractor:
 
         with caplog.at_level(logging.DEBUG, logger="sumfact.claims"):
             with StubServer(handler) as server:
-                RemoteLlmExtractor(remote_config(server.url)).extract(summary())
+                RemoteLlmExtractor(server.url).extract(summary())
         text = "\n".join(r.getMessage() for r in caplog.records)
         assert "<redacted>" in text
         assert "sekret-token" not in text
@@ -187,7 +179,7 @@ class TestRemoteLlmExtractor:
             return 200, envelope('{"claims": ["A cat sat."]}')
 
         with StubServer(handler) as server:
-            extractor = RemoteLlmExtractor(remote_config(server.url, max_retries=2))
+            extractor = RemoteLlmExtractor(server.url, max_retries=2)
             assert len(extractor.extract(summary())) == 1
             assert state["calls"] == 3
 
@@ -201,7 +193,7 @@ class TestRemoteLlmExtractor:
             return 200, envelope('{"claims": ["A cat sat."]}')
 
         with StubServer(handler) as server:
-            RemoteLlmExtractor(remote_config(server.url, max_retries=1)).extract(summary())
+            RemoteLlmExtractor(server.url, max_retries=1).extract(summary())
             assert state["calls"] == 2
 
     def test_gives_up_after_max_retries_plus_one(self):
@@ -209,7 +201,7 @@ class TestRemoteLlmExtractor:
             return 503, {"error": "down"}
 
         with StubServer(handler) as server:
-            extractor = RemoteLlmExtractor(remote_config(server.url, max_retries=1))
+            extractor = RemoteLlmExtractor(server.url, max_retries=1)
             with pytest.raises(ExtractorUnavailable, match="2 attempts"):
                 extractor.extract(summary())
             assert len(server.requests) == 2
@@ -219,7 +211,7 @@ class TestRemoteLlmExtractor:
             return 403, {"error": "forbidden"}
 
         with StubServer(handler) as server:
-            extractor = RemoteLlmExtractor(remote_config(server.url, max_retries=3))
+            extractor = RemoteLlmExtractor(server.url, max_retries=3)
             with pytest.raises(ExtractorUnavailable, match="403"):
                 extractor.extract(summary())
             assert len(server.requests) == 1
@@ -240,43 +232,38 @@ class TestRemoteLlmExtractor:
         monkeypatch.setattr(requests, "Session", Recording)
         summaries = [summary(sid=f"s{i}") for i in range(9)]
         with StubServer(handler) as server:
-            extractor = RemoteLlmExtractor(remote_config(server.url))
+            extractor = RemoteLlmExtractor(server.url)
             with ThreadPoolExecutor(max_workers=3) as pool:
                 claims = list(pool.map(extractor.extract, summaries))
             assert claims == [[Claim(f"s{i}", 0, "A cat sat.")] for i in range(9)]
             assert users and all(len(threads) == 1 for threads in users.values())
             # An injected session serves every thread.
             users.clear()
-            extractor = RemoteLlmExtractor(remote_config(server.url), session=Recording())
+            extractor = RemoteLlmExtractor(server.url, session=Recording())
             with ThreadPoolExecutor(max_workers=3) as pool:
                 list(pool.map(extractor.extract, summaries))
             assert len(users) == 1
         assert len(server.requests) == 18
 
     def test_malformed_envelope(self):
-        with StubServer(lambda *a: (200, {"nope": 1})) as server:
-            with pytest.raises(ExtractorUnavailable, match="envelope"):
-                RemoteLlmExtractor(remote_config(server.url)).extract(summary())
+        # A content that is not a string is malformed too, not a crash.
+        payloads = [{"nope": 1}, envelope(None), envelope(3), envelope(["A cat sat."])]
+        with StubServer(lambda *a: (200, payloads[len(server.requests) - 1])) as server:
+            for _ in payloads:
+                with pytest.raises(ExtractorUnavailable, match="malformed completion envelope"):
+                    RemoteLlmExtractor(server.url).extract(summary())
+            assert len(server.requests) == len(payloads)
 
     def test_unreachable_endpoint(self):
-        extractor = RemoteLlmExtractor(remote_config(dead_url(), max_retries=0))
+        extractor = RemoteLlmExtractor(dead_url(), max_retries=0)
         with pytest.raises(ExtractorUnavailable, match="1 attempts"):
             extractor.extract(summary())
 
     def test_describe_mentions_target_and_model(self):
-        extractor = RemoteLlmExtractor(remote_config("http://example.invalid/", model="m"))
+        extractor = RemoteLlmExtractor("http://example.invalid/", model="m")
         assert "http://example.invalid/" in extractor.describe()
         assert "#m" in extractor.describe()
-
-
-class TestExtractorConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="max_retries"):
-            ExtractorConfig(target="x", max_retries=9)
-        with pytest.raises(ValueError, match="timeout"):
-            ExtractorConfig(target="x", timeout=0)
-        with pytest.raises(ValueError, match="max_in_flight"):
-            ExtractorConfig(target="x", max_in_flight=0)
+        assert extractor.describe() == "remote-llm:http://example.invalid/#m@t=0.0"
 
 
 class TestLocalSeq2SeqExtractor:

@@ -13,8 +13,9 @@ from click.testing import CliRunner
 
 from sumfact.cli import main
 
+import oracles
 from cases import random_news_corpus
-from stubserver import dead_url
+from stubserver import StubServer, dead_url
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -119,7 +120,7 @@ class TestScore:
         assert result.exit_code == 2
         assert "ClaimCacheMiss" in result.stderr
 
-    def test_unreachable_nli_backend_exits_3(self, runner, tmp_path):
+    def test_unreachable_nli_backend_exits_3(self, runner, tmp_path, fast_retries):
         docs, sums, _ = corpus(tmp_path)
         result = runner.invoke(main, ["score", docs, sums, "--nli-backend", f"remote:{dead_url()}"])
         assert result.exit_code == 3
@@ -387,8 +388,11 @@ class TestMalformedInput:
         [
             ({"claim_max_retries": 9}, "max_retries"),
             ({"claim_timeout": 0}, "timeout"),
-            ({"claim_max_in_flight": 0}, "max_in_flight"),
+            ({"claim_timeout": float("nan")}, "claim_timeout must be finite and above 0"),
             ({"claim_max_tokens": 0}, "max_tokens"),
+            ({"claim_timeout": float("inf")}, "claim_timeout must be finite and above 0"),
+            # A removed setting is an unknown key, not silently ignored.
+            ({"claim_max_in_flight": 4}, "unknown key 'claim_max_in_flight'"),
         ],
     )
     def test_out_of_range_claim_settings_exit_2(self, runner, tmp_path, setting, message):
@@ -585,6 +589,29 @@ class TestBenchmark:
         assert lines[2] == "v2,main,validation,unknown,not_factual,0.000000,not_factual"
         assert len(lines) == 5
 
+    def test_nli_blip_leaves_report_unchanged(self, runner, tmp_path, fast_retries):
+        records = benchmark_file(tmp_path)
+        blips = []
+
+        def handler(path, body, headers):
+            if blips and len(server.requests) == blips[0]:
+                return 503, {"error": "busy"}
+            return 200, {"triples": [oracles.mock_triple(p, h) for p, h in body["pairs"]]}
+
+        config = write(tmp_path, "run.json", json.dumps({"nli_batch_size": 1}))
+        mock = ["benchmark", records, "--config", config]
+        with StubServer(handler) as server:
+            args = mock + ["--nli-backend", f"remote:{server.url}"]
+            clean = runner.invoke(main, args)
+            assert clean.exit_code == 0, clean.stderr
+            sent = len(server.requests)
+            blips.append(sent + 2)  # the second batch of the next run, once
+            flaky = runner.invoke(main, args)
+            assert flaky.exit_code == 0, flaky.stderr
+            assert len(server.requests) == 2 * sent + 1
+        assert flaky.stdout_bytes == clean.stdout_bytes
+        assert clean.stdout_bytes == runner.invoke(main, mock).stdout_bytes
+
     def test_cache_reuse_and_fingerprint_separation(self, runner, tmp_path):
         records = benchmark_file(tmp_path)
         cache_dir = tmp_path / "cache"
@@ -767,8 +794,7 @@ class TestHttpStackLoadsOnDemand:
         "statement",
         [
             "from sumfact.nli import RemoteEntailmentBackend; RemoteEntailmentBackend('http://x')",
-            "from sumfact.claims import ExtractorConfig, RemoteLlmExtractor;"
-            " RemoteLlmExtractor(ExtractorConfig(target='http://x'))",
+            "from sumfact.claims import RemoteLlmExtractor; RemoteLlmExtractor('http://x')",
         ],
         ids=["nli", "claims"],
     )

@@ -1,7 +1,10 @@
 """Run configuration: defaults, file loading, flag precedence, validation."""
 
+import dataclasses
 import json
+import re
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +36,14 @@ class TestDefaults:
 
     def test_no_file_no_overrides(self):
         assert load_run_config() == RunConfig()
+
+
+class TestReadmeKeys:
+    def test_all_keys_table_lists_exactly_the_fields(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        table = readme.split("Unknown keys are errors. All keys:", 1)[1].split("\n\n", 2)[1]
+        keys = re.findall(r"^\| `(\w+)`", table, flags=re.MULTILINE)
+        assert keys == [f.name for f in dataclasses.fields(RunConfig)]
 
 
 class TestFileLoading:
@@ -149,6 +160,10 @@ class TestValidation:
             ({"cache_dir": ["a"]}, "config key 'cache_dir': not a string"),
             ({"claim_model": {"x": 1}}, "config key 'claim_model': not a string"),
             ({"claim_api_key_env": 5}, "config key 'claim_api_key_env': not a string"),
+            ({"claim_max_retries": 9}, "claim_max_retries"),
+            ({"claim_max_retries": -1}, "claim_max_retries"),
+            ({"claim_timeout": 0}, "claim_timeout"),
+            ({"claim_max_tokens": 0}, "claim_max_tokens"),
         ],
     )
     def test_rejections(self, tmp_path, overrides, needle):

@@ -473,17 +473,46 @@ class TestRemoteBackend:
             with pytest.raises(NliBackendError, match="1 triples for 2 pairs"):
                 RemoteEntailmentBackend(server.url).submit([("a", "b"), ("c", "d")]).scores()
 
-    def test_http_error(self):
+    def test_http_error(self, fast_retries):
+        # A 5xx is retried twice, then the error names the attempts.
         with StubServer(lambda *a: (500, {"oops": True})) as server:
-            with pytest.raises(NliBackendError, match="failed"):
+            with pytest.raises(NliBackendError, match=r"failed after 3 attempts \(HTTP 500\)"):
                 RemoteEntailmentBackend(server.url).submit([("a", "b")]).scores()
+            assert len(server.requests) == 3
 
-    def test_non_json_response(self):
-        # requests may surface this as a transport error or a decode error
-        # depending on version; either way it must become NliBackendError.
-        with StubServer(lambda *a: (200, b"not json at all")) as server:
-            with pytest.raises(NliBackendError, match="entailment service"):
+    def test_client_error_fails_at_once(self, fast_retries):
+        with StubServer(lambda *a: (400, {"error": "bad request"})) as server:
+            with pytest.raises(NliBackendError, match="rejected the request with HTTP 400"):
                 RemoteEntailmentBackend(server.url).submit([("a", "b")]).scores()
+            assert len(server.requests) == 1
+
+    def test_non_json_response(self, fast_retries):
+        with StubServer(lambda *a: (200, b"not json at all")) as server:
+            with pytest.raises(NliBackendError, match="entailment service .* non-JSON output"):
+                RemoteEntailmentBackend(server.url).submit([("a", "b")]).scores()
+            assert len(server.requests) == 1
+
+    def test_503_then_success_scores_as_a_clean_run(self, fast_retries):
+        answered = []
+
+        def handler(path, body, headers):
+            if len(answered) == 1 and len(server.requests) == 2:
+                return 503, {"error": "busy"}
+            answered.append(body)
+            return 200, {"triples": [oracles.mock_triple(p, h) for p, h in body["pairs"]]}
+
+        doc = doc_from_sentences("d", [f"alpha beta w{i}." for i in range(9)])
+        claims = [Claim("s", i, f"alpha w{i} gamma.") for i in range(4)]
+        expected = Scorer(MockEntailmentBackend(batch_size=2))
+        (want,) = score_block(expected, [(doc, claims, False)])
+        with StubServer(handler) as server:
+            scorer = Scorer(RemoteEntailmentBackend(server.url, batch_size=2))
+            (report,) = score_block(scorer, [(doc, claims, False)])
+        assert report == want
+        assert scorer.backend_calls == expected.backend_calls
+        # The second batch was refused once and sent again.
+        assert len(server.requests) == len(answered) + 1
+        assert server.requests[1]["body"] == server.requests[2]["body"]
 
     def test_invalid_triple_values(self):
         with StubServer(lambda *a: (200, {"triples": [[2.0, 0.0, 0.0]]})) as server:
@@ -548,9 +577,9 @@ class TestRemoteBackend:
                     backend._executor.shutdown(wait=True)
         assert users and all(len(threads) == 1 for threads in users.values())
 
-    def test_connection_refused(self):
+    def test_connection_refused(self, fast_retries):
         backend = RemoteEntailmentBackend(dead_url(), timeout=2.0)
-        with pytest.raises(NliBackendError, match="failed"):
+        with pytest.raises(NliBackendError, match="failed after 3 attempts"):
             backend.submit([("a", "b")]).scores()
 
 

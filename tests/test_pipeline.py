@@ -138,17 +138,15 @@ class TestClaimFactory:
             claim_max_retries=4,
             claim_api_key_env="OTHER_KEY",
             claim_max_tokens=256,
-            claim_max_in_flight=2,
         )
         extractor = make_claim_extractor(config)
         assert isinstance(extractor, RemoteLlmExtractor)
-        assert extractor.config.target == "http://llm.local/chat"
-        assert extractor.config.model == "m2"
-        assert extractor.config.timeout == 12.0
-        assert extractor.config.max_retries == 4
-        assert extractor.config.api_key_env == "OTHER_KEY"
-        assert extractor.config.max_tokens == 256
-        assert extractor.config.max_in_flight == 2
+        assert extractor.service.url == "http://llm.local/chat"
+        assert extractor.model == "m2"
+        assert extractor.service.timeout == 12.0
+        assert extractor.service.retries == 4
+        assert extractor.api_key_env == "OTHER_KEY"
+        assert extractor.max_tokens == 256
 
     def test_remote_needs_url(self):
         with pytest.raises(InputError, match="needs a URL"):
@@ -156,9 +154,10 @@ class TestClaimFactory:
 
     @pytest.mark.parametrize("max_tokens", [0, -1])
     def test_remote_rejects_max_tokens_below_one(self, max_tokens):
+        # Checked with every other key, before any backend is built.
         config = RunConfig(claim_backend="remote:http://llm.local/chat", claim_max_tokens=max_tokens)
         with pytest.raises(InputError, match="max_tokens must be >= 1"):
-            make_claim_extractor(config)
+            config.validate()
 
     def test_local(self):
         extractor = make_claim_extractor(RunConfig(claim_backend="local:flan-x"))
@@ -261,7 +260,6 @@ class TestScorerFingerprint:
         "claim_api_key_env": ("claim transport only", "OTHER_KEY"),
         "claim_timeout": ("claim transport only", 5.0),
         "claim_max_retries": ("claim transport only", 0),
-        "claim_max_in_flight": ("claim transport only", 1),
     }
     # Fingerprinted fields that nli_sent leaves out: it scores the summary
     # sentences and never calls the claim extractor.
