@@ -64,7 +64,6 @@ from .errors import (
 )
 from .nli import (
     EntailmentBackend,
-    EntailmentTriple,
     LocalEntailmentBackend,
     MockEntailmentBackend,
     PremiseBudget,

@@ -9,8 +9,8 @@ spread estimate. Scoring is the expensive part, so scores can be cached on
 disk keyed by a scorer-configuration fingerprint and the record id, each
 score stored with a digest of the record's line so that an edited record is
 scored again; tuning and evaluation never call back into the scorer. Tuning
-and evaluation need only a record's labels, so a run can hold light rows
-(:class:`BenchmarkRow`) and build each full :class:`BenchmarkRecord` only
+and evaluation need only a record's labels, so a run holds light rows
+(:class:`BenchmarkRow`) and builds each full :class:`BenchmarkRecord` only
 when it is scored.
 """
 
@@ -48,9 +48,6 @@ __all__ = [
     "run_benchmark",
     "config_fingerprint",
 ]
-
-FACTUAL = True
-NOT_FACTUAL = False
 
 # The score cache is saved after every this many scored records (16 blocks at
 # the default ``nli_batch_size``), so a run that is killed keeps most of them.
@@ -95,7 +92,7 @@ class BenchmarkRow:
     dataset: str
     split: str
     offset: int
-    digest: bytes | None = None
+    digest: bytes
 
 
 @dataclass(frozen=True)
@@ -104,10 +101,6 @@ class Confusion:
     fp: int
     tn: int
     fn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
 
     def as_dict(self) -> dict[str, int]:
         return {"tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn}
@@ -350,12 +343,9 @@ def _bootstrap_std(
     return statistics.pstdev(values)
 
 
-Record = BenchmarkRecord | BenchmarkRow
-
-
 def run_benchmark(
-    records: Sequence[Record],
-    score_records: Callable[[list[Record]], Iterable[float]],
+    records: Sequence[BenchmarkRow],
+    score_records: Callable[[list[BenchmarkRow]], Iterable[float]],
     protocol: str,
     *,
     cache: "ScoreCache | None" = None,
@@ -364,12 +354,11 @@ def run_benchmark(
 ) -> BenchmarkReport:
     """Score, tune, and evaluate; deterministic given a deterministic scorer.
 
-    ``records`` are full records or light rows: only their labels are read
-    here, and a row's ``digest``, which the cache keeps with its score (full
-    records have none). ``score_records`` gets the records the cache cannot
-    answer, in input order, and returns one score for each; the cache is
-    saved every :data:`CHECKPOINT_RECORDS` scores and when it is done or
-    fails.
+    Only the rows' labels are read here, and each row's ``digest``, which
+    the cache keeps with its score. ``score_records`` gets the rows the
+    cache cannot answer, in input order, and returns one score for each; the
+    cache is saved every :data:`CHECKPOINT_RECORDS` scores and when it is
+    done or fails.
     ``per_split`` tunes one threshold per dataset on its validation split;
     ``single_threshold`` tunes once on all validation records pooled.
     Datasets are processed in sorted name order. ``bootstrap_seed=None``
@@ -379,7 +368,7 @@ def run_benchmark(
         raise InputError(f"unknown protocol {protocol!r}")
     if not records:
         raise InputError("benchmark needs at least one record")
-    by_dataset: dict[str, dict[str, list[Record]]] = {}
+    by_dataset: dict[str, dict[str, list[BenchmarkRow]]] = {}
     for record in records:
         by_dataset.setdefault(record.dataset, {"validation": [], "test": []})[
             record.split
@@ -452,19 +441,18 @@ def run_benchmark(
 
 
 def _score_records(
-    records: Sequence[Record],
-    score_records: Callable[[list[Record]], Iterable[float]],
+    records: Sequence[BenchmarkRow],
+    score_records: Callable[[list[BenchmarkRow]], Iterable[float]],
     cache: "ScoreCache | None",
 ) -> dict[str, float]:
     scores: dict[str, float] = {}
-    pending: list[Record] = []
+    pending: list[BenchmarkRow] = []
     seen: set[str] = set()
     for record in records:
         if record.record_id in seen:
             raise InputError(f"duplicate record id '{record.record_id}'")
         seen.add(record.record_id)
-        digest = getattr(record, "digest", None)
-        cached = cache.get(record.record_id, digest) if cache is not None else None
+        cached = cache.get(record.record_id, record.digest) if cache is not None else None
         if cached is not None:
             scores[record.record_id] = cached
         else:
@@ -475,7 +463,7 @@ def _score_records(
             for n, (record, score) in enumerate(scored, start=1):
                 scores[record.record_id] = score
                 if cache is not None:
-                    cache.put(record.record_id, score, getattr(record, "digest", None))
+                    cache.put(record.record_id, score, record.digest)
                     if n % CHECKPOINT_RECORDS == 0:
                         cache.save()
         finally:
@@ -498,16 +486,16 @@ class ScoreCache:
     configuration hashes to a different file, so stale scores can never leak
     across configurations. The file is a JSON object keyed by record id;
     each entry is ``[score, "<hex digest>"]``, the digest of the record's
-    line when it was scored, or a plain score for a record put without a
-    digest. A cached score answers only a record with the same digest (or,
-    for a plain score, none), so an edited record is scored again, and so is
-    every record of a cache written before digests were stored, once.
+    line when it was scored. A cached score answers only a record with the
+    same digest, so an edited record is scored again. A plain score, as a
+    cache written before digests were stored holds, is checked but answers
+    no record and is not written back, so such a cache is scored again once.
     """
 
     def __init__(self, directory: str, fingerprint: str):
         self.path = os.path.join(directory, f"scores-{fingerprint}.json")
-        # record id -> (score, hex digest or None)
-        self._entries: dict[str, tuple[float, str | None]] = {}
+        # record id -> (score, hex digest)
+        self._entries: dict[str, tuple[float, str]] = {}
         self._dirty = False
         if os.path.exists(self.path):
             with open(self.path, "r", encoding="utf-8") as fh:
@@ -533,17 +521,18 @@ class ScoreCache:
                         pass
                 if not math.isfinite(score):
                     raise InputError(f"score cache {self.path}: entry '{key}' is not a number")
-                self._entries[key] = (score, digest)
+                if digest is not None:
+                    self._entries[key] = (score, digest)
 
-    def get(self, record_id: str, digest: bytes | None = None) -> float | None:
+    def get(self, record_id: str, digest: bytes) -> float | None:
         """The cached score of ``record_id``, if it was stored with ``digest``."""
         entry = self._entries.get(record_id)
-        if entry is None or entry[1] != (None if digest is None else digest.hex()):
+        if entry is None or entry[1] != digest.hex():
             return None
         return entry[0]
 
-    def put(self, record_id: str, score: float, digest: bytes | None = None) -> None:
-        self._entries[record_id] = (score, None if digest is None else digest.hex())
+    def put(self, record_id: str, score: float, digest: bytes) -> None:
+        self._entries[record_id] = (score, digest.hex())
         self._dirty = True
 
     def save(self) -> None:
@@ -551,12 +540,8 @@ class ScoreCache:
             return
         os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
         tmp = self.path + ".tmp"
-        data = {
-            key: score if digest is None else [score, digest]
-            for key, (score, digest) in self._entries.items()
-        }
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(data, sort_keys=True))
+            fh.write(json.dumps(self._entries, sort_keys=True))
         os.replace(tmp, self.path)
         self._dirty = False
 

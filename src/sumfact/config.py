@@ -92,6 +92,10 @@ class RunConfig:
                 raise InputError(
                     f"backend selector {selector!r}: kind must be one of {allowed}"
                 )
+        if self.nli_max_units and self.nli_max_units < 16:  # 0, like None, means unlimited
+            raise InputError("nli_max_units: budget below 16 units cannot fit any useful pair")
+        if self.coref_max_sentences is not None and self.coref_max_sentences < 1:
+            raise InputError("coref_max_sentences: max_sentences must be >= 1 when set")
 
 
 def scoring_params(config: RunConfig) -> ScoringParams:

@@ -358,8 +358,8 @@ def read_benchmark_records(path: str, rows: Iterable[BenchmarkRow]) -> Iterator[
 
     The file must not change between the two passes: a line that is not the
     one the row was built from raises :class:`InputError`, which says whether
-    the line no longer holds a valid record with the row's id or, with the
-    row's ``digest``, still holds one but was edited.
+    the line no longer holds a valid record with the row's id or still holds
+    one but was edited (its digest differs from the row's).
     """
     with _open(path) as fh:
         for row in rows:
@@ -373,7 +373,7 @@ def read_benchmark_records(path: str, rows: Iterable[BenchmarkRow]) -> Iterator[
             changed = f"{path} changed during the run: record '{row.record_id}'"
             if full is None or full.record_id != row.record_id:
                 raise InputError(f"{changed} is no longer at byte {row.offset}")
-            if row.digest is not None and row.digest != _line_digest(line):
+            if row.digest != _line_digest(line):
                 raise InputError(f"{changed} at byte {row.offset} was edited")
             yield full
 

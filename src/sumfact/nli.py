@@ -16,11 +16,11 @@ batches in flight at once, and returns one row of three floats per pair,
 ``(entailment, neutral, contradiction)``; it may read per-text features from
 the table, computed once per call, and must not retain the table, which
 lives only for that one call. The :class:`Inference` that ``submit`` returns
-checks every row once, with the rule of :class:`EntailmentTriple`, as it
-reads it, and gives each pair's alignment score
-(``submit(pairs).scores()``), the one way a backend is read. ``submit``
-starts a call without waiting for it, so a caller can have the next call's
-batches in flight while it reads this one's.
+checks every row once, with the one row rule (:func:`_checked`), as it reads
+it, and gives each pair's alignment score (``submit(pairs).scores()``), the
+one way a backend is read. ``submit`` starts a call without waiting for it,
+so a caller can have the next call's batches in flight while it reads this
+one's.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .errors import NliBackendError, OversizedPremise
 from .remote import JsonService
 
 __all__ = [
-    "EntailmentTriple",
     "PremiseBudget",
     "TextTable",
     "Inference",
@@ -55,7 +54,13 @@ _NAMES = ("entailment", "neutral", "contradiction")
 
 
 def _checked(e: float, n: float, c: float) -> Row:
-    """A probability row, checked and renormalized (see :class:`EntailmentTriple`)."""
+    """A probability row, checked and renormalized: the one row rule.
+
+    Each probability must lie in [0, 1] and the three must sum to 1 within
+    1e-3; otherwise ``ValueError`` names the first offending value, or the
+    sum. A row that sums to exactly 1 is returned as is, any other is
+    renormalized to sum to 1.
+    """
     if not (0.0 <= e <= 1.0 and 0.0 <= n <= 1.0 and 0.0 <= c <= 1.0):
         # NaN fails every comparison, so it lands here too.
         for name, value in zip(_NAMES, (e, n, c)):
@@ -67,30 +72,6 @@ def _checked(e: float, n: float, c: float) -> Row:
     if abs(total - 1.0) > _SUM_TOLERANCE:
         raise ValueError(f"probabilities sum to {total!r}, expected 1 within {_SUM_TOLERANCE}")
     return e / total, n / total, c / total
-
-
-@dataclass(frozen=True)
-class EntailmentTriple:
-    """Class probabilities for one premise/hypothesis pair.
-
-    Each component must lie in [0, 1] and the three must sum to 1 within
-    1e-3; larger deviations raise. On construction the triple is renormalized
-    so the stored components sum to exactly 1.
-    """
-
-    entailment: float
-    neutral: float
-    contradiction: float
-
-    def __post_init__(self) -> None:
-        row = _checked(self.entailment, self.neutral, self.contradiction)
-        for name, value in zip(_NAMES, row):
-            object.__setattr__(self, name, value)
-
-    @property
-    def score(self) -> float:
-        """Signed alignment score: entailment minus contradiction."""
-        return self.entailment - self.contradiction
 
 
 @dataclass(frozen=True)
@@ -158,9 +139,9 @@ class Inference:
     backend's pool on construction.
 
     Results are gathered in batch order, and every row is checked once as
-    it is read, with the rule of :class:`EntailmentTriple`, so a failure
-    raises that of the first failing batch, and cancels the batches not yet
-    started, as :meth:`cancel` does.
+    it is read, with the rule of :func:`_checked`, so a failure raises that
+    of the first failing batch, and cancels the batches not yet started, as
+    :meth:`cancel` does.
     """
 
     def __init__(

@@ -61,10 +61,8 @@ def _split_selector(selector: str) -> tuple[str, str]:
 
 def make_nli_backend(config: RunConfig) -> EntailmentBackend:
     kind, rest = _split_selector(config.nli_backend)
-    try:
-        budget = PremiseBudget(config.nli_max_units) if config.nli_max_units else None
-    except ValueError as exc:
-        raise InputError(f"nli_max_units: {exc}") from exc
+    max_units = config.nli_max_units or None  # 0, like None, means unlimited
+    budget = PremiseBudget(max_units) if max_units else None
     batching = {"batch_size": config.nli_batch_size, "workers": config.workers}
     if kind == "mock":
         return MockEntailmentBackend(budget=budget, **batching)
@@ -75,7 +73,7 @@ def make_nli_backend(config: RunConfig) -> EntailmentBackend:
     if kind == "local":
         if not rest:
             raise InputError("nli_backend 'local:' needs a checkpoint name or path")
-        return LocalEntailmentBackend(rest, max_units=config.nli_max_units, **batching)
+        return LocalEntailmentBackend(rest, max_units=max_units, **batching)
     raise InputError(f"unknown nli_backend {config.nli_backend!r}")
 
 
@@ -84,10 +82,7 @@ def make_coref_backend(config: RunConfig) -> CorefBackend:
     if kind == "none":
         return NoopCorefBackend()
     if kind == "heuristic":
-        try:
-            return HeuristicCorefBackend(max_sentences=config.coref_max_sentences)
-        except ValueError as exc:
-            raise InputError(f"coref_max_sentences: {exc}") from exc
+        return HeuristicCorefBackend(max_sentences=config.coref_max_sentences)
     raise InputError(f"unknown coref_backend {config.coref_backend!r}")
 
 
@@ -128,7 +123,7 @@ def scorer_fingerprint(
     """
     parts: dict[str, object] = {
         "nli": backend.describe(),
-        "nli_max_units": config.nli_max_units,
+        "nli_max_units": config.nli_max_units or None,
         "coref": config.coref_backend,
         "coref_max_sentences": config.coref_max_sentences,
         "mode": config.mode,

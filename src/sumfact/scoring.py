@@ -508,10 +508,14 @@ class Scorer:
     ) -> list[Request]:
         """The window and document requests of each gate miss, in job order.
 
-        Each document's window table serves every claim of it in this wave
-        and is dropped once the requests are built. The tables build on the
-        block's map of sizes (see :class:`WindowTable`), which goes with the
-        wave to the backend.
+        A claim's window request holds every k-window (``k`` clamped to the
+        document's length) or its budget chunks, lowest start first, and its
+        document request the whole document or its chunks. ``room`` is the
+        budget less the claim's size, so a premise fits exactly when premise
+        and claim fit the budget together. Each document's window table
+        serves every claim of it in this wave and is dropped once the
+        requests are built. The tables build on the block's map of sizes
+        (see :class:`WindowTable`), which goes with the wave to the backend.
         """
         tables: dict[int, WindowTable] = {}
         requests = []
@@ -520,21 +524,10 @@ class Scorer:
             if table is None:
                 table = tables[id(doc)] = WindowTable(doc, self.backend, sizes)
             room = table.room(claim.text)
-            for k in (self.params.window_size, len(doc.sentences)):
-                requests.append(self._window_request(table, claim, k, room))
+            for k in (min(self.params.window_size, table.n), table.n):
+                stage = "document" if k == table.n else "window"
+                requests.append((table.candidates(k, room), claim, stage))
         return requests
-
-    def _window_request(
-        self, table: WindowTable, claim: Claim, k: int, room: int | None
-    ) -> Request:
-        """Every k-window (``k`` clamped to ``n``) or its budget chunks, lowest start first.
-
-        ``room`` is the budget less the claim's size (``table.room``),
-        so a premise fits exactly when premise and claim fit the budget
-        together.
-        """
-        k = min(k, table.n)
-        return table.candidates(k, room), claim, "document" if k == table.n else "window"
 
 
 class WindowTable:

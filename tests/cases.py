@@ -10,6 +10,7 @@ the document length.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
@@ -17,13 +18,13 @@ from sumfact import (
     Claim,
     CorefCluster,
     Document,
-    EntailmentTriple,
     Mention,
     MockEntailmentBackend,
     Sentence,
     Summary,
 )
-from sumfact.nli import TextTable
+from sumfact.benchmark import BenchmarkRow
+from sumfact.nli import TextTable, _checked
 
 VOCAB = [
     "alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta",
@@ -55,10 +56,10 @@ def doc_from_sentences(doc_id, texts, clusters=()):
 
 
 def triples(backend, pairs):
-    """Each pair's checked, renormalized triple, from the backend's full
-    ``(entailment, neutral, contradiction)`` rows of one ``_infer`` call."""
+    """Each pair's ``(entailment, neutral, contradiction)`` row from one
+    ``_infer`` call, checked and renormalized by the backend's row rule."""
     pairs = list(pairs)
-    return [EntailmentTriple(*row) for row in backend._infer(pairs, TextTable(backend, [pairs]))]
+    return [_checked(*row) for row in backend._infer(pairs, TextTable(backend, [pairs]))]
 
 
 class RecordingBackend(MockEntailmentBackend):
@@ -91,6 +92,13 @@ def summary_from_sentences(summary_id, document_id, texts):
         sentences.append(Sentence(i, cursor, cursor + len(t), t))
         cursor += len(t) + 1
     return Summary(summary_id, document_id, " ".join(texts), tuple(sentences))
+
+
+def benchmark_row(record_id, dataset, split, gold):
+    """A benchmark row as the records file's first pass gives one, at offset
+    0, with the digest of its id standing in for that of its line."""
+    digest = hashlib.blake2b(record_id.encode(), digest_size=16).digest()
+    return BenchmarkRow(record_id, gold, "sys", dataset, split, 0, digest)
 
 
 class GivenClaims:

@@ -189,7 +189,9 @@ def window_stage(scorer, doc, claim, k: int):
     from sumfact.scoring import WindowTable
 
     table = WindowTable(doc, scorer.backend, {})
-    request = scorer._window_request(table, claim, k, table.room(claim.text))
+    k = min(k, table.n)
+    candidates = table.candidates(k, table.room(claim.text))
+    request = (candidates, claim, "document" if k == table.n else "window")
     return scorer._collect(scorer._request([request], {}, table.sizes))[0]
 
 

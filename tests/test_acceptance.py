@@ -16,7 +16,6 @@ from dataclasses import replace
 import pytest
 
 from sumfact import (
-    BenchmarkRecord,
     Claim,
     MockEntailmentBackend,
     NoopCorefBackend,
@@ -33,6 +32,7 @@ from sumfact.pipeline import score_corpus
 
 from cases import (
     GivenClaims,
+    benchmark_row,
     doc_from_sentences,
     random_case,
     score_block,
@@ -205,12 +205,6 @@ def test_claim_overlap_metrics(criterion):
             assert easiness_recall(left, right) == easiness_precision(right, left)
 
 
-def _record(rid, dataset, split, gold):
-    doc = doc_from_sentences(f"{rid}:doc", ["alpha beta gamma."])
-    summary = summary_from_sentences(f"{rid}:sum", f"{rid}:doc", ["alpha beta gamma."])
-    return BenchmarkRecord(rid, doc, summary, gold, "sys", dataset, split)
-
-
 def _table_scorer(table):
     return lambda pending: [table[record.record_id] for record in pending]
 
@@ -220,10 +214,10 @@ def test_benchmark_balanced_accuracy(criterion):
     with criterion("benchmark-balanced-accuracy"):
         # Perfectly separable scores: balanced accuracy exactly 1.0.
         records = [
-            _record("v1", "d", "validation", True),
-            _record("v2", "d", "validation", False),
-            _record("t1", "d", "test", True),
-            _record("t2", "d", "test", False),
+            benchmark_row("v1", "d", "validation", True),
+            benchmark_row("v2", "d", "validation", False),
+            benchmark_row("t1", "d", "test", True),
+            benchmark_row("t2", "d", "test", False),
         ]
         table = {"v1": 0.9, "v2": 0.1, "t1": 0.8, "t2": 0.2}
         report = run_benchmark(
@@ -243,14 +237,14 @@ def test_benchmark_balanced_accuracy(criterion):
         # Two datasets that separate at different thresholds: pooling costs
         # accuracy in a predictable way, averaging exactly 0.75.
         mixed = [
-            _record("a1", "A", "validation", True),
-            _record("a2", "A", "validation", False),
-            _record("a3", "A", "test", True),
-            _record("a4", "A", "test", False),
-            _record("b1", "B", "validation", True),
-            _record("b2", "B", "validation", False),
-            _record("b3", "B", "test", True),
-            _record("b4", "B", "test", False),
+            benchmark_row("a1", "A", "validation", True),
+            benchmark_row("a2", "A", "validation", False),
+            benchmark_row("a3", "A", "test", True),
+            benchmark_row("a4", "A", "test", False),
+            benchmark_row("b1", "B", "validation", True),
+            benchmark_row("b2", "B", "validation", False),
+            benchmark_row("b3", "B", "test", True),
+            benchmark_row("b4", "B", "test", False),
         ]
         scores = {
             "a1": 0.6, "a2": 0.4, "a3": 0.55, "a4": 0.45,

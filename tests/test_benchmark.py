@@ -24,10 +24,13 @@ from sumfact.benchmark import _bootstrap_std, config_fingerprint
 from sumfact.config import ordered_map
 
 import oracles
-from cases import doc_from_sentences, summary_from_sentences
+from cases import benchmark_row as rec, doc_from_sentences, summary_from_sentences
+
+D1, D2, D3 = (bytes([i]) * 16 for i in (1, 2, 3))
 
 
-def rec(rid, dataset, split, gold):
+def record(rid, dataset, split, gold):
+    """A full record, checked as it is built."""
     doc = doc_from_sentences(f"{rid}:doc", ["alpha beta."])
     summ = summary_from_sentences(f"{rid}:sum", f"{rid}:doc", ["alpha."])
     return BenchmarkRecord(rid, doc, summ, gold, "sys", dataset, split)
@@ -63,7 +66,7 @@ SPLIT_RECORDS = [
 class TestRecordValidation:
     def test_bad_split(self):
         with pytest.raises(InputError, match="split"):
-            rec("r", "A", "train", True)
+            record("r", "A", "train", True)
 
     def test_document_id_mismatch(self):
         doc = doc_from_sentences("doc-x", ["alpha."])
@@ -365,8 +368,9 @@ class TestRunBenchmark:
 
     def test_batch_gets_uncached_records_in_input_order(self, tmp_path):
         cache = ScoreCache(str(tmp_path), "partial")
-        cache.put("a2", SPLIT_SCORES["a2"])
-        cache.put("b3", SPLIT_SCORES["b3"])
+        for row in SPLIT_RECORDS:
+            if row.record_id in ("a2", "b3"):
+                cache.put(row.record_id, SPLIT_SCORES[row.record_id], row.digest)
         batches = []
 
         def score_records(pending):
@@ -385,27 +389,25 @@ class TestRunBenchmark:
 class TestScoreCache:
     def test_round_trip(self, tmp_path):
         cache = ScoreCache(str(tmp_path), "deadbeef00000000")
-        cache.put("r1", 0.75)
+        cache.put("r1", 0.75, D1)
         cache.save()
         assert cache.path.endswith("scores-deadbeef00000000.json")
         reloaded = ScoreCache(str(tmp_path), "deadbeef00000000")
-        assert reloaded.get("r1") == 0.75
-        assert reloaded.get("unknown") is None
+        assert reloaded.get("r1", D1) == 0.75
+        assert reloaded.get("unknown", D1) is None
 
     def test_score_answers_only_its_digest(self, tmp_path):
+        # "r2" is a plain score, as a cache written before digests were stored holds.
+        path = tmp_path / "scores-digests.json"
+        path.write_text(json.dumps({"r1": [0.75, "01" * 16], "r2": 0.25}))
         cache = ScoreCache(str(tmp_path), "digests")
-        cache.put("r1", 0.75, b"\x01" * 16)
-        cache.put("r2", 0.25)
+        assert cache.get("r1", D1) == 0.75
+        assert cache.get("r1", D2) is None
+        # A plain score answers no record, and is not written back.
+        assert cache.get("r2", D1) is None
+        cache.put("r3", 0.5, D3)
         cache.save()
-        reloaded = ScoreCache(str(tmp_path), "digests")
-        assert reloaded.get("r1", b"\x01" * 16) == 0.75
-        assert reloaded.get("r1", b"\x02" * 16) is None
-        assert reloaded.get("r1") is None
-        # A plain score (a record put without a digest) answers no digest.
-        assert reloaded.get("r2") == 0.25
-        assert reloaded.get("r2", b"\x01" * 16) is None
-        text = (tmp_path / "scores-digests.json").read_text()
-        assert json.loads(text) == {"r1": [0.75, "01" * 16], "r2": 0.25}
+        assert json.loads(path.read_text()) == {"r1": [0.75, "01" * 16], "r3": [0.5, "03" * 16]}
 
     def test_save_without_changes_writes_nothing(self, tmp_path):
         cache = ScoreCache(str(tmp_path), "abc")
@@ -478,11 +480,11 @@ class TestScoreCache:
 
     def test_cache_file_is_sorted_json(self, tmp_path):
         cache = ScoreCache(str(tmp_path), "order")
-        cache.put("zz", 0.1)
-        cache.put("aa", 0.2)
+        cache.put("zz", 0.1, D1)
+        cache.put("aa", 0.2, D2)
         cache.save()
         text = (tmp_path / "scores-order.json").read_text()
-        assert text == json.dumps({"aa": 0.2, "zz": 0.1}, sort_keys=True)
+        assert text == json.dumps({"aa": [0.2, "02" * 16], "zz": [0.1, "01" * 16]}, sort_keys=True)
 
     def test_scores_before_a_backend_failure_are_saved(self, tmp_path):
         def failing(pending):

@@ -417,6 +417,9 @@ class TestMalformedInput:
              "coref_max_sentences: max_sentences must be >= 1"),
             ({"workers": None}, "config key 'workers': null is not allowed"),
             ({"cache_dir": ["a"]}, "config key 'cache_dir': not a string"),
+            ({"nli_max_units": -5}, "nli_max_units: budget below 16 units"),
+            # Checked with the config, whichever coref backend it names.
+            ({"coref_max_sentences": 0}, "coref_max_sentences: max_sentences must be >= 1"),
         ],
     )
     def test_out_of_range_backend_settings_exit_2(self, runner, tmp_path, setting, message):

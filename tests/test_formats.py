@@ -29,7 +29,7 @@ from sumfact.formats import (
     write_scores_csv,
 )
 
-from cases import doc_from_sentences, score_block, summary_from_sentences
+from cases import benchmark_row, doc_from_sentences, score_block
 
 
 def jsonl(tmp_path, name, *rows):
@@ -385,19 +385,12 @@ class TestRenderReport:
 
 
 def sample_benchmark(protocol):
-    def record(rid, dataset, split, gold):
-        doc = doc_from_sentences(f"{rid}:doc", ["alpha beta."])
-        summ = summary_from_sentences(f"{rid}:sum", f"{rid}:doc", ["alpha."])
-        from sumfact import BenchmarkRecord
-
-        return BenchmarkRecord(rid, doc, summ, gold, "sys", dataset, split)
-
     scores = {"v1": 0.9, "v2": 0.1, "t1": 0.8, "t2": 0.2}
     records = [
-        record("v1", "A", "validation", True),
-        record("v2", "A", "validation", False),
-        record("t1", "A", "test", True),
-        record("t2", "A", "test", False),
+        benchmark_row("v1", "A", "validation", True),
+        benchmark_row("v2", "A", "validation", False),
+        benchmark_row("t1", "A", "test", True),
+        benchmark_row("t2", "A", "test", False),
     ]
     return run_benchmark(records, lambda pending: [scores[r.record_id] for r in pending], protocol)
 

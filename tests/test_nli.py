@@ -1,6 +1,5 @@
-"""Entailment triple invariants and the three backend implementations."""
+"""The row rule for entailment triples and the three backend implementations."""
 
-import dataclasses
 import math
 import threading
 from collections import Counter
@@ -11,7 +10,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sumfact import (
-    EntailmentTriple,
     LocalEntailmentBackend,
     MockEntailmentBackend,
     NliBackendError,
@@ -20,7 +18,7 @@ from sumfact import (
     RemoteEntailmentBackend,
 )
 from sumfact.documents import Claim
-from sumfact.nli import EntailmentBackend, TextTable
+from sumfact.nli import EntailmentBackend, TextTable, _checked
 from sumfact.scoring import Scorer
 
 import oracles
@@ -28,40 +26,48 @@ from cases import doc_from_sentences, score_block, triples
 from stubserver import StubServer, dead_url
 
 
+def row_score(row):
+    """The alignment score of a checked row: entailment minus contradiction."""
+    e, _, c = row
+    return e - c
+
+
 class TestEntailmentTriple:
+    """``nli._checked``, the one rule every backend row passes."""
+
     def test_score_is_signed_difference(self):
-        t = EntailmentTriple(0.5, 0.3, 0.2)
-        assert t.score == pytest.approx(0.3)
+        assert row_score(_checked(0.5, 0.3, 0.2)) == pytest.approx(0.3)
 
     def test_bounds_enforced(self):
+        with pytest.raises(ValueError, match="entailment probability -0.1 outside"):
+            _checked(-0.1, 0.6, 0.5)
         with pytest.raises(ValueError, match="outside"):
-            EntailmentTriple(-0.1, 0.6, 0.5)
-        with pytest.raises(ValueError, match="outside"):
-            EntailmentTriple(1.1, 0.0, 0.0)
-        with pytest.raises(ValueError, match="outside"):
-            EntailmentTriple(float("nan"), 0.5, 0.5)
+            _checked(1.1, 0.0, 0.0)
+        with pytest.raises(ValueError, match="entailment probability nan outside"):
+            _checked(float("nan"), 0.5, 0.5)
 
     def test_large_sum_deviation_rejected(self):
         with pytest.raises(ValueError, match="sum"):
-            EntailmentTriple(0.5, 0.3, 0.1)  # sums to 0.9
+            _checked(0.5, 0.3, 0.1)  # sums to 0.9
         with pytest.raises(ValueError, match="sum"):
-            EntailmentTriple(0.5, 0.5, 0.1)  # sums to 1.1
+            _checked(0.5, 0.5, 0.1)  # sums to 1.1
 
     def test_small_deviation_renormalized(self):
-        t = EntailmentTriple(0.2, 0.2, 0.6005)
+        e, n, c = _checked(0.2, 0.2, 0.6005)
         total = 0.2 + 0.2 + 0.6005
-        assert t.entailment == 0.2 / total
-        assert t.contradiction == 0.6005 / total
-        assert t.entailment + t.neutral + t.contradiction == pytest.approx(1.0, abs=1e-12)
+        assert e == 0.2 / total
+        assert c == 0.6005 / total
+        assert e + n + c == pytest.approx(1.0, abs=1e-12)
 
     def test_exact_sum_left_untouched(self):
-        t = EntailmentTriple(0.25, 0.5, 0.25)
-        assert (t.entailment, t.neutral, t.contradiction) == (0.25, 0.5, 0.25)
+        assert _checked(0.25, 0.5, 0.25) == (0.25, 0.5, 0.25)
 
     def test_frozen(self):
-        t = EntailmentTriple(1.0, 0.0, 0.0)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            t.entailment = 0.5
+        # A checked row is an immutable tuple.
+        row = _checked(1.0, 0.0, 0.0)
+        assert type(row) is tuple
+        with pytest.raises(TypeError):
+            row[0] = 0.5
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -72,37 +78,34 @@ class TestEntailmentTriple:
         c = 1.0 - e - n
         if not (0.0 <= c <= 1.0):
             return
-        t = EntailmentTriple(e, n, c)
-        assert abs(t.entailment + t.neutral + t.contradiction - 1.0) <= 1e-9
-        assert -1.0 <= t.score <= 1.0
+        row = _checked(e, n, c)
+        assert abs(sum(row) - 1.0) <= 1e-9
+        assert -1.0 <= row_score(row) <= 1.0
 
 
 class TestMockBackend:
     def test_full_overlap(self, mock_backend):
-        t = triples(mock_backend, [("alpha beta gamma", "alpha beta")])[0]
-        assert (t.entailment, t.neutral, t.contradiction) == (1.0, 0.0, 0.0)
+        assert triples(mock_backend, [("alpha beta gamma", "alpha beta")])[0] == (1.0, 0.0, 0.0)
 
     def test_half_overlap(self, mock_backend):
-        t = triples(mock_backend, [("alpha beta", "alpha gamma")])[0]
-        assert t.entailment == 0.5 and t.score == 0.5
+        row = triples(mock_backend, [("alpha beta", "alpha gamma")])[0]
+        assert row[0] == 0.5 and row_score(row) == 0.5
 
     def test_negation_flips_to_contradiction(self, mock_backend):
-        t = triples(mock_backend, [("it is not alpha", "it is alpha")])[0]
-        assert (t.entailment, t.neutral, t.contradiction) == (0.0, 0.0, 1.0)
-        assert t.score == -1.0
+        row = triples(mock_backend, [("it is not alpha", "it is alpha")])[0]
+        assert row == (0.0, 0.0, 1.0)
+        assert row_score(row) == -1.0
 
     def test_negation_on_both_sides_does_not_flip(self, mock_backend):
-        t = triples(mock_backend, [("not alpha", "not alpha")])[0]
-        assert t.entailment == 1.0
+        assert triples(mock_backend, [("not alpha", "not alpha")])[0][0] == 1.0
 
     def test_hypothesis_without_tokens_scores_zero(self, mock_backend):
-        t = triples(mock_backend, [("alpha beta", "!!!")])[0]
-        assert (t.entailment, t.neutral, t.contradiction) == (0.0, 1.0, 0.0)
+        assert triples(mock_backend, [("alpha beta", "!!!")])[0] == (0.0, 1.0, 0.0)
 
     def test_tokenization_is_case_and_punct_insensitive(self, mock_backend):
-        assert triples(mock_backend, [("ALPHA, beta.", "alpha BETA")])[0].entailment == 1.0
+        assert triples(mock_backend, [("ALPHA, beta.", "alpha BETA")])[0][0] == 1.0
         # Underscore is a separator, not a word character.
-        assert triples(mock_backend, [("alpha beta", "alpha_beta")])[0].entailment == 1.0
+        assert triples(mock_backend, [("alpha beta", "alpha_beta")])[0][0] == 1.0
 
     def test_agrees_with_independent_formula(self, mock_backend):
         pairs = [
@@ -112,9 +115,8 @@ class TestMockBackend:
             ("one two three four", "two four six"),
         ]
         for premise, hypothesis in pairs:
-            t = triples(mock_backend, [(premise, hypothesis)])[0]
-            e, n, c = oracles.mock_triple(premise, hypothesis)
-            assert (t.entailment, t.neutral, t.contradiction) == (e, n, c)
+            row = triples(mock_backend, [(premise, hypothesis)])[0]
+            assert row == oracles.mock_triple(premise, hypothesis)
 
     def test_describe(self, mock_backend):
         assert mock_backend.describe() == "mock"
@@ -229,10 +231,8 @@ class TestTextTable:
             assert vars(backend) == before
             assert scores == [backend.submit([pair]).scores()[0] for pair in pairs]
             full = triples(backend, pairs)
-            assert [(t.entailment, t.neutral, t.contradiction) for t in full] == [
-                oracles.mock_triple(p, h) for p, h in pairs
-            ]
-            assert scores == [t.score for t in full]
+            assert full == [oracles.mock_triple(p, h) for p, h in pairs]
+            assert scores == [row_score(row) for row in full]
 
     def test_budget_guard_measures_each_distinct_text_once(self):
         pairs = [("alpha beta", "gamma"), ("alpha beta", "delta"), ("gamma", "gamma")] * 3
@@ -390,29 +390,26 @@ _BAD_ROWS = [
 
 class TestScoresPath:
     """The scorer reads plain scores from ``Inference.scores``; they are the
-    ``score`` of the triples the backend's rows construct, bit for bit."""
+    scores of the backend's rows checked by the row rule, bit for bit."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(_ROWS, min_size=1, max_size=20), st.sampled_from([1, 3, 32]))
     def test_scores_are_the_triples_scores_bit_for_bit(self, rows, batch_size):
         for row in rows:
             try:
-                EntailmentTriple(*row)
+                _checked(*row)
             except ValueError:
                 assume(False)
         premises = {f"p{i} " + "x" * (i % 4): row for i, row in enumerate(rows)}
         pairs = [(premise, "h") for premise in premises]
         backend = RowBackend(premises, batch_size=batch_size)
         scores = backend.submit(pairs).scores()
-        # Each score is that of the triple its raw row constructs: renormalized once.
-        direct = [EntailmentTriple(*row) for row in premises.values()]
-        assert _bits(scores) == _bits(t.score for t in direct)
+        # Each score is that of its raw row, checked: renormalized once.
+        direct = [_checked(*row) for row in premises.values()]
+        assert _bits(scores) == _bits(e - c for e, _, c in direct)
         full = triples(backend, pairs)
-        assert full == direct
-        for got, want in zip(full, direct):
-            assert _bits((got.entailment, got.neutral, got.contradiction)) == _bits(
-                (want.entailment, want.neutral, want.contradiction)
-            )
+        for got, want in zip(full, direct, strict=True):
+            assert _bits(got) == _bits(want)
 
     def test_renormalized_rows_score_as_their_triples(self):
         rows = {"p0": (0.2, 0.2, 0.6005), "p1": (0.3004, 0.3, 0.4), "p2": (0.25, 0.5, 0.25)}
@@ -420,7 +417,7 @@ class TestScoresPath:
         for workers in (1, 2):
             backend = RowBackend(rows, batch_size=2, workers=workers)
             scores = backend.submit(pairs).scores()
-            assert _bits(scores) == _bits(EntailmentTriple(*row).score for row in rows.values())
+            assert _bits(scores) == _bits(row_score(_checked(*row)) for row in rows.values())
             assert scores[0] != 0.2 - 0.6005
 
     def test_scorer_reads_the_triples_scores(self):
@@ -430,12 +427,12 @@ class TestScoresPath:
         (report,) = score_block(
             Scorer(backend), [(doc, [Claim("s", 0, "gamma.")], False)], stop="sentence"
         )
-        assert report.verdicts[0].score.hex() == EntailmentTriple(*row).score.hex()
+        assert report.verdicts[0].score.hex() == row_score(_checked(*row)).hex()
 
     @pytest.mark.parametrize("bad", _BAD_ROWS, ids=repr)
     def test_bad_rows_raise_the_triples_message(self, bad):
         with pytest.raises(ValueError) as expected:
-            EntailmentTriple(*bad)
+            _checked(*bad)
         # The bad row sits in the second batch, behind a good one.
         rows = {"p0": (1.0, 0.0, 0.0), "p1 bad": bad}
         pairs = [("p0", "h"), ("p1 bad", "h")]
@@ -455,7 +452,7 @@ class TestRemoteBackend:
         with StubServer(handler) as server:
             backend = RemoteEntailmentBackend(server.url)
             out = triples(backend, [("p1", "h1"), ("p2", "h2")])
-            assert [t.entailment for t in out] == [1.0, 1.0]
+            assert [e for e, _, _ in out] == [1.0, 1.0]
             assert server.requests[0]["body"] == {"pairs": [["p1", "h1"], ["p2", "h2"]]}
             assert backend.describe() == f"remote:{server.url}"
 
@@ -522,7 +519,7 @@ class TestRemoteBackend:
     @pytest.mark.parametrize("bad", [r for r in _BAD_ROWS if not math.isnan(sum(r))], ids=repr)
     def test_bad_triple_names_its_pair(self, bad):
         with pytest.raises(ValueError) as why:
-            EntailmentTriple(*bad)
+            _checked(*bad)
         rows = [[1.0, 0.0, 0.0], list(bad)]
         with StubServer(lambda *a: (200, {"triples": rows})) as server:
             backend = RemoteEntailmentBackend(server.url)
@@ -536,7 +533,7 @@ class TestRemoteBackend:
             backend = RemoteEntailmentBackend(server.url)
             (score,) = backend.submit([("a", "b")]).scores()
             (triple,) = triples(backend, [("a", "b")])
-        assert score.hex() == triple.score.hex() == EntailmentTriple(*row).score.hex()
+        assert score.hex() == row_score(triple).hex() == row_score(_checked(*row)).hex()
 
     def test_wrong_arity_triple(self):
         with StubServer(lambda *a: (200, {"triples": [[0.5, 0.5]]})) as server:
@@ -630,10 +627,8 @@ class TestLocalBackend:
     def test_labels_resolved_by_name_not_position(self):
         for id2label in (STANDARD, {0: "ENTAILMENT", 1: "CONTRADICTION", 2: "NEUTRAL"}):
             backend = local_backend(id2label)
-            t = triples(backend, [("the cat sat", "cat")])[0]
-            assert t.entailment > 0.99
-            t = triples(backend, [("it is not so", "cat")])[0]
-            assert t.contradiction > 0.99
+            assert triples(backend, [("the cat sat", "cat")])[0][0] > 0.99
+            assert triples(backend, [("it is not so", "cat")])[0][2] > 0.99
 
     def test_ambiguous_labels_rejected(self):
         with pytest.raises(NliBackendError, match="ambiguous"):
@@ -650,7 +645,7 @@ class TestLocalBackend:
             tokenizer=FakeTokenizer(),
             label_map={"entailment": 2, "neutral": 1, "contradiction": 0},
         )
-        assert triples(backend, [("the cat sat", "cat")])[0].entailment > 0.99
+        assert triples(backend, [("the cat sat", "cat")])[0][0] > 0.99
 
     def test_label_map_missing_key(self):
         with pytest.raises(NliBackendError, match="missing"):
@@ -710,7 +705,7 @@ class TestLocalBackend:
 
     def test_softmax_rows_sum_to_one(self):
         backend = local_backend()
-        t = triples(backend, [("zero overlap premise", "zebra")])[0]
+        row = triples(backend, [("zero overlap premise", "zebra")])[0]
         # All-zero logits soften to the uniform distribution.
-        assert t.entailment == pytest.approx(1 / 3)
-        assert math.isclose(t.entailment + t.neutral + t.contradiction, 1.0, abs_tol=1e-9)
+        assert row[0] == pytest.approx(1 / 3)
+        assert math.isclose(sum(row), 1.0, abs_tol=1e-9)

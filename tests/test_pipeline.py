@@ -102,6 +102,15 @@ class TestNliFactory:
         with pytest.raises(InputError, match="checkpoint"):
             make_nli_backend(RunConfig(nli_backend="local:"))
 
+    @pytest.mark.parametrize("units", [None, 0])
+    def test_unlimited_budget_leaves_local_its_tokenizer_limit(self, monkeypatch, units):
+        seen = {}
+        monkeypatch.setattr(
+            "sumfact.pipeline.LocalEntailmentBackend", lambda checkpoint, **kw: seen.update(kw)
+        )
+        make_nli_backend(RunConfig(nli_backend="local:ckpt", nli_max_units=units))
+        assert seen["max_units"] is None
+
 
 class TestCorefFactory:
     def test_none(self):
@@ -274,6 +283,11 @@ class TestScorerFingerprint:
             mode="nli_coref", claim_backend="remote:http://127.0.0.1:9", claim_max_tokens=64
         )
         assert self.digest(config) == "0981e90dc7aa9073"
+
+    @pytest.mark.parametrize("units", [None, 0])
+    def test_both_unlimited_budgets_share_a_digest(self, units):
+        # 0 and null both mean no budget, so they name one cache file.
+        assert self.digest(RunConfig(nli_max_units=units)) == "0073503b7d48b29c"
 
     def test_every_field_is_fingerprinted_or_allow_listed(self):
         names = {f.name for f in dataclasses.fields(RunConfig)}

@@ -384,9 +384,11 @@ class TestBudgetChunking:
                 return super().measure(text)
 
         scorer = Scorer(Counting(budget=PremiseBudget(32)), ScoringParams())
-        # The window request (k = 5, clamped to 4) and the document request.
+        # The window request (k = 5, clamped to 4, so labelled a document) and the
+        # document request.
         sizes = {}
         window, document = scorer._window_requests([(self.chunked_doc(), self.hyp())], sizes)
+        assert window[2] == document[2] == "document"
         candidates = window[0]
         assert [c[1:3] for c in candidates] == [(0, 1), (1, 2), (2, 3)]
         assert document[0] is candidates
@@ -531,7 +533,6 @@ class TestWindowTable:
     def test_candidates_equal_a_straight_line_rebuild(self, sentences, k, budgeted, claims):
         kind, budget = budgeted
         backend = kind(budget=None if budget is None else PremiseBudget(budget))
-        scorer = Scorer(backend, ScoringParams())
         doc = doc_from_sentences("d", sentences)
         # One table serves every claim, as in a block's window wave.
         table = WindowTable(doc, backend, {})
@@ -540,13 +541,12 @@ class TestWindowTable:
             assert table.room(text) == room
             expected = oracles.window_candidates(sentences, k, room, backend.measure)
             try:
-                candidates, _, stage = scorer._window_request(table, claim(text), k, room)
+                candidates = table.candidates(min(k, table.n), room)
             except OversizedPremise as exc:
                 assert expected[0] == "oversized", str(exc)
                 assert str(exc).startswith(f"sentence {expected[1]} alone exceeds")
                 continue
             assert candidates == expected
-            assert stage == ("document" if min(k, len(sentences)) == len(sentences) else "window")
 
     @pytest.mark.parametrize("kind", [MockEntailmentBackend, WordCount, DistinctWords])
     def test_single_oversized_sentence_raises(self, kind):
