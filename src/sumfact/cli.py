@@ -13,17 +13,18 @@ import functools
 import json
 import logging
 import sys
-from collections import Counter
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import click
 
 from . import __version__, claim_metrics, formats, pipeline
 from . import benchmark as bench
 from .benchmark import ScoreCache
+from .claims import ClaimExtractor
 from .config import MODES, PROTOCOLS, load_run_config, ordered_map, scoring_params
+from .coref import CorefBackend
 from .errors import BackendError, DegenerateLabels, InputError, SumfactError
-from .scoring import FactualityReport, Scorer
+from .scoring import Scorer
 
 _LOG_FORMAT = "%(message)s"
 
@@ -79,17 +80,25 @@ def _write_lines(path: str, lines: Iterable[str]) -> None:
             stream.close()
 
 
-def _counted(reports: Iterable[FactualityReport], counts: Counter) -> Iterator[FactualityReport]:
-    """``reports`` as they pass, counted into ``counts`` with their claims fallbacks."""
-    for report in reports:
-        counts["reports"] += 1
-        counts["claims_fallback"] += report.claims_fallback
-        yield report
-
-
-def _write_run_meta(path: str | None, meta: dict) -> None:
+def _write_run_meta(
+    path: str | None,
+    scorer: Scorer,
+    extractor: ClaimExtractor | None,
+    coref_backend: CorefBackend,
+    **command_keys,
+) -> None:
+    """Write the run's backends and the scorer's counts, with its command's own keys."""
     if path is None:
         return
+    meta = {
+        "nli_backend": scorer.backend.describe(),
+        "claim_backend": extractor.describe() if extractor else "none",
+        "coref_backend": coref_backend.describe(),
+        "claims_fallback_count": scorer.claims_fallback,
+        "backend_calls": scorer.backend_calls,
+        "pairs_requested": scorer.pairs_requested,
+        **command_keys,
+    }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -144,39 +153,23 @@ def score(documents, summaries, output, run_meta, config_path, **flags) -> None:
     _setup_logging(config.log_level)
     docs = formats.load_documents(documents)
     sums = formats.load_summaries(summaries)
-    backend = pipeline.make_nli_backend(config)
-    scorer = Scorer(backend, scoring_params(config))
+    scorer = Scorer(pipeline.make_nli_backend(config), scoring_params(config))
     extractor = pipeline.make_claim_extractor(config)
     coref_backend = pipeline.make_coref_backend(config)
     pairs = pipeline.pair_summaries(docs, sums)
-    counts = Counter()
     reports = pipeline.score_corpus(
         pairs, scorer, extractor, coref_backend, "full", workers=config.workers
     )
-    _write_lines(output, map(formats.render_report, _counted(reports, counts)))
+    _write_lines(output, map(formats.render_report, reports))
     _write_run_meta(
         run_meta,
-        {
-            "command": "score",
-            "nli_backend": backend.describe(),
-            "claim_backend": extractor.describe() if extractor else "none",
-            "coref_backend": coref_backend.describe(),
-            "claims_fallback_count": counts["claims_fallback"],
-            "coref_truncated_documents": _truncated_docs(pairs, config),
-            "backend_calls": scorer.backend_calls,
-            "pairs_requested": scorer.pairs_requested,
-            "summaries": counts["reports"],
-        },
+        scorer,
+        extractor,
+        coref_backend,
+        command="score",
+        coref_truncated_documents=list(coref_backend.truncated),
+        summaries=scorer.summaries,
     )
-
-
-def _truncated_docs(pairs, config) -> list[str]:
-    """Documents whose coref scan stops early; precomputed clusters skip the scan."""
-    limit = config.coref_max_sentences
-    if limit is None or not config.coref_backend.startswith("heuristic"):
-        return []
-    docs = (d for d, _ in pairs if not d.coref_clusters and len(d.sentences) > limit)
-    return list(dict.fromkeys(d.id for d in docs))
 
 
 @main.command("extract-claims")
@@ -257,7 +250,6 @@ def benchmark(records, output, scores_csv, run_meta, config_path, **flags) -> No
     cache = None
     if config.cache_dir:
         cache = ScoreCache(config.cache_dir, pipeline.scorer_fingerprint(config, backend, extractor))
-    counts = Counter()
 
     def score_records(pending):
         # Only the records the cache cannot answer are read again.
@@ -271,7 +263,7 @@ def benchmark(records, output, scores_csv, run_meta, config_path, **flags) -> No
             missing_ok=True,
             workers=config.workers,
         )
-        return (report.score for report in _counted(reports, counts))
+        return (report.score for report in reports)
 
     report = bench.run_benchmark(
         rows,
@@ -287,19 +279,14 @@ def benchmark(records, output, scores_csv, run_meta, config_path, **flags) -> No
             formats.write_scores_csv(fh, report.records)
     _write_run_meta(
         run_meta,
-        {
-            "command": "benchmark",
-            "mode": config.mode,
-            "protocol": config.protocol,
-            "nli_backend": backend.describe(),
-            "claim_backend": extractor.describe() if extractor else "none",
-            "coref_backend": coref_backend.describe(),
-            "claims_fallback_count": counts["claims_fallback"],
-            "backend_calls": scorer.backend_calls,
-            "pairs_requested": scorer.pairs_requested,
-            "records": len(rows),
-            "cache": cache.path if cache else None,
-        },
+        scorer,
+        extractor,
+        coref_backend,
+        command="benchmark",
+        mode=config.mode,
+        protocol=config.protocol,
+        records=len(rows),
+        cache=cache.path if cache else None,
     )
 
 

@@ -18,6 +18,9 @@ __all__ = ["CorefBackend", "NoopCorefBackend", "HeuristicCorefBackend"]
 
 
 class CorefBackend(Protocol):
+    # Ids of the documents whose scan stopped short, each once, in the order met.
+    truncated: dict[str, None]
+
     def clusters(self, document: Document) -> list[CorefCluster]: ...
 
     def describe(self) -> str: ...
@@ -25,6 +28,9 @@ class CorefBackend(Protocol):
 
 class NoopCorefBackend:
     """Returns no clusters; scoring degrades to plain sentence alignment."""
+
+    def __init__(self):
+        self.truncated: dict[str, None] = {}
 
     def clusters(self, document: Document) -> list[CorefCluster]:
         return []
@@ -67,12 +73,15 @@ class HeuristicCorefBackend:
 
     ``max_sentences`` caps how many sentences are scanned (book-length inputs
     get clusters for the prefix only); ``None`` scans everything.
+    ``truncated`` records the id of each document cut at the cap, once, in
+    the order met.
     """
 
     def __init__(self, max_sentences: int | None = None):
         if max_sentences is not None and max_sentences < 1:
             raise ValueError("max_sentences must be >= 1 when set")
         self.max_sentences = max_sentences
+        self.truncated: dict[str, None] = {}
 
     def describe(self) -> str:
         if self.max_sentences is None:
@@ -81,8 +90,9 @@ class HeuristicCorefBackend:
 
     def clusters(self, document: Document) -> list[CorefCluster]:
         sentences = document.sentences
-        if self.max_sentences is not None:
+        if self.max_sentences is not None and len(sentences) > self.max_sentences:
             sentences = sentences[: self.max_sentences]
+            self.truncated[document.id] = None
         names: list[Mention] = []
         pronouns: list[Mention] = []
         for s in sentences:

@@ -401,6 +401,11 @@ class LocalEntailmentBackend(EntailmentBackend):
             # Some tokenizers report a huge sentinel instead of a real limit.
             if isinstance(declared, int) and 16 <= declared <= 100_000:
                 limit = declared - 8
+                if limit < 16:
+                    raise NliBackendError(
+                        f"tokenizer of {checkpoint!r} declares model_max_length {declared}, "
+                        f"which leaves a budget of {limit} units, below the 16 a pair needs"
+                    )
         if limit is not None:
             self.budget = PremiseBudget(limit)
 

@@ -38,9 +38,11 @@ then premise text: a pair that the block asks for again (the coref anchor, a
 document that equals its window, a claim repeated in the block) is sent once.
 The memo is dropped with its block, so its size does not grow with the
 corpus; a pair used again in a later block is sent again, and scores the
-same. It counts the pairs requested and the pairs actually sent to the
-backend per stage, so the gating short-circuit (no window/document calls
-when the gate passes) is observable from counters and from debug logs.
+same. It counts, per stage, the pairs requested and the pairs sent to the
+backend, crediting each as its wave sends it, so the gating short-circuit
+(no window/document calls when the gate passes) is observable from counters
+and from debug logs; and it counts the summaries it reports and their
+claims fallbacks.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from typing import Generator, Iterable, Iterator, Literal, Sequence
 
 from .documents import Claim, CorefCluster, Document, Mention
 from .errors import OversizedPremise
-from .nli import EntailmentBackend, Inference
+from .nli import EntailmentBackend
 
 __all__ = [
     "Granularity",
@@ -84,23 +86,6 @@ Memo = dict[str, dict[str, float | None]]
 Request = tuple[Sequence[tuple], Claim, str]
 # One summary to score: ``(document, claims, claims_fallback)``.
 Item = tuple[Document, Sequence[Claim], bool]
-
-
-@dataclass(eq=False)
-class Wave:
-    """One stage's requests over a block, sent and not yet read.
-
-    ``memo`` is the memo of its block; ``pairs`` the pairs sent, those the
-    block had not scored, in request order and without duplicates;
-    ``owners`` holds, in request order, ``(request index, count)`` for each
-    request that first asked for ``count`` of the pairs sent.
-    """
-
-    requests: Sequence[Request]
-    memo: Memo
-    pairs: list[Pair]
-    owners: list[tuple[int, int]]
-    inference: Inference | None
 
 
 @dataclass(frozen=True)
@@ -238,7 +223,7 @@ def coref_variants(
 
 
 class Scorer:
-    """Stateful engine: one backend, one parameter set, two counters.
+    """Stateful engine: one backend, one parameter set, the run's counts.
 
     :meth:`score_blocks` scores each block of summaries in waves, each wave
     one backend call over the pending claims of the whole block: first
@@ -250,10 +235,12 @@ class Scorer:
 
     ``pairs_requested`` counts the premise/hypothesis pairs of every
     request, per stage, and ``backend_calls`` the pairs actually sent to the
-    backend; a pair is sent under the stage of the first request of its
-    block that holds it, and memo hits are free. The memo lives for one
-    block: a pair is sent at most once per block. A scorer is used from one
-    thread; the backend keeps its own batches in flight.
+    backend, as they are sent; a pair is sent under the stage of the first
+    request of its block that holds it, and memo hits are free. The memo
+    lives for one block: a pair is sent at most once per block.
+    ``summaries`` counts the reports built and ``claims_fallback`` those of
+    them that score the summary's sentences for want of claims. A scorer is
+    used from one thread; the backend keeps its own batches in flight.
     """
 
     def __init__(self, backend: EntailmentBackend, params: ScoringParams | None = None):
@@ -261,78 +248,8 @@ class Scorer:
         self.params = params or ScoringParams()
         self.pairs_requested: dict[str, int] = {stage: 0 for stage in STAGES}
         self.backend_calls: dict[str, int] = {stage: 0 for stage in STAGES}
-
-    # -- the selection rule ---------------------------------------------------
-
-    def _request(self, requests: Sequence[Request], memo: Memo, sizes: dict[str, int]) -> Wave:
-        """Send the pairs of a wave that its block has not scored, without waiting.
-
-        A request is ``(candidates, claim, stage)``; each candidate is a
-        tuple of :class:`AlignedSpan` fields (premise text fourth). The pairs
-        missing from ``memo``, the block's memo, go to the backend as one
-        call, in request order and without duplicates, so the backend fills
-        its batches across claims. ``sizes`` is the block's map of measures,
-        for the backend's budget check.
-        """
-        pairs: list[Pair] = []
-        owners = []
-        for i, (candidates, claim, stage) in enumerate(requests):
-            hypothesis = claim.text
-            known = memo.get(hypothesis)
-            if known is None:
-                known = memo[hypothesis] = {}
-            self.pairs_requested[stage] += len(candidates)
-            sent = len(pairs)
-            for candidate in candidates:
-                premise = candidate[3]
-                if premise not in known:
-                    known[premise] = None
-                    pairs.append((premise, hypothesis))
-            if len(pairs) > sent:
-                owners.append((i, len(pairs) - sent))
-        wave = Wave(requests, memo, pairs, owners, None)
-        if pairs:
-            wave.inference = self.backend.submit(pairs, sizes)
-        return wave
-
-    def _collect(self, wave: Wave) -> list[tuple[float, AlignedSpan]]:
-        """The one selection rule of every stage, over a wave's requests.
-
-        For each request, the result is the best score over its candidates
-        and the first candidate attaining it, built as the span. Waits for
-        the pairs sent, writes their scores to the block's memo by text, and
-        credits each to its first request's stage.
-        """
-        memo = wave.memo
-        if wave.inference is not None:
-            for (premise, hypothesis), score in zip(wave.pairs, wave.inference.scores()):
-                memo[hypothesis][premise] = score
-            self._credit(wave.owners, wave.requests)
-        out = []
-        for candidates, claim, _ in wave.requests:
-            known = memo[claim.text]
-            scores = [known[c[3]] for c in candidates]
-            best = max(scores)
-            out.append((best, AlignedSpan(*candidates[scores.index(best)])))
-        return out
-
-    def _credit(self, owners: list[tuple[int, int]], requests: Sequence[Request]) -> None:
-        for i, count in owners:
-            self.backend_calls[requests[i][2]] += count
-        if logger.isEnabledFor(logging.DEBUG):
-            for i, count in owners:
-                _, claim, stage = requests[i]
-                logger.debug(
-                    json.dumps(
-                        {
-                            "event": "nli_calls",
-                            "stage": stage,
-                            "summary_id": claim.summary_id,
-                            "claim_index": claim.index,
-                            "pairs": count,
-                        }
-                    )
-                )
+        self.summaries = 0
+        self.claims_fallback = 0
 
     # -- the waves --------------------------------------------------------------
 
@@ -410,23 +327,75 @@ class Scorer:
             reports.append(
                 FactualityReport(claims[0].summary_id, score, own, claims_fallback, self.params)
             )
+            self.summaries += 1
+            self.claims_fallback += claims_fallback
         return reports
 
     def _wave(
         self, requests: Sequence[Request], last: bool, memo: Memo, sizes: dict[str, int]
     ) -> Generator[bool, None, list[tuple[float, AlignedSpan]]]:
-        """Send a wave, pause yielding whether it is the block's last, then read it.
+        """One stage's requests over a block: send, pause yielding ``last``, then read.
 
-        Closing the paused wave cancels its batches not yet started.
+        A request is ``(candidates, claim, stage)``; each candidate is a
+        tuple of :class:`AlignedSpan` fields (premise text fourth). The pairs
+        missing from ``memo``, the block's memo, go to the backend as one
+        call, in request order and without duplicates, so the backend fills
+        its batches across claims; each is credited to the stage of the
+        request that first asks for it, and logged, as it is sent. ``sizes``
+        is the block's map of measures, for the backend's budget check.
+
+        Once resumed, the wave waits for its pairs, writes their scores to
+        the memo by text and applies the one selection rule of every stage:
+        for each request, the best score over its candidates and the first
+        candidate attaining it, built as the span. Closing the paused wave
+        cancels its batches not yet started.
         """
-        wave = self._request(requests, memo, sizes)
+        pairs: list[Pair] = []
+        debug = logger.isEnabledFor(logging.DEBUG)
+        for candidates, claim, stage in requests:
+            hypothesis = claim.text
+            known = memo.get(hypothesis)
+            if known is None:
+                known = memo[hypothesis] = {}
+            self.pairs_requested[stage] += len(candidates)
+            sent = len(pairs)
+            for candidate in candidates:
+                premise = candidate[3]
+                if premise not in known:
+                    known[premise] = None
+                    pairs.append((premise, hypothesis))
+            count = len(pairs) - sent
+            if count:
+                self.backend_calls[stage] += count
+                if debug:
+                    logger.debug(
+                        json.dumps(
+                            {
+                                "event": "nli_calls",
+                                "stage": stage,
+                                "summary_id": claim.summary_id,
+                                "claim_index": claim.index,
+                                "pairs": count,
+                            }
+                        )
+                    )
+        inference = self.backend.submit(pairs, sizes) if pairs else None
         try:
             yield last
         except GeneratorExit:
-            if wave.inference is not None:
-                wave.inference.cancel()
+            if inference is not None:
+                inference.cancel()
             raise
-        return self._collect(wave)
+        if inference is not None:
+            for (premise, hypothesis), score in zip(pairs, inference.scores()):
+                memo[hypothesis][premise] = score
+        out = []
+        for candidates, claim, _ in requests:
+            known = memo[claim.text]
+            scores = [known[c[3]] for c in candidates]
+            best = max(scores)
+            out.append((best, AlignedSpan(*candidates[scores.index(best)])))
+        return out
 
     def _verdicts(
         self, jobs: Sequence[tuple[Document, Claim]], stop: Stop | None

@@ -186,13 +186,15 @@ def window_stage(scorer, doc, claim, k: int):
     at any ``k``, or the window and document spans of a claim whose verdict
     another stage won.
     """
-    from sumfact.scoring import WindowTable
+    from sumfact.scoring import WindowTable, _finish
 
     table = WindowTable(doc, scorer.backend, {})
     k = min(k, table.n)
     candidates = table.candidates(k, table.room(claim.text))
     request = (candidates, claim, "document" if k == table.n else "window")
-    return scorer._collect(scorer._request([request], {}, table.sizes))[0]
+    wave = scorer._wave([request], True, {}, table.sizes)
+    next(wave)
+    return _finish(wave)[0]
 
 
 def window_candidates(sentences, k: int, room, measure):

@@ -308,10 +308,21 @@ class TestScoreBlocks:
         ("t5", "d2", ["She won the race in two hours.", "Anna Berg thanked the crowd."]),
     ]
 
-    def test_traffic_matches_golden(self, runner, tmp_path):
-        docs = write(tmp_path, "docs.jsonl", "".join(
-            json.dumps({"id": did, "text": text}) + "\n" for did, text in self.TRAFFIC_DOCS.items()
-        ))
+    # The clusters the heuristic finds in d1, given in the input instead.
+    D1_CLUSTERS = [[
+        {"sentence_index": 0, "start": 0, "end": 14},
+        {"sentence_index": 1, "start": 0, "end": 2},
+        {"sentence_index": 1, "start": 11, "end": 14},
+    ]]
+
+    def traffic(self, tmp_path, clusters=None):
+        """Document, summary and claim cache files of the traffic corpus;
+        ``clusters`` maps a document id to the coref clusters it carries."""
+        documents = [{"id": did, "text": text} for did, text in self.TRAFFIC_DOCS.items()]
+        for document in documents:
+            if clusters and document["id"] in clusters:
+                document["coref_clusters"] = clusters[document["id"]]
+        docs = write(tmp_path, "docs.jsonl", "".join(json.dumps(d) + "\n" for d in documents))
         sums = write(tmp_path, "sums.jsonl", "".join(
             json.dumps({"id": sid, "document_id": did, "text": " ".join(texts)}) + "\n"
             for sid, did, texts in self.TRAFFIC_SUMMARIES
@@ -319,6 +330,10 @@ class TestScoreBlocks:
         claims = write(tmp_path, "claims.json", json.dumps(
             {sid: texts for sid, _, texts in self.TRAFFIC_SUMMARIES}
         ))
+        return docs, sums, claims
+
+    def test_traffic_matches_golden(self, runner, tmp_path):
+        docs, sums, claims = self.traffic(tmp_path)
         golden = json.loads((GOLDEN_DIR / "score_traffic.json").read_text())
         for workers in ("1", "3"):
             result, meta = self.run(
@@ -327,6 +342,34 @@ class TestScoreBlocks:
             assert result.exit_code == 0, result.stderr
             meta = json.loads(meta.read_text())
             assert {key: meta[key] for key in golden} == golden, workers
+
+    @pytest.mark.parametrize("workers", ["1", "3"])
+    def test_run_meta_matches_golden(self, runner, tmp_path, workers):
+        # d1 carries its clusters, so coref scans only d2, and cuts it after
+        # three of its four sentences; d2 is met in two blocks and listed once.
+        docs, sums, claims = self.traffic(tmp_path, {"d1": self.D1_CLUSTERS})
+        result, meta = self.run(
+            runner, tmp_path, docs, sums, claims, 2, workers, window_size=2, coref_max_sentences=3
+        )
+        assert result.exit_code == 0, result.stderr
+        golden = (GOLDEN_DIR / "score_run_meta.json").read_text()
+        assert meta.read_text().replace(str(tmp_path), "<tmp>") == golden
+
+    @pytest.mark.parametrize("workers", ["1", "3"])
+    def test_debug_traffic_matches_golden(self, runner, tmp_path, workers):
+        # Three blocks: the nli_calls lines, in order, and they add up to the
+        # pairs the run-meta counts as sent.
+        docs, sums, claims = self.traffic(tmp_path)
+        result, meta = self.run(
+            runner, tmp_path, docs, sums, claims, 2, workers, window_size=2, log_level="debug"
+        )
+        assert result.exit_code == 0, result.stderr
+        events = [line for line in result.stderr.splitlines() if '"event": "nli_calls"' in line]
+        assert events == (GOLDEN_DIR / "score_nli_calls.jsonl").read_text().splitlines()
+        sent = {stage: 0 for stage in ("sentence", "coref", "window", "document")}
+        for event in map(json.loads, events):
+            sent[event["stage"]] += event["pairs"]
+        assert sent == json.loads(meta.read_text())["backend_calls"]
 
     def test_claim_cache_miss_in_second_block_exits_2_after_the_first(self, runner, tmp_path):
         docs, sums, claims, ids = self.news(tmp_path, n_docs=1)
@@ -745,6 +788,25 @@ class TestBenchmark:
         assert serial.stdout == threaded.stdout
 
 
+class TestReadmeRunMetaKeys:
+    def test_table_lists_exactly_the_keys_each_command_writes(self, runner, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        table = readme.split("Run-meta keys:", 1)[1].split("\n\n", 2)[1]
+        rows = [line.split("|")[1:4] for line in table.splitlines() if line.startswith("| `")]
+        listed = {
+            command: sorted(key.strip(" `") for key, *marks in rows if marks[column].strip() == "yes")
+            for column, command in enumerate(("score", "benchmark"))
+        }
+        docs, sums, _ = corpus(tmp_path)
+        runs = {"score": ["score", docs, sums], "benchmark": ["benchmark", benchmark_file(tmp_path)]}
+        for command, args in runs.items():
+            meta = tmp_path / f"{command}.meta.json"
+            result = runner.invoke(main, args + ["--run-meta", str(meta)])
+            assert result.exit_code == 0, result.stderr
+            assert sorted(json.loads(meta.read_text())) == listed[command], command
+        assert len(rows) == len({key for key, *_ in rows})
+
+
 class TestTopLevel:
     def test_help_lists_commands(self, runner):
         result = runner.invoke(main, ["--help"])
@@ -856,6 +918,25 @@ _GOLDEN_BACKEND_CALLS = {
 _GOLDEN_MODES = ["full", "nli_sent", "nli_claim", "nli_coref"]
 
 
+def golden_records(tmp_path):
+    """The golden records and claim cache files: ``(records, claims)``."""
+    rows = [
+        json.dumps(
+            {
+                "record_id": rid,
+                "document": {"id": doc_id, "text": _GOLDEN_DOCS[doc_id]},
+                "summary": {"id": f"{rid}:s", "text": text},
+                "gold_label": gold,
+                "dataset": "news",
+                "split": split,
+            }
+        )
+        for rid, doc_id, split, gold, text in _GOLDEN_RECORDS
+    ]
+    records = write(tmp_path, "records.jsonl", "\n".join(rows) + "\n")
+    return records, write(tmp_path, "claims.json", json.dumps(_GOLDEN_CLAIMS))
+
+
 class TestAblationGoldens:
     # The same goldens hold with scoring and claim resolution on three workers.
     @pytest.mark.parametrize(
@@ -864,21 +945,7 @@ class TestAblationGoldens:
         + [pytest.param(mode, "3", id=f"{mode}-workers3") for mode in _GOLDEN_MODES],
     )
     def test_benchmark_mode_matches_golden(self, runner, tmp_path, mode, workers):
-        rows = [
-            json.dumps(
-                {
-                    "record_id": rid,
-                    "document": {"id": doc_id, "text": _GOLDEN_DOCS[doc_id]},
-                    "summary": {"id": f"{rid}:s", "text": text},
-                    "gold_label": gold,
-                    "dataset": "news",
-                    "split": split,
-                }
-            )
-            for rid, doc_id, split, gold, text in _GOLDEN_RECORDS
-        ]
-        records = write(tmp_path, "records.jsonl", "\n".join(rows) + "\n")
-        claims = write(tmp_path, "claims.json", json.dumps(_GOLDEN_CLAIMS))
+        records, claims = golden_records(tmp_path)
         csv_path = tmp_path / "scores.csv"
         meta_path = tmp_path / "meta.json"
         result = runner.invoke(
@@ -898,3 +965,24 @@ class TestAblationGoldens:
         assert meta["backend_calls"] == _GOLDEN_BACKEND_CALLS[mode]
         # r3's claim cache entry is empty, but nli_sent never consults the cache.
         assert ("extractor returned no claims" in result.stderr) == (mode != "nli_sent")
+
+    @pytest.mark.parametrize("workers", ["1", "3"])
+    def test_benchmark_run_meta_matches_golden(self, runner, tmp_path, workers):
+        records, claims = golden_records(tmp_path)
+        meta_path = tmp_path / "meta.json"
+        result = runner.invoke(
+            main,
+            [
+                "benchmark", records,
+                "--coref-backend", "heuristic", "--claim-backend", f"cache:{claims}",
+                "--T", "0.9", "--j", "2", "--workers", workers,
+                "--cache-dir", str(tmp_path / "cache"), "--run-meta", str(meta_path),
+            ],
+        )
+        assert result.exit_code == 0, result.stderr
+        # The cache file is named by a digest that covers the claim file's path.
+        cache = json.loads(meta_path.read_text())["cache"]
+        assert Path(cache).parent == tmp_path / "cache" and Path(cache).is_file()
+        meta = meta_path.read_text().replace(cache, "<tmp>/cache/scores-<fingerprint>.json")
+        golden = (GOLDEN_DIR / "benchmark_run_meta.json").read_text()
+        assert meta.replace(str(tmp_path), "<tmp>") == golden

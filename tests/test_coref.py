@@ -75,6 +75,14 @@ class TestHeuristicBackend:
         assert len(two) == 1
         assert [m.sentence_index for m in two[0].mentions] == [0, 1]
         assert HeuristicCorefBackend(max_sentences=1).clusters(d) == []
+        # Each document cut is recorded once, in the order met; one that fits is not.
+        backend = HeuristicCorefBackend(max_sentences=2)
+        for document in (d, Document.from_text("e", "Bob ran."), Document.from_text("f", text), d):
+            backend.clusters(document)
+        assert list(backend.truncated) == ["d", "f"]
+        backend = HeuristicCorefBackend(max_sentences=3)
+        backend.clusters(d)
+        assert list(backend.truncated) == []
 
     def test_max_sentences_validation(self):
         with pytest.raises(ValueError):
@@ -118,5 +126,7 @@ class TestHeuristicBackend:
 
 class TestWrappers:
     def test_noop_backend(self):
-        assert NoopCorefBackend().clusters(doc("Bob ran. Bob hid.")) == []
-        assert NoopCorefBackend().describe() == "none"
+        backend = NoopCorefBackend()
+        assert backend.clusters(doc("Bob ran. Bob hid.")) == []
+        assert backend.describe() == "none"
+        assert list(backend.truncated) == []

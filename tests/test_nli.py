@@ -1,11 +1,14 @@
 """The row rule for entailment triples and the three backend implementations."""
 
+import functools
+import json
 import math
 import threading
 from collections import Counter
 from types import SimpleNamespace
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +20,7 @@ from sumfact import (
     PremiseBudget,
     RemoteEntailmentBackend,
 )
+from sumfact.cli import main
 from sumfact.documents import Claim
 from sumfact.nli import EntailmentBackend, TextTable, _checked
 from sumfact.scoring import Scorer
@@ -671,6 +675,33 @@ class TestLocalBackend:
             "fake-ckpt", model=FakeModel(STANDARD), tokenizer=Unbounded()
         )
         assert backend.budget is None
+
+    @pytest.mark.parametrize("declared", [16, 20, 23])
+    def test_tiny_model_max_length_exits_3(self, declared, tmp_path, monkeypatch):
+        # The budget is the declared length less 8, and below 16 no pair fits.
+        class Short(FakeTokenizer):
+            model_max_length = declared
+
+        class Fits(FakeTokenizer):
+            model_max_length = 24
+
+        fits = LocalEntailmentBackend("fake-ckpt", model=FakeModel(STANDARD), tokenizer=Fits())
+        assert fits.budget.max_units == 16
+        monkeypatch.setattr(
+            "sumfact.pipeline.LocalEntailmentBackend",
+            functools.partial(LocalEntailmentBackend, model=FakeModel(STANDARD), tokenizer=Short()),
+        )
+        docs = tmp_path / "docs.jsonl"
+        docs.write_text('{"id": "d1", "text": "alpha beta."}\n', encoding="utf-8")
+        sums = tmp_path / "sums.jsonl"
+        sums.write_text('{"id": "s1", "document_id": "d1", "text": "alpha."}\n', encoding="utf-8")
+        result = CliRunner().invoke(
+            main, ["score", str(docs), str(sums), "--nli-backend", "local:fake-ckpt"]
+        )
+        assert result.exit_code == 3, result.output
+        error = json.loads(result.stderr.strip().splitlines()[-1])
+        assert error["error"] == "NliBackendError"
+        assert f"model_max_length {declared}" in error["message"]
 
     def test_explicit_max_units_overrides(self):
         backend = local_backend(max_units=64)

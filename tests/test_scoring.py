@@ -672,13 +672,13 @@ class TestCountersAndMemo:
     def test_memo_holds_the_last_blocks_only(self):
         scorer = make_scorer()
         memos = []
-        request = scorer._request
+        wave = scorer._wave
 
-        def spy(requests, memo, sizes):
+        def spy(requests, last, memo, sizes):
             memos.append(memo)
-            return request(requests, memo, sizes)
+            return wave(requests, last, memo, sizes)
 
-        scorer._request = spy
+        scorer._wave = spy
         for u in range(6):
             ((doc, claims, _),) = self.block(u)
             score_block(scorer, self.block(u))
