@@ -11,8 +11,8 @@ local transformers sequence-classification checkpoint.
 ``EntailmentBackend.submit`` checks every pair in one pass, so the budget
 guard sizes each distinct text once, and builds a :class:`TextTable` of the
 call's distinct texts. A backend's ``_infer(pairs, table)`` runs once per
-length-sorted batch of at most ``batch_size`` pairs, with up to ``workers``
-batches in flight at once, and returns one row of three floats per pair,
+size-sorted batch, with up to ``workers`` batches in flight at once, and
+returns one row of three floats per pair,
 ``(entailment, neutral, contradiction)``; it may read per-text features from
 the table, computed once per call, and must not retain the table, which
 lives only for that one call. The :class:`Inference` that ``submit`` returns
@@ -21,6 +21,10 @@ it, and gives each pair's alignment score (``submit(pairs).scores()``), the
 one way a backend is read. ``submit`` starts a call without waiting for it,
 so a caller can have the next call's batches in flight while it reads this
 one's.
+
+Batches are capped by padded size, not by pair count: no batch pads beyond
+``batch_size`` pairs of the largest size a pair of the call may have, so a
+batch of short pairs holds more rows (see :class:`Inference`).
 """
 
 from __future__ import annotations
@@ -123,6 +127,23 @@ class TextTable(dict):
             self.pop(text, None)
 
 
+def _cut(order: list[int], lengths: list[int], cap: int) -> list[list[int]]:
+    """Cut ``order``, indices sorted by ``lengths``, in one greedy pass: a
+    batch takes the next index while its rows times its last (longest)
+    length stay within ``cap``, a length of 0 counting as 1. Every length
+    must be at most ``cap``, so that each batch holds an index.
+    """
+    chunks = []
+    lo = 0
+    for k, i in enumerate(order):
+        if (k - lo + 1) * (lengths[i] or 1) > cap:
+            chunks.append(order[lo:k])
+            lo = k
+    if order:
+        chunks.append(order[lo:])
+    return chunks
+
+
 class Inference:
     """The results of one :meth:`EntailmentBackend.submit` call.
 
@@ -132,11 +153,16 @@ class Inference:
     measured once, unless ``sizes`` already holds its ``measure``; the texts
     measured here are added to ``sizes``, so a caller that passes one map to
     several calls measures each text once over all of them. The pairs
-    are then stable-sorted by character length (premise plus hypothesis)
-    and cut into batches of ``batch_size``, so each batch holds pairs of
-    similar length and a model pads little. With one worker the batches run
-    when the results are read, one after another; otherwise they go to the
-    backend's pool on construction.
+    are then stable-sorted by size (premise plus hypothesis: measured units
+    with a budget, characters without) and cut in one pass (:func:`_cut`):
+    a batch takes the next pair while its rows times its longest pair stay
+    within ``batch_size`` times the largest size a pair of the call may have,
+    the budget's ``max_units``, else the call's longest pair. So each batch
+    holds pairs of similar size, a model pads little, and no batch pads
+    beyond ``batch_size`` pairs of that largest size. With one worker the
+    batches run when the results are read, one after another; otherwise
+    they go to the backend's pool on construction, and a call of short
+    pairs may fill fewer batches than there are workers.
 
     Results are gathered in batch order, and every row is checked once as
     it is read, with the rule of :func:`_checked`, so a failure raises that
@@ -158,8 +184,8 @@ class Inference:
                 raise ValueError(f"pair {i}: premise must be non-empty")
             if not hypothesis:
                 raise ValueError(f"pair {i}: hypothesis must be non-empty")
-            lengths.append(len(premise) + len(hypothesis))
             if budget is None:
+                lengths.append(len(premise) + len(hypothesis))
                 continue
             if premise not in measured:
                 measured[premise] = backend.measure(premise)
@@ -171,10 +197,11 @@ class Inference:
                     f"pair {i}: premise+hypothesis measure {units} units, "
                     f"budget is {budget.max_units}"
                 )
+            lengths.append(units)
         self._size = len(pairs)
         order = sorted(range(len(pairs)), key=lengths.__getitem__)
-        size = backend.batch_size
-        self._chunks = [order[lo : lo + size] for lo in range(0, len(order), size)]
+        largest = budget.max_units if budget is not None else max(lengths, default=1)
+        self._chunks = _cut(order, lengths, backend.batch_size * largest)
         self._batches = [[pairs[i] for i in chunk] for chunk in self._chunks]
         self._table = TextTable(backend, self._batches)
         self._infer = backend._infer
@@ -211,9 +238,11 @@ class Inference:
 class EntailmentBackend:
     """Shared plumbing: input validation, budget checks, batch chunking.
 
-    Subclasses implement :meth:`_infer`, called once per batch of at most
-    ``batch_size`` pairs with the call's :class:`TextTable`; it returns one
-    ``(entailment, neutral, contradiction)`` row per pair, which
+    Subclasses implement :meth:`_infer`, called once per batch with the
+    call's :class:`TextTable`. A batch pads to at most ``batch_size`` pairs
+    of the largest size a pair of the call may have (see :class:`Inference`),
+    so it may hold more than ``batch_size`` short pairs. ``_infer`` returns
+    one ``(entailment, neutral, contradiction)`` row per pair, which
     :class:`Inference` checks once, and it may read per-text features from
     the table (see :meth:`_featurise`) and must not retain it. With
     ``workers`` above 1, batches run on a pool of that many threads, shared
@@ -359,6 +388,11 @@ class LocalEntailmentBackend(EntailmentBackend):
     pass ``label_map`` explicitly when the config is missing or ambiguous.
     ``model`` and ``tokenizer`` can be injected to avoid loading weights in
     tests; the objects only need the calling conventions used below.
+
+    Without ``max_units`` the budget is the tokenizer's declared
+    ``model_max_length`` less 8. A non-int declared length, or one above
+    100,000, is a sentinel and means no limit; any other that leaves below
+    16 units raises :class:`NliBackendError` naming it.
     """
 
     def __init__(
@@ -398,8 +432,8 @@ class LocalEntailmentBackend(EntailmentBackend):
         limit = max_units
         if limit is None:
             declared = getattr(tokenizer, "model_max_length", None)
-            # Some tokenizers report a huge sentinel instead of a real limit.
-            if isinstance(declared, int) and 16 <= declared <= 100_000:
+            # Tokenizers that know no real limit report a huge sentinel.
+            if isinstance(declared, int) and declared <= 100_000:
                 limit = declared - 8
                 if limit < 16:
                     raise NliBackendError(

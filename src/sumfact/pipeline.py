@@ -117,13 +117,15 @@ def scorer_fingerprint(
 ) -> str:
     """Digest of everything that can change a record's score.
 
-    A ``cache:`` claim backend enters by the digest of its claims as well as
+    The premise budget enters as the backend uses it, so a ``local:``
+    budget taken from the tokenizer's declared length is keyed too. A
+    ``cache:`` claim backend enters by the digest of its claims as well as
     its path. Modes that score summary sentences never call the extractor,
     so its settings are left out there.
     """
     parts: dict[str, object] = {
         "nli": backend.describe(),
-        "nli_max_units": config.nli_max_units or None,
+        "nli_max_units": backend.budget.max_units if backend.budget else None,
         "coref": config.coref_backend,
         "coref_max_sentences": config.coref_max_sentences,
         "mode": config.mode,

@@ -63,20 +63,50 @@ def triples(backend, pairs):
 
 
 class RecordingBackend(MockEntailmentBackend):
-    """The mock, keeping every batch it is sent."""
+    """The mock, keeping every batch it is sent, and the text table it came with."""
 
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
         self.batches = []
+        # Kept alive, so that no two calls' tables share an id.
+        self.tables = []
 
     def _infer(self, pairs, table):
         self.batches.append(list(pairs))
+        self.tables.append(table)
         return super()._infer(pairs, table)
 
     @property
     def sent(self):
         """Every pair sent, batch after batch."""
         return [pair for batch in self.batches for pair in batch]
+
+    @property
+    def calls(self):
+        """The batches of each ``submit`` call: a call's batches share its
+        table. Calls come in the order their first batches ran."""
+        calls = {}
+        for table, batch in zip(self.tables, self.batches):
+            calls.setdefault(id(table), []).append(batch)
+        return list(calls.values())
+
+
+def check_cut(batches, batch_size, largest=None, size=lambda pair: len(pair[0]) + len(pair[1])):
+    """Assert that ``batches``, one call's batches in order, are its cut by padded size.
+
+    Pair sizes (``size``, a size of 0 counting 1) ascend over the call; each
+    batch's rows times its longest size stay within ``batch_size`` times
+    ``largest`` (the budget's ``max_units``; by default the call's longest
+    pair), and every batch but the last would break that cap with the next pair.
+    """
+    sizes = [[max(size(pair), 1) for pair in batch] for batch in batches]
+    flat = [s for batch in sizes for s in batch]
+    assert flat == sorted(flat)
+    cap = batch_size * (max(flat) if largest is None else largest)
+    for batch, after in zip(sizes, sizes[1:] + [None]):
+        assert len(batch) * batch[-1] <= cap
+        if after is not None:
+            assert (len(batch) + 1) * after[0] > cap
 
 
 def score_block(scorer, items, stop=None):

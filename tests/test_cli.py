@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from sumfact import MockEntailmentBackend
 from sumfact.cli import main
 
 import oracles
@@ -370,6 +371,30 @@ class TestScoreBlocks:
         for event in map(json.loads, events):
             sent[event["stage"]] += event["pairs"]
         assert sent == json.loads(meta.read_text())["backend_calls"]
+
+    @pytest.mark.parametrize("workers", ["1", "3"])
+    def test_batches_match_golden(self, runner, tmp_path, monkeypatch, workers):
+        # Rows per batch of each wave, waves in the order they are sent, with
+        # and without a budget: a change to how batches are cut shows here.
+        waves = []
+
+        class Recording(MockEntailmentBackend):
+            def submit(self, pairs, sizes=None):
+                inference = super().submit(pairs, sizes)
+                waves.append([len(batch) for batch in inference._batches])
+                return inference
+
+        monkeypatch.setattr("sumfact.pipeline.MockEntailmentBackend", Recording)
+        docs, sums, claims = self.traffic(tmp_path)
+        got = []
+        for units in (None, 150):
+            waves.clear()
+            result, _ = self.run(
+                runner, tmp_path, docs, sums, claims, 2, workers, window_size=2, nli_max_units=units
+            )
+            assert result.exit_code == 0, result.stderr
+            got.append({"nli_batch_size": 2, "nli_max_units": units, "waves": list(waves)})
+        assert got == json.loads((GOLDEN_DIR / "score_batches.json").read_text())
 
     def test_claim_cache_miss_in_second_block_exits_2_after_the_first(self, runner, tmp_path):
         docs, sums, claims, ids = self.news(tmp_path, n_docs=1)

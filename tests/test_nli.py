@@ -21,12 +21,14 @@ from sumfact import (
     RemoteEntailmentBackend,
 )
 from sumfact.cli import main
+from sumfact.config import RunConfig
 from sumfact.documents import Claim
 from sumfact.nli import EntailmentBackend, TextTable, _checked
+from sumfact.pipeline import make_nli_backend, scorer_fingerprint
 from sumfact.scoring import Scorer
 
 import oracles
-from cases import doc_from_sentences, score_block, triples
+from cases import RecordingBackend, check_cut, doc_from_sentences, score_block, triples
 from stubserver import StubServer, dead_url
 
 
@@ -201,6 +203,69 @@ class TestBackendPlumbing:
     def test_budget_floor(self):
         with pytest.raises(ValueError):
             PremiseBudget(8)
+
+
+_WORDS = st.sampled_from(["alpha", "beta", "not", "gamma", "a", "river crossing", "x" * 40])
+_PAIRS = st.lists(
+    st.tuples(
+        st.lists(_WORDS, min_size=1, max_size=20).map(" ".join),
+        st.lists(_WORDS, min_size=1, max_size=3).map(" ".join),
+    ),
+    min_size=1,
+    max_size=50,
+)
+
+
+def _chars(pair):
+    return len(pair[0]) + len(pair[1])
+
+
+class TestBatchCut:
+    """``submit`` cuts a call's size-sorted pairs by padded size: a batch
+    takes the next pair while its rows times its longest pair stay within
+    ``batch_size`` pairs of the largest size a pair of the call may have."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_PAIRS, st.integers(1, 40), st.integers(0, 300))
+    def test_cut_partitions_the_sorted_pairs_and_never_changes_a_score(
+        self, pairs, drawn, slack
+    ):
+        want = [MockEntailmentBackend().submit([pair]).scores()[0] for pair in pairs]
+        limit = PremiseBudget(max(16, max(map(_chars, pairs)) + slack))
+        for batch_size in (drawn, 1, 3, 32):
+            for budget in (None, limit):
+                for workers in (1, 2):
+                    backend = RecordingBackend(
+                        batch_size=batch_size, budget=budget, workers=workers
+                    )
+                    try:
+                        got = backend.submit(pairs).scores()
+                    finally:
+                        if backend._executor is not None:
+                            backend._executor.shutdown(wait=True)
+                    assert _bits(got) == _bits(want), (batch_size, budget, workers)
+                    if workers == 1:
+                        assert backend.sent == sorted(pairs, key=_chars)
+                        check_cut(backend.batches, batch_size, budget and budget.max_units)
+
+    def test_budgeted_local_call_sorts_and_caps_by_tokens(self):
+        batches = []
+
+        class Recording(LocalEntailmentBackend):
+            def _infer(self, pairs, table):
+                batches.append(list(pairs))
+                return super()._infer(pairs, table)
+
+        backend = Recording(
+            "fake-ckpt", model=FakeModel(STANDARD), tokenizer=FakeTokenizer(), batch_size=1
+        )
+        # Pair i measures 12 - i tokens and 8i + 31 characters.
+        pairs = [("x" * (10 * (i + 1)) + " w" * (10 - i), "h") for i in range(10)]
+        backend.submit(pairs).scores()
+        # In tokens all ten fit one pair of the 504-token budget; in
+        # characters, sorted the other way, they would not.
+        assert batches == [pairs[::-1]]
+        check_cut(batches, 1, 504, size=lambda pair: sum(map(backend.measure, pair)))
 
 
 class CountingBackend(MockEntailmentBackend):
@@ -676,9 +741,10 @@ class TestLocalBackend:
         )
         assert backend.budget is None
 
-    @pytest.mark.parametrize("declared", [16, 20, 23])
+    @pytest.mark.parametrize("declared", [16, 20, 23, 1, 10, 15])
     def test_tiny_model_max_length_exits_3(self, declared, tmp_path, monkeypatch):
-        # The budget is the declared length less 8, and below 16 no pair fits.
+        # The budget is the declared length less 8, and below 16 no pair fits;
+        # only a non-int or a length above 100,000 is a sentinel.
         class Short(FakeTokenizer):
             model_max_length = declared
 
@@ -702,6 +768,24 @@ class TestLocalBackend:
         error = json.loads(result.stderr.strip().splitlines()[-1])
         assert error["error"] == "NliBackendError"
         assert f"model_max_length {declared}" in error["message"]
+
+    def test_fingerprint_keys_the_budget_used(self, monkeypatch):
+        # Unset, the budget is the declared length less 8, and that is keyed.
+        def digest(declared, units=None):
+            class Declaring(FakeTokenizer):
+                model_max_length = declared
+
+            monkeypatch.setattr(
+                "sumfact.pipeline.LocalEntailmentBackend",
+                functools.partial(
+                    LocalEntailmentBackend, model=FakeModel(STANDARD), tokenizer=Declaring()
+                ),
+            )
+            config = RunConfig(nli_backend="local:fake-ckpt", nli_max_units=units)
+            return scorer_fingerprint(config, make_nli_backend(config), None)
+
+        assert digest(512) == digest(512, 504) == digest(256, 504)
+        assert digest(256) != digest(512)
 
     def test_explicit_max_units_overrides(self):
         backend = local_backend(max_units=64)

@@ -2,7 +2,6 @@
 
 import dataclasses
 import logging
-import math
 import random
 import sys
 import threading
@@ -47,6 +46,7 @@ from sumfact.pipeline import (
 
 from cases import (
     RecordingBackend,
+    check_cut,
     doc_from_sentences,
     random_news_corpus,
     score_block,
@@ -657,8 +657,11 @@ class TestBlocks:
         assert [r.verdicts[0].stage for r in reports] == ["multi_granularity"] * n_items
         blocks = [min(batch_size, n_items - lo) for lo in range(0, n_items, batch_size)]
         waves = [b * m for b in blocks] + [b * (m - j + 2) for b in blocks]
-        assert len(backend.batches) == sum(math.ceil(w / batch_size) for w in waves)
-        assert sum(map(len, backend.batches)) == sum(waves)
+        calls = backend.calls
+        assert Counter(sum(map(len, call)) for call in calls) == Counter(waves)
+        # Each wave's batches are cut by padded size, not by pair count.
+        for call in calls:
+            check_cut(call, batch_size)
         for batch in backend.batches:
             lengths = [len(p) + len(h) for p, h in batch]
             assert lengths == sorted(lengths)
