@@ -23,8 +23,11 @@ so a caller can have the next call's batches in flight while it reads this
 one's.
 
 Batches are capped by padded size, not by pair count: no batch pads beyond
-``batch_size`` pairs of the largest size a pair of the call may have, so a
-batch of short pairs holds more rows (see :class:`Inference`).
+``batch_size`` pairs of the largest size L a pair may have, so a batch of
+short pairs holds more rows (see :class:`Inference`). With a budget, L is its
+``max_units``. Without one, L is the call's longest pair, or the caller's
+``bound`` if that is longer: a scorer block passes its largest pair as the
+bound of each of its waves, so that they share one cap.
 """
 
 from __future__ import annotations
@@ -156,10 +159,14 @@ class Inference:
     are then stable-sorted by size (premise plus hypothesis: measured units
     with a budget, characters without) and cut in one pass (:func:`_cut`):
     a batch takes the next pair while its rows times its longest pair stay
-    within ``batch_size`` times the largest size a pair of the call may have,
-    the budget's ``max_units``, else the call's longest pair. So each batch
-    holds pairs of similar size, a model pads little, and no batch pads
-    beyond ``batch_size`` pairs of that largest size. With one worker the
+    within ``batch_size`` times the largest size L a pair may have. With a
+    budget L is its ``max_units`` and ``bound`` is not read. Without one, L
+    is the larger of ``bound`` and the call's longest pair, or the call's
+    longest pair when ``bound`` is ``None``: ``bound`` is the largest pair,
+    in characters, that the caller's related calls may send, so that calls
+    of short pairs fill batches as large as those calls may pad. So each
+    batch holds pairs of similar size, a model pads little, and no batch
+    pads beyond ``batch_size`` pairs of size L. With one worker the
     batches run when the results are read, one after another; otherwise
     they go to the backend's pool on construction, and a call of short
     pairs may fill fewer batches than there are workers.
@@ -175,6 +182,7 @@ class Inference:
         backend: EntailmentBackend,
         pairs: Sequence[Pair],
         sizes: dict[str, int] | None = None,
+        bound: int | None = None,
     ):
         budget = backend.budget
         measured = {} if sizes is None else sizes
@@ -200,7 +208,10 @@ class Inference:
             lengths.append(units)
         self._size = len(pairs)
         order = sorted(range(len(pairs)), key=lengths.__getitem__)
-        largest = budget.max_units if budget is not None else max(lengths, default=1)
+        if budget is not None:
+            largest = budget.max_units
+        else:
+            largest = max(max(lengths, default=1), bound or 0)
         self._chunks = _cut(order, lengths, backend.batch_size * largest)
         self._batches = [[pairs[i] for i in chunk] for chunk in self._chunks]
         self._table = TextTable(backend, self._batches)
@@ -240,8 +251,12 @@ class EntailmentBackend:
 
     Subclasses implement :meth:`_infer`, called once per batch with the
     call's :class:`TextTable`. A batch pads to at most ``batch_size`` pairs
-    of the largest size a pair of the call may have (see :class:`Inference`),
-    so it may hold more than ``batch_size`` short pairs. ``_infer`` returns
+    of the largest size L a pair may have (see :class:`Inference`), so it
+    may hold more than ``batch_size`` short pairs: L is the budget's
+    ``max_units`` with a budget; without one, the larger of the call's
+    ``bound`` and its longest pair (a scorer block in the full pipeline
+    passes one bound to all its waves), or the call's longest pair when no
+    bound is passed (as under the ablation stops). ``_infer`` returns
     one ``(entailment, neutral, contradiction)`` row per pair, which
     :class:`Inference` checks once, and it may read per-text features from
     the table (see :meth:`_featurise`) and must not retain it. With
@@ -271,16 +286,23 @@ class EntailmentBackend:
         """Size of ``text`` in budget units. Default: characters."""
         return len(text)
 
-    def submit(self, pairs: Sequence[Pair], sizes: dict[str, int] | None = None) -> Inference:
+    def submit(
+        self,
+        pairs: Sequence[Pair],
+        sizes: dict[str, int] | None = None,
+        bound: int | None = None,
+    ) -> Inference:
         """Check ``pairs`` and start inferring them; the result is read later.
 
         ``sizes`` maps texts the caller has already measured to their
         :meth:`measure`, so the budget check does not measure them again,
-        and gains the texts the check measures.
+        and gains the texts the check measures. Without a budget, ``bound``
+        (characters) raises the batch cap to ``batch_size`` pairs of that
+        size when the call's own pairs are shorter (see :class:`Inference`).
         Calls in flight together share the pool, so at most ``workers``
         batches run at once however many calls there are.
         """
-        return Inference(self, pairs, sizes)
+        return Inference(self, pairs, sizes, bound)
 
     def _pool(self) -> ThreadPoolExecutor:
         if self._executor is None:

@@ -16,9 +16,10 @@ over each block of summaries: every claim's sentence candidates go to the
 backend together, then the coref candidates of all the claims, then the
 window and document candidates of every gate miss. One selection rule
 serves every wave. Blocks change how pairs are batched, never a score or a
-span. One thread scores; the backend keeps batches in flight, and the next
-block's first wave is sent while the block before has its last wave in
-flight.
+span; without a budget, the waves of a block share one batch cap (see
+``Scorer._verdicts``). One thread scores; the backend keeps batches in
+flight, and the next block's first wave is sent while the block before has
+its last wave in flight.
 
 The window wave builds one :class:`WindowTable` per document of its block:
 each (document, k) window's text and, with a budget, its size are built once
@@ -332,7 +333,12 @@ class Scorer:
         return reports
 
     def _wave(
-        self, requests: Sequence[Request], last: bool, memo: Memo, sizes: dict[str, int]
+        self,
+        requests: Sequence[Request],
+        last: bool,
+        memo: Memo,
+        sizes: dict[str, int],
+        bound: int | None,
     ) -> Generator[bool, None, list[tuple[float, AlignedSpan]]]:
         """One stage's requests over a block: send, pause yielding ``last``, then read.
 
@@ -342,7 +348,10 @@ class Scorer:
         call, in request order and without duplicates, so the backend fills
         its batches across claims; each is credited to the stage of the
         request that first asks for it, and logged, as it is sent. ``sizes``
-        is the block's map of measures, for the backend's budget check.
+        is the block's map of measures, for the backend's budget check, and
+        ``bound`` the block's largest pair, which caps the call's batches
+        when there is no budget (``None`` keeps the call's own cap; see
+        :meth:`_verdicts`).
 
         Once resumed, the wave waits for its pairs, writes their scores to
         the memo by text and applies the one selection rule of every stage:
@@ -379,7 +388,7 @@ class Scorer:
                             }
                         )
                     )
-        inference = self.backend.submit(pairs, sizes) if pairs else None
+        inference = self.backend.submit(pairs, sizes, bound) if pairs else None
         try:
             yield last
         except GeneratorExit:
@@ -404,6 +413,16 @@ class Scorer:
 
         The waves share one memo, so each pair is sent once, and one map of
         sizes, so each text is measured once.
+
+        They also share one batch cap. With a budget the backend caps every
+        batch by its ``max_units``. Without one, a block that runs the whole
+        pipeline may send each job's whole document with its claim, so every
+        wave passes the largest of those pairs (characters) as its bound, and
+        the backend caps the wave's batches at ``batch_size`` pairs of the
+        bound or of the wave's longest pair, if longer (a coref variant can
+        outgrow a one-sentence document). A sentence wave of short pairs thus
+        fills batches as large as the block's document wave may pad. Under
+        ``stop`` no document pair is sent, so each wave keeps its own cap.
         """
         memo: Memo = {}
         sizes: dict[str, int] = {}
@@ -413,8 +432,16 @@ class Scorer:
             id(doc): [("sentence", i, i, s.text) for i, s in enumerate(doc.sentences)]
             for doc in {id(doc): doc for doc, _ in jobs}.values()
         }
+        bound = None
+        if stop is None and self.backend.budget is None:
+            # A document premise joins its sentences with single spaces.
+            joined = {
+                key: sum(len(c[3]) for c in candidates) + len(candidates) - 1
+                for key, candidates in by_doc.items()
+            }
+            bound = max((joined[id(doc)] + len(claim.text) for doc, claim in jobs), default=None)
         requests = [(by_doc[id(doc)], claim, "sentence") for doc, claim in jobs]
-        sentence = yield from self._wave(requests, stop == "sentence", memo, sizes)
+        sentence = yield from self._wave(requests, stop == "sentence", memo, sizes, bound)
         if stop == "sentence":
             return [
                 ClaimVerdict(claim, score, "sentence", span, {"sentence": score})
@@ -424,7 +451,7 @@ class Scorer:
         wave = [(i, self._coref_candidates(doc, sentence[i][1])) for i, (doc, _) in enumerate(jobs)]
         wave = [(i, candidates) for i, candidates in wave if candidates]
         requests = [(candidates, jobs[i][1], "coref") for i, candidates in wave]
-        results = yield from self._wave(requests, stop == "coref", memo, sizes)
+        results = yield from self._wave(requests, stop == "coref", memo, sizes, bound)
         for (i, _), result in zip(wave, results):
             coref[i] = result
         # Gate misses: windows, then the whole document.
@@ -432,7 +459,7 @@ class Scorer:
         if stop is None:
             misses = [i for i, (score, _) in enumerate(coref) if score < self.params.gate_threshold]
             requests = self._window_requests([jobs[i] for i in misses], sizes)
-            results = yield from self._wave(requests, True, memo, sizes)
+            results = yield from self._wave(requests, True, memo, sizes, bound)
             multi = {i: (results[2 * m], results[2 * m + 1]) for m, i in enumerate(misses)}
         verdicts = []
         for i, (_, claim) in enumerate(jobs):

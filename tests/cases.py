@@ -91,18 +91,23 @@ class RecordingBackend(MockEntailmentBackend):
         return list(calls.values())
 
 
-def check_cut(batches, batch_size, largest=None, size=lambda pair: len(pair[0]) + len(pair[1])):
+def check_cut(
+    batches, batch_size, largest=None, size=lambda pair: len(pair[0]) + len(pair[1]), bound=None
+):
     """Assert that ``batches``, one call's batches in order, are its cut by padded size.
 
     Pair sizes (``size``, a size of 0 counting 1) ascend over the call; each
     batch's rows times its longest size stay within ``batch_size`` times
-    ``largest`` (the budget's ``max_units``; by default the call's longest
-    pair), and every batch but the last would break that cap with the next pair.
+    ``largest`` (the budget's ``max_units``; by default the larger of the
+    call's longest pair and ``bound``, the block's largest pair, if given),
+    and every batch but the last would break that cap with the next pair.
     """
     sizes = [[max(size(pair), 1) for pair in batch] for batch in batches]
     flat = [s for batch in sizes for s in batch]
     assert flat == sorted(flat)
-    cap = batch_size * (max(flat) if largest is None else largest)
+    if largest is None:
+        largest = max(max(flat), bound or 0)
+    cap = batch_size * largest
     for batch, after in zip(sizes, sizes[1:] + [None]):
         assert len(batch) * batch[-1] <= cap
         if after is not None:

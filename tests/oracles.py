@@ -192,7 +192,7 @@ def window_stage(scorer, doc, claim, k: int):
     k = min(k, table.n)
     candidates = table.candidates(k, table.room(claim.text))
     request = (candidates, claim, "document" if k == table.n else "window")
-    wave = scorer._wave([request], True, {}, table.sizes)
+    wave = scorer._wave([request], True, {}, table.sizes, None)
     next(wave)
     return _finish(wave)[0]
 

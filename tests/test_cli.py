@@ -379,8 +379,8 @@ class TestScoreBlocks:
         waves = []
 
         class Recording(MockEntailmentBackend):
-            def submit(self, pairs, sizes=None):
-                inference = super().submit(pairs, sizes)
+            def submit(self, pairs, sizes=None, bound=None):
+                inference = super().submit(pairs, sizes, bound)
                 waves.append([len(batch) for batch in inference._batches])
                 return inference
 

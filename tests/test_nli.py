@@ -248,6 +248,20 @@ class TestBatchCut:
                         assert backend.sent == sorted(pairs, key=_chars)
                         check_cut(backend.batches, batch_size, budget and budget.max_units)
 
+    @settings(max_examples=60, deadline=None)
+    @given(_PAIRS, st.integers(1, 8), st.integers(0, 1000))
+    def test_bound_raises_the_cap_without_a_budget_only(self, pairs, batch_size, bound):
+        # Without a budget the cap is batch_size pairs of the bound or of the
+        # call's longest pair, whichever is longer, so no batch is empty; a
+        # budget's max_units overrides the bound.
+        limit = PremiseBudget(max(16, max(map(_chars, pairs))))
+        for budget in (None, limit):
+            backend = RecordingBackend(batch_size=batch_size, budget=budget)
+            got = backend.submit(pairs, bound=bound).scores()
+            assert got == MockEntailmentBackend(budget=budget).submit(pairs).scores()
+            assert all(backend.batches)
+            check_cut(backend.batches, batch_size, budget and budget.max_units, bound=bound)
+
     def test_budgeted_local_call_sorts_and_caps_by_tokens(self):
         batches = []
 

@@ -650,7 +650,8 @@ class TestBlocks:
             doc_from_sentences(f"d{u}", [f"{'x' * (s + 1)} w{u}s{s} tail." for s in range(m)])
             for u in range(n_items)
         ]
-        pairs = sentence_pairs(docs, [f"w{u}s0 other." for u in range(n_items)])
+        claims = [f"w{u}s0 other." for u in range(n_items)]
+        pairs = sentence_pairs(docs, claims)
         backend = RecordingBackend(batch_size=batch_size)
         scorer = Scorer(backend, ScoringParams(window_size=j, gate_threshold=0.9))
         reports = list(score_corpus(pairs, scorer, None, NoopCorefBackend(), "full"))
@@ -659,9 +660,11 @@ class TestBlocks:
         waves = [b * m for b in blocks] + [b * (m - j + 2) for b in blocks]
         calls = backend.calls
         assert Counter(sum(map(len, call)) for call in calls) == Counter(waves)
-        # Each wave's batches are cut by padded size, not by pair count.
+        # Each wave's batches are cut by padded size, capped by the block's
+        # largest pair: a whole document with its claim, of one size here.
+        (bound,) = {len(doc.text) + len(text) for doc, text in zip(docs, claims)}
         for call in calls:
-            check_cut(call, batch_size)
+            check_cut(call, batch_size, bound=bound)
         for batch in backend.batches:
             lengths = [len(p) + len(h) for p, h in batch]
             assert lengths == sorted(lengths)
@@ -674,15 +677,16 @@ class TestPairsInFlight:
     it, however many workers there are."""
 
     @staticmethod
-    def barrier_backend(first_batches):
-        """A recording mock whose first ``first_batches`` batches each wait
-        for all of them, so those batches are in flight at once."""
+    def barrier_backend(first_batches, after=0):
+        """A recording mock whose first ``first_batches`` batches after the
+        first ``after`` each wait for all of them, so those batches are in
+        flight at once."""
         barrier = threading.Barrier(first_batches, timeout=10)
-        started = iter(range(first_batches))
+        started = iter([False] * after + [True] * first_batches)
 
         class BarrierBackend(RecordingBackend):
             def _infer(self, pairs, table):
-                if next(started, None) is not None:
+                if next(started, False):
                     barrier.wait()
                 return super()._infer(pairs, table)
 
@@ -725,9 +729,12 @@ class TestPairsInFlight:
         params = ScoringParams(window_size=2, gate_threshold=0.9)
         serial = Scorer(MockEntailmentBackend(batch_size=2), params)
         expected = self.scored(pairs, serial)
-        # With several workers, the block's two sentence batches wait for
-        # each other.
-        backend = self.barrier_backend(2 if workers > 1 else 1)(batch_size=2, workers=workers)
+        # With several workers, the first two of the window wave's three
+        # batches wait for each other; the block's cap (twice a document with
+        # its claim) holds its four sentence pairs in one batch.
+        backend = self.barrier_backend(2 if workers > 1 else 1, after=1)(
+            batch_size=2, workers=workers
+        )
         scorer = Scorer(backend, params)
         assert self.scored(pairs, scorer) == expected
         sent = backend.sent

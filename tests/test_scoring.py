@@ -30,6 +30,7 @@ from sumfact.scoring import AlignedSpan, WindowTable
 import oracles
 from cases import (
     RecordingBackend,
+    check_cut,
     doc_from_sentences,
     random_case,
     score_block,
@@ -413,8 +414,8 @@ class TestBudgetChunking:
                 self.log.append(text)
                 return super().measure(text)
 
-            def submit(self, pairs, sizes=None):
-                inference = super().submit(pairs, sizes)
+            def submit(self, pairs, sizes=None, bound=None):
+                inference = super().submit(pairs, sizes, bound)
                 self.log.append(None)
                 return inference
 
@@ -674,9 +675,9 @@ class TestCountersAndMemo:
         memos = []
         wave = scorer._wave
 
-        def spy(requests, last, memo, sizes):
+        def spy(requests, last, memo, sizes, bound):
             memos.append(memo)
-            return wave(requests, last, memo, sizes)
+            return wave(requests, last, memo, sizes, bound)
 
         scorer._wave = spy
         for u in range(6):
@@ -802,8 +803,8 @@ class TestScoreBlocks:
                 super().cancel()
 
         class Tracking(MockEntailmentBackend):
-            def submit(self, pairs, sizes=None):
-                unread.append(Tracked(self, pairs, sizes))
+            def submit(self, pairs, sizes=None, bound=None):
+                unread.append(Tracked(self, pairs, sizes, bound))
                 return unread[-1]
 
         scored = make_scorer(Tracking(workers=2)).score_blocks(self.items() * 2)
@@ -811,6 +812,101 @@ class TestScoreBlocks:
         assert len(unread) == 1  # the next block's first wave
         scored.close()
         assert not unread
+
+
+def bits(reports):
+    """Every score of ``reports``, bit for bit."""
+    return [
+        [r.score.hex()]
+        + [(v.score.hex(), {k: s.hex() for k, s in v.sub_scores.items()}) for v in r.verdicts]
+        for r in reports
+    ]
+
+
+class TestBlockCap:
+    """Without a budget, every wave of a full-pipeline block caps its batches
+    at ``batch_size`` pairs of the block's largest pair (a whole document
+    with its claim) or of the wave's own longest pair, if longer; under an
+    ablation stop each wave keeps its own cap."""
+
+    @staticmethod
+    def items(seed, n_items):
+        rng = random.Random(seed)
+        cases = [random_case(rng, i) for i in range(n_items)]
+        return [(doc, claims, False) for doc, claims, _ in cases], ScoringParams(**cases[0][2])
+
+    @staticmethod
+    def bound(items):
+        return max(len(doc.text) + len(c.text) for doc, claims, _ in items for c in claims)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 40))
+    def test_every_batch_is_within_the_blocks_cap(self, seed, n_items, batch_size):
+        items, params = self.items(seed, n_items)
+        backend = RecordingBackend(batch_size=batch_size)
+        score_block(Scorer(backend, params), items)
+        bound = self.bound(items)
+        # Every sentence, window and document premise is a run of sentences.
+        runs = set()
+        for doc, _, _ in items:
+            texts = [s.text for s in doc.sentences]
+            n = len(texts)
+            runs |= {" ".join(texts[a:b]) for a in range(n) for b in range(a + 1, n + 1)}
+        for premise, hypothesis in backend.sent:
+            if premise in runs:
+                assert len(premise) + len(hypothesis) <= bound
+        for call in backend.calls:
+            check_cut(call, batch_size, bound=bound)
+
+    def test_reports_equal_scoring_each_item_alone(self):
+        for seed in range(4):
+            items, params = self.items(seed, 6)
+            alone = [score_block(Scorer(MockEntailmentBackend(), params), [it])[0] for it in items]
+            for batch_size in (1, 3, 32):
+                for workers in (1, 2):
+                    backend = MockEntailmentBackend(batch_size=batch_size, workers=workers)
+                    try:
+                        reports = score_block(Scorer(backend, params), items)
+                    finally:
+                        if backend._executor is not None:
+                            backend._executor.shutdown(wait=True)
+                    assert reports == alone, (seed, batch_size, workers)
+                    assert bits(reports) == bits(alone), (seed, batch_size, workers)
+
+    def test_coref_variant_longer_than_its_document(self):
+        # A one-sentence document whose mention "He" has a long other
+        # surface: its one variant outgrows the document, so the coref
+        # wave's cap is its own longest pair, not the block's bound.
+        doc = doc_from_sentences(
+            "d", ["He met Alexander Montgomery Smithson."], [[(0, 0, 2), (0, 7, 36)]]
+        )
+        hypothesis = claim("Alexander Montgomery Smithson met someone.")
+        params = {"gate_threshold": 0.99, "max_coref_variants": 1}
+        backend = RecordingBackend(batch_size=1)
+        (verdict,) = verdicts(make_scorer(backend, **params), doc, hypothesis)
+        bound = len(doc.text) + len(hypothesis.text)
+        # The anchor is a memo hit, so the coref wave sends the variant alone.
+        variant = "Alexander Montgomery Smithson met Alexander Montgomery Smithson."
+        assert [(variant, hypothesis.text)] in backend.calls[1]
+        assert len(variant) + len(hypothesis.text) > bound
+        assert all(backend.batches)
+        for call in backend.calls:
+            check_cut(call, 1, bound=bound)
+        wide = MockEntailmentBackend(batch_size=32)
+        assert verdicts(make_scorer(wide, **params), doc, hypothesis) == (verdict,)
+
+    @pytest.mark.parametrize("stop", ["sentence", "coref"])
+    def test_ablation_stops_keep_each_waves_own_cap(self, stop):
+        # Short sentences in long documents: the block's bound would give
+        # far larger batches, but these blocks never send a document pair.
+        items, params = self.items(7, 6)
+        backend = RecordingBackend(batch_size=2)
+        score_block(Scorer(backend, params), items, stop=stop)
+        bound = self.bound(items)
+        for call in backend.calls:
+            assert max(len(p) + len(h) for batch in call for p, h in batch) < bound
+            check_cut(call, 2)
+        assert any(len(call) > 1 for call in backend.calls)
 
 
 class TestSummaryScoring:
