@@ -66,7 +66,6 @@ from .nli import (
     EntailmentBackend,
     LocalEntailmentBackend,
     MockEntailmentBackend,
-    PremiseBudget,
     RemoteEntailmentBackend,
 )
 from .scoring import (

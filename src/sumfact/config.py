@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 from .errors import InputError
+from .nli import MIN_UNITS
 from .scoring import ScoringParams
 
 __all__ = ["RunConfig", "load_run_config", "scoring_params", "ordered_map", "MODES", "PROTOCOLS"]
@@ -92,8 +93,10 @@ class RunConfig:
                 raise InputError(
                     f"backend selector {selector!r}: kind must be one of {allowed}"
                 )
-        if self.nli_max_units and self.nli_max_units < 16:  # 0, like None, means unlimited
-            raise InputError("nli_max_units: budget below 16 units cannot fit any useful pair")
+        if self.nli_max_units and self.nli_max_units < MIN_UNITS:  # 0, like None: unlimited
+            raise InputError(
+                f"nli_max_units: budget below {MIN_UNITS} units cannot fit any useful pair"
+            )
         if self.coref_max_sentences is not None and self.coref_max_sentences < 1:
             raise InputError("coref_max_sentences: max_sentences must be >= 1 when set")
 

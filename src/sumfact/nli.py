@@ -22,12 +22,7 @@ one way a backend is read. ``submit`` starts a call without waiting for it,
 so a caller can have the next call's batches in flight while it reads this
 one's.
 
-Batches are capped by padded size, not by pair count: no batch pads beyond
-``batch_size`` pairs of the largest size L a pair may have, so a batch of
-short pairs holds more rows (see :class:`Inference`). With a budget, L is its
-``max_units``. Without one, L is the call's longest pair, or the caller's
-``bound`` if that is longer: a scorer block passes its largest pair as the
-bound of each of its waves, so that they share one cap.
+Batches are capped by padded size, not by pair count (see :class:`Inference`).
 """
 
 from __future__ import annotations
@@ -35,7 +30,6 @@ from __future__ import annotations
 import contextlib
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Sequence
 
 from .documents import WORD_RE
@@ -43,7 +37,6 @@ from .errors import NliBackendError, OversizedPremise
 from .remote import JsonService
 
 __all__ = [
-    "PremiseBudget",
     "TextTable",
     "Inference",
     "EntailmentBackend",
@@ -53,6 +46,8 @@ __all__ = [
 ]
 
 _SUM_TOLERANCE = 1e-3
+# The smallest premise budget, in backend units, that fits a useful pair.
+MIN_UNITS = 16
 
 Pair = tuple[str, str]
 # Probabilities of entailment, neutrality and contradiction, in that order.
@@ -81,16 +76,17 @@ def _checked(e: float, n: float, c: float) -> Row:
     return e / total, n / total, c / total
 
 
-@dataclass(frozen=True)
-class PremiseBudget:
-    """Maximum combined size of premise plus hypothesis, in backend units
-    (characters for the mock, tokens for model backends)."""
-
-    max_units: int
-
-    def __post_init__(self) -> None:
-        if self.max_units < 16:
-            raise ValueError("budget below 16 units cannot fit any useful pair")
+def _backend_row(i: int, row) -> Row:
+    """A row a backend computed, as three floats, unrenormalized:
+    :class:`Inference` renormalizes it once. A row the row rule rejects
+    raises :class:`NliBackendError` naming pair ``i`` of its batch."""
+    try:
+        ent, neu, con = row
+        floats = (float(ent), float(neu), float(con))
+        _checked(*floats)
+    except (TypeError, ValueError) as exc:
+        raise NliBackendError(f"pair {i}: invalid triple {row!r}: {exc}") from exc
+    return floats
 
 
 class TextTable(dict):
@@ -160,13 +156,17 @@ class Inference:
     with a budget, characters without) and cut in one pass (:func:`_cut`):
     a batch takes the next pair while its rows times its longest pair stay
     within ``batch_size`` times the largest size L a pair may have. With a
-    budget L is its ``max_units`` and ``bound`` is not read. Without one, L
-    is the larger of ``bound`` and the call's longest pair, or the call's
-    longest pair when ``bound`` is ``None``: ``bound`` is the largest pair,
-    in characters, that the caller's related calls may send, so that calls
-    of short pairs fill batches as large as those calls may pad. So each
-    batch holds pairs of similar size, a model pads little, and no batch
-    pads beyond ``batch_size`` pairs of size L. With one worker the
+    budget L is the backend's ``max_units`` and ``bound`` is not read.
+    Without one, L is the larger of ``bound`` and the call's longest pair
+    (a coref variant can outgrow a one-sentence document), or the call's
+    longest pair when ``bound`` is ``None``. ``bound`` is the largest pair,
+    in characters, that the caller's related calls may send: a scorer block
+    in the full pipeline passes its largest pair (a whole document with its
+    claim) to every wave, so that they share one cap, and passes none under
+    the ablation stops, which send no document pair. So each batch holds
+    pairs of similar size, a model pads little, no batch pads beyond
+    ``batch_size`` pairs of size L, and a call of short pairs fills batches
+    as large as its related calls may pad. With one worker the
     batches run when the results are read, one after another; otherwise
     they go to the backend's pool on construction, and a call of short
     pairs may fill fewer batches than there are workers.
@@ -184,7 +184,7 @@ class Inference:
         sizes: dict[str, int] | None = None,
         bound: int | None = None,
     ):
-        budget = backend.budget
+        max_units = backend.max_units
         measured = {} if sizes is None else sizes
         lengths = []
         for i, (premise, hypothesis) in enumerate(pairs):
@@ -192,7 +192,7 @@ class Inference:
                 raise ValueError(f"pair {i}: premise must be non-empty")
             if not hypothesis:
                 raise ValueError(f"pair {i}: hypothesis must be non-empty")
-            if budget is None:
+            if max_units is None:
                 lengths.append(len(premise) + len(hypothesis))
                 continue
             if premise not in measured:
@@ -200,18 +200,14 @@ class Inference:
             if hypothesis not in measured:
                 measured[hypothesis] = backend.measure(hypothesis)
             units = measured[premise] + measured[hypothesis]
-            if units > budget.max_units:
+            if units > max_units:
                 raise OversizedPremise(
-                    f"pair {i}: premise+hypothesis measure {units} units, "
-                    f"budget is {budget.max_units}"
+                    f"pair {i}: premise+hypothesis measure {units} units, budget is {max_units}"
                 )
             lengths.append(units)
         self._size = len(pairs)
         order = sorted(range(len(pairs)), key=lengths.__getitem__)
-        if budget is not None:
-            largest = budget.max_units
-        else:
-            largest = max(max(lengths, default=1), bound or 0)
+        largest = max_units or max(max(lengths, default=1), bound or 0)
         self._chunks = _cut(order, lengths, backend.batch_size * largest)
         self._batches = [[pairs[i] for i in chunk] for chunk in self._chunks]
         self._table = TextTable(backend, self._batches)
@@ -249,34 +245,34 @@ class Inference:
 class EntailmentBackend:
     """Shared plumbing: input validation, budget checks, batch chunking.
 
+    ``max_units`` is the premise budget: the largest combined size of premise
+    plus hypothesis, in :meth:`measure` units (characters for the mock,
+    tokens for model backends), or ``None`` for no budget. The constructor
+    rejects one below ``MIN_UNITS``.
+
     Subclasses implement :meth:`_infer`, called once per batch with the
-    call's :class:`TextTable`. A batch pads to at most ``batch_size`` pairs
-    of the largest size L a pair may have (see :class:`Inference`), so it
-    may hold more than ``batch_size`` short pairs: L is the budget's
-    ``max_units`` with a budget; without one, the larger of the call's
-    ``bound`` and its longest pair (a scorer block in the full pipeline
-    passes one bound to all its waves), or the call's longest pair when no
-    bound is passed (as under the ablation stops). ``_infer`` returns
-    one ``(entailment, neutral, contradiction)`` row per pair, which
-    :class:`Inference` checks once, and it may read per-text features from
-    the table (see :meth:`_featurise`) and must not retain it. With
-    ``workers`` above 1, batches run on a pool of that many threads, shared
-    by every call, so ``_infer`` must be safe to run concurrently. Results
-    must not depend on how callers batch their pairs or on ``workers``.
+    call's :class:`TextTable`; a batch is capped by padded size (see
+    :class:`Inference`), so it may hold more than ``batch_size`` short
+    pairs. ``_infer`` returns one ``(entailment, neutral, contradiction)``
+    row per pair, which :class:`Inference` checks once, and it may read
+    per-text features from the table (see :meth:`_featurise`) and must not
+    retain it. With ``workers`` above 1, batches run on a pool of that many
+    threads, shared by every call, so ``_infer`` must be safe to run
+    concurrently. Results must not depend on how callers batch their pairs
+    or on ``workers``.
     """
 
-    budget: PremiseBudget | None = None
     _executor: ThreadPoolExecutor | None = None
 
-    def __init__(
-        self, *, batch_size: int = 32, budget: PremiseBudget | None = None, workers: int = 1
-    ):
+    def __init__(self, *, batch_size: int = 32, max_units: int | None = None, workers: int = 1):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if workers < 1:
             raise ValueError("workers must be >= 1")
+        if max_units is not None and max_units < MIN_UNITS:
+            raise ValueError(f"budget below {MIN_UNITS} units cannot fit any useful pair")
         self.batch_size = batch_size
-        self.budget = budget
+        self.max_units = max_units
         self.workers = workers
 
     def describe(self) -> str:
@@ -296,11 +292,10 @@ class EntailmentBackend:
 
         ``sizes`` maps texts the caller has already measured to their
         :meth:`measure`, so the budget check does not measure them again,
-        and gains the texts the check measures. Without a budget, ``bound``
-        (characters) raises the batch cap to ``batch_size`` pairs of that
-        size when the call's own pairs are shorter (see :class:`Inference`).
-        Calls in flight together share the pool, so at most ``workers``
-        batches run at once however many calls there are.
+        and gains the texts the check measures. ``bound`` is the largest
+        pair of the caller's related calls, for the batch cap (see
+        :class:`Inference`). Calls in flight together share the pool, so at
+        most ``workers`` batches run at once however many calls there are.
         """
         return Inference(self, pairs, sizes, bound)
 
@@ -362,10 +357,10 @@ class RemoteEntailmentBackend(EntailmentBackend):
         *,
         timeout: float = 30.0,
         batch_size: int = 32,
-        budget: PremiseBudget | None = None,
+        max_units: int | None = None,
         workers: int = 1,
     ):
-        super().__init__(batch_size=batch_size, budget=budget, workers=workers)
+        super().__init__(batch_size=batch_size, max_units=max_units, workers=workers)
         self.url = url
         self._service = JsonService(
             url, "entailment service", NliBackendError, timeout=timeout, retries=2
@@ -382,17 +377,7 @@ class RemoteEntailmentBackend(EntailmentBackend):
                 f"entailment service returned {0 if not isinstance(triples, list) else len(triples)} "
                 f"triples for {len(pairs)} pairs"
             )
-        out = []
-        for i, row in enumerate(triples):
-            try:
-                ent, neu, con = row
-                floats = (float(ent), float(neu), float(con))
-                _checked(*floats)
-            except (TypeError, ValueError) as exc:
-                raise NliBackendError(f"pair {i}: invalid triple {row!r}: {exc}") from exc
-            # The row as sent: Inference renormalizes it once.
-            out.append(floats)
-        return out
+        return [_backend_row(i, row) for i, row in enumerate(triples)]
 
 
 def _softmax(row: Sequence[float]) -> list[float]:
@@ -411,10 +396,11 @@ class LocalEntailmentBackend(EntailmentBackend):
     ``model`` and ``tokenizer`` can be injected to avoid loading weights in
     tests; the objects only need the calling conventions used below.
 
-    Without ``max_units`` the budget is the tokenizer's declared
-    ``model_max_length`` less 8. A non-int declared length, or one above
-    100,000, is a sentinel and means no limit; any other that leaves below
-    16 units raises :class:`NliBackendError` naming it.
+    Without ``max_units`` the budget is taken from the tokenizer's declared
+    ``model_max_length`` (the rule is in the README's ``nli_max_units`` row);
+    a length that leaves below ``MIN_UNITS`` raises :class:`NliBackendError`.
+    Each softmaxed row is checked with the row rule, so NaN or infinite
+    logits raise :class:`NliBackendError` naming their pair.
     """
 
     def __init__(
@@ -429,7 +415,7 @@ class LocalEntailmentBackend(EntailmentBackend):
         model=None,
         tokenizer=None,
     ):
-        super().__init__(batch_size=batch_size, workers=workers)
+        super().__init__(batch_size=batch_size, max_units=max_units, workers=workers)
         self.checkpoint = checkpoint
         if model is None or tokenizer is None:
             try:
@@ -451,19 +437,17 @@ class LocalEntailmentBackend(EntailmentBackend):
         self._tokenizer = tokenizer
         self._device = device
         self._labels = self._resolve_labels(label_map)
-        limit = max_units
-        if limit is None:
+        if max_units is None:
             declared = getattr(tokenizer, "model_max_length", None)
             # Tokenizers that know no real limit report a huge sentinel.
             if isinstance(declared, int) and declared <= 100_000:
                 limit = declared - 8
-                if limit < 16:
+                if limit < MIN_UNITS:
                     raise NliBackendError(
-                        f"tokenizer of {checkpoint!r} declares model_max_length {declared}, "
-                        f"which leaves a budget of {limit} units, below the 16 a pair needs"
+                        f"tokenizer of {checkpoint!r} declares model_max_length {declared}, which "
+                        f"leaves a budget of {limit} units, below the {MIN_UNITS} a pair needs"
                     )
-        if limit is not None:
-            self.budget = PremiseBudget(limit)
+                self.max_units = limit
 
     def describe(self) -> str:
         return f"local:{self.checkpoint}"
@@ -523,8 +507,7 @@ class LocalEntailmentBackend(EntailmentBackend):
             raise NliBackendError(f"model forward pass failed: {exc}") from exc
         rows = logits.tolist() if hasattr(logits, "tolist") else list(logits)
         ent_i, neu_i, con_i = self._labels
-        out = []
-        for row in rows:
-            probs = _softmax(row)
-            out.append((probs[ent_i], probs[neu_i], probs[con_i]))
-        return out
+        return [
+            _backend_row(i, (probs[ent_i], probs[neu_i], probs[con_i]))
+            for i, probs in enumerate(map(_softmax, rows))
+        ]

@@ -33,7 +33,6 @@ from .nli import (
     EntailmentBackend,
     LocalEntailmentBackend,
     MockEntailmentBackend,
-    PremiseBudget,
     RemoteEntailmentBackend,
 )
 from .scoring import FactualityReport, Scorer, Stop
@@ -61,19 +60,21 @@ def _split_selector(selector: str) -> tuple[str, str]:
 
 def make_nli_backend(config: RunConfig) -> EntailmentBackend:
     kind, rest = _split_selector(config.nli_backend)
-    max_units = config.nli_max_units or None  # 0, like None, means unlimited
-    budget = PremiseBudget(max_units) if max_units else None
-    batching = {"batch_size": config.nli_batch_size, "workers": config.workers}
+    shared = {
+        "batch_size": config.nli_batch_size,
+        "max_units": config.nli_max_units or None,  # 0, like None, means unlimited
+        "workers": config.workers,
+    }
     if kind == "mock":
-        return MockEntailmentBackend(budget=budget, **batching)
+        return MockEntailmentBackend(**shared)
     if kind == "remote":
         if not rest:
             raise InputError("nli_backend 'remote:' needs a URL")
-        return RemoteEntailmentBackend(rest, budget=budget, **batching)
+        return RemoteEntailmentBackend(rest, **shared)
     if kind == "local":
         if not rest:
             raise InputError("nli_backend 'local:' needs a checkpoint name or path")
-        return LocalEntailmentBackend(rest, max_units=max_units, **batching)
+        return LocalEntailmentBackend(rest, **shared)
     raise InputError(f"unknown nli_backend {config.nli_backend!r}")
 
 
@@ -125,7 +126,7 @@ def scorer_fingerprint(
     """
     parts: dict[str, object] = {
         "nli": backend.describe(),
-        "nli_max_units": backend.budget.max_units if backend.budget else None,
+        "nli_max_units": backend.max_units,
         "coref": config.coref_backend,
         "coref_max_sentences": config.coref_max_sentences,
         "mode": config.mode,

@@ -16,10 +16,9 @@ over each block of summaries: every claim's sentence candidates go to the
 backend together, then the coref candidates of all the claims, then the
 window and document candidates of every gate miss. One selection rule
 serves every wave. Blocks change how pairs are batched, never a score or a
-span; without a budget, the waves of a block share one batch cap (see
-``Scorer._verdicts``). One thread scores; the backend keeps batches in
-flight, and the next block's first wave is sent while the block before has
-its last wave in flight.
+span; the batch cap is :class:`~sumfact.nli.Inference`'s. One thread scores;
+the backend keeps batches in flight, and the next block's first wave is sent
+while the block before has its last wave in flight.
 
 The window wave builds one :class:`WindowTable` per document of its block:
 each (document, k) window's text and, with a budget, its size are built once
@@ -349,9 +348,7 @@ class Scorer:
         its batches across claims; each is credited to the stage of the
         request that first asks for it, and logged, as it is sent. ``sizes``
         is the block's map of measures, for the backend's budget check, and
-        ``bound`` the block's largest pair, which caps the call's batches
-        when there is no budget (``None`` keeps the call's own cap; see
-        :meth:`_verdicts`).
+        ``bound`` the block's largest pair or ``None``, for the batch cap.
 
         Once resumed, the wave waits for its pairs, writes their scores to
         the memo by text and applies the one selection rule of every stage:
@@ -411,18 +408,10 @@ class Scorer:
     ) -> Generator[bool, None, list[ClaimVerdict]]:
         """Verdicts for ``(document, claim)`` jobs, each stage one wave over all jobs.
 
-        The waves share one memo, so each pair is sent once, and one map of
-        sizes, so each text is measured once.
-
-        They also share one batch cap. With a budget the backend caps every
-        batch by its ``max_units``. Without one, a block that runs the whole
-        pipeline may send each job's whole document with its claim, so every
-        wave passes the largest of those pairs (characters) as its bound, and
-        the backend caps the wave's batches at ``batch_size`` pairs of the
-        bound or of the wave's longest pair, if longer (a coref variant can
-        outgrow a one-sentence document). A sentence wave of short pairs thus
-        fills batches as large as the block's document wave may pad. Under
-        ``stop`` no document pair is sent, so each wave keeps its own cap.
+        The waves share one memo, so each pair is sent once, one map of sizes,
+        so each text is measured once, and, without a budget or ``stop``, one
+        batch cap: each passes the block's largest pair as its ``bound`` (see
+        :class:`~sumfact.nli.Inference`).
         """
         memo: Memo = {}
         sizes: dict[str, int] = {}
@@ -433,7 +422,7 @@ class Scorer:
             for doc in {id(doc): doc for doc, _ in jobs}.values()
         }
         bound = None
-        if stop is None and self.backend.budget is None:
+        if stop is None and self.backend.max_units is None:
             # A document premise joins its sentences with single spaces.
             joined = {
                 key: sum(len(c[3]) for c in candidates) + len(candidates) - 1
@@ -557,7 +546,7 @@ class WindowTable:
         "n",
         "sizes",
         "_sentences",
-        "_budget",
+        "_max_units",
         "_measure",
         "_texts",
         "_runs",
@@ -568,7 +557,7 @@ class WindowTable:
     def __init__(self, doc: Document, backend: EntailmentBackend, sizes: dict[str, int]):
         self._sentences = [s.text for s in doc.sentences]
         self.n = len(self._sentences)
-        self._budget = backend.budget
+        self._max_units = backend.max_units
         self._measure = backend.measure
         self._texts: dict[tuple[int, int], str] = {}
         self._runs: dict[tuple[int, int], int] = {}
@@ -578,9 +567,9 @@ class WindowTable:
 
     def room(self, hypothesis: str) -> int | None:
         """The budget less the size of ``hypothesis``; ``None`` without a budget."""
-        if self._budget is None:
+        if self._max_units is None:
             return None
-        return self._budget.max_units - self._measured(hypothesis)
+        return self._max_units - self._measured(hypothesis)
 
     def candidates(self, k: int, room: int | None) -> list[tuple]:
         """Span fields of every k-window that fits ``room``, or of its chunks."""

@@ -17,7 +17,6 @@ from sumfact import (
     MockEntailmentBackend,
     NliBackendError,
     OversizedPremise,
-    PremiseBudget,
     RemoteEntailmentBackend,
 )
 from sumfact.cli import main
@@ -177,19 +176,19 @@ class TestBackendPlumbing:
             MockEntailmentBackend(batch_size=0)
 
     def test_budget_enforced(self):
-        backend = MockEntailmentBackend(budget=PremiseBudget(16))
+        backend = MockEntailmentBackend(max_units=16)
         assert len(backend.submit([("a" * 14, "bb")]).scores()) == 1
         with pytest.raises(OversizedPremise, match="budget"):
             backend.submit([("a" * 20, "bb")])
 
     def test_oversized_pair_before_empty_pair_raises_oversized(self):
-        backend = MockEntailmentBackend(budget=PremiseBudget(16))
+        backend = MockEntailmentBackend(max_units=16)
         with pytest.raises(OversizedPremise) as info:
             backend.submit([("a" * 20, "bb"), ("", "bb")])
         assert str(info.value) == "pair 0: premise+hypothesis measure 22 units, budget is 16"
 
     def test_empty_pair_before_oversized_pair_raises_value_error(self):
-        backend = MockEntailmentBackend(budget=PremiseBudget(16))
+        backend = MockEntailmentBackend(max_units=16)
         with pytest.raises(ValueError) as info:
             backend.submit([("a", ""), ("a" * 20, "bb")])
         assert str(info.value) == "pair 0: hypothesis must be non-empty"
@@ -201,8 +200,23 @@ class TestBackendPlumbing:
         assert len(mock_backend.submit([("a" * 10_000, "b" * 10_000)]).scores()) == 1
 
     def test_budget_floor(self):
-        with pytest.raises(ValueError):
-            PremiseBudget(8)
+        # The shared constructor holds one floor for every kind, and a remote
+        # backend is built without sending a request.
+        with StubServer(lambda *request: (500, {})) as server:
+            for make in (
+                MockEntailmentBackend,
+                functools.partial(RemoteEntailmentBackend, server.url),
+                local_backend,
+            ):
+                for units in (0, 8, 15):
+                    with pytest.raises(ValueError) as info:
+                        make(max_units=units)
+                    assert str(info.value) == "budget below 16 units cannot fit any useful pair"
+                assert make(max_units=16).max_units == 16
+        assert server.requests == []
+        # Checked before a model is loaded: no transformers import is tried.
+        with pytest.raises(ValueError, match="budget below 16 units"):
+            LocalEntailmentBackend("unloaded-ckpt", max_units=15)
 
 
 _WORDS = st.sampled_from(["alpha", "beta", "not", "gamma", "a", "river crossing", "x" * 40])
@@ -231,12 +245,12 @@ class TestBatchCut:
         self, pairs, drawn, slack
     ):
         want = [MockEntailmentBackend().submit([pair]).scores()[0] for pair in pairs]
-        limit = PremiseBudget(max(16, max(map(_chars, pairs)) + slack))
+        limit = max(16, max(map(_chars, pairs)) + slack)
         for batch_size in (drawn, 1, 3, 32):
             for budget in (None, limit):
                 for workers in (1, 2):
                     backend = RecordingBackend(
-                        batch_size=batch_size, budget=budget, workers=workers
+                        batch_size=batch_size, max_units=budget, workers=workers
                     )
                     try:
                         got = backend.submit(pairs).scores()
@@ -246,7 +260,7 @@ class TestBatchCut:
                     assert _bits(got) == _bits(want), (batch_size, budget, workers)
                     if workers == 1:
                         assert backend.sent == sorted(pairs, key=_chars)
-                        check_cut(backend.batches, batch_size, budget and budget.max_units)
+                        check_cut(backend.batches, batch_size, budget)
 
     @settings(max_examples=60, deadline=None)
     @given(_PAIRS, st.integers(1, 8), st.integers(0, 1000))
@@ -254,13 +268,13 @@ class TestBatchCut:
         # Without a budget the cap is batch_size pairs of the bound or of the
         # call's longest pair, whichever is longer, so no batch is empty; a
         # budget's max_units overrides the bound.
-        limit = PremiseBudget(max(16, max(map(_chars, pairs))))
+        limit = max(16, max(map(_chars, pairs)))
         for budget in (None, limit):
-            backend = RecordingBackend(batch_size=batch_size, budget=budget)
+            backend = RecordingBackend(batch_size=batch_size, max_units=budget)
             got = backend.submit(pairs, bound=bound).scores()
-            assert got == MockEntailmentBackend(budget=budget).submit(pairs).scores()
+            assert got == MockEntailmentBackend(max_units=budget).submit(pairs).scores()
             assert all(backend.batches)
-            check_cut(backend.batches, batch_size, budget and budget.max_units, bound=bound)
+            check_cut(backend.batches, batch_size, budget, bound=bound)
 
     def test_budgeted_local_call_sorts_and_caps_by_tokens(self):
         batches = []
@@ -307,7 +321,7 @@ class TestTextTable:
     @given(st.lists(st.tuples(_TEXTS, _TEXTS), min_size=1, max_size=40))
     def test_one_call_equals_per_pair_calls(self, pairs):
         for batch_size in (1, 3, 32):
-            backend = MockEntailmentBackend(batch_size=batch_size, budget=PremiseBudget(64))
+            backend = MockEntailmentBackend(batch_size=batch_size, max_units=64)
             before = dict(vars(backend))
             scores = backend.submit(pairs).scores()
             # No table survives the call.
@@ -319,13 +333,13 @@ class TestTextTable:
 
     def test_budget_guard_measures_each_distinct_text_once(self):
         pairs = [("alpha beta", "gamma"), ("alpha beta", "delta"), ("gamma", "gamma")] * 3
-        backend = CountingBackend(batch_size=2, budget=PremiseBudget(64))
+        backend = CountingBackend(batch_size=2, max_units=64)
         backend.submit(pairs).scores()
         assert backend.measured == Counter({"alpha beta": 1, "gamma": 1, "delta": 1})
 
     def test_budget_guard_takes_known_sizes(self):
         pairs = [("alpha beta", "gamma"), ("alpha beta", "delta")]
-        backend = CountingBackend(batch_size=2, budget=PremiseBudget(64))
+        backend = CountingBackend(batch_size=2, max_units=64)
         sizes = {"alpha beta": 10, "gamma": 5}
         backend.submit(pairs, sizes).scores()
         assert backend.measured == Counter({"delta": 1})
@@ -706,6 +720,24 @@ def local_backend(id2label=None, **kwargs):
     )
 
 
+def score_with_local(tmp_path, monkeypatch, model, tokenizer):
+    """Run ``score`` with a ``local:`` backend built on ``model`` and
+    ``tokenizer``; expect exit 3 and return its JSON error line."""
+    monkeypatch.setattr(
+        "sumfact.pipeline.LocalEntailmentBackend",
+        functools.partial(LocalEntailmentBackend, model=model, tokenizer=tokenizer),
+    )
+    docs = tmp_path / "docs.jsonl"
+    docs.write_text('{"id": "d1", "text": "alpha beta."}\n', encoding="utf-8")
+    sums = tmp_path / "sums.jsonl"
+    sums.write_text('{"id": "s1", "document_id": "d1", "text": "alpha."}\n', encoding="utf-8")
+    result = CliRunner().invoke(
+        main, ["score", str(docs), str(sums), "--nli-backend", "local:fake-ckpt"]
+    )
+    assert result.exit_code == 3, result.output
+    return json.loads(result.stderr.strip().splitlines()[-1])
+
+
 class TestLocalBackend:
     def test_labels_resolved_by_name_not_position(self):
         for id2label in (STANDARD, {0: "ENTAILMENT", 1: "CONTRADICTION", 2: "NEUTRAL"}):
@@ -741,8 +773,8 @@ class TestLocalBackend:
 
     def test_budget_from_tokenizer_limit(self):
         backend = local_backend()
-        assert backend.budget is not None
-        assert backend.budget.max_units == 512 - 8
+        assert backend.max_units is not None
+        assert backend.max_units == 512 - 8
         # measure() counts tokens, not characters
         assert backend.measure("one two three") == 3
 
@@ -753,7 +785,7 @@ class TestLocalBackend:
         backend = LocalEntailmentBackend(
             "fake-ckpt", model=FakeModel(STANDARD), tokenizer=Unbounded()
         )
-        assert backend.budget is None
+        assert backend.max_units is None
 
     @pytest.mark.parametrize("declared", [16, 20, 23, 1, 10, 15])
     def test_tiny_model_max_length_exits_3(self, declared, tmp_path, monkeypatch):
@@ -766,22 +798,25 @@ class TestLocalBackend:
             model_max_length = 24
 
         fits = LocalEntailmentBackend("fake-ckpt", model=FakeModel(STANDARD), tokenizer=Fits())
-        assert fits.budget.max_units == 16
-        monkeypatch.setattr(
-            "sumfact.pipeline.LocalEntailmentBackend",
-            functools.partial(LocalEntailmentBackend, model=FakeModel(STANDARD), tokenizer=Short()),
-        )
-        docs = tmp_path / "docs.jsonl"
-        docs.write_text('{"id": "d1", "text": "alpha beta."}\n', encoding="utf-8")
-        sums = tmp_path / "sums.jsonl"
-        sums.write_text('{"id": "s1", "document_id": "d1", "text": "alpha."}\n', encoding="utf-8")
-        result = CliRunner().invoke(
-            main, ["score", str(docs), str(sums), "--nli-backend", "local:fake-ckpt"]
-        )
-        assert result.exit_code == 3, result.output
-        error = json.loads(result.stderr.strip().splitlines()[-1])
+        assert fits.max_units == 16
+        error = score_with_local(tmp_path, monkeypatch, FakeModel(STANDARD), Short())
         assert error["error"] == "NliBackendError"
         assert f"model_max_length {declared}" in error["message"]
+
+    @pytest.mark.parametrize(
+        "logits",
+        [[math.nan, 0.0, 0.0], [math.inf, 0.0, 0.0], [-math.inf] * 3],
+        ids=["nan", "inf", "all-minus-inf"],
+    )
+    def test_non_finite_logits_exit_3(self, logits, tmp_path, monkeypatch):
+        # Their softmax is NaN: a model failure, named by its pair, not a traceback.
+        class NonFinite(FakeModel):
+            def __call__(self, premises, hypotheses):
+                return SimpleNamespace(logits=[list(logits) for _ in premises])
+
+        error = score_with_local(tmp_path, monkeypatch, NonFinite(STANDARD), FakeTokenizer())
+        assert error["error"] == "NliBackendError"
+        assert error["message"].startswith("pair 0: invalid triple (nan, nan, nan): ")
 
     def test_fingerprint_keys_the_budget_used(self, monkeypatch):
         # Unset, the budget is the declared length less 8, and that is keyed.
@@ -803,7 +838,7 @@ class TestLocalBackend:
 
     def test_explicit_max_units_overrides(self):
         backend = local_backend(max_units=64)
-        assert backend.budget.max_units == 64
+        assert backend.max_units == 64
 
     def test_tokenizer_failure_wrapped(self):
         class Exploding(FakeTokenizer):

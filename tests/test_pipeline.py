@@ -21,7 +21,6 @@ from sumfact import (
     LocalSeq2SeqExtractor,
     MockEntailmentBackend,
     NoopCorefBackend,
-    PremiseBudget,
     RemoteEntailmentBackend,
     RemoteLlmExtractor,
     RunConfig,
@@ -80,13 +79,20 @@ class TestNliFactory:
         backend = make_nli_backend(RunConfig())
         assert isinstance(backend, MockEntailmentBackend)
         assert backend.batch_size == 32
-        assert backend.budget is None
+        assert backend.max_units is None
 
     def test_batch_and_budget_passthrough(self):
-        config = RunConfig(nli_batch_size=4, nli_max_units=64)
-        backend = make_nli_backend(config)
-        assert backend.batch_size == 4
-        assert backend.budget.max_units == 64
+        # Every kind takes the batch size and the budget the same way; null
+        # and 0 both mean no budget, so they share one fingerprint.
+        for selector in ("mock", "remote:http://nli.local/v1"):
+            digests = []
+            for units, expected in ((None, None), (0, None), (64, 64)):
+                config = RunConfig(nli_backend=selector, nli_batch_size=4, nli_max_units=units)
+                backend = make_nli_backend(config)
+                assert backend.batch_size == 4
+                assert backend.max_units == expected
+                digests.append(scorer_fingerprint(config, backend, None))
+            assert digests[0] == digests[1] != digests[2]
 
     def test_remote(self):
         backend = make_nli_backend(RunConfig(nli_backend="remote:http://nli.local/v1"))
@@ -602,7 +608,7 @@ class TestBlocks:
     wave of backend pairs over the block; blocks change batching only."""
 
     PARAMS = ScoringParams(window_size=2, gate_threshold=0.9)
-    BUDGET = PremiseBudget(200)
+    BUDGET = 200
 
     @pytest.mark.parametrize("mode", MODES)
     def test_reports_do_not_depend_on_blocks(self, mode):
@@ -618,7 +624,7 @@ class TestBlocks:
         expected = [
             report
             for pair in pairs
-            for report in scored([pair], MockEntailmentBackend(budget=self.BUDGET))
+            for report in scored([pair], MockEntailmentBackend(max_units=self.BUDGET))
         ]
         if mode == "full":
             # The corpus reaches every stage, budget chunking and the fallback.
@@ -629,13 +635,13 @@ class TestBlocks:
                 v.stage == "multi_granularity" and v.aligned.granularity == "window"
                 for v in verdicts
             )
-            assert any(len(doc.text) > self.BUDGET.max_units for doc, _ in pairs)
+            assert any(len(doc.text) > self.BUDGET for doc, _ in pairs)
             assert 0 < sum(r.claims_fallback for r in expected) < len(pairs)
         rendered = [render_report(report) for report in expected]
         for batch_size in (1, 4, 32):
             for workers in (1, 3):
                 backend = MockEntailmentBackend(
-                    batch_size=batch_size, budget=self.BUDGET, workers=workers
+                    batch_size=batch_size, max_units=self.BUDGET, workers=workers
                 )
                 reports = scored(pairs, backend, workers)
                 assert [render_report(r) for r in reports] == rendered, (batch_size, workers)

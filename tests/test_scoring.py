@@ -17,7 +17,6 @@ from sumfact import (
     NliBackendError,
     NoopCorefBackend,
     OversizedPremise,
-    PremiseBudget,
     Scorer,
     ScoringParams,
     Substitution,
@@ -350,7 +349,7 @@ class TestBudgetChunking:
 
     def room(self, backend, hypothesis):
         # What the window stage passes: the budget less the hypothesis's size.
-        return backend.budget.max_units - backend.measure(hypothesis)
+        return backend.max_units - backend.measure(hypothesis)
 
     @staticmethod
     def runs(candidates):
@@ -358,20 +357,20 @@ class TestBudgetChunking:
         return [(start, end - start + 1) for _, start, end, *_ in candidates]
 
     def test_chunk_layout(self):
-        backend = MockEntailmentBackend(budget=PremiseBudget(32))
+        backend = MockEntailmentBackend(max_units=32)
         room = self.room(backend, self.hyp().text)
         chunks = WindowTable(self.chunked_doc(), backend, {}).candidates(4, room)
         assert self.runs(chunks) == [(0, 2), (1, 2), (2, 2)]
         assert chunks[2][3] == "eeee ffff. gggg hhhh."
 
     def test_within_budget_is_single_premise(self):
-        backend = MockEntailmentBackend(budget=PremiseBudget(200))
+        backend = MockEntailmentBackend(max_units=200)
         room = self.room(backend, self.hyp().text)
         chunks = WindowTable(self.chunked_doc(), backend, {}).candidates(4, room)
         assert len(chunks) == 1 and self.runs(chunks)[0][1] == 4
 
     def test_oversized_single_sentence_raises(self):
-        backend = MockEntailmentBackend(budget=PremiseBudget(16))
+        backend = MockEntailmentBackend(max_units=16)
         doc = doc_from_sentences("d", ["this single sentence is far too long."])
         with pytest.raises(OversizedPremise, match="sentence 0"):
             WindowTable(doc, backend, {}).candidates(1, self.room(backend, "hhhh."))
@@ -384,7 +383,7 @@ class TestBudgetChunking:
                 measured[text] += 1
                 return super().measure(text)
 
-        scorer = Scorer(Counting(budget=PremiseBudget(32)), ScoringParams())
+        scorer = Scorer(Counting(max_units=32), ScoringParams())
         # The window request (k = 5, clamped to 4, so labelled a document) and the
         # document request.
         sizes = {}
@@ -419,7 +418,7 @@ class TestBudgetChunking:
                 self.log.append(None)
                 return inference
 
-        backend = Logging(budget=PremiseBudget(32))
+        backend = Logging(max_units=32)
         scorer = Scorer(backend, ScoringParams(window_size=2, gate_threshold=0.99))
         other = doc_from_sentences("e", ["aaaa cccc.", "gggg zzzz.", "eeee bbbb."])
         claims = [claim("gggg zzzz."), claim("cccc bbbb.", index=1)]
@@ -444,7 +443,7 @@ class TestBudgetChunking:
                 return super().measure(text)
 
         scorer = Scorer(
-            Counting(budget=PremiseBudget(40)), ScoringParams(window_size=2, gate_threshold=0.99)
+            Counting(max_units=40), ScoringParams(window_size=2, gate_threshold=0.99)
         )
         doc = doc_from_sentences(
             "d", ["aaaa bbbb.", "Tom cccc.", "He dddd eeee."], clusters=[[(1, 0, 3), (2, 0, 2)]]
@@ -464,7 +463,7 @@ class TestBudgetChunking:
         assert max(measured.values()) == 1
 
     def test_chunked_document_reports_window_granularity(self):
-        backend = MockEntailmentBackend(budget=PremiseBudget(32))
+        backend = MockEntailmentBackend(max_units=32)
         scorer = Scorer(backend, ScoringParams(window_size=1, gate_threshold=0.8))
         (verdict,) = verdicts(scorer, self.chunked_doc(), self.hyp())
         assert verdict.stage == "multi_granularity"
@@ -482,7 +481,7 @@ class TestBudgetChunking:
             doc, claims, params = random_case(rng, i)
             free = Scorer(MockEntailmentBackend(), ScoringParams(**params))
             budgeted = Scorer(
-                MockEntailmentBackend(budget=PremiseBudget(10_000)),
+                MockEntailmentBackend(max_units=10_000),
                 ScoringParams(**params),
             )
             assert verdicts(free, doc, *claims) == verdicts(budgeted, doc, *claims)
@@ -533,7 +532,7 @@ class TestWindowTable:
     )
     def test_candidates_equal_a_straight_line_rebuild(self, sentences, k, budgeted, claims):
         kind, budget = budgeted
-        backend = kind(budget=None if budget is None else PremiseBudget(budget))
+        backend = kind(max_units=budget)
         doc = doc_from_sentences("d", sentences)
         # One table serves every claim, as in a block's window wave.
         table = WindowTable(doc, backend, {})
@@ -553,7 +552,7 @@ class TestWindowTable:
     def test_single_oversized_sentence_raises(self, kind):
         # Sentence 1 is over the room in characters, words and distinct words.
         sentences = ["aa bb.", " ".join(f"w{i}" for i in range(20)) + ".", "aa."]
-        backend = kind(budget=PremiseBudget(16))
+        backend = kind(max_units=16)
         table = WindowTable(doc_from_sentences("d", sentences), backend, {})
         room = table.room("aa bb")
         assert oracles.window_candidates(sentences, 2, room, backend.measure) == ("oversized", 1)
@@ -562,7 +561,7 @@ class TestWindowTable:
 
 
 class TestStageSpans:
-    @pytest.mark.parametrize("budget", [None, PremiseBudget(200)], ids=["free", "budget"])
+    @pytest.mark.parametrize("budget", [None, 200], ids=["free", "budget"])
     def test_span_premise_scores_the_stage_score(self, budget):
         # Every stage returns (score, span), and the span's premise is the
         # one that scored: re-scoring it alone gives the same number.
@@ -570,7 +569,7 @@ class TestStageSpans:
         chunked = 0
         for i in range(60):
             doc, claims, params = random_case(rng, i)
-            backend = MockEntailmentBackend(budget=budget)
+            backend = MockEntailmentBackend(max_units=budget)
             scorer = Scorer(backend, ScoringParams(**params))
             n = len(doc.sentences)
             sentence = verdicts(scorer, doc, *claims, stop="sentence")
