@@ -49,8 +49,8 @@ __all__ = [
     "config_fingerprint",
 ]
 
-# The score cache is saved after every this many scored records (16 blocks at
-# the default ``nli_batch_size``), so a run that is killed keeps most of them.
+# The score cache is saved after every this many scored records, so a run
+# that is killed keeps most of them.
 CHECKPOINT_RECORDS = 512
 
 

@@ -12,8 +12,9 @@ local transformers sequence-classification checkpoint.
 guard sizes each distinct text once, and builds a :class:`TextTable` of the
 call's distinct texts. A backend's ``_infer(pairs, table)`` runs once per
 size-sorted batch, with up to ``workers`` batches in flight at once, and
-returns one row of three floats per pair,
-``(entailment, neutral, contradiction)``; it may read per-text features from
+returns one row of three probabilities per pair,
+``(entailment, neutral, contradiction)``, as floats unless the row comes
+from outside the program; it may read per-text features from
 the table, computed once per call, and must not retain the table, which
 lives only for that one call. The :class:`Inference` that ``submit`` returns
 checks every row once, with the one row rule (:func:`_checked`), as it reads
@@ -76,17 +77,16 @@ def _checked(e: float, n: float, c: float) -> Row:
     return e / total, n / total, c / total
 
 
-def _backend_row(i: int, row) -> Row:
-    """A row a backend computed, as three floats, unrenormalized:
-    :class:`Inference` renormalizes it once. A row the row rule rejects
-    raises :class:`NliBackendError` naming pair ``i`` of its batch."""
+def _outside_row(i: int, row) -> Row:
+    """The row rule for a row from outside the program (a service's JSON, a
+    model's probabilities): its three values are taken as floats, and a row
+    the rule rejects raises :class:`NliBackendError` naming pair ``i``, its
+    index in the call's input."""
     try:
         ent, neu, con = row
-        floats = (float(ent), float(neu), float(con))
-        _checked(*floats)
+        return _checked(float(ent), float(neu), float(con))
     except (TypeError, ValueError) as exc:
         raise NliBackendError(f"pair {i}: invalid triple {row!r}: {exc}") from exc
-    return floats
 
 
 class TextTable(dict):
@@ -174,7 +174,9 @@ class Inference:
     Results are gathered in batch order, and every row is checked once as
     it is read, with the rule of :func:`_checked`, so a failure raises that
     of the first failing batch, and cancels the batches not yet started, as
-    :meth:`cancel` does.
+    :meth:`cancel` does. A row from outside the program (the remote and
+    local backends) is taken as floats first, and a bad one raises
+    :class:`NliBackendError` naming its pair by its index in ``pairs``.
     """
 
     def __init__(
@@ -212,6 +214,7 @@ class Inference:
         self._batches = [[pairs[i] for i in chunk] for chunk in self._chunks]
         self._table = TextTable(backend, self._batches)
         self._infer = backend._infer
+        self._outside = backend._rows_from_outside
         self._futures = None
         if backend.workers > 1:
             pool = backend._pool()
@@ -225,10 +228,11 @@ class Inference:
         else:
             results = (future.result() for future in self._futures)
         out: list = [None] * self._size
+        outside = self._outside
         try:
             for b, (chunk, rows) in enumerate(zip(self._chunks, results)):
                 for i, row in zip(chunk, rows):
-                    e, _, c = _checked(*row)
+                    e, _, c = _outside_row(i, row) if outside else _checked(*row)
                     out[i] = e - c
                 self._table.release(b)
         except BaseException:
@@ -263,6 +267,10 @@ class EntailmentBackend:
     """
 
     _executor: ThreadPoolExecutor | None = None
+    # Whether ``_infer``'s rows come from outside the program (a service, a
+    # model), so that a row the row rule rejects is a backend failure, not a
+    # bug in ``_infer`` (see :class:`Inference`).
+    _rows_from_outside = False
 
     def __init__(self, *, batch_size: int = 32, max_units: int | None = None, workers: int = 1):
         if batch_size < 1:
@@ -347,9 +355,11 @@ class RemoteEntailmentBackend(EntailmentBackend):
     Protocol: POST ``{"pairs": [[premise, hypothesis], ...]}`` to ``url``;
     the service answers ``{"triples": [[ent, neu, con], ...]}`` in the same
     order, posted through :mod:`sumfact.remote` with 2 retries, as many as
-    the claim client's default. Each row is checked here, so that a bad one
-    names its pair.
+    the claim client's default. A bad row raises :class:`NliBackendError`
+    naming its pair (see :class:`Inference`).
     """
+
+    _rows_from_outside = True
 
     def __init__(
         self,
@@ -377,7 +387,7 @@ class RemoteEntailmentBackend(EntailmentBackend):
                 f"entailment service returned {0 if not isinstance(triples, list) else len(triples)} "
                 f"triples for {len(pairs)} pairs"
             )
-        return [_backend_row(i, row) for i, row in enumerate(triples)]
+        return triples
 
 
 def _softmax(row: Sequence[float]) -> list[float]:
@@ -400,8 +410,11 @@ class LocalEntailmentBackend(EntailmentBackend):
     ``model_max_length`` (the rule is in the README's ``nli_max_units`` row);
     a length that leaves below ``MIN_UNITS`` raises :class:`NliBackendError`.
     Each softmaxed row is checked with the row rule, so NaN or infinite
-    logits raise :class:`NliBackendError` naming their pair.
+    logits raise :class:`NliBackendError` naming their pair (see
+    :class:`Inference`).
     """
+
+    _rows_from_outside = True
 
     def __init__(
         self,
@@ -507,7 +520,4 @@ class LocalEntailmentBackend(EntailmentBackend):
             raise NliBackendError(f"model forward pass failed: {exc}") from exc
         rows = logits.tolist() if hasattr(logits, "tolist") else list(logits)
         ent_i, neu_i, con_i = self._labels
-        return [
-            _backend_row(i, (probs[ent_i], probs[neu_i], probs[con_i]))
-            for i, probs in enumerate(map(_softmax, rows))
-        ]
+        return [(probs[ent_i], probs[neu_i], probs[con_i]) for probs in map(_softmax, rows)]

@@ -4,6 +4,7 @@ import json
 import logging
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from sumfact import MockEntailmentBackend
+from sumfact import MockEntailmentBackend, RunConfig, pipeline
 from sumfact.cli import main
 
 import oracles
@@ -247,8 +248,9 @@ class TestScore:
 
 
 class TestScoreBlocks:
-    """``score`` resolves and scores its summaries a block of
-    ``nli_batch_size`` at a time, writing each block's lines as it goes."""
+    """``score`` resolves its summaries a chunk of ``nli_batch_size`` at a
+    time and scores them in blocks cut by work, writing each block's lines
+    as it goes."""
 
     def news(self, tmp_path, n_docs=10):
         """Documents, summaries and claim cache files of a news corpus with
@@ -291,9 +293,12 @@ class TestScoreBlocks:
                 assert meta["summaries"] == len(lines)
                 assert meta["claims_fallback_count"] == fallbacks
 
-    # Five summaries in blocks of two. t2 repeats t1's first claim in the
-    # same block; t3 repeats it in the next block and t5 repeats t4's claim
-    # in the block after t4's, so their pairs are sent again.
+    # Five summaries of four-sentence documents: t1 and t5 have two claims,
+    # so eight sentence-wave pairs, the others four. At nli_batch_size 2 and
+    # PER_SLOT pairs per slot a block closes at ten pairs: [t1, t2] and
+    # [t3, t4, t5]. t2 repeats t1's first claim in the same block and t3 in
+    # the next, so t3's pairs are sent again; t5 repeats t4's claim in its block.
+    PER_SLOT = 5
     TRAFFIC_DOCS = {
         "d1": "Billy Vunipola has been ruled out of the match. He injured his knee in "
         "training. The coach said Vunipola would return in March. England play Wales "
@@ -333,7 +338,8 @@ class TestScoreBlocks:
         ))
         return docs, sums, claims
 
-    def test_traffic_matches_golden(self, runner, tmp_path):
+    def test_traffic_matches_golden(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr("sumfact.pipeline.BLOCK_PAIRS_PER_SLOT", self.PER_SLOT)
         docs, sums, claims = self.traffic(tmp_path)
         golden = json.loads((GOLDEN_DIR / "score_traffic.json").read_text())
         for workers in ("1", "3"):
@@ -345,9 +351,10 @@ class TestScoreBlocks:
             assert {key: meta[key] for key in golden} == golden, workers
 
     @pytest.mark.parametrize("workers", ["1", "3"])
-    def test_run_meta_matches_golden(self, runner, tmp_path, workers):
+    def test_run_meta_matches_golden(self, runner, tmp_path, monkeypatch, workers):
         # d1 carries its clusters, so coref scans only d2, and cuts it after
-        # three of its four sentences; d2 is met in two blocks and listed once.
+        # three of its four sentences; d2 is met in two chunks and listed once.
+        monkeypatch.setattr("sumfact.pipeline.BLOCK_PAIRS_PER_SLOT", self.PER_SLOT)
         docs, sums, claims = self.traffic(tmp_path, {"d1": self.D1_CLUSTERS})
         result, meta = self.run(
             runner, tmp_path, docs, sums, claims, 2, workers, window_size=2, coref_max_sentences=3
@@ -357,9 +364,10 @@ class TestScoreBlocks:
         assert meta.read_text().replace(str(tmp_path), "<tmp>") == golden
 
     @pytest.mark.parametrize("workers", ["1", "3"])
-    def test_debug_traffic_matches_golden(self, runner, tmp_path, workers):
-        # Three blocks: the nli_calls lines, in order, and they add up to the
+    def test_debug_traffic_matches_golden(self, runner, tmp_path, monkeypatch, workers):
+        # Two blocks: the nli_calls lines, in order, and they add up to the
         # pairs the run-meta counts as sent.
+        monkeypatch.setattr("sumfact.pipeline.BLOCK_PAIRS_PER_SLOT", self.PER_SLOT)
         docs, sums, claims = self.traffic(tmp_path)
         result, meta = self.run(
             runner, tmp_path, docs, sums, claims, 2, workers, window_size=2, log_level="debug"
@@ -385,6 +393,7 @@ class TestScoreBlocks:
                 return inference
 
         monkeypatch.setattr("sumfact.pipeline.MockEntailmentBackend", Recording)
+        monkeypatch.setattr("sumfact.pipeline.BLOCK_PAIRS_PER_SLOT", self.PER_SLOT)
         docs, sums, claims = self.traffic(tmp_path)
         got = []
         for units in (None, 150):
@@ -397,6 +406,8 @@ class TestScoreBlocks:
         assert got == json.loads((GOLDEN_DIR / "score_batches.json").read_text())
 
     def test_claim_cache_miss_in_second_block_exits_2_after_the_first(self, runner, tmp_path):
+        # The four summaries make one block, resolved in chunks of two; the
+        # miss is in its second chunk, so the first chunk's lines are written.
         docs, sums, claims, ids = self.news(tmp_path, n_docs=1)
         full, meta = self.run(runner, tmp_path, docs, sums, claims, 2)
         assert full.exit_code == 0, full.stderr
@@ -830,6 +841,19 @@ class TestReadmeRunMetaKeys:
             assert result.exit_code == 0, result.stderr
             assert sorted(json.loads(meta.read_text())) == listed[command], command
         assert len(rows) == len({key for key, *_ in rows})
+
+
+class TestReadmeBlockCut:
+    def test_nli_batch_size_row_states_the_pairs_per_slot(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        (row,) = [line for line in readme.splitlines() if line.startswith("| `nli_batch_size` |")]
+        per_slot = pipeline.BLOCK_PAIRS_PER_SLOT
+        assert f"`nli_batch_size` × {per_slot} pairs" in row
+        assert f"({RunConfig().nli_batch_size * per_slot:,} at the default)" in row
+        # Every other place that names the cut names the same value.
+        stated = re.findall(r"`nli_batch_size` × (\d+) pairs", " ".join(readme.split()))
+        assert len(stated) > 1
+        assert set(stated) == {str(per_slot)}
 
 
 class TestTopLevel:

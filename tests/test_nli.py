@@ -624,6 +624,19 @@ class TestRemoteBackend:
                 backend.submit([("a", "b"), ("c", "d")]).scores()
             assert str(got.value) == f"pair 1: invalid triple {list(bad)!r}: {why.value}"
 
+    def test_bad_triple_names_its_input_pair_not_its_place_in_the_batch(self):
+        # Sorted by size, the bad pair is second in its batch; it is first in the input.
+        def handler(path, body, headers):
+            return 200, {"triples": [[None, 0, 0] if h == "bad" else [1, 0, 0]
+                                     for _, h in body["pairs"]]}
+
+        with StubServer(handler) as server:
+            backend = RemoteEntailmentBackend(server.url)
+            with pytest.raises(NliBackendError) as got:
+                backend.submit([("a long premise here", "bad"), ("x", "ok")]).scores()
+            assert server.requests[0]["body"]["pairs"][1] == ["a long premise here", "bad"]
+        assert str(got.value).startswith("pair 0: invalid triple [None, 0, 0]: ")
+
     def test_renormalized_triple_scores_as_its_triple(self):
         row = [0.2, 0.2, 0.6005]
         with StubServer(lambda *a: (200, {"triples": [row]})) as server:

@@ -8,8 +8,11 @@ import threading
 from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sumfact import (
     BenchmarkRecord,
@@ -27,6 +30,7 @@ from sumfact import (
     Scorer,
     ScoringParams,
 )
+from sumfact import pipeline
 from sumfact.config import MODES
 from sumfact.formats import render_report
 from sumfact.pipeline import (
@@ -44,6 +48,7 @@ from sumfact.pipeline import (
 )
 
 from cases import (
+    VOCAB,
     RecordingBackend,
     check_cut,
     doc_from_sentences,
@@ -583,29 +588,79 @@ class TestScoreCorpus:
         assert serial == threaded
         assert [r.summary_id for r in serial] == [f"s{i}" for i in range(6)]
 
-    def test_pairs_are_taken_a_block_at_a_time(self):
-        # The scorer takes the second block, and so reads the third pair,
-        # while the first block's last wave is in flight: never further ahead.
+    def test_pairs_are_taken_a_block_at_a_time(self, monkeypatch):
+        # Items of two sentence-wave pairs, resolved in chunks of two (batch
+        # size 2), and blocks that close at 2 x 3 = 6 pairs: three items, so
+        # every other block ends inside a chunk. A chunk is read only when a
+        # block needs its items, and the scorer takes the next block while
+        # this one's last wave is in flight: never further ahead.
+        monkeypatch.setattr("sumfact.pipeline.BLOCK_PAIRS_PER_SLOT", 3)
+        docs = [doc_from_sentences(f"d{i}", [f"word{i} alpha.", "beta gamma."]) for i in range(12)]
         taken = []
 
         def pairs():
-            for n, pair in enumerate(self.pairs()):
+            for n, pair in enumerate(sentence_pairs(docs, [f"word{i} beta." for i in range(12)])):
                 taken.append(n)
                 yield pair
 
-        scorer = Scorer(MockEntailmentBackend(batch_size=2))
+        scorer = BlockRecorder(MockEntailmentBackend(batch_size=2))
         reports = score_corpus(pairs(), scorer, None, NoopCorefBackend(), "full")
+        assert taken == []
         next(reports)
-        assert taken == [0, 1, 2, 3]
-        next(reports)
-        assert taken == [0, 1, 2, 3]
-        assert len(list(reports)) == 4
+        # Block 0 is chunks 0 and half of 1; block 1 ends with chunk 2.
         assert taken == list(range(6))
+        next(reports), next(reports)
+        assert taken == list(range(6))
+        next(reports)
+        # Block 2 needs chunks 3 and 4; the rest of chunk 4 waits for block 3.
+        assert taken == list(range(10))
+        assert len(list(reports)) == 8
+        assert taken == list(range(12))
+        assert [len(block) for block in scorer.blocks] == [3, 3, 3, 3]
+
+    def test_cache_miss_in_a_blocks_second_chunk_reports_the_chunk_before(self):
+        # All six items make one block, resolved in chunks of two; s3 has no
+        # claims, so its chunk fails, and the items taken before it are
+        # scored and reported before the error.
+        pairs = self.pairs()
+        cache = {summary.id: [summary.text] for _, summary in pairs}
+        del cache["s3"]
+
+        def scored(pairs, scorer):
+            extractor = FileCacheExtractor(cache)
+            return score_corpus(pairs, scorer, extractor, NoopCorefBackend(), "full")
+
+        scorer = BlockRecorder(MockEntailmentBackend(batch_size=2))
+        got = []
+        with pytest.raises(ClaimCacheMiss, match="'s3'"):
+            for report in scored(pairs, scorer):
+                got.append(report)
+        assert got == list(scored(pairs[:2], Scorer(MockEntailmentBackend())))
+        assert [[c[0].summary_id for _, c, _ in block] for block in scorer.blocks] == [["s0", "s1"]]
+        # Without the miss, the six items are one block.
+        cache["s3"] = ["word3 beta."]
+        complete = BlockRecorder(MockEntailmentBackend(batch_size=2))
+        assert len(list(scored(pairs, complete))) == 6
+        assert [len(block) for block in complete.blocks] == [6]
+
+
+class BlockRecorder(Scorer):
+    """A scorer keeping every block ``score_corpus`` hands it, as a list of items."""
+
+    def score_blocks(self, blocks, *, stop=None):
+        self.blocks = []
+
+        def recorded():
+            for block in blocks:
+                self.blocks.append(list(block))
+                yield block
+
+        return super().score_blocks(recorded(), stop=stop)
 
 
 class TestBlocks:
-    """``score_corpus`` scores blocks of ``batch_size`` pairs, each stage one
-    wave of backend pairs over the block; blocks change batching only."""
+    """``score_corpus`` scores blocks cut by sentence-wave pairs, each stage
+    one wave of backend pairs over the block; blocks change batching only."""
 
     PARAMS = ScoringParams(window_size=2, gate_threshold=0.9)
     BUDGET = 200
@@ -646,12 +701,63 @@ class TestBlocks:
                 reports = scored(pairs, backend, workers)
                 assert [render_report(r) for r in reports] == rendered, (batch_size, workers)
 
-    def test_one_backend_pass_per_wave_and_block(self):
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(1, 60), st.integers(1, 6)), min_size=1, max_size=8),
+        st.integers(0, 2**32 - 1),
+        st.one_of(st.just(pipeline.BLOCK_PAIRS_PER_SLOT), st.integers(1, 40)),
+    )
+    # Items of six pairs each: at batch size 3 every block reaches its cap of 6 exactly.
+    @example([(2, 3), (3, 2), (6, 1), (1, 6), (2, 3)], 0, 2)
+    def test_blocks_are_cut_by_sentence_wave_pairs(self, shape, seed, per_slot):
+        # Summaries of documents of 1-60 sentences with 1-6 claims each: the
+        # blocks partition the items in input order, each reaching the cap
+        # only at its last item, and the reports are those of each item alone.
+        rng = random.Random(seed)
+
+        def text(n):
+            return " ".join(rng.choice(VOCAB) for _ in range(rng.randint(2, 5))) + f" n{n}."
+
+        pairs, cache = [], {}
+        for u, (sentences, claims) in enumerate(shape):
+            doc = doc_from_sentences(f"d{u}", [text(s) for s in range(sentences)])
+            pairs.append((doc, summary_from_sentences(f"s{u}", doc.id, [text(0)])))
+            cache[f"s{u}"] = [text(c) for c in range(claims)]
+        extractor = FileCacheExtractor(cache)
+
+        def scored(pairs, scorer, workers=1):
+            return [
+                render_report(report)
+                for report in score_corpus(
+                    pairs, scorer, extractor, NoopCorefBackend(), "full", workers=workers
+                )
+            ]
+
+        alone = Scorer(MockEntailmentBackend(), self.PARAMS)
+        expected = [line for pair in pairs for line in scored([pair], alone)]
+        with mock.patch.object(pipeline, "BLOCK_PAIRS_PER_SLOT", per_slot):
+            for batch_size in (1, 3, 32):
+                for workers in (1, 2):
+                    backend = MockEntailmentBackend(batch_size=batch_size, workers=workers)
+                    scorer = BlockRecorder(backend, self.PARAMS)
+                    assert scored(pairs, scorer, workers) == expected, (batch_size, workers)
+                    items = [item for block in scorer.blocks for item in block]
+                    assert [c[0].summary_id for _, c, _ in items] == [s.id for _, s in pairs]
+                    cap = batch_size * per_slot
+                    for n, block in enumerate(scorer.blocks):
+                        work = [len(doc.sentences) * len(claims) for doc, claims, _ in block]
+                        assert sum(work[:-1]) < cap
+                        if n < len(scorer.blocks) - 1:
+                            assert sum(work) >= cap
+
+    def test_one_backend_pass_per_wave_and_block(self, monkeypatch):
         # One-claim summaries, each with its own document of m sentences, no
         # coref and a gate every claim misses: per block of B summaries the
         # sentence wave sends B*m pairs and the window and document wave
-        # B*(m - j + 1) windows plus B documents.
+        # B*(m - j + 1) windows plus B documents. At m pairs per slot a block
+        # closes at batch_size * m pairs, so B is batch_size.
         m, j, n_items, batch_size = 4, 2, 10, 3
+        monkeypatch.setattr("sumfact.pipeline.BLOCK_PAIRS_PER_SLOT", m)
         docs = [
             doc_from_sentences(f"d{u}", [f"{'x' * (s + 1)} w{u}s{s} tail." for s in range(m)])
             for u in range(n_items)

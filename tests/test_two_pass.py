@@ -17,8 +17,8 @@ from click.testing import CliRunner
 
 from sumfact import benchmark, cli, formats, pipeline
 from sumfact.benchmark import BenchmarkRow
-from sumfact.documents import RuleSegmenter
-from sumfact.errors import InputError
+from sumfact.documents import RuleSegmenter, build_claims
+from sumfact.errors import ExtractorUnavailable, InputError
 from sumfact.nli import MockEntailmentBackend
 
 
@@ -340,6 +340,7 @@ class TestCheckpoints:
         # Blocks of one record, and a checkpoint after every `every` records.
         every = 8
         monkeypatch.setattr(benchmark, "CHECKPOINT_RECORDS", every)
+        monkeypatch.setattr(pipeline, "BLOCK_PAIRS_PER_SLOT", 1)
         n = 3 * every
         rows = [
             record(f"r{i:02d}", "validation" if i % 2 else "test", "factual" if i % 4 < 2 else "not_factual",
@@ -373,6 +374,37 @@ class TestCheckpoints:
         assert earlier <= set(seen)
         assert f"r{2 * every + 2:02d}" not in seen
         assert all(final[rid] == score for rid, score in seen.items())
+
+
+    def test_extractor_failure_in_a_blocks_second_chunk_keeps_the_chunk_before(
+        self, runner, tmp_path, monkeypatch
+    ):
+        # Six short records make one block, resolved in chunks of two; the
+        # extractor fails on r2, in the block's second chunk, so the run
+        # exits 3 with the first chunk's scores in the cache.
+        rows = [record(f"r{i}", "validation" if i % 2 else "test", "factual", f"alpha{i} beta.")
+                for i in range(6)]
+        path = write_records(tmp_path, [json.dumps(r) for r in rows])
+        cache_dir = tmp_path / "cache"
+
+        class FailsOnR2:
+            def describe(self):
+                return "fails-on-r2"
+
+            def extract(self, summary):
+                if summary.id == "r2:summary":
+                    raise ExtractorUnavailable("claim service is down")
+                return build_claims(summary.id, [summary.text])
+
+        monkeypatch.setattr(pipeline, "make_claim_extractor", lambda config: FailsOnR2())
+        config = write_records(tmp_path, [json.dumps({"nli_batch_size": 2})], "config.json")
+        result = runner.invoke(
+            cli.main, ["benchmark", path, "--config", config, "--cache-dir", str(cache_dir)]
+        )
+        assert result.exit_code == 3, result.stderr
+        assert "claim service is down" in result.stderr
+        (cache_file,) = cache_dir.glob("scores-*.json")
+        assert sorted(json.loads(cache_file.read_text())) == ["r0", "r1"]
 
 
 class TestRunMeta:
