@@ -17,11 +17,11 @@ returns one row of three probabilities per pair,
 from outside the program; it may read per-text features from
 the table, computed once per call, and must not retain the table, which
 lives only for that one call. The :class:`Inference` that ``submit`` returns
-checks every row once, with the one row rule (:func:`_checked`), as it reads
-it, and gives each pair's alignment score (``submit(pairs).scores()``), the
-one way a backend is read. ``submit`` starts a call without waiting for it,
-so a caller can have the next call's batches in flight while it reads this
-one's.
+checks each batch's row count and every row once, with the one row rule
+(:func:`_checked`), as it reads them, and gives each pair's alignment score
+(``submit(pairs).scores()``), the one way a backend is read. ``submit``
+starts a call without waiting for it, so a caller can have the next call's
+batches in flight while it reads this one's.
 
 Batches are capped by padded size, not by pair count (see :class:`Inference`).
 """
@@ -171,12 +171,14 @@ class Inference:
     they go to the backend's pool on construction, and a call of short
     pairs may fill fewer batches than there are workers.
 
-    Results are gathered in batch order, and every row is checked once as
-    it is read, with the rule of :func:`_checked`, so a failure raises that
-    of the first failing batch, and cancels the batches not yet started, as
-    :meth:`cancel` does. A row from outside the program (the remote and
-    local backends) is taken as floats first, and a bad one raises
-    :class:`NliBackendError` naming its pair by its index in ``pairs``.
+    Results are gathered in batch order. Each batch must give one row per
+    pair, and each row is checked once as it is read, with the rule of
+    :func:`_checked`; a failure raises that of the first failing batch and
+    cancels the batches not yet started, as :meth:`cancel` does. Rows from
+    outside the program (the remote and local backends) are taken as
+    floats first, and a wrong row count or a bad row raises
+    :class:`NliBackendError`, a bad row naming its pair by its index in
+    ``pairs``; from an in-process backend either raises ``ValueError``.
     """
 
     def __init__(
@@ -231,6 +233,10 @@ class Inference:
         outside = self._outside
         try:
             for b, (chunk, rows) in enumerate(zip(self._chunks, results)):
+                if len(rows) != len(chunk):
+                    raise (NliBackendError if outside else ValueError)(
+                        f"entailment backend returned {len(rows)} triples for {len(chunk)} pairs"
+                    )
                 for i, row in zip(chunk, rows):
                     e, _, c = _outside_row(i, row) if outside else _checked(*row)
                     out[i] = e - c
@@ -382,10 +388,9 @@ class RemoteEntailmentBackend(EntailmentBackend):
     def _infer(self, pairs: list[Pair], table: TextTable) -> list[Row]:
         payload = self._service.post({"pairs": [[p, h] for p, h in pairs]})
         triples = payload.get("triples") if isinstance(payload, dict) else None
-        if not isinstance(triples, list) or len(triples) != len(pairs):
+        if not isinstance(triples, list):
             raise NliBackendError(
-                f"entailment service returned {0 if not isinstance(triples, list) else len(triples)} "
-                f"triples for {len(pairs)} pairs"
+                f"entailment service returned no list of triples for {len(pairs)} pairs"
             )
         return triples
 

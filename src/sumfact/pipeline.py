@@ -5,16 +5,15 @@ This layer owns the policies that span modules: the empty-claims fallback
 empty clusters when the coreference backend fails, the one table of what
 each mode scores and where it stops the scoring pipeline, and the cut of a
 corpus into scoring blocks by work. :func:`score_corpus` is the one path
-from (document, summary) pairs to reports: it resolves chunks of pairs with
-:func:`build_units` as its blocks need their items. The CLI calls it and
-does no scoring itself.
+from (document, summary) pairs to reports: it resolves the pairs as one
+stream and cuts it into blocks as the scorer needs them. The CLI calls it
+and does no scoring itself.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import logging
-from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from . import formats
@@ -45,7 +44,6 @@ __all__ = [
     "resolve_claims",
     "pair_summaries",
     "attach_clusters",
-    "build_units",
     "score_corpus",
     "scorer_fingerprint",
 ]
@@ -234,45 +232,6 @@ def pair_summaries(
     return [(by_id[s.document_id], s) for s in summaries]
 
 
-def build_units(
-    pairs: Sequence[tuple[Document, Summary]],
-    extractor: ClaimExtractor | None,
-    coref_backend: CorefBackend,
-    mode: str,
-    *,
-    missing_ok: bool = False,
-    workers: int = 1,
-) -> list[Item]:
-    """The item ``mode`` scores for every (document, summary) pair of one chunk.
-
-    Clusters are attached once per distinct document, keyed by id and text
-    because benchmark records may reuse an id for different texts. In
-    ``nli_sent`` the claims are the summary's sentences (duplicates kept:
-    the mean runs over sentences), never flagged as the fallback, and the
-    extractor is not called. Other modes resolve claims on ``workers``
-    threads; a cache miss surfaces when :func:`score_corpus` reads the chunk.
-    """
-    sentences, _ = _mode(mode)
-    prepared: dict[tuple[str, str], Document] = {}
-    for document, _ in pairs:
-        key = (document.id, document.text)
-        if key not in prepared:
-            prepared[key] = attach_clusters(document, coref_backend)
-    if sentences:
-        resolved = (
-            ([Claim(summary.id, i, s.text) for i, s in enumerate(summary.sentences)], False)
-            for _, summary in pairs
-        )
-    else:
-        resolved = ordered_map(
-            lambda pair: resolve_claims(pair[1], extractor, missing_ok=missing_ok), pairs, workers
-        )
-    return [
-        (prepared[(d.id, d.text)], claims, fallback)
-        for (d, _), (claims, fallback) in zip(pairs, resolved)
-    ]
-
-
 def score_corpus(
     pairs: Iterable[tuple[Document, Summary]],
     scorer: Scorer,
@@ -285,48 +244,63 @@ def score_corpus(
 ) -> Iterator[FactualityReport]:
     """Yield one report per (document, summary) pair, stopping the pipeline where ``mode`` does.
 
-    Pairs are resolved by :func:`build_units` in chunks of
-    ``scorer.backend.batch_size``, and the resolved items are cut into
-    blocks by work (:func:`_blocks`), each scored one wave per stage over
-    the whole block (:meth:`Scorer.score_blocks`). A chunk is resolved only
-    when a block needs its items, so the next block's chunks are resolved
-    while this one's last wave is in flight. Reports do not depend on the
-    blocks; an error resolving a chunk comes after the reports of every
-    item before it.
+    The pairs are resolved as one stream, in order. In ``nli_sent`` the
+    claims are the summary's sentences (duplicates kept: the mean runs over
+    sentences), never flagged as the fallback, and the extractor is not
+    called; other modes resolve claims on ``workers`` threads, at most
+    ``2 * workers`` pairs ahead of the stream (:func:`~sumfact.config.ordered_map`).
+    The resolved items are cut into blocks by work, with coref clusters
+    attached as they join one (:func:`_blocks`), and each block is scored
+    one wave per stage over the whole block (:meth:`Scorer.score_blocks`),
+    which takes the next block while this one's last wave is in flight.
+    Reports do not depend on the blocks; an error resolving a pair comes
+    after the reports of every pair before it.
     """
-    _, stop = _mode(mode)
-    pairs = iter(pairs)
-    batch_size = scorer.backend.batch_size
-    # Consecutive chunks of ``batch_size`` pairs, the last one shorter, each resolved lazily.
-    chunks = (
-        build_units(chunk, extractor, coref_backend, mode, missing_ok=missing_ok, workers=workers)
-        for chunk in iter(lambda: list(islice(pairs, batch_size)), [])
-    )
-    blocks = _blocks(chunks, batch_size * BLOCK_PAIRS_PER_SLOT)
+    sentences, stop = _mode(mode)
+    if sentences:
+        items: Iterator[Item] = (
+            (doc, [Claim(summary.id, i, s.text) for i, s in enumerate(summary.sentences)], False)
+            for doc, summary in pairs
+        )
+    else:
+        items = ordered_map(
+            lambda pair: (pair[0], *resolve_claims(pair[1], extractor, missing_ok=missing_ok)),
+            pairs,
+            workers,
+        )
+    blocks = _blocks(items, scorer.backend.batch_size * BLOCK_PAIRS_PER_SLOT, coref_backend)
     for reports in scorer.score_blocks(blocks, stop=stop):
         yield from reports
 
 
-def _blocks(chunks: Iterator[list[Item]], cap: int) -> Iterator[list[Item]]:
-    """Cut the items of ``chunks``, in order, into blocks of about ``cap`` sentence-wave pairs.
+def _blocks(items: Iterator[Item], cap: int, coref_backend: CorefBackend) -> Iterator[list[Item]]:
+    """Cut ``items``, in order, into blocks of about ``cap`` sentence-wave pairs.
 
     A block closes at the first item that brings its sentence-wave pairs
     (document sentences times claims, summed over its items) to ``cap`` or
-    more; the last block may hold fewer. The next chunk is taken only when
-    the block needs its items. If taking it raises, the items gathered so
-    far are yielded as a block first, so that they are scored and reported
-    before the error.
+    more; the last block may hold fewer. An item's document gets its coref
+    clusters as the item joins a block (:func:`attach_clusters`), once per
+    distinct document within the block, keyed by id and text because
+    benchmark records may reuse an id for different texts; the block's
+    last document is carried into the next, so summaries of one document
+    that straddle a cut run coref once. The next item is taken only when
+    the block needs it. If taking it raises, the items gathered so far are
+    yielded as a block first, so that they are scored and reported before
+    the error.
     """
     block: list[Item] = []
     pairs = 0
+    prepared: dict[tuple[str, str], Document] = {}
     try:
-        for chunk in chunks:
-            for item in chunk:
-                block.append(item)
-                pairs += len(item[0].sentences) * len(item[1])
-                if pairs >= cap:
-                    yield block
-                    block, pairs = [], 0
+        for document, claims, fallback in items:
+            key = (document.id, document.text)
+            if key not in prepared:
+                prepared[key] = attach_clusters(document, coref_backend)
+            block.append((prepared[key], claims, fallback))
+            pairs += len(document.sentences) * len(claims)
+            if pairs >= cap:
+                yield block
+                block, pairs, prepared = [], 0, {key: prepared[key]}
     except Exception:
         if block:
             yield block

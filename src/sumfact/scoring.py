@@ -13,10 +13,12 @@ coref stage.
 
 ``Scorer.score_blocks`` is the one entry point. It runs the stages as waves
 over each block of summaries, as the caller cuts them
-(:func:`~sumfact.pipeline.score_corpus` cuts by sentence-wave pairs, so a
-block's working set follows its work): every claim's sentence candidates go
-to the backend together, then the coref candidates of all the claims, then
-the window and document candidates of every gate miss. One selection rule
+(:func:`~sumfact.pipeline.score_corpus` cuts its one stream of resolved
+summaries by sentence-wave pairs, so a block's working set follows its
+work, and resolves a block's summaries as the scorer takes it): every
+claim's sentence candidates go to the backend together, then the coref
+candidates of all the claims, then the window and document candidates of
+every gate miss. One selection rule
 serves every wave. Blocks change how pairs are batched, never a score or a
 span; the batch cap is :class:`~sumfact.nli.Inference`'s. One thread scores;
 the backend keeps batches in flight, and the next block's first wave is sent

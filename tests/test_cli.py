@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -248,9 +249,8 @@ class TestScore:
 
 
 class TestScoreBlocks:
-    """``score`` resolves its summaries a chunk of ``nli_batch_size`` at a
-    time and scores them in blocks cut by work, writing each block's lines
-    as it goes."""
+    """``score`` resolves its summaries as one stream and scores them in
+    blocks cut by work, writing each block's lines as it goes."""
 
     def news(self, tmp_path, n_docs=10):
         """Documents, summaries and claim cache files of a news corpus with
@@ -292,6 +292,26 @@ class TestScoreBlocks:
                 meta = json.loads(meta.read_text())
                 assert meta["summaries"] == len(lines)
                 assert meta["claims_fallback_count"] == fallbacks
+
+    def test_one_extraction_pool_per_run(self, runner, tmp_path, monkeypatch):
+        # 300 summaries at four workers: one pool resolves every claim and
+        # one runs the backend's batches, however many blocks the run has.
+        docs, sums, claims, ids = self.news(tmp_path, n_docs=75)
+        serial, _ = self.run(runner, tmp_path, docs, sums, claims, 32)
+        assert serial.exit_code == 0, serial.stderr
+        assert len(serial.stdout.splitlines()) == len(ids) == 300
+        built = []
+        init = ThreadPoolExecutor.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("max_workers", args[0] if args else None))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "__init__", counting)
+        result, _ = self.run(runner, tmp_path, docs, sums, claims, 32, "4")
+        assert result.exit_code == 0, result.stderr
+        assert built == [4, 4]
+        assert result.stdout == serial.stdout
 
     # Five summaries of four-sentence documents: t1 and t5 have two claims,
     # so eight sentence-wave pairs, the others four. At nli_batch_size 2 and
@@ -353,7 +373,7 @@ class TestScoreBlocks:
     @pytest.mark.parametrize("workers", ["1", "3"])
     def test_run_meta_matches_golden(self, runner, tmp_path, monkeypatch, workers):
         # d1 carries its clusters, so coref scans only d2, and cuts it after
-        # three of its four sentences; d2 is met in two chunks and listed once.
+        # three of its four sentences; d2 is listed once.
         monkeypatch.setattr("sumfact.pipeline.BLOCK_PAIRS_PER_SLOT", self.PER_SLOT)
         docs, sums, claims = self.traffic(tmp_path, {"d1": self.D1_CLUSTERS})
         result, meta = self.run(
@@ -406,23 +426,23 @@ class TestScoreBlocks:
         assert got == json.loads((GOLDEN_DIR / "score_batches.json").read_text())
 
     def test_claim_cache_miss_in_second_block_exits_2_after_the_first(self, runner, tmp_path):
-        # The four summaries make one block, resolved in chunks of two; the
-        # miss is in its second chunk, so the first chunk's lines are written.
+        # The four summaries make one block; the miss is in its last
+        # summary, so the lines of the three before it are written.
         docs, sums, claims, ids = self.news(tmp_path, n_docs=1)
         full, meta = self.run(runner, tmp_path, docs, sums, claims, 2)
         assert full.exit_code == 0, full.stderr
         meta.unlink()
         cache = json.loads(Path(claims).read_text())
-        del cache[ids[2]]
+        del cache[ids[3]]
         write(tmp_path, "claims.json", json.dumps(cache))
         result, meta = self.run(runner, tmp_path, docs, sums, claims, 2)
         assert result.exit_code == 2
         error = json.loads(result.stderr.strip().splitlines()[-1])
         assert error == {
             "error": "ClaimCacheMiss",
-            "message": f"claim cache has no entry for summary '{ids[2]}'",
+            "message": f"claim cache has no entry for summary '{ids[3]}'",
         }
-        assert result.stdout.splitlines() == full.stdout.splitlines()[:2]
+        assert result.stdout.splitlines() == full.stdout.splitlines()[:3]
         assert not meta.exists()
 
 

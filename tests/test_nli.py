@@ -540,6 +540,23 @@ class TestScoresPath:
             assert str(got.value) == str(expected.value)
 
 
+    @pytest.mark.parametrize("drop, extra", [(1, 0), (0, 1)], ids=["fewer", "more"])
+    def test_a_batch_with_the_wrong_row_count_raises(self, drop, extra):
+        # The second batch of an in-process backend gives one row too few or
+        # too many: a bug in its ``_infer``, not a backend failure.
+        class WrongCount(MockEntailmentBackend):
+            def _infer(self, pairs, table):
+                rows = super()._infer(pairs, table)
+                return rows if pairs[0][0] == "p0" else rows[drop:] + rows[:extra]
+
+        pairs = [("p0", "h"), ("p1 x", "h")]
+        message = f"returned {1 - drop + extra} triples for 1 pairs"
+        for workers in (1, 2):
+            backend = WrongCount(batch_size=1, workers=workers)
+            with pytest.raises(ValueError, match=message):
+                backend.submit(pairs).scores()
+
+
 class TestRemoteBackend:
     def test_round_trip(self):
         def handler(path, body, headers):
@@ -565,6 +582,11 @@ class TestRemoteBackend:
     def test_length_mismatch(self):
         with StubServer(lambda *a: (200, {"triples": [[1, 0, 0]]})) as server:
             with pytest.raises(NliBackendError, match="1 triples for 2 pairs"):
+                RemoteEntailmentBackend(server.url).submit([("a", "b"), ("c", "d")]).scores()
+
+    def test_extra_triples_raise(self):
+        with StubServer(lambda *a: (200, {"triples": [[1, 0, 0]] * 3})) as server:
+            with pytest.raises(NliBackendError, match="3 triples for 2 pairs"):
                 RemoteEntailmentBackend(server.url).submit([("a", "b"), ("c", "d")]).scores()
 
     def test_http_error(self, fast_retries):
@@ -830,6 +852,20 @@ class TestLocalBackend:
         error = score_with_local(tmp_path, monkeypatch, NonFinite(STANDARD), FakeTokenizer())
         assert error["error"] == "NliBackendError"
         assert error["message"].startswith("pair 0: invalid triple (nan, nan, nan): ")
+
+    def test_a_dropped_logits_row_exits_3(self, tmp_path, monkeypatch):
+        # A model that returns one row too few fails the run as a backend
+        # error, not with a traceback on a missing score.
+        class DropsARow(FakeModel):
+            def __call__(self, premises, hypotheses):
+                logits = super().__call__(premises, hypotheses).logits
+                return SimpleNamespace(logits=logits[:-1])
+
+        error = score_with_local(tmp_path, monkeypatch, DropsARow(STANDARD), FakeTokenizer())
+        assert error == {
+            "error": "NliBackendError",
+            "message": "entailment backend returned 0 triples for 1 pairs",
+        }
 
     def test_fingerprint_keys_the_budget_used(self, monkeypatch):
         # Unset, the budget is the declared length less 8, and that is keyed.

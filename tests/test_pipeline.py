@@ -35,7 +35,6 @@ from sumfact.config import MODES
 from sumfact.formats import render_report
 from sumfact.pipeline import (
     attach_clusters,
-    build_units,
     fallback_claims,
     make_claim_extractor,
     make_coref_backend,
@@ -410,7 +409,18 @@ class TestAttachClusters:
         assert attach_clusters(doc, CountingCoref([singleton, pair])).coref_clusters == (pair,)
 
 
+def resolved(pairs, extractor, coref_backend, mode, **kwargs):
+    """The items ``score_corpus`` hands the scorer for ``pairs``, block after
+    block, and the reports it yields."""
+    scorer = BlockRecorder(MockEntailmentBackend())
+    reports = list(score_corpus(pairs, scorer, extractor, coref_backend, mode, **kwargs))
+    return [item for block in scorer.blocks for item in block], reports
+
+
 class TestBuildUnits:
+    """How ``score_corpus`` resolves (document, summary) pairs into the
+    scorer's ``(document, claims, claims_fallback)`` items."""
+
     def corpus(self):
         docs = [
             doc_from_sentences("d1", ["alpha beta.", "gamma delta."]),
@@ -425,7 +435,7 @@ class TestBuildUnits:
     def test_happy_path(self):
         docs, summaries = self.corpus()
         extractor = FileCacheExtractor({"s1": ["Alpha claim."], "s2": ["Zeta claim."]})
-        items = build_units(pair_summaries(docs, summaries), extractor, NoopCorefBackend(), "full")
+        items, _ = resolved(pair_summaries(docs, summaries), extractor, NoopCorefBackend(), "full")
         assert items == [
             (docs[0], [Claim("s1", 0, "Alpha claim.")], False),
             (docs[1], [Claim("s2", 0, "Zeta claim.")], False),
@@ -446,17 +456,33 @@ class TestBuildUnits:
             summary_from_sentences("s2", "d1", ["beta."]),
         ]
         backend = CountingCoref()
-        items = build_units(pair_summaries([doc], summaries), None, backend, "full")
+        items, _ = resolved(pair_summaries([doc], summaries), None, backend, "full")
         assert backend.calls == 1
         assert items[0][0] is items[1][0]
+
+    def test_document_straddling_a_block_cut_is_prepared_once(self, monkeypatch):
+        # Each summary of d1 is 4 x 3 = 12 sentence-wave pairs, and blocks
+        # close at 2 x 15 = 30 of them: d1's four summaries are cut after the
+        # third, and the fourth opens the next block with d2's summary.
+        # Coref runs once per document all the same.
+        monkeypatch.setattr("sumfact.pipeline.BLOCK_PAIRS_PER_SLOT", 15)
+        d1 = doc_from_sentences("d1", ["alpha beta.", "gamma delta.", "eps zeta.", "eta theta."])
+        d2 = doc_from_sentences("d2", ["iota kappa."])
+        pairs = [(d1, summary_from_sentences(f"s{i}", "d1", ["a.", "b.", "c."])) for i in range(4)]
+        pairs.append((d2, summary_from_sentences("t", "d2", ["iota."])))
+        scorer = BlockRecorder(MockEntailmentBackend(batch_size=2))
+        backend = CountingCoref()
+        assert len(list(score_corpus(pairs, scorer, None, backend, "full"))) == 5
+        assert [len(block) for block in scorer.blocks] == [3, 2]
+        assert backend.calls == 2
 
     def test_missing_ok_passthrough(self):
         docs, summaries = self.corpus()
         pairs = pair_summaries(docs, summaries)
         extractor = FileCacheExtractor({"s1": ["Alpha claim."]})
         with pytest.raises(ClaimCacheMiss):
-            build_units(pairs, extractor, NoopCorefBackend(), "full")
-        items = build_units(pairs, extractor, NoopCorefBackend(), "full", missing_ok=True)
+            resolved(pairs, extractor, NoopCorefBackend(), "full")
+        items, _ = resolved(pairs, extractor, NoopCorefBackend(), "full", missing_ok=True)
         assert items[1] == (docs[1], fallback_claims(summaries[1]), True)
 
     def test_shared_document_id_with_different_texts(self):
@@ -471,10 +497,9 @@ class TestBuildUnits:
             (first, summary_from_sentences("s3", "shared", ["alpha beta."])),
         ]
         backend = CountingCoref()
-        items = build_units(pairs, None, backend, "full")
+        items, reports = resolved(pairs, None, backend, "full")
         assert backend.calls == 2
         assert [document.text for document, _, _ in items] == [first.text, second.text, first.text]
-        reports = list(score_corpus(pairs, Scorer(MockEntailmentBackend()), None, backend, "full"))
         for (document, summary), report in zip(pairs, reports):
             (direct,) = score_block(
                 Scorer(MockEntailmentBackend()), [(document, fallback_claims(summary), True)]
@@ -497,7 +522,7 @@ class TestBuildUnits:
 
         docs, summaries = self.corpus()
         pairs = pair_summaries(docs, summaries)
-        items = build_units(pairs, BarrierExtractor(), NoopCorefBackend(), "full", workers=2)
+        items, _ = resolved(pairs, BarrierExtractor(), NoopCorefBackend(), "full", workers=2)
         assert [claims for _, claims, _ in items] == [
             [Claim("s1", 0, "s1 claim.")],
             [Claim("s2", 0, "s2 claim.")],
@@ -549,17 +574,17 @@ class TestEvaluatePair:
         extractor = CountingExtractor()
         summary = summary_from_sentences("s1", "d1", ["Alpha beta.", "Alpha beta."])
         pairs = [(self.DOC, summary)] * 3
-        items = build_units(pairs, extractor, NoopCorefBackend(), "nli_sent", workers=2)
+        items, _ = resolved(pairs, extractor, NoopCorefBackend(), "nli_sent", workers=2)
         assert extractor.calls == 0
         # The sentences verbatim, duplicates kept, never flagged as the fallback.
         sentences = [Claim("s1", 0, "Alpha beta."), Claim("s1", 1, "Alpha beta.")]
         assert items == [(self.DOC, sentences, False)] * 3
-        build_units(pairs, extractor, NoopCorefBackend(), "nli_claim")
+        resolved(pairs, extractor, NoopCorefBackend(), "nli_claim")
         assert extractor.calls == 3
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown ablation mode 'bogus'"):
-            build_units([(self.DOC, self.SUMMARY)], None, NoopCorefBackend(), "bogus")
+            resolved([(self.DOC, self.SUMMARY)], None, NoopCorefBackend(), "bogus")
 
 
 def sentence_pairs(docs, texts):
@@ -589,11 +614,10 @@ class TestScoreCorpus:
         assert [r.summary_id for r in serial] == [f"s{i}" for i in range(6)]
 
     def test_pairs_are_taken_a_block_at_a_time(self, monkeypatch):
-        # Items of two sentence-wave pairs, resolved in chunks of two (batch
-        # size 2), and blocks that close at 2 x 3 = 6 pairs: three items, so
-        # every other block ends inside a chunk. A chunk is read only when a
-        # block needs its items, and the scorer takes the next block while
-        # this one's last wave is in flight: never further ahead.
+        # Items of two sentence-wave pairs, and blocks that close at 2 x 3 =
+        # 6 pairs: three items. A pair is read only when a block needs its
+        # item, and the scorer takes the next block while this one's last
+        # wave is in flight: never further ahead.
         monkeypatch.setattr("sumfact.pipeline.BLOCK_PAIRS_PER_SLOT", 3)
         docs = [doc_from_sentences(f"d{i}", [f"word{i} alpha.", "beta gamma."]) for i in range(12)]
         taken = []
@@ -607,36 +631,40 @@ class TestScoreCorpus:
         reports = score_corpus(pairs(), scorer, None, NoopCorefBackend(), "full")
         assert taken == []
         next(reports)
-        # Block 0 is chunks 0 and half of 1; block 1 ends with chunk 2.
+        # Blocks 0 and 1: block 1 is taken before block 0's reports.
         assert taken == list(range(6))
         next(reports), next(reports)
         assert taken == list(range(6))
         next(reports)
-        # Block 2 needs chunks 3 and 4; the rest of chunk 4 waits for block 3.
-        assert taken == list(range(10))
+        # Block 2, and not one pair of block 3.
+        assert taken == list(range(9))
         assert len(list(reports)) == 8
         assert taken == list(range(12))
         assert [len(block) for block in scorer.blocks] == [3, 3, 3, 3]
 
     def test_cache_miss_in_a_blocks_second_chunk_reports_the_chunk_before(self):
-        # All six items make one block, resolved in chunks of two; s3 has no
-        # claims, so its chunk fails, and the items taken before it are
-        # scored and reported before the error.
+        # All six items make one block; s3 has no claims, so resolving it
+        # fails, and every item before it is scored and reported before the
+        # error, with one worker or with extractions running ahead on three.
         pairs = self.pairs()
         cache = {summary.id: [summary.text] for _, summary in pairs}
         del cache["s3"]
 
-        def scored(pairs, scorer):
+        def scored(pairs, scorer, workers=1):
             extractor = FileCacheExtractor(cache)
-            return score_corpus(pairs, scorer, extractor, NoopCorefBackend(), "full")
+            return score_corpus(
+                pairs, scorer, extractor, NoopCorefBackend(), "full", workers=workers
+            )
 
-        scorer = BlockRecorder(MockEntailmentBackend(batch_size=2))
-        got = []
-        with pytest.raises(ClaimCacheMiss, match="'s3'"):
-            for report in scored(pairs, scorer):
-                got.append(report)
-        assert got == list(scored(pairs[:2], Scorer(MockEntailmentBackend())))
-        assert [[c[0].summary_id for _, c, _ in block] for block in scorer.blocks] == [["s0", "s1"]]
+        for workers in (1, 3):
+            scorer = BlockRecorder(MockEntailmentBackend(batch_size=2))
+            got = []
+            with pytest.raises(ClaimCacheMiss, match="'s3'"):
+                for report in scored(pairs, scorer, workers):
+                    got.append(report)
+            assert got == list(scored(pairs[:3], Scorer(MockEntailmentBackend())))
+            blocks = [[c[0].summary_id for _, c, _ in block] for block in scorer.blocks]
+            assert blocks == [["s0", "s1", "s2"]]
         # Without the miss, the six items are one block.
         cache["s3"] = ["word3 beta."]
         complete = BlockRecorder(MockEntailmentBackend(batch_size=2))

@@ -379,24 +379,24 @@ class TestCheckpoints:
     def test_extractor_failure_in_a_blocks_second_chunk_keeps_the_chunk_before(
         self, runner, tmp_path, monkeypatch
     ):
-        # Six short records make one block, resolved in chunks of two; the
-        # extractor fails on r2, in the block's second chunk, so the run
-        # exits 3 with the first chunk's scores in the cache.
+        # Six short records make one block; the extractor fails on r3, so
+        # the run exits 3 with the scores of every record before it in the
+        # cache.
         rows = [record(f"r{i}", "validation" if i % 2 else "test", "factual", f"alpha{i} beta.")
                 for i in range(6)]
         path = write_records(tmp_path, [json.dumps(r) for r in rows])
         cache_dir = tmp_path / "cache"
 
-        class FailsOnR2:
+        class FailsOnR3:
             def describe(self):
-                return "fails-on-r2"
+                return "fails-on-r3"
 
             def extract(self, summary):
-                if summary.id == "r2:summary":
+                if summary.id == "r3:summary":
                     raise ExtractorUnavailable("claim service is down")
                 return build_claims(summary.id, [summary.text])
 
-        monkeypatch.setattr(pipeline, "make_claim_extractor", lambda config: FailsOnR2())
+        monkeypatch.setattr(pipeline, "make_claim_extractor", lambda config: FailsOnR3())
         config = write_records(tmp_path, [json.dumps({"nli_batch_size": 2})], "config.json")
         result = runner.invoke(
             cli.main, ["benchmark", path, "--config", config, "--cache-dir", str(cache_dir)]
@@ -404,7 +404,7 @@ class TestCheckpoints:
         assert result.exit_code == 3, result.stderr
         assert "claim service is down" in result.stderr
         (cache_file,) = cache_dir.glob("scores-*.json")
-        assert sorted(json.loads(cache_file.read_text())) == ["r0", "r1"]
+        assert sorted(json.loads(cache_file.read_text())) == ["r0", "r1", "r2"]
 
 
 class TestRunMeta:
