@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Mapping, Sequence
 
-from .documents import WORD_RE
+from .documents import words
 from .errors import EmptyClaimSet, InputError
 
 __all__ = [
@@ -26,22 +26,21 @@ __all__ = [
 ]
 
 
-def _tokens(text: str) -> list[str]:
-    return WORD_RE.findall(text.lower())
+def _harmonic(precision: float, recall: float) -> float:
+    return 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
+
+
+def _f1(a: Counter, b: Counter) -> float:
+    """Unigram F1 between two word counts."""
+    if not a or not b:
+        return 0.0
+    overlap = sum((a & b).values())
+    return _harmonic(overlap / a.total(), overlap / b.total())
 
 
 def rouge1_f1(a: str, b: str) -> float:
     """Unigram F1 between two strings; 0.0 when either side has no tokens."""
-    tokens_a = _tokens(a)
-    tokens_b = _tokens(b)
-    if not tokens_a or not tokens_b:
-        return 0.0
-    overlap = sum((Counter(tokens_a) & Counter(tokens_b)).values())
-    precision = overlap / len(tokens_a)
-    recall = overlap / len(tokens_b)
-    if precision + recall == 0:
-        return 0.0
-    return 2 * precision * recall / (precision + recall)
+    return _f1(Counter(words(a)), Counter(words(b)))
 
 
 def _require(system_claims: Sequence[str], human_claims: Sequence[str]) -> None:
@@ -51,27 +50,37 @@ def _require(system_claims: Sequence[str], human_claims: Sequence[str]) -> None:
         raise EmptyClaimSet("human claim set is empty")
 
 
+def _f1_matrix(system_claims: Sequence[str], human_claims: Sequence[str]) -> list[list[float]]:
+    """``rouge1_f1(s, h)`` with a row per system claim and a column per human
+    claim, tokenising each claim once."""
+    _require(system_claims, human_claims)
+    system = [Counter(words(s)) for s in system_claims]
+    human = [Counter(words(h)) for h in human_claims]
+    return [[_f1(s, h) for h in human] for s in system]
+
+
+def _precision(matrix: list[list[float]]) -> float:
+    return sum(max(row) for row in matrix) / len(matrix)
+
+
+def _recall(matrix: list[list[float]]) -> float:
+    return sum(max(column) for column in zip(*matrix)) / len(matrix[0])
+
+
 def easiness_precision(system_claims: Sequence[str], human_claims: Sequence[str]) -> float:
     """Mean over system claims of the best unigram F1 against any human claim."""
-    _require(system_claims, human_claims)
-    total = sum(max(rouge1_f1(s, h) for h in human_claims) for s in system_claims)
-    return total / len(system_claims)
+    return _precision(_f1_matrix(system_claims, human_claims))
 
 
 def easiness_recall(system_claims: Sequence[str], human_claims: Sequence[str]) -> float:
     """Mean over human claims of the best unigram F1 against any system claim."""
-    _require(system_claims, human_claims)
-    total = sum(max(rouge1_f1(s, h) for s in system_claims) for h in human_claims)
-    return total / len(human_claims)
+    return _recall(_f1_matrix(system_claims, human_claims))
 
 
 def easiness_f1(system_claims: Sequence[str], human_claims: Sequence[str]) -> float:
     """Harmonic mean of easiness precision and recall; 0.0 when both are 0."""
-    precision = easiness_precision(system_claims, human_claims)
-    recall = easiness_recall(system_claims, human_claims)
-    if precision + recall == 0:
-        return 0.0
-    return 2 * precision * recall / (precision + recall)
+    matrix = _f1_matrix(system_claims, human_claims)
+    return _harmonic(_precision(matrix), _recall(matrix))
 
 
 def evaluate_claim_sets(
@@ -101,9 +110,10 @@ def evaluate_claim_sets(
         h_claims = list(human[summary_id])
         if not s_claims or not h_claims:
             raise EmptyClaimSet(f"summary '{summary_id}' has an empty claim set")
-        precision = easiness_precision(s_claims, h_claims)
-        recall = easiness_recall(s_claims, h_claims)
-        f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
+        matrix = _f1_matrix(s_claims, h_claims)
+        precision = _precision(matrix)
+        recall = _recall(matrix)
+        f1 = _harmonic(precision, recall)
         per_summary[summary_id] = {
             "easiness_p": precision,
             "easiness_r": recall,
@@ -112,7 +122,7 @@ def evaluate_claim_sets(
     count = len(per_summary)
     corpus_p = sum(row["easiness_p"] for row in per_summary.values()) / count
     corpus_r = sum(row["easiness_r"] for row in per_summary.values()) / count
-    corpus_f1 = 0.0 if corpus_p + corpus_r == 0 else 2 * corpus_p * corpus_r / (corpus_p + corpus_r)
+    corpus_f1 = _harmonic(corpus_p, corpus_r)
     mean_f1 = sum(row["easiness_f1"] for row in per_summary.values()) / count
     return {
         "easiness_p": corpus_p,

@@ -27,6 +27,7 @@ __all__ = [
     "whole_text",
     "build_claims",
     "normalize_claim_text",
+    "words",
 ]
 
 
@@ -253,9 +254,27 @@ def _require_text(text: str) -> None:
 
 _DEFAULT_SEGMENTER = RuleSegmenter()
 
-# Runs of alphanumeric characters (unicode-aware, underscore excluded). Shared
-# by the overlap tokenizers and the heuristic coref backend.
+# Runs of alphanumeric characters (unicode-aware, underscore excluded). The
+# heuristic coref backend lowercases each match; the mock backend and the claim
+# overlap metrics match the lowercased text, through :func:`words`. The two
+# differ on some non-ASCII text: "İ" lowercases to "i" and a combining dot.
 WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
+
+# Index ``i`` holds ``chr(i)`` lowercased if it is alphanumeric, else a space:
+# on ASCII text, what ``WORD_RE`` matches after ``lower()``.
+_ASCII_WORDS = "".join(c.lower() if c.isalnum() else " " for c in map(chr, range(128)))
+
+
+def words(text: str) -> list[str]:
+    """``WORD_RE.findall(text.lower())``: the lowercased words of ``text``.
+
+    ASCII text (the common case) takes a fast path with the same result:
+    one ``str.translate`` that lowercases and blanks out separators, then
+    ``str.split``. Any other text goes through the regex.
+    """
+    if text.isascii():
+        return text.translate(_ASCII_WORDS).split()
+    return WORD_RE.findall(text.lower())
 
 
 def segment(text: str) -> list[Sentence]:

@@ -25,6 +25,7 @@ import hashlib
 import json
 import sys
 from contextlib import contextmanager
+from json.encoder import encode_basestring_ascii as _encode_str  # json.dumps of a str
 from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .benchmark import BenchmarkRecord, BenchmarkReport, BenchmarkRow, RecordScore
@@ -387,21 +388,22 @@ def dumps_fixed(value: object) -> str:
     Insertion order of dict keys is preserved; strings go through the stock
     encoder (ensure_ascii), so output bytes are stable across platforms.
     """
-    if isinstance(value, bool) or value is None or isinstance(value, str):
-        return json.dumps(value)
+    if isinstance(value, str):
+        return _encode_str(value)
     if isinstance(value, float):
         return f"{value if value != 0 else 0.0:.6f}"
-    if isinstance(value, int):
+    if value is None or isinstance(value, int):
         return json.dumps(value)
-    if isinstance(value, Mapping):
+    # ``dict`` first: the check against the ``Mapping`` ABC is the slow one.
+    if isinstance(value, (dict, Mapping)):
         items = []
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            items.append(f"{json.dumps(key)}: {dumps_fixed(item)}")
+            items.append(f"{_encode_str(key)}: {dumps_fixed(item)}")
         return "{" + ", ".join(items) + "}"
     if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(dumps_fixed(item) for item in value) + "]"
+        return "[" + ", ".join(map(dumps_fixed, value)) + "]"
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 

@@ -33,7 +33,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
-from .documents import WORD_RE
+from .documents import words
 from .errors import NliBackendError, OversizedPremise
 from .remote import JsonService
 
@@ -333,14 +333,16 @@ class MockEntailmentBackend(EntailmentBackend):
     overlap ratio ``o = |P & H| / |H|`` (0 when H is empty), the triple is
     ``(o, 1 - o, 0)``. If exactly one side contains the token "not", the mass
     flips to ``(0, 1 - o, o)`` so negation mismatches read as contradiction.
-    Each text's unigram set is its table entry, built once per call.
+    Each text's unigram set is its table entry, built once per call by
+    :func:`~sumfact.documents.words`, whose ASCII fast path gives the same
+    words as the regex.
     """
 
     def describe(self) -> str:
         return "mock"
 
     def _featurise(self, text: str) -> set[str]:
-        return set(WORD_RE.findall(text.lower()))
+        return set(words(text))
 
     def _infer(self, pairs: list[Pair], table: TextTable) -> list[Row]:
         out = []

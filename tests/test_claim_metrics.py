@@ -88,6 +88,23 @@ class TestEasiness:
         assert easiness_recall(s, h) == easiness_precision(h, s)
         assert 0.0 <= easiness_f1(s, h) <= 1.0
 
+    @given(
+        st.lists(TEXTS, min_size=1, max_size=4),
+        st.lists(TEXTS, min_size=1, max_size=4),
+    )
+    def test_equal_to_pairwise_rouge(self, s, h):
+        precision = sum(max(rouge1_f1(a, b) for b in h) for a in s) / len(s)
+        recall = sum(max(rouge1_f1(a, b) for a in s) for b in h) / len(h)
+        assert easiness_precision(s, h) == precision
+        assert easiness_recall(s, h) == recall
+        f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
+        assert easiness_f1(s, h) == f1
+        assert evaluate_claim_sets({"x": s}, {"x": h})["summaries"]["x"] == {
+            "easiness_p": precision,
+            "easiness_r": recall,
+            "easiness_f1": f1,
+        }
+
 
 class TestEvaluateClaimSets:
     def fixture(self):

@@ -19,7 +19,7 @@ from sumfact import (
     normalize_claim_text,
     segment,
 )
-from sumfact.documents import _ABBREVIATIONS
+from sumfact.documents import _ABBREVIATIONS, _ASCII_WORDS, WORD_RE, words
 
 import oracles
 from cases import doc_from_sentences, random_case
@@ -233,3 +233,43 @@ class TestBuildClaims:
 
     def test_all_empty_yields_nothing(self):
         assert build_claims("s", ["", "   "]) == []
+
+
+# Characters where lowercasing, the regex's idea of a word character or
+# ``str.split``'s idea of whitespace is easy to get wrong: ASCII controls
+# (``str.split`` takes ``\x1c``-``\x1f`` for whitespace), ``_``, digits,
+# final and capital sigma, dotted capital I (lowercases to two characters),
+# sharp s, the Kelvin sign (lowercases to ASCII ``k``), curly quotes, and
+# Unicode spaces and digits.
+TRICKY = "\x00\x1c\x1f\x7f\t\n _-'.09aZΣςσİıßẞ\u212a\u2018\u2019\u201c\u201d\u00a0\u2009\u0663²"
+
+
+class TestWords:
+    @settings(deadline=None)
+    @given(
+        st.text(
+            alphabet=st.one_of(
+                st.characters(max_codepoint=127),
+                st.sampled_from(TRICKY),
+                st.characters(),
+            ),
+            max_size=40,
+        )
+    )
+    @example("Σίσυφος ΟΔΥΣΣΕΥΣ")
+    @example("İstanbul KELVIN \u212a")
+    @example("snake_case x\x1fy 3.5 don\u2019t")
+    def test_matches_the_regex(self, text):
+        assert words(text) == WORD_RE.findall(text.lower())
+
+    def test_ascii_and_other_text(self):
+        assert words("The U.S. said\x1fNOT_x 42!") == ["the", "u", "s", "said", "not", "x", "42"]
+        # "İ" lowercases to "i" plus a combining dot, which is no word
+        # character: lowering before matching drops the dot.
+        assert words("Straße İ \u212a") == ["straße", "i", "k"]
+
+    def test_translate_table_agrees_with_the_regex(self):
+        assert len(_ASCII_WORDS) == 128
+        for code, entry in enumerate(_ASCII_WORDS):
+            match = WORD_RE.fullmatch(chr(code).lower())
+            assert entry == (match.group() if match else " ")

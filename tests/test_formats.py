@@ -2,8 +2,12 @@
 
 import io
 import json
+from collections.abc import Mapping
+from types import MappingProxyType
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sumfact import (
     Claim,
@@ -300,6 +304,70 @@ class TestLoadBenchmarkRecords:
             load_benchmark_records(path)
 
 
+class _Str(str):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+def _reference_dumps(value):
+    """The rules of ``dumps_fixed``, with ``json.dumps`` for every string."""
+    if isinstance(value, bool) or value is None or isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, float):
+        return f"{value if value != 0 else 0.0:.6f}"
+    if isinstance(value, int):
+        return json.dumps(value)
+    if isinstance(value, Mapping):
+        items = []
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be strings, got {key!r}")
+            items.append(f"{json.dumps(key)}: {_reference_dumps(item)}")
+        return "{" + ", ".join(items) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(_reference_dumps(item) for item in value) + "]"
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _outcome(dump, value):
+    try:
+        return dump(value)
+    except TypeError as err:
+        return TypeError, str(err)
+
+
+_KEYS = st.one_of(st.text(max_size=6), st.text(max_size=6).map(_Str))
+_JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.integers().map(_Int),
+        st.floats(),
+        st.just(-0.0),
+        st.floats().map(_Float),
+        st.text(max_size=8),
+        st.text(max_size=8).map(_Str),
+        st.frozensets(st.integers(), max_size=2),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_KEYS, children, max_size=4),
+        st.dictionaries(_KEYS, children, max_size=4).map(MappingProxyType),
+        st.dictionaries(st.one_of(_KEYS, st.integers(), st.none()), children, max_size=3),
+    ),
+    max_leaves=20,
+)
+
+
 class TestDumpsFixed:
     def test_floats_get_six_decimals(self):
         assert dumps_fixed(0.5) == "0.500000"
@@ -332,6 +400,13 @@ class TestDumpsFixed:
     def test_unsupported_type_rejected(self):
         with pytest.raises(TypeError, match="cannot serialize"):
             dumps_fixed({"x": {1, 2}})
+
+    @settings(deadline=None)
+    @given(_JSON_VALUES)
+    @example({"a": [True, 1, -0.0, _Float(-0.0), _Str("é"), (None, _Int(3))]})
+    @example({"a": {"b": [1.5, {2: "x"}]}})
+    def test_matches_reference(self, value):
+        assert _outcome(dumps_fixed, value) == _outcome(_reference_dumps, value)
 
     def test_output_is_valid_json(self):
         value = {"a": [0.1, -0.0, 3], "b": None, "c": {"d": "text"}}

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sumfact import (
@@ -29,6 +29,36 @@ from sumfact.scoring import Scorer
 import oracles
 from cases import RecordingBackend, check_cut, doc_from_sentences, score_block, triples
 from stubserver import StubServer, dead_url
+
+
+# Words the ASCII fast path and the regex must split alike, and pairs built
+# from them that share words, so the overlap is not always zero. A side is
+# ASCII or holds at least one non-ASCII word; the Kelvin sign and "İ"
+# lowercase to the ASCII "k" and "i" plus a dropped combining dot.
+_ASCII_VOCAB = ["alpha", "Beta", "not", "NOT", "k", "i", "42", "strasse", "x_y"]
+_OTHER_VOCAB = ["straße", "\u212a", "İ", "Σίσυφος", "café", "don\u2019t", "\u00b2"]
+_ASCII_SEPS = [" ", ", ", "_", "-", "\x1f", "\n"]
+_OTHER_SEPS = ["\u00a0", "\u201c", "\u2009", "\u0301"]
+
+
+@st.composite
+def _mock_side(draw, shared, ascii_only):
+    words = draw(st.lists(st.sampled_from(_ASCII_VOCAB), max_size=3)) + shared
+    seps = _ASCII_SEPS
+    if not ascii_only:
+        words += draw(st.lists(st.sampled_from(_OTHER_VOCAB), min_size=1, max_size=3))
+        seps = seps + _OTHER_SEPS
+    words = draw(st.permutations(words))
+    return "".join(draw(st.sampled_from(seps)) + word for word in words)
+
+
+@st.composite
+def _mock_pair(draw):
+    shared = draw(st.lists(st.sampled_from(_ASCII_VOCAB), max_size=3))
+    return (
+        draw(_mock_side(shared, draw(st.booleans()))),
+        draw(_mock_side(shared, draw(st.booleans()))),
+    )
 
 
 def row_score(row):
@@ -112,16 +142,18 @@ class TestMockBackend:
         # Underscore is a separator, not a word character.
         assert triples(mock_backend, [("alpha beta", "alpha_beta")])[0][0] == 1.0
 
-    def test_agrees_with_independent_formula(self, mock_backend):
-        pairs = [
-            ("alpha beta gamma", "alpha delta"),
-            ("it is not alpha", "alpha beta"),
-            ("alpha", "not alpha"),
-            ("one two three four", "two four six"),
-        ]
-        for premise, hypothesis in pairs:
-            row = triples(mock_backend, [(premise, hypothesis)])[0]
-            assert row == oracles.mock_triple(premise, hypothesis)
+    @settings(deadline=None)
+    @given(_mock_pair())
+    @example(("alpha beta gamma", "alpha delta"))
+    @example(("it is not alpha", "alpha beta"))
+    @example(("alpha", "not alpha"))
+    @example(("one two three four", "two four six"))
+    @example(("NOT strasse k", "not\u00a0Straße \u212a"))
+    @example(("Σίσυφος İ ok", "i OK"))
+    def test_agrees_with_independent_formula(self, pair):
+        premise, hypothesis = pair
+        row = triples(MockEntailmentBackend(), [(premise, hypothesis)])[0]
+        assert row == oracles.mock_triple(premise, hypothesis)
 
     def test_describe(self, mock_backend):
         assert mock_backend.describe() == "mock"
