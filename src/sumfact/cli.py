@@ -151,12 +151,12 @@ def score(documents, summaries, output, run_meta, config_path, **flags) -> None:
     """Score summaries against their documents; one report line each."""
     config = load_run_config(config_path, flags)
     _setup_logging(config.log_level)
-    docs = formats.load_documents(documents)
-    sums = formats.load_summaries(summaries)
+    docs = formats.index_documents(documents)
+    sums = formats.index_summaries(summaries)
     scorer = Scorer(pipeline.make_nli_backend(config), scoring_params(config))
     extractor = pipeline.make_claim_extractor(config)
     coref_backend = pipeline.make_coref_backend(config)
-    pairs = pipeline.pair_summaries(docs, sums)
+    pairs = formats.read_corpus(documents, docs, summaries, sums)
     reports = pipeline.score_corpus(
         pairs, scorer, extractor, coref_backend, "full", workers=config.workers
     )
@@ -185,15 +185,16 @@ def extract_claims(summaries, output, config_path, **flags) -> None:
     """Extract claims for every summary into a claim cache file."""
     config = load_run_config(config_path, flags)
     _setup_logging(config.log_level)
-    sums = formats.load_summaries(summaries)
+    rows = formats.index_summaries(summaries)
     extractor = pipeline.make_claim_extractor(config)
     if extractor is None:
         raise InputError("extract-claims needs --claim-backend (cache:/remote:/local:)")
+    sums = formats.read_summaries(summaries, rows.values())
     # An empty list is recorded as is; consumers apply the fallback policy on read.
     claim_lists = ordered_map(
         lambda s: [c.text for c in extractor.extract(s)], sums, config.workers
     )
-    cache = {s.id: claims for s, claims in zip(sums, claim_lists)}
+    cache = dict(zip(rows, claim_lists))
     stream, owned = _open_output(output)
     try:
         formats.write_claim_cache(stream, cache)

@@ -10,9 +10,16 @@ Input formats
   claim sets        JSONL {"summary_id", "claims": [...]}.
   benchmark.jsonl   {"record_id","document","summary","gold_label","system",
                     "dataset","split"} with document/summary either inline
-                    objects or raw strings. Read in two passes: the first
-                    checks every record and keeps a light row of each, the
-                    second reads the full records to score at their offsets.
+                    objects or raw strings.
+
+Documents, summaries and benchmark records are read in two passes, so a run
+holds the text of only the records it is scoring. The first pass checks
+every line, in order, and keeps a light row of each: the record's id, the
+byte offset of its line and the line's digest (:class:`Row`, or
+:class:`~sumfact.benchmark.BenchmarkRow` with the labels). The second reads
+each record again at its offset when it is scored, and checks that the line
+did not change in between (:func:`_read_again`). JSONL inputs must therefore
+be regular, seekable files.
 
 Report JSON renders every float with exactly 6 decimal places via a custom
 emitter, making outputs byte-stable across runs and platforms.
@@ -26,7 +33,7 @@ import json
 import sys
 from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii as _encode_str  # json.dumps of a str
-from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .benchmark import BenchmarkRecord, BenchmarkReport, BenchmarkRow, RecordScore
 from .documents import (
@@ -42,9 +49,11 @@ from .errors import InputError, SumfactError
 from .scoring import AlignedSpan, ClaimVerdict, FactualityReport
 
 __all__ = [
-    "read_jsonl",
-    "load_documents",
-    "load_summaries",
+    "Row",
+    "index_documents",
+    "index_summaries",
+    "read_summaries",
+    "read_corpus",
     "load_claim_cache",
     "write_claim_cache",
     "load_claim_sets",
@@ -60,9 +69,13 @@ __all__ = [
 
 def _open(path: str) -> IO[bytes]:
     try:
-        return open(path, "rb")
+        fh = open(path, "rb")
     except OSError as exc:
         raise InputError(f"cannot open {path}: {exc}") from exc
+    if not fh.seekable():
+        fh.close()
+        raise InputError(f"cannot read {path}: input must be a regular, seekable file")
+    return fh
 
 
 def _lines(fh: IO[bytes]) -> Iterator[tuple[int, bytes]]:
@@ -106,10 +119,43 @@ def _read_jsonl(path: str) -> Iterator[tuple[int, int, bytes, dict]]:
                 yield line_number, offset, line, record
 
 
-def read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
-    """Yield (line_number, record) for every non-blank line."""
-    for line_number, _, _, record in _read_jsonl(path):
-        yield line_number, record
+def _line_digest(line: bytes) -> bytes:
+    """The 16-byte BLAKE2b digest of a line, without its line ending."""
+    return hashlib.blake2b(line.rstrip(b"\n"), digest_size=16).digest()
+
+
+def _read_again(path: str, rows: Iterable, what: str, build: Callable, key: str = "id") -> Iterator:
+    """What ``build(record, path)`` makes of each row's line, read again at its offset, lazily.
+
+    This is the second pass of every two-pass reader: a row (:class:`Row`,
+    :class:`~sumfact.benchmark.BenchmarkRow`) holds the offset and digest
+    of a line the first pass checked, and ``key`` names both the row's
+    attribute and the line's field that hold the record's id; ``what``
+    names the record in messages. A row repeated back to back is read once.
+
+    The file must not change between the two passes: a line that is not the
+    one the row was built from raises :class:`InputError`, which says whether
+    the line no longer holds a valid record with the row's id or still holds
+    one but was edited (its digest differs from the row's).
+    """
+    with _open(path) as fh:
+        last = full = None
+        for row in rows:
+            if row is not last:
+                last, row_id = row, getattr(row, key)
+                fh.seek(row.offset)
+                _, line = next(_lines(fh), (0, b""))
+                try:
+                    record = _parse_line(path, 0, line) or {}  # {} for a blank line
+                    full = build(record, path) if record.get(key) == row_id else None
+                except SumfactError:
+                    full = None
+                changed = f"{path} changed during the run: {what} '{row_id}'"
+                if full is None:
+                    raise InputError(f"{changed} is no longer at byte {row.offset}")
+                if row.digest != _line_digest(line):
+                    raise InputError(f"{changed} at byte {row.offset} was edited")
+            yield full
 
 
 def _require_str(record: Mapping, key: str, where: str) -> str:
@@ -150,9 +196,7 @@ def _clusters_from_record(
             if not isinstance(mention, dict):
                 raise ValueError(f"cluster {ci} mention {mi} must be an object")
             try:
-                si = int(mention["sentence_index"])
-                start = int(mention["start"])
-                end = int(mention["end"])
+                si, start, end = (int(mention[k]) for k in ("sentence_index", "start", "end"))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(
                     f"cluster {ci} mention {mi} needs integer "
@@ -194,40 +238,87 @@ def _document_from_record(record: Mapping, where: str, split: Splitter = segment
         if "sentences" in record:
             sentences = _sentences_from_spans(text, record["sentences"])
         else:
-            sentences = tuple(split(text))
+            # Clusters are checked against the sentences they point into.
+            sentences = tuple((segment if "coref_clusters" in record else split)(text))
         clusters: tuple[CorefCluster, ...] = ()
         if "coref_clusters" in record:
             clusters = _clusters_from_record(sentences, record["coref_clusters"])
         return Document(doc_id, text, sentences, clusters)
 
 
-def load_documents(path: str) -> list[Document]:
-    documents = []
-    seen: set[str] = set()
-    for line_number, record in read_jsonl(path):
-        where = f"{path}:{line_number}"
-        document = _document_from_record(record, where)
-        if document.id in seen:
-            raise InputError(f"{where}: duplicate document id '{document.id}'")
-        seen.add(document.id)
-        documents.append(document)
-    return documents
+def _summary_from_record(record: Mapping, where: str, split=segment, seen=()) -> Summary:
+    summary_id = _require_str(record, "id", where)
+    document_id = _require_str(record, "document_id", where)
+    text = _require_str(record, "text", where)
+    if summary_id in seen:
+        raise InputError(f"{where}: duplicate summary id '{summary_id}'")
+    with _at(where):
+        return Summary(summary_id, document_id, text, tuple(split(text)))
 
 
-def load_summaries(path: str) -> list[Summary]:
-    summaries = []
-    seen: set[str] = set()
-    for line_number, record in read_jsonl(path):
+class Row(NamedTuple):
+    """A checked document or summary: its id, the byte offset of its line and
+    the line's 16-byte digest, from which the second pass reads it again. A
+    summary's row also names its document."""
+
+    id: str
+    offset: int
+    digest: bytes
+    document_id: str = ""
+
+
+def index_documents(path: str) -> dict[str, Row]:
+    """Check every document of a documents file, in line order; its row by id.
+
+    Every check that building the document makes runs here, with the same
+    message, but texts are not segmented (as in :func:`load_benchmark_records`),
+    except a document's with coref clusters, which are checked against its
+    sentences.
+    """
+    rows: dict[str, Row] = {}
+    for line_number, offset, line, record in _read_jsonl(path):
         where = f"{path}:{line_number}"
-        summary_id = _require_str(record, "id", where)
-        document_id = _require_str(record, "document_id", where)
-        text = _require_str(record, "text", where)
-        if summary_id in seen:
-            raise InputError(f"{where}: duplicate summary id '{summary_id}'")
-        seen.add(summary_id)
-        with _at(where):
-            summaries.append(Summary.from_text(summary_id, document_id, text))
-    return summaries
+        doc_id = _document_from_record(record, where, whole_text).id
+        if doc_id in rows:
+            raise InputError(f"{where}: duplicate document id '{doc_id}'")
+        rows[doc_id] = Row(doc_id, offset, _line_digest(line))
+    return rows
+
+
+def index_summaries(path: str) -> dict[str, Row]:
+    """Check every summary of a summaries file, in line order; its row by id, in that order.
+
+    A duplicate id is reported before a blank text; texts are not segmented.
+    """
+    rows: dict[str, Row] = {}
+    for line_number, offset, line, record in _read_jsonl(path):
+        summary = _summary_from_record(record, f"{path}:{line_number}", whole_text, rows)
+        rows[summary.id] = Row(summary.id, offset, _line_digest(line), summary.document_id)
+    return rows
+
+
+def read_summaries(path: str, rows: Iterable[Row]) -> Iterator[Summary]:
+    """The summary of each row, read again at the row's offset, lazily (:func:`_read_again`)."""
+    return _read_again(path, rows, "summary", _summary_from_record)
+
+
+def read_corpus(
+    documents: str, document_rows: Mapping[str, Row], summaries: str, summary_rows: Mapping[str, Row]
+) -> Iterator[tuple[Document, Summary]]:
+    """Each summary, in order, with its document, both read again lazily (:func:`_read_again`).
+
+    ``documents`` and ``summaries`` are the files' paths, and the rows are
+    what :func:`index_documents` and :func:`index_summaries` made of them.
+    Every summary's document must have a row; that is checked when this is
+    called, before any line is read again. A document is read again only
+    when a summary names another one than the summary before it.
+    """
+    for row in summary_rows.values():
+        if row.document_id not in document_rows:
+            raise InputError(f"summary '{row.id}' references unknown document '{row.document_id}'")
+    rows = (document_rows[row.document_id] for row in summary_rows.values())
+    docs = _read_again(documents, rows, "document", _document_from_record)
+    return zip(docs, read_summaries(summaries, summary_rows.values()))
 
 
 def load_claim_cache(path: str) -> dict[str, list[str]]:
@@ -256,7 +347,7 @@ def write_claim_cache(stream: IO[str], cache: Mapping[str, Sequence[str]]) -> No
 
 def load_claim_sets(path: str) -> dict[str, list[str]]:
     out: dict[str, list[str]] = {}
-    for line_number, record in read_jsonl(path):
+    for line_number, _, _, record in _read_jsonl(path):
         where = f"{path}:{line_number}"
         summary_id = _require_str(record, "summary_id", where)
         claims = record.get("claims")
@@ -295,10 +386,7 @@ def _benchmark_record(record: Mapping, where: str, split: Splitter = segment) ->
         raw_doc = {"id": f"{record_id}:doc", "text": raw_doc}
     if not isinstance(raw_doc, dict):
         raise InputError(f"{where}: 'document' must be an object or a string")
-    # Clusters are checked against the sentences they point into.
-    document = _document_from_record(
-        raw_doc, where, segment if "coref_clusters" in raw_doc else split
-    )
+    document = _document_from_record(raw_doc, where, split)
     raw_summary = record.get("summary")
     if isinstance(raw_summary, str):
         raw_summary = {"text": raw_summary}
@@ -335,48 +423,15 @@ def load_benchmark_records(path: str) -> list[BenchmarkRow]:
     rows = []
     for line_number, offset, line, record in _read_jsonl(path):
         checked = _benchmark_record(record, f"{path}:{line_number}", whole_text)
-        rows.append(
-            BenchmarkRow(
-                checked.record_id,
-                checked.gold_label,
-                sys.intern(checked.system),
-                sys.intern(checked.dataset),
-                sys.intern(checked.split),
-                offset,
-                _line_digest(line),
-            )
-        )
+        labels = map(sys.intern, (checked.system, checked.dataset, checked.split))
+        digest = _line_digest(line)
+        rows.append(BenchmarkRow(checked.record_id, checked.gold_label, *labels, offset, digest))
     return rows
 
 
-def _line_digest(line: bytes) -> bytes:
-    """The 16-byte BLAKE2b digest of a records line, without its line ending."""
-    return hashlib.blake2b(line.rstrip(b"\n"), digest_size=16).digest()
-
-
 def read_benchmark_records(path: str, rows: Iterable[BenchmarkRow]) -> Iterator[BenchmarkRecord]:
-    """The full record of each row, read again at the row's offset, lazily.
-
-    The file must not change between the two passes: a line that is not the
-    one the row was built from raises :class:`InputError`, which says whether
-    the line no longer holds a valid record with the row's id or still holds
-    one but was edited (its digest differs from the row's).
-    """
-    with _open(path) as fh:
-        for row in rows:
-            fh.seek(row.offset)
-            _, line = next(_lines(fh), (0, b""))
-            try:
-                record = _parse_line(path, 0, line)
-                full = None if record is None else _benchmark_record(record, path)
-            except SumfactError:
-                full = None
-            changed = f"{path} changed during the run: record '{row.record_id}'"
-            if full is None or full.record_id != row.record_id:
-                raise InputError(f"{changed} is no longer at byte {row.offset}")
-            if row.digest != _line_digest(line):
-                raise InputError(f"{changed} at byte {row.offset} was edited")
-            yield full
+    """The full record of each row, read again at the row's offset, lazily (:func:`_read_again`)."""
+    return _read_again(path, rows, "record", _benchmark_record, "record_id")
 
 
 # -- fixed-decimal JSON rendering -------------------------------------------

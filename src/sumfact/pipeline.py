@@ -6,15 +6,19 @@ empty clusters when the coreference backend fails, the one table of what
 each mode scores and where it stops the scoring pipeline, and the cut of a
 corpus into scoring blocks by work. :func:`score_corpus` is the one path
 from (document, summary) pairs to reports: it resolves the pairs as one
-stream and cuts it into blocks as the scorer needs them. The CLI calls it
-and does no scoring itself.
+stream and cuts it into blocks as the scorer needs them. The pairs come
+from the second pass of :mod:`~sumfact.formats` (:func:`~sumfact.formats.read_corpus`
+for ``score``, :func:`~sumfact.formats.read_benchmark_records` for
+``benchmark``), which reads each as the stream takes it, so a run holds only
+the pairs of the blocks in flight. The CLI calls it and does no scoring
+itself.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import logging
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from . import formats
 from .benchmark import config_fingerprint
@@ -42,7 +46,6 @@ __all__ = [
     "make_claim_extractor",
     "fallback_claims",
     "resolve_claims",
-    "pair_summaries",
     "attach_clusters",
     "score_corpus",
     "scorer_fingerprint",
@@ -217,19 +220,6 @@ def _mode(mode: str) -> tuple[bool, Stop | None]:
     if mode not in _MODES:
         raise ValueError(f"unknown ablation mode {mode!r}")
     return _MODES[mode]
-
-
-def pair_summaries(
-    documents: Sequence[Document], summaries: Sequence[Summary]
-) -> list[tuple[Document, Summary]]:
-    """Join every summary to its document by id."""
-    by_id = {document.id: document for document in documents}
-    for summary in summaries:
-        if summary.document_id not in by_id:
-            raise InputError(
-                f"summary '{summary.id}' references unknown document '{summary.document_id}'"
-            )
-    return [(by_id[s.document_id], s) for s in summaries]
 
 
 def score_corpus(

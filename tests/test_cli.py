@@ -446,7 +446,67 @@ class TestScoreBlocks:
         assert not meta.exists()
 
 
+# Inputs with two faults, and the one reported: the documents file is
+# checked before the summaries file, each line's fields in a fixed order, and
+# a summary's document only once the backends are built. ``{docs}``,
+# ``{sums}`` and ``{tmp}`` stand for the files' paths and their directory.
+DOC = '{"id": "d1", "text": "alpha beta."}'
+SUM = '{"id": "s1", "document_id": "d1", "text": "alpha."}'
+FIRST_FAULT = {
+    "duplicate summary id before blank text": (
+        "score", [DOC], [SUM, '{"id": "s1", "document_id": "d1", "text": " "}'], [],
+        "{sums}:2: duplicate summary id 's1'",
+    ),
+    "extract-claims: duplicate summary id before blank text": (
+        "extract-claims", [], [SUM, '{"id": "s1", "document_id": "d1", "text": " "}'],
+        ["--claim-backend", "cache:{tmp}/claims.json"],
+        "{sums}:2: duplicate summary id 's1'",
+    ),
+    "missing document_id before duplicate summary id": (
+        "score", [DOC], [SUM, '{"id": "s1", "text": "alpha."}'], [],
+        "{sums}:2: missing or empty string field 'document_id'",
+    ),
+    "sentence spans before duplicate document id": (
+        "score", [DOC, '{"id": "d1", "text": "alpha.", "sentences": [{"start": 0, "end": 99}]}'],
+        [SUM], [],
+        "{docs}:2: sentence 0 span [0, 99) out of range",
+    ),
+    "documents file before summaries file": (
+        "score", [DOC, '{"id": "d2"}'], ['{"id": "s1", "document_id": "d1", "text": " "}'], [],
+        "{docs}:2: missing or empty string field 'text'",
+    ),
+    "blank summary before unknown document": (
+        "score", [DOC], ['{"id": "s1", "document_id": "d9", "text": " "}'], [],
+        "{sums}:1: cannot segment empty or whitespace-only text",
+    ),
+    "claim cache before unknown document": (
+        "score", [DOC], ['{"id": "s1", "document_id": "d9", "text": "alpha."}'],
+        ["--claim-backend", "cache:{tmp}/missing.json"],
+        "cannot open {tmp}/missing.json: [Errno 2] No such file or directory: '{tmp}/missing.json'",
+    ),
+}
+
+
 class TestMalformedInput:
+    @pytest.mark.parametrize("case", list(FIRST_FAULT))
+    def test_first_fault_is_reported(self, runner, tmp_path, case):
+        command, doc_lines, sum_lines, args, message = FIRST_FAULT[case]
+        paths = {
+            "docs": write(tmp_path, "docs.jsonl", "".join(line + "\n" for line in doc_lines)),
+            "sums": write(tmp_path, "sums.jsonl", "".join(line + "\n" for line in sum_lines)),
+            "tmp": str(tmp_path),
+        }
+        write(tmp_path, "claims.json", '{"s1": ["alpha."]}')
+        inputs = [paths["docs"], paths["sums"]] if command == "score" else [paths["sums"]]
+        args = [arg.format(**paths) for arg in args]
+        result = runner.invoke(main, [command, *inputs, *args])
+        assert result.exit_code == 2, result.stderr
+        assert result.stdout == ""
+        assert json.loads(result.stderr.strip().splitlines()[-1]) == {
+            "error": "InputError",
+            "message": message.format(**paths),
+        }
+
     def test_blank_document_names_its_line(self, runner, tmp_path):
         docs = write(
             tmp_path, "docs.jsonl", '{"id": "d1", "text": "alpha."}\n{"id": "d2", "text": " \\t"}\n'

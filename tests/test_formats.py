@@ -1,4 +1,4 @@
-"""JSONL loaders, fixed-decimal JSON rendering, report and CSV output."""
+"""JSONL readers, fixed-decimal JSON rendering, report and CSV output."""
 
 import io
 import json
@@ -20,13 +20,14 @@ from sumfact.benchmark import RecordScore, run_benchmark
 from sumfact.formats import (
     benchmark_report_to_dict,
     dumps_fixed,
+    index_documents,
+    index_summaries,
     load_benchmark_records,
     load_claim_cache,
     load_claim_sets,
-    load_documents,
-    load_summaries,
     read_benchmark_records,
-    read_jsonl,
+    read_corpus,
+    read_summaries,
     render_report,
     report_to_dict,
     write_claim_cache,
@@ -42,30 +43,62 @@ def jsonl(tmp_path, name, *rows):
     return str(path)
 
 
+def summary_line(summary_id, text="Alpha."):
+    return json.dumps({"id": summary_id, "document_id": "d", "text": text})
+
+
 class TestReadJsonl:
+    """How every JSONL reader numbers and parses lines, seen through ``index_summaries``."""
+
     def test_line_numbers_and_blank_lines(self, tmp_path):
-        path = jsonl(tmp_path, "x.jsonl", '{"a": 1}', "", '{"b": 2}')
-        assert list(read_jsonl(path)) == [(1, {"a": 1}), (3, {"b": 2})]
+        a, b = summary_line("a"), summary_line("b")
+        path = jsonl(tmp_path, "x.jsonl", a, "", b)
+        # Both records are read and the blank line is skipped...
+        rows = index_summaries(path)
+        assert [(row.id, row.offset) for row in rows.values()] == [("a", 0), ("b", len(a) + 2)]
+        assert [s.text for s in read_summaries(path, rows.values())] == ["Alpha.", "Alpha."]
+        # ...but counted: the third line is line 3.
+        path = jsonl(tmp_path, "x.jsonl", a, "", a)
+        with pytest.raises(InputError, match=r"x\.jsonl:3: duplicate summary id 'a'"):
+            index_summaries(path)
 
     def test_invalid_json_names_line(self, tmp_path):
-        path = jsonl(tmp_path, "x.jsonl", '{"a": 1}', "{broken")
+        path = jsonl(tmp_path, "x.jsonl", summary_line("a"), "{broken")
         with pytest.raises(InputError, match=r"x\.jsonl:2: invalid JSON"):
-            list(read_jsonl(path))
+            index_summaries(path)
 
     def test_non_object_line(self, tmp_path):
         path = jsonl(tmp_path, "x.jsonl", "[1, 2]")
         with pytest.raises(InputError, match="expected a JSON object"):
-            list(read_jsonl(path))
+            index_summaries(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError, match="cannot open"):
-            list(read_jsonl(str(tmp_path / "absent.jsonl")))
+            index_summaries(str(tmp_path / "absent.jsonl"))
+
+
+def documents_of(tmp_path, path):
+    """Every document of a documents file, read in both passes: checked by
+    ``index_documents``, then read again by ``read_corpus`` for one summary
+    of each."""
+    rows = index_documents(path)
+    sums = jsonl(
+        tmp_path,
+        "sums.jsonl",
+        *(json.dumps({"id": f"s-{d}", "document_id": d, "text": "Alpha."}) for d in rows),
+    )
+    return [document for document, _ in read_corpus(path, rows, sums, index_summaries(sums))]
+
+
+def summaries_of(path):
+    """Every summary of a summaries file, read in both passes."""
+    return list(read_summaries(path, index_summaries(path).values()))
 
 
 class TestLoadDocuments:
     def test_segmented_document(self, tmp_path):
         path = jsonl(tmp_path, "docs.jsonl", '{"id": "d1", "text": "Alpha beta. Gamma delta."}')
-        (doc,) = load_documents(path)
+        (doc,) = documents_of(tmp_path, path)
         assert doc.id == "d1"
         assert [s.text for s in doc.sentences] == ["Alpha beta.", "Gamma delta."]
 
@@ -76,7 +109,7 @@ class TestLoadDocuments:
             "sentences": [{"start": 0, "end": 8}, {"start": 9, "end": 15}],
         }
         path = jsonl(tmp_path, "docs.jsonl", json.dumps(record))
-        (doc,) = load_documents(path)
+        (doc,) = documents_of(tmp_path, path)
         assert [s.text for s in doc.sentences] == ["One two.", "Three."]
 
     def test_clusters_loaded_and_singletons_dropped(self, tmp_path):
@@ -92,7 +125,7 @@ class TestLoadDocuments:
             ],
         }
         path = jsonl(tmp_path, "docs.jsonl", json.dumps(record))
-        (doc,) = load_documents(path)
+        (doc,) = documents_of(tmp_path, path)
         assert len(doc.coref_clusters) == 1
         assert [m.surface for m in doc.coref_clusters[0].mentions] == ["Mary", "She"]
 
@@ -100,7 +133,7 @@ class TestLoadDocuments:
         record = {"id": "d", "text": "Tiny.", "sentences": [{"start": 0, "end": 99}]}
         path = jsonl(tmp_path, "docs.jsonl", json.dumps(record))
         with pytest.raises(InputError, match="out of range"):
-            load_documents(path)
+            documents_of(tmp_path, path)
 
     def test_spans_leaving_gap_text(self, tmp_path):
         record = {
@@ -110,18 +143,18 @@ class TestLoadDocuments:
         }
         path = jsonl(tmp_path, "docs.jsonl", json.dumps(record))
         with pytest.raises(InputError, match="between sentences"):
-            load_documents(path)
+            documents_of(tmp_path, path)
 
     def test_missing_text_field(self, tmp_path):
         path = jsonl(tmp_path, "docs.jsonl", '{"id": "d"}')
         with pytest.raises(InputError, match="string field 'text'"):
-            load_documents(path)
+            documents_of(tmp_path, path)
 
     def test_duplicate_ids(self, tmp_path):
         row = '{"id": "d", "text": "Alpha."}'
         path = jsonl(tmp_path, "docs.jsonl", row, row)
         with pytest.raises(InputError, match="duplicate document id 'd'"):
-            load_documents(path)
+            documents_of(tmp_path, path)
 
     def test_bad_cluster_mention(self, tmp_path):
         record = {
@@ -131,7 +164,7 @@ class TestLoadDocuments:
         }
         path = jsonl(tmp_path, "docs.jsonl", json.dumps(record))
         with pytest.raises(InputError, match="sentence_index 5 out of range"):
-            load_documents(path)
+            documents_of(tmp_path, path)
 
 
 class TestLoadSummaries:
@@ -141,7 +174,7 @@ class TestLoadSummaries:
             "sums.jsonl",
             '{"id": "s1", "document_id": "d1", "text": "First. Second."}',
         )
-        (summary,) = load_summaries(path)
+        (summary,) = summaries_of(path)
         assert summary.id == "s1"
         assert summary.document_id == "d1"
         assert [s.text for s in summary.sentences] == ["First.", "Second."]
@@ -149,13 +182,13 @@ class TestLoadSummaries:
     def test_missing_document_id(self, tmp_path):
         path = jsonl(tmp_path, "sums.jsonl", '{"id": "s1", "text": "First."}')
         with pytest.raises(InputError, match="string field 'document_id'"):
-            load_summaries(path)
+            summaries_of(path)
 
     def test_duplicate_ids(self, tmp_path):
         row = '{"id": "s1", "document_id": "d", "text": "First."}'
         path = jsonl(tmp_path, "sums.jsonl", row, row)
         with pytest.raises(InputError, match="duplicate summary id 's1'"):
-            load_summaries(path)
+            summaries_of(path)
 
 
 class TestClaimCacheIO:

@@ -30,7 +30,7 @@ from sumfact import (
     Scorer,
     ScoringParams,
 )
-from sumfact import pipeline
+from sumfact import formats, pipeline
 from sumfact.config import MODES
 from sumfact.formats import render_report
 from sumfact.pipeline import (
@@ -39,7 +39,6 @@ from sumfact.pipeline import (
     make_claim_extractor,
     make_coref_backend,
     make_nli_backend,
-    pair_summaries,
     resolve_claims,
     score_corpus,
     scorer_fingerprint,
@@ -417,6 +416,12 @@ def resolved(pairs, extractor, coref_backend, mode, **kwargs):
     return [item for block in scorer.blocks for item in block], reports
 
 
+def join_by_id(documents, summaries):
+    """Each summary with its document, joined by id."""
+    by_id = {document.id: document for document in documents}
+    return [(by_id[summary.document_id], summary) for summary in summaries]
+
+
 class TestBuildUnits:
     """How ``score_corpus`` resolves (document, summary) pairs into the
     scorer's ``(document, claims, claims_fallback)`` items."""
@@ -435,19 +440,26 @@ class TestBuildUnits:
     def test_happy_path(self):
         docs, summaries = self.corpus()
         extractor = FileCacheExtractor({"s1": ["Alpha claim."], "s2": ["Zeta claim."]})
-        items, _ = resolved(pair_summaries(docs, summaries), extractor, NoopCorefBackend(), "full")
+        items, _ = resolved(join_by_id(docs, summaries), extractor, NoopCorefBackend(), "full")
         assert items == [
             (docs[0], [Claim("s1", 0, "Alpha claim.")], False),
             (docs[1], [Claim("s2", 0, "Zeta claim.")], False),
         ]
 
-    def test_unknown_document_id(self):
-        docs, _ = self.corpus()
-        stray = summary_from_sentences("s9", "missing-doc", ["alpha."])
+    def test_unknown_document_id(self, tmp_path):
+        # The corpus reader checks every summary's document before it reads
+        # any line again.
+        docs, sums = tmp_path / "docs.jsonl", tmp_path / "sums.jsonl"
+        docs.write_text('{"id": "d1", "text": "alpha beta."}\n')
+        sums.write_text(
+            '{"id": "s1", "document_id": "d1", "text": "alpha."}\n'
+            '{"id": "s9", "document_id": "missing-doc", "text": "alpha."}\n'
+        )
+        doc_rows, sum_rows = formats.index_documents(str(docs)), formats.index_summaries(str(sums))
         with pytest.raises(
             InputError, match="summary 's9' references unknown document 'missing-doc'"
         ):
-            pair_summaries(docs, [stray])
+            formats.read_corpus(str(docs), doc_rows, str(sums), sum_rows)
 
     def test_document_prepared_once(self):
         doc = doc_from_sentences("d1", ["alpha beta."])
@@ -456,7 +468,7 @@ class TestBuildUnits:
             summary_from_sentences("s2", "d1", ["beta."]),
         ]
         backend = CountingCoref()
-        items, _ = resolved(pair_summaries([doc], summaries), None, backend, "full")
+        items, _ = resolved(join_by_id([doc], summaries), None, backend, "full")
         assert backend.calls == 1
         assert items[0][0] is items[1][0]
 
@@ -478,7 +490,7 @@ class TestBuildUnits:
 
     def test_missing_ok_passthrough(self):
         docs, summaries = self.corpus()
-        pairs = pair_summaries(docs, summaries)
+        pairs = join_by_id(docs, summaries)
         extractor = FileCacheExtractor({"s1": ["Alpha claim."]})
         with pytest.raises(ClaimCacheMiss):
             resolved(pairs, extractor, NoopCorefBackend(), "full")
@@ -521,7 +533,7 @@ class TestBuildUnits:
                 return "barrier"
 
         docs, summaries = self.corpus()
-        pairs = pair_summaries(docs, summaries)
+        pairs = join_by_id(docs, summaries)
         items, _ = resolved(pairs, BarrierExtractor(), NoopCorefBackend(), "full", workers=2)
         assert [claims for _, claims, _ in items] == [
             [Claim("s1", 0, "s1 claim.")],

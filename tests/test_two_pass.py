@@ -1,10 +1,13 @@
-"""``benchmark`` reads its records file in two passes and streams the second.
+"""``benchmark`` and ``score`` read their inputs in two passes and stream the second.
 
 The first pass checks every record and keeps a light row of each; the
 second reads again, block by block, only the records the score cache cannot
-answer. These tests pin what that must not change (a malformed record still
-exits before any pair is scored, with the same message) and what it adds
-(checkpoints, a guard against a file edited between the passes).
+answer (``benchmark``), or each summary and, when it names another document
+than the summary before it, its document (``score``). These tests pin what
+that must not change (a malformed record still exits before any pair is
+scored, with the same message) and what it adds (checkpoints, a guard
+against a file edited between the passes, and an input that cannot be read
+twice named as such).
 """
 
 import hashlib
@@ -433,3 +436,108 @@ class TestRunMeta:
         assert set(requested) == set(sent) == {"sentence", "coref", "window", "document"}
         assert all(requested[stage] >= sent[stage] for stage in sent)
         assert sum(requested.values()) > sum(sent.values())
+
+
+class TestScoreCorpus:
+    DOCS = [
+        {"id": "d1", "text": "alpha beta. gamma delta."},
+        {"id": "d2", "text": "epsilon zeta. eta theta."},
+    ]
+    SUMS = [
+        {"id": "s1", "document_id": "d1", "text": "alpha beta."},
+        {"id": "s2", "document_id": "d1", "text": "gamma delta."},
+        {"id": "s3", "document_id": "d2", "text": "eta theta."},
+        {"id": "s4", "document_id": "d1", "text": "alpha gamma."},
+    ]
+
+    def write(self, tmp_path, docs=DOCS, sums=SUMS):
+        return (
+            write_records(tmp_path, [json.dumps(d) for d in docs], "docs.jsonl"),
+            write_records(tmp_path, [json.dumps(s) for s in sums], "sums.jsonl"),
+        )
+
+    def test_documents_are_read_again_only_when_the_next_summary_names_another(
+        self, tmp_path, monkeypatch
+    ):
+        texts = []
+        segment = RuleSegmenter.segment
+        monkeypatch.setattr(
+            RuleSegmenter, "segment", lambda self, text: texts.append(text) or segment(self, text)
+        )
+        docs, sums = self.write(tmp_path)
+        doc_rows, sum_rows = formats.index_documents(docs), formats.index_summaries(sums)
+        assert texts == []
+        pairs = list(formats.read_corpus(docs, doc_rows, sums, sum_rows))
+        assert [(d.id, s.id) for d, s in pairs] == [("d1", "s1"), ("d1", "s2"), ("d2", "s3"), ("d1", "s4")]
+        assert pairs[0][0] is pairs[1][0]
+        assert [t for t in texts if t in {d["text"] for d in self.DOCS}] == [
+            self.DOCS[0]["text"], self.DOCS[1]["text"], self.DOCS[0]["text"]
+        ]
+
+    # Each edit keeps the file's length; a swap moves every line, an edit of
+    # one word keeps every offset, so only the line's digest shows it.
+    EDITS = {
+        "documents swapped": (
+            "docs", {"docs": DOCS[::-1]}, "document 'd1' is no longer at byte 0",
+        ),
+        "document edited": (
+            "docs",
+            {"docs": [{"id": "d1", "text": "omega zeta. gamma delta."}, DOCS[1]]},
+            "document 'd1' at byte 0 was edited",
+        ),
+        "summaries swapped": (
+            "sums", {"sums": [SUMS[1], SUMS[0], *SUMS[2:]]}, "summary 's1' is no longer at byte 0",
+        ),
+        "summary edited": (
+            "sums",
+            {"sums": [{"id": "s1", "document_id": "d1", "text": "omega zeta."}, *SUMS[1:]]},
+            "summary 's1' at byte 0 was edited",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(EDITS))
+    def test_file_edited_between_passes_exits_2(self, runner, tmp_path, monkeypatch, backends, case):
+        name, edited, message = self.EDITS[case]
+        paths = dict(zip(("docs", "sums"), self.write(tmp_path)))
+        first_pass = formats.index_summaries
+
+        def then_edit(path):
+            rows = first_pass(path)
+            self.write(tmp_path, **edited)
+            return rows
+
+        monkeypatch.setattr(formats, "index_summaries", then_edit)
+        result = runner.invoke(cli.main, ["score", paths["docs"], paths["sums"]])
+        assert result.exit_code == 2, result.stderr
+        assert error_of(result) == {
+            "error": "InputError",
+            "message": f"{paths[name]} changed during the run: {message}",
+        }
+        assert result.stdout == ""
+        assert sum(len(b.pairs) for b in backends) == 0
+
+
+@pytest.mark.parametrize("command", ["score", "benchmark", "extract-claims"])
+def test_unseekable_input_exits_2_naming_it(runner, tmp_path, command):
+    # A pipe, as the shell's ``<(...)`` passes one, cannot be read twice.
+    claims = write_records(tmp_path, ["{}"], "claims.json")
+    sums = write_records(tmp_path, [json.dumps(s) for s in TestScoreCorpus.SUMS], "sums.jsonl")
+    lines = TestScoreCorpus.DOCS if command == "score" else GOOD
+    read, write = os.pipe()
+    os.write(write, "".join(json.dumps(line) + "\n" for line in lines).encode())
+    os.close(write)
+    pipe = f"/dev/fd/{read}"
+    args = {
+        "score": ["score", pipe, sums],
+        "benchmark": ["benchmark", pipe],
+        "extract-claims": ["extract-claims", pipe, "--claim-backend", f"cache:{claims}"],
+    }[command]
+    try:
+        result = runner.invoke(cli.main, args)
+    finally:
+        os.close(read)
+    assert result.exit_code == 2, result.stderr
+    assert error_of(result) == {
+        "error": "InputError",
+        "message": f"cannot read {pipe}: input must be a regular, seekable file",
+    }
