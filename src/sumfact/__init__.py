@@ -9,7 +9,6 @@ accuracy) and claim-extraction quality metrics.
 """
 
 from .benchmark import (
-    BenchmarkRecord,
     BenchmarkReport,
     Confusion,
     ScoreCache,

@@ -10,7 +10,7 @@ disk keyed by a scorer-configuration fingerprint and the record id, each
 score stored with a digest of the record's line so that an edited record is
 scored again; tuning and evaluation never call back into the scorer. Tuning
 and evaluation need only a record's labels, so a run holds light rows
-(:class:`BenchmarkRow`) and builds each full :class:`BenchmarkRecord` only
+(:class:`BenchmarkRow`), and a record's document and summary are read only
 when it is scored.
 """
 
@@ -30,11 +30,9 @@ from itertools import accumulate, repeat
 from operator import getitem
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .documents import Document, Summary
 from .errors import DegenerateLabels, InputError, MissingSplit
 
 __all__ = [
-    "BenchmarkRecord",
     "BenchmarkRow",
     "Confusion",
     "ThresholdResult",
@@ -54,33 +52,10 @@ __all__ = [
 CHECKPOINT_RECORDS = 512
 
 
-@dataclass(frozen=True)
-class BenchmarkRecord:
-    record_id: str
-    document: Document
-    summary: Summary
-    gold_label: bool  # True = factual
-    system: str
-    dataset: str
-    split: str  # "validation" | "test"
-
-    def __post_init__(self) -> None:
-        if self.split not in ("validation", "test"):
-            raise InputError(
-                f"record '{self.record_id}': split must be 'validation' or 'test', "
-                f"got {self.split!r}"
-            )
-        if self.summary.document_id != self.document.id:
-            raise InputError(
-                f"record '{self.record_id}': summary points at document "
-                f"'{self.summary.document_id}' but carries document '{self.document.id}'"
-            )
-
-
 @dataclass(frozen=True, slots=True)
 class BenchmarkRow:
     """A checked record's labels, and the byte offset of its line in the
-    records file, from which the full record is read again to be scored.
+    records file, from which its document and summary are read again to be scored.
 
     ``digest`` is the 16-byte BLAKE2b digest of that line (without its line
     ending); the score cache stores it with the record's score.

@@ -254,9 +254,8 @@ def benchmark(records, output, scores_csv, run_meta, config_path, **flags) -> No
 
     def score_records(pending):
         # Only the records the cache cannot answer are read again.
-        pairs = ((r.document, r.summary) for r in formats.read_benchmark_records(records, pending))
         reports = pipeline.score_corpus(
-            pairs,
+            formats.read_benchmark_records(records, pending),
             scorer,
             extractor,
             coref_backend,

@@ -235,8 +235,6 @@ class RuleSegmenter:
                 end -= 1
             if start < end:
                 sentences.append(Sentence(len(sentences), start, end, text[start:end]))
-        if not sentences:
-            raise EmptyDocument("segmentation produced no sentences")
         return sentences
 
     @staticmethod

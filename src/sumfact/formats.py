@@ -17,9 +17,10 @@ holds the text of only the records it is scoring. The first pass checks
 every line, in order, and keeps a light row of each: the record's id, the
 byte offset of its line and the line's digest (:class:`Row`, or
 :class:`~sumfact.benchmark.BenchmarkRow` with the labels). The second reads
-each record again at its offset when it is scored, and checks that the line
-did not change in between (:func:`_read_again`). JSONL inputs must therefore
-be regular, seekable files.
+each record again at its offset when it is scored, checks that the line did
+not change in between (:func:`_read_again`), and yields (document, summary)
+pairs (:func:`read_corpus`, :func:`read_benchmark_records`). These inputs
+must therefore be regular, seekable files; claim sets, read once, need not.
 
 Report JSON renders every float with exactly 6 decimal places via a custom
 emitter, making outputs byte-stable across runs and platforms.
@@ -35,7 +36,7 @@ from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii as _encode_str  # json.dumps of a str
 from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .benchmark import BenchmarkRecord, BenchmarkReport, BenchmarkRow, RecordScore
+from .benchmark import BenchmarkReport, BenchmarkRow, RecordScore
 from .documents import (
     CorefCluster,
     Document,
@@ -46,7 +47,7 @@ from .documents import (
     whole_text,
 )
 from .errors import InputError, SumfactError
-from .scoring import AlignedSpan, ClaimVerdict, FactualityReport
+from .scoring import STAGES, AlignedSpan, ClaimVerdict, FactualityReport
 
 __all__ = [
     "Row",
@@ -67,24 +68,26 @@ __all__ = [
 ]
 
 
-def _open(path: str) -> IO[bytes]:
+def _open(path: str, twice: bool = True) -> IO[bytes]:
+    """``path`` opened to read bytes; a file to be read ``twice`` must be seekable."""
     try:
         fh = open(path, "rb")
     except OSError as exc:
         raise InputError(f"cannot open {path}: {exc}") from exc
-    if not fh.seekable():
+    if twice and not fh.seekable():
         fh.close()
         raise InputError(f"cannot read {path}: input must be a regular, seekable file")
     return fh
 
 
 def _lines(fh: IO[bytes]) -> Iterator[tuple[int, bytes]]:
-    """(byte offset, line) for each line from the position of ``fh`` on.
+    """(byte offset, line) for each line from the position of ``fh`` on, the
+    offset counted from that position.
 
     Lines split and end as in text mode: at "\\n", "\\r\\n" or a lone "\\r",
     each ending read as "\\n".
     """
-    offset = fh.tell()
+    offset = 0
     for chunk in fh:
         if b"\r" not in chunk:
             yield offset, chunk
@@ -110,9 +113,9 @@ def _parse_line(path: str, line_number: int, line: bytes) -> dict | None:
     return record
 
 
-def _read_jsonl(path: str) -> Iterator[tuple[int, int, bytes, dict]]:
+def _read_jsonl(path: str, twice: bool = True) -> Iterator[tuple[int, int, bytes, dict]]:
     """Yield (line_number, byte offset, line, record) for every non-blank line."""
-    with _open(path) as fh:
+    with _open(path, twice) as fh:
         for line_number, (offset, line) in enumerate(_lines(fh), start=1):
             record = _parse_line(path, line_number, line)
             if record is not None:
@@ -347,7 +350,7 @@ def write_claim_cache(stream: IO[str], cache: Mapping[str, Sequence[str]]) -> No
 
 def load_claim_sets(path: str) -> dict[str, list[str]]:
     out: dict[str, list[str]] = {}
-    for line_number, _, _, record in _read_jsonl(path):
+    for line_number, _, _, record in _read_jsonl(path, twice=False):
         where = f"{path}:{line_number}"
         summary_id = _require_str(record, "summary_id", where)
         claims = record.get("claims")
@@ -379,7 +382,10 @@ def _gold_label(value: object) -> bool:
     raise ValueError(f"gold_label must be factual/not_factual, got {value!r}")
 
 
-def _benchmark_record(record: Mapping, where: str, split: Splitter = segment) -> BenchmarkRecord:
+def _benchmark_record(
+    record: Mapping, where: str, split: Splitter = segment
+) -> tuple[tuple, tuple[Document, Summary]]:
+    """A record's labels ``(record_id, gold_label, system, dataset, split)`` and its pair."""
     record_id = _require_str(record, "record_id", where)
     raw_doc = record.get("document")
     if isinstance(raw_doc, str):
@@ -392,29 +398,35 @@ def _benchmark_record(record: Mapping, where: str, split: Splitter = segment) ->
         raw_summary = {"text": raw_summary}
     if not isinstance(raw_summary, dict):
         raise InputError(f"{where}: 'summary' must be an object or a string")
-    text = _require_str(raw_summary, "text", where)
+    summary = _summary_from_record(
+        {
+            "id": str(raw_summary.get("id") or f"{record_id}:summary"),
+            "document_id": str(raw_summary.get("document_id") or document.id),
+            "text": raw_summary.get("text"),
+        },
+        where,
+        split,
+    )
     with _at(where):
-        summary = Summary(
-            str(raw_summary.get("id") or f"{record_id}:summary"),
-            str(raw_summary.get("document_id") or document.id),
-            text,
-            tuple(split(text)),
-        )
-        return BenchmarkRecord(
-            record_id=record_id,
-            document=document,
-            summary=summary,
-            gold_label=_gold_label(record.get("gold_label")),
-            system=str(record.get("system", "unknown")),
-            dataset=str(record.get("dataset", "default")),
-            split=str(record.get("split", "")),
-        )
+        gold_label = _gold_label(record.get("gold_label"))
+        split_name = str(record.get("split", ""))
+        if split_name not in ("validation", "test"):
+            raise ValueError(
+                f"record '{record_id}': split must be 'validation' or 'test', got {split_name!r}"
+            )
+        if summary.document_id != document.id:
+            raise ValueError(
+                f"record '{record_id}': summary points at document "
+                f"'{summary.document_id}' but carries document '{document.id}'"
+            )
+    system, dataset = str(record.get("system", "unknown")), str(record.get("dataset", "default"))
+    return (record_id, gold_label, system, dataset, split_name), (document, summary)
 
 
 def load_benchmark_records(path: str) -> list[BenchmarkRow]:
     """Check every record of a benchmark file, in line order; a row of each.
 
-    Every check that building the full record makes runs here, with the
+    Every check that building the record's pair makes runs here, with the
     same message, but texts are not segmented: segmenting fails only on
     blank text, which is checked instead. Rows hold the labels and each
     line's byte offset, for :func:`read_benchmark_records`, and the digest of
@@ -422,16 +434,19 @@ def load_benchmark_records(path: str) -> list[BenchmarkRow]:
     """
     rows = []
     for line_number, offset, line, record in _read_jsonl(path):
-        checked = _benchmark_record(record, f"{path}:{line_number}", whole_text)
-        labels = map(sys.intern, (checked.system, checked.dataset, checked.split))
+        labels, _ = _benchmark_record(record, f"{path}:{line_number}", whole_text)
+        record_id, gold_label, *names = labels
         digest = _line_digest(line)
-        rows.append(BenchmarkRow(checked.record_id, checked.gold_label, *labels, offset, digest))
+        rows.append(BenchmarkRow(record_id, gold_label, *map(sys.intern, names), offset, digest))
     return rows
 
 
-def read_benchmark_records(path: str, rows: Iterable[BenchmarkRow]) -> Iterator[BenchmarkRecord]:
-    """The full record of each row, read again at the row's offset, lazily (:func:`_read_again`)."""
-    return _read_again(path, rows, "record", _benchmark_record, "record_id")
+def read_benchmark_records(
+    path: str, rows: Iterable[BenchmarkRow]
+) -> Iterator[tuple[Document, Summary]]:
+    """The (document, summary) pair of each row's record, read again at the row's
+    offset, lazily (:func:`_read_again`)."""
+    return (pair for _, pair in _read_again(path, rows, "record", _benchmark_record, "record_id"))
 
 
 # -- fixed-decimal JSON rendering -------------------------------------------
@@ -479,11 +494,7 @@ def _aligned_to_dict(aligned: AlignedSpan) -> dict:
 
 
 def _verdict_to_dict(verdict: ClaimVerdict) -> dict:
-    sub_scores = {
-        stage: verdict.sub_scores[stage]
-        for stage in ("sentence", "coref", "window", "document")
-        if stage in verdict.sub_scores
-    }
+    scores = verdict.sub_scores
     return {
         "claim": {
             "summary_id": verdict.claim.summary_id,
@@ -493,7 +504,7 @@ def _verdict_to_dict(verdict: ClaimVerdict) -> dict:
         "score": verdict.score,
         "stage": verdict.stage,
         "aligned": _aligned_to_dict(verdict.aligned),
-        "sub_scores": sub_scores,
+        "sub_scores": {stage: scores[stage] for stage in STAGES if stage in scores},
     }
 
 

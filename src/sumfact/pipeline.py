@@ -38,7 +38,7 @@ from .nli import (
     MockEntailmentBackend,
     RemoteEntailmentBackend,
 )
-from .scoring import FactualityReport, Scorer, Stop
+from .scoring import FactualityReport, Item, Scorer, Stop
 
 __all__ = [
     "make_nli_backend",
@@ -202,9 +202,6 @@ _MODES: dict[str, tuple[bool, Stop | None]] = {
     "nli_claim": (False, "sentence"),
     "nli_coref": (False, "coref"),
 }
-
-# What the scorer scores for one summary: ``(document, claims, claims_fallback)``.
-Item = tuple[Document, list[Claim], bool]
 
 # A scoring block gathers summaries until their sentence wave holds this many
 # pairs per slot of a backend batch (``nli_batch_size`` slots), so the scorer's

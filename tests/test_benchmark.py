@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sumfact import (
-    BenchmarkRecord,
     DegenerateLabels,
     InputError,
     MissingSplit,
@@ -24,16 +23,9 @@ from sumfact.benchmark import _bootstrap_std, config_fingerprint
 from sumfact.config import ordered_map
 
 import oracles
-from cases import benchmark_row as rec, doc_from_sentences, summary_from_sentences
+from cases import benchmark_row as rec
 
 D1, D2, D3 = (bytes([i]) * 16 for i in (1, 2, 3))
-
-
-def record(rid, dataset, split, gold):
-    """A full record, checked as it is built."""
-    doc = doc_from_sentences(f"{rid}:doc", ["alpha beta."])
-    summ = summary_from_sentences(f"{rid}:sum", f"{rid}:doc", ["alpha."])
-    return BenchmarkRecord(rid, doc, summ, gold, "sys", dataset, split)
 
 
 def batch(score):
@@ -61,18 +53,6 @@ SPLIT_RECORDS = [
     rec("b3", "B", "test", True),
     rec("b4", "B", "test", False),
 ]
-
-
-class TestRecordValidation:
-    def test_bad_split(self):
-        with pytest.raises(InputError, match="split"):
-            record("r", "A", "train", True)
-
-    def test_document_id_mismatch(self):
-        doc = doc_from_sentences("doc-x", ["alpha."])
-        summ = summary_from_sentences("sum-y", "other-doc", ["alpha."])
-        with pytest.raises(InputError, match="points at"):
-            BenchmarkRecord("r", doc, summ, True, "sys", "A", "test")
 
 
 class TestBalancedAccuracy:

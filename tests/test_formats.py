@@ -256,8 +256,9 @@ class TestLoadClaimSets:
 
 
 def read_both_passes(path):
-    """Full records: rows from the checking pass, then the records they point at."""
-    return list(read_benchmark_records(path, load_benchmark_records(path)))
+    """Rows from the checking pass, and the (document, summary) pairs they point at."""
+    rows = load_benchmark_records(path)
+    return rows, list(read_benchmark_records(path, rows))
 
 
 class TestLoadBenchmarkRecords:
@@ -271,12 +272,12 @@ class TestLoadBenchmarkRecords:
             "split": "test",
         }
         path = jsonl(tmp_path, "bench.jsonl", json.dumps(record))
-        (loaded,) = read_both_passes(path)
-        assert loaded.document.id == "r1:doc"
-        assert loaded.summary.id == "r1:summary"
-        assert loaded.summary.document_id == "r1:doc"
-        assert loaded.gold_label is True
-        assert loaded.system == "unknown"
+        (row,), [(document, summary)] = read_both_passes(path)
+        assert document.id == "r1:doc"
+        assert summary.id == "r1:summary"
+        assert summary.document_id == "r1:doc"
+        assert row.gold_label is True
+        assert row.system == "unknown"
 
     def test_object_forms_keep_ids(self, tmp_path):
         record = {
@@ -289,11 +290,11 @@ class TestLoadBenchmarkRecords:
             "split": "validation",
         }
         path = jsonl(tmp_path, "bench.jsonl", json.dumps(record))
-        (loaded,) = read_both_passes(path)
-        assert loaded.document.id == "doc-9"
-        assert loaded.summary.id == "sum-9"
-        assert loaded.gold_label is False
-        assert loaded.system == "pegasus"
+        (row,), [(document, summary)] = read_both_passes(path)
+        assert document.id == "doc-9"
+        assert summary.id == "sum-9"
+        assert row.gold_label is False
+        assert row.system == "pegasus"
 
     @pytest.mark.parametrize(
         "raw,expected",

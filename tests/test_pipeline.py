@@ -15,7 +15,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sumfact import (
-    BenchmarkRecord,
     Claim,
     ClaimCacheMiss,
     FileCacheExtractor,
@@ -944,25 +943,22 @@ class TestRecordScorer:
 
     def record(self, rid, summary_texts=("alpha beta.",)):
         doc = doc_from_sentences("shared-doc", ["alpha beta.", "gamma delta."])
-        summary = summary_from_sentences(f"{rid}:sum", "shared-doc", list(summary_texts))
-        return BenchmarkRecord(rid, doc, summary, True, "sys", "A", "test")
+        return doc, summary_from_sentences(f"{rid}:sum", "shared-doc", list(summary_texts))
 
-    def reports(self, records, extractor=None, mode="full", coref_backend=None):
-        pairs = [(r.document, r.summary) for r in records]
+    def reports(self, pairs, extractor=None, mode="full", coref_backend=None):
         scorer = Scorer(MockEntailmentBackend())
         coref_backend = coref_backend or NoopCorefBackend()
         return list(score_corpus(pairs, scorer, extractor, coref_backend, mode, missing_ok=True))
 
-    def fallbacks(self, records, **kwargs):
-        return sum(r.claims_fallback for r in self.reports(records, **kwargs))
+    def fallbacks(self, pairs, **kwargs):
+        return sum(r.claims_fallback for r in self.reports(pairs, **kwargs))
 
     def test_score_matches_direct_pipeline(self):
-        record = self.record("r1")
+        doc, summary = self.record("r1")
         (direct,) = score_block(
-            Scorer(MockEntailmentBackend()),
-            [(record.document, fallback_claims(record.summary), True)],
+            Scorer(MockEntailmentBackend()), [(doc, fallback_claims(summary), True)]
         )
-        assert self.reports([record])[0].score == direct.score
+        assert self.reports([(doc, summary)])[0].score == direct.score
 
     def test_fallback_counting(self):
         assert self.fallbacks([self.record(f"r{i}") for i in range(3)]) == 3

@@ -154,6 +154,71 @@ MALFORMED = {
 }
 
 
+def shape_case(message, document=None, **fields):
+    """A record on line 5 whose document (an object, "d1", given ``fields``)
+    or ``document`` has a malformed shape, with the message that names it."""
+    if document is None:
+        document = {"id": "d1", "text": "alpha beta. gamma delta.", **fields}
+    line = json.dumps(record("x", "test", "factual", document=document))
+    return line, "InputError", "{path}:5: " + message
+
+
+def mention(sentence_index=0, start=0, end=5):
+    return {"sentence_index": sentence_index, "start": start, "end": end}
+
+
+# Shapes of precomputed spans, clusters, documents and summaries that are
+# rejected; a span given as a list is one of them.
+MALFORMED.update({
+    "sentences not an array": shape_case(
+        "'sentences' must be a non-empty array", sentences={"start": 0, "end": 11}
+    ),
+    "sentences empty": shape_case("'sentences' must be a non-empty array", sentences=[]),
+    "span as a list": shape_case("sentence 0 needs 'start' and 'end'", sentences=[[0, 11]]),
+    "non-integer span offsets": shape_case(
+        "sentence 1 has non-integer offsets",
+        sentences=[{"start": 0, "end": 11}, {"start": "twelve", "end": 24}],
+    ),
+    "empty span": shape_case(
+        "sentence 0 span [5, 5) out of range", sentences=[{"start": 5, "end": 5}]
+    ),
+    "clusters not an array": shape_case(
+        "'coref_clusters' must be an array of clusters", coref_clusters={"0": [mention()]}
+    ),
+    "cluster not an array": shape_case(
+        "cluster 0 must be an array of mentions", coref_clusters=[mention()]
+    ),
+    "mention not an object": shape_case(
+        "cluster 1 mention 0 must be an object",
+        coref_clusters=[[mention(), mention(1, 0, 5)], [[0, 0, 5]]],
+    ),
+    "mention with a non-integer field": shape_case(
+        "cluster 0 mention 1 needs integer 'sentence_index', 'start', 'end'",
+        coref_clusters=[[mention(), mention(1, "zero", 5)]],
+    ),
+    "mention without a field": shape_case(
+        "cluster 0 mention 0 needs integer 'sentence_index', 'start', 'end'",
+        coref_clusters=[[{"sentence_index": 0, "start": 0}]],
+    ),
+    "mention sentence_index out of range": shape_case(
+        "cluster 0 mention 1 sentence_index 2 out of range",
+        coref_clusters=[[mention(), mention(2)]],
+    ),
+    "mention outside its sentence": shape_case(
+        "cluster 0 mention 1 span [0, 13) outside sentence 1",
+        coref_clusters=[[mention(), mention(1, 0, 13)]],
+    ),
+    "document neither object nor string": shape_case(
+        "'document' must be an object or a string", document=["alpha beta."]
+    ),
+    "summary neither object nor string": (
+        json.dumps(record("x", "test", "factual", summary=5)),
+        "InputError",
+        "{path}:5: 'summary' must be an object or a string",
+    ),
+})
+
+
 class TestFailFast:
     @pytest.mark.parametrize("case", list(MALFORMED))
     def test_malformed_last_record_exits_before_any_pair(self, runner, tmp_path, backends, case):
@@ -183,9 +248,9 @@ class TestSecondPass:
             BenchmarkRow("v1", True, "unknown", "main", "validation", 0, digests[0]),
             BenchmarkRow("v2", False, "unknown", "main", "validation", first, digests[1]),
         ]
-        records = list(formats.read_benchmark_records(path, rows[1:]))
-        assert [r.record_id for r in records] == ["v2"]
-        assert records[0].summary.text == "epsilon zeta."
+        pairs = list(formats.read_benchmark_records(path, rows[1:]))
+        assert [(d.id, s.id) for d, s in pairs] == [("v2:doc", "v2:summary")]
+        assert pairs[0][1].text == "epsilon zeta."
 
     @pytest.mark.parametrize("newline", ["\r\n", "\r"])
     def test_other_line_endings(self, tmp_path, newline):
@@ -194,8 +259,8 @@ class TestSecondPass:
         path.write_bytes(newline.join(["", *map(json.dumps, GOOD), ""]).encode())
         rows = formats.load_benchmark_records(str(path))
         assert [r.record_id for r in rows] == ["v1", "v2", "t1", "t2"]
-        records = list(formats.read_benchmark_records(str(path), rows[::-1]))
-        assert [r.record_id for r in records] == ["t2", "t1", "v2", "v1"]
+        pairs = list(formats.read_benchmark_records(str(path), rows[::-1]))
+        assert [s.id for _, s in pairs] == ["t2:summary", "t1:summary", "v2:summary", "v1:summary"]
         bad = newline.join([json.dumps(GOOD[0]), "{", ""]).encode()
         path.write_bytes(bad)
         with pytest.raises(InputError, match=r":2: invalid JSON: Expecting property name"):
@@ -221,18 +286,18 @@ class TestSecondPass:
         second_pass = formats.read_benchmark_records
 
         def spy(path, rows):
-            for full in second_pass(path, rows):
-                read.append(full.record_id)
-                yield full
+            for document, summary in second_pass(path, rows):
+                read.append(document.id)
+                yield document, summary
 
         monkeypatch.setattr(formats, "read_benchmark_records", spy)
         extra = [record("v3", "validation", "factual"), record("t3", "test", "factual")]
         path = write_records(tmp_path, [json.dumps(r) for r in GOOD + extra])
         result = runner.invoke(cli.main, ["benchmark", path, "--cache-dir", cache])
         assert result.exit_code == 0, result.stderr
-        assert read == ["v3", "t3"]
+        assert read == ["v3:doc", "t3:doc"]
         assert runner.invoke(cli.main, ["benchmark", path, "--cache-dir", cache]).exit_code == 0
-        assert read == ["v3", "t3"]
+        assert read == ["v3:doc", "t3:doc"]
 
     def test_file_edited_between_passes_exits_2(self, runner, tmp_path, monkeypatch, backends):
         path = write_records(tmp_path, [json.dumps(r) for r in GOOD])
@@ -247,6 +312,30 @@ class TestSecondPass:
         monkeypatch.setattr(formats, "load_benchmark_records", then_edit)
         result = runner.invoke(cli.main, ["benchmark", path])
         assert result.exit_code == 2
+        assert error_of(result) == {
+            "error": "InputError",
+            "message": f"{path} changed during the run: record 'v1' is no longer at byte 0",
+        }
+        assert sum(len(b.pairs) for b in backends) == 0
+
+    @pytest.mark.parametrize(
+        "edit", [{"split": "train"}, {"summary": " "}], ids=["bad split", "blank summary"]
+    )
+    def test_line_no_longer_valid_between_passes_exits_2(
+        self, runner, tmp_path, monkeypatch, backends, edit
+    ):
+        # The line keeps its id but no longer builds, so it no longer holds the record.
+        path = write_records(tmp_path, [json.dumps(r) for r in GOOD])
+        first_pass = formats.load_benchmark_records
+
+        def then_edit(path):
+            rows = first_pass(path)
+            write_records(tmp_path, [json.dumps({**GOOD[0], **edit}), *map(json.dumps, GOOD[1:])])
+            return rows
+
+        monkeypatch.setattr(formats, "load_benchmark_records", then_edit)
+        result = runner.invoke(cli.main, ["benchmark", path])
+        assert result.exit_code == 2, result.stderr
         assert error_of(result) == {
             "error": "InputError",
             "message": f"{path} changed during the run: record 'v1' is no longer at byte 0",
@@ -523,10 +612,7 @@ def test_unseekable_input_exits_2_naming_it(runner, tmp_path, command):
     claims = write_records(tmp_path, ["{}"], "claims.json")
     sums = write_records(tmp_path, [json.dumps(s) for s in TestScoreCorpus.SUMS], "sums.jsonl")
     lines = TestScoreCorpus.DOCS if command == "score" else GOOD
-    read, write = os.pipe()
-    os.write(write, "".join(json.dumps(line) + "\n" for line in lines).encode())
-    os.close(write)
-    pipe = f"/dev/fd/{read}"
+    read, pipe = pipe_of("".join(json.dumps(line) + "\n" for line in lines).encode())
     args = {
         "score": ["score", pipe, sums],
         "benchmark": ["benchmark", pipe],
@@ -541,3 +627,38 @@ def test_unseekable_input_exits_2_naming_it(runner, tmp_path, command):
         "error": "InputError",
         "message": f"cannot read {pipe}: input must be a regular, seekable file",
     }
+
+
+def pipe_of(data):
+    """A pipe holding ``data``, and its ``/dev/fd`` path, as the shell's ``<(...)`` passes one."""
+    read, write = os.pipe()
+    os.write(write, data)
+    os.close(write)
+    return read, f"/dev/fd/{read}"
+
+
+SYSTEM_SETS = b'{"summary_id": "s1", "claims": ["alpha beta."]}\n'
+
+
+def eval_claims_on_a_pipe(runner, tmp_path, system):
+    human = write_records(tmp_path, ['{"summary_id": "s1", "claims": ["alpha gamma."]}'], "h.jsonl")
+    fd, pipe = pipe_of(system)
+    try:
+        return pipe, runner.invoke(cli.main, ["eval-claims", pipe, human])
+    finally:
+        os.close(fd)
+
+
+def test_claim_sets_may_be_a_pipe(runner, tmp_path):
+    # Claim sets are read once, so they need not be seekable.
+    _, result = eval_claims_on_a_pipe(runner, tmp_path, SYSTEM_SETS)
+    assert result.exit_code == 0, result.stderr
+    (tmp_path / "system.jsonl").write_bytes(SYSTEM_SETS)
+    args = ["eval-claims", str(tmp_path / "system.jsonl"), str(tmp_path / "h.jsonl")]
+    assert result.stdout == runner.invoke(cli.main, args).stdout != ""
+
+
+def test_invalid_utf8_in_piped_claim_sets_exits_2(runner, tmp_path):
+    pipe, result = eval_claims_on_a_pipe(runner, tmp_path, SYSTEM_SETS + b"\xff\n")
+    assert result.exit_code == 2
+    assert error_of(result)["message"].startswith(f"{pipe}:2: invalid JSON: ")
