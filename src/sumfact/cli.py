@@ -21,7 +21,7 @@ from . import __version__, claim_metrics, formats, pipeline
 from . import benchmark as bench
 from .benchmark import ScoreCache
 from .claims import ClaimExtractor
-from .config import MODES, PROTOCOLS, load_run_config, ordered_map, scoring_params
+from .config import MODES, PROTOCOLS, load_run_config, scoring_params
 from .coref import CorefBackend
 from .errors import BackendError, DegenerateLabels, InputError, SumfactError
 from .scoring import Scorer
@@ -104,9 +104,15 @@ def _write_run_meta(
         fh.write("\n")
 
 
+_CONFIG = click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
+                       default=None, help="JSON config file; flags override it.")
+_WORKERS = click.option("--workers", type=int, default=None,
+                        help="Claim extractions, and backend batches, in flight at once.")
+_LOG_LEVEL = click.option("--log-level", default=None,
+                          help="error | warning | info | debug (debug emits JSON call logs).")
+
 _SCORING_FLAGS = [
-    click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
-                 default=None, help="JSON config file; flags override it."),
+    _CONFIG,
     click.option("--j", "window_size", type=int, default=None,
                  help="Window length in sentences for windowed premises."),
     click.option("--T", "gate_threshold", type=float, default=None,
@@ -118,10 +124,8 @@ _SCORING_FLAGS = [
     click.option("--coref-backend", default=None, help="none | heuristic"),
     click.option("--monotone-gate/--no-monotone-gate", default=None,
                  help="Below the gate, keep the better of coref and multi scores."),
-    click.option("--workers", type=int, default=None,
-                 help="Claim extractions, and backend batches, in flight at once."),
-    click.option("--log-level", default=None,
-                 help="error | warning | info | debug (debug emits JSON call logs)."),
+    _WORKERS,
+    _LOG_LEVEL,
 ]
 
 
@@ -157,9 +161,7 @@ def score(documents, summaries, output, run_meta, config_path, **flags) -> None:
     extractor = pipeline.make_claim_extractor(config)
     coref_backend = pipeline.make_coref_backend(config)
     pairs = formats.read_corpus(documents, docs, summaries, sums)
-    reports = pipeline.score_corpus(
-        pairs, scorer, extractor, coref_backend, "full", workers=config.workers
-    )
+    reports = pipeline.score_corpus(pairs, scorer, extractor, coref_backend, "full")
     _write_lines(output, map(formats.render_report, reports))
     _write_run_meta(
         run_meta,
@@ -175,11 +177,9 @@ def score(documents, summaries, output, run_meta, config_path, **flags) -> None:
 @main.command("extract-claims")
 @click.argument("summaries", type=click.Path(exists=True, dir_okay=False))
 @click.option("--output", "-o", default="-", help="Claim cache JSON path ('-' = stdout).")
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--claim-backend", default=None,
-              help="cache:<path> | remote:<url> | local:<model>")
-@click.option("--workers", type=int, default=None)
-@click.option("--log-level", default=None)
+@_apply([_CONFIG, click.option("--claim-backend", default=None,
+                               help="cache:<path> | remote:<url> | local:<model>"),
+         _WORKERS, _LOG_LEVEL])
 @handle_errors
 def extract_claims(summaries, output, config_path, **flags) -> None:
     """Extract claims for every summary into a claim cache file."""
@@ -191,7 +191,7 @@ def extract_claims(summaries, output, config_path, **flags) -> None:
         raise InputError("extract-claims needs --claim-backend (cache:/remote:/local:)")
     sums = formats.read_summaries(summaries, rows.values())
     # An empty list is recorded as is; consumers apply the fallback policy on read.
-    claim_lists = ordered_map(
+    claim_lists = pipeline.ordered_map(
         lambda s: [c.text for c in extractor.extract(s)], sums, config.workers
     )
     cache = dict(zip(rows, claim_lists))
@@ -261,7 +261,6 @@ def benchmark(records, output, scores_csv, run_meta, config_path, **flags) -> No
             coref_backend,
             config.mode,
             missing_ok=True,
-            workers=config.workers,
         )
         return (report.score for report in reports)
 

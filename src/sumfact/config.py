@@ -2,7 +2,8 @@
 
 Every flag has a config-file key of the same meaning; precedence is
 flag > config file > built-in default. Credentials never live here, only the
-name of the environment variable holding them.
+name of the environment variable holding them. ``workers`` reaches a
+scoring run once, as the NLI backend's, which claim extraction shares too.
 
 Backend selectors are compact strings:
   NLI        "mock" | "local:<checkpoint>" | "remote:<url>"
@@ -15,16 +16,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, TypeVar
+from typing import Mapping
 
 from .errors import InputError
 from .nli import MIN_UNITS
 from .scoring import ScoringParams
 
-__all__ = ["RunConfig", "load_run_config", "scoring_params", "ordered_map", "MODES", "PROTOCOLS"]
+__all__ = ["RunConfig", "load_run_config", "scoring_params", "MODES", "PROTOCOLS"]
 
 MODES = ("full", "nli_sent", "nli_claim", "nli_coref")
 PROTOCOLS = ("per_split", "single_threshold")
@@ -108,36 +107,6 @@ def scoring_params(config: RunConfig) -> ScoringParams:
         max_coref_variants=config.max_coref_variants,
         monotone_gate=config.monotone_gate,
     )
-
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-
-def ordered_map(fn: Callable[[T], R], items: Iterable[T], workers: int) -> Iterator[R]:
-    """Yield ``fn(item)`` for each item in order, run on ``workers`` threads when above 1.
-
-    At most ``2 * workers`` items are taken from ``items`` ahead of the
-    consumer, so results are not computed far ahead of their use. An
-    exception from ``fn`` is re-raised when iteration reaches its item, so
-    that of the earliest failing item comes first. Closing the generator
-    cancels the items not yet started.
-    """
-    if workers <= 1:
-        yield from map(fn, items)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending: deque[Future[R]] = deque()
-        try:
-            for item in items:
-                pending.append(pool.submit(fn, item))
-                if len(pending) == 2 * workers:
-                    yield pending.popleft().result()
-            while pending:
-                yield pending.popleft().result()
-        finally:
-            for future in pending:
-                future.cancel()
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}

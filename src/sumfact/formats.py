@@ -175,10 +175,10 @@ def _sentences_from_spans(text: str, spans: object) -> tuple[Sentence, ...]:
     for i, span in enumerate(spans):
         if not isinstance(span, dict) or "start" not in span or "end" not in span:
             raise ValueError(f"sentence {i} needs 'start' and 'end'")
-        try:
-            start, end = int(span["start"]), int(span["end"])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"sentence {i} has non-integer offsets") from exc
+        start, end = span["start"], span["end"]
+        # Offsets are JSON integers: a float, a string or a bool is not one.
+        if not type(start) is type(end) is int:
+            raise ValueError(f"sentence {i} has non-integer offsets")
         if not (0 <= start < end <= len(text)):
             raise ValueError(f"sentence {i} span [{start}, {end}) out of range")
         out.append(Sentence(i, start, end, text[start:end]))
@@ -198,13 +198,12 @@ def _clusters_from_record(
         for mi, mention in enumerate(cluster):
             if not isinstance(mention, dict):
                 raise ValueError(f"cluster {ci} mention {mi} must be an object")
-            try:
-                si, start, end = (int(mention[k]) for k in ("sentence_index", "start", "end"))
-            except (KeyError, TypeError, ValueError) as exc:
+            si, start, end = (mention.get(k) for k in ("sentence_index", "start", "end"))
+            if not type(si) is type(start) is type(end) is int:
                 raise ValueError(
                     f"cluster {ci} mention {mi} needs integer "
                     f"'sentence_index', 'start', 'end'"
-                ) from exc
+                )
             if not (0 <= si < len(sentences)):
                 raise ValueError(
                     f"cluster {ci} mention {mi} sentence_index {si} out of range"

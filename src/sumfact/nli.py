@@ -218,9 +218,9 @@ class Inference:
         self._infer = backend._infer
         self._outside = backend._rows_from_outside
         self._futures = None
-        if backend.workers > 1:
-            pool = backend._pool()
-            self._futures = [pool.submit(self._infer, b, self._table) for b in self._batches]
+        if backend._executor is not None:
+            submit = backend._executor.submit
+            self._futures = [submit(self._infer, b, self._table) for b in self._batches]
 
     def scores(self) -> list[float]:
         """Each pair's alignment score, ``entailment - contradiction`` of its
@@ -266,13 +266,12 @@ class EntailmentBackend:
     pairs. ``_infer`` returns one ``(entailment, neutral, contradiction)``
     row per pair, which :class:`Inference` checks once, and it may read
     per-text features from the table (see :meth:`_featurise`) and must not
-    retain it. With ``workers`` above 1, batches run on a pool of that many
-    threads, shared by every call, so ``_infer`` must be safe to run
-    concurrently. Results must not depend on how callers batch their pairs
-    or on ``workers``.
+    retain it. With ``workers`` above 1, and only then, the backend has a
+    pool of that many threads, built with it and shared by every call, so
+    ``_infer`` must be safe to run concurrently. Results must not depend on
+    how callers batch their pairs or on ``workers``.
     """
 
-    _executor: ThreadPoolExecutor | None = None
     # Whether ``_infer``'s rows come from outside the program (a service, a
     # model), so that a row the row rule rejects is a backend failure, not a
     # bug in ``_infer`` (see :class:`Inference`).
@@ -288,6 +287,7 @@ class EntailmentBackend:
         self.batch_size = batch_size
         self.max_units = max_units
         self.workers = workers
+        self._executor = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -312,11 +312,6 @@ class EntailmentBackend:
         most ``workers`` batches run at once however many calls there are.
         """
         return Inference(self, pairs, sizes, bound)
-
-    def _pool(self) -> ThreadPoolExecutor:
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(max_workers=self.workers)
-        return self._executor
 
     def _featurise(self, text: str):
         """What :meth:`_infer` finds for ``text`` in the table. Default: the text."""

@@ -3,22 +3,24 @@
 This layer owns the policies that span modules: the empty-claims fallback
 (summary sentences become the claims, flagged on the report), degradation to
 empty clusters when the coreference backend fails, the one table of what
-each mode scores and where it stops the scoring pipeline, and the cut of a
-corpus into scoring blocks by work. :func:`score_corpus` is the one path
-from (document, summary) pairs to reports: it resolves the pairs as one
-stream and cuts it into blocks as the scorer needs them. The pairs come
-from the second pass of :mod:`~sumfact.formats` (:func:`~sumfact.formats.read_corpus`
-for ``score``, :func:`~sumfact.formats.read_benchmark_records` for
-``benchmark``), which reads each as the stream takes it, so a run holds only
-the pairs of the blocks in flight. The CLI calls it and does no scoring
-itself.
+each mode scores and where it stops the scoring pipeline, the cut of a
+corpus into scoring blocks by work, and the one concurrency rule of claim
+resolution (:func:`ordered_map`, on the NLI backend's ``workers``).
+:func:`score_corpus` is the one path from (document, summary) pairs to
+reports: it resolves the pairs as one stream and cuts it into blocks as the
+scorer needs them. The pairs come from the second pass of :mod:`~sumfact.formats`
+(``read_corpus`` for ``score``, ``read_benchmark_records`` for ``benchmark``),
+which reads each as the stream takes it, so a run holds only the pairs of
+the blocks in flight. The CLI calls it and does no scoring itself.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import logging
-from typing import Iterable, Iterator
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from . import formats
 from .benchmark import config_fingerprint
@@ -28,7 +30,7 @@ from .claims import (
     LocalSeq2SeqExtractor,
     RemoteLlmExtractor,
 )
-from .config import RunConfig, ordered_map, scoring_params
+from .config import RunConfig, scoring_params
 from .coref import CorefBackend, HeuristicCorefBackend, NoopCorefBackend
 from .documents import Claim, Document, Summary, build_claims
 from .errors import ClaimCacheMiss, InputError
@@ -49,6 +51,7 @@ __all__ = [
     "attach_clusters",
     "score_corpus",
     "scorer_fingerprint",
+    "ordered_map",
 ]
 
 logger = logging.getLogger("sumfact.pipeline")
@@ -213,6 +216,44 @@ _MODES: dict[str, tuple[bool, Stop | None]] = {
 BLOCK_PAIRS_PER_SLOT = 112
 
 
+T = TypeVar("T")
+R = TypeVar("R")
+
+
+def ordered_map(fn: Callable[[T], R], items: Iterable[T], workers: int) -> Iterator[R]:
+    """Yield ``fn(item)`` for each item in order, run on ``workers`` threads when above 1.
+
+    At one worker this is ``map``. Above one, at most ``2 * workers`` items
+    are taken ahead of the consumer, and errors come as ``map``'s do: an
+    exception from ``fn``, or from taking the next item, is raised at its
+    place in the stream, after every result before it. Closing the
+    generator cancels the items not yet started.
+    """
+    if workers <= 1:
+        yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending: deque[Future[R]] = deque()
+        source = iter(items)
+        try:
+            while True:
+                try:
+                    pending.append(pool.submit(fn, next(source)))
+                except StopIteration:
+                    break
+                except Exception as exc:
+                    pending.append(Future())
+                    pending[-1].set_exception(exc)
+                    break
+                if len(pending) == 2 * workers:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
+
+
 def _mode(mode: str) -> tuple[bool, Stop | None]:
     if mode not in _MODES:
         raise ValueError(f"unknown ablation mode {mode!r}")
@@ -227,34 +268,31 @@ def score_corpus(
     mode: str,
     *,
     missing_ok: bool = False,
-    workers: int = 1,
 ) -> Iterator[FactualityReport]:
     """Yield one report per (document, summary) pair, stopping the pipeline where ``mode`` does.
 
-    The pairs are resolved as one stream, in order. In ``nli_sent`` the
-    claims are the summary's sentences (duplicates kept: the mean runs over
-    sentences), never flagged as the fallback, and the extractor is not
-    called; other modes resolve claims on ``workers`` threads, at most
-    ``2 * workers`` pairs ahead of the stream (:func:`~sumfact.config.ordered_map`).
+    The pairs are resolved as one :func:`ordered_map` stream, in order. In
+    ``nli_sent`` the claims are the summary's sentences (duplicates kept: the
+    mean runs over sentences), never flagged as the fallback, and nothing is
+    extracted, so the stream runs on one thread; other modes resolve claims
+    (:func:`resolve_claims`) on the backend's ``workers`` threads.
     The resolved items are cut into blocks by work, with coref clusters
     attached as they join one (:func:`_blocks`), and each block is scored
     one wave per stage over the whole block (:meth:`Scorer.score_blocks`),
     which takes the next block while this one's last wave is in flight.
-    Reports do not depend on the blocks; an error resolving a pair comes
-    after the reports of every pair before it.
+    Reports do not depend on the blocks or on ``workers``; an error taking
+    or resolving a pair comes after the reports of every pair before it.
     """
     sentences, stop = _mode(mode)
-    if sentences:
-        items: Iterator[Item] = (
-            (doc, [Claim(summary.id, i, s.text) for i, s in enumerate(summary.sentences)], False)
-            for doc, summary in pairs
-        )
-    else:
-        items = ordered_map(
-            lambda pair: (pair[0], *resolve_claims(pair[1], extractor, missing_ok=missing_ok)),
-            pairs,
-            workers,
-        )
+
+    def resolve(pair: tuple[Document, Summary]) -> Item:
+        document, summary = pair
+        if sentences:
+            claims = [Claim(summary.id, i, s.text) for i, s in enumerate(summary.sentences)]
+            return document, claims, False
+        return document, *resolve_claims(summary, extractor, missing_ok=missing_ok)
+
+    items = ordered_map(resolve, pairs, 1 if sentences else scorer.backend.workers)
     blocks = _blocks(items, scorer.backend.batch_size * BLOCK_PAIRS_PER_SLOT, coref_backend)
     for reports in scorer.score_blocks(blocks, stop=stop):
         yield from reports

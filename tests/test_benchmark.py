@@ -20,7 +20,7 @@ from sumfact import (
     tune_threshold,
 )
 from sumfact.benchmark import _bootstrap_std, config_fingerprint
-from sumfact.config import ordered_map
+from sumfact.pipeline import ordered_map
 
 import oracles
 from cases import benchmark_row as rec

@@ -507,6 +507,40 @@ class TestMalformedInput:
             "message": message.format(**paths),
         }
 
+    @pytest.mark.parametrize(
+        "doc_line, args, error, message",
+        [
+            pytest.param(
+                DOC, ["--output", "{tmp}/missing/x.jsonl"], "FileNotFoundError",
+                "[Errno 2] No such file or directory: '{tmp}/missing/x.jsonl'", id="output dir",
+            ),
+            pytest.param(
+                DOC, ["--claim-backend", "local:"], "InputError",
+                "claim_backend 'local:' needs a model name or path", id="local: without model",
+            ),
+            pytest.param(
+                '{"id": "d1", "text": "alpha.    beta.", '
+                '"sentences": [{"start": 0, "end": 6}, {"start": 6, "end": 10}]}',
+                [], "InputError", "{docs}:1: document 'd1': sentence 1 is whitespace-only",
+                id="whitespace-only sentence span",
+            ),
+        ],
+    )
+    def test_error_exits_2_with_json(self, runner, tmp_path, doc_line, args, error, message):
+        paths = {
+            "docs": write(tmp_path, "docs.jsonl", doc_line + "\n"),
+            "sums": write(tmp_path, "sums.jsonl", SUM + "\n"),
+            "tmp": str(tmp_path),
+        }
+        args = [arg.format(**paths) for arg in args]
+        result = runner.invoke(main, ["score", paths["docs"], paths["sums"], *args])
+        assert result.exit_code == 2, result.stderr
+        assert result.stdout == ""
+        assert json.loads(result.stderr.strip().splitlines()[-1]) == {
+            "error": error,
+            "message": message.format(**paths),
+        }
+
     def test_blank_document_names_its_line(self, runner, tmp_path):
         docs = write(
             tmp_path, "docs.jsonl", '{"id": "d1", "text": "alpha."}\n{"id": "d2", "text": " \\t"}\n'
@@ -902,6 +936,24 @@ class TestBenchmark:
         serial = runner.invoke(main, ["benchmark", records])
         threaded = runner.invoke(main, ["benchmark", records, "--workers", "3"])
         assert serial.stdout == threaded.stdout
+
+    def test_nli_sent_builds_only_the_backend_pool(self, runner, tmp_path, monkeypatch):
+        # nli_sent extracts no claims, so its pairs are resolved on the
+        # caller's thread at any --workers; only the backend's batches run on a pool.
+        records = benchmark_file(tmp_path)
+        serial = runner.invoke(main, ["benchmark", records, "--mode", "nli_sent"])
+        built = []
+        init = ThreadPoolExecutor.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("max_workers", args[0] if args else None))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "__init__", counting)
+        result = runner.invoke(main, ["benchmark", records, "--mode", "nli_sent", "--workers", "4"])
+        assert result.exit_code == 0, result.stderr
+        assert built == [4]
+        assert result.stdout == serial.stdout
 
 
 class TestReadmeRunMetaKeys:

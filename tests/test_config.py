@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from sumfact import InputError, RunConfig, load_run_config
-from sumfact.config import ordered_map
+from sumfact.pipeline import ordered_map
 
 
 def config_file(tmp_path, **values):
@@ -199,6 +199,20 @@ class TestOrderedMap:
         assert list(ordered_map(lambda x: x * x, range(50), workers)) == [
             x * x for x in range(50)
         ]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_source_failure_comes_after_every_result_before_it(self, workers):
+        # As with ``map``, the items taken before the source fails are all
+        # yielded, then its error is raised.
+        def items():
+            yield from range(10)
+            raise KeyError("source")
+
+        got = []
+        with pytest.raises(KeyError, match="source"):
+            for result in ordered_map(lambda x: x * x, items(), workers):
+                got.append(result)
+        assert got == [x * x for x in range(10)]
 
     def test_pulls_at_most_two_items_per_worker_ahead(self):
         pulled = []

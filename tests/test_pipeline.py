@@ -407,10 +407,10 @@ class TestAttachClusters:
         assert attach_clusters(doc, CountingCoref([singleton, pair])).coref_clusters == (pair,)
 
 
-def resolved(pairs, extractor, coref_backend, mode, **kwargs):
+def resolved(pairs, extractor, coref_backend, mode, workers=1, **kwargs):
     """The items ``score_corpus`` hands the scorer for ``pairs``, block after
-    block, and the reports it yields."""
-    scorer = BlockRecorder(MockEntailmentBackend())
+    block, and the reports it yields, with a backend of ``workers``."""
+    scorer = BlockRecorder(MockEntailmentBackend(workers=workers))
     reports = list(score_corpus(pairs, scorer, extractor, coref_backend, mode, **kwargs))
     return [item for block in scorer.blocks for item in block], reports
 
@@ -617,12 +617,35 @@ class TestScoreCorpus:
         serial = list(score_corpus(pairs, Scorer(MockEntailmentBackend()), None, coref, "full"))
         threaded = list(
             score_corpus(
-                pairs, Scorer(MockEntailmentBackend(batch_size=2, workers=3)), None, coref,
-                "full", workers=3,
+                pairs, Scorer(MockEntailmentBackend(batch_size=2, workers=3)), None, coref, "full"
             )
         )
         assert serial == threaded
         assert [r.summary_id for r in serial] == [f"s{i}" for i in range(6)]
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_failing_pair_source_reports_every_pair_before_it(self, workers, monkeypatch):
+        # The source fails at the 11th of 20 pairs, across blocks of three
+        # items: at any worker count the reports of the ten pairs before it
+        # come first, then its error.
+        monkeypatch.setattr("sumfact.pipeline.BLOCK_PAIRS_PER_SLOT", 3)
+        docs = [doc_from_sentences(f"d{i}", [f"word{i} alpha.", "beta gamma."]) for i in range(20)]
+        pairs = sentence_pairs(docs, [f"word{i} beta." for i in range(20)])
+        cache = {summary.id: [summary.text] for _, summary in pairs}
+
+        def source():
+            yield from pairs[:10]
+            raise InputError("sums.jsonl changed during the run")
+
+        def scored(pairs, backend):
+            extractor = FileCacheExtractor(cache)
+            return score_corpus(pairs, Scorer(backend), extractor, NoopCorefBackend(), "full")
+
+        got = []
+        with pytest.raises(InputError, match="changed during the run"):
+            for report in scored(source(), MockEntailmentBackend(batch_size=2, workers=workers)):
+                got.append(report)
+        assert got == list(scored(pairs[:10], MockEntailmentBackend()))
 
     def test_pairs_are_taken_a_block_at_a_time(self, monkeypatch):
         # Items of two sentence-wave pairs, and blocks that close at 2 x 3 =
@@ -661,17 +684,15 @@ class TestScoreCorpus:
         cache = {summary.id: [summary.text] for _, summary in pairs}
         del cache["s3"]
 
-        def scored(pairs, scorer, workers=1):
+        def scored(pairs, scorer):
             extractor = FileCacheExtractor(cache)
-            return score_corpus(
-                pairs, scorer, extractor, NoopCorefBackend(), "full", workers=workers
-            )
+            return score_corpus(pairs, scorer, extractor, NoopCorefBackend(), "full")
 
         for workers in (1, 3):
-            scorer = BlockRecorder(MockEntailmentBackend(batch_size=2))
+            scorer = BlockRecorder(MockEntailmentBackend(batch_size=2, workers=workers))
             got = []
             with pytest.raises(ClaimCacheMiss, match="'s3'"):
-                for report in scored(pairs, scorer, workers):
+                for report in scored(pairs, scorer):
                     got.append(report)
             assert got == list(scored(pairs[:3], Scorer(MockEntailmentBackend())))
             blocks = [[c[0].summary_id for _, c, _ in block] for block in scorer.blocks]
@@ -709,10 +730,9 @@ class TestBlocks:
         pairs, cache = random_news_corpus(random.Random(4242), 24, 3)
         extractor, coref = FileCacheExtractor(cache), HeuristicCorefBackend()
 
-        def scored(pairs, backend, workers=1):
+        def scored(pairs, backend):
             return score_corpus(
-                pairs, Scorer(backend, self.PARAMS), extractor, coref, mode,
-                missing_ok=True, workers=workers,
+                pairs, Scorer(backend, self.PARAMS), extractor, coref, mode, missing_ok=True
             )
 
         expected = [
@@ -737,7 +757,7 @@ class TestBlocks:
                 backend = MockEntailmentBackend(
                     batch_size=batch_size, max_units=self.BUDGET, workers=workers
                 )
-                reports = scored(pairs, backend, workers)
+                reports = scored(pairs, backend)
                 assert [render_report(r) for r in reports] == rendered, (batch_size, workers)
 
     @settings(max_examples=30, deadline=None)
@@ -764,12 +784,10 @@ class TestBlocks:
             cache[f"s{u}"] = [text(c) for c in range(claims)]
         extractor = FileCacheExtractor(cache)
 
-        def scored(pairs, scorer, workers=1):
+        def scored(pairs, scorer):
             return [
                 render_report(report)
-                for report in score_corpus(
-                    pairs, scorer, extractor, NoopCorefBackend(), "full", workers=workers
-                )
+                for report in score_corpus(pairs, scorer, extractor, NoopCorefBackend(), "full")
             ]
 
         alone = Scorer(MockEntailmentBackend(), self.PARAMS)
@@ -779,7 +797,7 @@ class TestBlocks:
                 for workers in (1, 2):
                     backend = MockEntailmentBackend(batch_size=batch_size, workers=workers)
                     scorer = BlockRecorder(backend, self.PARAMS)
-                    assert scored(pairs, scorer, workers) == expected, (batch_size, workers)
+                    assert scored(pairs, scorer) == expected, (batch_size, workers)
                     items = [item for block in scorer.blocks for item in block]
                     assert [c[0].summary_id for _, c, _ in items] == [s.id for _, s in pairs]
                     cap = batch_size * per_slot

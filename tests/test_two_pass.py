@@ -179,6 +179,19 @@ MALFORMED.update({
         "sentence 1 has non-integer offsets",
         sentences=[{"start": 0, "end": 11}, {"start": "twelve", "end": 24}],
     ),
+    # Offsets are JSON integers: a fractional float, a numeric string or
+    # ``true`` is not truncated, parsed or taken as 1.
+    "fractional span offset": shape_case(
+        "sentence 0 has non-integer offsets", sentences=[{"start": 0.9, "end": 11}]
+    ),
+    "numeric-string span offset": shape_case(
+        "sentence 1 has non-integer offsets",
+        sentences=[{"start": 0, "end": 11}, {"start": 12, "end": "24"}],
+    ),
+    "boolean span offset": shape_case(
+        "sentence 1 has non-integer offsets",
+        sentences=[{"start": 0, "end": 11}, {"start": True, "end": 24}],
+    ),
     "empty span": shape_case(
         "sentence 0 span [5, 5) out of range", sentences=[{"start": 5, "end": 5}]
     ),
@@ -195,6 +208,18 @@ MALFORMED.update({
     "mention with a non-integer field": shape_case(
         "cluster 0 mention 1 needs integer 'sentence_index', 'start', 'end'",
         coref_clusters=[[mention(), mention(1, "zero", 5)]],
+    ),
+    "mention with a boolean sentence_index": shape_case(
+        "cluster 0 mention 1 needs integer 'sentence_index', 'start', 'end'",
+        coref_clusters=[[mention(), mention(True, 0, 5)]],
+    ),
+    "mention with a numeric-string start": shape_case(
+        "cluster 0 mention 1 needs integer 'sentence_index', 'start', 'end'",
+        coref_clusters=[[mention(), mention(1, "0", 5)]],
+    ),
+    "mention with a fractional end": shape_case(
+        "cluster 0 mention 1 needs integer 'sentence_index', 'start', 'end'",
+        coref_clusters=[[mention(), mention(1, 0, 3.7)]],
     ),
     "mention without a field": shape_case(
         "cluster 0 mention 0 needs integer 'sentence_index', 'start', 'end'",
