@@ -45,7 +45,11 @@ __all__ = [
     "tune_threshold",
     "run_benchmark",
     "config_fingerprint",
+    "PROTOCOLS",
 ]
+
+# The threshold-tuning protocols of :func:`run_benchmark`.
+PROTOCOLS = ("per_split", "single_threshold")
 
 # The score cache is saved after every this many scored records, so a run
 # that is killed keeps most of them.
@@ -339,7 +343,7 @@ def run_benchmark(
     Datasets are processed in sorted name order. ``bootstrap_seed=None``
     disables the spread estimate.
     """
-    if protocol not in ("per_split", "single_threshold"):
+    if protocol not in PROTOCOLS:
         raise InputError(f"unknown protocol {protocol!r}")
     if not records:
         raise InputError("benchmark needs at least one record")

@@ -13,15 +13,16 @@ import functools
 import json
 import logging
 import sys
-from typing import Iterable
+from contextlib import contextmanager
+from typing import Iterable, Iterator, TextIO
 
 import click
 
 from . import __version__, claim_metrics, formats, pipeline
 from . import benchmark as bench
-from .benchmark import ScoreCache
+from .benchmark import PROTOCOLS, ScoreCache
 from .claims import ClaimExtractor
-from .config import MODES, PROTOCOLS, load_run_config, scoring_params
+from .config import MODE_ALIASES, MODES, load_run_config, scoring_params
 from .coref import CorefBackend
 from .errors import BackendError, DegenerateLabels, InputError, SumfactError
 from .scoring import Scorer
@@ -64,20 +65,20 @@ def handle_errors(fn):
     return wrapper
 
 
-def _open_output(path: str):
+@contextmanager
+def _output(path: str) -> Iterator[TextIO]:
+    """The stream to write to: stdout, never closed, for ``-``; else the file."""
     if path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8") as stream:
+        yield stream
 
 
 def _write_lines(path: str, lines: Iterable[str]) -> None:
-    stream, owned = _open_output(path)
-    try:
+    with _output(path) as stream:
         for line in lines:
             stream.write(line + "\n")
-    finally:
-        if owned:
-            stream.close()
 
 
 def _write_run_meta(
@@ -195,12 +196,8 @@ def extract_claims(summaries, output, config_path, **flags) -> None:
         lambda s: [c.text for c in extractor.extract(s)], sums, config.workers
     )
     cache = dict(zip(rows, claim_lists))
-    stream, owned = _open_output(output)
-    try:
+    with _output(output) as stream:
         formats.write_claim_cache(stream, cache)
-    finally:
-        if owned:
-            stream.close()
 
 
 @main.command("eval-claims")
@@ -229,7 +226,7 @@ def eval_claims(system, human, output) -> None:
 @click.option("--output", "-o", default="-", help="Report JSON path ('-' = stdout).")
 @click.option("--scores-csv", default=None, help="Per-record audit CSV path.")
 @click.option("--protocol", type=click.Choice(PROTOCOLS), default=None)
-@click.option("--mode", type=click.Choice(MODES + ("fenice",)), default=None,
+@click.option("--mode", type=click.Choice((*MODES, *MODE_ALIASES)), default=None,
               help="Scoring pipeline variant (fenice is an alias for full).")
 @click.option("--cache-dir", default=None, help="Directory for score caches.")
 @click.option("--bootstrap-seed", type=int, default=None)
@@ -245,7 +242,7 @@ def benchmark(records, output, scores_csv, run_meta, config_path, **flags) -> No
     scorer = Scorer(backend, scoring_params(config))
     # A mode that scores summary sentences never reads claims, so its claim
     # backend is neither built nor reported.
-    sentences, _ = pipeline._mode(config.mode)
+    sentences, _ = MODES[config.mode]
     extractor = None if sentences else pipeline.make_claim_extractor(config)
     coref_backend = pipeline.make_coref_backend(config)
     cache = None

@@ -4,6 +4,8 @@ Every flag has a config-file key of the same meaning; precedence is
 flag > config file > built-in default. Credentials never live here, only the
 name of the environment variable holding them. ``workers`` reaches a
 scoring run once, as the NLI backend's, which claim extraction shares too.
+``MODES`` is the one table of the ablation modes, which validation, the
+pipeline and the CLI all read.
 
 Backend selectors are compact strings:
   NLI        "mock" | "local:<checkpoint>" | "remote:<url>"
@@ -19,19 +21,27 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
+from .benchmark import PROTOCOLS
 from .errors import InputError
 from .nli import MIN_UNITS
-from .scoring import ScoringParams
+from .scoring import ScoringParams, Stop
 
-__all__ = ["RunConfig", "load_run_config", "scoring_params", "MODES", "PROTOCOLS"]
+__all__ = ["RunConfig", "load_run_config", "scoring_params", "MODES", "MODE_ALIASES", "PROTOCOLS"]
 
-MODES = ("full", "nli_sent", "nli_claim", "nli_coref")
-PROTOCOLS = ("per_split", "single_threshold")
+# For each mode: whether it scores the summary's sentences verbatim instead
+# of its resolved claims, and where it stops the one scoring pipeline
+# (``None`` runs it to the end).
+MODES: dict[str, tuple[bool, Stop | None]] = {
+    "full": (False, None),
+    "nli_sent": (True, "sentence"),
+    "nli_claim": (False, "sentence"),
+    "nli_coref": (False, "coref"),
+}
 
 _LOG_LEVELS = ("error", "warning", "info", "debug")
 
 # The full pipeline also answers to this historical alias on the CLI.
-_MODE_ALIASES = {"fenice": "full"}
+MODE_ALIASES = {"fenice": "full"}
 
 
 @dataclass
@@ -71,7 +81,7 @@ class RunConfig:
         if self.protocol not in PROTOCOLS:
             raise InputError(f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
         if self.mode not in MODES:
-            raise InputError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise InputError(f"mode must be one of {tuple(MODES)}, got {self.mode!r}")
         if not 0 <= self.claim_max_retries <= 5:
             raise InputError("claim_max_retries must be between 0 and 5")
         if not (math.isfinite(self.claim_timeout) and self.claim_timeout > 0):
@@ -175,7 +185,7 @@ def load_run_config(
             raise InputError(f"unknown config override {key!r}")
         values[key] = _coerce(key, value)
     if "mode" in values:
-        values["mode"] = _MODE_ALIASES.get(str(values["mode"]), values["mode"])
+        values["mode"] = MODE_ALIASES.get(str(values["mode"]), values["mode"])
     config = RunConfig(**values)  # type: ignore[arg-type]
     config.validate()
     return config

@@ -99,8 +99,6 @@ class HeuristicCorefBackend:
             taken: list[tuple[int, int]] = []
             for m in _NAME_RUN_RE.finditer(s.text):
                 tokens = [t.lower() for t in WORD_RE.findall(m.group())]
-                if not tokens:
-                    continue
                 mention = Mention(s.index, m.start(), m.end(), m.group())
                 if len(tokens) == 1 and tokens[0] in _PRONOUNS:
                     pronouns.append(mention)
@@ -117,13 +115,8 @@ class HeuristicCorefBackend:
 
         # Group names by lowercased surface, in first-appearance order.
         groups: dict[str, list[Mention]] = {}
-        order: list[str] = []
         for mention in names:
-            key = mention.surface.lower()
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(mention)
+            groups.setdefault(mention.surface.lower(), []).append(mention)
 
         # Each pronoun joins the cluster of the nearest preceding name.
         positions = sorted(names, key=lambda m: (m.sentence_index, m.start))
@@ -134,8 +127,8 @@ class HeuristicCorefBackend:
                 groups[positions[i - 1].surface.lower()].append(pronoun)
 
         out: list[CorefCluster] = []
-        for key in order:
-            mentions = sorted(groups[key], key=lambda m: (m.sentence_index, m.start))
+        for group in groups.values():
+            mentions = sorted(group, key=lambda m: (m.sentence_index, m.start))
             if len(mentions) >= 2:
                 out.append(CorefCluster(tuple(mentions)))
         return out

@@ -2,10 +2,11 @@
 
 This layer owns the policies that span modules: the empty-claims fallback
 (summary sentences become the claims, flagged on the report), degradation to
-empty clusters when the coreference backend fails, the one table of what
-each mode scores and where it stops the scoring pipeline, the cut of a
-corpus into scoring blocks by work, and the one concurrency rule of claim
-resolution (:func:`ordered_map`, on the NLI backend's ``workers``).
+empty clusters when the coreference backend fails, what each mode scores
+and where it stops the scoring pipeline (as :data:`~sumfact.config.MODES`
+tables them), the cut of a corpus into scoring blocks by work, and the one
+concurrency rule of claim resolution (:func:`ordered_map`, on the NLI
+backend's ``workers``).
 :func:`score_corpus` is the one path from (document, summary) pairs to
 reports: it resolves the pairs as one stream and cuts it into blocks as the
 scorer needs them. The pairs come from the second pass of :mod:`~sumfact.formats`
@@ -30,7 +31,7 @@ from .claims import (
     LocalSeq2SeqExtractor,
     RemoteLlmExtractor,
 )
-from .config import RunConfig, scoring_params
+from .config import MODES, RunConfig, scoring_params
 from .coref import CorefBackend, HeuristicCorefBackend, NoopCorefBackend
 from .documents import Claim, Document, Summary, build_claims
 from .errors import ClaimCacheMiss, InputError
@@ -40,7 +41,7 @@ from .nli import (
     MockEntailmentBackend,
     RemoteEntailmentBackend,
 )
-from .scoring import FactualityReport, Item, Scorer, Stop
+from .scoring import FactualityReport, Item, Scorer
 
 __all__ = [
     "make_nli_backend",
@@ -136,7 +137,7 @@ def scorer_fingerprint(
         "mode": config.mode,
         **dataclasses.asdict(scoring_params(config)),
     }
-    sentences, _ = _mode(config.mode)
+    sentences, _ = MODES[config.mode]
     if not sentences:
         parts["claims"] = config.claim_backend
         parts["claim_model"] = config.claim_model
@@ -196,16 +197,6 @@ def attach_clusters(document: Document, backend: CorefBackend) -> Document:
     return dataclasses.replace(document, coref_clusters=clusters) if clusters else document
 
 
-# For each mode: whether it scores the summary's sentences verbatim instead
-# of its resolved claims, and where it stops the one scoring pipeline
-# (``None`` runs it to the end).
-_MODES: dict[str, tuple[bool, Stop | None]] = {
-    "full": (False, None),
-    "nli_sent": (True, "sentence"),
-    "nli_claim": (False, "sentence"),
-    "nli_coref": (False, "coref"),
-}
-
 # A scoring block gathers summaries until their sentence wave holds this many
 # pairs per slot of a backend batch (``nli_batch_size`` slots), so the scorer's
 # working set follows the work, not the count of summaries. It is large enough
@@ -254,12 +245,6 @@ def ordered_map(fn: Callable[[T], R], items: Iterable[T], workers: int) -> Itera
                 future.cancel()
 
 
-def _mode(mode: str) -> tuple[bool, Stop | None]:
-    if mode not in _MODES:
-        raise ValueError(f"unknown ablation mode {mode!r}")
-    return _MODES[mode]
-
-
 def score_corpus(
     pairs: Iterable[tuple[Document, Summary]],
     scorer: Scorer,
@@ -283,7 +268,9 @@ def score_corpus(
     Reports do not depend on the blocks or on ``workers``; an error taking
     or resolving a pair comes after the reports of every pair before it.
     """
-    sentences, stop = _mode(mode)
+    if mode not in MODES:
+        raise ValueError(f"unknown ablation mode {mode!r}")
+    sentences, stop = MODES[mode]
 
     def resolve(pair: tuple[Document, Summary]) -> Item:
         document, summary = pair

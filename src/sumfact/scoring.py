@@ -22,7 +22,8 @@ every gate miss. One selection rule
 serves every wave. Blocks change how pairs are batched, never a score or a
 span; the batch cap is :class:`~sumfact.nli.Inference`'s. One thread scores;
 the backend keeps batches in flight, and the next block's first wave is sent
-while the block before has its last wave in flight.
+while the block before has its last wave in flight; the block before is
+then read, and its reports yielded, at one place in the loop.
 
 The window wave builds one :class:`WindowTable` per document of its block:
 each (document, k) window's text and, with a budget, its size are built once
@@ -181,15 +182,6 @@ class FactualityReport:
     params: ScoringParams
 
 
-def _finish(block: Generator[bool, None, list[FactualityReport]]) -> list[FactualityReport]:
-    """Resume a block paused at its last wave: its reports."""
-    try:
-        block.send(None)
-    except StopIteration as done:
-        return done.value
-    raise RuntimeError("a block sent a wave after its last")
-
-
 def coref_variants(
     doc: Document, sentence_index: int, params: ScoringParams
 ) -> list[tuple[str, Substitution]]:
@@ -244,7 +236,9 @@ class Scorer:
     lives for one block: a pair is sent at most once per block.
     ``summaries`` counts the reports built and ``claims_fallback`` those of
     them that score the summary's sentences for want of claims. A scorer is
-    used from one thread; the backend keeps its own batches in flight.
+    used from one thread; the backend keeps its own batches in flight, and
+    at most two blocks are open at once: one waiting to be read, with its
+    last wave sent, and the next, sending its waves.
     """
 
     def __init__(self, backend: EntailmentBackend, params: ScoringParams | None = None):
@@ -276,31 +270,36 @@ class Scorer:
         reports, the pairs sent and the counters are those of that order,
         and so are failures: an error in taking the next block from
         ``blocks``, or in starting it, is raised after this block's reports.
+
+        Each turn of the loop takes the next block and sends its first wave,
+        holding any error; then reads the waiting block and yields its
+        reports, the one place a block is read; then raises the held error
+        or ends with ``blocks``; then sends the new block's later waves and
+        leaves it waiting. Closing the iterator closes both blocks, which
+        cancels their batches not yet started.
         """
         waiting = block = None  # a block with its last wave sent; the block after it
         blocks = iter(blocks)
         try:
             while True:
+                error = items = None
                 try:
                     items = next(blocks, None)
-                    if items is None:
-                        break
-                    block = self._block(items, stop)
-                    last = next(block)
-                except Exception:
-                    if waiting is not None:
-                        reports, waiting = _finish(waiting), None
-                        yield reports
-                    raise
+                    if items is not None:
+                        block = self._block(items, stop)
+                        last = next(block)
+                except Exception as caught:
+                    error = caught
                 if waiting is not None:
-                    reports, waiting = _finish(waiting), None
+                    reports, waiting = waiting.send(None), None
                     yield reports
+                if error is not None:
+                    raise error
+                if items is None:
+                    return
                 while not last:
                     last = block.send(None)
                 waiting, block = block, None
-            if waiting is not None:
-                reports, waiting = _finish(waiting), None
-                yield reports
         finally:
             for started in (waiting, block):
                 if started is not None:
@@ -308,8 +307,12 @@ class Scorer:
 
     def _block(
         self, items: Sequence[Item], stop: Stop | None
-    ) -> Generator[bool, None, list[FactualityReport]]:
-        """Score one block; paused after sending each wave (see :meth:`_wave`)."""
+    ) -> Generator[bool | list[FactualityReport], None, None]:
+        """Score one block: paused after sending each wave (see :meth:`_wave`), then its reports.
+
+        Each wave's pause yields whether it was the last; resumed after the
+        last, the block reads it and yields the reports.
+        """
         jobs: list[tuple[Document, Claim]] = []
         for doc, claims, _ in items:
             if not claims:
@@ -333,7 +336,7 @@ class Scorer:
             )
             self.summaries += 1
             self.claims_fallback += claims_fallback
-        return reports
+        yield reports
 
     def _wave(
         self,

@@ -186,7 +186,7 @@ def window_stage(scorer, doc, claim, k: int):
     at any ``k``, or the window and document spans of a claim whose verdict
     another stage won.
     """
-    from sumfact.scoring import WindowTable, _finish
+    from sumfact.scoring import WindowTable
 
     table = WindowTable(doc, scorer.backend, {})
     k = min(k, table.n)
@@ -194,7 +194,11 @@ def window_stage(scorer, doc, claim, k: int):
     request = (candidates, claim, "document" if k == table.n else "window")
     wave = scorer._wave([request], True, {}, table.sizes, None)
     next(wave)
-    return _finish(wave)[0]
+    try:
+        wave.send(None)
+    except StopIteration as done:
+        return done.value[0]
+    raise AssertionError("a wave paused twice")
 
 
 def window_candidates(sentences, k: int, room, measure):

@@ -13,7 +13,15 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from sumfact import MockEntailmentBackend, RunConfig, pipeline
+from sumfact import (
+    MockEntailmentBackend,
+    NoopCorefBackend,
+    RunConfig,
+    Scorer,
+    ScoringParams,
+    formats,
+    pipeline,
+)
 from sumfact.cli import main
 
 import oracles
@@ -164,6 +172,36 @@ class TestScore:
         payload = json.loads(result.stdout)
         assert payload["verdicts"][0]["stage"] == "multi_granularity"
         assert payload["verdicts"][0]["score"] == 1.0
+
+    def test_monotone_gate_from_flag_and_config_file(self, runner, tmp_path):
+        # The coref score 2/3 misses the gate; the document scores -1.
+        docs = write(
+            tmp_path,
+            "docs.jsonl",
+            '{"id": "d1", "text": "alpha beta gamma. delta epsilon not zeta."}\n',
+        )
+        sums = write(
+            tmp_path, "sums.jsonl", '{"id": "s1", "document_id": "d1", "text": "alpha beta zeta."}\n'
+        )
+        on = write(tmp_path, "on.json", '{"monotone_gate": true}')
+        base = ["score", docs, sums, "--claim-backend", "none"]
+
+        def claim_score(*args):
+            result = runner.invoke(main, base + list(args))
+            assert result.exit_code == 0, result.stderr
+            return result.stdout, json.loads(result.stdout)["verdicts"][0]["score"]
+
+        assert claim_score()[1] == -1.0
+        assert claim_score("--config", on, "--no-monotone-gate")[1] == -1.0
+        by_flag, score = claim_score("--monotone-gate")
+        assert score == pytest.approx(2 / 3)
+        assert claim_score("--config", on) == (by_flag, score)
+        pairs = formats.read_corpus(
+            docs, formats.index_documents(docs), sums, formats.index_summaries(sums)
+        )
+        scorer = Scorer(MockEntailmentBackend(), ScoringParams(monotone_gate=True))
+        reports = pipeline.score_corpus(pairs, scorer, None, NoopCorefBackend(), "full")
+        assert by_flag == "".join(formats.render_report(r) + "\n" for r in reports)
 
     def test_run_meta(self, runner, tmp_path):
         docs, sums, claims = corpus(tmp_path)

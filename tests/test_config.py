@@ -109,7 +109,9 @@ class TestCoercion:
         path = config_file(tmp_path, nli_max_units="128")
         assert load_run_config(path).nli_max_units == 128
 
-    @pytest.mark.parametrize("raw,expected", [("true", True), ("no", False), ("1", True)])
+    @pytest.mark.parametrize(
+        "raw,expected", [("true", True), ("no", False), ("1", True), (True, True), (False, False)]
+    )
     def test_bool_strings(self, raw, expected):
         config = load_run_config(None, {"monotone_gate": raw})
         assert config.monotone_gate is expected
