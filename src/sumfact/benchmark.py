@@ -11,7 +11,8 @@ score stored with a digest of the record's line so that an edited record is
 scored again; tuning and evaluation never call back into the scorer. Tuning
 and evaluation need only a record's labels, so a run holds light rows
 (:class:`BenchmarkRow`), and a record's document and summary are read only
-when it is scored.
+when it is scored. Each record's facts are held once: its row, its score at
+the row's position in one list, and its digest as bytes.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ __all__ = [
     "ThresholdResult",
     "DatasetResult",
     "BenchmarkReport",
-    "RecordScore",
     "ScoreCache",
     "balanced_accuracy",
     "binarize",
@@ -92,19 +92,6 @@ class ThresholdResult:
     confusion: Confusion
 
 
-@dataclass(frozen=True, slots=True)
-class RecordScore:
-    """Per-record audit row: raw score plus the applied binarization."""
-
-    record_id: str
-    dataset: str
-    split: str
-    system: str
-    gold_label: bool
-    score: float
-    prediction: bool
-
-
 @dataclass(frozen=True)
 class DatasetResult:
     dataset: str
@@ -118,11 +105,14 @@ class DatasetResult:
 
 @dataclass(frozen=True)
 class BenchmarkReport:
+    """The results, and the rows :func:`run_benchmark` was given with their scores by position."""
+
     protocol: str
     datasets: tuple[DatasetResult, ...]
     average_balanced_accuracy: float
     pooled_threshold: float | None
-    records: tuple[RecordScore, ...]
+    rows: Sequence[BenchmarkRow]
+    scores: list[float]
 
 
 def _confusion(predictions: Sequence[bool], golds: Sequence[bool]) -> Confusion:
@@ -341,17 +331,19 @@ def run_benchmark(
     ``per_split`` tunes one threshold per dataset on its validation split;
     ``single_threshold`` tunes once on all validation records pooled.
     Datasets are processed in sorted name order. ``bootstrap_seed=None``
-    disables the spread estimate.
+    disables the spread estimate. The report holds ``records`` itself, not
+    a copy, as its ``rows``.
     """
     if protocol not in PROTOCOLS:
         raise InputError(f"unknown protocol {protocol!r}")
     if not records:
         raise InputError("benchmark needs at least one record")
-    by_dataset: dict[str, dict[str, list[BenchmarkRow]]] = {}
-    for record in records:
+    # The positions in ``records`` of each dataset's records, by split.
+    by_dataset: dict[str, dict[str, list[int]]] = {}
+    for i, record in enumerate(records):
         by_dataset.setdefault(record.dataset, {"validation": [], "test": []})[
             record.split
-        ].append(record)
+        ].append(i)
     for name in sorted(by_dataset):
         for split in ("validation", "test"):
             if not by_dataset[name][split]:
@@ -359,32 +351,23 @@ def run_benchmark(
 
     scores = _score_records(records, score_records, cache)
 
-    def split_scores(name: str, split: str) -> tuple[list[float], list[bool]]:
-        rows = by_dataset[name][split]
-        return [scores[r.record_id] for r in rows], [r.gold_label for r in rows]
+    def split_scores(positions: list[int]) -> tuple[list[float], list[bool]]:
+        return [scores[i] for i in positions], [records[i].gold_label for i in positions]
 
     names = sorted(by_dataset)
     pooled_threshold: float | None = None
-    thresholds: dict[str, float] = {}
     if protocol == "single_threshold":
-        pooled_scores: list[float] = []
-        pooled_golds: list[bool] = []
-        for name in names:
-            s, g = split_scores(name, "validation")
-            pooled_scores.extend(s)
-            pooled_golds.extend(g)
-        pooled_threshold = tune_threshold(pooled_scores, pooled_golds).threshold
-        thresholds = {name: pooled_threshold for name in names}
-    else:
-        for name in names:
-            s, g = split_scores(name, "validation")
-            thresholds[name] = tune_threshold(s, g).threshold
+        pooled = [i for name in names for i in by_dataset[name]["validation"]]
+        pooled_threshold = tune_threshold(*split_scores(pooled)).threshold
 
     rng = random.Random(bootstrap_seed) if bootstrap_seed is not None else None
     results = []
     for name in names:
-        threshold = thresholds[name]
-        test_scores, test_golds = split_scores(name, "test")
+        splits = by_dataset[name]
+        threshold = pooled_threshold
+        if threshold is None:
+            threshold = tune_threshold(*split_scores(splits["validation"])).threshold
+        test_scores, test_golds = split_scores(splits["test"])
         predictions = binarize(test_scores, threshold)
         ba = balanced_accuracy(predictions, test_golds)
         std = (
@@ -399,50 +382,39 @@ def run_benchmark(
                 balanced_accuracy=ba,
                 confusion=_confusion(predictions, test_golds),
                 bootstrap_std=std,
-                n_validation=len(by_dataset[name]["validation"]),
-                n_test=len(by_dataset[name]["test"]),
+                n_validation=len(splits["validation"]),
+                n_test=len(splits["test"]),
             )
         )
     average = sum(r.balanced_accuracy for r in results) / len(results)
-    audit = tuple(
-        RecordScore(
-            record_id=r.record_id,
-            dataset=r.dataset,
-            split=r.split,
-            system=r.system,
-            gold_label=r.gold_label,
-            score=scores[r.record_id],
-            prediction=scores[r.record_id] >= thresholds[r.dataset],
-        )
-        for r in records
-    )
-    return BenchmarkReport(protocol, tuple(results), average, pooled_threshold, audit)
+    return BenchmarkReport(protocol, tuple(results), average, pooled_threshold, records, scores)
 
 
 def _score_records(
     records: Sequence[BenchmarkRow],
     score_records: Callable[[list[BenchmarkRow]], Iterable[float]],
     cache: "ScoreCache | None",
-) -> dict[str, float]:
-    scores: dict[str, float] = {}
-    pending: list[BenchmarkRow] = []
+) -> list[float]:
+    """The score of each record, by position: from the cache, or else from ``score_records``."""
+    scores = [math.nan] * len(records)
+    pending: list[int] = []  # positions of the records the cache cannot answer
     seen: set[str] = set()
-    for record in records:
+    for i, record in enumerate(records):
         if record.record_id in seen:
             raise InputError(f"duplicate record id '{record.record_id}'")
         seen.add(record.record_id)
         cached = cache.get(record.record_id, record.digest) if cache is not None else None
         if cached is not None:
-            scores[record.record_id] = cached
+            scores[i] = cached
         else:
-            pending.append(record)
+            pending.append(i)
     if pending:
         try:
-            scored = zip(pending, score_records(pending), strict=True)
-            for n, (record, score) in enumerate(scored, start=1):
-                scores[record.record_id] = score
+            scored = zip(pending, score_records([records[i] for i in pending]), strict=True)
+            for n, (i, score) in enumerate(scored, start=1):
+                scores[i] = score
                 if cache is not None:
-                    cache.put(record.record_id, score, record.digest)
+                    cache.put(records[i].record_id, score, records[i].digest)
                     if n % CHECKPOINT_RECORDS == 0:
                         cache.save()
         finally:
@@ -465,16 +437,17 @@ class ScoreCache:
     configuration hashes to a different file, so stale scores can never leak
     across configurations. The file is a JSON object keyed by record id;
     each entry is ``[score, "<hex digest>"]``, the digest of the record's
-    line when it was scored. A cached score answers only a record with the
-    same digest, so an edited record is scored again. A plain score, as a
-    cache written before digests were stored holds, is checked but answers
-    no record and is not written back, so such a cache is scored again once.
+    line when it was scored (held in memory as its 16 bytes). A cached score
+    answers only a record with the same digest, so an edited record is
+    scored again. A plain score, as a cache written before digests were
+    stored holds, is checked but answers no record and is not written back,
+    so such a cache is scored again once.
     """
 
     def __init__(self, directory: str, fingerprint: str):
         self.path = os.path.join(directory, f"scores-{fingerprint}.json")
-        # record id -> (score, hex digest)
-        self._entries: dict[str, tuple[float, str]] = {}
+        # record id -> (score, 16-byte digest)
+        self._entries: dict[str, tuple[float, bytes]] = {}
         self._dirty = False
         if os.path.exists(self.path):
             with open(self.path, "r", encoding="utf-8") as fh:
@@ -501,17 +474,17 @@ class ScoreCache:
                 if not math.isfinite(score):
                     raise InputError(f"score cache {self.path}: entry '{key}' is not a number")
                 if digest is not None:
-                    self._entries[key] = (score, digest)
+                    self._entries[key] = (score, bytes.fromhex(digest))
 
     def get(self, record_id: str, digest: bytes) -> float | None:
         """The cached score of ``record_id``, if it was stored with ``digest``."""
         entry = self._entries.get(record_id)
-        if entry is None or entry[1] != digest.hex():
+        if entry is None or entry[1] != digest:
             return None
         return entry[0]
 
     def put(self, record_id: str, score: float, digest: bytes) -> None:
-        self._entries[record_id] = (score, digest.hex())
+        self._entries[record_id] = (score, digest)
         self._dirty = True
 
     def save(self) -> None:
@@ -520,7 +493,11 @@ class ScoreCache:
         os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
         tmp = self.path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(self._entries, sort_keys=True))
+            # ``default`` writes each digest as the hex string the file holds;
+            # flat entries cannot cycle, so no digest pays the circular check.
+            fh.write(
+                json.dumps(self._entries, sort_keys=True, default=bytes.hex, check_circular=False)
+            )
         os.replace(tmp, self.path)
         self._dirty = False
 

@@ -272,7 +272,7 @@ def benchmark(records, output, scores_csv, run_meta, config_path, **flags) -> No
     _write_lines(output, [formats.dumps_fixed(formats.benchmark_report_to_dict(report, config.mode))])
     if scores_csv:
         with open(scores_csv, "w", encoding="utf-8", newline="") as fh:
-            formats.write_scores_csv(fh, report.records)
+            formats.write_scores_csv(fh, report)
     _write_run_meta(
         run_meta,
         scorer,

@@ -119,12 +119,6 @@ class Document:
                         f"{m.surface!r} does not match its span"
                     )
 
-    @classmethod
-    def from_text(
-        cls, id: str, text: str, *, coref_clusters: Iterable[CorefCluster] = ()
-    ) -> "Document":
-        return cls(id, text, tuple(segment(text)), tuple(coref_clusters))
-
 
 @dataclass(frozen=True)
 class Summary:
@@ -141,10 +135,6 @@ class Summary:
         if not self.document_id:
             raise ValueError(f"summary '{self.id}' has no document id")
         _validate_sentences(self.text, self.sentences, f"summary '{self.id}'")
-
-    @classmethod
-    def from_text(cls, id: str, document_id: str, text: str) -> "Summary":
-        return cls(id, document_id, text, tuple(segment(text)))
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii as _encode_str  # json.dumps of a str
 from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .benchmark import BenchmarkReport, BenchmarkRow, RecordScore
+from .benchmark import BenchmarkReport, BenchmarkRow
 from .documents import (
     CorefCluster,
     Document,
@@ -429,12 +429,18 @@ def load_benchmark_records(path: str) -> list[BenchmarkRow]:
     same message, but texts are not segmented: segmenting fails only on
     blank text, which is checked instead. Rows hold the labels and each
     line's byte offset, for :func:`read_benchmark_records`, and the digest of
-    the line, for the score cache.
+    the line, for the score cache. A repeated record id is reported at its
+    line, after that line's own checks.
     """
     rows = []
+    ids: set[str] = set()
     for line_number, offset, line, record in _read_jsonl(path):
-        labels, _ = _benchmark_record(record, f"{path}:{line_number}", whole_text)
+        where = f"{path}:{line_number}"
+        labels, _ = _benchmark_record(record, where, whole_text)
         record_id, gold_label, *names = labels
+        if record_id in ids:
+            raise InputError(f"{where}: duplicate record id '{record_id}'")
+        ids.add(record_id)
         digest = _line_digest(line)
         rows.append(BenchmarkRow(record_id, gold_label, *map(sys.intern, names), offset, digest))
     return rows
@@ -547,13 +553,16 @@ def benchmark_report_to_dict(report: BenchmarkReport, mode: str | None = None) -
     return out
 
 
-def write_scores_csv(stream: IO[str], rows: Iterable[RecordScore]) -> None:
-    """Per-record audit CSV; scores use the same 6-decimal rendering."""
+def write_scores_csv(stream: IO[str], report: BenchmarkReport) -> None:
+    """Per-record audit CSV, in the order of the report's rows; scores use the
+    same 6-decimal rendering, and a prediction binarizes the score at its
+    dataset's threshold (:func:`~sumfact.benchmark.binarize`)."""
+    thresholds = {r.dataset: r.threshold for r in report.datasets}
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(
         ["record_id", "dataset", "split", "system", "gold_label", "score", "prediction"]
     )
-    for row in rows:
+    for row, score in zip(report.rows, report.scores, strict=True):
         writer.writerow(
             [
                 row.record_id,
@@ -561,7 +570,7 @@ def write_scores_csv(stream: IO[str], rows: Iterable[RecordScore]) -> None:
                 row.split,
                 row.system,
                 "factual" if row.gold_label else "not_factual",
-                f"{row.score:.6f}",
-                "factual" if row.prediction else "not_factual",
+                f"{score:.6f}",
+                "factual" if score >= thresholds[row.dataset] else "not_factual",
             ]
         )

@@ -22,6 +22,7 @@ from sumfact import (
     MockEntailmentBackend,
     Sentence,
     Summary,
+    segment,
 )
 from sumfact.benchmark import BenchmarkRow
 from sumfact.nli import TextTable, _checked
@@ -53,6 +54,12 @@ def doc_from_sentences(doc_id, texts, clusters=()):
         )
         built.append(CorefCluster(mentions))
     return Document(doc_id, text, tuple(sentences), tuple(built))
+
+
+def from_text(cls, *fields):
+    """A :class:`Document` or :class:`Summary` of its ``fields`` (its text
+    last: ``id, text`` or ``id, document_id, text``), cut by :func:`segment`."""
+    return cls(*fields, tuple(segment(fields[-1])))
 
 
 def triples(backend, pairs):
@@ -234,12 +241,12 @@ def random_news_corpus(rng: random.Random, n_docs: int, summaries_per_doc: int):
             else:
                 name = rng.choice(NAMES)
                 texts.append(f"{name} saw the {words}.")
-        document = Document.from_text(f"d{d}", " ".join(texts))
+        document = from_text(Document, f"d{d}", " ".join(texts))
         shared = f"{rng.choice(NAMES)} saw the {rng.choice(VOCAB)} {rng.choice(VOCAB)}."
         for k in range(summaries_per_doc):
             sid = f"d{d}-s{k}"
             picked = [rng.choice(texts) for _ in range(rng.randint(1, 3))]
-            summary = Summary.from_text(sid, document.id, " ".join(picked))
+            summary = from_text(Summary, sid, document.id, " ".join(picked))
             pairs.append((document, summary))
             if rng.random() < 0.8:
                 claims = [shared] + rng.sample(texts + resolved, min(3, len(texts)))

@@ -1,5 +1,7 @@
 """Benchmark harness: balanced accuracy, threshold tuning, caching, bootstrap."""
 
+import csv
+import io
 import json
 import math
 import random
@@ -20,6 +22,7 @@ from sumfact import (
     tune_threshold,
 )
 from sumfact.benchmark import _bootstrap_std, config_fingerprint
+from sumfact.formats import write_scores_csv
 from sumfact.pipeline import ordered_map
 
 import oracles
@@ -278,12 +281,17 @@ class TestRunBenchmark:
 
     def test_audit_rows_keep_input_order(self):
         report = run_benchmark(SPLIT_RECORDS, scorer_from(SPLIT_SCORES), "per_split")
-        assert [r.record_id for r in report.records] == [r.record_id for r in SPLIT_RECORDS]
-        by_id = {r.record_id: r for r in report.records}
-        assert by_id["a3"].score == pytest.approx(0.55)
-        assert by_id["a3"].prediction is True
-        assert by_id["a4"].prediction is False
-        assert by_id["b4"].split == "test" and by_id["b4"].dataset == "B"
+        # The report holds the rows it was given, and each one's score at its position.
+        assert report.rows is SPLIT_RECORDS
+        assert report.scores == [SPLIT_SCORES[r.record_id] for r in SPLIT_RECORDS]
+        # Each CSV prediction applies its own dataset's threshold (A: 0.5, B: 0.25).
+        buffer = io.StringIO()
+        write_scores_csv(buffer, report)
+        rows = list(csv.DictReader(io.StringIO(buffer.getvalue())))
+        assert [row["record_id"] for row in rows] == [r.record_id for r in SPLIT_RECORDS]
+        predictions = {row["record_id"]: row["prediction"] for row in rows}
+        assert predictions["a3"] == predictions["b3"] == "factual"
+        assert predictions["a4"] == predictions["b4"] == "not_factual"
 
     def test_unknown_protocol(self):
         with pytest.raises(InputError, match="protocol"):
@@ -459,12 +467,16 @@ class TestScoreCache:
         assert (tmp_path / "scores-fpB.json").exists()
 
     def test_cache_file_is_sorted_json(self, tmp_path):
+        # An entry loaded from disk is written back with the digest it was read with.
+        loaded = [0.3, "0123456789abcdef" * 2]
+        (tmp_path / "scores-order.json").write_text(json.dumps({"mm": loaded}))
         cache = ScoreCache(str(tmp_path), "order")
         cache.put("zz", 0.1, D1)
         cache.put("aa", 0.2, D2)
         cache.save()
         text = (tmp_path / "scores-order.json").read_text()
-        assert text == json.dumps({"aa": [0.2, "02" * 16], "zz": [0.1, "01" * 16]}, sort_keys=True)
+        expected = {"aa": [0.2, "02" * 16], "mm": loaded, "zz": [0.1, "01" * 16]}
+        assert text == json.dumps(expected, sort_keys=True)
 
     def test_scores_before_a_backend_failure_are_saved(self, tmp_path):
         def failing(pending):

@@ -23,11 +23,12 @@ from sumfact import (
 )
 from sumfact.pipeline import make_claim_extractor
 
+from cases import from_text
 from stubserver import StubServer, dead_url
 
 
 def summary(text="The rover found evidence of water. The mission continues.", sid="s1"):
-    return Summary.from_text(sid, "d1", text)
+    return from_text(Summary, sid, "d1", text)
 
 
 class TestPrompt:

@@ -19,6 +19,7 @@ from sumfact import (
     RunConfig,
     Scorer,
     ScoringParams,
+    SumfactError,
     formats,
     pipeline,
 )
@@ -1037,6 +1038,20 @@ class TestTopLevel:
         result = runner.invoke(main, ["--version"])
         assert result.exit_code == 0
         assert "0.1.0" in result.stdout
+
+    def test_other_toolkit_error_exits_1_with_json(self, runner, tmp_path, monkeypatch):
+        def fail(path):
+            raise SumfactError("boom")
+
+        monkeypatch.setattr(formats, "index_documents", fail)
+        docs, sums, _ = corpus(tmp_path)
+        result = runner.invoke(main, ["score", docs, sums])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert json.loads(result.stderr.strip().splitlines()[-1]) == {
+            "error": "SumfactError",
+            "message": "boom",
+        }
 
 
 HTTP_STACK = ("requests", "urllib3", "charset_normalizer")

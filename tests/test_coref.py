@@ -9,12 +9,13 @@ import pytest
 from sumfact import Document, HeuristicCorefBackend, NoopCorefBackend
 
 import oracles
+from cases import from_text
 
 PRONOUNS = {"she", "he", "they", "his", "her", "him", "them", "their"}
 
 
 def doc(text):
-    return Document.from_text("d", text)
+    return from_text(Document, "d", text)
 
 
 def mention_view(cluster):
@@ -77,7 +78,8 @@ class TestHeuristicBackend:
         assert HeuristicCorefBackend(max_sentences=1).clusters(d) == []
         # Each document cut is recorded once, in the order met; one that fits is not.
         backend = HeuristicCorefBackend(max_sentences=2)
-        for document in (d, Document.from_text("e", "Bob ran."), Document.from_text("f", text), d):
+        others = from_text(Document, "e", "Bob ran."), from_text(Document, "f", text)
+        for document in (d, *others, d):
             backend.clusters(document)
         assert list(backend.truncated) == ["d", "f"]
         backend = HeuristicCorefBackend(max_sentences=3)
@@ -114,14 +116,19 @@ class TestHeuristicBackend:
 
     def test_matches_reference_linking_on_generated_documents(self):
         rng = random.Random(17)
+        documents = [self.generated_doc(rng, n) for n in [1, 2, 3, 5, 8, 13, 40, 120] * 6]
+        # A lowercase pronoun inside a name run is part of the name, not a mention.
+        documents.append(doc("Anne-her met Bob. She smiled at him."))
         linked = 0
-        for n in [1, 2, 3, 5, 8, 13, 40, 120] * 6:
-            d = self.generated_doc(rng, n)
+        for d in documents:
             for cap in (None, 1, 4):
                 got = HeuristicCorefBackend(max_sentences=cap).clusters(d)
                 assert [mention_view(c) for c in got] == oracles.coref_clusters(d, cap)
                 linked += sum(m.surface.lower() in PRONOUNS for c in got for m in c.mentions)
         assert linked > 1000
+        assert oracles.coref_clusters(documents[-1]) == [
+            [(0, 13, 16, "Bob"), (1, 0, 3, "She"), (1, 14, 17, "him")]
+        ]
 
 
 class TestWrappers:

@@ -22,7 +22,7 @@ from sumfact import (
 from sumfact.documents import _ABBREVIATIONS, _ASCII_WORDS, WORD_RE, words
 
 import oracles
-from cases import doc_from_sentences, random_case
+from cases import doc_from_sentences, from_text, random_case
 
 
 def spans_of(text):
@@ -84,7 +84,7 @@ class TestSegmenter:
         rng = random.Random(7)
         for i in range(50):
             doc, _, _ = random_case(rng, i)
-            rebuilt = Document.from_text(doc.id, doc.text)
+            rebuilt = from_text(Document, doc.id, doc.text)
             assert rebuilt.sentences == doc.sentences
 
     # Words (some of them abbreviations, some behind an opening bracket or
@@ -197,10 +197,6 @@ class TestDocumentModel:
         with pytest.raises(ValueError, match="at least 2"):
             CorefCluster((Mention(0, 0, 5, "alpha"),))
 
-    def test_from_text_segments(self):
-        doc = Document.from_text("d", "One. Two.")
-        assert [s.text for s in doc.sentences] == ["One.", "Two."]
-
     def test_builder_helper_valid(self):
         doc = doc_from_sentences("d", ["alpha beta.", "gamma delta."], [[(0, 0, 5), (1, 0, 5)]])
         assert doc.text == "alpha beta. gamma delta."
@@ -210,10 +206,6 @@ class TestDocumentModel:
     def test_summary_requires_document_id(self):
         with pytest.raises(ValueError, match="document id"):
             Summary("s", "", "alpha.", (Sentence(0, 0, 6, "alpha."),))
-
-    def test_summary_from_text(self):
-        s = Summary.from_text("s", "d", "One. Two.")
-        assert len(s.sentences) == 2
 
     def test_claim_validation(self):
         with pytest.raises(ValueError, match="empty"):

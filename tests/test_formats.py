@@ -16,7 +16,7 @@ from sumfact import (
     Scorer,
     ScoringParams,
 )
-from sumfact.benchmark import RecordScore, run_benchmark
+from sumfact.benchmark import BenchmarkReport, Confusion, DatasetResult, run_benchmark
 from sumfact.formats import (
     benchmark_report_to_dict,
     dumps_fixed,
@@ -532,36 +532,46 @@ class TestBenchmarkReportDict:
         assert '"average_balanced_accuracy": 1.000000' in text
 
 
-def render_scores_csv(rows):
+def render_scores_csv(report):
     buffer = io.StringIO()
-    write_scores_csv(buffer, rows)
+    write_scores_csv(buffer, report)
     return buffer.getvalue()
 
 
 class TestScoresCsv:
-    ROWS = [
-        RecordScore("r1", "cnndm", "test", "sys", True, 0.5, True),
-        RecordScore("r2", "cnndm", "test", "sys", False, -0.25, False),
-    ]
+    # Dataset "cnndm" is tuned at 0.0, so a score at or above 0.0 reads factual.
+    REPORT = BenchmarkReport(
+        "per_split",
+        (DatasetResult("cnndm", 0.0, 0.75, Confusion(1, 1, 1, 0), None, 0, 3),),
+        0.75,
+        None,
+        [
+            benchmark_row("r1", "cnndm", "test", True),
+            benchmark_row("r2", "cnndm", "test", False),
+            benchmark_row("r3", "cnndm", "test", False),
+        ],
+        [0.5, -0.25, 0.0],
+    )
 
     def test_golden_output(self):
         expected = (
             "record_id,dataset,split,system,gold_label,score,prediction\n"
             "r1,cnndm,test,sys,factual,0.500000,factual\n"
             "r2,cnndm,test,sys,not_factual,-0.250000,not_factual\n"
+            "r3,cnndm,test,sys,not_factual,0.000000,factual\n"
         )
-        assert render_scores_csv(self.ROWS) == expected
+        assert render_scores_csv(self.REPORT) == expected
 
     def test_write_matches_render(self, tmp_path):
         # A file opened the way the benchmark command opens it gets the same text.
         path = tmp_path / "scores.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            write_scores_csv(fh, self.ROWS)
-        assert path.read_bytes().decode("utf-8") == render_scores_csv(self.ROWS)
+            write_scores_csv(fh, self.REPORT)
+        assert path.read_bytes().decode("utf-8") == render_scores_csv(self.REPORT)
 
     def test_benchmark_records_render(self):
         report = sample_benchmark("per_split")
-        text = render_scores_csv(report.records)
+        text = render_scores_csv(report)
         lines = text.strip().split("\n")
         assert len(lines) == 1 + 4
         assert lines[1].startswith("v1,A,validation,sys,factual,0.900000,")

@@ -88,7 +88,8 @@ def error_of(result):
 
 
 # Each malformed record sits on line 5, after four good ones. The messages
-# are those the one-pass loader gave, each naming the line once.
+# are those the one-pass loader gave, each naming the line once; a duplicate
+# id, which that loader reported without its line, names it too.
 MALFORMED = {
     "blank document": (
         json.dumps(record("x", "test", "factual", document="  \t ")),
@@ -144,7 +145,7 @@ MALFORMED = {
     "duplicate id": (
         json.dumps(record("v1", "test", "factual")),
         "InputError",
-        "duplicate record id 'v1'",
+        "{path}:5: duplicate record id 'v1'",
     ),
     "invalid JSON": (
         '{"record_id": "x", "document": ',
