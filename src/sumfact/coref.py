@@ -12,7 +12,7 @@ import re
 from bisect import bisect_left
 from typing import Protocol
 
-from .documents import CorefCluster, Document, Mention, WORD_RE
+from .documents import CorefCluster, Document, Mention, words
 
 __all__ = ["CorefBackend", "NoopCorefBackend", "HeuristicCorefBackend"]
 
@@ -59,8 +59,11 @@ _CAP_STOP = frozenset(
     }
 )
 
-_NAME_RUN_RE = re.compile(r"[A-Z][A-Za-z'’-]*(?:\s+[A-Z][A-Za-z'’-]*)*")
-_LOWER_PRONOUN_RE = re.compile(r"\b(?:%s)\b" % "|".join(sorted(_PRONOUNS)))
+# A run of capitalized words, or else a lowercase pronoun; a pronoun inside a
+# run is part of the run.
+_MENTION_RE = re.compile(
+    r"[A-Z][A-Za-z'’-]*(?:\s+[A-Z][A-Za-z'’-]*)*|\b(?:%s)\b" % "|".join(sorted(_PRONOUNS))
+)
 
 
 class HeuristicCorefBackend:
@@ -96,22 +99,12 @@ class HeuristicCorefBackend:
         names: list[Mention] = []
         pronouns: list[Mention] = []
         for s in sentences:
-            taken: list[tuple[int, int]] = []
-            for m in _NAME_RUN_RE.finditer(s.text):
-                tokens = [t.lower() for t in WORD_RE.findall(m.group())]
-                mention = Mention(s.index, m.start(), m.end(), m.group())
-                if len(tokens) == 1 and tokens[0] in _PRONOUNS:
-                    pronouns.append(mention)
-                    taken.append((m.start(), m.end()))
-                elif all(t in _CAP_STOP for t in tokens):
+            for m in _MENTION_RE.finditer(s.text):
+                tokens = words(m.group())
+                if all(t in _CAP_STOP for t in tokens):
                     continue
-                else:
-                    names.append(mention)
-                    taken.append((m.start(), m.end()))
-            for m in _LOWER_PRONOUN_RE.finditer(s.text):
-                if any(a <= m.start() < b for a, b in taken):
-                    continue
-                pronouns.append(Mention(s.index, m.start(), m.end(), m.group()))
+                kind = pronouns if len(tokens) == 1 and tokens[0] in _PRONOUNS else names
+                kind.append(Mention(s.index, m.start(), m.end(), m.group()))
 
         # Group names by lowercased surface, in first-appearance order.
         groups: dict[str, list[Mention]] = {}
@@ -119,12 +112,11 @@ class HeuristicCorefBackend:
             groups.setdefault(mention.surface.lower(), []).append(mention)
 
         # Each pronoun joins the cluster of the nearest preceding name.
-        positions = sorted(names, key=lambda m: (m.sentence_index, m.start))
-        keys = [(m.sentence_index, m.start) for m in positions]
+        keys = [(m.sentence_index, m.start) for m in names]
         for pronoun in pronouns:
             i = bisect_left(keys, (pronoun.sentence_index, pronoun.start))
             if i:
-                groups[positions[i - 1].surface.lower()].append(pronoun)
+                groups[names[i - 1].surface.lower()].append(pronoun)
 
         out: list[CorefCluster] = []
         for group in groups.values():

@@ -242,10 +242,9 @@ def _require_text(text: str) -> None:
 
 _DEFAULT_SEGMENTER = RuleSegmenter()
 
-# Runs of alphanumeric characters (unicode-aware, underscore excluded). The
-# heuristic coref backend lowercases each match; the mock backend and the claim
-# overlap metrics match the lowercased text, through :func:`words`. The two
-# differ on some non-ASCII text: "İ" lowercases to "i" and a combining dot.
+# Runs of alphanumeric characters (unicode-aware, underscore excluded), matched
+# in the lowercased text by :func:`words`: the one word rule of the mock
+# backend, the claim overlap metrics and the heuristic coref backend.
 WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 # Index ``i`` holds ``chr(i)`` lowercased if it is alphanumeric, else a space:

@@ -397,15 +397,8 @@ def _benchmark_record(
         raw_summary = {"text": raw_summary}
     if not isinstance(raw_summary, dict):
         raise InputError(f"{where}: 'summary' must be an object or a string")
-    summary = _summary_from_record(
-        {
-            "id": str(raw_summary.get("id") or f"{record_id}:summary"),
-            "document_id": str(raw_summary.get("document_id") or document.id),
-            "text": raw_summary.get("text"),
-        },
-        where,
-        split,
-    )
+    raw_summary = {"id": f"{record_id}:summary", "document_id": document.id, **raw_summary}
+    summary = _summary_from_record(raw_summary, where, split)
     with _at(where):
         gold_label = _gold_label(record.get("gold_label"))
         split_name = str(record.get("split", ""))

@@ -6,8 +6,9 @@ overlap triple, per-stage maxima, gate, tie-breaks, sentence rules, threshold
 candidates, bootstrap draws) and shares no code with the package, so it can
 serve as a brute-force oracle for the scoring engine, the segmenter and the
 benchmark harness. :func:`coref_clusters` takes the heuristic resolver's
-patterns and word lists from the package and links mentions with a plain
-scan. Keep it dumb; speed and reuse are non-goals.
+word lists from the package, finds mentions in two scans with patterns of
+its own and links them with a plain scan. Keep it dumb; speed and reuse are
+non-goals.
 """
 
 from __future__ import annotations
@@ -248,12 +249,14 @@ def coref_clusters(document, max_sentences=None) -> list[list[tuple[int, int, in
     first appearance. Each pronoun joins the group of the name nearest
     before it, found by looking at every name. Groups of one are dropped.
     """
-    from sumfact.coref import _CAP_STOP, _LOWER_PRONOUN_RE, _NAME_RUN_RE, _PRONOUNS
+    from sumfact.coref import _CAP_STOP, _PRONOUNS
 
+    name_run = re.compile(r"[A-Z][A-Za-z'’-]*(?:\s+[A-Z][A-Za-z'’-]*)*")
+    lower_pronoun = re.compile(r"\b(?:%s)\b" % "|".join(_PRONOUNS))
     names, pronouns = [], []
     for s in document.sentences[:max_sentences]:
         taken = []
-        for m in _NAME_RUN_RE.finditer(s.text):
+        for m in name_run.finditer(s.text):
             tokens = [t.lower() for t in _WORDS.findall(m.group())]
             if not tokens:
                 continue
@@ -266,7 +269,7 @@ def coref_clusters(document, max_sentences=None) -> list[list[tuple[int, int, in
             else:
                 names.append(row)
                 taken.append((m.start(), m.end()))
-        for m in _LOWER_PRONOUN_RE.finditer(s.text):
+        for m in lower_pronoun.finditer(s.text):
             if not any(a <= m.start() < b for a, b in taken):
                 pronouns.append((s.index, m.start(), m.end(), m.group()))
     groups: dict[str, list] = {}

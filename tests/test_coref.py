@@ -5,6 +5,7 @@ singleton filtering and failure degradation, is tested on
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sumfact import Document, HeuristicCorefBackend, NoopCorefBackend
 
@@ -12,6 +13,21 @@ import oracles
 from cases import from_text
 
 PRONOUNS = {"she", "he", "they", "his", "her", "him", "them", "their"}
+
+# Pronouns in odd case, inside names and beside apostrophes, stop words, and
+# characters that are words to ``\w`` but not to ``[A-Za-z]``, joined by
+# spaces, non-breaking spaces and hyphens.
+HOSTILE_SENTENCES = st.lists(
+    st.tuples(
+        st.sampled_from([" ", "\xa0", "-"]),
+        st.sampled_from(
+            ["He", "she", "sHe", "her", "Them", "Anne-her", "O'Brien", "O’Neil", "Tom",
+             "The", "According", "İ", "é", "_", "3"]
+        ),
+    ),
+    min_size=1,
+    max_size=8,
+).map(lambda parts: "".join(sep + token for sep, token in parts)[1:] + ".")
 
 
 def doc(text):
@@ -129,6 +145,13 @@ class TestHeuristicBackend:
         assert oracles.coref_clusters(documents[-1]) == [
             [(0, 13, 16, "Bob"), (1, 0, 3, "She"), (1, 14, 17, "him")]
         ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(HOSTILE_SENTENCES, min_size=1, max_size=5), st.sampled_from([None, 1, 2]))
+    def test_one_scan_matches_two_pass_rule_on_hostile_text(self, sentences, cap):
+        d = doc(" ".join(sentences))
+        got = HeuristicCorefBackend(max_sentences=cap).clusters(d)
+        assert [mention_view(c) for c in got] == oracles.coref_clusters(d, cap)
 
 
 class TestWrappers:

@@ -142,6 +142,8 @@ class TestDocumentModel:
     def test_sentence_slice_must_match(self):
         with pytest.raises(ValueError, match="does not match its span"):
             Document("d", "alpha beta.", (Sentence(0, 0, 11, "alpha geta."),))
+        with pytest.raises(ValueError, match=r"span \[0, 12\) out of range"):
+            Document("d", "alpha beta.", (Sentence(0, 0, 12, "alpha beta."),))
 
     def test_nonwhitespace_gap_rejected(self):
         text = "alpha. junk beta."
@@ -165,10 +167,14 @@ class TestDocumentModel:
     def test_empty_text_rejected(self):
         with pytest.raises(EmptyDocument):
             Document("d", "   ", ())
+        with pytest.raises(EmptyDocument, match="has no sentences"):
+            Document("d", "alpha.", ())
 
     def test_empty_id_rejected(self):
         with pytest.raises(ValueError, match="id"):
             Document("", "alpha.", (Sentence(0, 0, 6, "alpha."),))
+        with pytest.raises(ValueError, match="summary id must be non-empty"):
+            Summary("", "d", "alpha.", (Sentence(0, 0, 6, "alpha."),))
 
     def test_cluster_surface_must_match_span(self):
         text = "alpha beta."

@@ -76,6 +76,20 @@ class BoomCoref:
         return "boom"
 
 
+@pytest.mark.parametrize(
+    "field, factory",
+    [
+        ("nli_backend", make_nli_backend),
+        ("coref_backend", make_coref_backend),
+        ("claim_backend", make_claim_extractor),
+    ],
+)
+def test_factories_reject_unknown_kinds(field, factory):
+    # load_run_config rejects these first; a RunConfig built in code reaches the factory.
+    with pytest.raises(InputError, match=f"unknown {field} 'quantum:x'"):
+        factory(RunConfig(**{field: "quantum:x"}))
+
+
 class TestNliFactory:
     def test_mock_default(self):
         backend = make_nli_backend(RunConfig())

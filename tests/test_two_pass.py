@@ -111,6 +111,23 @@ MALFORMED = {
         "InputError",
         "{path}:5: missing or empty string field 'text'",
     ),
+    # A summary object's ids are non-empty strings, as in a summaries file;
+    # only an absent one is derived.
+    **{
+        f"summary {key} {kind}": (
+            json.dumps(
+                record(
+                    "x", "test", "factual",
+                    document={"id": "5", "text": "alpha beta."},
+                    summary={key: value, "text": "alpha."},
+                )
+            ),
+            "InputError",
+            f"{{path}}:5: missing or empty string field '{key}'",
+        )
+        for key in ("id", "document_id")
+        for kind, value in [("a number", 5), ("a list", ["x", 0]), ("empty", ""), ("null", None)]
+    },
     "bad split": (
         json.dumps(record("x", "train", "factual")),
         "InputError",
