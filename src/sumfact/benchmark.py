@@ -17,6 +17,7 @@ the row's position in one list, and its digest as bytes.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -491,14 +492,20 @@ class ScoreCache:
         if not self._dirty:
             return
         os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-        tmp = self.path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            # ``default`` writes each digest as the hex string the file holds;
-            # flat entries cannot cycle, so no digest pays the circular check.
-            fh.write(
-                json.dumps(self._entries, sort_keys=True, default=bytes.hex, check_circular=False)
-            )
-        os.replace(tmp, self.path)
+        # ``default`` writes each digest as the hex string the file holds;
+        # flat entries cannot cycle, so no digest pays the circular check.
+        text = json.dumps(self._entries, sort_keys=True, default=bytes.hex, check_circular=False)
+        # A temp file of this writer's own, so that caches saving one path at
+        # once never rename each other's file; the last rename wins.
+        tmp = f"{self.path}.{os.getpid()}.{id(self)}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, self.path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise
         self._dirty = False
 
 

@@ -333,12 +333,10 @@ def load_claim_cache(path: str) -> dict[str, list[str]]:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError(f"{path}: claim cache must be a JSON object")
-    out: dict[str, list[str]] = {}
     for summary_id, claims in data.items():
         if not isinstance(claims, list) or not all(isinstance(c, str) for c in claims):
             raise InputError(f"{path}: entry '{summary_id}' must be an array of strings")
-        out[str(summary_id)] = list(claims)
-    return out
+    return data
 
 
 def write_claim_cache(stream: IO[str], cache: Mapping[str, Sequence[str]]) -> None:

@@ -13,15 +13,15 @@ guard sizes each distinct text once, and builds a :class:`TextTable` of the
 call's distinct texts. A backend's ``_infer(pairs, table)`` runs once per
 size-sorted batch, with up to ``workers`` batches in flight at once, and
 returns one row of three probabilities per pair,
-``(entailment, neutral, contradiction)``, as floats unless the row comes
-from outside the program; it may read per-text features from
-the table, computed once per call, and must not retain the table, which
-lives only for that one call. The :class:`Inference` that ``submit`` returns
+``(entailment, neutral, contradiction)``, three values that ``float`` takes;
+it may read per-text features from the table, computed once per call by
+the backend's ``_featurise``, and must not retain the table, which lives
+only for that one call. The :class:`Inference` that ``submit`` returns
 checks each batch's row count and every row once, with the one row rule
-(:func:`_checked`), as it reads them, and gives each pair's alignment score
-(``submit(pairs).scores()``), the one way a backend is read. ``submit``
-starts a call without waiting for it, so a caller can have the next call's
-batches in flight while it reads this one's.
+(:func:`_checked`), as it reads them, whatever the backend, and gives each
+pair's alignment score (``submit(pairs).scores()``), the one way a backend
+is read. ``submit`` starts a call without waiting for it, so a caller can
+have the next call's batches in flight while it reads this one's.
 
 Batches are capped by padded size, not by pair count (see :class:`Inference`).
 """
@@ -77,11 +77,10 @@ def _checked(e: float, n: float, c: float) -> Row:
     return e / total, n / total, c / total
 
 
-def _outside_row(i: int, row) -> Row:
-    """The row rule for a row from outside the program (a service's JSON, a
-    model's probabilities): its three values are taken as floats, and a row
-    the rule rejects raises :class:`NliBackendError` naming pair ``i``, its
-    index in the call's input."""
+def _read_row(i: int, row) -> Row:
+    """The row rule for any backend's row: its three values are taken as
+    floats, and a row the rule rejects raises :class:`NliBackendError`
+    naming pair ``i``, its index in the call's input."""
     try:
         ent, neu, con = row
         return _checked(float(ent), float(neu), float(con))
@@ -92,10 +91,11 @@ def _outside_row(i: int, row) -> Row:
 class TextTable(dict):
     """Features of the distinct texts of one :meth:`EntailmentBackend.submit` call.
 
-    Looking a text up gives its features (the backend's ``_featurise``),
-    computed on first use; batches running at once on the pool may look
-    texts up together, and a text two of them featurise together is
-    featurised twice, to equal values. The table knows each text's last
+    Looking a text up gives its features (the backend's ``_featurise``,
+    looked up on the first miss, so a backend that never reads the table
+    needs none), computed on first use; batches running at once on the
+    pool may look texts up together, and a text two of them featurise
+    together is featurised twice, to equal values. The table knows each text's last
     batch: :meth:`release` after batch ``b`` drops the texts that no later
     batch holds, so only texts of pairs still to come keep their features;
     only the thread that reads the results releases, and never a text of a
@@ -103,11 +103,11 @@ class TextTable(dict):
     :class:`Inference`) and is never kept on the backend.
     """
 
-    __slots__ = ("_featurise", "_drops")
+    __slots__ = ("_backend", "_drops")
 
     def __init__(self, backend: EntailmentBackend, batches: Sequence[Sequence[Pair]]):
         super().__init__()
-        self._featurise = backend._featurise
+        self._backend = backend
         last: dict[str, int] = {}
         for b, batch in enumerate(batches):
             for premise, hypothesis in batch:
@@ -117,7 +117,7 @@ class TextTable(dict):
             self._drops[b].append(text)
 
     def __missing__(self, text: str):
-        features = self[text] = self._featurise(text)
+        features = self[text] = self._backend._featurise(text)
         return features
 
     def release(self, b: int) -> None:
@@ -172,13 +172,12 @@ class Inference:
     pairs may fill fewer batches than there are workers.
 
     Results are gathered in batch order. Each batch must give one row per
-    pair, and each row is checked once as it is read, with the rule of
-    :func:`_checked`; a failure raises that of the first failing batch and
-    cancels the batches not yet started, as :meth:`cancel` does. Rows from
-    outside the program (the remote and local backends) are taken as
-    floats first, and a wrong row count or a bad row raises
-    :class:`NliBackendError`, a bad row naming its pair by its index in
-    ``pairs``; from an in-process backend either raises ``ValueError``.
+    pair, and each row is taken as floats and checked once as it is read,
+    with the rule of :func:`_checked`; a failure raises that of the first
+    failing batch and cancels the batches not yet started, as
+    :meth:`cancel` does. From every backend a wrong row count or a bad row
+    raises :class:`NliBackendError`, a bad row naming its pair by its index
+    in ``pairs``.
     """
 
     def __init__(
@@ -216,7 +215,6 @@ class Inference:
         self._batches = [[pairs[i] for i in chunk] for chunk in self._chunks]
         self._table = TextTable(backend, self._batches)
         self._infer = backend._infer
-        self._outside = backend._rows_from_outside
         self._futures = None
         if backend._executor is not None:
             submit = backend._executor.submit
@@ -230,15 +228,14 @@ class Inference:
         else:
             results = (future.result() for future in self._futures)
         out: list = [None] * self._size
-        outside = self._outside
         try:
             for b, (chunk, rows) in enumerate(zip(self._chunks, results)):
                 if len(rows) != len(chunk):
-                    raise (NliBackendError if outside else ValueError)(
+                    raise NliBackendError(
                         f"entailment backend returned {len(rows)} triples for {len(chunk)} pairs"
                     )
                 for i, row in zip(chunk, rows):
-                    e, _, c = _outside_row(i, row) if outside else _checked(*row)
+                    e, _, c = _read_row(i, row)
                     out[i] = e - c
                 self._table.release(b)
         except BaseException:
@@ -264,18 +261,16 @@ class EntailmentBackend:
     call's :class:`TextTable`; a batch is capped by padded size (see
     :class:`Inference`), so it may hold more than ``batch_size`` short
     pairs. ``_infer`` returns one ``(entailment, neutral, contradiction)``
-    row per pair, which :class:`Inference` checks once, and it may read
-    per-text features from the table (see :meth:`_featurise`) and must not
-    retain it. With ``workers`` above 1, and only then, the backend has a
-    pool of that many threads, built with it and shared by every call, so
-    ``_infer`` must be safe to run concurrently. Results must not depend on
-    how callers batch their pairs or on ``workers``.
+    row per pair, which :class:`Inference` checks once with the row rule
+    of every backend, so a bad row raises :class:`NliBackendError`. It may
+    read per-text features from the table and must not retain it; a
+    backend that reads the table defines ``_featurise(text)``, which gives
+    what ``_infer`` finds there for ``text``. With ``workers`` above 1,
+    and only then, the backend has a pool of that many threads, built with
+    it and shared by every call, so ``_infer`` must be safe to run
+    concurrently. Results must not depend on how callers batch their pairs
+    or on ``workers``.
     """
-
-    # Whether ``_infer``'s rows come from outside the program (a service, a
-    # model), so that a row the row rule rejects is a backend failure, not a
-    # bug in ``_infer`` (see :class:`Inference`).
-    _rows_from_outside = False
 
     def __init__(self, *, batch_size: int = 32, max_units: int | None = None, workers: int = 1):
         if batch_size < 1:
@@ -312,10 +307,6 @@ class EntailmentBackend:
         most ``workers`` batches run at once however many calls there are.
         """
         return Inference(self, pairs, sizes, bound)
-
-    def _featurise(self, text: str):
-        """What :meth:`_infer` finds for ``text`` in the table. Default: the text."""
-        return text
 
     def _infer(self, pairs: list[Pair], table: TextTable) -> Sequence[Row]:
         raise NotImplementedError
@@ -358,11 +349,10 @@ class RemoteEntailmentBackend(EntailmentBackend):
     Protocol: POST ``{"pairs": [[premise, hypothesis], ...]}`` to ``url``;
     the service answers ``{"triples": [[ent, neu, con], ...]}`` in the same
     order, posted through :mod:`sumfact.remote` with 2 retries, as many as
-    the claim client's default. A bad row raises :class:`NliBackendError`
+    the claim client's default. Its rows pass the one row rule that every
+    backend's rows pass, so a bad row raises :class:`NliBackendError`
     naming its pair (see :class:`Inference`).
     """
-
-    _rows_from_outside = True
 
     def __init__(
         self,
@@ -411,12 +401,10 @@ class LocalEntailmentBackend(EntailmentBackend):
     Without ``max_units`` the budget is taken from the tokenizer's declared
     ``model_max_length`` (the rule is in the README's ``nli_max_units`` row);
     a length that leaves below ``MIN_UNITS`` raises :class:`NliBackendError`.
-    Each softmaxed row is checked with the row rule, so NaN or infinite
-    logits raise :class:`NliBackendError` naming their pair (see
-    :class:`Inference`).
+    Each softmaxed row is checked with the one row rule of every backend,
+    so NaN or infinite logits raise :class:`NliBackendError` naming their
+    pair (see :class:`Inference`).
     """
-
-    _rows_from_outside = True
 
     def __init__(
         self,

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import os
 import random
 import threading
 
@@ -396,6 +397,41 @@ class TestScoreCache:
         cache.put("r3", 0.5, D3)
         cache.save()
         assert json.loads(path.read_text()) == {"r1": [0.75, "01" * 16], "r3": [0.5, "03" * 16]}
+
+    def test_two_caches_saving_one_file_at_once_both_finish(self, tmp_path, monkeypatch):
+        # The second cache saves between the first one's write and its
+        # rename: neither renames the other's temp file, and the last wins.
+        first = ScoreCache(str(tmp_path), "fp")
+        second = ScoreCache(str(tmp_path), "fp")
+        first.put("r1", 0.75, D1)
+        second.put("r2", 0.25, D2)
+        replace = os.replace
+
+        def interleaved(src, dst):
+            monkeypatch.setattr(os, "replace", replace)
+            second.save()
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", interleaved)
+        first.save()
+        assert os.listdir(tmp_path) == ["scores-fp.json"]
+        assert json.loads((tmp_path / "scores-fp.json").read_text()) == {"r1": [0.75, "01" * 16]}
+        # The entry the last save lacks is missing, so it is scored again.
+        reloaded = ScoreCache(str(tmp_path), "fp")
+        assert reloaded.get("r1", D1) == 0.75
+        assert reloaded.get("r2", D2) is None
+
+    def test_a_failed_save_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        cache = ScoreCache(str(tmp_path), "fp")
+        cache.put("r1", 0.75, D1)
+
+        def refuse(src, dst):
+            raise PermissionError(dst)
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(PermissionError):
+            cache.save()
+        assert os.listdir(tmp_path) == []
 
     def test_save_without_changes_writes_nothing(self, tmp_path):
         cache = ScoreCache(str(tmp_path), "abc")

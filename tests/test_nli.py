@@ -560,33 +560,62 @@ class TestScoresPath:
 
     @pytest.mark.parametrize("bad", _BAD_ROWS, ids=repr)
     def test_bad_rows_raise_the_triples_message(self, bad):
-        with pytest.raises(ValueError) as expected:
+        # An in-process backend's bad row raises what the remote backend's
+        # raises for the same row: one row rule for every backend.
+        with pytest.raises(ValueError) as why:
             _checked(*bad)
         # The bad row sits in the second batch, behind a good one.
-        rows = {"p0": (1.0, 0.0, 0.0), "p1 bad": bad}
+        rows = {"p0": [1.0, 0.0, 0.0], "p1 bad": list(bad)}
         pairs = [("p0", "h"), ("p1 bad", "h")]
+        with StubServer(lambda *a: (200, {"triples": list(rows.values())})) as server:
+            with pytest.raises(NliBackendError) as remote:
+                RemoteEntailmentBackend(server.url).submit(pairs).scores()
+        assert str(remote.value) == f"pair 1: invalid triple {list(bad)!r}: {why.value}"
         for workers in (1, 2):
             backend = RowBackend(rows, batch_size=1, workers=workers)
-            with pytest.raises(ValueError) as got:
+            with pytest.raises(NliBackendError) as got:
                 backend.submit(pairs).scores()
-            assert str(got.value) == str(expected.value)
-
+            assert str(got.value) == str(remote.value)
 
     @pytest.mark.parametrize("drop, extra", [(1, 0), (0, 1)], ids=["fewer", "more"])
     def test_a_batch_with_the_wrong_row_count_raises(self, drop, extra):
         # The second batch of an in-process backend gives one row too few or
-        # too many: a bug in its ``_infer``, not a backend failure.
+        # too many, and raises what the remote backend raises for it.
         class WrongCount(MockEntailmentBackend):
             def _infer(self, pairs, table):
                 rows = super()._infer(pairs, table)
                 return rows if pairs[0][0] == "p0" else rows[drop:] + rows[:extra]
 
         pairs = [("p0", "h"), ("p1 x", "h")]
-        message = f"returned {1 - drop + extra} triples for 1 pairs"
+        triples = [[1.0, 0.0, 0.0]] * (1 - drop + extra)
+        with StubServer(lambda *a: (200, {"triples": triples})) as server:
+            with pytest.raises(NliBackendError) as remote:
+                RemoteEntailmentBackend(server.url).submit(pairs[1:]).scores()
+        assert str(remote.value).endswith(f"returned {len(triples)} triples for 1 pairs")
         for workers in (1, 2):
             backend = WrongCount(batch_size=1, workers=workers)
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(NliBackendError) as got:
                 backend.submit(pairs).scores()
+            assert str(got.value) == str(remote.value)
+
+    def test_a_custom_backends_bad_row_exits_3(self, tmp_path, monkeypatch):
+        # A library user's own in-process backend needs no flag for its bad
+        # rows to fail the run as a backend error, not with a traceback.
+        bad = (0.5, 0.3, 0.1)
+        with pytest.raises(ValueError) as why:
+            _checked(*bad)
+        backend = RowBackend({"alpha beta.": bad})
+        monkeypatch.setattr("sumfact.pipeline.make_nli_backend", lambda config: backend)
+        docs = tmp_path / "docs.jsonl"
+        docs.write_text('{"id": "d1", "text": "alpha beta."}\n', encoding="utf-8")
+        sums = tmp_path / "sums.jsonl"
+        sums.write_text('{"id": "s1", "document_id": "d1", "text": "alpha."}\n', encoding="utf-8")
+        result = CliRunner().invoke(main, ["score", str(docs), str(sums)])
+        assert result.exit_code == 3, result.output
+        assert json.loads(result.stderr.strip().splitlines()[-1]) == {
+            "error": "NliBackendError",
+            "message": f"pair 0: invalid triple {bad!r}: {why.value}",
+        }
 
 
 class TestRemoteBackend:

@@ -7,7 +7,7 @@ import threading
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sumfact import (
@@ -529,6 +529,14 @@ class TestWindowTable:
         st.integers(1, 16),
         _BUDGETED,
         st.lists(st.lists(_WORDS, min_size=1, max_size=12).map(" ".join), min_size=1, max_size=4),
+    )
+    # A room of 15 distinct words: fitting a window walks up past the first
+    # guess, which random draws reach only by chance.
+    @example(
+        ["aa bb cc dddd eeeeee f gg hhhhhhh."] * 3 + ["ii jjj kkkk l mm nnnnn oo ppp q."],
+        4,
+        (DistinctWords, 16),
+        ["rr"],
     )
     def test_candidates_equal_a_straight_line_rebuild(self, sentences, k, budgeted, claims):
         kind, budget = budgeted
