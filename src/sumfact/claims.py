@@ -128,11 +128,11 @@ class ClaimExtractor(Protocol):
 
 
 class FileCacheExtractor:
-    """Serve claims from a mapping of summary id to claim texts, as loaded
-    by ``formats.load_claim_cache``."""
+    """Serve claims from a dict of summary id to claim texts, as loaded
+    by ``formats.load_claim_cache``. It holds the caller's dict, not a copy."""
 
-    def __init__(self, cache: Mapping[str, list[str]], source: str = "inline"):
-        self._cache = dict(cache)
+    def __init__(self, cache: dict[str, list[str]], source: str = "inline"):
+        self._cache = cache
         self._source = source
 
     def describe(self) -> str:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import logging
+import os
 import sys
 from contextlib import contextmanager
 from typing import Iterable, Iterator, TextIO
@@ -156,6 +157,10 @@ def score(documents, summaries, output, run_meta, config_path, **flags) -> None:
     """Score summaries against their documents; one report line each."""
     config = load_run_config(config_path, flags)
     _setup_logging(config.log_level)
+    # Pass 2 reads the inputs again after the output is opened, and truncated.
+    if output != "-" and os.path.exists(output):
+        if any(os.path.samefile(output, path) for path in (documents, summaries)):
+            raise InputError(f"--output {output} is one of the inputs; it would be truncated")
     docs = formats.index_documents(documents)
     sums = formats.index_summaries(summaries)
     scorer = Scorer(pipeline.make_nli_backend(config), scoring_params(config))

@@ -7,10 +7,11 @@ scoring run once, as the NLI backend's, which claim extraction shares too.
 ``MODES`` is the one table of the ablation modes, which validation, the
 pipeline and the CLI all read.
 
-Backend selectors are compact strings:
-  NLI        "mock" | "local:<checkpoint>" | "remote:<url>"
-  claims     "none" | "cache:<path>" | "remote:<url>" | "local:<model>"
-  coref      "none" | "heuristic"
+A :class:`RunConfig` is valid by construction: it checks every key when it
+is built and is frozen after. Backend selectors are compact ``kind`` or
+``kind:value`` strings, and ``_SELECTORS`` is the one table of their
+grammar: each selector's kinds, and what a kind's value names. The
+factories in :mod:`~sumfact.pipeline` only build what it allows.
 """
 
 from __future__ import annotations
@@ -40,11 +41,21 @@ MODES: dict[str, tuple[bool, Stop | None]] = {
 
 _LOG_LEVELS = ("error", "warning", "info", "debug")
 
+# For each backend selector key: its kinds, in the order errors list them,
+# and what the value after a kind's ``:`` names ("" for a kind taking none).
+_SELECTORS: dict[str, dict[str, str]] = {
+    "nli_backend": {"mock": "", "local": "a checkpoint name or path", "remote": "a URL"},
+    "claim_backend": {
+        "none": "", "cache": "a file path", "remote": "a URL", "local": "a model name or path"
+    },
+    "coref_backend": {"none": "", "heuristic": ""},
+}
+
 # The full pipeline also answers to this historical alias on the CLI.
 MODE_ALIASES = {"fenice": "full"}
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     nli_backend: str = "mock"
     nli_batch_size: int = 32
@@ -69,7 +80,7 @@ class RunConfig:
     mode: str = "full"
     log_level: str = "warning"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         try:
             scoring_params(self)
         except ValueError as exc:
@@ -92,16 +103,17 @@ class RunConfig:
             raise InputError("bootstrap_resamples must be >= 1")
         if str(self.log_level).lower() not in _LOG_LEVELS:
             raise InputError(f"log_level must be one of {_LOG_LEVELS}, got {self.log_level!r}")
-        for selector, allowed in (
-            (self.nli_backend, ("mock", "local", "remote")),
-            (self.claim_backend, ("none", "cache", "remote", "local")),
-            (self.coref_backend, ("none", "heuristic")),
-        ):
-            kind = selector.split(":", 1)[0]
-            if kind not in allowed:
+        for key, kinds in _SELECTORS.items():
+            selector = getattr(self, key)
+            kind, colon, value = selector.partition(":")
+            if kind not in kinds:
                 raise InputError(
-                    f"backend selector {selector!r}: kind must be one of {allowed}"
+                    f"backend selector {selector!r}: kind must be one of {tuple(kinds)}"
                 )
+            if kinds[kind] and not value:
+                raise InputError(f"{key} '{kind}:' needs {kinds[kind]}")
+            if colon and not kinds[kind]:
+                raise InputError(f"{key} {selector!r}: kind {kind!r} takes no value")
         if self.nli_max_units and self.nli_max_units < MIN_UNITS:  # 0, like None: unlimited
             raise InputError(
                 f"nli_max_units: budget below {MIN_UNITS} units cannot fit any useful pair"
@@ -186,6 +198,4 @@ def load_run_config(
         values[key] = _coerce(key, value)
     if "mode" in values:
         values["mode"] = MODE_ALIASES.get(str(values["mode"]), values["mode"])
-    config = RunConfig(**values)  # type: ignore[arg-type]
-    config.validate()
-    return config
+    return RunConfig(**values)  # type: ignore[arg-type]

@@ -1,5 +1,9 @@
 """Wiring: build backends from config and drive corpus-level scoring.
 
+The ``make_*`` factories take a :class:`~sumfact.config.RunConfig`, which is
+valid by construction, so they only build: the selector grammar and its
+errors live in the config's one selector table.
+
 This layer owns the policies that span modules: the empty-claims fallback
 (summary sentences become the claims, flagged on the report), degradation to
 empty clusters when the coreference backend fails, what each mode scores
@@ -34,7 +38,7 @@ from .claims import (
 from .config import MODES, RunConfig, scoring_params
 from .coref import CorefBackend, HeuristicCorefBackend, NoopCorefBackend
 from .documents import Claim, Document, Summary, build_claims
-from .errors import ClaimCacheMiss, InputError
+from .errors import ClaimCacheMiss
 from .nli import (
     EntailmentBackend,
     LocalEntailmentBackend,
@@ -58,53 +62,33 @@ __all__ = [
 logger = logging.getLogger("sumfact.pipeline")
 
 
-def _split_selector(selector: str) -> tuple[str, str]:
-    kind, _, rest = selector.partition(":")
-    return kind, rest
-
-
 def make_nli_backend(config: RunConfig) -> EntailmentBackend:
-    kind, rest = _split_selector(config.nli_backend)
+    kind, _, value = config.nli_backend.partition(":")
     shared = {
         "batch_size": config.nli_batch_size,
         "max_units": config.nli_max_units or None,  # 0, like None, means unlimited
         "workers": config.workers,
     }
-    if kind == "mock":
-        return MockEntailmentBackend(**shared)
     if kind == "remote":
-        if not rest:
-            raise InputError("nli_backend 'remote:' needs a URL")
-        return RemoteEntailmentBackend(rest, **shared)
+        return RemoteEntailmentBackend(value, **shared)
     if kind == "local":
-        if not rest:
-            raise InputError("nli_backend 'local:' needs a checkpoint name or path")
-        return LocalEntailmentBackend(rest, **shared)
-    raise InputError(f"unknown nli_backend {config.nli_backend!r}")
+        return LocalEntailmentBackend(value, **shared)
+    return MockEntailmentBackend(**shared)
 
 
 def make_coref_backend(config: RunConfig) -> CorefBackend:
-    kind, _ = _split_selector(config.coref_backend)
-    if kind == "none":
-        return NoopCorefBackend()
-    if kind == "heuristic":
+    if config.coref_backend == "heuristic":
         return HeuristicCorefBackend(max_sentences=config.coref_max_sentences)
-    raise InputError(f"unknown coref_backend {config.coref_backend!r}")
+    return NoopCorefBackend()
 
 
 def make_claim_extractor(config: RunConfig) -> ClaimExtractor | None:
-    kind, rest = _split_selector(config.claim_backend)
-    if kind == "none":
-        return None
+    kind, _, value = config.claim_backend.partition(":")
     if kind == "cache":
-        if not rest:
-            raise InputError("claim_backend 'cache:' needs a file path")
-        return FileCacheExtractor(formats.load_claim_cache(rest), source=rest)
+        return FileCacheExtractor(formats.load_claim_cache(value), source=value)
     if kind == "remote":
-        if not rest:
-            raise InputError("claim_backend 'remote:' needs a URL")
         return RemoteLlmExtractor(
-            rest,
+            value,
             model=config.claim_model,
             timeout=config.claim_timeout,
             max_retries=config.claim_max_retries,
@@ -112,10 +96,8 @@ def make_claim_extractor(config: RunConfig) -> ClaimExtractor | None:
             max_tokens=config.claim_max_tokens,
         )
     if kind == "local":
-        if not rest:
-            raise InputError("claim_backend 'local:' needs a model name or path")
-        return LocalSeq2SeqExtractor(rest)
-    raise InputError(f"unknown claim_backend {config.claim_backend!r}")
+        return LocalSeq2SeqExtractor(value)
+    return None
 
 
 def scorer_fingerprint(

@@ -125,6 +125,19 @@ class TestScore:
         assert result.exit_code == 2
         assert ":2: invalid JSON" in result.stderr
 
+    @pytest.mark.parametrize("which", ["documents", "summaries"])
+    def test_output_onto_an_input_exits_2_and_leaves_it_whole(self, runner, tmp_path, which):
+        docs, sums, _ = corpus(tmp_path)
+        target = {"documents": docs, "summaries": sums}[which]
+        before = Path(target).read_bytes()
+        result = runner.invoke(main, ["score", docs, sums, "-o", target])
+        assert result.exit_code == 2, result.stderr
+        assert json.loads(result.stderr.strip().splitlines()[-1]) == {
+            "error": "InputError",
+            "message": f"--output {target} is one of the inputs; it would be truncated",
+        }
+        assert Path(target).read_bytes() == before
+
     def test_claim_cache_miss_exits_2(self, runner, tmp_path):
         docs, sums, _ = corpus(tmp_path)
         claims = write(tmp_path, "other.json", '{"someone-else": ["x."]}')
@@ -556,6 +569,24 @@ class TestMalformedInput:
             pytest.param(
                 DOC, ["--claim-backend", "local:"], "InputError",
                 "claim_backend 'local:' needs a model name or path", id="local: without model",
+            ),
+            pytest.param(
+                DOC, ["--coref-backend", "heuristic:max_sentences=1"], "InputError",
+                "coref_backend 'heuristic:max_sentences=1': kind 'heuristic' takes no value",
+                id="value on heuristic",
+            ),
+            pytest.param(
+                DOC, ["--coref-backend", "none:x"], "InputError",
+                "coref_backend 'none:x': kind 'none' takes no value", id="value on coref none",
+            ),
+            pytest.param(
+                DOC, ["--nli-backend", "mock:large"], "InputError",
+                "nli_backend 'mock:large': kind 'mock' takes no value", id="value on mock",
+            ),
+            pytest.param(
+                DOC, ["--claim-backend", "none:claims.json"], "InputError",
+                "claim_backend 'none:claims.json': kind 'none' takes no value",
+                id="value on claims none",
             ),
             pytest.param(
                 '{"id": "d1", "text": "alpha.    beta.", '

@@ -37,6 +37,10 @@ class TestDefaults:
     def test_no_file_no_overrides(self):
         assert load_run_config() == RunConfig()
 
+    def test_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            RunConfig().workers = 4
+
 
 class TestReadmeKeys:
     def test_all_keys_table_lists_exactly_the_fields(self):
@@ -192,7 +196,6 @@ class TestValidation:
             },
         )
         assert config.nli_backend.startswith("remote:")
-        config.validate()
 
 
 class TestOrderedMap:

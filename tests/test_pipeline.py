@@ -1,6 +1,7 @@
 """Wiring layer: backend factories, claim fallback policy, corpus scoring."""
 
 import dataclasses
+import functools
 import logging
 import random
 import sys
@@ -20,6 +21,7 @@ from sumfact import (
     FileCacheExtractor,
     HeuristicCorefBackend,
     InputError,
+    LocalEntailmentBackend,
     LocalSeq2SeqExtractor,
     MockEntailmentBackend,
     NoopCorefBackend,
@@ -30,7 +32,7 @@ from sumfact import (
     ScoringParams,
 )
 from sumfact import formats, pipeline
-from sumfact.config import MODES
+from sumfact.config import _SELECTORS, MODES
 from sumfact.formats import render_report
 from sumfact.pipeline import (
     attach_clusters,
@@ -76,18 +78,40 @@ class BoomCoref:
         return "boom"
 
 
-@pytest.mark.parametrize(
-    "field, factory",
-    [
-        ("nli_backend", make_nli_backend),
-        ("coref_backend", make_coref_backend),
-        ("claim_backend", make_claim_extractor),
-    ],
-)
+FACTORIES = {
+    "nli_backend": make_nli_backend,
+    "coref_backend": make_coref_backend,
+    "claim_backend": make_claim_extractor,
+}
+
+
+@pytest.mark.parametrize("field, factory", list(FACTORIES.items()))
 def test_factories_reject_unknown_kinds(field, factory):
-    # load_run_config rejects these first; a RunConfig built in code reaches the factory.
-    with pytest.raises(InputError, match=f"unknown {field} 'quantum:x'"):
+    # A RunConfig is valid by construction, so an unknown kind never reaches a factory.
+    with pytest.raises(InputError, match="backend selector 'quantum:x': kind must be one of"):
         factory(RunConfig(**{field: "quantum:x"}))
+
+
+@pytest.mark.parametrize(
+    "key, kind", [(key, kind) for key, kinds in _SELECTORS.items() for kind in kinds]
+)
+def test_every_selector_kind_builds_through_its_factory(monkeypatch, tmp_path, key, kind):
+    # The selector table and the factories must not drift apart: each kind
+    # the config accepts builds, and its backend describes itself by it.
+    monkeypatch.setattr(
+        "sumfact.pipeline.LocalEntailmentBackend",
+        functools.partial(
+            LocalEntailmentBackend,
+            model=object(),
+            tokenizer=object(),
+            label_map={"entailment": 0, "neutral": 1, "contradiction": 2},
+        ),
+    )
+    values = {"cache": str(tmp_path / "claims.json"), "remote": "http://x.local/v1", "local": "m"}
+    (tmp_path / "claims.json").write_text('{"s1": ["A claim."]}', encoding="utf-8")
+    selector = f"{kind}:{values[kind]}" if _SELECTORS[key][kind] else kind
+    built = FACTORIES[key](RunConfig(**{key: selector}))
+    assert (built.describe() if built else "none").startswith(kind)
 
 
 class TestNliFactory:
@@ -186,9 +210,8 @@ class TestClaimFactory:
     @pytest.mark.parametrize("max_tokens", [0, -1])
     def test_remote_rejects_max_tokens_below_one(self, max_tokens):
         # Checked with every other key, before any backend is built.
-        config = RunConfig(claim_backend="remote:http://llm.local/chat", claim_max_tokens=max_tokens)
         with pytest.raises(InputError, match="max_tokens must be >= 1"):
-            config.validate()
+            RunConfig(claim_backend="remote:http://llm.local/chat", claim_max_tokens=max_tokens)
 
     def test_local(self):
         extractor = make_claim_extractor(RunConfig(claim_backend="local:flan-x"))
