@@ -47,10 +47,38 @@ def _fail(error: Exception, code: int):
     sys.exit(code)
 
 
+def _same_path(a: str, b: str) -> bool:
+    exist = os.path.exists(a) and os.path.exists(b)
+    return os.path.samefile(a, b) if exist else os.path.realpath(a) == os.path.realpath(b)
+
+
+def _check_outputs(params: dict) -> None:
+    """Refuse an output that names a file the command reads, or another output.
+
+    The outputs are ``--output``, ``--run-meta`` and ``--scores-csv``
+    (``-``, stdout, is never checked); what a command reads is its arguments
+    and ``--config``. Opening an output truncates it, so this runs before
+    the command reads anything.
+    """
+    command = click.get_current_context().command
+    reads = [params[p.name] for p in command.params if isinstance(p, click.Argument)]
+    taken = [(path, "one of the inputs") for path in [*reads, params.get("config_path")] if path]
+    for flag in ("--output", "--run-meta", "--scores-csv"):
+        path = params.get(flag[2:].replace("-", "_"))
+        if path and path != "-":
+            for other, what in taken:
+                if _same_path(path, other):
+                    raise InputError(f"{flag} {path} is {what}; it would be truncated")
+            taken.append((path, f"also {flag}"))
+
+
 def handle_errors(fn):
+    """Run a command after :func:`_check_outputs`; map its errors to exit codes."""
+
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
+            _check_outputs(kwargs)
             return fn(*args, **kwargs)
         except DegenerateLabels as exc:
             _fail(exc, 4)
@@ -157,10 +185,6 @@ def score(documents, summaries, output, run_meta, config_path, **flags) -> None:
     """Score summaries against their documents; one report line each."""
     config = load_run_config(config_path, flags)
     _setup_logging(config.log_level)
-    # Pass 2 reads the inputs again after the output is opened, and truncated.
-    if output != "-" and os.path.exists(output):
-        if any(os.path.samefile(output, path) for path in (documents, summaries)):
-            raise InputError(f"--output {output} is one of the inputs; it would be truncated")
     docs = formats.index_documents(documents)
     sums = formats.index_summaries(summaries)
     scorer = Scorer(pipeline.make_nli_backend(config), scoring_params(config))

@@ -132,32 +132,28 @@ def _read_again(path: str, rows: Iterable, what: str, build: Callable, key: str 
 
     This is the second pass of every two-pass reader: a row (:class:`Row`,
     :class:`~sumfact.benchmark.BenchmarkRow`) holds the offset and digest
-    of a line the first pass checked, and ``key`` names both the row's
-    attribute and the line's field that hold the record's id; ``what``
-    names the record in messages. A row repeated back to back is read once.
+    of a line the first pass checked, ``key`` names the row's attribute
+    that holds the record's id and ``what`` names the record, both for the
+    message below. A row repeated back to back is read once.
 
-    The file must not change between the two passes: a line that is not the
-    one the row was built from raises :class:`InputError`, which says whether
-    the line no longer holds a valid record with the row's id or still holds
-    one but was edited (its digest differs from the row's).
+    The digest is the one check: a line whose digest differs from the row's
+    (the file changed between the two passes) raises :class:`InputError`.
+    A line with the row's digest holds the bytes the first pass checked, so
+    it is built as it is, and an error from building it is raised as itself.
     """
     with _open(path) as fh:
         last = full = None
         for row in rows:
             if row is not last:
-                last, row_id = row, getattr(row, key)
+                last = row
                 fh.seek(row.offset)
                 _, line = next(_lines(fh), (0, b""))
-                try:
-                    record = _parse_line(path, 0, line) or {}  # {} for a blank line
-                    full = build(record, path) if record.get(key) == row_id else None
-                except SumfactError:
-                    full = None
-                changed = f"{path} changed during the run: {what} '{row_id}'"
-                if full is None:
-                    raise InputError(f"{changed} is no longer at byte {row.offset}")
-                if row.digest != _line_digest(line):
-                    raise InputError(f"{changed} at byte {row.offset} was edited")
+                if _line_digest(line) != row.digest:
+                    raise InputError(
+                        f"{path} changed during the run: {what} '{getattr(row, key)}' "
+                        f"at byte {row.offset} is not the line first read there"
+                    )
+                full = build(_parse_line(path, 0, line), path)
             yield full
 
 

@@ -1026,6 +1026,96 @@ class TestBenchmark:
         assert result.stdout == serial.stdout
 
 
+class TestOutputsNameNoOtherFile:
+    """An output (``--output``, ``--run-meta``, ``--scores-csv``) may not name
+    a file its command reads, nor another output: the run exits 2 before it
+    reads anything, and every file is left as it was."""
+
+    INPUTS = {
+        "score": ["documents", "summaries"],
+        "benchmark": ["records"],
+        "extract-claims": ["summaries"],
+        "eval-claims": ["system", "human"],
+    }
+
+    def files(self, tmp_path, command):
+        docs, sums, claims = corpus(tmp_path)
+        files = {
+            "documents": docs,
+            "summaries": sums,
+            "records": benchmark_file(tmp_path),
+            "system": write(tmp_path, "system.jsonl", '{"summary_id": "a", "claims": ["x."]}\n'),
+            "human": write(tmp_path, "human.jsonl", '{"summary_id": "a", "claims": ["x."]}\n'),
+            "config": write(tmp_path, "config.json", "{}"),
+        }
+        args = [command, *(files[name] for name in self.INPUTS[command])]
+        if command == "extract-claims":
+            args += ["--claim-backend", f"cache:{claims}"]
+        if command != "eval-claims":
+            args += ["--config", files["config"]]
+        return args, files
+
+    @staticmethod
+    def snapshot(tmp_path):
+        return {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+
+    @pytest.mark.parametrize(
+        "command, flag, read",
+        [
+            ("score", "--run-meta", "documents"),
+            ("score", "--run-meta", "summaries"),
+            ("score", "--output", "config"),
+            ("score", "--run-meta", "config"),
+            ("benchmark", "--output", "records"),
+            ("benchmark", "--scores-csv", "records"),
+            ("benchmark", "--run-meta", "records"),
+            ("benchmark", "--scores-csv", "config"),
+            ("extract-claims", "--output", "summaries"),
+            ("extract-claims", "--output", "config"),
+            ("eval-claims", "--output", "system"),
+            ("eval-claims", "--output", "human"),
+        ],
+    )
+    def test_output_onto_a_read_file_exits_2(self, runner, tmp_path, command, flag, read):
+        args, files = self.files(tmp_path, command)
+        before = self.snapshot(tmp_path)
+        result = runner.invoke(main, [*args, flag, files[read]])
+        assert result.exit_code == 2, result.stderr
+        assert json.loads(result.stderr.strip().splitlines()[-1]) == {
+            "error": "InputError",
+            "message": f"{flag} {files[read]} is one of the inputs; it would be truncated",
+        }
+        assert self.snapshot(tmp_path) == before
+
+    @pytest.mark.parametrize(
+        "command, first, second",
+        [
+            ("score", "--output", "--run-meta"),
+            ("benchmark", "--output", "--scores-csv"),
+            ("benchmark", "--output", "--run-meta"),
+            ("benchmark", "--run-meta", "--scores-csv"),
+        ],
+    )
+    @pytest.mark.parametrize("exists", [False, True], ids=["new", "existing"])
+    def test_two_outputs_onto_one_path_exit_2(
+        self, runner, tmp_path, command, first, second, exists
+    ):
+        args, _ = self.files(tmp_path, command)
+        out = tmp_path / "out"
+        if exists:
+            out.write_text("kept\n")
+        before = self.snapshot(tmp_path)
+        # The second flag names the path by another spelling.
+        other = str(tmp_path / "." / "out")
+        result = runner.invoke(main, [*args, second, other, first, str(out)])
+        assert result.exit_code == 2, result.stderr
+        assert json.loads(result.stderr.strip().splitlines()[-1]) == {
+            "error": "InputError",
+            "message": f"{second} {other} is also {first}; it would be truncated",
+        }
+        assert self.snapshot(tmp_path) == before
+
+
 class TestReadmeRunMetaKeys:
     def test_table_lists_exactly_the_keys_each_command_writes(self, runner, tmp_path):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")

@@ -3,6 +3,7 @@ no module reads another's private names."""
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -47,3 +48,39 @@ def test_no_module_reads_another_modules_private_names():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+# Names ``perfbench/tracing.py`` wraps that the program no longer has; their
+# spans and metrics are absent from a traced run.
+PERFBENCH_GONE = {
+    "formats.load_documents",
+    "formats.load_summaries",
+    "pipeline.build_units",
+    "pipeline.evaluate_pair",
+    "Scorer.score_summary",
+    "Scorer.score_claim",
+    "Scorer.score_sentences",
+    "Scorer.score_coref",
+    "Scorer._multi",
+    "Scorer._window_stage",
+    "Scorer._window_premises",
+    "Scorer._score_many",
+    "EntailmentBackend.entail_batch",
+}
+
+
+def test_perfbench_loses_no_more_traced_names():
+    # Read ``TARGETS`` without ``install``, which would wrap live functions;
+    # resolve each target as ``Recorder.wrap`` does.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    unresolved = set()
+    for module_name, class_name, attr, _, _ in tracing.TARGETS:
+        module = importlib.import_module(f"sumfact.{module_name}")
+        owner = getattr(module, class_name, None) if class_name else module
+        fn = owner.__dict__.get(attr) if isinstance(owner, type) else getattr(owner, attr, None)
+        if not callable(fn):
+            unresolved.add(f"{class_name or module_name}.{attr}")
+    assert unresolved <= PERFBENCH_GONE

@@ -478,6 +478,22 @@ class TestBatchesInFlight:
         backend._executor.shutdown(wait=True)
         assert len(calls) == 2
 
+    def test_one_worker_has_no_pool_and_infers_on_the_calling_thread(self):
+        # The inline path keeps peak memory down (see EntailmentBackend.__init__).
+        threads = []
+
+        class Recording(MockEntailmentBackend):
+            def _infer(self, pairs, table):
+                threads.append(threading.get_ident())
+                return super()._infer(pairs, table)
+
+        backend = Recording(batch_size=2)
+        assert backend._executor is None
+        inference = backend.submit(self.PAIRS)
+        assert threads == []  # batches run only as the results are read
+        assert inference.scores() == MockEntailmentBackend(batch_size=2).submit(self.PAIRS).scores()
+        assert len(threads) > 1 and set(threads) == {threading.get_ident()}
+
     def test_workers_validation(self):
         with pytest.raises(ValueError, match="workers"):
             MockEntailmentBackend(workers=0)

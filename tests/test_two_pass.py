@@ -21,7 +21,7 @@ from click.testing import CliRunner
 from sumfact import benchmark, cli, formats, pipeline
 from sumfact.benchmark import BenchmarkRow
 from sumfact.documents import RuleSegmenter, build_claims
-from sumfact.errors import ExtractorUnavailable, InputError
+from sumfact.errors import EmptyDocument, ExtractorUnavailable, InputError
 from sumfact.nli import MockEntailmentBackend
 
 
@@ -357,7 +357,8 @@ class TestSecondPass:
         assert result.exit_code == 2
         assert error_of(result) == {
             "error": "InputError",
-            "message": f"{path} changed during the run: record 'v1' is no longer at byte 0",
+            "message": f"{path} changed during the run: "
+            "record 'v1' at byte 0 is not the line first read there",
         }
         assert sum(len(b.pairs) for b in backends) == 0
 
@@ -367,7 +368,7 @@ class TestSecondPass:
     def test_line_no_longer_valid_between_passes_exits_2(
         self, runner, tmp_path, monkeypatch, backends, edit
     ):
-        # The line keeps its id but no longer builds, so it no longer holds the record.
+        # The line keeps its id but no longer builds; its digest shows the edit.
         path = write_records(tmp_path, [json.dumps(r) for r in GOOD])
         first_pass = formats.load_benchmark_records
 
@@ -381,7 +382,8 @@ class TestSecondPass:
         assert result.exit_code == 2, result.stderr
         assert error_of(result) == {
             "error": "InputError",
-            "message": f"{path} changed during the run: record 'v1' is no longer at byte 0",
+            "message": f"{path} changed during the run: "
+            "record 'v1' at byte 0 is not the line first read there",
         }
         assert sum(len(b.pairs) for b in backends) == 0
 
@@ -403,7 +405,8 @@ class TestSecondPass:
         assert result.exit_code == 2
         assert error_of(result) == {
             "error": "InputError",
-            "message": f"{path} changed during the run: record 'r0' at byte 0 was edited",
+            "message": f"{path} changed during the run: "
+            "record 'r0' at byte 0 is not the line first read there",
         }
         # Restored, the file scores as it does on a fresh cache: no score of
         # the edited line was kept under the original's digest.
@@ -421,7 +424,7 @@ class TestSecondPass:
         path = write_records(tmp_path, [json.dumps(r) for r in GOOD])
         rows = formats.load_benchmark_records(path)
         write_records(tmp_path, [json.dumps(r) for r in GOOD[:2]])
-        with pytest.raises(InputError, match="record 't1' is no longer at byte"):
+        with pytest.raises(InputError, match=r"record 't1' at byte \d+ is not the line first read"):
             list(formats.read_benchmark_records(path, rows))
 
 
@@ -610,20 +613,20 @@ class TestScoreCorpus:
     # one word keeps every offset, so only the line's digest shows it.
     EDITS = {
         "documents swapped": (
-            "docs", {"docs": DOCS[::-1]}, "document 'd1' is no longer at byte 0",
+            "docs", {"docs": DOCS[::-1]}, "document 'd1'",
         ),
         "document edited": (
             "docs",
             {"docs": [{"id": "d1", "text": "omega zeta. gamma delta."}, DOCS[1]]},
-            "document 'd1' at byte 0 was edited",
+            "document 'd1'",
         ),
         "summaries swapped": (
-            "sums", {"sums": [SUMS[1], SUMS[0], *SUMS[2:]]}, "summary 's1' is no longer at byte 0",
+            "sums", {"sums": [SUMS[1], SUMS[0], *SUMS[2:]]}, "summary 's1'",
         ),
         "summary edited": (
             "sums",
             {"sums": [{"id": "s1", "document_id": "d1", "text": "omega zeta."}, *SUMS[1:]]},
-            "summary 's1' at byte 0 was edited",
+            "summary 's1'",
         ),
     }
 
@@ -643,10 +646,34 @@ class TestScoreCorpus:
         assert result.exit_code == 2, result.stderr
         assert error_of(result) == {
             "error": "InputError",
-            "message": f"{paths[name]} changed during the run: {message}",
+            "message": f"{paths[name]} changed during the run: "
+            f"{message} at byte 0 is not the line first read there",
         }
         assert result.stdout == ""
         assert sum(len(b.pairs) for b in backends) == 0
+
+
+@pytest.mark.parametrize("command", ["score", "benchmark"])
+def test_error_building_an_unchanged_line_exits_2_as_itself(
+    runner, tmp_path, monkeypatch, backends, command
+):
+    # The first pass does not segment, so only the second meets this error.
+    # The file did not change, so the error is the segmenter's own.
+    def fail(self, text):
+        raise EmptyDocument("the segmenter found no sentences")
+
+    monkeypatch.setattr(RuleSegmenter, "segment", fail)
+    if command == "score":
+        inputs = TestScoreCorpus().write(tmp_path)
+    else:
+        inputs = (write_records(tmp_path, [json.dumps(r) for r in GOOD]),)
+    result = runner.invoke(cli.main, [command, *inputs])
+    assert result.exit_code == 2, result.stderr
+    assert error_of(result) == {
+        "error": "InputError",
+        "message": f"{inputs[0]}: the segmenter found no sentences",
+    }
+    assert sum(len(b.pairs) for b in backends) == 0
 
 
 @pytest.mark.parametrize("command", ["score", "benchmark", "extract-claims"])
