@@ -9,6 +9,7 @@ vs human claim sets -> easiness report), and ``benchmark`` (labeled records
 
 from __future__ import annotations
 
+import errno
 import functools
 import json
 import logging
@@ -23,7 +24,7 @@ from . import __version__, claim_metrics, formats, pipeline
 from . import benchmark as bench
 from .benchmark import PROTOCOLS, ScoreCache
 from .claims import ClaimExtractor
-from .config import MODE_ALIASES, MODES, load_run_config, scoring_params
+from .config import MODE_ALIASES, MODES, RunConfig, load_run_config, scoring_params
 from .coref import CorefBackend
 from .errors import BackendError, DegenerateLabels, InputError, SumfactError
 from .scoring import Scorer
@@ -48,38 +49,60 @@ def _fail(error: Exception, code: int):
 
 
 def _same_path(a: str, b: str) -> bool:
+    if "-" in (a, b):  # stdout is only itself
+        return a == b
     exist = os.path.exists(a) and os.path.exists(b)
     return os.path.samefile(a, b) if exist else os.path.realpath(a) == os.path.realpath(b)
 
 
-def _check_outputs(params: dict) -> None:
-    """Refuse an output that names a file the command reads, or another output.
+def _check_outputs(params: dict, config_path: str | None, config: RunConfig) -> None:
+    """Refuse an output that names a file the command reads, or another
+    output, or that cannot be opened; and a ``cache_dir`` that is a file.
 
-    The outputs are ``--output``, ``--run-meta`` and ``--scores-csv``
-    (``-``, stdout, is never checked); what a command reads is its arguments
-    and ``--config``. Opening an output truncates it, so this runs before
-    the command reads anything.
+    The outputs are ``--output``, ``--run-meta`` and ``--scores-csv``. What a
+    command reads is its arguments, ``--config`` and the files its config
+    names (:attr:`RunConfig.reads`, whether or not its mode reads them).
+    ``-`` is stdout: it names no file, so it is never compared with an input,
+    but two outputs on it collide. Opening an output truncates it, so this
+    runs before the command reads anything, and a missing output directory
+    fails here with the error ``open`` would give after the run.
     """
     command = click.get_current_context().command
     reads = [params[p.name] for p in command.params if isinstance(p, click.Argument)]
-    taken = [(path, "one of the inputs") for path in [*reads, params.get("config_path")] if path]
+    # An input named "-" is a file; only an output's "-" is stdout.
+    taken = [(os.path.abspath(p), "one of the inputs") for p in [*reads, config_path, *config.reads] if p]
     for flag in ("--output", "--run-meta", "--scores-csv"):
         path = params.get(flag[2:].replace("-", "_"))
-        if path and path != "-":
+        if path:
             for other, what in taken:
                 if _same_path(path, other):
                     raise InputError(f"{flag} {path} is {what}; it would be truncated")
             taken.append((path, f"also {flag}"))
+            parent = os.path.dirname(path) or "."
+            if path != "-" and not os.path.isdir(parent):
+                code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+                raise OSError(code, os.strerror(code), path)
+    if config.cache_dir and os.path.isfile(config.cache_dir):
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), config.cache_dir)
 
 
 def handle_errors(fn):
-    """Run a command after :func:`_check_outputs`; map its errors to exit codes."""
+    """Run every command through one prologue; map its errors to exit codes.
+
+    The prologue builds the :class:`RunConfig` from ``--config`` and the
+    flags (the command's parameters named like its fields; a command with
+    none gets the defaults), sets up logging, runs :func:`_check_outputs`,
+    and then calls the command with the config and its other parameters.
+    """
 
     @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+    def wrapper(config_path=None, **params):
         try:
-            _check_outputs(kwargs)
-            return fn(*args, **kwargs)
+            flags = {k: params.pop(k) for k in RunConfig.__dataclass_fields__ if k in params}
+            config = load_run_config(config_path, flags)
+            _setup_logging(config.log_level)
+            _check_outputs(params, config_path, config)
+            return fn(config, **params)
         except DegenerateLabels as exc:
             _fail(exc, 4)
         except BackendError as exc:
@@ -100,7 +123,7 @@ def _output(path: str) -> Iterator[TextIO]:
     if path == "-":
         yield sys.stdout
         return
-    with open(path, "w", encoding="utf-8") as stream:
+    with open(path, "w", encoding="utf-8", newline="") as stream:
         yield stream
 
 
@@ -129,9 +152,7 @@ def _write_run_meta(
         "pairs_requested": scorer.pairs_requested,
         **command_keys,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_lines(path, [json.dumps(meta, indent=2, sort_keys=True)])
 
 
 _CONFIG = click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
@@ -178,13 +199,11 @@ def main() -> None:
 @click.argument("documents", type=click.Path(exists=True, dir_okay=False))
 @click.argument("summaries", type=click.Path(exists=True, dir_okay=False))
 @click.option("--output", "-o", default="-", help="Report JSONL path ('-' = stdout).")
-@click.option("--run-meta", default=None, help="Side file for run metadata JSON.")
+@click.option("--run-meta", default=None, help="Side file for run metadata JSON ('-' = stdout).")
 @_apply(_SCORING_FLAGS)
 @handle_errors
-def score(documents, summaries, output, run_meta, config_path, **flags) -> None:
+def score(config, documents, summaries, output, run_meta) -> None:
     """Score summaries against their documents; one report line each."""
-    config = load_run_config(config_path, flags)
-    _setup_logging(config.log_level)
     docs = formats.index_documents(documents)
     sums = formats.index_summaries(summaries)
     scorer = Scorer(pipeline.make_nli_backend(config), scoring_params(config))
@@ -211,10 +230,8 @@ def score(documents, summaries, output, run_meta, config_path, **flags) -> None:
                                help="cache:<path> | remote:<url> | local:<model>"),
          _WORKERS, _LOG_LEVEL])
 @handle_errors
-def extract_claims(summaries, output, config_path, **flags) -> None:
+def extract_claims(config, summaries, output) -> None:
     """Extract claims for every summary into a claim cache file."""
-    config = load_run_config(config_path, flags)
-    _setup_logging(config.log_level)
     rows = formats.index_summaries(summaries)
     extractor = pipeline.make_claim_extractor(config)
     if extractor is None:
@@ -234,7 +251,7 @@ def extract_claims(summaries, output, config_path, **flags) -> None:
 @click.argument("human", type=click.Path(exists=True, dir_okay=False))
 @click.option("--output", "-o", default="-", help="Report JSON path ('-' = stdout).")
 @handle_errors
-def eval_claims(system, human, output) -> None:
+def eval_claims(config, system, human, output) -> None:
     """Compare system claim sets against human ones (easiness P/R/F1)."""
     report = claim_metrics.evaluate_claim_sets(
         formats.load_claim_sets(system), formats.load_claim_sets(human)
@@ -253,19 +270,17 @@ def eval_claims(system, human, output) -> None:
 @main.command()
 @click.argument("records", type=click.Path(exists=True, dir_okay=False))
 @click.option("--output", "-o", default="-", help="Report JSON path ('-' = stdout).")
-@click.option("--scores-csv", default=None, help="Per-record audit CSV path.")
+@click.option("--scores-csv", default=None, help="Per-record audit CSV path ('-' = stdout).")
 @click.option("--protocol", type=click.Choice(PROTOCOLS), default=None)
 @click.option("--mode", type=click.Choice((*MODES, *MODE_ALIASES)), default=None,
               help="Scoring pipeline variant (fenice is an alias for full).")
 @click.option("--cache-dir", default=None, help="Directory for score caches.")
 @click.option("--bootstrap-seed", type=int, default=None)
-@click.option("--run-meta", default=None, help="Side file for run metadata JSON.")
+@click.option("--run-meta", default=None, help="Side file for run metadata JSON ('-' = stdout).")
 @_apply(_SCORING_FLAGS)
 @handle_errors
-def benchmark(records, output, scores_csv, run_meta, config_path, **flags) -> None:
+def benchmark(config, records, output, scores_csv, run_meta) -> None:
     """Tune thresholds on validation splits and report balanced accuracy."""
-    config = load_run_config(config_path, flags)
-    _setup_logging(config.log_level)
     rows = formats.load_benchmark_records(records)
     backend = pipeline.make_nli_backend(config)
     scorer = Scorer(backend, scoring_params(config))
@@ -300,8 +315,8 @@ def benchmark(records, output, scores_csv, run_meta, config_path, **flags) -> No
     )
     _write_lines(output, [formats.dumps_fixed(formats.benchmark_report_to_dict(report, config.mode))])
     if scores_csv:
-        with open(scores_csv, "w", encoding="utf-8", newline="") as fh:
-            formats.write_scores_csv(fh, report)
+        with _output(scores_csv) as stream:
+            formats.write_scores_csv(stream, report)
     _write_run_meta(
         run_meta,
         scorer,

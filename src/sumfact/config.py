@@ -11,7 +11,9 @@ A :class:`RunConfig` is valid by construction: it checks every key when it
 is built and is frozen after. Backend selectors are compact ``kind`` or
 ``kind:value`` strings, and ``_SELECTORS`` is the one table of their
 grammar: each selector's kinds, and what a kind's value names. The
-factories in :mod:`~sumfact.pipeline` only build what it allows.
+factories in :mod:`~sumfact.pipeline` only build what it allows, and
+:attr:`RunConfig.reads` lists the values that name a file the run reads
+(``cache:<path>``), so a command can refuse an output onto one.
 """
 
 from __future__ import annotations
@@ -41,12 +43,15 @@ MODES: dict[str, tuple[bool, Stop | None]] = {
 
 _LOG_LEVELS = ("error", "warning", "info", "debug")
 
+# What a kind's value names when it is a file the run reads.
+_READ_FILE = "a file path"
+
 # For each backend selector key: its kinds, in the order errors list them,
 # and what the value after a kind's ``:`` names ("" for a kind taking none).
 _SELECTORS: dict[str, dict[str, str]] = {
     "nli_backend": {"mock": "", "local": "a checkpoint name or path", "remote": "a URL"},
     "claim_backend": {
-        "none": "", "cache": "a file path", "remote": "a URL", "local": "a model name or path"
+        "none": "", "cache": _READ_FILE, "remote": "a URL", "local": "a model name or path"
     },
     "coref_backend": {"none": "", "heuristic": ""},
 }
@@ -120,6 +125,13 @@ class RunConfig:
             )
         if self.coref_max_sentences is not None and self.coref_max_sentences < 1:
             raise InputError("coref_max_sentences: max_sentences must be >= 1 when set")
+
+    @property
+    def reads(self) -> tuple[str, ...]:
+        """The files its selectors name for the run to read, whether or not
+        the command's mode reads them."""
+        selectors = ((kinds, getattr(self, key).partition(":")) for key, kinds in _SELECTORS.items())
+        return tuple(value for kinds, (kind, _, value) in selectors if kinds[kind] == _READ_FILE)
 
 
 def scoring_params(config: RunConfig) -> ScoringParams:

@@ -1038,18 +1038,22 @@ class TestOutputsNameNoOtherFile:
         "eval-claims": ["system", "human"],
     }
 
-    def files(self, tmp_path, command):
+    def files(self, tmp_path, command, read=None):
         docs, sums, claims = corpus(tmp_path)
+        # The claim file is named by --claim-backend, or only by the config.
+        in_config = {"claim_backend": f"cache:{claims}"} if read == "config's claims" else {}
         files = {
             "documents": docs,
             "summaries": sums,
             "records": benchmark_file(tmp_path),
             "system": write(tmp_path, "system.jsonl", '{"summary_id": "a", "claims": ["x."]}\n'),
             "human": write(tmp_path, "human.jsonl", '{"summary_id": "a", "claims": ["x."]}\n'),
-            "config": write(tmp_path, "config.json", "{}"),
+            "config": write(tmp_path, "config.json", json.dumps(in_config)),
+            "claims": claims,
+            "config's claims": claims,
         }
         args = [command, *(files[name] for name in self.INPUTS[command])]
-        if command == "extract-claims":
+        if command == "extract-claims" or read == "claims":
             args += ["--claim-backend", f"cache:{claims}"]
         if command != "eval-claims":
             args += ["--config", files["config"]]
@@ -1074,10 +1078,13 @@ class TestOutputsNameNoOtherFile:
             ("extract-claims", "--output", "config"),
             ("eval-claims", "--output", "system"),
             ("eval-claims", "--output", "human"),
+            ("score", "--output", "claims"),
+            ("score", "--output", "config's claims"),
+            ("extract-claims", "--output", "claims"),
         ],
     )
     def test_output_onto_a_read_file_exits_2(self, runner, tmp_path, command, flag, read):
-        args, files = self.files(tmp_path, command)
+        args, files = self.files(tmp_path, command, read)
         before = self.snapshot(tmp_path)
         result = runner.invoke(main, [*args, flag, files[read]])
         assert result.exit_code == 2, result.stderr
@@ -1113,6 +1120,94 @@ class TestOutputsNameNoOtherFile:
             "error": "InputError",
             "message": f"{second} {other} is also {first}; it would be truncated",
         }
+        assert self.snapshot(tmp_path) == before
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("score", "--run-meta"), ("benchmark", "--run-meta"), ("benchmark", "--scores-csv")],
+    )
+    def test_dash_is_stdout_for_every_output(
+        self, runner, tmp_path, monkeypatch, command, flag
+    ):
+        args, _ = self.files(tmp_path, command)
+        monkeypatch.chdir(tmp_path)
+        report = str(tmp_path / "report")
+        to_file = runner.invoke(main, [*args, "-o", report, flag, "side"])
+        assert to_file.exit_code == 0, to_file.stderr
+        to_stdout = runner.invoke(main, [*args, "-o", report, flag, "-"])
+        assert to_stdout.exit_code == 0, to_stdout.stderr
+        assert to_stdout.stdout_bytes == (tmp_path / "side").read_bytes()
+        assert not (tmp_path / "-").exists()
+
+    @pytest.mark.parametrize(
+        "command, outputs, message",
+        [
+            ("score", ["--run-meta", "-"], "--run-meta - is also --output"),
+            ("benchmark", ["--scores-csv", "-"], "--scores-csv - is also --output"),
+            (
+                "benchmark",
+                ["-o", "report", "--run-meta", "-", "--scores-csv", "-"],
+                "--scores-csv - is also --run-meta",
+            ),
+        ],
+    )
+    def test_two_outputs_on_stdout_exit_2(
+        self, runner, tmp_path, monkeypatch, command, outputs, message
+    ):
+        args, _ = self.files(tmp_path, command)
+        monkeypatch.chdir(tmp_path)
+        before = self.snapshot(tmp_path)
+        result = runner.invoke(main, [*args, *outputs])
+        assert result.exit_code == 2, result.stderr
+        assert result.stdout == ""
+        assert json.loads(result.stderr.strip().splitlines()[-1]) == {
+            "error": "InputError",
+            "message": f"{message}; it would be truncated",
+        }
+        assert self.snapshot(tmp_path) == before
+
+    @pytest.mark.parametrize(
+        "command, flag, path",
+        [
+            ("benchmark", "--output", "nodir/out.json"),
+            ("score", "--run-meta", "nodir/meta.json"),
+            ("benchmark", "--scores-csv", "afile/scores.csv"),
+            ("benchmark", "--cache-dir", "afile"),
+        ],
+    )
+    def test_unopenable_output_fails_before_scoring(
+        self, runner, tmp_path, monkeypatch, command, flag, path
+    ):
+        # Each fails with the error its open (or the cache's makedirs) would
+        # raise, but before a record is scored.
+        args, _ = self.files(tmp_path, command)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("kept\n")
+        with pytest.raises(OSError) as late:
+            if flag == "--cache-dir":
+                os.makedirs(path, exist_ok=True)
+            else:
+                open(path, "w")
+        calls = []
+        real = pipeline.score_corpus
+
+        def score_corpus(*a, **kw):
+            calls.append(a)
+            return real(*a, **kw)
+
+        monkeypatch.setattr(pipeline, "score_corpus", score_corpus)
+        before = self.snapshot(tmp_path)
+        if command == "benchmark" and flag != "--cache-dir":
+            args += ["--cache-dir", "cdir"]
+        if flag != "--output":
+            args += ["--output", "out"]
+        result = runner.invoke(main, [*args, flag, path])
+        assert result.exit_code == 2, result.stderr
+        assert json.loads(result.stderr.strip().splitlines()[-1]) == {
+            "error": type(late.value).__name__,
+            "message": str(late.value),
+        }
+        assert calls == []
         assert self.snapshot(tmp_path) == before
 
 

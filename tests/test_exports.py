@@ -1,5 +1,6 @@
-"""Every name a ``sumfact`` module exports in ``__all__`` exists in it, and
-no module reads another's private names."""
+"""Every name a ``sumfact`` module exports in ``__all__`` exists in it, no
+module reads another's private names, and the CLI opens its outputs and
+builds its config in one place each."""
 
 import ast
 import importlib
@@ -48,6 +49,32 @@ def test_no_module_reads_another_modules_private_names():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _calls_by_function(path):
+    """``(top-level function, called name)`` for every call of a bare name."""
+    calls = []
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        owner = getattr(top, "name", None)
+        calls += [
+            (owner, node.func.id)
+            for node in ast.walk(top)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        ]
+    return calls
+
+
+CLI_CALLS = _calls_by_function(Path(sumfact.__file__).parent / "cli.py")
+
+
+def test_cli_opens_files_only_in_output():
+    # Every output goes through ``_output``, so ``-`` is stdout for each one.
+    assert [owner for owner, name in CLI_CALLS if name == "open"] == ["_output"]
+
+
+def test_cli_builds_configs_only_in_the_prologue():
+    # The prologue builds the config, then checks the outputs against it.
+    assert [owner for owner, name in CLI_CALLS if name == "load_run_config"] == ["handle_errors"]
 
 
 # Names ``perfbench/tracing.py`` wraps that the program no longer has; their
