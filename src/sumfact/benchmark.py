@@ -10,9 +10,12 @@ disk keyed by a scorer-configuration fingerprint and the record id, each
 score stored with a digest of the record's line so that an edited record is
 scored again; tuning and evaluation never call back into the scorer. Tuning
 and evaluation need only a record's labels, so a run holds light rows
-(:class:`BenchmarkRow`), and a record's document and summary are read only
-when it is scored. Each record's facts are held once: its row, its score at
-the row's position in one list, and its digest as bytes.
+(:class:`~sumfact.formats.BenchmarkRow`, made by the records file's first
+pass in :mod:`~sumfact.formats` and exported here too), and a record's
+document and summary are read only when it is scored. Each record's facts
+are held once: its row, its score at the row's position in one list, and
+its digest as bytes. The score cache file is read by
+:func:`~sumfact.formats.load_json_object`, as every JSON input is.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from operator import getitem
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DegenerateLabels, InputError, MissingSplit
+from .formats import BenchmarkRow, load_json_object
 
 __all__ = [
     "BenchmarkRow",
@@ -55,24 +59,6 @@ PROTOCOLS = ("per_split", "single_threshold")
 # The score cache is saved after every this many scored records, so a run
 # that is killed keeps most of them.
 CHECKPOINT_RECORDS = 512
-
-
-@dataclass(frozen=True, slots=True)
-class BenchmarkRow:
-    """A checked record's labels, and the byte offset of its line in the
-    records file, from which its document and summary are read again to be scored.
-
-    ``digest`` is the 16-byte BLAKE2b digest of that line (without its line
-    ending); the score cache stores it with the record's score.
-    """
-
-    record_id: str
-    gold_label: bool
-    system: str
-    dataset: str
-    split: str
-    offset: int
-    digest: bytes
 
 
 @dataclass(frozen=True)
@@ -451,14 +437,7 @@ class ScoreCache:
         self._entries: dict[str, tuple[float, bytes]] = {}
         self._dirty = False
         if os.path.exists(self.path):
-            with open(self.path, "r", encoding="utf-8") as fh:
-                try:
-                    data = json.load(fh)
-                except ValueError as exc:
-                    raise InputError(f"score cache {self.path}: invalid JSON: {exc}") from exc
-            if not isinstance(data, dict):
-                raise InputError(f"score cache {self.path} is not a JSON object")
-            for key, value in data.items():
+            for key, value in load_json_object(self.path, f"score cache {self.path}").items():
                 digest = None
                 if type(value) is list and len(value) == 2:
                     value, digest = value

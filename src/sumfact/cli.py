@@ -16,6 +16,7 @@ import logging
 import os
 import sys
 from contextlib import contextmanager
+from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
 import click
@@ -57,15 +58,18 @@ def _same_path(a: str, b: str) -> bool:
 
 def _check_outputs(params: dict, config_path: str | None, config: RunConfig) -> None:
     """Refuse an output that names a file the command reads, or another
-    output, or that cannot be opened; and a ``cache_dir`` that is a file.
+    output, or that cannot be opened; and a ``cache_dir`` that cannot be made.
 
     The outputs are ``--output``, ``--run-meta`` and ``--scores-csv``. What a
     command reads is its arguments, ``--config`` and the files its config
     names (:attr:`RunConfig.reads`, whether or not its mode reads them).
     ``-`` is stdout: it names no file, so it is never compared with an input,
     but two outputs on it collide. Opening an output truncates it, so this
-    runs before the command reads anything, and a missing output directory
-    fails here with the error ``open`` would give after the run.
+    runs before the command reads anything. An output whose directory is
+    missing, or that is itself a directory, fails here with the error
+    ``open`` would give after the run; a ``cache_dir`` that is a file, or
+    whose nearest existing part is one, with the error ``os.makedirs``
+    would give at the first save. Nothing is created here.
     """
     command = click.get_current_context().command
     reads = [params[p.name] for p in command.params if isinstance(p, click.Argument)]
@@ -82,8 +86,12 @@ def _check_outputs(params: dict, config_path: str | None, config: RunConfig) -> 
             if path != "-" and not os.path.isdir(parent):
                 code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
                 raise OSError(code, os.strerror(code), path)
-    if config.cache_dir and os.path.isfile(config.cache_dir):
-        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), config.cache_dir)
+            if path != "-" and os.path.isdir(path):
+                raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    cache_dir = Path(config.cache_dir or ".").absolute()
+    if any(part.exists() and not part.is_dir() for part in (cache_dir, *cache_dir.parents)):
+        code = errno.EEXIST if cache_dir.exists() else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), config.cache_dir)
 
 
 def handle_errors(fn):

@@ -19,13 +19,13 @@ factories in :mod:`~sumfact.pipeline` only build what it allows, and
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 from typing import Mapping
 
 from .benchmark import PROTOCOLS
 from .errors import InputError
+from .formats import load_json_object
 from .nli import MIN_UNITS
 from .scoring import ScoringParams, Stop
 
@@ -189,16 +189,7 @@ def load_run_config(
     """
     values: dict[str, object] = {}
     if path is not None:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise InputError(f"cannot open config {path}: {exc}") from exc
-        except ValueError as exc:
-            raise InputError(f"config {path}: invalid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise InputError(f"config {path}: expected a JSON object")
-        for key, value in data.items():
+        for key, value in load_json_object(path, f"config {path}").items():
             if key not in _FIELDS:
                 raise InputError(f"config {path}: unknown key {key!r}")
             values[key] = _coerce(key, value)

@@ -16,11 +16,19 @@ Documents, summaries and benchmark records are read in two passes, so a run
 holds the text of only the records it is scoring. The first pass checks
 every line, in order, and keeps a light row of each: the record's id, the
 byte offset of its line and the line's digest (:class:`Row`, or
-:class:`~sumfact.benchmark.BenchmarkRow` with the labels). The second reads
-each record again at its offset when it is scored, checks that the line did
-not change in between (:func:`_read_again`), and yields (document, summary)
-pairs (:func:`read_corpus`, :func:`read_benchmark_records`). These inputs
-must therefore be regular, seekable files; claim sets, read once, need not.
+:class:`BenchmarkRow` with the labels; both row types live here). The
+second reads each record again at its offset when it is scored, checks
+that the line did not change in between (:func:`_read_again`), and yields
+(document, summary) pairs (:func:`read_corpus`,
+:func:`read_benchmark_records`). These inputs must therefore be regular,
+seekable files; claim sets, read once, need not.
+
+Every JSON input is parsed and refused here, by one rule
+(:func:`json_object`): each line of a JSONL file, and each file read whole
+(:func:`load_json_object`), which are the claim cache, the run config of
+:mod:`~sumfact.config` and the score cache of :mod:`~sumfact.benchmark`.
+Text that is not JSON, or JSON that is not an object, is an
+:class:`InputError` naming where it was read.
 
 Report JSON renders every float with exactly 6 decimal places via a custom
 emitter, making outputs byte-stable across runs and platforms.
@@ -33,10 +41,10 @@ import hashlib
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode_str  # json.dumps of a str
-from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .benchmark import BenchmarkReport, BenchmarkRow
 from .documents import (
     CorefCluster,
     Document,
@@ -49,8 +57,14 @@ from .documents import (
 from .errors import InputError, SumfactError
 from .scoring import STAGES, AlignedSpan, ClaimVerdict, FactualityReport
 
+if TYPE_CHECKING:
+    from .benchmark import BenchmarkReport
+
 __all__ = [
+    "json_object",
+    "load_json_object",
     "Row",
+    "BenchmarkRow",
     "index_documents",
     "index_summaries",
     "read_summaries",
@@ -99,18 +113,39 @@ def _lines(fh: IO[bytes]) -> Iterator[tuple[int, bytes]]:
             offset += len(line)
 
 
+def json_object(text: str, where: str) -> dict:
+    """The JSON object ``text`` holds; anything else is an :class:`InputError`
+    that names ``where`` it was read."""
+    try:
+        value = json.loads(text)
+    except ValueError as exc:
+        raise InputError(f"{where}: invalid JSON: {exc}") from exc
+    if not isinstance(value, dict):
+        raise InputError(f"{where}: expected a JSON object")
+    return value
+
+
+def load_json_object(path: str, where: str) -> dict:
+    """The JSON object in the file at ``path``, read whole as UTF-8 text
+    (:func:`json_object`); ``where`` names the file in errors."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot open {where}: {exc}") from exc
+    except ValueError as exc:  # bytes that are not UTF-8
+        raise InputError(f"{where}: invalid JSON: {exc}") from exc
+    return json_object(text, where)
+
+
 def _parse_line(path: str, line_number: int, line: bytes) -> dict | None:
-    """The JSON object on one line; ``None`` for a blank line."""
+    """The JSON object on one line (:func:`json_object`); ``None`` for a blank line."""
+    where = f"{path}:{line_number}"
     try:
         text = line.decode("utf-8")
-        if not text.strip():
-            return None
-        record = json.loads(text)
     except ValueError as exc:
-        raise InputError(f"{path}:{line_number}: invalid JSON: {exc}") from exc
-    if not isinstance(record, dict):
-        raise InputError(f"{path}:{line_number}: expected a JSON object")
-    return record
+        raise InputError(f"{where}: invalid JSON: {exc}") from exc
+    return json_object(text, where) if text.strip() else None
 
 
 def _read_jsonl(path: str, twice: bool = True) -> Iterator[tuple[int, int, bytes, dict]]:
@@ -131,10 +166,10 @@ def _read_again(path: str, rows: Iterable, what: str, build: Callable, key: str 
     """What ``build(record, path)`` makes of each row's line, read again at its offset, lazily.
 
     This is the second pass of every two-pass reader: a row (:class:`Row`,
-    :class:`~sumfact.benchmark.BenchmarkRow`) holds the offset and digest
-    of a line the first pass checked, ``key`` names the row's attribute
-    that holds the record's id and ``what`` names the record, both for the
-    message below. A row repeated back to back is read once.
+    :class:`BenchmarkRow`) holds the offset and digest of a line the first
+    pass checked, ``key`` names the row's attribute that holds the record's
+    id and ``what`` names the record, both for the message below. A row
+    repeated back to back is read once.
 
     The digest is the one check: a line whose digest differs from the row's
     (the file changed between the two passes) raises :class:`InputError`.
@@ -265,6 +300,24 @@ class Row(NamedTuple):
     document_id: str = ""
 
 
+@dataclass(frozen=True, slots=True)
+class BenchmarkRow:
+    """A checked record's labels, and the byte offset of its line in the
+    records file, from which its document and summary are read again to be scored.
+
+    ``digest`` is the 16-byte BLAKE2b digest of that line (without its line
+    ending); the score cache stores it with the record's score.
+    """
+
+    record_id: str
+    gold_label: bool
+    system: str
+    dataset: str
+    split: str
+    offset: int
+    digest: bytes
+
+
 def index_documents(path: str) -> dict[str, Row]:
     """Check every document of a documents file, in line order; its row by id.
 
@@ -320,24 +373,15 @@ def read_corpus(
 
 
 def load_claim_cache(path: str) -> dict[str, list[str]]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot open {path}: {exc}") from exc
-    except ValueError as exc:
-        raise InputError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise InputError(f"{path}: claim cache must be a JSON object")
+    data = load_json_object(path, path)
     for summary_id, claims in data.items():
         if not isinstance(claims, list) or not all(isinstance(c, str) for c in claims):
             raise InputError(f"{path}: entry '{summary_id}' must be an array of strings")
     return data
 
 
-def write_claim_cache(stream: IO[str], cache: Mapping[str, Sequence[str]]) -> None:
-    payload = {k: list(v) for k, v in sorted(cache.items())}
-    json.dump(payload, stream, ensure_ascii=True, indent=2)
+def write_claim_cache(stream: IO[str], cache: dict[str, list[str]]) -> None:
+    json.dump(cache, stream, ensure_ascii=True, indent=2, sort_keys=True)
     stream.write("\n")
 
 

@@ -441,13 +441,14 @@ class TestScoreCache:
     def test_non_object_file_rejected(self, tmp_path):
         path = tmp_path / "scores-bad.json"
         path.write_text("[1, 2, 3]")
-        with pytest.raises(InputError, match="not a JSON object"):
+        with pytest.raises(InputError, match="expected a JSON object"):
             ScoreCache(str(tmp_path), "bad")
 
     @pytest.mark.parametrize(
         "content, message",
         [
             ("{bad", "invalid JSON"),
+            ("7", "scores-bad.json: expected a JSON object"),
             ('{"r0": "abc"}', "entry 'r0' is not a number"),
             ('{"r0": null}', "entry 'r0' is not a number"),
             ('{"r0": true}', "entry 'r0' is not a number"),

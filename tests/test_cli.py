@@ -892,6 +892,21 @@ class TestBenchmark:
         assert runner.invoke(main, base + ["--T", "0.5"]).exit_code == 0
         assert len(list(cache_dir.glob("scores-*.json"))) == 2
 
+    def test_unreadable_score_cache_exits_2(self, runner, tmp_path):
+        records = benchmark_file(tmp_path)
+        cache_dir = tmp_path / "cache"
+        args = ["benchmark", records, "--cache-dir", str(cache_dir)]
+        assert runner.invoke(main, args).exit_code == 0
+        (path,) = cache_dir.glob("scores-*.json")
+        path.unlink()
+        path.mkdir()
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.stderr
+        assert json.loads(result.stderr.strip().splitlines()[-1]) == {
+            "error": "InputError",
+            "message": f"cannot open score cache {path}: [Errno 21] Is a directory: '{path}'",
+        }
+
     def test_edited_claim_file_is_rescored(self, runner, tmp_path):
         records = benchmark_file(tmp_path)
         claims = tmp_path / "claims.json"
@@ -1173,13 +1188,20 @@ class TestOutputsNameNoOtherFile:
             ("score", "--run-meta", "nodir/meta.json"),
             ("benchmark", "--scores-csv", "afile/scores.csv"),
             ("benchmark", "--cache-dir", "afile"),
+            ("benchmark", "--cache-dir", "afile/sub"),
+            ("benchmark", "--output", "."),
+            ("benchmark", "--scores-csv", "."),
+            ("benchmark", "--run-meta", "."),
+            ("score", "--run-meta", "."),
+            ("extract-claims", "--output", "."),
         ],
     )
     def test_unopenable_output_fails_before_scoring(
         self, runner, tmp_path, monkeypatch, command, flag, path
     ):
         # Each fails with the error its open (or the cache's makedirs) would
-        # raise, but before a record is scored.
+        # raise, but before a record is scored or a claim extracted. "." is
+        # the working directory, so an output there is a directory.
         args, _ = self.files(tmp_path, command)
         monkeypatch.chdir(tmp_path)
         (tmp_path / "afile").write_text("kept\n")
@@ -1189,13 +1211,17 @@ class TestOutputsNameNoOtherFile:
             else:
                 open(path, "w")
         calls = []
-        real = pipeline.score_corpus
 
-        def score_corpus(*a, **kw):
-            calls.append(a)
-            return real(*a, **kw)
+        def counted(real):
+            def call(*a, **kw):
+                calls.append(a)
+                return real(*a, **kw)
 
-        monkeypatch.setattr(pipeline, "score_corpus", score_corpus)
+            return call
+
+        # Reports come from ``score_corpus``, extracted claims from ``ordered_map``.
+        for name in ("score_corpus", "ordered_map"):
+            monkeypatch.setattr(pipeline, name, counted(getattr(pipeline, name)))
         before = self.snapshot(tmp_path)
         if command == "benchmark" and flag != "--cache-dir":
             args += ["--cache-dir", "cdir"]

@@ -1,6 +1,6 @@
 """Every name a ``sumfact`` module exports in ``__all__`` exists in it, no
-module reads another's private names, and the CLI opens its outputs and
-builds its config in one place each."""
+module reads another's private names, the CLI opens its outputs and builds
+its config in one place each, and one function parses every JSON input."""
 
 import ast
 import importlib
@@ -75,6 +75,29 @@ def test_cli_opens_files_only_in_output():
 def test_cli_builds_configs_only_in_the_prologue():
     # The prologue builds the config, then checks the outputs against it.
     assert [owner for owner, name in CLI_CALLS if name == "load_run_config"] == ["handle_errors"]
+
+
+def test_json_is_parsed_only_by_the_one_rule():
+    # Every JSON input is parsed and refused by ``formats.json_object``.
+    # ``claims.parse_claims`` parses model output, not an input file, and
+    # tries other routes when it is not JSON.
+    parsers = {"load", "loads"}
+    found = []
+    for path in sorted(Path(sumfact.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "json"
+                    and node.attr in parsers
+                ) or (
+                    isinstance(node, ast.ImportFrom)
+                    and node.module == "json"
+                    and parsers & {alias.name for alias in node.names}
+                ):
+                    found.append(f"{path.stem}.{getattr(top, 'name', None)}")
+    assert found == ["claims.parse_claims", "formats.json_object"]
 
 
 # Names ``perfbench/tracing.py`` wraps that the program no longer has; their

@@ -217,6 +217,14 @@ class TestClaimCacheIO:
         with pytest.raises(InputError, match="JSON object"):
             load_claim_cache(str(path))
 
+    @pytest.mark.parametrize("content", ["[]", '"a claim"'])
+    def test_not_an_object_is_refused_as_every_json_input(self, tmp_path, content):
+        path = tmp_path / "claims.json"
+        path.write_text(content)
+        with pytest.raises(InputError) as refused:
+            load_claim_cache(str(path))
+        assert str(refused.value) == f"{path}: expected a JSON object"
+
     def test_entry_not_strings(self, tmp_path):
         path = tmp_path / "claims.json"
         path.write_text('{"s1": [1, 2]}')
