@@ -67,9 +67,10 @@ def _check_outputs(params: dict, config_path: str | None, config: RunConfig) -> 
     but two outputs on it collide. Opening an output truncates it, so this
     runs before the command reads anything. An output whose directory is
     missing, or that is itself a directory, fails here with the error
-    ``open`` would give after the run; a ``cache_dir`` that is a file, or
-    whose nearest existing part is one, with the error ``os.makedirs``
-    would give at the first save. Nothing is created here.
+    ``open`` would give after the run (``ENOTDIR`` where the nearest existing
+    part of its path is a file); a ``cache_dir`` that is a file, or whose
+    nearest existing part is one, with the error ``os.makedirs`` would give
+    at the first save. Nothing is created here.
     """
     command = click.get_current_context().command
     reads = [params[p.name] for p in command.params if isinstance(p, click.Argument)]
@@ -82,16 +83,21 @@ def _check_outputs(params: dict, config_path: str | None, config: RunConfig) -> 
                 if _same_path(path, other):
                     raise InputError(f"{flag} {path} is {what}; it would be truncated")
             taken.append((path, f"also {flag}"))
-            parent = os.path.dirname(path) or "."
-            if path != "-" and not os.path.isdir(parent):
-                code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+            parent = Path(path).absolute().parent
+            if path != "-" and not parent.is_dir():
+                code = errno.ENOTDIR if _file_on_the_way(parent) else errno.ENOENT
                 raise OSError(code, os.strerror(code), path)
             if path != "-" and os.path.isdir(path):
                 raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     cache_dir = Path(config.cache_dir or ".").absolute()
-    if any(part.exists() and not part.is_dir() for part in (cache_dir, *cache_dir.parents)):
+    if _file_on_the_way(cache_dir):
         code = errno.EEXIST if cache_dir.exists() else errno.ENOTDIR
         raise OSError(code, os.strerror(code), config.cache_dir)
+
+
+def _file_on_the_way(path: Path) -> bool:
+    """Whether ``path`` or one of its ancestors is a file, not a directory."""
+    return any(part.exists() and not part.is_dir() for part in (path, *path.parents))
 
 
 def handle_errors(fn):

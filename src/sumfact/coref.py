@@ -59,10 +59,13 @@ _CAP_STOP = frozenset(
     }
 )
 
-# A run of capitalized words, or else a lowercase pronoun; a pronoun inside a
-# run is part of the run.
+# A run of capitalized words, or else a lowercase pronoun (group 1); a pronoun
+# inside a run is part of the run. Every mention starts with a capital or with
+# a pronoun's first letter, so the lookahead skips every other character
+# before either alternative is tried, and the matches are the same.
 _MENTION_RE = re.compile(
-    r"[A-Z][A-Za-z'’-]*(?:\s+[A-Z][A-Za-z'’-]*)*|\b(?:%s)\b" % "|".join(sorted(_PRONOUNS))
+    r"(?=[A-Z%s])(?:[A-Z][A-Za-z'’-]*(?:\s+[A-Z][A-Za-z'’-]*)*|\b(%s)\b)"
+    % ("".join(sorted({p[0] for p in _PRONOUNS})), "|".join(sorted(_PRONOUNS)))
 )
 
 
@@ -100,7 +103,8 @@ class HeuristicCorefBackend:
         pronouns: list[Mention] = []
         for s in sentences:
             for m in _MENTION_RE.finditer(s.text):
-                tokens = words(m.group())
+                # A lowercase pronoun is its own one word; a run's words are read.
+                tokens = [m.group(1)] if m.lastindex else words(m.group())
                 if all(t in _CAP_STOP for t in tokens):
                     continue
                 kind = pronouns if len(tokens) == 1 and tokens[0] in _PRONOUNS else names

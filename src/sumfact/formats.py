@@ -30,8 +30,12 @@ Every JSON input is parsed and refused here, by one rule
 Text that is not JSON, or JSON that is not an object, is an
 :class:`InputError` naming where it was read.
 
-Report JSON renders every float with exactly 6 decimal places via a custom
-emitter, making outputs byte-stable across runs and platforms.
+A summary's report is written as its JSONL line straight from the report's
+fields, in one pass (:func:`render_report`); the benchmark and claim-metric
+reports are dicts written by :func:`dumps_fixed`. Both write each value by
+the same rules: a float with exactly 6 decimal places (``-0.0`` as
+``0.000000``) and a string through the stock ASCII encoder, so outputs are
+byte-stable across runs and platforms.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from .documents import (
     whole_text,
 )
 from .errors import InputError, SumfactError
-from .scoring import STAGES, AlignedSpan, ClaimVerdict, FactualityReport
+from .scoring import STAGES, ClaimVerdict, FactualityReport
 
 if TYPE_CHECKING:
     from .benchmark import BenchmarkReport
@@ -75,7 +79,6 @@ __all__ = [
     "load_benchmark_records",
     "read_benchmark_records",
     "dumps_fixed",
-    "report_to_dict",
     "render_report",
     "benchmark_report_to_dict",
     "write_scores_csv",
@@ -488,6 +491,20 @@ def read_benchmark_records(
 # -- fixed-decimal JSON rendering -------------------------------------------
 
 
+def _fixed(value: float) -> str:
+    """A float with exactly 6 decimals; ``-0.0`` prints as ``0.000000``."""
+    return f"{value if value != 0 else 0.0:.6f}"
+
+
+def _literal(value: bool | None) -> str:
+    """``null``, ``true`` or ``false``."""
+    return "null" if value is None else "true" if value else "false"
+
+
+# An int as the stock encoder writes it.
+_int = int.__repr__
+
+
 def dumps_fixed(value: object) -> str:
     """Serialize to JSON with every float rendered as exactly 6 decimals.
 
@@ -497,9 +514,11 @@ def dumps_fixed(value: object) -> str:
     if isinstance(value, str):
         return _encode_str(value)
     if isinstance(value, float):
-        return f"{value if value != 0 else 0.0:.6f}"
-    if value is None or isinstance(value, int):
-        return json.dumps(value)
+        return _fixed(value)
+    if value is None or isinstance(value, bool):
+        return _literal(value)
+    if isinstance(value, int):
+        return _int(value)
     # ``dict`` first: the check against the ``Mapping`` ABC is the slow one.
     if isinstance(value, (dict, Mapping)):
         items = []
@@ -513,54 +532,41 @@ def dumps_fixed(value: object) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _aligned_to_dict(aligned: AlignedSpan) -> dict:
-    substitution = None
-    if aligned.substitution is not None:
-        substitution = {
-            "replaced": aligned.substitution.replaced,
-            "replacement": aligned.substitution.replacement,
-        }
-    return {
-        "granularity": aligned.granularity,
-        "sentence_start": aligned.sentence_start,
-        "sentence_end": aligned.sentence_end,
-        "premise_text": aligned.premise_text,
-        "substitution": substitution,
-    }
-
-
-def _verdict_to_dict(verdict: ClaimVerdict) -> dict:
-    scores = verdict.sub_scores
-    return {
-        "claim": {
-            "summary_id": verdict.claim.summary_id,
-            "index": verdict.claim.index,
-            "text": verdict.claim.text,
-        },
-        "score": verdict.score,
-        "stage": verdict.stage,
-        "aligned": _aligned_to_dict(verdict.aligned),
-        "sub_scores": {stage: scores[stage] for stage in STAGES if stage in scores},
-    }
-
-
-def report_to_dict(report: FactualityReport) -> dict:
-    return {
-        "summary_id": report.summary_id,
-        "score": report.score,
-        "verdicts": [_verdict_to_dict(v) for v in report.verdicts],
-        "claims_fallback": report.claims_fallback,
-        "params": {
-            "j": report.params.window_size,
-            "T": report.params.gate_threshold,
-            "max_coref_variants": report.params.max_coref_variants,
-        },
-    }
+def _verdict_json(verdict: ClaimVerdict) -> str:
+    claim, aligned, scores = verdict.claim, verdict.aligned, verdict.sub_scores
+    swap = aligned.substitution
+    substitution = _literal(None) if swap is None else (
+        f'{{"replaced": {_encode_str(swap.replaced)}, "replacement": {_encode_str(swap.replacement)}}}'
+    )
+    sub_scores = ", ".join(f"{_encode_str(s)}: {_fixed(scores[s])}" for s in STAGES if s in scores)
+    return (
+        f'{{"claim": {{"summary_id": {_encode_str(claim.summary_id)}, '
+        f'"index": {_int(claim.index)}, "text": {_encode_str(claim.text)}}}, '
+        f'"score": {_fixed(verdict.score)}, "stage": {_encode_str(verdict.stage)}, '
+        f'"aligned": {{"granularity": {_encode_str(aligned.granularity)}, '
+        f'"sentence_start": {_int(aligned.sentence_start)}, '
+        f'"sentence_end": {_int(aligned.sentence_end)}, '
+        f'"premise_text": {_encode_str(aligned.premise_text)}, '
+        f'"substitution": {substitution}}}, '
+        f'"sub_scores": {{{sub_scores}}}}}'
+    )
 
 
 def render_report(report: FactualityReport) -> str:
-    """One JSONL line for one summary report."""
-    return dumps_fixed(report_to_dict(report))
+    """One JSONL line for one summary report, written from its fields in one
+    pass, with :func:`dumps_fixed`'s rules for each value.
+
+    Keys come in the order of the README's report schema; a verdict's
+    sub-scores in stage order (:data:`~sumfact.scoring.STAGES`).
+    """
+    params = report.params
+    return (
+        f'{{"summary_id": {_encode_str(report.summary_id)}, "score": {_fixed(report.score)}, '
+        f'"verdicts": [{", ".join(map(_verdict_json, report.verdicts))}], '
+        f'"claims_fallback": {_literal(report.claims_fallback)}, '
+        f'"params": {{"j": {_int(params.window_size)}, "T": {_fixed(params.gate_threshold)}, '
+        f'"max_coref_variants": {_int(params.max_coref_variants)}}}}}'
+    )
 
 
 def benchmark_report_to_dict(report: BenchmarkReport, mode: str | None = None) -> dict:

@@ -1,14 +1,16 @@
 """Independent reference implementations used only by tests.
 
-Everything here but :func:`window_stage` and :func:`coref_clusters` is
-written as straight-line loops from the primitive definitions (lexical
-overlap triple, per-stage maxima, gate, tie-breaks, sentence rules, threshold
-candidates, bootstrap draws) and shares no code with the package, so it can
-serve as a brute-force oracle for the scoring engine, the segmenter and the
-benchmark harness. :func:`coref_clusters` takes the heuristic resolver's
-word lists from the package, finds mentions in two scans with patterns of
-its own and links them with a plain scan. Keep it dumb; speed and reuse are
-non-goals.
+Everything here but :func:`window_stage`, :func:`mention_spans` and
+:func:`coref_clusters` is written as straight-line loops from the primitive
+definitions (lexical overlap triple, per-stage maxima, gate, tie-breaks,
+sentence rules, threshold candidates, bootstrap draws, report keys) and
+shares no code with the package, so it can serve as a brute-force oracle for
+the scoring engine, the segmenter, the report renderer and the benchmark
+harness. :func:`mention_spans` and :func:`coref_clusters` take the heuristic
+resolver's word lists from the package; the first finds mentions with the
+one-alternation pattern tried at every character, the second finds them in
+two scans with patterns of its own and links them with a plain scan. Keep it
+dumb; speed and reuse are non-goals.
 """
 
 from __future__ import annotations
@@ -178,6 +180,57 @@ def verdict_to_view(verdict) -> dict:
     }
 
 
+def report_dict(report) -> dict:
+    """A report as the dict its JSONL line encodes, key for key and in order.
+
+    ``sub_scores`` lists the stages a verdict computed in pipeline order
+    (sentence, coref, window, document); a missing substitution is ``None``.
+    """
+    verdicts = []
+    for verdict in report.verdicts:
+        aligned = verdict.aligned
+        substitution = None
+        if aligned.substitution is not None:
+            substitution = {
+                "replaced": aligned.substitution.replaced,
+                "replacement": aligned.substitution.replacement,
+            }
+        sub_scores = {}
+        for stage in ("sentence", "coref", "window", "document"):
+            if stage in verdict.sub_scores:
+                sub_scores[stage] = verdict.sub_scores[stage]
+        verdicts.append(
+            {
+                "claim": {
+                    "summary_id": verdict.claim.summary_id,
+                    "index": verdict.claim.index,
+                    "text": verdict.claim.text,
+                },
+                "score": verdict.score,
+                "stage": verdict.stage,
+                "aligned": {
+                    "granularity": aligned.granularity,
+                    "sentence_start": aligned.sentence_start,
+                    "sentence_end": aligned.sentence_end,
+                    "premise_text": aligned.premise_text,
+                    "substitution": substitution,
+                },
+                "sub_scores": sub_scores,
+            }
+        )
+    return {
+        "summary_id": report.summary_id,
+        "score": report.score,
+        "verdicts": verdicts,
+        "claims_fallback": report.claims_fallback,
+        "params": {
+            "j": report.params.window_size,
+            "T": report.params.gate_threshold,
+            "max_coref_variants": report.params.max_coref_variants,
+        },
+    }
+
+
 def window_stage(scorer, doc, claim, k: int):
     """The engine's best k-window of ``doc`` for ``claim``, as ``(score, span)``.
 
@@ -238,6 +291,20 @@ def window_candidates(sentences, k: int, room, measure):
             text = " ".join(sentences[first : first + length])
             out.append((granularity, first, first + length - 1, text))
     return out
+
+
+def mention_spans(text: str) -> list[tuple[int, int]]:
+    """Spans of the heuristic resolver's mention candidates in ``text``.
+
+    One scan with one alternation, tried at every character: a run of
+    capitalized words, or else a lowercase pronoun as a whole word.
+    """
+    from sumfact.coref import _PRONOUNS
+
+    alternation = re.compile(
+        r"[A-Z][A-Za-z'’-]*(?:\s+[A-Z][A-Za-z'’-]*)*|\b(?:%s)\b" % "|".join(sorted(_PRONOUNS))
+    )
+    return [m.span() for m in alternation.finditer(text)]
 
 
 def coref_clusters(document, max_sentences=None) -> list[list[tuple[int, int, int, str]]]:

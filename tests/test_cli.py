@@ -1187,6 +1187,7 @@ class TestOutputsNameNoOtherFile:
             ("benchmark", "--output", "nodir/out.json"),
             ("score", "--run-meta", "nodir/meta.json"),
             ("benchmark", "--scores-csv", "afile/scores.csv"),
+            ("benchmark", "--output", "afile/x/out.json"),
             ("benchmark", "--cache-dir", "afile"),
             ("benchmark", "--cache-dir", "afile/sub"),
             ("benchmark", "--output", "."),

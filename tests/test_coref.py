@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sumfact import Document, HeuristicCorefBackend, NoopCorefBackend
+from sumfact.coref import _MENTION_RE
 
 import oracles
-from cases import from_text
+from cases import from_text, random_news_corpus
 
 PRONOUNS = {"she", "he", "they", "his", "her", "him", "them", "their"}
 
@@ -28,6 +29,24 @@ HOSTILE_SENTENCES = st.lists(
     min_size=1,
     max_size=8,
 ).map(lambda parts: "".join(sep + token for sep, token in parts)[1:] + ".")
+
+# Capitals, pronouns and words that start like them, apostrophes and hyphens,
+# digits, underscores and non-ASCII letters, run together or apart; and
+# character soup of the same.
+MIXED_TEXT = st.one_of(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["", " ", "\xa0", "\n", "-", "’", "'"]),
+            st.sampled_from(
+                ["Sheila", "theme", "he's", "He", "her", "hers", "sHe", "they", "Their",
+                 "theirs", "them", "thems", "hi", "the", "The", "Tom-he", "O’Neil", "3",
+                 "2her", "_", "_he", "he_", "é", "éher", "İ", "Émile", "ßhe", "Ω", "tHEM"]
+            ),
+        ),
+        max_size=12,
+    ).map(lambda parts: "".join(sep + token for sep, token in parts)),
+    st.text("AHTZhestrmiy ’'-_3éİ\xa0\n", max_size=30),
+)
 
 
 def doc(text):
@@ -152,6 +171,20 @@ class TestHeuristicBackend:
         d = doc(" ".join(sentences))
         got = HeuristicCorefBackend(max_sentences=cap).clusters(d)
         assert [mention_view(c) for c in got] == oracles.coref_clusters(d, cap)
+
+    @settings(max_examples=500, deadline=None)
+    @given(MIXED_TEXT)
+    def test_prefiltered_scan_finds_the_alternation_spans(self, text):
+        assert [m.span() for m in _MENTION_RE.finditer(text)] == oracles.mention_spans(text)
+
+    def test_matches_reference_scan_on_news_corpus(self):
+        pairs, _ = random_news_corpus(random.Random(23), 80, 1)
+        mentions = 0
+        for d, _ in pairs:
+            got = [mention_view(c) for c in HeuristicCorefBackend().clusters(d)]
+            assert got == oracles.coref_clusters(d)
+            mentions += sum(map(len, got))
+        assert mentions > 300
 
 
 class TestWrappers:

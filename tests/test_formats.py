@@ -29,11 +29,12 @@ from sumfact.formats import (
     read_corpus,
     read_summaries,
     render_report,
-    report_to_dict,
     write_claim_cache,
     write_scores_csv,
 )
+from sumfact.scoring import STAGES, AlignedSpan, ClaimVerdict, FactualityReport, Substitution
 
+import oracles
 from cases import benchmark_row, doc_from_sentences, score_block
 
 
@@ -459,6 +460,52 @@ class TestDumpsFixed:
         }
 
 
+# Report texts: any characters, with quotes, backslashes, control characters
+# and non-ASCII ones drawn often.
+_REPORT_TEXTS = st.text(
+    st.one_of(st.characters(), st.sampled_from('"\\\n\t\x00\x1f\x7fé€😀’')), min_size=1, max_size=10
+)
+_SCORES = st.one_of(st.floats(), st.sampled_from([-0.0, 0.0, 4e-7, 5e-7, -4e-7, -1e-300, -0.75]))
+
+
+@st.composite
+def _aligned_spans(draw):
+    granularity = draw(st.sampled_from(["sentence", "coref_sentence", "window", "document"]))
+    start = 0 if granularity == "document" else draw(st.integers(0, 10**6))
+    end = start if "sentence" in granularity else start + draw(st.integers(0, 40))
+    substitution = None
+    if granularity == "coref_sentence" and draw(st.booleans()):
+        substitution = Substitution(draw(_REPORT_TEXTS), draw(_REPORT_TEXTS))
+    return AlignedSpan(granularity, start, end, draw(_REPORT_TEXTS), substitution)
+
+
+_VERDICTS = st.builds(
+    ClaimVerdict,
+    st.builds(Claim, _REPORT_TEXTS, st.integers(0, 10**6), _REPORT_TEXTS.filter(str.strip)),
+    _SCORES,
+    st.sampled_from(["sentence", "coref", "multi_granularity"]),
+    _aligned_spans(),
+    # Every subset of the stages, keyed in any order.
+    st.lists(st.sampled_from(STAGES), unique=True).flatmap(
+        lambda stages: st.fixed_dictionaries({stage: _SCORES for stage in stages})
+    ),
+)
+_REPORTS = st.builds(
+    FactualityReport,
+    _REPORT_TEXTS,
+    _SCORES,
+    st.lists(_VERDICTS, max_size=3).map(tuple),
+    st.booleans(),
+    st.builds(
+        ScoringParams,
+        window_size=st.integers(1, 10**6),
+        gate_threshold=st.one_of(st.floats(-1.0, 1.0), st.just(-0.0)),
+        max_coref_variants=st.integers(1, 10**6),
+        monotone_gate=st.booleans(),
+    ),
+)
+
+
 class TestRenderReport:
     def test_exact_line(self):
         scorer = Scorer(MockEntailmentBackend())
@@ -485,7 +532,7 @@ class TestRenderReport:
         )
         claims = [Claim("s1", 0, "The player was ruled out.")]
         (report,) = score_block(scorer, [(doc, claims, False)])
-        payload = report_to_dict(report)
+        payload = json.loads(render_report(report))
         aligned = payload["verdicts"][0]["aligned"]
         assert aligned["granularity"] == "coref_sentence"
         assert aligned["substitution"] == {
@@ -497,8 +544,13 @@ class TestRenderReport:
         scorer = Scorer(MockEntailmentBackend(), ScoringParams(monotone_gate=False))
         doc = doc_from_sentences("d", ["alpha beta gamma.", "delta epsilon."])
         (report,) = score_block(scorer, [(doc, [Claim("s1", 0, "stray words.")], False)])
-        keys = list(report_to_dict(report)["verdicts"][0]["sub_scores"])
+        keys = list(json.loads(render_report(report))["verdicts"][0]["sub_scores"])
         assert keys == ["sentence", "coref", "window", "document"]
+
+    @settings(deadline=None)
+    @given(_REPORTS)
+    def test_matches_the_dict_form_byte_for_byte(self, report):
+        assert render_report(report) == dumps_fixed(oracles.report_dict(report))
 
 
 def sample_benchmark(protocol):
