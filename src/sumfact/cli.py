@@ -65,14 +65,20 @@ def _check_outputs(params: dict, config_path: str | None, config: RunConfig) -> 
     names (:attr:`RunConfig.reads`, whether or not its mode reads them).
     ``-`` is stdout: it names no file, so it is never compared with an input,
     but two outputs on it collide. Opening an output truncates it, so this
-    runs before the command reads anything. An output whose directory is
-    missing, or that is itself a directory, fails here with the error
-    ``open`` would give after the run (``ENOTDIR`` where the nearest existing
-    part of its path is a file); a ``cache_dir`` that is a file, or whose
-    nearest existing part is one, with the error ``os.makedirs`` would give
-    at the first save. Nothing is created here.
+    runs before the command reads anything. Only a command with
+    ``--cache-dir`` (``benchmark``) reads ``cache_dir``: one that is a file,
+    or whose nearest existing part is one, fails here first, with the error
+    ``os.makedirs`` would give at the first save. An output whose directory
+    is missing, that is itself a directory or that is the ``cache_dir`` the
+    run makes, fails with the error ``open`` would give after the run
+    (``ENOTDIR`` where the nearest existing part of its path is a file).
+    Nothing is created here.
     """
     command = click.get_current_context().command
+    cache_dir = config.cache_dir if any(p.name == "cache_dir" for p in command.params) else None
+    if cache_dir and _file_on_the_way(Path(cache_dir).absolute()):
+        code = errno.EEXIST if os.path.exists(cache_dir) else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), cache_dir)
     reads = [params[p.name] for p in command.params if isinstance(p, click.Argument)]
     # An input named "-" is a file; only an output's "-" is stdout.
     taken = [(os.path.abspath(p), "one of the inputs") for p in [*reads, config_path, *config.reads] if p]
@@ -87,12 +93,8 @@ def _check_outputs(params: dict, config_path: str | None, config: RunConfig) -> 
             if path != "-" and not parent.is_dir():
                 code = errno.ENOTDIR if _file_on_the_way(parent) else errno.ENOENT
                 raise OSError(code, os.strerror(code), path)
-            if path != "-" and os.path.isdir(path):
+            if path != "-" and (os.path.isdir(path) or cache_dir and _same_path(path, cache_dir)):
                 raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    cache_dir = Path(config.cache_dir or ".").absolute()
-    if _file_on_the_way(cache_dir):
-        code = errno.EEXIST if cache_dir.exists() else errno.ENOTDIR
-        raise OSError(code, os.strerror(code), config.cache_dir)
 
 
 def _file_on_the_way(path: Path) -> bool:

@@ -9,7 +9,6 @@ clusters carried in the input files always take precedence over any backend.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from typing import Protocol
 
 from .documents import CorefCluster, Document, Mention, words
@@ -73,9 +72,10 @@ class HeuristicCorefBackend:
     """Deterministic rule-based resolver for tests and model-free runs.
 
     Links repeated proper-name spans by exact surface match (case-insensitive)
-    and attaches personal pronouns to the nearest preceding name span. Not a
-    substitute for a learned resolver; it exists so substitution behavior can
-    be exercised without model downloads.
+    and attaches personal pronouns to the nearest preceding name span, in one
+    scan of the sentences in document order. Not a substitute for a learned
+    resolver; it exists so substitution behavior can be exercised without
+    model downloads.
 
     ``max_sentences`` caps how many sentences are scanned (book-length inputs
     get clusters for the prefix only); ``None`` scans everything.
@@ -99,33 +99,20 @@ class HeuristicCorefBackend:
         if self.max_sentences is not None and len(sentences) > self.max_sentences:
             sentences = sentences[: self.max_sentences]
             self.truncated[document.id] = None
-        names: list[Mention] = []
-        pronouns: list[Mention] = []
+        # A name joins the group of its lowercased surface and becomes the
+        # latest; a pronoun joins the latest name's group, if any. The scan
+        # runs in document order, so every group fills in that order.
+        groups: dict[str, list[Mention]] = {}
+        latest: list[Mention] | None = None
         for s in sentences:
             for m in _MENTION_RE.finditer(s.text):
                 # A lowercase pronoun is its own one word; a run's words are read.
                 tokens = [m.group(1)] if m.lastindex else words(m.group())
                 if all(t in _CAP_STOP for t in tokens):
                     continue
-                kind = pronouns if len(tokens) == 1 and tokens[0] in _PRONOUNS else names
-                kind.append(Mention(s.index, m.start(), m.end(), m.group()))
-
-        # Group names by lowercased surface, in first-appearance order.
-        groups: dict[str, list[Mention]] = {}
-        for mention in names:
-            groups.setdefault(mention.surface.lower(), []).append(mention)
-
-        # Each pronoun joins the cluster of the nearest preceding name.
-        keys = [(m.sentence_index, m.start) for m in names]
-        for pronoun in pronouns:
-            i = bisect_left(keys, (pronoun.sentence_index, pronoun.start))
-            if i:
-                groups[names[i - 1].surface.lower()].append(pronoun)
-
-        out: list[CorefCluster] = []
-        for group in groups.values():
-            mentions = sorted(group, key=lambda m: (m.sentence_index, m.start))
-            if len(mentions) >= 2:
-                out.append(CorefCluster(tuple(mentions)))
-        return out
-
+                if len(tokens) > 1 or tokens[0] not in _PRONOUNS:
+                    latest = groups.setdefault(m.group().lower(), [])
+                elif latest is None:
+                    continue
+                latest.append(Mention(s.index, m.start(), m.end(), m.group()))
+        return [CorefCluster(tuple(group)) for group in groups.values() if len(group) >= 2]

@@ -274,27 +274,27 @@ def _blocks(items: Iterator[Item], cap: int, coref_backend: CorefBackend) -> Ite
     (document sentences times claims, summed over its items) to ``cap`` or
     more; the last block may hold fewer. An item's document gets its coref
     clusters as the item joins a block (:func:`attach_clusters`), once per
-    distinct document within the block, keyed by id and text because
-    benchmark records may reuse an id for different texts; the block's
-    last document is carried into the next, so summaries of one document
-    that straddle a cut run coref once. The next item is taken only when
-    the block needs it. If taking it raises, the items gathered so far are
-    yielded as a block first, so that they are scored and reported before
-    the error.
+    equal document within the block: equal in id, text, sentence spans and
+    clusters, since benchmark records may reuse an id for documents that
+    differ in any of them. The block's last document is carried into the
+    next, so summaries of one document that straddle a cut run coref once.
+    The next item is taken only when the block needs it. If taking it
+    raises, the items gathered so far are yielded as a block first, so that
+    they are scored and reported before the error.
     """
     block: list[Item] = []
     pairs = 0
-    prepared: dict[tuple[str, str], Document] = {}
+    prepared: dict[Document, Document] = {}
     try:
         for document, claims, fallback in items:
-            key = (document.id, document.text)
-            if key not in prepared:
-                prepared[key] = attach_clusters(document, coref_backend)
-            block.append((prepared[key], claims, fallback))
+            ready = prepared.get(document)
+            if ready is None:
+                ready = prepared[document] = attach_clusters(document, coref_backend)
+            block.append((ready, claims, fallback))
             pairs += len(document.sentences) * len(claims)
             if pairs >= cap:
                 yield block
-                block, pairs, prepared = [], 0, {key: prepared[key]}
+                block, pairs, prepared = [], 0, {document: ready}
     except Exception:
         if block:
             yield block

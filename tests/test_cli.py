@@ -1,5 +1,6 @@
 """End-to-end CLI tests: stdout goldens, exit codes, flag precedence, side files."""
 
+import errno
 import json
 import logging
 import os
@@ -730,6 +731,31 @@ class TestMalformedInput:
         assert error["error"] == "InputError"
         assert message in error["message"]
 
+    @pytest.mark.parametrize("read", ["config", "claim file", "score cache"])
+    def test_json_file_that_is_not_utf8_exits_2(self, runner, tmp_path, read):
+        # Each JSON object file is read whole as UTF-8: a 0xff byte is the
+        # invalid-JSON error, naming the file as that reader names it.
+        cache_dir = tmp_path / "cache"
+        args = ["benchmark", benchmark_file(tmp_path), "--cache-dir", str(cache_dir)]
+        assert runner.invoke(main, args).exit_code == 0
+        (score_cache,) = cache_dir.glob("scores-*.json")
+        bad = str(score_cache) if read == "score cache" else str(tmp_path / "bad.json")
+        Path(bad).write_bytes(b'\xff{"s1": ["alpha."]}')
+        flags = {
+            "config": ["--config", bad],
+            "claim file": ["--claim-backend", f"cache:{bad}"],
+            "score cache": [],
+        }
+        result = runner.invoke(main, [*args, *flags[read]])
+        assert result.exit_code == 2, result.stderr
+        assert result.stdout == ""
+        where = {"config": f"config {bad}", "claim file": bad, "score cache": f"score cache {bad}"}
+        assert json.loads(result.stderr.strip().splitlines()[-1]) == {
+            "error": "InputError",
+            "message": f"{where[read]}: invalid JSON: 'utf-8' codec can't decode byte 0xff "
+            "in position 0: invalid start byte",
+        }
+
 
 class TestExtractClaims:
     def test_cache_passthrough(self, runner, tmp_path):
@@ -1022,6 +1048,43 @@ class TestBenchmark:
         threaded = runner.invoke(main, ["benchmark", records, "--workers", "3"])
         assert serial.stdout == threaded.stdout
 
+    def test_records_sharing_a_document_id_and_text_keep_their_own_clusters(
+        self, runner, tmp_path
+    ):
+        # t1 carries v1's document id and text with clusters linking "She" to
+        # "Mary". v2's long document cuts a block before t1 at batch size 1,
+        # not at 32; each record is scored against its own document either way.
+        text = "Mary arrived. She spoke loudly."
+        mary = [
+            {"sentence_index": 0, "start": 0, "end": 4},
+            {"sentence_index": 1, "start": 0, "end": 3},
+        ]
+        records = [
+            ("v1", {"id": "d", "text": text}, "Mary spoke loudly.", "factual", "validation"),
+            ("v2", " ".join(f"w{i} filler." for i in range(120)), "zeta omega.", "not_factual",
+             "validation"),
+            ("t1", {"id": "d", "text": text, "coref_clusters": [mary]}, "Mary spoke loudly.",
+             "factual", "test"),
+            ("t2", "alpha beta.", "zeta omega.", "not_factual", "test"),
+        ]
+        keys = ("record_id", "document", "summary", "gold_label", "split")
+        path = write(tmp_path, "records.jsonl", "".join(
+            json.dumps(dict(zip(keys, record))) + "\n" for record in records
+        ))
+        csvs = []
+        for batch_size in (1, 32):
+            config = write(tmp_path, "run.json", json.dumps({"nli_batch_size": batch_size}))
+            csv_path = tmp_path / f"scores-{batch_size}.csv"
+            result = runner.invoke(main, [
+                "benchmark", path, "--mode", "nli_coref", "--config", config,
+                "--scores-csv", str(csv_path),
+            ])
+            assert result.exit_code == 0, result.stderr
+            csvs.append(csv_path.read_bytes())
+        assert csvs[0] == csvs[1]
+        rows = {row.split(",")[0]: row for row in csvs[0].decode().splitlines()}
+        assert ",1.000000," in rows["t1"] and ",1.000000," not in rows["v1"]
+
     def test_nli_sent_builds_only_the_backend_pool(self, runner, tmp_path, monkeypatch):
         # nli_sent extracts no claims, so its pairs are resolved on the
         # caller's thread at any --workers; only the backend's batches run on a pool.
@@ -1236,6 +1299,48 @@ class TestOutputsNameNoOtherFile:
         }
         assert calls == []
         assert self.snapshot(tmp_path) == before
+
+
+    @pytest.mark.parametrize("flag", ["--output", "--run-meta", "--scores-csv"])
+    @pytest.mark.parametrize("spelling", ["cdir", "./cdir/"])
+    def test_output_onto_the_cache_dir_fails_before_scoring(
+        self, runner, tmp_path, monkeypatch, flag, spelling
+    ):
+        # The run would make cdir at its first save and then fail to open the
+        # output on it, so it fails first, with that error, and makes nothing.
+        args, _ = self.files(tmp_path, "benchmark")
+        monkeypatch.chdir(tmp_path)
+        calls = []
+        monkeypatch.setattr(pipeline, "score_corpus", lambda *a, **kw: calls.append(a))
+        before = self.snapshot(tmp_path)
+        if flag != "--output":
+            args += ["--output", "out"]
+        result = runner.invoke(main, [*args, "--cache-dir", "cdir", flag, spelling])
+        assert result.exit_code == 2, result.stderr
+        late = OSError(errno.EISDIR, os.strerror(errno.EISDIR), spelling)
+        assert json.loads(result.stderr.strip().splitlines()[-1]) == {
+            "error": type(late).__name__,
+            "message": str(late),
+        }
+        assert calls == []
+        assert self.snapshot(tmp_path) == before
+
+    @pytest.mark.parametrize("command", ["score", "extract-claims"])
+    @pytest.mark.parametrize("cache_dir", ["afile", "afile/sub"])
+    def test_only_benchmark_checks_the_cache_dir(
+        self, runner, tmp_path, monkeypatch, command, cache_dir
+    ):
+        # Only benchmark reads cache_dir, so a config naming a file there
+        # changes nothing for another command.
+        args, files = self.files(tmp_path, command)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("kept\n")
+        plain = runner.invoke(main, args)
+        assert plain.exit_code == 0, plain.stderr
+        Path(files["config"]).write_text(json.dumps({"cache_dir": cache_dir}))
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.stderr
+        assert result.stdout == plain.stdout
 
 
 class TestReadmeRunMetaKeys:

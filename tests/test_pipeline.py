@@ -30,6 +30,7 @@ from sumfact import (
     RunConfig,
     Scorer,
     ScoringParams,
+    Sentence,
 )
 from sumfact import formats, pipeline
 from sumfact.config import _SELECTORS, MODES
@@ -874,6 +875,35 @@ class TestBlocks:
         for batch in backend.batches:
             lengths = [len(p) + len(h) for p, h in batch]
             assert lengths == sorted(lengths)
+
+    @pytest.mark.parametrize("differs_in", ["clusters", "sentences"])
+    def test_documents_equal_in_id_and_text_only_share_nothing(self, differs_in):
+        # Two documents with one id and text, as two benchmark records may
+        # carry them: the second links "She" to "Mary", or is one sentence.
+        # Each summary is scored against its own document, in either order,
+        # whether or not the two share a block.
+        texts = ["Mary arrived.", "She spoke loudly."]
+        plain = doc_from_sentences("d", texts)
+        if differs_in == "clusters":
+            other = doc_from_sentences("d", texts, [[(0, 0, 4), (1, 0, 3)]])
+        else:
+            other = replace(plain, sentences=(Sentence(0, 0, len(plain.text), plain.text),))
+        pairs = [
+            (doc, summary_from_sentences(f"s{n}", "d", ["Mary spoke loudly."]))
+            for n, doc in enumerate([plain, other])
+        ]
+
+        def scored(pairs, batch_size):
+            scorer = Scorer(MockEntailmentBackend(batch_size=batch_size))
+            reports = score_corpus(pairs, scorer, None, NoopCorefBackend(), "nli_coref")
+            return [render_report(report) for report in reports]
+
+        alone = {summary.id: scored([(doc, summary)], 1) for doc, summary in pairs}
+        assert alone["s0"] != alone["s1"]
+        for order in (pairs, pairs[::-1]):
+            for batch_size in (1, 32):
+                expected = [line for _, summary in order for line in alone[summary.id]]
+                assert scored(order, batch_size) == expected, batch_size
 
 
 class TestPairsInFlight:
