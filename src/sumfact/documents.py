@@ -64,26 +64,34 @@ class CorefCluster:
 
 
 def _validate_sentences(text: str, sentences: tuple[Sentence, ...], what: str) -> None:
-    if not text.strip():
+    """Check that ``sentences`` cut ``text`` in order, each span holding its
+    text, with only whitespace between and around them.
+
+    Spans are compared in place (``len`` and ``str.startswith``), and a
+    gap is checked with ``isspace``, true of exactly the non-empty text that
+    ``strip()`` empties, so no sentence is copied out of ``text``.
+    """
+    if not text or text.isspace():
         raise EmptyDocument(f"{what} text is empty or whitespace-only")
     if not sentences:
         raise EmptyDocument(f"{what} has no sentences")
     prev_end = 0
     for pos, s in enumerate(sentences):
+        start, end, sentence = s.start, s.end, s.text
         if s.index != pos:
             raise ValueError(f"{what}: sentence index {s.index} at position {pos}")
-        if not (0 <= s.start < s.end <= len(text)):
-            raise ValueError(f"{what}: sentence {pos} span [{s.start}, {s.end}) out of range")
-        if text[s.start:s.end] != s.text:
+        if not (0 <= start < end <= len(text)):
+            raise ValueError(f"{what}: sentence {pos} span [{start}, {end}) out of range")
+        if len(sentence) != end - start or not text.startswith(sentence, start):
             raise ValueError(f"{what}: sentence {pos} text does not match its span")
-        if not s.text.strip():
+        if sentence.isspace():
             raise ValueError(f"{what}: sentence {pos} is whitespace-only")
-        if s.start < prev_end:
+        if start < prev_end:
             raise ValueError(f"{what}: sentence {pos} overlaps the previous sentence")
-        if text[prev_end:s.start].strip():
+        if start > prev_end and not text[prev_end:start].isspace():
             raise ValueError(f"{what}: non-whitespace text between sentences {pos - 1} and {pos}")
-        prev_end = s.end
-    if text[prev_end:].strip():
+        prev_end = end
+    if prev_end < len(text) and not text[prev_end:].isspace():
         raise ValueError(f"{what}: non-whitespace text after the last sentence")
 
 
@@ -189,6 +197,31 @@ _CLOSERS = "\"')]}»”’"
 _TERMINAL_RUN = re.compile("([.!?]+)[" + re.escape(_CLOSERS) + "]*")
 
 
+def _terminal_runs(text: str) -> list[tuple[int, int, int]]:
+    """Each ``_TERMINAL_RUN`` in ``text``, in order: where it starts, where its
+    terminal punctuation ends and where its closers end.
+
+    A text with no ``!`` or ``?`` can only hold runs of periods, so they are
+    found with ``str.find``, several times faster than the regex scan; any
+    other text goes through the regex.
+    """
+    if "!" in text or "?" in text:
+        return [(run.start(), run.end(1), run.end()) for run in _TERMINAL_RUN.finditer(text)]
+    runs = []
+    n = len(text)
+    start = text.find(".")
+    while start >= 0:
+        stop = start + 1
+        while stop < n and text[stop] == ".":
+            stop += 1
+        end = stop
+        while end < n and text[end] in _CLOSERS:
+            end += 1
+        runs.append((start, stop, end))
+        start = text.find(".", end)
+    return runs
+
+
 class RuleSegmenter:
     """Deterministic sentence splitter.
 
@@ -196,7 +229,9 @@ class RuleSegmenter:
     brackets) that is followed by whitespace or end of text. A lone period is
     suppressed when the token before it is a known abbreviation. Emitted spans
     are trimmed of surrounding whitespace, so re-segmenting a single extracted
-    sentence returns exactly that sentence.
+    sentence returns exactly that sentence. The runs are found by
+    :func:`_terminal_runs`: with ``str.find`` in a text without ``!`` or
+    ``?``, by the regex otherwise.
     """
 
     def __init__(self, abbreviations: Iterable[str] = _ABBREVIATIONS):
@@ -207,11 +242,10 @@ class RuleSegmenter:
         spans: list[tuple[int, int]] = []
         n = len(text)
         sent_start = 0
-        for run in _TERMINAL_RUN.finditer(text):
-            end = run.end()
+        for start, stop, end in _terminal_runs(text):
             if end < n and not text[end].isspace():
                 continue
-            if run[1] == "." and self._preceding_token(text, run.start()) in self._abbrev:
+            if text[start:stop] == "." and self._preceding_token(text, start) in self._abbrev:
                 continue
             spans.append((sent_start, end))
             sent_start = end

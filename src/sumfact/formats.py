@@ -44,7 +44,6 @@ import csv
 import hashlib
 import json
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode_str  # json.dumps of a str
 from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -258,19 +257,23 @@ def _clusters_from_record(
 Splitter = Callable[[str], list[Sentence]]
 
 
-@contextmanager
-def _at(where: str) -> Iterator[None]:
-    """Name ``where`` once in front of an error raised in the block, as an :class:`InputError`."""
-    try:
-        yield
-    except (ValueError, SumfactError) as exc:
-        raise InputError(f"{where}: {exc}") from exc
+# The errors that building a record may raise, each raised again through :func:`_at`.
+_RECORD_ERRORS = (ValueError, SumfactError)
+
+
+def _at(where: str, exc: Exception) -> InputError:
+    """``exc`` as an :class:`InputError` that names ``where`` once in front of it.
+
+    Code that builds a record catches ``_RECORD_ERRORS`` in a plain
+    ``try``/``except`` and raises this ``from`` the error it caught.
+    """
+    return InputError(f"{where}: {exc}")
 
 
 def _document_from_record(record: Mapping, where: str, split: Splitter = segment) -> Document:
     doc_id = _require_str(record, "id", where)
     text = _require_str(record, "text", where)
-    with _at(where):
+    try:
         if "sentences" in record:
             sentences = _sentences_from_spans(text, record["sentences"])
         else:
@@ -280,6 +283,8 @@ def _document_from_record(record: Mapping, where: str, split: Splitter = segment
         if "coref_clusters" in record:
             clusters = _clusters_from_record(sentences, record["coref_clusters"])
         return Document(doc_id, text, sentences, clusters)
+    except _RECORD_ERRORS as exc:
+        raise _at(where, exc) from exc
 
 
 def _summary_from_record(record: Mapping, where: str, split=segment, seen=()) -> Summary:
@@ -288,8 +293,10 @@ def _summary_from_record(record: Mapping, where: str, split=segment, seen=()) ->
     text = _require_str(record, "text", where)
     if summary_id in seen:
         raise InputError(f"{where}: duplicate summary id '{summary_id}'")
-    with _at(where):
+    try:
         return Summary(summary_id, document_id, text, tuple(split(text)))
+    except _RECORD_ERRORS as exc:
+        raise _at(where, exc) from exc
 
 
 class Row(NamedTuple):
@@ -440,7 +447,7 @@ def _benchmark_record(
         raise InputError(f"{where}: 'summary' must be an object or a string")
     raw_summary = {"id": f"{record_id}:summary", "document_id": document.id, **raw_summary}
     summary = _summary_from_record(raw_summary, where, split)
-    with _at(where):
+    try:
         gold_label = _gold_label(record.get("gold_label"))
         split_name = str(record.get("split", ""))
         if split_name not in ("validation", "test"):
@@ -452,6 +459,8 @@ def _benchmark_record(
                 f"record '{record_id}': summary points at document "
                 f"'{summary.document_id}' but carries document '{document.id}'"
             )
+    except _RECORD_ERRORS as exc:
+        raise _at(where, exc) from exc
     system, dataset = str(record.get("system", "unknown")), str(record.get("dataset", "default"))
     return (record_id, gold_label, system, dataset, split_name), (document, summary)
 

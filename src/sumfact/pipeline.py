@@ -22,9 +22,11 @@ the blocks in flight. The CLI calls it and does no scoring itself.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import logging
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
+from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from . import formats
@@ -100,19 +102,43 @@ def make_claim_extractor(config: RunConfig) -> ClaimExtractor | None:
     return None
 
 
+def _code_digests() -> dict[str, str]:
+    """The SHA-256 of the bytes of each ``*.py`` file of the loaded package, by name."""
+    modules = sorted(Path(__file__).parent.glob("*.py"))
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in modules}
+
+
+def _checkpoint_files(selector: str) -> list[tuple[str, int, int]]:
+    """Name, size and ``st_mtime_ns`` of each file under a ``local:`` checkpoint
+    that is a directory, in name order (no bytes are read); none for any other."""
+    kind, _, path = selector.partition(":")
+    root = Path(path)
+    if kind != "local" or not root.is_dir():
+        return []
+    files = (f for f in root.rglob("*") if f.is_file())
+    stats = sorted((f.relative_to(root).as_posix(), f.stat()) for f in files)
+    return [(name, stat.st_size, stat.st_mtime_ns) for name, stat in stats]
+
+
 def scorer_fingerprint(
     config: RunConfig, backend: EntailmentBackend, extractor: ClaimExtractor | None
 ) -> str:
     """Digest of everything that can change a record's score.
 
-    The premise budget enters as the backend uses it, so a ``local:``
-    budget taken from the tokenizer's declared length is keyed too. A
-    ``cache:`` claim backend enters by the digest of its claims as well as
-    its path. Modes that score summary sentences never call the extractor,
-    so its settings are left out there.
+    That is the code that scores, as the bytes of every module of the loaded
+    package, so any edit to the package misses every cache written before
+    it; the configuration that scores; and a ``local:`` checkpoint directory
+    by its files' names, sizes and modification times. A ``remote:``
+    service cannot be keyed beyond its URL. The premise budget enters as
+    the backend uses it, so a ``local:`` budget taken from the tokenizer's
+    declared length is keyed too. A ``cache:`` claim backend enters by the
+    digest of its claims as well as its path. Modes that score summary
+    sentences never call the extractor, so its settings are left out there.
     """
     parts: dict[str, object] = {
+        "code": _code_digests(),
         "nli": backend.describe(),
+        "nli_files": _checkpoint_files(config.nli_backend),
         "nli_max_units": backend.max_units,
         "coref": config.coref_backend,
         "coref_max_sentences": config.coref_max_sentences,
@@ -122,6 +148,7 @@ def scorer_fingerprint(
     sentences, _ = MODES[config.mode]
     if not sentences:
         parts["claims"] = config.claim_backend
+        parts["claim_files"] = _checkpoint_files(config.claim_backend)
         parts["claim_model"] = config.claim_model
         parts["claim_max_tokens"] = config.claim_max_tokens
         if isinstance(extractor, FileCacheExtractor):
@@ -276,25 +303,31 @@ def _blocks(items: Iterator[Item], cap: int, coref_backend: CorefBackend) -> Ite
     clusters as the item joins a block (:func:`attach_clusters`), once per
     equal document within the block: equal in id, text, sentence spans and
     clusters, since benchmark records may reuse an id for documents that
-    differ in any of them. The block's last document is carried into the
-    next, so summaries of one document that straddle a cut run coref once.
+    differ in any of them. Prepared documents are kept by id, each with its
+    prepared copy, and an item's document is matched among those of its id
+    by ``is``, then by ``==``, so no document is hashed whole. The block's
+    last document is carried into the next, so summaries of one document
+    that straddle a cut run coref once.
     The next item is taken only when the block needs it. If taking it
     raises, the items gathered so far are yielded as a block first, so that
     they are scored and reported before the error.
     """
     block: list[Item] = []
     pairs = 0
-    prepared: dict[Document, Document] = {}
+    prepared: dict[str, list[tuple[Document, Document]]] = {}
     try:
         for document, claims, fallback in items:
-            ready = prepared.get(document)
-            if ready is None:
-                ready = prepared[document] = attach_clusters(document, coref_backend)
+            for seen, ready in prepared.get(document.id, ()):
+                if seen is document or seen == document:
+                    break
+            else:
+                ready = attach_clusters(document, coref_backend)
+                prepared.setdefault(document.id, []).append((document, ready))
             block.append((ready, claims, fallback))
             pairs += len(document.sentences) * len(claims)
             if pairs >= cap:
                 yield block
-                block, pairs, prepared = [], 0, {document: ready}
+                block, pairs, prepared = [], 0, {document.id: [(document, ready)]}
     except Exception:
         if block:
             yield block

@@ -6,7 +6,11 @@ import json
 import math
 import os
 import random
+import shutil
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -538,6 +542,58 @@ class TestScoreCache:
             SPLIT_RECORDS, batch(scorer), "per_split", cache=ScoreCache(str(tmp_path), "fp1")
         )
         assert calls == [r.record_id for r in SPLIT_RECORDS[2:]]
+
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+
+class TestScoreCacheKeysTheCode:
+    """A score cache answers only the code that wrote it: a run of a package
+    whose scoring rules differ writes a cache file of its own."""
+
+    RECORDS = [
+        ("v1", "validation", "factual", "alpha beta gamma."),
+        ("v2", "validation", "not_factual", "alpha is not gamma."),
+        ("t1", "test", "factual", "beta gamma."),
+        ("t2", "test", "not_factual", "gamma is not beta."),
+    ]
+
+    def benchmark(self, tmp_path, src, cache_dir):
+        """The ``--scores-csv`` bytes of a ``benchmark`` run of the package under ``src``."""
+        records = tmp_path / "records.jsonl"
+        records.write_text(
+            "".join(
+                json.dumps({"record_id": rid, "document": "alpha beta gamma.", "summary": summary,
+                            "gold_label": gold, "dataset": "main", "split": split}) + "\n"
+                for rid, split, gold, summary in self.RECORDS
+            ),
+            encoding="utf-8",
+        )
+        csv_path = tmp_path / "scores.csv"
+        done = subprocess.run(
+            [sys.executable, "-c", "from sumfact.cli import main; main()", "benchmark",
+             str(records), "--cache-dir", str(cache_dir), "--scores-csv", str(csv_path)],
+            capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert done.returncode == 0, done.stderr
+        return csv_path.read_bytes()
+
+    def test_a_run_of_edited_scoring_code_misses_the_cache(self, tmp_path):
+        edited = tmp_path / "edited"
+        shutil.copytree(
+            SRC_DIR / "sumfact", edited / "sumfact", ignore=shutil.ignore_patterns("__pycache__")
+        )
+        nli = edited / "sumfact" / "nli.py"
+        rule = '("not" in p) != ("not" in h)'
+        source = nli.read_text(encoding="utf-8")
+        assert source.count(rule) == 1
+        nli.write_text(source.replace(rule, '("never" in p) != ("never" in h)'), encoding="utf-8")
+        shared = tmp_path / "cache"
+        original = self.benchmark(tmp_path, SRC_DIR, shared)
+        warm = self.benchmark(tmp_path, edited, shared)
+        assert len(list(shared.glob("scores-*.json"))) == 2
+        cold = self.benchmark(tmp_path, edited, tmp_path / "cold")
+        assert warm == cold != original
 
 
 class TestConfigFingerprint:

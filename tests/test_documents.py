@@ -88,21 +88,37 @@ class TestSegmenter:
             assert rebuilt.sentences == doc.sentences
 
     # Words (some of them abbreviations, some behind an opening bracket or
-    # quote), then a terminal run, closers and a separator, each possibly empty.
-    SEGMENTER_TEXT = st.lists(
-        st.tuples(
-            st.sampled_from(["", "a", "B", "Mr", "e.g", "St", "(St", '"Mr', "x.y"]),
-            st.text(alphabet=".!?", max_size=3),
-            st.text(alphabet="\"')]}»”’", max_size=2),
-            st.sampled_from(["", " ", "\n", " \t "]),
+    # quote, some behind a run of them longer than a token usually is, some
+    # not ASCII), then a terminal run, closers and a separator, each possibly
+    # empty. The separators are the ASCII whitespace, control whitespace and
+    # Unicode spaces that ``str.isspace`` accepts. A text without "!" or "?"
+    # takes the segmenter's ``str.find`` path, so half the texts have theirs
+    # turned into periods.
+    OPENED = "([{\"'" * 8
+    SEGMENTER_TEXT = st.builds(
+        lambda text, periods: text.replace("!", ".").replace("?", ".") if periods else text,
+        st.lists(
+            st.tuples(
+                st.sampled_from(
+                    ["", "a", "B", "Mr", "e.g", "St", "(St", '"Mr', "x.y", "U.S", "é", "Straße",
+                     "ΣΑΣ", "İ", "Dr", OPENED + "Mr", OPENED + "e.g", "x" + OPENED + "St"]
+                ),
+                st.text(alphabet=".!?", max_size=3),
+                st.text(alphabet="\"')]}»”’", max_size=2),
+                st.sampled_from(
+                    ["", " ", "\n", " \t ", "\r", "\x0b", "\x1c", "\xa0", "\u3000", "\u2028"]
+                ),
+            ).map("".join),
+            max_size=12,
         ).map("".join),
-        max_size=12,
-    ).map("".join)
+        st.booleans(),
+    )
 
     @settings(max_examples=400, deadline=None)
     @given(SEGMENTER_TEXT)
     @example("Mr. Smith (St.) left! Then e.g. more?\" x.)y. z")
     @example("Mr.. St.! e.g.? end")
+    @example(OPENED + "Mr. Smith\xa0" + OPENED + "e.g. x.\x1cSt. y.\u3000z")
     def test_matches_character_loop_reference(self, text):
         expected = oracles.segment_spans(text, _ABBREVIATIONS)
         try:
@@ -136,6 +152,68 @@ class TestSegmenter:
             assert not text[prev_end : s.start].strip()
             prev_end = s.end
         assert not text[prev_end:].strip()
+
+
+# One row per check of a document's or summary's sentences, in the order the
+# checks run: its text, its sentences' (index, start, end, text) and its exact
+# message, "{}" naming the owner. Then rows whose sentences fail two checks,
+# which report the first.
+MISMATCH = "{}: sentence 0 text does not match its span"
+GAP = "{}: non-whitespace text between sentences 0 and 1"
+SENTENCE_FAULTS = {
+    "blank text": (" \t", [], "{} text is empty or whitespace-only"),
+    "no sentences": ("alpha.", [], "{} has no sentences"),
+    "index out of place": ("alpha.", [(1, 0, 6, "alpha.")], "{}: sentence index 1 at position 0"),
+    "out of range": ("alpha.", [(0, 0, 7, "alpha. ")], "{}: sentence 0 span [0, 7) out of range"),
+    "empty span": ("alpha.", [(0, 3, 3, "")], "{}: sentence 0 span [3, 3) out of range"),
+    "other text": ("alpha.", [(0, 0, 6, "alpha!")], MISMATCH),
+    "shorter text": ("alpha.", [(0, 0, 6, "alpha")], MISMATCH),
+    "longer text": ("alpha.", [(0, 0, 5, "alpha.")], MISMATCH),
+    "whitespace-only": ("a \xa0 b.", [(0, 1, 4, " \xa0 ")], "{}: sentence 0 is whitespace-only"),
+    "overlap": (
+        "alpha beta.",
+        [(0, 0, 8, "alpha be"), (1, 6, 11, "beta.")],
+        "{}: sentence 1 overlaps the previous sentence",
+    ),
+    "text in a gap": ("alpha. junk beta.", [(0, 0, 6, "alpha."), (1, 12, 17, "beta.")], GAP),
+    "one character in a gap": ("alpha.xbeta.", [(0, 0, 6, "alpha."), (1, 7, 12, "beta.")], GAP),
+    "text before the first": (
+        "x alpha.",
+        [(0, 2, 8, "alpha.")],
+        "{}: non-whitespace text between sentences -1 and 0",
+    ),
+    "text in the tail": (
+        "alpha. junk",
+        [(0, 0, 6, "alpha.")],
+        "{}: non-whitespace text after the last sentence",
+    ),
+    "index and range": ("alpha.", [(1, 0, 9, "alpha.")], "{}: sentence index 1 at position 0"),
+    "range and text": ("alpha.", [(0, 2, 9, "xx")], "{}: sentence 0 span [2, 9) out of range"),
+    "text and blank": ("ab c.", [(0, 0, 2, "  ")], MISMATCH),
+    "blank and overlap": (
+        "a b c.",
+        [(0, 0, 3, "a b"), (1, 1, 2, " ")],
+        "{}: sentence 1 is whitespace-only",
+    ),
+    "overlap and a blank gap": (
+        "alpha beta.",
+        [(0, 0, 6, "alpha "), (1, 5, 11, " beta.")],
+        "{}: sentence 1 overlaps the previous sentence",
+    ),
+}
+
+
+@pytest.mark.parametrize("owner", ["document", "summary"])
+@pytest.mark.parametrize("text, spans, message", SENTENCE_FAULTS.values(), ids=SENTENCE_FAULTS)
+def test_sentence_faults_raise_their_exact_message(owner, text, spans, message):
+    sentences = tuple(Sentence(*span) for span in spans)
+    if owner == "document":
+        build, name = lambda: Document("d", text, sentences), "document 'd'"
+    else:
+        build, name = lambda: Summary("s", "d", text, sentences), "summary 's'"
+    with pytest.raises(EmptyDocument if not spans else ValueError) as raised:
+        build()
+    assert str(raised.value) == message.format(name)
 
 
 class TestDocumentModel:

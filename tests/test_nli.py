@@ -22,7 +22,7 @@ from sumfact import (
 from sumfact.cli import main
 from sumfact.config import RunConfig
 from sumfact.documents import Claim
-from sumfact.nli import EntailmentBackend, TextTable, _checked
+from sumfact.nli import EntailmentBackend, TextTable, _checked, _read_row
 from sumfact.pipeline import make_nli_backend, scorer_fingerprint
 from sumfact.scoring import Scorer
 
@@ -592,6 +592,39 @@ class TestScoresPath:
             with pytest.raises(NliBackendError) as got:
                 backend.submit(pairs).scores()
             assert str(got.value) == str(remote.value)
+
+    # Rows ``scores`` may not take as they are: each must read as the row rule
+    # reads it, a score or an error. The last is one it does take as it is.
+    ROWS = {
+        "strings": ("0.5", "0.25", "0.25"),
+        "ints": (1, 0, 0),
+        "bools": (True, False, False),
+        "list": [0.5, 0.25, 0.25],
+        "float subclass": (type("Sub", (float,), {})(0.5), 0.25, 0.25),
+        "nan": (float("nan"), 0.5, 0.5),
+        "inf": (0.5, float("inf"), 0.5),
+        "sum 1.0004": (0.5, 0.25, 0.2504),
+        "2 items": (0.5, 0.5),
+        "4 items": (0.5, 0.25, 0.25, 0.0),
+        "none": None,
+        "word": ("x", 0.5, 0.5),
+        "exact": (0.5, 0.25, 0.25),
+    }
+
+    @pytest.mark.parametrize("row", ROWS.values(), ids=ROWS)
+    def test_each_row_reads_as_the_row_rule_reads_it(self, row):
+        def outcome(read):
+            try:
+                return read().hex()
+            except NliBackendError as exc:
+                return str(exc)
+
+        want = outcome(lambda: row_score(_read_row(1, row)))
+        rows = {"p0": (1.0, 0.0, 0.0), "p1 x": row}
+        pairs = [("p0", "h"), ("p1 x", "h")]
+        for batch_size in (1, 2):
+            backend = RowBackend(rows, batch_size=batch_size)
+            assert outcome(lambda: backend.submit(pairs).scores()[1]) == want
 
     @pytest.mark.parametrize("drop, extra", [(1, 0), (0, 1)], ids=["fewer", "more"])
     def test_a_batch_with_the_wrong_row_count_raises(self, drop, extra):

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import logging
+import os
 import random
 import sys
 import threading
@@ -320,20 +321,49 @@ class TestScorerFingerprint:
     # sentences and never calls the claim extractor.
     SENTENCE_MODE_BLIND = {"claim_backend", "claim_model", "claim_max_tokens"}
 
-    def test_digests_are_pinned(self):
+    @pytest.mark.parametrize("key", ["nli_backend", "claim_backend"])
+    def test_local_checkpoint_directory_enters_by_its_files(self, tmp_path, key):
+        # New weights at one path miss the cache; the weights are never read.
+        # Only the selector's directory is read, so a mock stands in for the model.
+        checkpoint = tmp_path / "ckpt"
+        (checkpoint / "sub").mkdir(parents=True)
+        weights = checkpoint / "sub" / "weights.bin"
+        config = RunConfig(**{key: f"local:{checkpoint}"})
+
+        def digest(content, mtime_ns=10**18):
+            weights.write_bytes(content)
+            os.utime(weights, ns=(mtime_ns, mtime_ns))
+            return scorer_fingerprint(config, MockEntailmentBackend(), None)
+
+        before = digest(b"0000")
+        assert digest(b"1111") == before
+        assert digest(b"0000", mtime_ns=10**18 + 1) != before
+        assert digest(b"00000") != before
+        (checkpoint / "config.json").write_text("{}")
+        assert digest(b"0000") != before
+        (checkpoint / "config.json").unlink()
+        assert digest(b"0000") == before
+
+    @pytest.fixture
+    def fixed_code(self, monkeypatch):
+        # The code part changes with every edit to the package, by design, so
+        # the pins below hold it fixed and pin the configuration's parts.
+        monkeypatch.setattr(pipeline, "_code_digests", lambda: {"sumfact.py": "0" * 64})
+
+    def test_digests_are_pinned(self, fixed_code):
         # A changed digest silently recomputes every existing score cache.
-        assert self.digest(RunConfig()) == "0073503b7d48b29c"
-        assert self.digest(RunConfig(monotone_gate=True, window_size=3)) == "6e866c9032cce726"
-        assert self.digest(RunConfig(mode="nli_claim", claim_model="m")) == "ded0310a05885e95"
+        assert self.digest(RunConfig()) == "469c1829059d5284"
+        assert self.digest(RunConfig(monotone_gate=True, window_size=3)) == "27582e8ac11ca633"
+        assert self.digest(RunConfig(mode="nli_claim", claim_model="m")) == "18890bda855f8a46"
         config = RunConfig(
             mode="nli_coref", claim_backend="remote:http://127.0.0.1:9", claim_max_tokens=64
         )
-        assert self.digest(config) == "0981e90dc7aa9073"
+        assert self.digest(config) == "a19b1e93ff821193"
 
     @pytest.mark.parametrize("units", [None, 0])
-    def test_both_unlimited_budgets_share_a_digest(self, units):
+    def test_both_unlimited_budgets_share_a_digest(self, fixed_code, units):
         # 0 and null both mean no budget, so they name one cache file.
-        assert self.digest(RunConfig(nli_max_units=units)) == "0073503b7d48b29c"
+        assert self.digest(RunConfig(nli_max_units=units)) == "469c1829059d5284"
 
     def test_every_field_is_fingerprinted_or_allow_listed(self):
         names = {f.name for f in dataclasses.fields(RunConfig)}
