@@ -69,9 +69,10 @@ def _validate_sentences(text: str, sentences: tuple[Sentence, ...], what: str) -
 
     Spans are compared in place (``len`` and ``str.startswith``), and a
     gap is checked with ``isspace``, true of exactly the non-empty text that
-    ``strip()`` empties, so no sentence is copied out of ``text``.
+    ``strip()`` empties, so no sentence is copied out of ``text``. A
+    sentence text that is not a ``str`` does not match its span.
     """
-    if not text or text.isspace():
+    if not text.strip():
         raise EmptyDocument(f"{what} text is empty or whitespace-only")
     if not sentences:
         raise EmptyDocument(f"{what} has no sentences")
@@ -82,7 +83,11 @@ def _validate_sentences(text: str, sentences: tuple[Sentence, ...], what: str) -
             raise ValueError(f"{what}: sentence index {s.index} at position {pos}")
         if not (0 <= start < end <= len(text)):
             raise ValueError(f"{what}: sentence {pos} span [{start}, {end}) out of range")
-        if len(sentence) != end - start or not text.startswith(sentence, start):
+        if (
+            not isinstance(sentence, str)
+            or len(sentence) != end - start
+            or not text.startswith(sentence, start)
+        ):
             raise ValueError(f"{what}: sentence {pos} text does not match its span")
         if sentence.isspace():
             raise ValueError(f"{what}: sentence {pos} is whitespace-only")
@@ -193,32 +198,31 @@ _ABBREVIATIONS = frozenset(
 )
 
 _CLOSERS = "\"')]}»”’"
-# A run of terminal punctuation, then any closing quotes or brackets.
-_TERMINAL_RUN = re.compile("([.!?]+)[" + re.escape(_CLOSERS) + "]*")
 
 
 def _terminal_runs(text: str) -> list[tuple[int, int, int]]:
-    """Each ``_TERMINAL_RUN`` in ``text``, in order: where it starts, where its
-    terminal punctuation ends and where its closers end.
+    """Each run of terminal punctuation (``.``, ``!`` or ``?``) in ``text``,
+    then any closing quotes or brackets, in order: where the run starts,
+    where its punctuation ends and where its closers end.
 
-    A text with no ``!`` or ``?`` can only hold runs of periods, so they are
-    found with ``str.find``, several times faster than the regex scan; any
-    other text goes through the regex.
+    ``!`` and ``?`` are made periods in a copy of ``text`` of the same
+    length (``str.replace`` returns ``text`` itself when it has neither), so
+    every run is found with ``str.find``, several times faster than a regex
+    scan.
     """
-    if "!" in text or "?" in text:
-        return [(run.start(), run.end(1), run.end()) for run in _TERMINAL_RUN.finditer(text)]
+    marks = text.replace("!", ".").replace("?", ".")
     runs = []
     n = len(text)
-    start = text.find(".")
+    start = marks.find(".")
     while start >= 0:
         stop = start + 1
-        while stop < n and text[stop] == ".":
+        while stop < n and marks[stop] == ".":
             stop += 1
         end = stop
         while end < n and text[end] in _CLOSERS:
             end += 1
         runs.append((start, stop, end))
-        start = text.find(".", end)
+        start = marks.find(".", end)
     return runs
 
 
@@ -230,8 +234,7 @@ class RuleSegmenter:
     suppressed when the token before it is a known abbreviation. Emitted spans
     are trimmed of surrounding whitespace, so re-segmenting a single extracted
     sentence returns exactly that sentence. The runs are found by
-    :func:`_terminal_runs`: with ``str.find`` in a text without ``!`` or
-    ``?``, by the regex otherwise.
+    :func:`_terminal_runs`.
     """
 
     def __init__(self, abbreviations: Iterable[str] = _ABBREVIATIONS):

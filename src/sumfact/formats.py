@@ -257,19 +257,6 @@ def _clusters_from_record(
 Splitter = Callable[[str], list[Sentence]]
 
 
-# The errors that building a record may raise, each raised again through :func:`_at`.
-_RECORD_ERRORS = (ValueError, SumfactError)
-
-
-def _at(where: str, exc: Exception) -> InputError:
-    """``exc`` as an :class:`InputError` that names ``where`` once in front of it.
-
-    Code that builds a record catches ``_RECORD_ERRORS`` in a plain
-    ``try``/``except`` and raises this ``from`` the error it caught.
-    """
-    return InputError(f"{where}: {exc}")
-
-
 def _document_from_record(record: Mapping, where: str, split: Splitter = segment) -> Document:
     doc_id = _require_str(record, "id", where)
     text = _require_str(record, "text", where)
@@ -283,8 +270,8 @@ def _document_from_record(record: Mapping, where: str, split: Splitter = segment
         if "coref_clusters" in record:
             clusters = _clusters_from_record(sentences, record["coref_clusters"])
         return Document(doc_id, text, sentences, clusters)
-    except _RECORD_ERRORS as exc:
-        raise _at(where, exc) from exc
+    except (ValueError, SumfactError) as exc:
+        raise InputError(f"{where}: {exc}") from exc
 
 
 def _summary_from_record(record: Mapping, where: str, split=segment, seen=()) -> Summary:
@@ -295,8 +282,8 @@ def _summary_from_record(record: Mapping, where: str, split=segment, seen=()) ->
         raise InputError(f"{where}: duplicate summary id '{summary_id}'")
     try:
         return Summary(summary_id, document_id, text, tuple(split(text)))
-    except _RECORD_ERRORS as exc:
-        raise _at(where, exc) from exc
+    except (ValueError, SumfactError) as exc:
+        raise InputError(f"{where}: {exc}") from exc
 
 
 class Row(NamedTuple):
@@ -459,8 +446,8 @@ def _benchmark_record(
                 f"record '{record_id}': summary points at document "
                 f"'{summary.document_id}' but carries document '{document.id}'"
             )
-    except _RECORD_ERRORS as exc:
-        raise _at(where, exc) from exc
+    except (ValueError, SumfactError) as exc:
+        raise InputError(f"{where}: {exc}") from exc
     system, dataset = str(record.get("system", "unknown")), str(record.get("dataset", "default"))
     return (record_id, gold_label, system, dataset, split_name), (document, summary)
 

@@ -222,13 +222,7 @@ class Inference:
 
     def scores(self) -> list[float]:
         """Each pair's alignment score, ``entailment - contradiction`` of its
-        checked row, in input order; waits for every batch.
-
-        Rows are read in one loop: a row that is already what the row rule
-        returns unchanged (a tuple of three floats in [0, 1] that sum to
-        exactly 1) is used as it is, and any other goes through
-        :func:`_read_row`.
-        """
+        checked row, in input order; waits for every batch."""
         if self._futures is None:
             results = (self._infer(batch, self._table) for batch in self._batches)
         else:
@@ -241,13 +235,6 @@ class Inference:
                         f"entailment backend returned {len(rows)} triples for {len(chunk)} pairs"
                     )
                 for i, row in zip(chunk, rows):
-                    if type(row) is tuple and len(row) == 3:
-                        e, n, c = row
-                        if type(e) is type(n) is type(c) is float and e + n + c == 1.0 and (
-                            0.0 <= e <= 1.0 and 0.0 <= n <= 1.0 and 0.0 <= c <= 1.0
-                        ):
-                            out[i] = e - c
-                            continue
                     e, _, c = _read_row(i, row)
                     out[i] = e - c
                 self._table.release(b)

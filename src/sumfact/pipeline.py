@@ -303,31 +303,25 @@ def _blocks(items: Iterator[Item], cap: int, coref_backend: CorefBackend) -> Ite
     clusters as the item joins a block (:func:`attach_clusters`), once per
     equal document within the block: equal in id, text, sentence spans and
     clusters, since benchmark records may reuse an id for documents that
-    differ in any of them. Prepared documents are kept by id, each with its
-    prepared copy, and an item's document is matched among those of its id
-    by ``is``, then by ``==``, so no document is hashed whole. The block's
-    last document is carried into the next, so summaries of one document
-    that straddle a cut run coref once.
+    differ in any of them. The block's last document is carried into the
+    next, so summaries of one document that straddle a cut run coref once.
     The next item is taken only when the block needs it. If taking it
     raises, the items gathered so far are yielded as a block first, so that
     they are scored and reported before the error.
     """
     block: list[Item] = []
     pairs = 0
-    prepared: dict[str, list[tuple[Document, Document]]] = {}
+    prepared: dict[Document, Document] = {}
     try:
         for document, claims, fallback in items:
-            for seen, ready in prepared.get(document.id, ()):
-                if seen is document or seen == document:
-                    break
-            else:
-                ready = attach_clusters(document, coref_backend)
-                prepared.setdefault(document.id, []).append((document, ready))
+            ready = prepared.get(document)
+            if ready is None:
+                ready = prepared[document] = attach_clusters(document, coref_backend)
             block.append((ready, claims, fallback))
             pairs += len(document.sentences) * len(claims)
             if pairs >= cap:
                 yield block
-                block, pairs, prepared = [], 0, {document.id: [(document, ready)]}
+                block, pairs, prepared = [], 0, {document: ready}
     except Exception:
         if block:
             yield block

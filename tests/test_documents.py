@@ -91,9 +91,9 @@ class TestSegmenter:
     # quote, some behind a run of them longer than a token usually is, some
     # not ASCII), then a terminal run, closers and a separator, each possibly
     # empty. The separators are the ASCII whitespace, control whitespace and
-    # Unicode spaces that ``str.isspace`` accepts. A text without "!" or "?"
-    # takes the segmenter's ``str.find`` path, so half the texts have theirs
-    # turned into periods.
+    # Unicode spaces that ``str.isspace`` accepts. Half the texts have their
+    # "!" and "?" turned into periods, so texts of period runs alone, the
+    # common case, are drawn as often as mixed ones.
     OPENED = "([{\"'" * 8
     SEGMENTER_TEXT = st.builds(
         lambda text, periods: text.replace("!", ".").replace("?", ".") if periods else text,
@@ -169,6 +169,9 @@ SENTENCE_FAULTS = {
     "other text": ("alpha.", [(0, 0, 6, "alpha!")], MISMATCH),
     "shorter text": ("alpha.", [(0, 0, 6, "alpha")], MISMATCH),
     "longer text": ("alpha.", [(0, 0, 5, "alpha.")], MISMATCH),
+    "list text": ("alpha.", [(0, 0, 6, list("alpha."))], MISMATCH),
+    "tuple text": ("a.", [(0, 0, 1, ("a",))], MISMATCH),
+    "bytes text": ("alpha.", [(0, 0, 6, b"alpha.")], MISMATCH),
     "whitespace-only": ("a \xa0 b.", [(0, 1, 4, " \xa0 ")], "{}: sentence 0 is whitespace-only"),
     "overlap": (
         "alpha beta.",

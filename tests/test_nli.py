@@ -593,8 +593,8 @@ class TestScoresPath:
                 backend.submit(pairs).scores()
             assert str(got.value) == str(remote.value)
 
-    # Rows ``scores`` may not take as they are: each must read as the row rule
-    # reads it, a score or an error. The last is one it does take as it is.
+    # Rows of every shape a backend may return: through ``scores`` each must
+    # read as ``_read_row`` alone reads it, to the same score or error text.
     ROWS = {
         "strings": ("0.5", "0.25", "0.25"),
         "ints": (1, 0, 0),
